@@ -4,138 +4,204 @@
 //! module exposes the in-memory trace in the same relational form so
 //! analyses can be written as [`borg_query`] pipelines. Each function
 //! mirrors one of the published tables.
+//!
+//! The builders are columnar: one pass over the events fills one typed
+//! vector per column, and the vectors become the table's columns as they
+//! are — no per-row `Vec<Value>`, no per-cell `String`. Every string
+//! column here is the label of a small enum, so a cell is written as a
+//! dictionary code ([`Labels`]).
 
-use borg_query::{DataType, QueryError, Table, Value};
+use borg_query::{Column, QueryError, StrVec, Table};
 use borg_trace::trace::Trace;
+
+/// A string column of enum labels: a label is interned when its variant
+/// first appears (so the dictionary is in first-appearance order, as if
+/// every row's string had been pushed) and later rows reuse the code.
+struct Labels<K> {
+    column: StrVec,
+    codes: Vec<(K, u32)>,
+}
+
+impl<K: Copy + PartialEq> Labels<K> {
+    fn with_capacity(rows: usize) -> Labels<K> {
+        Labels {
+            column: StrVec::with_capacity(rows),
+            codes: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, variant: K, name: impl FnOnce(K) -> &'static str) {
+        let code = match self.codes.iter().find(|(k, _)| *k == variant) {
+            Some(&(_, code)) => code,
+            None => {
+                let code = self.column.intern(name(variant));
+                self.codes.push((variant, code));
+                code
+            }
+        };
+        self.column.push_code(code);
+    }
+
+    fn finish(self) -> Column {
+        Column::Str(self.column)
+    }
+}
 
 /// The collection-events table:
 /// `time, collection_id, event, type, priority, tier, scheduler,
 /// vertical_scaling, parent_id, alloc_collection_id, user_id`.
 pub fn collection_events_table(trace: &Trace) -> Result<Table, QueryError> {
-    let mut t = Table::new(vec![
-        ("time", DataType::Int),
-        ("collection_id", DataType::Int),
-        ("event", DataType::Str),
-        ("type", DataType::Str),
-        ("priority", DataType::Int),
-        ("tier", DataType::Str),
-        ("scheduler", DataType::Str),
-        ("vertical_scaling", DataType::Str),
-        ("parent_id", DataType::Int),
-        ("alloc_collection_id", DataType::Int),
-        ("user_id", DataType::Int),
-    ]);
+    let n = trace.collection_events.len();
+    let mut time = Vec::with_capacity(n);
+    let mut collection_id = Vec::with_capacity(n);
+    let mut event = Labels::with_capacity(n);
+    let mut kind = Labels::with_capacity(n);
+    let mut priority = Vec::with_capacity(n);
+    let mut tier = Labels::with_capacity(n);
+    let mut scheduler = Labels::with_capacity(n);
+    let mut vertical_scaling = Labels::with_capacity(n);
+    let mut parent_id = Vec::with_capacity(n);
+    let mut alloc_collection_id = Vec::with_capacity(n);
+    let mut user_id = Vec::with_capacity(n);
     for ev in &trace.collection_events {
-        t.push_row(vec![
-            Value::Int(ev.time.as_micros() as i64),
-            Value::Int(ev.collection_id.0 as i64),
-            Value::str(ev.event_type.name()),
-            Value::str(ev.collection_type.name()),
-            Value::Int(i64::from(ev.priority.raw())),
-            Value::str(ev.priority.reporting_tier().short_name()),
-            Value::str(match ev.scheduler {
-                borg_trace::collection::SchedulerKind::Default => "default",
-                borg_trace::collection::SchedulerKind::Batch => "batch",
-            }),
-            Value::str(ev.vertical_scaling.name()),
-            ev.parent_id.map_or(Value::Null, |p| Value::Int(p.0 as i64)),
-            ev.alloc_collection_id
-                .map_or(Value::Null, |p| Value::Int(p.0 as i64)),
-            Value::Int(i64::from(ev.user_id.0)),
-        ])?;
+        time.push(Some(ev.time.as_micros() as i64));
+        collection_id.push(Some(ev.collection_id.0 as i64));
+        event.push(ev.event_type, |e| e.name());
+        kind.push(ev.collection_type, |c| c.name());
+        priority.push(Some(i64::from(ev.priority.raw())));
+        tier.push(ev.priority.reporting_tier(), |t| t.short_name());
+        scheduler.push(ev.scheduler, |s| match s {
+            borg_trace::collection::SchedulerKind::Default => "default",
+            borg_trace::collection::SchedulerKind::Batch => "batch",
+        });
+        vertical_scaling.push(ev.vertical_scaling, |v| v.name());
+        parent_id.push(ev.parent_id.map(|p| p.0 as i64));
+        alloc_collection_id.push(ev.alloc_collection_id.map(|p| p.0 as i64));
+        user_id.push(Some(i64::from(ev.user_id.0)));
     }
-    Ok(t)
+    Table::from_columns(vec![
+        ("time", Column::Int(time)),
+        ("collection_id", Column::Int(collection_id)),
+        ("event", event.finish()),
+        ("type", kind.finish()),
+        ("priority", Column::Int(priority)),
+        ("tier", tier.finish()),
+        ("scheduler", scheduler.finish()),
+        ("vertical_scaling", vertical_scaling.finish()),
+        ("parent_id", Column::Int(parent_id)),
+        ("alloc_collection_id", Column::Int(alloc_collection_id)),
+        ("user_id", Column::Int(user_id)),
+    ])
 }
 
 /// The instance-events table:
 /// `time, collection_id, instance_index, event, machine_id, cpu_request,
 /// mem_request, priority, tier`.
 pub fn instance_events_table(trace: &Trace) -> Result<Table, QueryError> {
-    let mut t = Table::new(vec![
-        ("time", DataType::Int),
-        ("collection_id", DataType::Int),
-        ("instance_index", DataType::Int),
-        ("event", DataType::Str),
-        ("machine_id", DataType::Int),
-        ("cpu_request", DataType::Float),
-        ("mem_request", DataType::Float),
-        ("priority", DataType::Int),
-        ("tier", DataType::Str),
-    ]);
+    let n = trace.instance_events.len();
+    let mut time = Vec::with_capacity(n);
+    let mut collection_id = Vec::with_capacity(n);
+    let mut instance_index = Vec::with_capacity(n);
+    let mut event = Labels::with_capacity(n);
+    let mut machine_id = Vec::with_capacity(n);
+    let mut cpu_request = Vec::with_capacity(n);
+    let mut mem_request = Vec::with_capacity(n);
+    let mut priority = Vec::with_capacity(n);
+    let mut tier = Labels::with_capacity(n);
     for ev in &trace.instance_events {
-        t.push_row(vec![
-            Value::Int(ev.time.as_micros() as i64),
-            Value::Int(ev.instance_id.collection.0 as i64),
-            Value::Int(i64::from(ev.instance_id.index)),
-            Value::str(ev.event_type.name()),
-            ev.machine_id
-                .map_or(Value::Null, |m| Value::Int(i64::from(m.0))),
-            Value::Float(ev.request.cpu),
-            Value::Float(ev.request.mem),
-            Value::Int(i64::from(ev.priority.raw())),
-            Value::str(ev.priority.reporting_tier().short_name()),
-        ])?;
+        time.push(Some(ev.time.as_micros() as i64));
+        collection_id.push(Some(ev.instance_id.collection.0 as i64));
+        instance_index.push(Some(i64::from(ev.instance_id.index)));
+        event.push(ev.event_type, |e| e.name());
+        machine_id.push(ev.machine_id.map(|m| i64::from(m.0)));
+        cpu_request.push(Some(ev.request.cpu));
+        mem_request.push(Some(ev.request.mem));
+        priority.push(Some(i64::from(ev.priority.raw())));
+        tier.push(ev.priority.reporting_tier(), |t| t.short_name());
     }
-    Ok(t)
+    Table::from_columns(vec![
+        ("time", Column::Int(time)),
+        ("collection_id", Column::Int(collection_id)),
+        ("instance_index", Column::Int(instance_index)),
+        ("event", event.finish()),
+        ("machine_id", Column::Int(machine_id)),
+        ("cpu_request", Column::Float(cpu_request)),
+        ("mem_request", Column::Float(mem_request)),
+        ("priority", Column::Int(priority)),
+        ("tier", tier.finish()),
+    ])
 }
 
 /// The machine-events table: `time, machine_id, event, cpu, mem, platform`.
 pub fn machine_events_table(trace: &Trace) -> Result<Table, QueryError> {
-    let mut t = Table::new(vec![
-        ("time", DataType::Int),
-        ("machine_id", DataType::Int),
-        ("event", DataType::Str),
-        ("cpu", DataType::Float),
-        ("mem", DataType::Float),
-        ("platform", DataType::Int),
-    ]);
+    let n = trace.machine_events.len();
+    let mut time = Vec::with_capacity(n);
+    let mut machine_id = Vec::with_capacity(n);
+    let mut event = Labels::with_capacity(n);
+    let mut cpu = Vec::with_capacity(n);
+    let mut mem = Vec::with_capacity(n);
+    let mut platform = Vec::with_capacity(n);
     for ev in &trace.machine_events {
-        t.push_row(vec![
-            Value::Int(ev.time.as_micros() as i64),
-            Value::Int(i64::from(ev.machine_id.0)),
-            Value::str(match ev.event_type {
-                borg_trace::machine::MachineEventType::Add => "add",
-                borg_trace::machine::MachineEventType::Remove => "remove",
-                borg_trace::machine::MachineEventType::Update => "update",
-            }),
-            Value::Float(ev.capacity.cpu),
-            Value::Float(ev.capacity.mem),
-            Value::Int(i64::from(ev.platform.0)),
-        ])?;
+        time.push(Some(ev.time.as_micros() as i64));
+        machine_id.push(Some(i64::from(ev.machine_id.0)));
+        event.push(ev.event_type, |e| match e {
+            borg_trace::machine::MachineEventType::Add => "add",
+            borg_trace::machine::MachineEventType::Remove => "remove",
+            borg_trace::machine::MachineEventType::Update => "update",
+        });
+        cpu.push(Some(ev.capacity.cpu));
+        mem.push(Some(ev.capacity.mem));
+        platform.push(Some(i64::from(ev.platform.0)));
     }
-    Ok(t)
+    Table::from_columns(vec![
+        ("time", Column::Int(time)),
+        ("machine_id", Column::Int(machine_id)),
+        ("event", event.finish()),
+        ("cpu", Column::Float(cpu)),
+        ("mem", Column::Float(mem)),
+        ("platform", Column::Int(platform)),
+    ])
 }
 
 /// The instance-usage table: `start, end, collection_id, instance_index,
 /// machine_id, avg_cpu, avg_mem, max_cpu, limit_cpu, limit_mem`.
 pub fn usage_table(trace: &Trace) -> Result<Table, QueryError> {
-    let mut t = Table::new(vec![
-        ("start", DataType::Int),
-        ("end", DataType::Int),
-        ("collection_id", DataType::Int),
-        ("instance_index", DataType::Int),
-        ("machine_id", DataType::Int),
-        ("avg_cpu", DataType::Float),
-        ("avg_mem", DataType::Float),
-        ("max_cpu", DataType::Float),
-        ("limit_cpu", DataType::Float),
-        ("limit_mem", DataType::Float),
-    ]);
+    let n = trace.usage.len();
+    let mut start = Vec::with_capacity(n);
+    let mut end = Vec::with_capacity(n);
+    let mut collection_id = Vec::with_capacity(n);
+    let mut instance_index = Vec::with_capacity(n);
+    let mut machine_id = Vec::with_capacity(n);
+    let mut avg_cpu = Vec::with_capacity(n);
+    let mut avg_mem = Vec::with_capacity(n);
+    let mut max_cpu = Vec::with_capacity(n);
+    let mut limit_cpu = Vec::with_capacity(n);
+    let mut limit_mem = Vec::with_capacity(n);
     for u in &trace.usage {
-        t.push_row(vec![
-            Value::Int(u.start.as_micros() as i64),
-            Value::Int(u.end.as_micros() as i64),
-            Value::Int(u.instance_id.collection.0 as i64),
-            Value::Int(i64::from(u.instance_id.index)),
-            Value::Int(i64::from(u.machine_id.0)),
-            Value::Float(u.avg_usage.cpu),
-            Value::Float(u.avg_usage.mem),
-            Value::Float(u.max_usage.cpu),
-            Value::Float(u.limit.cpu),
-            Value::Float(u.limit.mem),
-        ])?;
+        start.push(Some(u.start.as_micros() as i64));
+        end.push(Some(u.end.as_micros() as i64));
+        collection_id.push(Some(u.instance_id.collection.0 as i64));
+        instance_index.push(Some(i64::from(u.instance_id.index)));
+        machine_id.push(Some(i64::from(u.machine_id.0)));
+        avg_cpu.push(Some(u.avg_usage.cpu));
+        avg_mem.push(Some(u.avg_usage.mem));
+        max_cpu.push(Some(u.max_usage.cpu));
+        limit_cpu.push(Some(u.limit.cpu));
+        limit_mem.push(Some(u.limit.mem));
     }
-    Ok(t)
+    Table::from_columns(vec![
+        ("start", Column::Int(start)),
+        ("end", Column::Int(end)),
+        ("collection_id", Column::Int(collection_id)),
+        ("instance_index", Column::Int(instance_index)),
+        ("machine_id", Column::Int(machine_id)),
+        ("avg_cpu", Column::Float(avg_cpu)),
+        ("avg_mem", Column::Float(avg_mem)),
+        ("max_cpu", Column::Float(max_cpu)),
+        ("limit_cpu", Column::Float(limit_cpu)),
+        ("limit_mem", Column::Float(limit_mem)),
+    ])
 }
 
 #[cfg(test)]

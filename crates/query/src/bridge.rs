@@ -6,89 +6,69 @@
 //! Lives here rather than in `borg-telemetry` to keep that crate
 //! dependency-free (everything else depends on it).
 
-use crate::column::DataType;
+use crate::column::Column;
+use crate::dict::StrVec;
 use crate::table::Table;
-use crate::value::Value;
 use borg_telemetry::Snapshot;
 
-fn int(v: u64) -> Value {
-    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
+fn ints<T>(rows: &[T], cell: impl Fn(&T) -> u64) -> Column {
+    Column::Int(
+        rows.iter()
+            .map(|r| Some(i64::try_from(cell(r)).unwrap_or(i64::MAX)))
+            .collect(),
+    )
 }
 
-fn push(t: &mut Table, row: Vec<Value>) {
-    let ok = t.push_row(row).is_ok();
-    debug_assert!(ok, "bridge rows match their schema by construction");
+fn strs<'a, T>(rows: &'a [T], cell: impl Fn(&'a T) -> &'a str) -> Column {
+    Column::Str(rows.iter().map(|r| Some(cell(r))).collect::<StrVec>())
+}
+
+/// Names the columns; each was built from the same slice, so the
+/// lengths agree.
+fn table(columns: Vec<(&str, Column)>) -> Table {
+    // lint: library-panic-ok (distinct literal names, equal lengths by construction) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
+    Table::from_columns(columns).expect("bridge columns line up")
 }
 
 /// The snapshot's counters as a table: `name`, `plane`
 /// (`det`/`eng`/`tim`), `value`.
 pub fn counters_table(snap: &Snapshot) -> Table {
-    let mut t = Table::new(vec![
-        ("name", DataType::Str),
-        ("plane", DataType::Str),
-        ("value", DataType::Int),
-    ]);
-    for c in &snap.counters {
-        push(
-            &mut t,
-            vec![
-                Value::str(&c.name),
-                Value::str(plane_tag(c.plane)),
-                int(c.value),
-            ],
-        );
-    }
-    t
+    let rows = &snap.counters;
+    table(vec![
+        ("name", strs(rows, |c| &c.name)),
+        ("plane", strs(rows, |c| plane_tag(c.plane))),
+        ("value", ints(rows, |c| c.value)),
+    ])
 }
 
 /// The snapshot's histograms as a table: `name`, `plane`, `count`,
 /// `sum`, and the compact bucket rendering.
 pub fn hists_table(snap: &Snapshot) -> Table {
-    let mut t = Table::new(vec![
-        ("name", DataType::Str),
-        ("plane", DataType::Str),
-        ("count", DataType::Int),
-        ("sum", DataType::Int),
-        ("buckets", DataType::Str),
-    ]);
-    for h in &snap.hists {
-        push(
-            &mut t,
-            vec![
-                Value::str(&h.name),
-                Value::str(plane_tag(h.plane)),
-                int(h.hist.count),
-                int(h.hist.sum),
-                Value::str(h.hist.render()),
-            ],
-        );
+    let rows = &snap.hists;
+    let mut buckets = StrVec::with_capacity(rows.len());
+    for h in rows {
+        buckets.push(Some(&h.hist.render()));
     }
-    t
+    table(vec![
+        ("name", strs(rows, |h| &h.name)),
+        ("plane", strs(rows, |h| plane_tag(h.plane))),
+        ("count", ints(rows, |h| h.hist.count)),
+        ("sum", ints(rows, |h| h.hist.sum)),
+        ("buckets", Column::Str(buckets)),
+    ])
 }
 
 /// The snapshot's span tree as a table in depth-first order: `path`,
 /// `name`, `depth`, `count`, `total_ns`.
 pub fn spans_table(snap: &Snapshot) -> Table {
-    let mut t = Table::new(vec![
-        ("path", DataType::Str),
-        ("name", DataType::Str),
-        ("depth", DataType::Int),
-        ("count", DataType::Int),
-        ("total_ns", DataType::Int),
-    ]);
-    for s in &snap.spans {
-        push(
-            &mut t,
-            vec![
-                Value::str(&s.path),
-                Value::str(&s.name),
-                int(u64::from(s.depth)),
-                int(s.count),
-                int(s.total_ns),
-            ],
-        );
-    }
-    t
+    let rows = &snap.spans;
+    table(vec![
+        ("path", strs(rows, |s| &s.path)),
+        ("name", strs(rows, |s| &s.name)),
+        ("depth", ints(rows, |s| u64::from(s.depth))),
+        ("count", ints(rows, |s| s.count)),
+        ("total_ns", ints(rows, |s| s.total_ns)),
+    ])
 }
 
 /// All three bridge tables: `[counters, hists, spans]`.
@@ -109,6 +89,7 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit};
     use crate::query::Query;
+    use crate::value::Value;
     use borg_telemetry::{Plane, Telemetry};
 
     #[test]

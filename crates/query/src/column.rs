@@ -245,6 +245,17 @@ impl Column {
         }
     }
 
+    /// The first `n` rows (all of them when there are fewer).
+    pub fn head(&self, n: usize) -> Column {
+        let n = n.min(self.len());
+        match self {
+            Column::Int(v) => Column::Int(v[..n].to_vec()),
+            Column::Float(v) => Column::Float(v[..n].to_vec()),
+            Column::Str(v) => Column::Str(v.slice(0..n)),
+            Column::Bool(v) => Column::Bool(v[..n].to_vec()),
+        }
+    }
+
     /// Iterates the column as [`Value`]s.
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))

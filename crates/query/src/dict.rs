@@ -83,7 +83,12 @@ impl StrVec {
 
     /// Interns `s` (if new) and returns its code without appending a row.
     pub fn intern(&mut self, s: &str) -> u32 {
-        Arc::make_mut(&mut self.dict).intern(s)
+        // Hits (nearly every row of a trace column) only read the pool;
+        // the copy-on-write check is paid on first sight of a string.
+        match self.dict.lookup.get(s) {
+            Some(&code) => code,
+            None => Arc::make_mut(&mut self.dict).intern(s),
+        }
     }
 
     /// The code for `s` if it is already in the pool.
@@ -109,10 +114,18 @@ impl StrVec {
         self.codes.push(code);
     }
 
-    /// Appends a row that is already encoded (a code from *this* pool or
-    /// [`NULL_CODE`]).
-    pub(crate) fn push_code(&mut self, code: u32) {
-        debug_assert!(code == NULL_CODE || (code as usize) < self.dict.strings.len());
+    /// Appends a row that is already encoded: a code [`StrVec::intern`]
+    /// returned for *this* vector, or [`NULL_CODE`]. Lets a builder that
+    /// knows its few labels skip the pool lookup per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `code` is neither in the pool nor [`NULL_CODE`].
+    pub fn push_code(&mut self, code: u32) {
+        assert!(
+            code == NULL_CODE || (code as usize) < self.dict.strings.len(),
+            "code {code} is not in this dictionary"
+        );
         self.codes.push(code);
     }
 

@@ -23,6 +23,7 @@ use crate::parallel;
 use crate::table::Table;
 use crate::value::Value;
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::ops::Range;
 
 /// An expression tree.
@@ -154,6 +155,23 @@ impl Expr {
         Expr::Bucket {
             inner: Box::new(self),
             width,
+        }
+    }
+
+    /// Adds the name of every column the expression reads to `out`.
+    pub fn collect_columns(&self, out: &mut BTreeSet<String>) {
+        match self {
+            Expr::Column(name) => {
+                out.insert(name.clone());
+            }
+            Expr::Literal(_) => {}
+            Expr::Not(inner) | Expr::IsNull(inner) | Expr::Bucket { inner, .. } => {
+                inner.collect_columns(out);
+            }
+            Expr::Binary { left, right, .. } => {
+                left.collect_columns(out);
+                right.collect_columns(out);
+            }
         }
     }
 

@@ -4,10 +4,12 @@
 //!
 //! 1. Key columns are encoded once into flat `u64` vectors
 //!    ([`crate::keys`]), so the per-row work is filling a fixed-width
-//!    `[u64]` buffer and one FxHash lookup — no `Value`s, no `String`
-//!    clones, no per-row allocation (a key is boxed only when its group
-//!    is first seen).
-//! 2. Rows are processed in fixed-size blocks ([`crate::parallel`]),
+//!    `[u64]` buffer and one probe of a flat [`GroupTable`] — no
+//!    `Value`s, no `String` clones, no per-row or per-group allocation.
+//! 2. Aggregate state is columnar too: one dense vector per aggregate,
+//!    indexed by group, updated by one typed loop per aggregate over
+//!    the block's row → group ids.
+//! 3. Rows are processed in fixed-size blocks ([`crate::parallel`]),
 //!    each block producing a partial aggregation; blocks run on a scoped
 //!    thread pool and the partials are merged in block order. Because
 //!    block boundaries and merge order are independent of the thread
@@ -15,13 +17,11 @@
 //!
 //! Group order follows first appearance in the input, as before.
 
-use crate::column::{Column, DataType};
+use crate::column::Column;
 use crate::error::QueryError;
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::keys::{encode_column, EncodedCol};
+use crate::keys::{encode_column, hash_key, EncodedCol, GroupTable};
 use crate::parallel;
 use crate::table::Table;
-use crate::value::Value;
 
 /// Aggregate function kinds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,181 +142,12 @@ impl Agg {
     }
 }
 
-/// State accumulated per group per aggregate.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(u64),
-    Sum(f64, bool),
-    Mean(f64, u64),
-    Min(Option<f64>),
-    Max(Option<f64>),
-    Percentile(Vec<f64>, f64),
-    Distinct(FxHashSet<u64>),
-    Variance(f64, f64, u64),
-}
-
-impl AggState {
-    fn new(kind: AggKind) -> AggState {
-        match kind {
-            AggKind::Count | AggKind::CountAll => AggState::Count(0),
-            AggKind::Sum => AggState::Sum(0.0, false),
-            AggKind::Mean => AggState::Mean(0.0, 0),
-            AggKind::Min => AggState::Min(None),
-            AggKind::Max => AggState::Max(None),
-            AggKind::Percentile(p) => AggState::Percentile(Vec::new(), p),
-            AggKind::CountDistinct => AggState::Distinct(Default::default()),
-            AggKind::Variance => AggState::Variance(0.0, 0.0, 0),
-        }
-    }
-
-    /// Records one encoded distinct key (`CountDistinct` only).
-    #[inline]
-    fn insert_distinct(&mut self, key: u64) {
-        if let AggState::Distinct(set) = self {
-            set.insert(key);
-        }
-    }
-
-    #[inline]
-    fn update(&mut self, value: Option<f64>, count_row: bool) {
-        match self {
-            AggState::Count(c) => {
-                if count_row {
-                    *c += 1;
-                }
-            }
-            AggState::Sum(s, seen) => {
-                if let Some(v) = value {
-                    *s += v;
-                    *seen = true;
-                }
-            }
-            AggState::Mean(s, n) => {
-                if let Some(v) = value {
-                    *s += v;
-                    *n += 1;
-                }
-            }
-            AggState::Min(m) => {
-                if let Some(v) = value {
-                    *m = Some(m.map_or(v, |x: f64| x.min(v)));
-                }
-            }
-            AggState::Max(m) => {
-                if let Some(v) = value {
-                    *m = Some(m.map_or(v, |x: f64| x.max(v)));
-                }
-            }
-            AggState::Percentile(xs, _) => {
-                if let Some(v) = value {
-                    xs.push(v);
-                }
-            }
-            AggState::Distinct(_) => {}
-            AggState::Variance(sum, sum_sq, n) => {
-                if let Some(v) = value {
-                    *sum += v;
-                    *sum_sq += v * v;
-                    *n += 1;
-                }
-            }
-        }
-    }
-
-    /// Folds a later block's partial state into this one. Must be called
-    /// in block order so float accumulation order is deterministic.
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(c), AggState::Count(c2)) => *c += c2,
-            (AggState::Sum(s, seen), AggState::Sum(s2, seen2)) => {
-                if seen2 {
-                    *s += s2;
-                    *seen = true;
-                }
-            }
-            (AggState::Mean(s, n), AggState::Mean(s2, n2)) => {
-                if n2 > 0 {
-                    *s += s2;
-                    *n += n2;
-                }
-            }
-            (AggState::Min(m), AggState::Min(m2)) => {
-                if let Some(v) = m2 {
-                    *m = Some(m.map_or(v, |x: f64| x.min(v)));
-                }
-            }
-            (AggState::Max(m), AggState::Max(m2)) => {
-                if let Some(v) = m2 {
-                    *m = Some(m.map_or(v, |x: f64| x.max(v)));
-                }
-            }
-            (AggState::Percentile(xs, _), AggState::Percentile(xs2, _)) => xs.extend(xs2),
-            (AggState::Distinct(set), AggState::Distinct(set2)) => set.extend(set2),
-            (AggState::Variance(sum, sum_sq, n), AggState::Variance(s2, sq2, n2)) => {
-                if n2 > 0 {
-                    *sum += s2;
-                    *sum_sq += sq2;
-                    *n += n2;
-                }
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
-    // Percentile rank indices floor/ceil into [0, len-1], so the
-    // f64→usize casts cannot truncate a meaningful value.
-    #[allow(clippy::cast_possible_truncation)]
-    fn finish(self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(c as i64),
-            AggState::Sum(s, seen) => {
-                if seen {
-                    Value::Float(s)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Mean(s, n) => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(s / n as f64)
-                }
-            }
-            AggState::Min(m) => m.map_or(Value::Null, Value::Float),
-            AggState::Max(m) => m.map_or(Value::Null, Value::Float),
-            AggState::Percentile(mut xs, p) => {
-                if xs.is_empty() {
-                    Value::Null
-                } else {
-                    xs.sort_by(|a, b| a.total_cmp(b));
-                    let rank = p / 100.0 * (xs.len() - 1) as f64;
-                    let lo = rank.floor() as usize;
-                    let hi = rank.ceil() as usize;
-                    let frac = rank - lo as f64;
-                    Value::Float(xs[lo] * (1.0 - frac) + xs[hi] * frac)
-                }
-            }
-            AggState::Distinct(set) => Value::Int(set.len() as i64),
-            AggState::Variance(sum, sum_sq, n) => {
-                if n < 2 {
-                    Value::Null
-                } else {
-                    let nf = n as f64;
-                    let mean = sum / nf;
-                    Value::Float((sum_sq - nf * mean * mean) / (nf - 1.0))
-                }
-            }
-        }
-    }
-}
-
 /// Typed, pre-resolved view of one aggregate's input column.
 enum AggInput<'a> {
     /// `COUNT(*)`: no input.
     NoInput,
     /// `COUNT(col)`: only needs per-row null checks.
-    NullCheck(EncodedCol),
+    NullCheck(&'a Column),
     /// `COUNT(DISTINCT col)`: needs grouping-equality keys.
     Distinct(EncodedCol),
     /// Numeric aggregate over an int column.
@@ -325,40 +156,345 @@ enum AggInput<'a> {
     Float(&'a [Option<f64>]),
 }
 
-/// One block's partial aggregation. Group order is first appearance
-/// within the block.
-struct Partial {
-    lookup: FxHashMap<Box<[u64]>, u32>,
-    keys: Vec<Box<[u64]>>,
-    first_rows: Vec<usize>,
-    states: Vec<Vec<AggState>>,
+impl AggInput<'_> {
+    /// Calls `f(group, value)` for every non-null numeric cell of the
+    /// block starting at row `start`, in row order (`gids[i]` is the
+    /// group of row `start + i`).
+    #[inline]
+    fn for_each_value(&self, gids: &[u32], start: usize, mut f: impl FnMut(usize, f64)) {
+        match self {
+            AggInput::Int(v) => {
+                for (&g, cell) in gids.iter().zip(&v[start..]) {
+                    if let Some(x) = cell {
+                        f(g as usize, *x as f64);
+                    }
+                }
+            }
+            AggInput::Float(v) => {
+                for (&g, cell) in gids.iter().zip(&v[start..]) {
+                    if let Some(x) = cell {
+                        f(g as usize, *x);
+                    }
+                }
+            }
+            _ => unreachable!("numeric aggregate validated"),
+        }
+    }
 }
 
-impl Partial {
-    fn new() -> Partial {
-        Partial {
-            lookup: FxHashMap::default(),
-            keys: Vec::new(),
-            first_rows: Vec::new(),
-            states: Vec::new(),
+/// One aggregate's state for every group: dense vectors indexed by group.
+///
+/// A state that has seen no rows is the identity of [`AggCol::merge`]
+/// (partial float sums start at `+0.0` and so are never `-0.0`, the one
+/// value `0.0 + x` would not return unchanged), so merging a block's
+/// group into a freshly grown slot equals moving it there.
+enum AggCol {
+    Count(Vec<u64>),
+    Sum {
+        sum: Vec<f64>,
+        seen: Vec<bool>,
+    },
+    Mean {
+        sum: Vec<f64>,
+        n: Vec<u64>,
+    },
+    Min(Vec<Option<f64>>),
+    Max(Vec<Option<f64>>),
+    Percentile {
+        values: Vec<Vec<f64>>,
+        p: f64,
+    },
+    /// The distinct `[group, value key]` pairs; a group's count is the
+    /// number of pairs that name it.
+    Distinct(GroupTable),
+    Variance {
+        sum: Vec<f64>,
+        sum_sq: Vec<f64>,
+        n: Vec<u64>,
+    },
+}
+
+impl AggCol {
+    fn new(kind: AggKind, groups: usize) -> AggCol {
+        let mut col = match kind {
+            AggKind::Count | AggKind::CountAll => AggCol::Count(Vec::new()),
+            AggKind::Sum => AggCol::Sum {
+                sum: Vec::new(),
+                seen: Vec::new(),
+            },
+            AggKind::Mean => AggCol::Mean {
+                sum: Vec::new(),
+                n: Vec::new(),
+            },
+            AggKind::Min => AggCol::Min(Vec::new()),
+            AggKind::Max => AggCol::Max(Vec::new()),
+            AggKind::Percentile(p) => AggCol::Percentile {
+                values: Vec::new(),
+                p,
+            },
+            AggKind::CountDistinct => AggCol::Distinct(GroupTable::new(2)),
+            AggKind::Variance => AggCol::Variance {
+                sum: Vec::new(),
+                sum_sq: Vec::new(),
+                n: Vec::new(),
+            },
+        };
+        col.grow_to(groups);
+        col
+    }
+
+    /// Appends empty states until there are `groups` of them.
+    fn grow_to(&mut self, groups: usize) {
+        match self {
+            AggCol::Count(c) => c.resize(groups, 0),
+            AggCol::Sum { sum, seen } => {
+                sum.resize(groups, 0.0);
+                seen.resize(groups, false);
+            }
+            AggCol::Mean { sum, n } => {
+                sum.resize(groups, 0.0);
+                n.resize(groups, 0);
+            }
+            AggCol::Min(m) | AggCol::Max(m) => m.resize(groups, None),
+            AggCol::Percentile { values, .. } => values.resize_with(groups, Vec::new),
+            AggCol::Distinct(_) => {}
+            AggCol::Variance { sum, sum_sq, n } => {
+                sum.resize(groups, 0.0);
+                sum_sq.resize(groups, 0.0);
+                n.resize(groups, 0);
+            }
         }
     }
 
-    /// The group index for `key`, creating the group (first seen at
-    /// global row `row`) on miss.
-    #[inline]
-    fn group_index(&mut self, key: &[u64], row: usize, aggs: &[Agg]) -> usize {
-        if let Some(&i) = self.lookup.get(key) {
-            return i as usize;
+    /// Folds one block of rows in, in row order: `gids[i]` is the group
+    /// of row `start + i`.
+    fn accumulate(&mut self, gids: &[u32], start: usize, input: &AggInput<'_>) {
+        match self {
+            AggCol::Count(c) => match input {
+                AggInput::NullCheck(col) => {
+                    for (i, &g) in gids.iter().enumerate() {
+                        c[g as usize] += u64::from(!col.is_null_at(start + i));
+                    }
+                }
+                _ => {
+                    for &g in gids {
+                        c[g as usize] += 1;
+                    }
+                }
+            },
+            AggCol::Sum { sum, seen } => input.for_each_value(gids, start, |g, v| {
+                sum[g] += v;
+                seen[g] = true;
+            }),
+            AggCol::Mean { sum, n } => input.for_each_value(gids, start, |g, v| {
+                sum[g] += v;
+                n[g] += 1;
+            }),
+            AggCol::Min(m) => input.for_each_value(gids, start, |g, v| {
+                m[g] = Some(m[g].map_or(v, |x: f64| x.min(v)));
+            }),
+            AggCol::Max(m) => input.for_each_value(gids, start, |g, v| {
+                m[g] = Some(m[g].map_or(v, |x: f64| x.max(v)));
+            }),
+            AggCol::Percentile { values, .. } => {
+                input.for_each_value(gids, start, |g, v| values[g].push(v));
+            }
+            AggCol::Distinct(pairs) => {
+                if let AggInput::Distinct(e) = input {
+                    for (&g, &key) in gids.iter().zip(&e.keys[start..]) {
+                        if key != e.null_key {
+                            let pair = [u64::from(g), key];
+                            pairs.find_or_insert(&pair, hash_key(&pair));
+                        }
+                    }
+                }
+            }
+            AggCol::Variance { sum, sum_sq, n } => input.for_each_value(gids, start, |g, v| {
+                sum[g] += v;
+                sum_sq[g] += v * v;
+                n[g] += 1;
+            }),
         }
-        let boxed: Box<[u64]> = key.into();
-        let i = self.keys.len();
-        self.lookup.insert(boxed.clone(), crate::cast::code32(i));
-        self.keys.push(boxed);
-        self.first_rows.push(row);
-        self.states
-            .push(aggs.iter().map(|a| AggState::new(a.kind)).collect());
-        i
+    }
+
+    /// Folds a later block's states in: `other`'s group `og` goes into
+    /// this column's group `map[og]`. Must be called in block order so
+    /// float accumulation order is deterministic.
+    fn merge(&mut self, map: &[u32], other: AggCol) {
+        let slot = |og: usize| map[og] as usize;
+        match (self, other) {
+            (AggCol::Count(c), AggCol::Count(c2)) => {
+                for (og, x) in c2.into_iter().enumerate() {
+                    c[slot(og)] += x;
+                }
+            }
+            (
+                AggCol::Sum { sum, seen },
+                AggCol::Sum {
+                    sum: s2,
+                    seen: seen2,
+                },
+            ) => {
+                for (og, (x, was_seen)) in s2.into_iter().zip(seen2).enumerate() {
+                    if was_seen {
+                        sum[slot(og)] += x;
+                        seen[slot(og)] = true;
+                    }
+                }
+            }
+            (AggCol::Mean { sum, n }, AggCol::Mean { sum: s2, n: n2 }) => {
+                for (og, (x, k)) in s2.into_iter().zip(n2).enumerate() {
+                    if k > 0 {
+                        sum[slot(og)] += x;
+                        n[slot(og)] += k;
+                    }
+                }
+            }
+            (AggCol::Min(m), AggCol::Min(m2)) => {
+                for (og, v) in m2.into_iter().enumerate() {
+                    if let Some(v) = v {
+                        let g = slot(og);
+                        m[g] = Some(m[g].map_or(v, |x: f64| x.min(v)));
+                    }
+                }
+            }
+            (AggCol::Max(m), AggCol::Max(m2)) => {
+                for (og, v) in m2.into_iter().enumerate() {
+                    if let Some(v) = v {
+                        let g = slot(og);
+                        m[g] = Some(m[g].map_or(v, |x: f64| x.max(v)));
+                    }
+                }
+            }
+            (AggCol::Percentile { values, .. }, AggCol::Percentile { values: v2, .. }) => {
+                for (og, xs) in v2.into_iter().enumerate() {
+                    values[slot(og)].extend(xs);
+                }
+            }
+            (AggCol::Distinct(pairs), AggCol::Distinct(p2)) => {
+                for i in 0..p2.len() {
+                    let pair = [u64::from(map[pair_group(p2.key(i))]), p2.key(i)[1]];
+                    pairs.find_or_insert(&pair, hash_key(&pair));
+                }
+            }
+            (
+                AggCol::Variance { sum, sum_sq, n },
+                AggCol::Variance {
+                    sum: s2,
+                    sum_sq: sq2,
+                    n: n2,
+                },
+            ) => {
+                for (og, ((x, sq), k)) in s2.into_iter().zip(sq2).zip(n2).enumerate() {
+                    if k > 0 {
+                        let g = slot(og);
+                        sum[g] += x;
+                        sum_sq[g] += sq;
+                        n[g] += k;
+                    }
+                }
+            }
+            _ => unreachable!("merging mismatched aggregate states"),
+        }
+    }
+
+    /// The finished output column, one cell per group.
+    // Percentile rank indices floor/ceil into [0, len-1], so the
+    // f64→usize casts cannot truncate a meaningful value.
+    #[allow(clippy::cast_possible_truncation)]
+    fn finish(self, groups: usize) -> Column {
+        let count = |c: u64| Some(c as i64);
+        match self {
+            AggCol::Count(c) => Column::Int(c.into_iter().map(count).collect()),
+            AggCol::Sum { sum, seen } => Column::Float(
+                sum.into_iter()
+                    .zip(seen)
+                    .map(|(s, seen)| seen.then_some(s))
+                    .collect(),
+            ),
+            AggCol::Mean { sum, n } => Column::Float(
+                sum.into_iter()
+                    .zip(n)
+                    .map(|(s, n)| (n > 0).then(|| s / n as f64))
+                    .collect(),
+            ),
+            AggCol::Min(m) | AggCol::Max(m) => Column::Float(m),
+            AggCol::Percentile { values, p } => Column::Float(
+                values
+                    .into_iter()
+                    .map(|mut xs| {
+                        if xs.is_empty() {
+                            return None;
+                        }
+                        xs.sort_by(|a, b| a.total_cmp(b));
+                        let rank = p / 100.0 * (xs.len() - 1) as f64;
+                        let lo = rank.floor() as usize;
+                        let hi = rank.ceil() as usize;
+                        let frac = rank - lo as f64;
+                        Some(xs[lo] * (1.0 - frac) + xs[hi] * frac)
+                    })
+                    .collect(),
+            ),
+            AggCol::Distinct(pairs) => {
+                let mut counts = vec![0u64; groups];
+                for i in 0..pairs.len() {
+                    counts[pair_group(pairs.key(i))] += 1;
+                }
+                Column::Int(counts.into_iter().map(count).collect())
+            }
+            AggCol::Variance { sum, sum_sq, n } => Column::Float(
+                sum.into_iter()
+                    .zip(sum_sq)
+                    .zip(n)
+                    .map(|((sum, sum_sq), n)| {
+                        (n >= 2).then(|| {
+                            let nf = n as f64;
+                            let mean = sum / nf;
+                            (sum_sq - nf * mean * mean) / (nf - 1.0)
+                        })
+                    })
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// The group index in a `COUNT(DISTINCT)` pair key.
+// Word 0 was widened from a `u32` group index.
+#[allow(clippy::cast_possible_truncation)]
+#[inline]
+fn pair_group(pair: &[u64]) -> usize {
+    pair[0] as usize
+}
+
+/// One block's partial aggregation (and, after merging, the whole
+/// table's). Group order is first appearance.
+struct Partial {
+    groups: GroupTable,
+    first_rows: Vec<usize>,
+    cols: Vec<AggCol>,
+}
+
+impl Partial {
+    /// Folds a later block's partial into this one, keeping this one's
+    /// groups first and appending the other's new groups in its order.
+    fn merge(&mut self, other: Partial) {
+        let map: Vec<u32> = (0..other.groups.len())
+            .map(|og| {
+                let (g, new) = self
+                    .groups
+                    .find_or_insert(other.groups.key(og), other.groups.hash(og));
+                if new {
+                    self.first_rows.push(other.first_rows[og]);
+                }
+                g
+            })
+            .collect();
+        let groups = self.groups.len();
+        for (acc, col) in self.cols.iter_mut().zip(other.cols) {
+            acc.grow_to(groups);
+            acc.merge(&map, col);
+        }
     }
 }
 
@@ -368,29 +504,36 @@ fn aggregate_block(
     inputs: &[AggInput<'_>],
     aggs: &[Agg],
 ) -> Partial {
-    let mut partial = Partial::new();
+    // Pass 1: the group of every row. Pass 2: one tight typed loop per
+    // aggregate over those group ids.
+    let mut groups = GroupTable::new(encoded_keys.len());
+    let mut first_rows = Vec::new();
+    let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
     let mut key_buf = vec![0u64; encoded_keys.len()];
-    for row in rows {
+    for row in rows.clone() {
         for (slot, e) in key_buf.iter_mut().zip(encoded_keys) {
             *slot = e.keys[row];
         }
-        let idx = partial.group_index(&key_buf, row, aggs);
-        let states = &mut partial.states[idx];
-        for (state, input) in states.iter_mut().zip(inputs) {
-            match input {
-                AggInput::NoInput => state.update(None, true),
-                AggInput::NullCheck(e) => state.update(None, !e.is_null(row)),
-                AggInput::Distinct(e) => {
-                    if !e.is_null(row) {
-                        state.insert_distinct(e.keys[row]);
-                    }
-                }
-                AggInput::Int(v) => state.update(v[row].map(|x| x as f64), false),
-                AggInput::Float(v) => state.update(v[row], false),
-            }
+        let (g, new) = groups.find_or_insert(&key_buf, hash_key(&key_buf));
+        if new {
+            first_rows.push(row);
         }
+        gids.push(g);
     }
-    partial
+    let cols = aggs
+        .iter()
+        .zip(inputs)
+        .map(|(agg, input)| {
+            let mut col = AggCol::new(agg.kind, groups.len());
+            col.accumulate(&gids, rows.start, input);
+            col
+        })
+        .collect();
+    Partial {
+        groups,
+        first_rows,
+        cols,
+    }
 }
 
 /// Groups `table` by the named key columns and computes the aggregates.
@@ -419,102 +562,60 @@ pub fn group_by_cancel(
         .iter()
         .map(|k| table.column(k))
         .collect::<Result<_, _>>()?;
+    let mut inputs: Vec<AggInput<'_>> = Vec::with_capacity(aggs.len());
     for agg in aggs {
-        if agg.kind != AggKind::CountAll {
-            let c = table.column(&agg.input)?;
-            let numeric_needed = !matches!(
-                agg.kind,
-                AggKind::Count | AggKind::CountAll | AggKind::CountDistinct
-            );
-            if numeric_needed && !matches!(c.data_type(), DataType::Int | DataType::Float) {
-                return Err(QueryError::NonNumericAggregate(agg.input.clone()));
-            }
-            if let AggKind::Percentile(p) = agg.kind {
-                if !(0.0..=100.0).contains(&p) {
-                    return Err(QueryError::InvalidParameter(format!(
-                        "percentile {p} outside 0..=100"
-                    )));
-                }
+        if agg.kind == AggKind::CountAll {
+            inputs.push(AggInput::NoInput);
+            continue;
+        }
+        let c = table.column(&agg.input)?;
+        let input = match (agg.kind, c) {
+            (AggKind::Count, c) => AggInput::NullCheck(c),
+            (AggKind::CountDistinct, c) => AggInput::Distinct(encode_column(c)),
+            (_, Column::Int(v)) => AggInput::Int(v),
+            (_, Column::Float(v)) => AggInput::Float(v),
+            _ => return Err(QueryError::NonNumericAggregate(agg.input.clone())),
+        };
+        if let AggKind::Percentile(p) = agg.kind {
+            if !(0.0..=100.0).contains(&p) {
+                return Err(QueryError::InvalidParameter(format!(
+                    "percentile {p} outside 0..=100"
+                )));
             }
         }
+        inputs.push(input);
     }
-
     let encoded_keys: Vec<EncodedCol> = key_cols.iter().map(|c| encode_column(c)).collect();
-    let inputs: Vec<AggInput<'_>> = aggs
-        .iter()
-        .map(|a| {
-            if a.kind == AggKind::CountAll {
-                return AggInput::NoInput;
-            }
-            // lint: library-panic-ok (agg inputs resolved against the table earlier in this fn) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
-            let c = table.column(&a.input).expect("validated above");
-            match a.kind {
-                AggKind::Count => AggInput::NullCheck(encode_column(c)),
-                AggKind::CountDistinct => AggInput::Distinct(encode_column(c)),
-                _ => match c {
-                    Column::Int(v) => AggInput::Int(v),
-                    Column::Float(v) => AggInput::Float(v),
-                    _ => unreachable!("numeric aggregate validated"),
-                },
-            }
-        })
-        .collect();
 
     // Per-block partial aggregation (parallel), merged in block order so
     // the result is bit-identical to the single-threaded run.
-    let partials = parallel::try_map_blocks(
+    let mut partials = parallel::try_map_blocks(
         table.num_rows(),
         parallel::num_threads(),
         cancel,
         |_, rows| aggregate_block(rows, &encoded_keys, &inputs, aggs),
-    )?;
-    let mut merged = Partial::new();
+    )?
+    .into_iter();
+    let mut merged = partials.next().unwrap_or_else(|| Partial {
+        groups: GroupTable::new(keys.len()),
+        first_rows: Vec::new(),
+        cols: aggs.iter().map(|a| AggCol::new(a.kind, 0)).collect(),
+    });
     for partial in partials {
-        for ((key, first_row), states) in partial
-            .keys
-            .into_iter()
-            .zip(partial.first_rows)
-            .zip(partial.states)
-        {
-            match merged.lookup.get(&*key) {
-                Some(&g) => {
-                    for (acc, state) in merged.states[g as usize].iter_mut().zip(states) {
-                        acc.merge(state);
-                    }
-                }
-                None => {
-                    let g = merged.keys.len();
-                    merged.lookup.insert(key.clone(), crate::cast::code32(g));
-                    merged.keys.push(key);
-                    merged.first_rows.push(first_row);
-                    merged.states.push(states);
-                }
-            }
-        }
+        merged.merge(partial);
     }
 
     // Assemble the output: key columns gather each group's first row
-    // (sharing string dictionaries); aggregate columns are built from the
-    // finished states.
+    // (sharing string dictionaries); aggregate columns come straight from
+    // the finished state vectors.
+    let n_groups = merged.groups.len();
     let mut out_cols: Vec<(String, Column)> = keys
         .iter()
         .zip(&key_cols)
         .map(|(k, c)| (k.to_string(), c.take(&merged.first_rows)))
         .collect();
-    let n_groups = merged.keys.len();
-    let mut finished: Vec<Vec<Value>> = vec![Vec::new(); aggs.len()];
-    for states in merged.states {
-        for (ai, state) in states.into_iter().enumerate() {
-            finished[ai].push(state.finish());
-        }
-    }
-    for (agg, values) in aggs.iter().zip(finished) {
-        let col = match agg.kind {
-            AggKind::Count | AggKind::CountAll | AggKind::CountDistinct => {
-                Column::Int(values.into_iter().map(|v| v.as_i64()).collect())
-            }
-            _ => Column::Float(values.into_iter().map(|v| v.as_f64()).collect()),
-        };
+    for (agg, col) in aggs.iter().zip(merged.cols) {
+        let col = col.finish(n_groups);
         debug_assert_eq!(col.len(), n_groups);
         out_cols.push((agg.output.clone(), col));
     }
@@ -524,6 +625,7 @@ pub fn group_by_cancel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::DataType;
     use crate::value::Value;
 
     fn table() -> Table {

@@ -1,8 +1,10 @@
 //! Hash joins over encoded keys.
 //!
 //! Keys are encoded once per column into flat `u64` vectors
-//! ([`crate::keys`]); the build and probe loops then hash fixed-width
-//! `[u64]` row keys with FxHash — no `Value`s and no cloned `String`s.
+//! ([`crate::keys`]); the build side numbers the distinct right keys in
+//! a flat [`GroupTable`] and lays each key's rows out contiguously, and
+//! the probe looks fixed-width `[u64]` row keys up in it — no `Value`s,
+//! no cloned `String`s, no per-key allocation.
 //! For string key pairs, the right column's dictionary codes are
 //! remapped into the left column's dictionary up front, so the probe
 //! compares integer codes directly; right strings absent from the left
@@ -11,12 +13,13 @@
 //! Output assembly is `take`-based: string columns share their
 //! dictionary with the input instead of cloning row values.
 
+use crate::cast::code32;
 use crate::column::{Column, DataType};
 use crate::dict::NULL_CODE;
 use crate::error::QueryError;
-use crate::fxhash::FxHashMap;
-use crate::keys::{encode_column, EncodedCol, STR_NULL};
+use crate::keys::{encode_column, hash_key, EncodedCol, GroupTable, STR_NULL};
 use crate::table::Table;
+use std::collections::BTreeSet;
 
 /// Join flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +80,21 @@ pub fn join(
     right_keys: &[&str],
     kind: JoinKind,
 ) -> Result<Table, QueryError> {
+    join_live(left, right, left_keys, right_keys, kind, None)
+}
+
+/// [`join`] that gathers only the output columns named in `live`
+/// (`None` = all). Output names, their order and every error are those
+/// of the full join; `left` must still hold each column whose presence
+/// the naming rule inspects ([`naming_columns`]).
+pub(crate) fn join_live(
+    left: &Table,
+    right: &Table,
+    left_keys: &[&str],
+    right_keys: &[&str],
+    kind: JoinKind,
+    live: Option<&BTreeSet<String>>,
+) -> Result<Table, QueryError> {
     if left_keys.len() != right_keys.len() {
         return Err(QueryError::InvalidParameter(format!(
             "join key arity {} vs {}",
@@ -93,6 +111,27 @@ pub fn join(
         .map(|k| right.column(k))
         .collect::<Result<_, _>>()?;
 
+    // Output schema first: (name, from the right side?, source column).
+    let mut schema: Vec<(String, bool, &Column)> =
+        Vec::with_capacity(left.num_columns() + right.num_columns());
+    for (i, name) in left.column_names().iter().enumerate() {
+        schema.push((name.clone(), false, left.column_at(i)));
+    }
+    for (i, name) in right.column_names().iter().enumerate() {
+        if right_keys.contains(&name.as_str()) {
+            continue;
+        }
+        let out_name = if left.column_names().contains(name) {
+            format!("right_{name}")
+        } else {
+            name.clone()
+        };
+        if schema.iter().any(|(n, ..)| *n == out_name) {
+            return Err(QueryError::DuplicateColumn(out_name));
+        }
+        schema.push((out_name, true, right.column_at(i)));
+    }
+
     // Pairs from different type classes can never match; with an empty
     // index every probe misses, which reproduces the old row-at-a-time
     // semantics (inner: no rows; left outer: every left row unmatched).
@@ -108,8 +147,10 @@ pub fn join(
         .map(|(l, r)| encode_right(l, r))
         .collect();
 
-    // Build the hash table over the right side (null keys never match).
-    let mut index: FxHashMap<Box<[u64]>, Vec<u32>> = FxHashMap::default();
+    // Build side: number the distinct right keys (null keys never match),
+    // then lay each key's rows out contiguously, in row order.
+    let mut index = GroupTable::new(rkeys.len());
+    let mut keyed_rows: Vec<(u32, u32)> = Vec::new();
     let mut key_buf = vec![0u64; rkeys.len()];
     if matchable {
         'rows: for row in 0..right.num_rows() {
@@ -119,13 +160,22 @@ pub fn join(
                 }
                 *slot = e.keys[row];
             }
-            match index.get_mut(key_buf.as_slice()) {
-                Some(rows) => rows.push(crate::cast::code32(row)),
-                None => {
-                    index.insert(key_buf.as_slice().into(), vec![crate::cast::code32(row)]);
-                }
-            }
+            let (g, _) = index.find_or_insert(&key_buf, hash_key(&key_buf));
+            keyed_rows.push((g, code32(row)));
         }
+    }
+    let mut starts = vec![0usize; index.len() + 1];
+    for &(g, _) in &keyed_rows {
+        starts[g as usize + 1] += 1;
+    }
+    for g in 0..index.len() {
+        starts[g + 1] += starts[g];
+    }
+    let mut next = starts.clone();
+    let mut matches = vec![0u32; keyed_rows.len()];
+    for &(g, row) in &keyed_rows {
+        matches[next[g as usize]] = row;
+        next[g as usize] += 1;
     }
 
     // Probe with the left side, in left row order.
@@ -145,9 +195,9 @@ pub fn join(
             }
             *slot = e.keys[row];
         }
-        match index.get(key_buf.as_slice()) {
-            Some(matches) => {
-                for &r in matches {
+        match index.find(&key_buf, hash_key(&key_buf)) {
+            Some(g) => {
+                for &r in &matches[starts[g as usize]..starts[g as usize + 1]] {
                     left_rows.push(row);
                     right_indices.push(r as usize);
                 }
@@ -161,29 +211,32 @@ pub fn join(
         }
     }
 
-    // Materialize output columns; `take` shares string dictionaries, so
-    // no cell values are cloned here.
-    let mut out_cols: Vec<(String, Column)> =
-        Vec::with_capacity(left.num_columns() + right.num_columns());
-    for name in left.column_names() {
-        // lint: library-panic-ok (name came from this table's own column list) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
-        let col = left.column(name).expect("own column");
-        out_cols.push((name.clone(), col.take(&left_rows)));
-    }
-    for name in right.column_names() {
-        if right_keys.contains(&name.as_str()) {
-            continue;
-        }
-        // lint: library-panic-ok (name came from this table's own column list) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
-        let col = right.column(name).expect("own column");
-        let out_name = if left.column_names().contains(name) {
-            format!("right_{name}")
-        } else {
-            name.clone()
-        };
-        out_cols.push((out_name, col.take(&right_indices)));
-    }
-    Table::from_columns(out_cols)
+    // Materialize the observable output columns; `take` shares string
+    // dictionaries, so no cell values are cloned here.
+    let out_cols = schema
+        .into_iter()
+        .filter(|(name, ..)| live.is_none_or(|l| l.contains(name)))
+        .map(|(name, from_right, col)| {
+            let rows = if from_right {
+                &right_indices
+            } else {
+                &left_rows
+            };
+            (name, col.take(rows))
+        })
+        .collect();
+    Table::from_columns_of_len(out_cols, Some(left_rows.len()))
+}
+
+/// The left-side column names whose presence decides the join's output
+/// names and its duplicate-name error: a right column `c` is renamed
+/// `right_c` when the left has `c`, and then collides when the left
+/// also has `right_c`. A plan that prunes the left input must keep them.
+pub(crate) fn naming_columns(right: &Table) -> impl Iterator<Item = String> + '_ {
+    right
+        .column_names()
+        .iter()
+        .flat_map(|c| [c.clone(), format!("right_{c}")])
 }
 
 #[cfg(test)]

@@ -3,14 +3,24 @@
 //! [`Query`] chains the relational operators into a lazily executed plan,
 //! mirroring how the paper's BigQuery SQL composes `WHERE`, `GROUP BY`,
 //! and `ORDER BY`.
+//!
+//! Before running, [`Query::run_with`] walks the plan backwards to find,
+//! for every step, the columns a later step can still observe; the
+//! row-moving steps (filter, join, sort, limit) then gather only those.
+//! Everything upstream of a `GroupBy` or `Project` is pruned to what
+//! that step names; downstream of the last one, every column is live.
 
 use crate::error::QueryError;
 use crate::expr::Expr;
-use crate::groupby::Agg;
+use crate::groupby::{Agg, AggKind};
 use crate::join::JoinKind;
 use crate::sort::SortOrder;
 use crate::table::Table;
 use borg_telemetry::{Plane, Telemetry};
+use std::collections::BTreeSet;
+
+/// The columns a later step can observe; `None` means all of them.
+type Live = Option<BTreeSet<String>>;
 
 enum Step {
     Filter(Expr),
@@ -45,6 +55,49 @@ impl Step {
     /// block scans (`crate::parallel`).
     fn is_scan(&self) -> bool {
         matches!(self, Step::Filter(_) | Step::Derive(..))
+    }
+
+    /// The input columns this step must be given so that it and every
+    /// later step produce what they would on the full table — the same
+    /// values, names and errors — when only `out` is observable in its
+    /// output. A step keeps every column it names itself, present or
+    /// not, so an unknown one is still reported by the step that reads
+    /// it.
+    fn live_in(&self, out: &Live) -> Live {
+        match self {
+            Step::Project(cols) => Some(cols.iter().cloned().collect()),
+            Step::GroupBy(keys, aggs) => Some(
+                keys.iter()
+                    .chain(
+                        aggs.iter()
+                            .filter(|a| a.kind != AggKind::CountAll)
+                            .map(|a| &a.input),
+                    )
+                    .cloned()
+                    .collect(),
+            ),
+            Step::Limit(_) => out.clone(),
+            Step::Filter(predicate) => out.clone().map(|mut live| {
+                predicate.collect_columns(&mut live);
+                live
+            }),
+            Step::Derive(name, expr) => out.clone().map(|mut live| {
+                live.remove(name);
+                expr.collect_columns(&mut live);
+                live
+            }),
+            Step::Sort(keys) => out.clone().map(|mut live| {
+                live.extend(keys.iter().map(|(c, _)| c.clone()));
+                live
+            }),
+            Step::Join {
+                right, left_keys, ..
+            } => out.clone().map(|mut live| {
+                live.extend(left_keys.iter().cloned());
+                live.extend(crate::join::naming_columns(right));
+                live
+            }),
+        }
     }
 }
 
@@ -170,9 +223,19 @@ impl Query {
     /// cross-strategy byte contract). [`Query::run`] is this with a
     /// disabled instance.
     pub fn run_with(self, tel: &mut Telemetry) -> Result<Table, QueryError> {
-        let mut t = self.source;
+        // Backward pass: `live[i]` is what is observable after step `i`,
+        // i.e. what step `i + 1` must be given.
+        let mut live: Vec<Live> = Vec::with_capacity(self.steps.len());
+        let mut observable: Live = None;
+        for step in self.steps.iter().rev() {
+            let needed = step.live_in(&observable);
+            live.push(std::mem::replace(&mut observable, needed));
+        }
+        live.reverse();
+        let mut t = self.source.keep(observable.as_ref());
         let cancel = self.cancel.as_ref();
-        for step in self.steps {
+        for (step, live) in self.steps.into_iter().zip(live) {
+            let live = live.as_ref();
             if cancel.is_some_and(crate::cancel::CancelToken::is_cancelled) {
                 return Err(QueryError::Cancelled);
             }
@@ -194,7 +257,10 @@ impl Query {
                 }
             }
             t = match step {
-                Step::Filter(p) => crate::ops::filter_cancel(&t, &p, cancel)?,
+                Step::Filter(p) => {
+                    let mask = p.eval_mask_cancel(&t, cancel)?;
+                    t.keep(live).filter_rows(&mask)
+                }
                 Step::Project(cols) => {
                     let names: Vec<&str> = cols.iter().map(String::as_str).collect();
                     crate::ops::project(&t, &names)?
@@ -207,7 +273,8 @@ impl Query {
                 Step::Sort(keys) => {
                     let pairs: Vec<(&str, SortOrder)> =
                         keys.iter().map(|(c, o)| (c.as_str(), *o)).collect();
-                    crate::sort::sort_by(&t, &pairs)?
+                    let order = crate::sort::sort_indices(&t, &pairs)?;
+                    t.keep(live).take_rows(&order)
                 }
                 Step::Join {
                     right,
@@ -217,12 +284,9 @@ impl Query {
                 } => {
                     let lk: Vec<&str> = left_keys.iter().map(String::as_str).collect();
                     let rk: Vec<&str> = right_keys.iter().map(String::as_str).collect();
-                    crate::join::join(&t, &right, &lk, &rk, kind)?
+                    crate::join::join_live(&t, &right, &lk, &rk, kind, live)?
                 }
-                Step::Limit(n) => {
-                    let keep: Vec<usize> = (0..t.num_rows().min(n)).collect();
-                    t.take_rows(&keep)
-                }
+                Step::Limit(n) => t.keep(live).head(n),
             };
             if tel.is_enabled() {
                 tel.count(

@@ -82,9 +82,12 @@ fn sort_keys(col: &Column, order: SortOrder) -> Vec<u128> {
     keys
 }
 
-/// Stable sort of `table` by a sequence of `(column, order)` keys, with
-/// earlier keys taking precedence.
-pub fn sort_by(table: &Table, keys: &[(&str, SortOrder)]) -> Result<Table, QueryError> {
+/// The row permutation that stably sorts `table` by a sequence of
+/// `(column, order)` keys, earlier keys taking precedence.
+pub(crate) fn sort_indices(
+    table: &Table,
+    keys: &[(&str, SortOrder)],
+) -> Result<Vec<usize>, QueryError> {
     let decorated: Vec<Vec<u128>> = keys
         .iter()
         .map(|(name, order)| table.column(name).map(|c| sort_keys(c, *order)))
@@ -99,8 +102,13 @@ pub fn sort_by(table: &Table, keys: &[(&str, SortOrder)]) -> Result<Table, Query
         }
         a.cmp(&b) // original position: stability without a stable sort
     });
-    let indices: Vec<usize> = indices.into_iter().map(|i| i as usize).collect();
-    Ok(table.take_rows(&indices))
+    Ok(indices.into_iter().map(|i| i as usize).collect())
+}
+
+/// Stable sort of `table` by a sequence of `(column, order)` keys, with
+/// earlier keys taking precedence.
+pub fn sort_by(table: &Table, keys: &[(&str, SortOrder)]) -> Result<Table, QueryError> {
+    Ok(table.take_rows(&sort_indices(table, keys)?))
 }
 
 #[cfg(test)]

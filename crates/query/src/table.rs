@@ -1,15 +1,27 @@
 //! Tables: named, typed columns of equal length.
+//!
+//! Columns are immutable once built and held behind [`Arc`]s, so
+//! `clone`, [`Table::project`], [`Table::with_column`] and
+//! [`Table::head`] past the end share buffers — O(columns), not
+//! O(bytes). The two appending methods ([`Table::push_row`],
+//! [`Table::reserve_rows`]) copy a shared column before writing to it,
+//! so a write through one handle never shows through another.
 
 use crate::column::{Column, DataType};
 use crate::error::QueryError;
 use crate::value::Value;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A table: an ordered set of named columns with equal row counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     names: Vec<String>,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
+    /// Held apart from the columns so that a table pruned to no columns
+    /// (a plan that only counts rows) still knows how many it has.
+    rows: usize,
 }
 
 impl Table {
@@ -29,17 +41,30 @@ impl Table {
                 "duplicate column name {name:?} in schema"
             );
             names.push(name);
-            columns.push(Column::empty(dt));
+            columns.push(Arc::new(Column::empty(dt)));
         }
-        Table { names, columns }
+        Table {
+            names,
+            columns,
+            rows: 0,
+        }
     }
 
     /// Builds a table directly from named columns.
-    pub fn from_columns(cols: Vec<(String, Column)>) -> Result<Table, QueryError> {
+    pub fn from_columns<S: Into<String>>(cols: Vec<(S, Column)>) -> Result<Table, QueryError> {
+        Table::from_columns_of_len(cols, None)
+    }
+
+    /// [`Table::from_columns`] for a known row count (`Some`), which
+    /// every column must have and which holds even with no columns.
+    pub(crate) fn from_columns_of_len<S: Into<String>>(
+        cols: Vec<(S, Column)>,
+        mut len: Option<usize>,
+    ) -> Result<Table, QueryError> {
         let mut names = Vec::with_capacity(cols.len());
         let mut columns = Vec::with_capacity(cols.len());
-        let mut len: Option<usize> = None;
         for (name, col) in cols {
+            let name = name.into();
             if names.contains(&name) {
                 return Err(QueryError::DuplicateColumn(name));
             }
@@ -54,9 +79,13 @@ impl Table {
                 len = Some(col.len());
             }
             names.push(name);
-            columns.push(col);
+            columns.push(Arc::new(col));
         }
-        Ok(Table { names, columns })
+        Ok(Table {
+            names,
+            columns,
+            rows: len.unwrap_or(0),
+        })
     }
 
     /// Column names, in declaration order.
@@ -71,7 +100,7 @@ impl Table {
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
+        self.rows
     }
 
     /// Index of a column by name.
@@ -102,7 +131,7 @@ impl Table {
     /// reallocation.
     pub fn reserve_rows(&mut self, additional: usize) {
         for col in &mut self.columns {
-            col.reserve(additional);
+            Arc::make_mut(col).reserve(additional);
         }
     }
 
@@ -135,11 +164,12 @@ impl Table {
         }
         for (i, value) in row.into_iter().enumerate() {
             let name = &self.names[i];
-            self.columns[i]
+            Arc::make_mut(&mut self.columns[i])
                 .push(value, name)
-                // lint: library-panic-ok (the loop above type-checked every cell) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
+                // lint: library-panic-ok (the loop above type-checked every cell)
                 .expect("row pre-validated");
         }
+        self.rows += 1;
         Ok(())
     }
 
@@ -152,7 +182,12 @@ impl Table {
     pub fn filter_rows(&self, mask: &[bool]) -> Table {
         Table {
             names: self.names.clone(),
-            columns: self.columns.iter().map(|c| c.filter(mask)).collect(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.filter(mask)))
+                .collect(),
+            rows: mask.iter().filter(|&&m| m).count(),
         }
     }
 
@@ -160,7 +195,45 @@ impl Table {
     pub fn take_rows(&self, indices: &[usize]) -> Table {
         Table {
             names: self.names.clone(),
-            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.take(indices)))
+                .collect(),
+            rows: indices.len(),
+        }
+    }
+
+    /// The first `n` rows (the whole table, sharing its buffers, when it
+    /// has no more than `n`).
+    pub fn head(&self, n: usize) -> Table {
+        if n >= self.num_rows() {
+            return self.clone();
+        }
+        Table {
+            names: self.names.clone(),
+            columns: self.columns.iter().map(|c| Arc::new(c.head(n))).collect(),
+            rows: n,
+        }
+    }
+
+    /// This table without the columns a plan can no longer observe:
+    /// `live` names the observable ones (`None` = all). Shares buffers.
+    pub(crate) fn keep(&self, live: Option<&BTreeSet<String>>) -> Table {
+        let Some(live) = live else {
+            return self.clone();
+        };
+        let (names, columns) = self
+            .names
+            .iter()
+            .zip(&self.columns)
+            .filter(|(name, _)| live.contains(*name))
+            .map(|(name, col)| (name.clone(), Arc::clone(col)))
+            .unzip();
+        Table {
+            names,
+            columns,
+            rows: self.rows,
         }
     }
 
@@ -171,11 +244,12 @@ impl Table {
         for &n in names {
             let idx = self.column_index(n)?;
             out_names.push(self.names[idx].clone());
-            out_cols.push(self.columns[idx].clone());
+            out_cols.push(Arc::clone(&self.columns[idx]));
         }
         Ok(Table {
             names: out_names,
             columns: out_cols,
+            rows: self.rows,
         })
     }
 
@@ -186,17 +260,18 @@ impl Table {
         col: Column,
     ) -> Result<Table, QueryError> {
         let name = name.into();
-        if col.len() != self.num_rows() && self.num_columns() > 0 {
+        if col.len() != self.rows && self.num_columns() > 0 {
             return Err(QueryError::ArityMismatch {
-                expected: self.num_rows(),
+                expected: self.rows,
                 actual: col.len(),
             });
         }
+        self.rows = col.len();
         if let Ok(idx) = self.column_index(&name) {
-            self.columns[idx] = col;
+            self.columns[idx] = Arc::new(col);
         } else {
             self.names.push(name);
-            self.columns.push(col);
+            self.columns.push(Arc::new(col));
         }
         Ok(self)
     }
@@ -317,7 +392,7 @@ mod tests {
         let mut a = Column::empty(DataType::Int);
         a.push(Value::Int(1), "a").unwrap();
         let b = Column::empty(DataType::Int);
-        assert!(Table::from_columns(vec![("a".into(), a), ("b".into(), b)]).is_err());
+        assert!(Table::from_columns(vec![("a", a), ("b", b)]).is_err());
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! and sorts by decorated primitive keys; the references here use the
 //! original row-at-a-time `Value`/`GroupKey` semantics. Generators cover
 //! nulls, `-0.0`/`+0.0` floats, duplicate keys, and cross-dictionary
-//! strings. Tables stay below one parallel block so float accumulation
-//! order matches the references exactly; cross-block determinism is
-//! checked separately by `parallel_pipeline_matches_sequential`.
+//! strings. The randomized tables stay below one parallel block so float
+//! accumulation order matches the references exactly; cross-block
+//! determinism is checked separately by
+//! `parallel_pipeline_matches_sequential`. Deterministic tests below the
+//! `proptest!` block cover what small random tables cannot: numeric keys
+//! at high cardinality over several blocks, the live-column pass against
+//! step-by-step execution, and copy-on-write column sharing.
 
 // The reference percentile oracle mirrors the engine's bounded
 // floor/ceil rank indexing.
@@ -199,6 +203,7 @@ proptest! {
                 Agg::variance("v", "var"),
                 Agg::percentile("v", 50.0, "p50"),
                 Agg::count_distinct("w", "d"),
+                Agg::count_distinct("v", "dv"),
             ],
         )
         .unwrap();
@@ -248,12 +253,13 @@ proptest! {
                 let frac = rank - lo as f64;
                 Value::Float(xs[lo] * (1.0 - frac) + xs[hi] * frac)
             };
-            let distinct: HashSet<GroupKey> = rows
-                .iter()
-                .map(|&r| t.value(r, "w").unwrap())
-                .filter(|v| !v.is_null())
-                .map(|v| v.group_key())
-                .collect();
+            let distinct = |col: &str| -> HashSet<GroupKey> {
+                rows.iter()
+                    .map(|&r| t.value(r, col).unwrap())
+                    .filter(|v| !v.is_null())
+                    .map(|v| v.group_key())
+                    .collect()
+            };
 
             prop_assert_eq!(out.value(g, "s").unwrap(), want_sum);
             prop_assert_eq!(out.value(g, "m").unwrap(), want_mean);
@@ -261,7 +267,8 @@ proptest! {
             prop_assert_eq!(out.value(g, "hi").unwrap(), hi.map_or(Value::Null, Value::Float));
             prop_assert_eq!(out.value(g, "var").unwrap(), want_var);
             prop_assert_eq!(out.value(g, "p50").unwrap(), want_p50);
-            prop_assert_eq!(out.value(g, "d").unwrap(), Value::Int(distinct.len() as i64));
+            prop_assert_eq!(out.value(g, "d").unwrap(), Value::Int(distinct("w").len() as i64));
+            prop_assert_eq!(out.value(g, "dv").unwrap(), Value::Int(distinct("v").len() as i64));
         }
     }
 
@@ -430,4 +437,538 @@ fn parallel_pipeline_matches_sequential() {
     override_threads(0);
     assert_eq!(sequential, parallel);
     assert!(sequential.num_rows() > 0);
+}
+
+/// Integer and integer-valued-float keys at high cardinality, over more
+/// than one block so the partial merge runs, with null and ±0.0 keys:
+/// the case whose hash-table behaviour the 4-value dictionary keys of the
+/// other tests never reach. Values are multiples of 0.25, so float sums
+/// are exact and the block-order merge equals the row-order reference.
+#[test]
+fn high_cardinality_numeric_keys_match_naive() {
+    use borg_query::parallel::BLOCK_ROWS;
+    let n = BLOCK_ROWS * 2 + 5000;
+    let mut t = Table::new(vec![
+        ("k_i", DataType::Int),
+        ("k_f", DataType::Float),
+        ("v", DataType::Float),
+        ("w_i", DataType::Int),
+        ("w_f", DataType::Float),
+    ]);
+    t.reserve_rows(n);
+    for i in 0..n {
+        let k_i = if i % 1013 == 0 {
+            Value::Null
+        } else {
+            Value::Int(((i * 48_271) % 30_011) as i64 - 1000)
+        };
+        let k_f = match i % 5 {
+            0 => Value::Float(-0.0),
+            1 => Value::Float(0.0),
+            2 => Value::Null,
+            _ => Value::Float(((i / 7) % 3) as f64),
+        };
+        let v = if i % 17 == 0 {
+            Value::Null
+        } else {
+            Value::Float((i % 64) as f64 * 0.25 - 4.0)
+        };
+        let w_i = if i % 19 == 0 {
+            Value::Null
+        } else {
+            Value::Int((i % 11) as i64)
+        };
+        let w_f = match i % 7 {
+            0 => Value::Float(-0.0),
+            1 => Value::Float(0.0),
+            2 => Value::Null,
+            _ => Value::Float((i % 4) as f64),
+        };
+        t.push_row(vec![k_i, k_f, v, w_i, w_f]).unwrap();
+    }
+    let out = borg_query::groupby::group_by(
+        &t,
+        &["k_i", "k_f"],
+        &[
+            Agg::count_all("n"),
+            Agg::sum("v", "s"),
+            Agg::min("v", "lo"),
+            Agg::max("v", "hi"),
+            Agg::count_distinct("w_i", "d_i"),
+            Agg::count_distinct("w_f", "d_f"),
+        ],
+    )
+    .unwrap();
+
+    let (first_rows, members) = naive_groups(&t, &["k_i", "k_f"]);
+    assert!(first_rows.len() >= 50_000, "{} groups", first_rows.len());
+    assert_eq!(out.num_rows(), first_rows.len());
+    let distinct = |rows: &[usize], col: &str| -> i64 {
+        let set: HashSet<GroupKey> = rows
+            .iter()
+            .map(|&r| t.value(r, col).unwrap())
+            .filter(|v| !v.is_null())
+            .map(|v| v.group_key())
+            .collect();
+        set.len() as i64
+    };
+    for (g, (&fr, rows)) in first_rows.iter().zip(&members).enumerate() {
+        assert_eq!(out.value(g, "k_i").unwrap(), t.value(fr, "k_i").unwrap());
+        assert_eq!(out.value(g, "k_f").unwrap(), t.value(fr, "k_f").unwrap());
+        let present: Vec<f64> = group_values(&t, rows, "v").into_iter().flatten().collect();
+        let float = |x: Option<f64>| x.map_or(Value::Null, Value::Float);
+        assert_eq!(out.value(g, "n").unwrap(), Value::Int(rows.len() as i64));
+        assert_eq!(
+            out.value(g, "s").unwrap(),
+            float((!present.is_empty()).then(|| present.iter().sum()))
+        );
+        assert_eq!(
+            out.value(g, "lo").unwrap(),
+            float(present.iter().copied().reduce(f64::min))
+        );
+        assert_eq!(
+            out.value(g, "hi").unwrap(),
+            float(present.iter().copied().reduce(f64::max))
+        );
+        assert_eq!(
+            out.value(g, "d_i").unwrap(),
+            Value::Int(distinct(rows, "w_i"))
+        );
+        assert_eq!(
+            out.value(g, "d_f").unwrap(),
+            Value::Int(distinct(rows, "w_f"))
+        );
+    }
+}
+
+/// Int keys joined to Float keys at high cardinality, with null, ±0.0
+/// and non-integral right keys, against a hash-of-`GroupKey` reference
+/// that emits matches in (left row, right row) order.
+#[test]
+fn mixed_numeric_join_keys_match_naive_at_high_cardinality() {
+    let (n_left, n_right) = (40_000usize, 25_000usize);
+    let mut lt = Table::new(vec![("k", DataType::Int), ("lid", DataType::Int)]);
+    for i in 0..n_left {
+        let k = if i % 211 == 0 {
+            Value::Null
+        } else {
+            Value::Int(((i * 7919) % 18_000) as i64 - 3000)
+        };
+        lt.push_row(vec![k, Value::Int(i as i64)]).unwrap();
+    }
+    let mut rt = Table::new(vec![("k", DataType::Float), ("rid", DataType::Int)]);
+    for i in 0..n_right {
+        let k = match i % 9 {
+            0 => Value::Null,
+            1 => Value::Float(-0.0),
+            2 => Value::Float(((i * 31) % 12_000) as f64 + 0.5),
+            _ => Value::Float(((i * 104_729) % 12_000) as f64 - 2000.0),
+        };
+        rt.push_row(vec![k, Value::Int(i as i64)]).unwrap();
+    }
+    let mut by_key: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+    for r in 0..n_right {
+        let v = rt.value(r, "k").unwrap();
+        if !v.is_null() {
+            by_key.entry(v.group_key()).or_default().push(r);
+        }
+    }
+    assert!(
+        by_key.len() >= 10_000,
+        "{} distinct right keys",
+        by_key.len()
+    );
+    for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+        let mut expected: Vec<(usize, Option<usize>)> = Vec::new();
+        for l in 0..n_left {
+            let v = lt.value(l, "k").unwrap();
+            match by_key.get(&v.group_key()).filter(|_| !v.is_null()) {
+                Some(rows) => expected.extend(rows.iter().map(|&r| (l, Some(r)))),
+                None if kind == JoinKind::LeftOuter => expected.push((l, None)),
+                None => {}
+            }
+        }
+        let out = join(&lt, &rt, &["k"], &["k"], kind).unwrap();
+        assert_eq!(out.num_rows(), expected.len());
+        assert!(expected.iter().any(|(_, r)| r.is_some()));
+        let lid = out.column("lid").unwrap().int_slice().unwrap();
+        let rid = out.column("rid").unwrap().int_slice().unwrap();
+        for (i, &(l, r)) in expected.iter().enumerate() {
+            assert_eq!(lid[i], Some(l as i64), "row {i}");
+            assert_eq!(rid[i], r.map(|r| r as i64), "row {i}");
+        }
+    }
+}
+
+/// One plan step, interpreted two ways by the pruning-equivalence test.
+#[derive(Clone)]
+enum Op {
+    Filter(Expr),
+    Select(Vec<&'static str>),
+    Derive(&'static str, Expr),
+    GroupBy(Vec<&'static str>, Vec<Agg>),
+    Sort(Vec<(&'static str, SortOrder)>),
+    Join(Table, Vec<&'static str>, Vec<&'static str>, JoinKind),
+    Limit(usize),
+}
+
+/// The plan through `Query`, i.e. with the live-column pass.
+fn via_query(source: &Table, plan: &[Op]) -> Result<Table, borg_query::QueryError> {
+    let mut q = Query::from(source.clone());
+    for op in plan.iter().cloned() {
+        q = match op {
+            Op::Filter(p) => q.filter(p),
+            Op::Select(cols) => q.select(&cols),
+            Op::Derive(name, e) => q.derive(name, e),
+            Op::GroupBy(keys, aggs) => q.group_by(&keys, aggs),
+            Op::Sort(keys) => q.sort_by_many(&keys),
+            Op::Join(right, lk, rk, JoinKind::Inner) => q.join(right, &lk, &rk),
+            Op::Join(right, lk, rk, JoinKind::LeftOuter) => q.left_join(right, &lk, &rk),
+            Op::Limit(n) => q.limit(n),
+        };
+    }
+    q.run()
+}
+
+/// The plan as plain operator calls, every step on the full table.
+fn step_by_step(source: &Table, plan: &[Op]) -> Result<Table, borg_query::QueryError> {
+    let mut t = source.clone();
+    for op in plan.iter().cloned() {
+        t = match op {
+            Op::Filter(p) => borg_query::ops::filter(&t, &p)?,
+            Op::Select(cols) => borg_query::ops::project(&t, &cols)?,
+            Op::Derive(name, e) => borg_query::ops::derive(t, name, &e)?,
+            Op::GroupBy(keys, aggs) => borg_query::groupby::group_by(&t, &keys, &aggs)?,
+            Op::Sort(keys) => borg_query::sort::sort_by(&t, &keys)?,
+            Op::Join(right, lk, rk, kind) => join(&t, &right, &lk, &rk, kind)?,
+            Op::Limit(n) => {
+                let keep: Vec<usize> = (0..t.num_rows().min(n)).collect();
+                t.take_rows(&keep)
+            }
+        };
+    }
+    Ok(t)
+}
+
+/// The live-column pass must be invisible: every plan gives the table,
+/// or the error, that the unpruned step-by-step execution gives.
+#[test]
+fn pruned_plans_equal_step_by_step_execution() {
+    use borg_query::QueryError;
+    let events = ["submit", "schedule", "evict", "finish"];
+    let tiers = ["free", "beb", "mid", "prod"];
+    let mut inst = Table::new(vec![
+        ("time", DataType::Int),
+        ("collection_id", DataType::Int),
+        ("instance_index", DataType::Int),
+        ("event", DataType::Str),
+        ("machine_id", DataType::Int),
+        ("cpu_request", DataType::Float),
+        ("priority", DataType::Int),
+        ("tier", DataType::Str),
+        ("scheduler", DataType::Int),
+        ("right_note", DataType::Int),
+    ]);
+    for i in 0..4000usize {
+        inst.push_row(vec![
+            Value::Int((i * 37_000_000) as i64),
+            Value::Int((i % 300) as i64),
+            Value::Int((i / 300) as i64),
+            Value::str(events[(i / 3) % 4]),
+            if i % 13 == 0 {
+                Value::Null
+            } else {
+                Value::Int((i % 16) as i64)
+            },
+            Value::Float((i % 40) as f64 * 0.125),
+            Value::Int([25, 112, 117, 200][i % 4]),
+            Value::str(tiers[i % 4]),
+            Value::Int(i as i64),
+            Value::Int(-(i as i64)),
+        ])
+        .unwrap();
+    }
+    let mut coll = Table::new(vec![
+        ("collection_id", DataType::Int),
+        ("scheduler", DataType::Str),
+        ("vertical_scaling", DataType::Str),
+        ("note", DataType::Int),
+        ("user_id", DataType::Int),
+    ]);
+    for c in 0..250usize {
+        coll.push_row(vec![
+            Value::Int(c as i64),
+            Value::str(["default", "batch"][c % 2]),
+            Value::str(["off", "constrained", "full"][c % 3]),
+            Value::Int(c as i64 * 10),
+            Value::Int((c % 23) as i64),
+        ])
+        .unwrap();
+    }
+    let is = |c: &'static str, s: &'static str| col(c).eq(lit(s));
+    let join_coll = |kind| {
+        Op::Join(
+            coll.clone(),
+            vec!["collection_id"],
+            vec!["collection_id"],
+            kind,
+        )
+    };
+
+    let plans: Vec<(&str, Vec<Op>)> = vec![
+        // The battery's shapes.
+        (
+            "fig8",
+            vec![
+                Op::Filter(is("event", "submit").and(is("tier", "prod"))),
+                Op::Derive("hour", col("time").bucket(3.6e9)),
+                Op::GroupBy(vec!["hour"], vec![Agg::count_all("jobs")]),
+            ],
+        ),
+        (
+            "fig9",
+            vec![
+                Op::Filter(is("event", "submit")),
+                Op::GroupBy(
+                    vec!["collection_id", "instance_index"],
+                    vec![Agg::count_all("submits")],
+                ),
+            ],
+        ),
+        (
+            "tier_event_counts",
+            vec![Op::GroupBy(
+                vec!["tier", "event"],
+                vec![Agg::count_all("n")],
+            )],
+        ),
+        (
+            "users_distinct",
+            vec![
+                Op::Filter(is("event", "submit")),
+                Op::GroupBy(vec!["tier"], vec![Agg::count_distinct("priority", "users")]),
+                Op::Sort(vec![("users", SortOrder::Descending)]),
+            ],
+        ),
+        (
+            "sort_tier_time",
+            vec![Op::Sort(vec![
+                ("tier", SortOrder::Ascending),
+                ("time", SortOrder::Descending),
+            ])],
+        ),
+        (
+            "submits",
+            vec![
+                Op::Filter(is("event", "submit")),
+                Op::Select(vec!["collection_id", "tier", "event"]),
+            ],
+        ),
+        (
+            "join_then_group",
+            vec![
+                join_coll(JoinKind::Inner),
+                Op::GroupBy(
+                    vec!["right_scheduler", "vertical_scaling"],
+                    vec![Agg::count_all("events"), Agg::sum("cpu_request", "cpu")],
+                ),
+            ],
+        ),
+        (
+            "p99_by_machine",
+            vec![Op::GroupBy(
+                vec!["machine_id"],
+                vec![Agg::percentile("cpu_request", 99.0, "p99")],
+            )],
+        ),
+        (
+            "filter_selective",
+            vec![Op::Filter(
+                col("machine_id").eq(lit(7i64)).and(is("event", "evict")),
+            )],
+        ),
+        // borg-serve's PlanSpec shape: filter → group → sort → limit.
+        (
+            "planspec_full",
+            vec![
+                Op::Filter(col("priority").ge(lit(103i64))),
+                Op::GroupBy(vec!["tier"], vec![Agg::max("cpu_request", "peak")]),
+                Op::Sort(vec![("peak", SortOrder::Descending)]),
+                Op::Limit(3),
+            ],
+        ),
+        (
+            "planspec_scan_limit",
+            vec![
+                Op::Filter(col("time").lt(lit(1_000_000_000i64))),
+                Op::Limit(10),
+            ],
+        ),
+        // Steps whose live set the rules have to get right.
+        (
+            "count_only_keeps_no_column",
+            vec![
+                Op::Filter(is("event", "evict")),
+                Op::GroupBy(vec![], vec![Agg::count_all("n")]),
+            ],
+        ),
+        (
+            "derive_from_nothing",
+            vec![Op::Derive("one", lit(1i64)), Op::Select(vec!["one"])],
+        ),
+        (
+            "derive_overwrites_then_reads_it",
+            vec![
+                Op::Derive("priority", col("priority").add(col("machine_id"))),
+                Op::Sort(vec![("time", SortOrder::Descending)]),
+                Op::Limit(500),
+                Op::GroupBy(vec!["priority"], vec![Agg::mean("cpu_request", "m")]),
+            ],
+        ),
+        (
+            "outer_join_sort_limit_select",
+            vec![
+                Op::Filter(col("instance_index").ge(lit(2i64))),
+                join_coll(JoinKind::LeftOuter),
+                Op::Sort(vec![
+                    ("user_id", SortOrder::Ascending),
+                    ("time", SortOrder::Ascending),
+                ]),
+                Op::Limit(700),
+                Op::Select(vec!["user_id", "scheduler", "note"]),
+            ],
+        ),
+        (
+            "clash_observed_only_through_the_left_name",
+            vec![
+                join_coll(JoinKind::Inner),
+                Op::GroupBy(vec!["scheduler"], vec![Agg::count_all("n")]),
+            ],
+        ),
+        // Plans that must fail, and how.
+        (
+            "filter_reads_a_projected_away_column",
+            vec![
+                Op::Select(vec!["time", "tier"]),
+                Op::Filter(is("event", "submit")),
+                Op::GroupBy(vec!["tier"], vec![Agg::count_all("n")]),
+            ],
+        ),
+        (
+            "group_by_unknown_key",
+            vec![
+                Op::Filter(is("event", "submit")),
+                Op::GroupBy(vec!["nope"], vec![Agg::count_all("n")]),
+            ],
+        ),
+        (
+            "no_clash_so_no_right_prefix",
+            vec![
+                join_coll(JoinKind::Inner),
+                Op::GroupBy(vec!["right_vertical_scaling"], vec![Agg::count_all("n")]),
+            ],
+        ),
+        (
+            "sort_by_unknown_before_select",
+            vec![
+                Op::Sort(vec![("missing", SortOrder::Ascending)]),
+                Op::Select(vec!["time"]),
+            ],
+        ),
+        (
+            "first_error_wins",
+            vec![
+                Op::Derive("x", col("ghost").add(lit(1i64))),
+                Op::Select(vec!["also_missing"]),
+            ],
+        ),
+        (
+            "type_error_in_an_unobserved_derive",
+            vec![
+                Op::Derive("x", col("tier").add(lit(1i64))),
+                Op::GroupBy(vec!["tier"], vec![Agg::count_all("n")]),
+            ],
+        ),
+        (
+            "renamed_right_column_collides_unobserved",
+            vec![
+                Op::Derive("note", col("time")),
+                join_coll(JoinKind::Inner),
+                Op::GroupBy(vec!["tier"], vec![Agg::count_all("n")]),
+            ],
+        ),
+    ];
+    let mut failures = 0;
+    for (name, plan) in &plans {
+        let pruned = via_query(&inst, plan);
+        let full = step_by_step(&inst, plan);
+        assert_eq!(pruned, full, "plan {name}");
+        failures += usize::from(full.is_err());
+    }
+    assert_eq!(failures, 7, "the failing plans fail");
+    let unknown = |name: &str, column: &str| {
+        let plan = &plans.iter().find(|(n, _)| *n == name).unwrap().1;
+        assert_eq!(
+            via_query(&inst, plan),
+            Err(QueryError::UnknownColumn(column.to_string())),
+            "plan {name}"
+        );
+    };
+    unknown("filter_reads_a_projected_away_column", "event");
+    unknown("group_by_unknown_key", "nope");
+    unknown("no_clash_so_no_right_prefix", "right_vertical_scaling");
+    unknown("sort_by_unknown_before_select", "missing");
+    unknown("first_error_wins", "ghost");
+}
+
+/// `Table` handles share column buffers until one of them appends.
+#[test]
+fn table_handles_share_buffers_and_copy_on_write() {
+    let mut a = Table::new(vec![("id", DataType::Int), ("name", DataType::Str)]);
+    for (i, s) in ["x", "y", "z"].iter().enumerate() {
+        a.push_row(vec![Value::Int(i as i64), Value::str(*s)])
+            .unwrap();
+    }
+    let same_buffer =
+        |l: &Table, r: &Table, c: &str| std::ptr::eq(l.column(c).unwrap(), r.column(c).unwrap());
+
+    let mut b = a.clone();
+    assert!(same_buffer(&a, &b, "id") && same_buffer(&a, &b, "name"));
+    let projected = a.project(&["name"]).unwrap();
+    assert!(same_buffer(&a, &projected, "name"));
+    let whole = a.head(10);
+    assert!(same_buffer(&a, &whole, "id"));
+    let widened = a
+        .clone()
+        .with_column("flag", borg_query::Column::Bool(vec![Some(true); 3]))
+        .unwrap();
+    assert!(same_buffer(&a, &widened, "id"));
+    let through_query = Query::from(a.clone()).select(&["id"]).run().unwrap();
+    assert!(same_buffer(&a, &through_query, "id"));
+
+    // A write through one handle never shows through another.
+    let before = a.clone();
+    b.push_row(vec![Value::Int(9), Value::str("w")]).unwrap();
+    assert_eq!((a.num_rows(), b.num_rows()), (3, 4));
+    assert_eq!(a, before);
+    assert!(!same_buffer(&a, &b, "id") && !same_buffer(&a, &b, "name"));
+    assert_eq!(b.value(3, "name").unwrap(), Value::str("w"));
+    assert_eq!(projected.num_rows(), 3);
+    assert_eq!(a.head(2).num_rows(), 2);
+
+    // A rejected row copies nothing and changes nothing.
+    let mut c = a.clone();
+    assert!(c.push_row(vec![Value::str("bad"), Value::Null]).is_err());
+    assert!(same_buffer(&a, &c, "id"));
+    c.reserve_rows(100);
+    assert_eq!(a, before);
+    assert_eq!(c, before);
+
+    // The sole owner appends in place.
+    let mut sole = Table::new(vec![("v", DataType::Int)]);
+    sole.reserve_rows(4);
+    sole.push_row(vec![Value::Int(1)]).unwrap();
+    let at = std::ptr::from_ref(sole.column("v").unwrap());
+    sole.push_row(vec![Value::Int(2)]).unwrap();
+    assert!(std::ptr::eq(at, sole.column("v").unwrap()));
 }

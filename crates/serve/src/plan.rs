@@ -145,8 +145,7 @@ impl PlanSpec {
     /// which cooperative cancellation is observed, so it is also the
     /// granularity of the virtual-time cost model.
     pub fn cost_blocks(&self, table_rows: usize) -> u64 {
-        const BLOCK_ROWS: usize = 1 << 16;
-        (table_rows.div_ceil(BLOCK_ROWS)).max(1) as u64
+        (table_rows.div_ceil(borg_query::parallel::BLOCK_ROWS)).max(1) as u64
     }
 }
 
@@ -189,6 +188,17 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_is_pinned() {
+        // The result-cache key and, through it, the serve event log: the
+        // value must survive any change to the engine's hash tables.
+        assert_eq!(spec().fingerprint(), 0x384f_86da_c9b7_12d6);
+        assert_eq!(
+            PlanSpec::scan(TableId::Usage).fingerprint(),
+            0x6d27_1145_fb93_5c79
+        );
+    }
+
+    #[test]
     fn execute_matches_hand_built_query() {
         let mut t = Table::new(vec![("tier", DataType::Str), ("priority", DataType::Int)]);
         for (tier, p) in [("prod", 120), ("beb", 30), ("prod", 110), ("mid", 103)] {
@@ -210,7 +220,8 @@ mod tests {
         let p = PlanSpec::scan(TableId::Usage);
         assert_eq!(p.cost_blocks(0), 1);
         assert_eq!(p.cost_blocks(1), 1);
-        assert_eq!(p.cost_blocks(1 << 16), 1);
-        assert_eq!(p.cost_blocks((1 << 16) + 1), 2);
+        let block = borg_query::parallel::BLOCK_ROWS;
+        assert_eq!(p.cost_blocks(block), 1);
+        assert_eq!(p.cost_blocks(block + 1), 2);
     }
 }

@@ -45,6 +45,14 @@
 # checks asserted in-process. A small smoke run of the same binary is
 # part of the default path so the exporters can't rot.
 #
+# With --pipeline, runs only pipeline-bench's self-check
+# (benchmark/run.sh --check): the harness's unit tests, then all five
+# BENCHMARK.json workloads at tiny scale, untraced and traced, with
+# their output checks on (digests, SQL vs simulator metrics, served
+# bytes vs direct execution). It builds into target/benchmark; nothing
+# under benchmark/ is edited. The fast loop for any change that claims
+# or must not move a benchmark number.
+#
 # Both profile runs enforce the phase-fraction regression guard: the
 # binary prints a machine-readable "guard: dispatch+usage_tick share"
 # line, and the run fails if that share exceeds the stored baseline
@@ -69,6 +77,7 @@ Modes:
   --serve    borg-serve fast loop only (unit tests + wall-clock chaos smoke)
   --slo      observability fast loop only (witness/SLO/recorder tests + serve_slo)
   --profile  telemetry profile report only (512-machine cell-day breakdown)
+  --pipeline pipeline-bench self-check only (benchmark/run.sh --check: unit tests + 5 tiny workloads)
   --bench    default path plus a one-pass smoke of every criterion bench
   --help     this text
 EOF
@@ -82,6 +91,7 @@ profile_only=0
 shards_only=0
 serve_only=0
 slo_only=0
+pipeline_only=0
 for arg in "$@"; do
     case "$arg" in
     --bench) run_bench=1 ;;
@@ -92,6 +102,7 @@ for arg in "$@"; do
     --serve) serve_only=1 ;;
     --slo) slo_only=1 ;;
     --profile) profile_only=1 ;;
+    --pipeline) pipeline_only=1 ;;
     --help | -h)
         usage
         exit 0
@@ -142,6 +153,13 @@ if [ "$profile_only" -eq 1 ]; then
     profile_guard "$profile_out" sharded_dispatch_share
     rm -f "$profile_out"
     echo "Profile check passed."
+    exit 0
+fi
+
+if [ "$pipeline_only" -eq 1 ]; then
+    echo "==> pipeline-bench self-check (unit tests + five workloads, tiny inputs, both modes)"
+    bash benchmark/run.sh --check
+    echo "Pipeline check passed."
     exit 0
 fi
 
