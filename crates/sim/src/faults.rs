@@ -509,28 +509,10 @@ pub fn corrupt_trace(trace: &Trace, cfg: &CorruptionConfig, seed: u64) -> (Trace
     (out, ledger)
 }
 
-/// Garbles a fraction of data lines in a rendered CSV table so they can
-/// never parse (the first field becomes non-numeric), counting each one.
-fn garble_lines(table: &str, frac: f64, rng: &mut StdRng, garbled: &mut u64) -> String {
-    if frac <= 0.0 {
-        return table.to_string();
-    }
-    let mut out = String::with_capacity(table.len() + 64);
-    for (i, line) in table.lines().enumerate() {
-        if i > 0 && !line.is_empty() && rng.random_bool(frac) {
-            out.push_str("##corrupt##");
-            *garbled += 1;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
 /// Writes a trace directory through the lossy writer's byte-level fault:
-/// `cfg.garble_fraction` of data lines per table are garbled so they
-/// fail to parse, each counted in `ledger`. Combine with
-/// [`corrupt_trace`] for row-level faults first.
+/// `cfg.garble_fraction` of data lines per table are garbled so they can
+/// never parse (the first field becomes non-numeric), each counted in
+/// `ledger`. Combine with [`corrupt_trace`] for row-level faults first.
 pub fn write_trace_dir_lossy(
     trace: &Trace,
     dir: &std::path::Path,
@@ -538,67 +520,22 @@ pub fn write_trace_dir_lossy(
     seed: u64,
     ledger: &mut FaultLedger,
 ) -> std::io::Result<()> {
+    use borg_trace::csv::{FILE_COLLECTION, FILE_INSTANCE, FILE_MACHINE};
     cfg.validate();
     let mut rng = StdRng::seed_from_u64(seed);
-    std::fs::create_dir_all(dir)?;
-    let mut buf = Vec::new();
-    borg_trace::csv::write_machine_events(&mut buf, &trace.machine_events)?;
-    let table = String::from_utf8_lossy(&buf).into_owned();
-    std::fs::write(
-        dir.join(borg_trace::csv::FILE_MACHINE),
-        garble_lines(
-            &table,
-            cfg.garble_fraction,
-            &mut rng,
-            &mut ledger.machine_events.garbled,
-        ),
-    )?;
-    buf.clear();
-    borg_trace::csv::write_collection_events(&mut buf, &trace.collection_events)?;
-    let table = String::from_utf8_lossy(&buf).into_owned();
-    std::fs::write(
-        dir.join(borg_trace::csv::FILE_COLLECTION),
-        garble_lines(
-            &table,
-            cfg.garble_fraction,
-            &mut rng,
-            &mut ledger.collection_events.garbled,
-        ),
-    )?;
-    buf.clear();
-    borg_trace::csv::write_instance_events(&mut buf, &trace.instance_events)?;
-    let table = String::from_utf8_lossy(&buf).into_owned();
-    std::fs::write(
-        dir.join(borg_trace::csv::FILE_INSTANCE),
-        garble_lines(
-            &table,
-            cfg.garble_fraction,
-            &mut rng,
-            &mut ledger.instance_events.garbled,
-        ),
-    )?;
-    buf.clear();
-    borg_trace::csv::write_usage(&mut buf, &trace.usage)?;
-    let table = String::from_utf8_lossy(&buf).into_owned();
-    std::fs::write(
-        dir.join(borg_trace::csv::FILE_USAGE),
-        garble_lines(
-            &table,
-            cfg.garble_fraction,
-            &mut rng,
-            &mut ledger.usage.garbled,
-        ),
-    )?;
-    std::fs::write(
-        dir.join(borg_trace::csv::FILE_METADATA),
-        format!(
-            "cell_name,schema,horizon\n{},{},{}\n",
-            trace.cell_name,
-            trace.schema.map_or("unknown", |s| s.name()),
-            trace.horizon.as_micros()
-        ),
-    )?;
-    Ok(())
+    let frac = cfg.garble_fraction;
+    borg_trace::csv::write_trace_dir_with(trace, dir, &mut |file, line| {
+        if frac > 0.0 && rng.random_bool(frac) {
+            line.extend_from_slice(b"##corrupt##");
+            let table = match file {
+                FILE_MACHINE => &mut ledger.machine_events,
+                FILE_COLLECTION => &mut ledger.collection_events,
+                FILE_INSTANCE => &mut ledger.instance_events,
+                _ => &mut ledger.usage,
+            };
+            table.garbled += 1;
+        }
+    })
 }
 
 #[cfg(test)]

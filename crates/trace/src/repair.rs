@@ -15,14 +15,16 @@
 //! ground-truth fault ledgers.
 //!
 //! The pass is fully deterministic: ordered containers only, no RNG, and
-//! a stable time sort at the end, so `repair` of the same bytes yields
+//! sorts on keys no two rows share, so `repair` of the same bytes yields
 //! the same trace on every run.
 
 use crate::collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
 };
-use crate::instance::{InstanceEvent, InstanceId};
+use crate::group::entity_order;
+use crate::instance::InstanceEvent;
 use crate::machine::{MachineEvent, MachineEventType, MachineId, Platform};
+use crate::priority::Priority;
 use crate::resources::Resources;
 use crate::state::{EventType, InstanceState, StateMachine, TerminationKind};
 use crate::time::Micros;
@@ -123,20 +125,31 @@ impl RepairReport {
 /// Repairs a damaged trace in place so that [`crate::validate::validate`]
 /// finds no violations, returning a count of every action taken. See the
 /// module docs for the repair rules.
+///
+/// Every table comes out ordered by `(time, entity id, input position)`,
+/// an entity's synthesized rows directly before the row that needed them;
+/// rows appended afterwards (`Lost` terminations, back-fills) follow the
+/// existing rows of their timestamp.
 pub fn repair(trace: &mut Trace) -> RepairReport {
     let mut report = RepairReport::default();
-    repair_machine_events(trace, &mut report);
+    rewrite_by_entity(
+        &mut trace.machine_events,
+        &mut report.machine_events,
+        |e| (e.machine_id, e.time),
+        |_, _| Walk::Legal,
+        |e, _| *e,
+    );
     repair_collection_events(trace, &mut report);
-    let still_running = repair_instance_events(trace, &mut report);
-    insert_lost(trace, &still_running, &mut report);
-    backfill_collections(trace, &mut report);
+    let walked = repair_instance_events(trace, &mut report);
+    insert_lost(trace, &walked.running, &mut report);
+    backfill_collections(trace, &walked.first_seen, &mut report);
     repair_usage(trace, &mut report);
     backfill_machines(trace, &mut report);
-    trace.sort();
     report
 }
 
 /// Outcome of feeding one event through the repairing walk.
+#[derive(Clone, Copy)]
 enum Walk {
     /// Legal as observed.
     Legal,
@@ -213,69 +226,124 @@ fn bridge(state: Option<InstanceState>, event: EventType) -> Option<&'static [Ev
     Some(b)
 }
 
-/// Removes later exact duplicates within each equal-time run of an
-/// entity's stably time-sorted event list, returning the removed count.
-/// Clean generated traces never contain two identical rows for the same
-/// entity at the same timestamp, so every removal is a real duplicate.
-fn dedupe_sorted<T: PartialEq + Copy>(evs: &mut Vec<T>, time: impl Fn(&T) -> Micros) -> u64 {
-    let mut removed = 0;
-    let mut out: Vec<T> = Vec::with_capacity(evs.len());
-    let mut run_start = 0;
-    for &e in evs.iter() {
-        if out.last().map(&time) != Some(time(&e)) {
-            run_start = out.len();
-        }
-        if out[run_start..].contains(&e) {
-            removed += 1;
-        } else {
-            out.push(e);
-        }
-    }
-    *evs = out;
-    removed
+/// Where a surviving row goes in the output: tables come out sorted by
+/// this, which is "group by entity, sort each group by time, concatenate,
+/// stable-sort by time" without the intermediate copies.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Slot {
+    time: Micros,
+    /// The row's index in entity-major order.
+    rank: usize,
+    /// The row's index in the input table.
+    pos: usize,
 }
 
-fn repair_machine_events(trace: &mut Trace, report: &mut RepairReport) {
-    let mut groups: BTreeMap<MachineId, Vec<MachineEvent>> = BTreeMap::new();
-    for ev in &trace.machine_events {
-        groups.entry(ev.machine_id).or_default().push(*ev);
+/// `Slot::rank` of a row that does not survive.
+const REMOVED: usize = usize::MAX;
+
+/// The per-table kernel: dedupes, walks and reorders `rows` in one pass
+/// over [`entity_order`]'s keys.
+///
+/// Entity by entity, in `(time, input position)` order: a row equal to an
+/// earlier row of the same entity and timestamp is a duplicate and is
+/// removed (clean generated traces never contain two identical rows for
+/// one entity at one timestamp, so every removal is a real duplicate);
+/// every other row goes to `visit` — told whether it starts a new entity —
+/// whose verdict keeps it, drops it, or has `synth` make bridge rows to go
+/// in front of it. The survivors are then laid out by `(time, entity,
+/// input position)`. When nothing was removed or made and the table is in
+/// that order already, it is left untouched.
+fn rewrite_by_entity<T: Copy + PartialEq, K: Ord + Copy>(
+    rows: &mut Vec<T>,
+    counts: &mut TableRepair,
+    key: impl Fn(&T) -> (K, Micros),
+    mut visit: impl FnMut(&T, bool) -> Walk,
+    synth: impl Fn(&T, EventType) -> T,
+) {
+    let keys = entity_order(rows, &key);
+    // Filled by input position during the entity-major walk.
+    let mut order = vec![
+        Slot {
+            time: Micros::ZERO,
+            rank: REMOVED,
+            pos: 0
+        };
+        rows.len()
+    ];
+    // The few rows that need bridge rows in front, and which.
+    let mut bridged: Vec<(Slot, &'static [EventType])> = Vec::new();
+    let before = counts.total();
+    let mut run_start = 0;
+    for (rank, cur) in keys.iter().enumerate() {
+        let new_entity = rank == 0 || keys[rank - 1].entity != cur.entity;
+        if new_entity || keys[rank - 1].time != cur.time {
+            run_start = rank;
+        }
+        let row = &rows[cur.pos];
+        if keys[run_start..rank].iter().any(|e| rows[e.pos] == *row) {
+            counts.deduped += 1;
+            continue;
+        }
+        let slot = Slot {
+            time: cur.time,
+            rank,
+            pos: cur.pos,
+        };
+        match visit(row, new_entity) {
+            Walk::Legal => {}
+            Walk::Bridged(steps) => {
+                counts.synthesized += steps.len() as u64;
+                bridged.push((slot, steps));
+            }
+            Walk::Dropped => {
+                counts.dropped += 1;
+                continue;
+            }
+        }
+        order[cur.pos] = slot;
     }
-    let mut out = Vec::with_capacity(trace.machine_events.len());
-    for (_, mut evs) in groups {
-        evs.sort_by_key(|e| e.time);
-        report.machine_events.deduped += dedupe_sorted(&mut evs, |e| e.time);
-        out.extend(evs);
+    drop(keys);
+
+    let changed = counts.total() != before;
+    if changed {
+        order.retain(|slot| slot.rank != REMOVED);
     }
-    trace.machine_events = out;
+    if !changed && order.is_sorted() {
+        return;
+    }
+    // Ingested tables are close to time order already, which the stable
+    // sort's run detection turns into a near-linear pass.
+    order.sort();
+    bridged.sort_unstable_by_key(|&(slot, _)| slot);
+    let mut bridged = bridged.into_iter().peekable();
+    let mut out = Vec::with_capacity(rows.len());
+    for slot in order {
+        let row = rows[slot.pos];
+        if let Some((_, steps)) = bridged.next_if(|&(at, _)| at == slot) {
+            out.extend(steps.iter().map(|&step| synth(&row, step)));
+        }
+        out.push(row);
+    }
+    *rows = out;
 }
 
 fn repair_collection_events(trace: &mut Trace, report: &mut RepairReport) {
-    let mut groups: BTreeMap<CollectionId, Vec<CollectionEvent>> = BTreeMap::new();
-    for ev in &trace.collection_events {
-        groups.entry(ev.collection_id).or_default().push(*ev);
-    }
-    let mut out = Vec::with_capacity(trace.collection_events.len());
-    for (_, mut evs) in groups {
-        evs.sort_by_key(|e| e.time);
-        report.collection_events.deduped += dedupe_sorted(&mut evs, |e| e.time);
-        let mut sm = StateMachine::new();
-        for ev in evs {
-            match walk(&mut sm, ev.event_type) {
-                Walk::Legal => out.push(ev),
-                Walk::Bridged(steps) => {
-                    for &step in steps {
-                        let mut synth = ev;
-                        synth.event_type = step;
-                        out.push(synth);
-                        report.collection_events.synthesized += 1;
-                    }
-                    out.push(ev);
-                }
-                Walk::Dropped => report.collection_events.dropped += 1,
+    let mut sm = StateMachine::new();
+    rewrite_by_entity(
+        &mut trace.collection_events,
+        &mut report.collection_events,
+        |e| (e.collection_id, e.time),
+        |ev, new_entity| {
+            if new_entity {
+                sm = StateMachine::new();
             }
-        }
-    }
-    trace.collection_events = out;
+            walk(&mut sm, ev.event_type)
+        },
+        |ev, step| CollectionEvent {
+            event_type: step,
+            ..*ev
+        },
+    );
 }
 
 /// An instance left in `Running` state at the end of its event stream:
@@ -283,6 +351,70 @@ fn repair_collection_events(trace: &mut Trace, report: &mut RepairReport) {
 struct RunningTail {
     last_event: InstanceEvent,
     last_machine: Option<MachineId>,
+}
+
+/// The earliest surviving instance event of one collection (the first in
+/// instance order among equals): the template for a back-filled `Submit`.
+struct FirstSeen {
+    collection: CollectionId,
+    time: Micros,
+    priority: Priority,
+}
+
+/// What the instance walk learned besides the repaired table.
+#[derive(Default)]
+struct InstanceWalk {
+    sm: StateMachine,
+    last_machine: Option<MachineId>,
+    last_event: Option<InstanceEvent>,
+    /// Instances still running at the end of their stream, in id order.
+    running: Vec<RunningTail>,
+    /// One entry per collection with instance events, in id order.
+    first_seen: Vec<FirstSeen>,
+}
+
+impl InstanceWalk {
+    fn visit(&mut self, ev: &InstanceEvent, new_entity: bool) -> Walk {
+        if new_entity {
+            self.close_instance();
+        }
+        let verdict = walk(&mut self.sm, ev.event_type);
+        if matches!(verdict, Walk::Dropped) {
+            return verdict;
+        }
+        self.last_machine = ev.machine_id.or(self.last_machine);
+        self.last_event = Some(*ev);
+        let collection = ev.instance_id.collection;
+        match self.first_seen.last_mut() {
+            Some(first) if first.collection == collection => {
+                if ev.time < first.time {
+                    first.time = ev.time;
+                    first.priority = ev.priority;
+                }
+            }
+            _ => self.first_seen.push(FirstSeen {
+                collection,
+                time: ev.time,
+                priority: ev.priority,
+            }),
+        }
+        verdict
+    }
+
+    /// Ends the current instance's stream and resets for the next one.
+    fn close_instance(&mut self) {
+        if self.sm.state() == Some(InstanceState::Running) {
+            if let Some(last_event) = self.last_event {
+                self.running.push(RunningTail {
+                    last_event,
+                    last_machine: self.last_machine,
+                });
+            }
+        }
+        self.sm = StateMachine::new();
+        self.last_machine = None;
+        self.last_event = None;
+    }
 }
 
 fn synth_instance(ev: &InstanceEvent, ty: EventType) -> InstanceEvent {
@@ -294,48 +426,17 @@ fn synth_instance(ev: &InstanceEvent, ty: EventType) -> InstanceEvent {
     s
 }
 
-fn repair_instance_events(trace: &mut Trace, report: &mut RepairReport) -> Vec<RunningTail> {
-    let mut groups: BTreeMap<InstanceId, Vec<InstanceEvent>> = BTreeMap::new();
-    for ev in &trace.instance_events {
-        groups.entry(ev.instance_id).or_default().push(*ev);
-    }
-    let mut out = Vec::with_capacity(trace.instance_events.len());
-    let mut running = Vec::new();
-    for (_, mut evs) in groups {
-        evs.sort_by_key(|e| e.time);
-        report.instance_events.deduped += dedupe_sorted(&mut evs, |e| e.time);
-        let mut sm = StateMachine::new();
-        let mut last_machine = None;
-        let mut last_event = None;
-        for ev in evs {
-            match walk(&mut sm, ev.event_type) {
-                Walk::Legal => out.push(ev),
-                Walk::Bridged(steps) => {
-                    for &step in steps {
-                        out.push(synth_instance(&ev, step));
-                        report.instance_events.synthesized += 1;
-                    }
-                    out.push(ev);
-                }
-                Walk::Dropped => {
-                    report.instance_events.dropped += 1;
-                    continue;
-                }
-            }
-            last_machine = ev.machine_id.or(last_machine);
-            last_event = Some(ev);
-        }
-        if sm.state() == Some(InstanceState::Running) {
-            if let Some(last_event) = last_event {
-                running.push(RunningTail {
-                    last_event,
-                    last_machine,
-                });
-            }
-        }
-    }
-    trace.instance_events = out;
-    running
+fn repair_instance_events(trace: &mut Trace, report: &mut RepairReport) -> InstanceWalk {
+    let mut walked = InstanceWalk::default();
+    rewrite_by_entity(
+        &mut trace.instance_events,
+        &mut report.instance_events,
+        |e| (e.instance_id, e.time),
+        |ev, new_entity| walked.visit(ev, new_entity),
+        synth_instance,
+    );
+    walked.close_instance();
+    walked
 }
 
 /// Inserts a `Lost` termination for every instance still running at the
@@ -352,6 +453,7 @@ fn insert_lost(trace: &mut Trace, running: &[RunningTail], report: &mut RepairRe
             *slot = (ev.time, ev.event_type);
         }
     }
+    let before = report.lost_inserted;
     for tail in running {
         let Some(machine) = tail.last_machine else {
             continue;
@@ -370,37 +472,34 @@ fn insert_lost(trace: &mut Trace, running: &[RunningTail], report: &mut RepairRe
         report.lost_inserted += 1;
         report.instance_events.synthesized += 1;
     }
+    if report.lost_inserted > before {
+        // A stable sort of a sorted table plus a short tail is a merge.
+        trace.instance_events.sort_by_key(|e| e.time);
+    }
 }
 
 /// Back-fills a `Submit` for every collection referenced by instance
 /// events but absent from the collection table, so instances are not
 /// orphans and downstream collection maps see their owners.
-fn backfill_collections(trace: &mut Trace, report: &mut RepairReport) {
-    if trace.instance_events.is_empty() {
-        return;
-    }
-    let known: BTreeSet<CollectionId> = trace
+fn backfill_collections(trace: &mut Trace, first_seen: &[FirstSeen], report: &mut RepairReport) {
+    let mut known: Vec<CollectionId> = trace
         .collection_events
         .iter()
         .map(|e| e.collection_id)
         .collect();
-    let mut first: BTreeMap<CollectionId, InstanceEvent> = BTreeMap::new();
-    for ev in &trace.instance_events {
-        if known.contains(&ev.instance_id.collection) {
+    known.sort_unstable();
+    known.dedup();
+    let before = report.submits_backfilled;
+    for first in first_seen {
+        if known.binary_search(&first.collection).is_ok() {
             continue;
         }
-        let slot = first.entry(ev.instance_id.collection).or_insert(*ev);
-        if ev.time < slot.time {
-            *slot = *ev;
-        }
-    }
-    for (id, ev) in first {
         trace.collection_events.push(CollectionEvent {
-            time: ev.time,
-            collection_id: id,
+            time: first.time,
+            collection_id: first.collection,
             event_type: EventType::Submit,
             collection_type: CollectionType::Job,
-            priority: ev.priority,
+            priority: first.priority,
             scheduler: SchedulerKind::Default,
             vertical_scaling: VerticalScalingMode::Off,
             parent_id: None,
@@ -409,6 +508,9 @@ fn backfill_collections(trace: &mut Trace, report: &mut RepairReport) {
         });
         report.submits_backfilled += 1;
         report.collection_events.synthesized += 1;
+    }
+    if report.submits_backfilled > before {
+        trace.collection_events.sort_by_key(|e| e.time);
     }
 }
 
@@ -423,21 +525,13 @@ fn repair_usage(trace: &mut Trace, report: &mut RepairReport) {
             report.histograms_sorted += 1;
         }
     }
-    let mut groups: BTreeMap<(InstanceId, MachineId), Vec<crate::usage::UsageRecord>> =
-        BTreeMap::new();
-    for rec in &trace.usage {
-        groups
-            .entry((rec.instance_id, rec.machine_id))
-            .or_default()
-            .push(*rec);
-    }
-    let mut out = Vec::with_capacity(trace.usage.len());
-    for (_, mut recs) in groups {
-        recs.sort_by_key(|r| r.start);
-        report.usage.deduped += dedupe_sorted(&mut recs, |r| r.start);
-        out.extend(recs);
-    }
-    trace.usage = out;
+    rewrite_by_entity(
+        &mut trace.usage,
+        &mut report.usage,
+        |r| ((r.instance_id, r.machine_id), r.start),
+        |_, _| Walk::Legal,
+        |r, _| *r,
+    );
 }
 
 /// Back-fills an `Add` at time zero for machines referenced by usage but
@@ -463,6 +557,8 @@ fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
         // there is nothing trustworthy to size a reconstruction from.
         return;
     }
+    // Only records on unknown machines get this far, so the map stays
+    // small; each window sums in (instance, input position) order.
     let mut windows: BTreeMap<(MachineId, Micros), Resources> = BTreeMap::new();
     for rec in &trace.usage {
         if known.contains(&rec.machine_id) {
@@ -478,6 +574,9 @@ fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
         cap.cpu = cap.cpu.max(used.cpu);
         cap.mem = cap.mem.max(used.mem);
     }
+    if caps.is_empty() {
+        return;
+    }
     for (machine, cap) in caps {
         trace
             .machine_events
@@ -485,12 +584,13 @@ fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
         report.machines_backfilled += 1;
         report.machine_events.synthesized += 1;
     }
+    trace.machine_events.sort_by_key(|e| e.time);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::priority::Priority;
+    use crate::instance::InstanceId;
     use crate::trace::SchemaVersion;
     use crate::usage::{CpuHistogram, UsageRecord};
     use crate::validate::validate;
@@ -642,14 +742,62 @@ mod tests {
     fn interleaved_same_time_duplicate_found_across_run() {
         // Evict and resubmit share a timestamp; a duplicate of the Evict
         // separated from its original by the Submit must still dedupe.
-        let mut evs = vec![
-            iev(1, 0, 50, EventType::Evict),
-            iev(1, 0, 50, EventType::Submit),
-            iev(1, 0, 50, EventType::Evict), // dup, not adjacent
-        ];
-        let removed = dedupe_sorted(&mut evs, |e| e.time);
-        assert_eq!(removed, 1);
-        assert_eq!(evs.len(), 2);
+        let mut t = base();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        t.instance_events.push(iev(1, 0, 0, EventType::Submit));
+        t.instance_events.push(iev(1, 0, 10, EventType::Schedule));
+        t.instance_events.push(iev(1, 0, 50, EventType::Evict));
+        t.instance_events.push(iev(1, 0, 50, EventType::Submit));
+        t.instance_events.push(iev(1, 0, 50, EventType::Evict)); // dup, not adjacent
+        let report = repair(&mut t);
+        assert_eq!(report.instance_events.deduped, 1);
+        assert_eq!(report.instance_events.total(), 1);
+        assert_eq!(t.instance_events.len(), 4);
+    }
+
+    #[test]
+    fn output_is_ordered_by_time_then_entity_then_position() {
+        let mut t = base();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        t.collection_events.push(cev(2, 0, EventType::Submit));
+        // Same timestamp: instance 2/0 first in the input, then 1/1, 1/0.
+        t.instance_events.push(iev(2, 0, 5, EventType::Submit));
+        t.instance_events.push(iev(1, 1, 5, EventType::Submit));
+        t.instance_events.push(iev(1, 0, 5, EventType::Submit));
+        t.instance_events.push(iev(1, 0, 5, EventType::Schedule));
+        t.instance_events.push(iev(1, 0, 1, EventType::Submit)); // redundant: dropped
+        t.instance_events.push(iev(2, 0, 9, EventType::Finish)); // bridged by a Schedule
+        let report = repair(&mut t);
+        assert_eq!(report.instance_events.dropped, 1);
+        assert_eq!(report.instance_events.synthesized, 1);
+        let got: Vec<_> = t
+            .instance_events
+            .iter()
+            .map(|e| {
+                let id = e.instance_id;
+                (
+                    e.time.as_micros() / 1_000_000,
+                    id.collection.0,
+                    id.index,
+                    e.event_type,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (1, 1, 0, EventType::Submit),
+                (5, 1, 0, EventType::Schedule),
+                (5, 1, 1, EventType::Submit),
+                (5, 2, 0, EventType::Submit),
+                (9, 2, 0, EventType::Schedule),
+                (9, 2, 0, EventType::Finish),
+            ]
+        );
+        // In order and nothing to do: the second pass moves nothing.
+        let before = t.instance_events.clone();
+        assert!(repair(&mut t).is_noop());
+        assert_eq!(t.instance_events, before);
     }
 
     #[test]

@@ -84,7 +84,20 @@ impl EventType {
 
     /// Parses the lowercase name produced by [`EventType::name`].
     pub fn parse(s: &str) -> Option<EventType> {
-        EventType::ALL.iter().copied().find(|e| e.name() == s)
+        Some(match s {
+            "submit" => EventType::Submit,
+            "queue" => EventType::Queue,
+            "enable" => EventType::Enable,
+            "schedule" => EventType::Schedule,
+            "evict" => EventType::Evict,
+            "fail" => EventType::Fail,
+            "finish" => EventType::Finish,
+            "kill" => EventType::Kill,
+            "lost" => EventType::Lost,
+            "update_pending" => EventType::UpdatePending,
+            "update_running" => EventType::UpdateRunning,
+            _ => return None,
+        })
     }
 }
 

@@ -8,11 +8,13 @@
 //! output is internally consistent and analysts can quantify collection
 //! noise in external traces.
 
+use crate::group::entity_order;
 use crate::machine::{MachineEventType, MachineId};
 use crate::resources::Resources;
 use crate::state::{EventType, StateMachine};
 use crate::time::Micros;
 use crate::trace::Trace;
+use crate::usage::UsageRecord;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -164,30 +166,25 @@ pub fn validate_with(trace: &Trace, cfg: &ValidateConfig) -> Vec<Violation> {
 }
 
 fn check_collection_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
-    let mut events: BTreeMap<crate::collection::CollectionId, Vec<(Micros, EventType)>> =
-        BTreeMap::new();
-    for ev in &trace.collection_events {
-        events
-            .entry(ev.collection_id)
-            .or_default()
-            .push((ev.time, ev.event_type));
-    }
-    for (id, mut evs) in events {
-        evs.sort_by_key(|e| e.0);
-        if let Some(first_terminal) = evs.iter().find(|e| e.1.is_terminal()) {
-            if let Some(first_submit) = evs.iter().find(|e| e.1 == EventType::Submit) {
-                if first_terminal.0 < first_submit.0 {
+    let events = &trace.collection_events;
+    let keys = entity_order(events, &|e| (e.collection_id, e.time));
+    for group in keys.chunk_by(|a, b| a.entity == b.entity) {
+        let id = group[0].entity;
+        let lifecycle = || group.iter().map(|k| &events[k.pos]);
+        if let Some(first_terminal) = lifecycle().find(|e| e.event_type.is_terminal()) {
+            if let Some(first_submit) = lifecycle().find(|e| e.event_type == EventType::Submit) {
+                if first_terminal.time < first_submit.time {
                     out.push(Violation::TerminationBeforeSubmit { collection: id });
                 }
             }
         }
         let mut sm = StateMachine::new();
-        for (time, event) in evs {
-            if sm.apply(event).is_err() {
+        for ev in lifecycle() {
+            if sm.apply(ev.event_type).is_err() {
                 out.push(Violation::IllegalCollectionTransition {
                     collection: id,
-                    event,
-                    time,
+                    event: ev.event_type,
+                    time: ev.time,
                 });
                 break;
             }
@@ -199,17 +196,23 @@ fn check_collection_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &Va
 }
 
 fn check_instance_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
-    let known_collections: std::collections::BTreeSet<_> = trace
+    let mut known_collections: Vec<_> = trace
         .collection_events
         .iter()
         .map(|e| e.collection_id)
         .collect();
-    for (id, evs) in trace.instance_event_groups() {
-        if !known_collections.is_empty() && !known_collections.contains(&id.collection) {
+    known_collections.sort_unstable();
+    known_collections.dedup();
+    let events = &trace.instance_events;
+    let keys = entity_order(events, &|e| (e.instance_id, e.time));
+    for group in keys.chunk_by(|a, b| a.entity == b.entity) {
+        let id = group[0].entity;
+        if !known_collections.is_empty() && known_collections.binary_search(&id.collection).is_err()
+        {
             out.push(Violation::OrphanInstance { instance: id });
         }
         let mut sm = StateMachine::new();
-        for ev in evs {
+        for ev in group.iter().map(|k| &events[k.pos]) {
             if sm.apply(ev.event_type).is_err() {
                 out.push(Violation::IllegalInstanceTransition {
                     instance: id,
@@ -238,8 +241,8 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
         }
     }
 
-    // Per (machine, window-start) summed average usage.
-    let mut window_usage: BTreeMap<(MachineId, Micros), Resources> = BTreeMap::new();
+    // The records that count towards a (machine, window-start) sum.
+    let mut windowed: Vec<&UsageRecord> = Vec::with_capacity(trace.usage.len());
     for rec in &trace.usage {
         if rec.end < rec.start {
             out.push(Violation::BadUsageWindow {
@@ -258,20 +261,26 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
             });
             continue;
         }
-        *window_usage
-            .entry((rec.machine_id, rec.start))
-            .or_insert(Resources::ZERO) += rec.avg_usage;
+        windowed.push(rec);
         if out.len() >= cfg.max_violations {
             return;
         }
     }
 
-    for ((machine, window), used) in window_usage {
+    // One sort groups each window's records, still in table order, which
+    // is the order their usage is summed in.
+    let keys = entity_order(&windowed, &|rec| (rec.machine_id, rec.start));
+    for window in keys.chunk_by(|a, b| (a.entity, a.time) == (b.entity, b.time)) {
+        let (machine, start) = (window[0].entity, window[0].time);
+        let mut used = Resources::ZERO;
+        for k in window {
+            used += windowed[k.pos].avg_usage;
+        }
         if let Some(cap) = capacity.get(&machine) {
             if used.cpu > cap.cpu * cfg.capacity_tolerance {
                 out.push(Violation::MachineOverCapacity {
                     machine,
-                    window,
+                    window: start,
                     cpu_used: used.cpu,
                     cpu_capacity: cap.cpu,
                 });

@@ -21,8 +21,11 @@
 # paying for real measurements.
 #
 # With --chaos, runs only the chaos roundtrip suite (fault injection →
-# lossy write → lenient read → repair → validate), the fast loop when
-# working on the fault subsystem.
+# lossy write → lenient read → repair → validate) and borg-trace's
+# differential and fuzz suites (the CSV, repair and validate kernels
+# against their test-only reference implementations, DESIGN.md §11),
+# the fast loop when working on the fault subsystem or the trace I/O
+# kernels.
 #
 # With --shards, runs only the sharded-placement equivalence suite
 # (every shard count bit-identical to the single index, DESIGN.md §14),
@@ -72,7 +75,7 @@ Default (no flag): lint, fmt, clippy, build, tests, profile smoke.
 Modes:
   --lint        borg-lint only (fast pre-commit loop; honors $LINT_BASELINE)
   --lint-graph  dump the computed contract/pool reachability set and exit
-  --chaos    chaos roundtrip suite only (fault injection & trace repair)
+  --chaos    chaos roundtrip + trace-kernel differential/fuzz suites only
   --shards   sharded-placement equivalence suite only (bit-identity sweep)
   --serve    borg-serve fast loop only (unit tests + wall-clock chaos smoke)
   --slo      observability fast loop only (witness/SLO/recorder tests + serve_slo)
@@ -197,6 +200,8 @@ fi
 if [ "$chaos_only" -eq 1 ]; then
     echo "==> chaos roundtrip (fault injection & trace repair)"
     cargo test -p borg2019 --test chaos_roundtrip --offline -q
+    echo "==> trace kernels vs reference implementations (differential + fuzz)"
+    cargo test -p borg-trace --test differential --test csv_fuzz --offline -q
     echo "Chaos check passed."
     exit 0
 fi
