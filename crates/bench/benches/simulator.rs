@@ -15,8 +15,7 @@ fn bench_cell_day(c: &mut Criterion) {
         ("48_machines", 0.004),
         ("512_machines", 512.0 / 12000.0),
         ("2048_machines", 2048.0 / 12000.0),
-        // Paper-scale points unlocked by sharded placement (a 12k-machine
-        // cell is scale 1.0): auto-sharding picks K from the host.
+        // Paper-scale points (a 12k-machine cell is scale 1.0).
         ("4096_machines", 4096.0 / 12000.0),
         ("8192_machines", 8192.0 / 12000.0),
     ] {
@@ -41,17 +40,6 @@ fn bench_cell_day(c: &mut Criterion) {
         cfg.horizon = Micros::from_days(1);
         cfg.snapshot_at = Micros::from_hours(12);
         cfg.telemetry = true;
-        b.iter(|| CellSim::run_cell(&profile, &cfg));
-    });
-    // The pre-index placement path at the ≥5x acceptance scale, for the
-    // before/after numbers in BENCH_simulator.json.
-    group.bench_function("512_machines_naive_scan", |b| {
-        let profile = CellProfile::cell_2019('d');
-        let mut cfg = SimConfig::tiny_for_tests(1);
-        cfg.scale = 512.0 / 12000.0;
-        cfg.horizon = Micros::from_days(1);
-        cfg.snapshot_at = Micros::from_hours(12);
-        cfg.use_placement_index = false;
         b.iter(|| CellSim::run_cell(&profile, &cfg));
     });
     group.finish();
@@ -154,24 +142,11 @@ fn bench_placement_path(c: &mut Criterion) {
     }
     let req = Resources::new(0.08, 0.06);
     let mut group = c.benchmark_group("placement_path");
-    group.bench_function("naive_scan_10k", |b| {
-        b.iter(|| {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, m) in machines.iter().enumerate() {
-                if let Some(s) = m.fit_score(req, Tier::Production) {
-                    if best.is_none_or(|(_, bs)| s < bs) {
-                        best = Some((i, s));
-                    }
-                }
-            }
-            best
-        });
-    });
     group.bench_function("indexed_miss_10k", |b| {
         // Cycling through more shapes than the cache holds evicts every
         // entry before it is asked again, so each query pays the full
         // mirror scan plus a cache store: the cold path.
-        let mut index = PlacementIndex::new(&machines, 7);
+        let mut index = PlacementIndex::new(&machines);
         let shapes: Vec<Resources> = (0..8192)
             .map(|i| Resources::new(0.06 + (i % 97) as f64 * 1e-6, 0.05 + (i / 97) as f64 * 1e-6))
             .collect();
@@ -185,7 +160,7 @@ fn bench_placement_path(c: &mut Criterion) {
         // Steady churn: the winner mutates between queries, so each
         // lookup revalidates the entry against a one-record tail instead
         // of rescanning the fleet.
-        let mut index = PlacementIndex::new(&machines, 7);
+        let mut index = PlacementIndex::new(&machines);
         b.iter(|| {
             let hit = index.best_fit(&machines, req, Tier::Production);
             if let Some((mi, _)) = hit {
@@ -196,7 +171,7 @@ fn bench_placement_path(c: &mut Criterion) {
     });
     group.bench_function("indexed_cached_10k", |b| {
         // Steady state: an unchanged fleet answers from the score cache.
-        let mut index = PlacementIndex::new(&machines, 7);
+        let mut index = PlacementIndex::new(&machines);
         index.best_fit(&machines, req, Tier::Production);
         b.iter(|| index.best_fit(&machines, req, Tier::Production));
     });

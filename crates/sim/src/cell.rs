@@ -185,8 +185,7 @@ pub struct CellSim<'a> {
     cfg: &'a SimConfig,
     machines: Vec<Machine>,
     /// Sharded placement index kept in lock-step with every machine
-    /// mutation (only consulted when `cfg.use_placement_index`; one
-    /// shard unless the config and host justify more — see
+    /// mutation (one shard unless the config asks for more — see
     /// `SimConfig::effective_shards`).
     index: ShardedPlacement,
     jobs: Vec<JobRt>,
@@ -291,11 +290,7 @@ impl<'a> CellSim<'a> {
         let reporting_tiers: Vec<Tier> = profile.tiers.iter().map(|t| tier_key(t.tier)).collect();
         let metrics = SimMetrics::new(&profile.name, cfg.horizon, capacity, &reporting_tiers);
 
-        let index = ShardedPlacement::new(
-            &machines,
-            cfg.seed ^ INDEX_SEED_SALT,
-            cfg.effective_shards(machines.len()),
-        );
+        let index = ShardedPlacement::new(&machines, cfg.effective_shards(machines.len()));
         // The injector owns an independent RNG stream: enabling faults
         // never perturbs the fleet, workload, or placement draws.
         let faults = cfg.faults.as_ref().map(|fc| {
@@ -449,41 +444,23 @@ impl<'a> CellSim<'a> {
     /// [`CellSim::release_occupant`].
     fn commit_occupant(&mut self, machine: usize, occ: Occupant) {
         self.machines[machine].add(occ);
-        if self.cfg.use_placement_index {
-            self.index
-                .on_machine_changed(machine, &self.machines[machine]);
-        }
+        self.index
+            .on_machine_changed(machine, &self.machines[machine]);
     }
 
     /// Removes an occupant from a machine, keeping the placement index
     /// current.
     fn release_occupant(&mut self, machine: usize, owner: usize, index: usize) {
-        if self.machines[machine].remove(owner, index).is_some() && self.cfg.use_placement_index {
+        if self.machines[machine].remove(owner, index).is_some() {
             self.index
                 .on_machine_changed(machine, &self.machines[machine]);
         }
     }
 
-    /// Best-fit winner across the fleet: indexed (exact or bounded) or
-    /// the naive reference scan, per the config.
+    /// Best-fit winner across the fleet (lowest score, lowest index
+    /// among equals).
     fn best_fit_machine(&mut self, request: Resources, tier: Tier) -> Option<(usize, f64)> {
-        if self.cfg.use_placement_index {
-            return match self.cfg.candidate_cap {
-                None => self.index.best_fit(&self.machines, request, tier),
-                Some(cap) => self
-                    .index
-                    .best_fit_bounded(&self.machines, request, tier, cap),
-            };
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for (i, m) in self.machines.iter().enumerate() {
-            if let Some(score) = m.fit_score(request, tier) {
-                if best.is_none_or(|(_, s)| score < s) {
-                    best = Some((i, score));
-                }
-            }
-        }
-        best
+        self.index.best_fit(&self.machines, request, tier)
     }
 
     /// First machine (lowest index) where preempting lower tiers frees
@@ -493,13 +470,7 @@ impl<'a> CellSim<'a> {
         request: Resources,
         tier: Tier,
     ) -> Option<(usize, Vec<(usize, usize)>)> {
-        if self.cfg.use_placement_index {
-            return self.index.first_preemptible(&self.machines, request, tier);
-        }
-        self.machines
-            .iter()
-            .enumerate()
-            .find_map(|(i, m)| m.preemption_victims(request, tier).map(|v| (i, v)))
+        self.index.first_preemptible(&self.machines, request, tier)
     }
 
     fn prime_events(&mut self) {
@@ -804,10 +775,6 @@ impl<'a> CellSim<'a> {
         // placements, whose evictions can resubmit tasks and reach
         // `ensure_dispatch` — and is cleared only when the pending queue
         // drains, so the queue never holds two live `Dispatch` events.
-        if self.cfg.legacy_event_loop {
-            self.on_dispatch_legacy();
-            return;
-        }
         if let Some((job, task, gen)) = self.in_flight.take() {
             // The stamp is the aliveness check: dispatch is serial, so
             // the only event that can invalidate an in-flight task is its
@@ -846,50 +813,10 @@ impl<'a> CellSim<'a> {
         }
     }
 
-    /// The seed dispatch loop (`SimConfig::legacy_event_loop`): one heap
-    /// round-trip per placement, aliveness re-derived from job/task state
-    /// rather than the generation stamp. The reference arm for
-    /// `loop_equivalence.rs` — it exercises neither dispatch bursting nor
-    /// stamp checks, so the equivalence test covers both.
-    fn on_dispatch_legacy(&mut self) {
-        if let Some((job, task, _gen)) = self.in_flight.take() {
-            let alive = self.jobs[job].state != JobState::Ended
-                && self.jobs[job].tasks[task].state == TaskState::Pending;
-            if alive {
-                self.place_popped(job, task);
-            }
-        }
-        loop {
-            let Some(p) = self.pending.pop() else {
-                self.dispatch_live = false;
-                return;
-            };
-            // Skip stale entries (task no longer pending).
-            let alive = self.jobs[p.job].state != JobState::Ended
-                && self.jobs[p.job].tasks[p.task].state == TaskState::Pending
-                && !self.jobs[p.job].tasks[p.task].stalled;
-            if alive {
-                let s = self.decision_time(p.job);
-                self.in_flight = Some((p.job, p.task, p.gen));
-                self.queue.push(self.now + s, Ev::Dispatch);
-                return;
-            }
-        }
-    }
-
     /// Gang placement (§10 research direction #3): dry-run a greedy
     /// best-fit of *all* the job's pending tasks against scratch
     /// commitments; commit only when every task fits. The popped task
     /// triggers the whole gang.
-    ///
-    /// With the placement index enabled, the dry run keeps an *overlay*
-    /// of effective commitments for the few machines the gang touches
-    /// (instead of cloning every machine's state) and a per-shape
-    /// min-heap of `(score, index)` keys. Keys never go stale: only the
-    /// machine just committed to changes, and it is re-scored and
-    /// re-pushed immediately — so each task placement is O(log M)
-    /// instead of O(M), while choosing the exact machine the full scan
-    /// would.
     fn try_place_gang(&mut self, job: usize) {
         let tier = self.jobs[job].spec.tier;
         // `pending_count` bounds the member collect: the common whole-job
@@ -914,14 +841,13 @@ impl<'a> CellSim<'a> {
             self.scratch.gang_pending = pending;
             return;
         }
-        let chosen = if self.cfg.use_placement_index {
-            self.gang_dry_run_indexed(job, tier, &pending)
-        } else {
-            self.gang_dry_run_naive(job, tier, &pending)
-        };
-        match chosen {
+        let requests: Vec<Resources> = pending
+            .iter()
+            .map(|&t| self.jobs[job].tasks[t].limit)
+            .collect();
+        match gang_dry_run(&self.machines, &requests, tier) {
             Some(chosen) => {
-                for (t, mi) in chosen {
+                for ((&t, request), mi) in pending.iter().zip(requests).zip(chosen) {
                     self.commit_occupant(
                         mi,
                         Occupant {
@@ -929,7 +855,7 @@ impl<'a> CellSim<'a> {
                             index: t,
                             is_alloc_instance: false,
                             tier,
-                            request: self.jobs[job].tasks[t].limit,
+                            request,
                         },
                     );
                     self.start_task(job, t, mi, None);
@@ -951,107 +877,6 @@ impl<'a> CellSim<'a> {
             }
         }
         self.scratch.gang_pending = pending;
-    }
-
-    /// The reference gang dry run: full scratch clone, O(M) per task.
-    fn gang_dry_run_naive(
-        &self,
-        job: usize,
-        tier: Tier,
-        pending: &[usize],
-    ) -> Option<Vec<(usize, usize)>> {
-        let mut scratch: Vec<Resources> = self.machines.iter().map(|m| m.committed).collect();
-        let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(pending.len());
-        for &t in pending {
-            let request = self.jobs[job].tasks[t].limit;
-            let d = crate::machine::discount(request, tier);
-            let mut best: Option<(usize, f64)> = None;
-            for (mi, m) in self.machines.iter().enumerate() {
-                if let Some(score) = m.fit_score_at(scratch[mi], request, tier) {
-                    if best.is_none_or(|(_, s)| score < s) {
-                        best = Some((mi, score));
-                    }
-                }
-            }
-            let (mi, _) = best?;
-            scratch[mi] += d;
-            chosen.push((t, mi));
-        }
-        Some(chosen)
-    }
-
-    /// The indexed gang dry run: overlay of touched machines + per-shape
-    /// heap. Bit-identical to [`CellSim::gang_dry_run_naive`]: the
-    /// overlay applies the same `+= d` accumulation to the same starting
-    /// value, and the heap pops the lexicographic `(score, index)`
-    /// minimum — the machine the naive scan keeps.
-    fn gang_dry_run_indexed(
-        &self,
-        job: usize,
-        tier: Tier,
-        pending: &[usize],
-    ) -> Option<Vec<(usize, usize)>> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        /// Total-ordered heap key; scores of feasible machines are finite.
-        #[derive(PartialEq)]
-        struct Key {
-            score: f64,
-            mi: usize,
-        }
-        impl Eq for Key {}
-        impl PartialOrd for Key {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Key {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // IEEE equality (not total_cmp) is load-bearing: the
-                // naive scan ties ±0.0 together and keeps the lower
-                // machine index, and this heap must pop the same
-                // machine. Scores of feasible machines are finite, so
-                // the None (NaN) arm is unreachable.
-                self.score
-                    .partial_cmp(&other.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(self.mi.cmp(&other.mi))
-            }
-        }
-
-        // Effective commitments for machines the gang has touched.
-        let mut overlay: FxHashMap<usize, Resources> = Default::default();
-        let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(pending.len());
-        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-        let mut heap_shape: Option<(u64, u64)> = None;
-        for &t in pending {
-            let request = self.jobs[job].tasks[t].limit;
-            let d = crate::machine::discount(request, tier);
-            let shape = (request.cpu.to_bits(), request.mem.to_bits());
-            if heap_shape != Some(shape) {
-                // New equivalence class: rebuild the heap (once per run
-                // of identical shapes; a job's tasks share one shape).
-                heap_shape = Some(shape);
-                heap.clear();
-                for (mi, m) in self.machines.iter().enumerate() {
-                    let committed = overlay.get(&mi).copied().unwrap_or(m.committed);
-                    if let Some(score) = m.fit_score_at(committed, request, tier) {
-                        heap.push(Reverse(Key { score, mi }));
-                    }
-                }
-            }
-            let Reverse(Key { mi, .. }) = heap.pop()?;
-            let slot = overlay.entry(mi).or_insert(self.machines[mi].committed);
-            *slot += d;
-            chosen.push((t, mi));
-            // Re-score the machine we just tightened; all other keys are
-            // still exact because no other machine changed.
-            if let Some(score) = self.machines[mi].fit_score_at(*slot, request, tier) {
-                heap.push(Reverse(Key { score, mi }));
-            }
-        }
-        Some(chosen)
     }
 
     fn try_place(&mut self, job: usize, task: usize) {
@@ -1550,9 +1375,9 @@ impl<'a> CellSim<'a> {
     }
 
     /// Takes one machine down: resident tasks are lost or evicted, alloc
-    /// reservations on it collapse, capacity drops to zero (so neither
-    /// the naive scan nor the index can place onto it), a `Remove` is
-    /// recorded, and the repair is scheduled.
+    /// reservations on it collapse, capacity drops to zero (so nothing
+    /// can place onto it), a `Remove` is recorded, and the repair is
+    /// scheduled.
     fn fail_machine(&mut self, m: usize, inj: &mut FaultInjector) {
         self.metrics.machine_failures += 1;
         inj.begin_failure(m, self.machines[m].capacity);
@@ -1603,12 +1428,9 @@ impl<'a> CellSim<'a> {
             }
         }
 
-        // Zero capacity makes the machine infeasible for every request in
-        // both placement paths, preserving naive == indexed bit-identity.
+        // Zero capacity makes the machine infeasible for every request.
         self.machines[m].capacity = Resources::ZERO;
-        if self.cfg.use_placement_index {
-            self.index.on_machine_changed(m, &self.machines[m]);
-        }
+        self.index.on_machine_changed(m, &self.machines[m]);
         self.trace.machine_events.push(MachineEvent {
             time: self.now,
             machine_id: self.machines[m].id,
@@ -1628,10 +1450,8 @@ impl<'a> CellSim<'a> {
         };
         if let Some(cap) = inj.end_repair(machine) {
             self.machines[machine].capacity = cap;
-            if self.cfg.use_placement_index {
-                self.index
-                    .on_machine_changed(machine, &self.machines[machine]);
-            }
+            self.index
+                .on_machine_changed(machine, &self.machines[machine]);
             self.trace.machine_events.push(MachineEvent::add(
                 self.now,
                 self.machines[machine].id,
@@ -1647,10 +1467,6 @@ impl<'a> CellSim<'a> {
     }
 
     fn on_usage_tick(&mut self) {
-        if self.cfg.legacy_event_loop {
-            self.on_usage_tick_legacy();
-            return;
-        }
         let window_end = self.now;
         let window_start = window_end.saturating_sub(self.cfg.usage_interval);
         self.queue
@@ -1661,9 +1477,7 @@ impl<'a> CellSim<'a> {
         // running list copies out of the (already sorted) set, the
         // per-machine aggregates are full-fleet-sized but only `touched`
         // slots are written and re-zeroed, and the diurnal factor shared
-        // by every task in the cell is computed once. Every arithmetic
-        // result is bit-identical to the allocating walk in
-        // [`CellSim::on_usage_tick_legacy`].
+        // by every task in the cell is computed once.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.begin(self.machines.len());
 
@@ -1706,8 +1520,7 @@ impl<'a> CellSim<'a> {
 
         // Pass 2: record throttled usage, slack, autopilot, and samples.
         // The throttle is evaluated per task straight off the machine's
-        // demand aggregate — the same IEEE expression the legacy walk
-        // tabulates for every machine, skipping the fleet-sized table.
+        // demand aggregate, so no fleet-sized table is built.
         for (k, &(j, t)) in scratch.running.iter().enumerate() {
             let TaskState::Running { machine, .. } = self.jobs[j].tasks[t].state else {
                 continue;
@@ -1777,7 +1590,7 @@ impl<'a> CellSim<'a> {
             // Downsampled raw usage records. The sampler is fed pass 1's
             // raw window average (what it would recompute through the
             // diurnal cosines), and the histogram sorts in a reused
-            // scratch buffer — both bit-identical to the legacy calls.
+            // scratch buffer.
             let key = splitmix64((j as u64) << 32 | t as u64) ^ self.usage_seq;
             if key.is_multiple_of(self.cfg.keep_usage_every) {
                 usage_proc.window_cpu_samples_with_avg(
@@ -1867,168 +1680,6 @@ impl<'a> CellSim<'a> {
         self.scratch = scratch;
     }
 
-    /// The seed usage tick (`SimConfig::legacy_event_loop`): allocates
-    /// the running snapshot, the per-task demand vector, the full-fleet
-    /// throttle table, and the per-machine usage vector every tick, and
-    /// evaluates the diurnal cosines per task. The reference arm for
-    /// `loop_equivalence.rs`; [`CellSim::on_usage_tick`] must reproduce
-    /// its outputs bit-for-bit.
-    fn on_usage_tick_legacy(&mut self) {
-        let window_end = self.now;
-        let window_start = window_end.saturating_sub(self.cfg.usage_interval);
-        self.queue
-            .push(self.now + self.cfg.usage_interval, Ev::UsageTick);
-        self.usage_seq += 1;
-
-        // Pass 1: raw demand per task and per machine.
-        let running: Vec<(usize, usize)> = self.running.to_vec();
-        let mut demand: Vec<Resources> = Vec::with_capacity(running.len());
-        let mut machine_demand: Vec<Resources> = vec![Resources::ZERO; self.machines.len()];
-        for &(j, t) in &running {
-            let TaskState::Running { machine, .. } = self.jobs[j].tasks[t].state else {
-                demand.push(Resources::ZERO);
-                continue;
-            };
-            let usage_proc = self.jobs[j].spec.tasks[t].usage;
-            let limit = self.jobs[j].tasks[t].limit;
-            let mut avg = usage_proc.average_over(window_start, window_end);
-            avg.mem = avg.mem.min(limit.mem);
-            demand.push(avg);
-            machine_demand[machine] += avg;
-        }
-        let throttle: Vec<f64> = self
-            .machines
-            .iter()
-            .zip(&machine_demand)
-            .map(|(m, d)| {
-                if d.cpu > m.capacity.cpu {
-                    m.capacity.cpu / d.cpu
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-
-        // Pass 2: record throttled usage, slack, autopilot, and samples.
-        let mut machine_usage: Vec<Resources> = vec![Resources::ZERO; self.machines.len()];
-        for (k, &(j, t)) in running.iter().enumerate() {
-            let TaskState::Running { machine, .. } = self.jobs[j].tasks[t].state else {
-                continue;
-            };
-            let tier = self.jobs[j].spec.tier;
-            let usage_proc = self.jobs[j].spec.tasks[t].usage;
-            let limit = self.jobs[j].tasks[t].limit;
-            let raw_cpu = demand[k].cpu;
-            let mut avg = demand[k];
-            avg.cpu *= throttle[machine];
-            let peak_cpu = raw_cpu * usage_proc.peak_factor * throttle[machine];
-
-            let acc = self.jobs[j].tasks[t].accounted_until.max(window_start);
-            if window_end > acc {
-                let charge = if acc == window_start {
-                    Resources::new(raw_cpu * throttle[machine], demand[k].mem)
-                } else {
-                    let mut charge = usage_proc.average_over(acc, window_end);
-                    charge.cpu *= throttle[machine];
-                    charge.mem = charge.mem.min(limit.mem);
-                    charge
-                };
-                self.metrics.add_usage(tier, acc, window_end, charge);
-            }
-            self.jobs[j].tasks[t].accounted_until = window_end;
-            machine_usage[machine] += avg;
-
-            if limit.cpu > 0.0 {
-                let slack = ((limit.cpu - peak_cpu).max(0.0)) / limit.cpu;
-                let mode = self.jobs[j].tasks[t].autopilot.mode();
-                self.metrics
-                    .add_slack(mode, slack, self.usage_seq * 131 + t as u64);
-            }
-
-            if limit.mem > 0.0 {
-                let ratio = (avg.mem / limit.mem).min(1.0);
-                if self.jobs[j].tasks[t].in_alloc.is_some() {
-                    self.metrics.fill_in_alloc.push(ratio);
-                } else {
-                    self.metrics.fill_outside_alloc.push(ratio);
-                }
-            }
-
-            let new_limit = self.jobs[j].tasks[t]
-                .autopilot
-                .observe(Resources::new(peak_cpu, avg.mem), limit);
-            if (new_limit.cpu - limit.cpu).abs() > 0.10 * limit.cpu.max(1e-9) {
-                self.jobs[j].tasks[t].limit = new_limit;
-                self.emit_task(j, t, EventType::UpdateRunning, Some(machine));
-            } else {
-                self.jobs[j].tasks[t].limit = new_limit;
-            }
-
-            let key = splitmix64((j as u64) << 32 | t as u64) ^ self.usage_seq;
-            if key.is_multiple_of(self.cfg.keep_usage_every) {
-                let samples = usage_proc.window_cpu_samples(window_start, window_end, 24);
-                self.trace.usage.push(UsageRecord {
-                    start: window_start,
-                    end: window_end,
-                    instance_id: InstanceId::new(CollectionId(self.jobs[j].spec.id), t as u32),
-                    machine_id: self.machines[machine].id,
-                    avg_usage: avg,
-                    max_usage: Resources::new(peak_cpu, avg.mem),
-                    limit: self.jobs[j].tasks[t].limit,
-                    cpu_histogram: CpuHistogram::from_samples(&samples),
-                });
-            }
-        }
-
-        // Figure 6 snapshot.
-        if !self.snapshot_done && window_start >= self.cfg.snapshot_window() {
-            self.snapshot_done = true;
-            self.metrics.machine_snapshots = self
-                .machines
-                .iter()
-                .enumerate()
-                .map(|(i, m)| MachineSnapshot {
-                    cpu_utilization: if m.capacity.cpu > 0.0 {
-                        (machine_usage[i].cpu / m.capacity.cpu).min(1.0)
-                    } else {
-                        0.0
-                    },
-                    mem_utilization: if m.capacity.mem > 0.0 {
-                        (machine_usage[i].mem / m.capacity.mem).min(1.0)
-                    } else {
-                        0.0
-                    },
-                })
-                .collect();
-        }
-
-        // Over-commit reclamation, walking every machine like the seed.
-        for (mi, usage) in machine_usage.iter().enumerate() {
-            if usage.mem <= self.machines[mi].capacity.mem * 1.04 {
-                continue;
-            }
-            let mut excess = usage.mem - self.machines[mi].capacity.mem;
-            let mut victims: Vec<(Tier, usize, usize, f64)> = self.machines[mi]
-                .occupants
-                .iter()
-                .filter(|o| {
-                    !o.is_alloc_instance && !matches!(o.tier, Tier::Production | Tier::Monitoring)
-                })
-                .map(|o| (o.tier, o.owner, o.index, o.request.mem))
-                .collect();
-            victims.sort_by_key(|a| a.0);
-            for (_, j, t, mem) in victims {
-                if excess <= 0.0 {
-                    break;
-                }
-                if matches!(self.jobs[j].tasks[t].state, TaskState::Running { .. }) {
-                    self.evict_task_cause(j, t, "overcommit");
-                    excess -= mem;
-                }
-            }
-        }
-    }
-
     fn finalize(&mut self) {
         self.now = self.cfg.horizon;
         self.metrics.index = self.index.stats();
@@ -2072,8 +1723,7 @@ impl<'a> CellSim<'a> {
     /// snapshot answers both "where did the time go" and "what did the
     /// scheduler do". Simulation-state tallies are deterministic-plane;
     /// index internals are engine-plane (legitimately different between
-    /// the naive scan and the indexed path, even though the traces are
-    /// bit-identical).
+    /// shard counts, even though the traces are bit-identical).
     fn export_metrics_telemetry(&mut self) {
         if !self.tel.is_enabled() {
             return;
@@ -2132,8 +1782,6 @@ impl<'a> CellSim<'a> {
         self.tel
             .count("sim.index.preempt_probes", eng, ix.preempt_probes);
         self.tel
-            .count("sim.index.bounded_probes", eng, ix.bounded_probes);
-        self.tel
             .count("sim.index.shards", eng, self.index.shard_count() as u64);
         if self.index.shard_count() > 1 {
             // Per-shard probe counters expose load skew across the
@@ -2175,6 +1823,83 @@ impl JobRt {
     }
 }
 
+/// The gang dry run: greedy best fit of `requests`, in order, each
+/// against commitments that include the members placed before it.
+/// Returns the machine chosen for each request, or `None` when some
+/// member does not fit.
+///
+/// Instead of cloning every machine's state, the run keeps an *overlay*
+/// of effective commitments for the few machines the gang touches and a
+/// per-shape min-heap of `(score, index)` keys. Keys never go stale:
+/// only the machine just committed to changes, and it is re-scored and
+/// re-pushed immediately — so each member is O(log M) instead of O(M),
+/// while choosing the exact machine the full scan
+/// (`reference::naive_gang_dry_run`) would: the overlay applies the same
+/// `+= d` accumulation to the same starting value, and the heap pops the
+/// lexicographic `(score, index)` minimum — the machine the scan keeps.
+fn gang_dry_run(machines: &[Machine], requests: &[Resources], tier: Tier) -> Option<Vec<usize>> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Total-ordered heap key; scores of feasible machines are finite.
+    #[derive(PartialEq)]
+    struct Key {
+        score: f64,
+        mi: usize,
+    }
+    impl Eq for Key {}
+    impl PartialOrd for Key {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Key {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            // IEEE equality (not total_cmp) is load-bearing: the full
+            // scan ties ±0.0 together and keeps the lower machine index,
+            // and this heap must pop the same machine. Scores of
+            // feasible machines are finite, so the None (NaN) arm is
+            // unreachable.
+            self.score
+                .partial_cmp(&other.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(self.mi.cmp(&other.mi))
+        }
+    }
+
+    // Effective commitments for machines the gang has touched.
+    let mut overlay: FxHashMap<usize, Resources> = Default::default();
+    let mut chosen: Vec<usize> = Vec::with_capacity(requests.len());
+    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+    let mut heap_shape: Option<(u64, u64)> = None;
+    for &request in requests {
+        let d = crate::machine::discount(request, tier);
+        let shape = (request.cpu.to_bits(), request.mem.to_bits());
+        if heap_shape != Some(shape) {
+            // New equivalence class: rebuild the heap (once per run
+            // of identical shapes; a job's tasks share one shape).
+            heap_shape = Some(shape);
+            heap.clear();
+            for (mi, m) in machines.iter().enumerate() {
+                let committed = overlay.get(&mi).copied().unwrap_or(m.committed);
+                if let Some(score) = m.fit_score_at(committed, request, tier) {
+                    heap.push(Reverse(Key { score, mi }));
+                }
+            }
+        }
+        let Reverse(Key { mi, .. }) = heap.pop()?;
+        let slot = overlay.entry(mi).or_insert(machines[mi].committed);
+        *slot += d;
+        chosen.push(mi);
+        // Re-score the machine we just tightened; all other keys are
+        // still exact because no other machine changed.
+        if let Some(score) = machines[mi].fit_score_at(*slot, request, tier) {
+            heap.push(Reverse(Key { score, mi }));
+        }
+    }
+    Some(chosen)
+}
+
 /// One simulated day, for telemetry's per-day grid rows.
 const DAY_MICROS: u64 = 24 * 60 * 60 * 1_000_000;
 
@@ -2182,10 +1907,160 @@ const DAY_MICROS: u64 = 24 * 60 * 60 * 1_000_000;
 /// fleet sampling and the workload use independent streams.
 const WORKLOAD_SEED_SALT: u64 = 0xB0B6_2019;
 
-/// Salt for the placement index's bounded-probe permutation, independent
-/// of both the fleet and workload streams.
-const INDEX_SEED_SALT: u64 = 0x1D_0CE5;
-
 /// Salt for the fault injector's stream, independent of all the above so
 /// enabling faults never shifts the workload or placement draws.
 const FAULT_SEED_SALT: u64 = 0xFA17_0B06;
+
+#[cfg(test)]
+mod tests {
+    use super::gang_dry_run;
+    use crate::machine::{discount, Machine, Occupant};
+    use crate::reference::{naive_gang_dry_run, tier_of};
+    use borg_trace::machine::MachineId;
+    use borg_trace::priority::Tier;
+    use borg_trace::resources::Resources;
+    use borg_workload::usage_model::splitmix64;
+
+    const TIE_SHAPE: Resources = Resources::new(0.125, 0.25);
+
+    /// Exactly three accumulated production-discounted `TIE_SHAPE`s, so
+    /// the third such occupant fills the machine to the bit.
+    fn tie_capacity() -> Resources {
+        let mut capacity = Resources::ZERO;
+        for _ in 0..3 {
+            capacity += discount(TIE_SHAPE, Tier::Production);
+        }
+        capacity
+    }
+
+    /// Four identical machines one member short of full: every member
+    /// scores exactly 0.0 on every machine still open, and the lower
+    /// index must win each tie.
+    #[test]
+    fn gang_dry_run_breaks_zero_score_ties_by_index() {
+        let mut machines: Vec<Machine> = (0..4)
+            .map(|i| Machine::new(MachineId(i), tie_capacity()))
+            .collect();
+        for (mi, m) in machines.iter_mut().enumerate() {
+            for index in 0..2 {
+                m.add(Occupant {
+                    owner: mi,
+                    index,
+                    is_alloc_instance: false,
+                    tier: Tier::Production,
+                    request: TIE_SHAPE,
+                });
+            }
+            assert_eq!(m.fit_score(TIE_SHAPE, Tier::Production), Some(0.0));
+        }
+        let four = [TIE_SHAPE; 4];
+        let got = gang_dry_run(&machines, &four, Tier::Production);
+        assert_eq!(got, Some(vec![0, 1, 2, 3]));
+        assert_eq!(got, naive_gang_dry_run(&machines, &four, Tier::Production));
+        // A fifth member has nowhere to go: the whole gang is refused.
+        let five = [TIE_SHAPE; 5];
+        assert_eq!(gang_dry_run(&machines, &five, Tier::Production), None);
+        assert_eq!(naive_gang_dry_run(&machines, &five, Tier::Production), None);
+    }
+
+    /// The overlay + per-shape-heap dry run against the full-clone scan,
+    /// over an evolving fleet: gangs of one shape and of mixed shapes,
+    /// gangs that do not fit, and a block of identical machines on which
+    /// members tie on equal scores.
+    #[test]
+    fn gang_dry_run_matches_naive_scan() {
+        for seed in [1u64, 7, 99, 1234] {
+            let tie_capacity = tie_capacity();
+            let mut machines: Vec<Machine> = (0..20)
+                .map(|i| {
+                    let r = splitmix64(seed ^ (i as u64 * 7919));
+                    let capacity = if i % 3 == 0 {
+                        tie_capacity
+                    } else {
+                        Resources::new(
+                            0.3 + (r % 100) as f64 / 120.0,
+                            0.3 + (r / 100 % 100) as f64 / 120.0,
+                        )
+                    };
+                    Machine::new(MachineId(i), capacity)
+                })
+                .collect();
+            let mut shapes: Vec<Resources> = (0..5)
+                .map(|k| {
+                    let r = splitmix64(seed ^ (k as u64 * 104729));
+                    Resources::new(
+                        0.01 + (r % 37) as f64 / 150.0,
+                        0.01 + (r / 37 % 37) as f64 / 150.0,
+                    )
+                })
+                .collect();
+            shapes.push(TIE_SHAPE);
+            shapes.push(Resources::new(5.0, 5.0)); // fits nowhere
+            let mut occupants: Vec<(usize, usize, usize)> = Vec::new();
+            let (mut placed, mut refused, mut mixed) = (0, 0, 0);
+            for round in 0..600usize {
+                let r = splitmix64(seed.wrapping_mul(31).wrapping_add(round as u64));
+                if r.is_multiple_of(4) {
+                    // Free a batch so later gangs see loosened machines.
+                    for _ in 0..(r / 4 % 9) {
+                        if occupants.is_empty() {
+                            break;
+                        }
+                        let k = splitmix64(r ^ occupants.len() as u64) as usize % occupants.len();
+                        let (mi, owner, index) = occupants.swap_remove(k);
+                        machines[mi].remove(owner, index).expect("occupant present");
+                    }
+                    continue;
+                }
+                let members = 1 + (r / 16 % 12) as usize;
+                let tier = if (r / 256).is_multiple_of(3) {
+                    Tier::Production
+                } else {
+                    tier_of(r / 1024)
+                };
+                // Two gangs in three share one shape, like a real job.
+                let one_shape = !(r / 4096).is_multiple_of(3);
+                let requests: Vec<Resources> = (0..members)
+                    .map(|k| {
+                        let pick = if one_shape {
+                            r / 8192
+                        } else {
+                            splitmix64(r ^ k as u64)
+                        };
+                        // The oversized shape is rare, so most gangs fit.
+                        let n = if pick % 23 == 0 {
+                            shapes.len()
+                        } else {
+                            shapes.len() - 1
+                        };
+                        shapes[(pick / 23) as usize % n]
+                    })
+                    .collect();
+                if requests.windows(2).any(|w| w[0] != w[1]) {
+                    mixed += 1;
+                }
+                let expect = naive_gang_dry_run(&machines, &requests, tier);
+                let got = gang_dry_run(&machines, &requests, tier);
+                assert_eq!(got, expect, "seed {seed} round {round}");
+                let Some(chosen) = got else {
+                    refused += 1;
+                    continue;
+                };
+                placed += 1;
+                for (k, (&request, mi)) in requests.iter().zip(chosen).enumerate() {
+                    machines[mi].add(Occupant {
+                        owner: round,
+                        index: k,
+                        is_alloc_instance: false,
+                        tier,
+                        request,
+                    });
+                    occupants.push((mi, round, k));
+                }
+            }
+            assert!(placed > 50, "seed {seed}: only {placed} gangs fit");
+            assert!(refused > 10, "seed {seed}: only {refused} gangs refused");
+            assert!(mixed > 50, "seed {seed}: only {mixed} mixed-shape gangs");
+        }
+    }
+}

@@ -47,24 +47,6 @@ pub struct SimConfig {
     /// job's tasks start only when the whole job fits, placed atomically.
     /// Borg itself starts a job as soon as *any* task runs.
     pub gang_scheduling: bool,
-    /// Route placements through the feasibility-tree + score-cache index
-    /// (`crate::index`). In exact mode (`candidate_cap == None`) the
-    /// index is bit-identical to the naive full scan; `false` keeps the
-    /// O(machines) reference scan, for baselines and equivalence tests.
-    pub use_placement_index: bool,
-    /// Relaxed randomization (Borg's production scheduler, Verma et al.
-    /// §3.4): stop each best-fit search after this many feasible
-    /// candidates, probed in a seeded-deterministic order. `None` (the
-    /// default) keeps the exact best-fit. Requires
-    /// `use_placement_index`; *not* bit-identical to the exact scan.
-    pub candidate_cap: Option<usize>,
-    /// Reference mode: run the *seed* event loop — one `Dispatch` heap
-    /// round-trip per placement and the allocating usage-tick walk —
-    /// instead of the batched dispatch cursor and scratch-buffer tick.
-    /// Bit-identical to the default (`false`) batched loop; kept as the
-    /// reference arm for `crates/sim/tests/loop_equivalence.rs`, exactly
-    /// as `use_placement_index = false` keeps the naive placement scan.
-    pub legacy_event_loop: bool,
     /// Machine-failure injection (`None` disables fault injection
     /// entirely and is bit-identical to a build without it). See
     /// [`crate::faults::FaultConfig`].
@@ -78,20 +60,13 @@ pub struct SimConfig {
     /// Number of placement-index shards (`crate::shard`): the fleet is
     /// split into this many contiguous ranges, probed in parallel and
     /// combined deterministically — bit-identical to one index for any
-    /// value (DESIGN.md §14). `None` (the default) auto-sizes from
-    /// available parallelism and fleet size; `Some(1)` forces the
-    /// single-index path. Ignored (forced to 1) when `candidate_cap`
-    /// is set or the placement index is off.
+    /// value (DESIGN.md §14). `None` (the default) is one shard, on every
+    /// host: the measured cost of splitting (benchmark/README.md: K=2 is
+    /// 3.2× slower than K=1 on a 1024-machine cell-day) never pays back.
     pub placement_shards: Option<usize>,
     /// RNG seed.
     pub seed: u64,
 }
-
-/// Auto-sharding floor: below this many machines per shard the per-probe
-/// fan-out overhead outweighs the scan it parallelizes, so auto-sizing
-/// never splits finer than this (an explicit `placement_shards` still
-/// can, for equivalence tests).
-pub const MIN_MACHINES_PER_SHARD: usize = 512;
 
 impl SimConfig {
     /// A laptop-scale month: 0.5% of a cell (≈ 60 machines) for 31 days.
@@ -109,9 +84,6 @@ impl SimConfig {
             disable_batch_queue: false,
             disable_autopilot: false,
             gang_scheduling: false,
-            use_placement_index: true,
-            candidate_cap: None,
-            legacy_event_loop: false,
             faults: None,
             telemetry: false,
             placement_shards: None,
@@ -135,9 +107,6 @@ impl SimConfig {
             disable_batch_queue: false,
             disable_autopilot: false,
             gang_scheduling: false,
-            use_placement_index: true,
-            candidate_cap: None,
-            legacy_event_loop: false,
             faults: None,
             telemetry: false,
             placement_shards: None,
@@ -146,20 +115,10 @@ impl SimConfig {
     }
 
     /// The shard count the cell will actually use for a fleet of
-    /// `machines`: 1 whenever sharding cannot apply (no placement index,
-    /// or bounded mode — its seeded probe permutation spans the whole
-    /// fleet), the explicit `placement_shards` clamped to the fleet, or
-    /// an auto size of `min(available cores, fleet / 512)` so small
-    /// fleets and single-core hosts stay on the untouched K=1 path.
+    /// `machines`: the explicit `placement_shards` clamped to the fleet,
+    /// or 1 when unset.
     pub fn effective_shards(&self, machines: usize) -> usize {
-        if !self.use_placement_index || self.candidate_cap.is_some() {
-            return 1;
-        }
-        let k = self.placement_shards.unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism().map_or(1, usize::from);
-            cores.min(machines / MIN_MACHINES_PER_SHARD)
-        });
-        k.clamp(1, machines.max(1))
+        self.placement_shards.unwrap_or(1).clamp(1, machines.max(1))
     }
 
     /// Number of machines to simulate for a profile.
@@ -208,18 +167,6 @@ impl SimConfig {
             self.equivalence_class_speedup >= 1.0,
             "equivalence-class speedup must be >= 1"
         );
-        if let Some(cap) = self.candidate_cap {
-            assert!(cap >= 1, "candidate cap must be >= 1");
-            assert!(
-                self.use_placement_index,
-                "candidate_cap requires the placement index"
-            );
-            assert!(
-                self.placement_shards.is_none_or(|k| k == 1),
-                "candidate_cap requires placement_shards = 1: the bounded \
-                 probe permutation spans the whole fleet"
-            );
-        }
         if let Some(k) = self.placement_shards {
             assert!(k >= 1, "placement_shards must be >= 1");
         }
@@ -278,20 +225,10 @@ mod tests {
         assert_eq!(cfg.effective_shards(10_000), 4);
         assert_eq!(cfg.effective_shards(3), 3);
         assert_eq!(cfg.effective_shards(0), 1);
-        // Naive scan and bounded mode force the single-index path.
-        cfg.use_placement_index = false;
-        assert_eq!(cfg.effective_shards(10_000), 1);
-        cfg.use_placement_index = true;
-        cfg.candidate_cap = Some(8);
-        assert_eq!(cfg.effective_shards(10_000), 1);
-        // Auto mode never splits small fleets, whatever the host.
-        cfg.candidate_cap = None;
+        // Unset is one shard, whatever the fleet or the host.
         cfg.placement_shards = None;
-        assert_eq!(cfg.effective_shards(MIN_MACHINES_PER_SHARD - 1), 1);
-        let auto = cfg.effective_shards(1 << 20);
-        assert!(auto >= 1);
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        assert!(auto <= cores);
+        assert_eq!(cfg.effective_shards(1 << 20), 1);
+        assert_eq!(cfg.effective_shards(0), 1);
     }
 
     #[test]
@@ -299,15 +236,6 @@ mod tests {
     fn zero_shards_panics() {
         let mut cfg = SimConfig::month(1);
         cfg.placement_shards = Some(0);
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "candidate_cap requires placement_shards = 1")]
-    fn cap_with_shards_panics() {
-        let mut cfg = SimConfig::month(1);
-        cfg.candidate_cap = Some(8);
-        cfg.placement_shards = Some(4);
         cfg.validate();
     }
 }

@@ -3,10 +3,11 @@
 //!
 //! The naive Borgmaster loop scans every machine per placement — an
 //! O(machines · tasks) wall that caps cell sizes at toys. Borg's
-//! production scheduler solved this with score caching, equivalence
-//! classes, and relaxed randomization (Verma et al. §3.4); this module
-//! implements the same three ideas against the simulator's best-fit
-//! policy while keeping the *exact* mode bit-identical to the naive scan:
+//! production scheduler solved this with score caching and equivalence
+//! classes (Verma et al. §3.4; its third technique, relaxed
+//! randomization, gives up exact best-fit and is not implemented); this
+//! module implements both against the simulator's best-fit policy while
+//! staying bit-identical to the naive scan:
 //!
 //! 1. **Equivalence-class score cache** ([`ScoreCache`]): placements are
 //!    keyed by (request bits, tier). Each entry memoizes the *top-R
@@ -25,10 +26,6 @@
 //!    are bit-identical, but touches 32 contiguous bytes per machine
 //!    instead of chasing `Machine` structs — and it harvests the top-R
 //!    candidate list for the cache in the same pass.
-//! 3. **Bounded candidate search**: an opt-in relaxed-randomization mode
-//!    (`SimConfig::candidate_cap`) that stops after K feasible machines
-//!    in a seeded-deterministic probe order. This mode trades placement
-//!    quality for speed and is *not* bit-identical to the exact scan.
 //!
 //! Preemption probes use a separate **feasibility segment tree**
 //! ([`FeasTree`]) over per-subtree maxima of preemption *potential*
@@ -42,8 +39,9 @@
 //!
 //! # Determinism contract
 //!
-//! In exact mode (the default), every query returns the same machine the
-//! naive scan would pick, with the same score bits:
+//! Every query returns the same machine the naive scan
+//! (`crate::reference`, the test-only model the unit tests here and in
+//! `shard.rs` compare against) would pick, with the same score bits:
 //!
 //! - Scores come from the identical float expression as
 //!   [`Machine::fit_score`] — same adds, same divides, same `max` — so
@@ -90,8 +88,6 @@ pub struct IndexStats {
     pub leaves_scanned: u64,
     /// Preemption probes answered via the potential-headroom tree.
     pub preempt_probes: u64,
-    /// Bounded (relaxed-randomization) candidate searches.
-    pub bounded_probes: u64,
 }
 
 /// Inflates a pruning bound so float non-associativity can never exclude
@@ -695,8 +691,8 @@ impl ScoreCache {
     }
 }
 
-/// The placement index: score cache + scan mirror + preemption tree +
-/// bounded probe order. Owned by the cell simulator and kept in
+/// The placement index: score cache + scan mirror + preemption tree.
+/// Owned by the cell simulator and kept in
 /// lock-step with every [`Machine::add`]/[`Machine::remove`] via
 /// [`PlacementIndex::on_machine_changed`].
 #[derive(Debug, Clone)]
@@ -707,37 +703,19 @@ pub struct PlacementIndex {
     dirty_list: Vec<u32>,
     mirror: Mirror,
     cache: ScoreCache,
-    /// Seeded pseudo-random machine permutation for bounded search.
-    probe_order: Vec<u32>,
-    /// Rotating start position within `probe_order`.
-    probe_cursor: usize,
     /// Query counters.
     pub stats: IndexStats,
 }
 
 impl PlacementIndex {
-    /// Builds the index over the initial fleet. `seed` fixes the bounded
-    /// mode's probe order (unused in exact mode).
-    pub fn new(machines: &[Machine], seed: u64) -> PlacementIndex {
-        let mut probe_order: Vec<u32> = (0..machines.len() as u32).collect();
-        // Deterministic Fisher–Yates driven by splitmix64.
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            borg_workload::usage_model::splitmix64(state)
-        };
-        for i in (1..probe_order.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            probe_order.swap(i, j);
-        }
+    /// Builds the index over the initial fleet.
+    pub fn new(machines: &[Machine]) -> PlacementIndex {
         PlacementIndex {
             tree: FeasTree::new(machines),
             tree_dirty: vec![false; machines.len()],
             dirty_list: Vec::new(),
             mirror: Mirror::new(machines),
             cache: ScoreCache::new(machines.len()),
-            probe_order,
-            probe_cursor: 0,
             stats: IndexStats::default(),
         }
     }
@@ -771,7 +749,7 @@ impl PlacementIndex {
         self.dirty_list.clear();
     }
 
-    /// Exact best-fit: the machine (and score) the naive full scan would
+    /// Best fit: the machine (and score) the naive full scan would
     /// choose, or `None` when nothing fits.
     pub fn best_fit(
         &mut self,
@@ -829,39 +807,6 @@ impl PlacementIndex {
         top.first().map(|l| (l.mi as usize, l.score))
     }
 
-    /// Bounded candidate search (relaxed randomization): scans the seeded
-    /// probe order from a rotating cursor and keeps the best of the first
-    /// `cap` feasible machines. Deterministic for a given seed, but *not*
-    /// equivalent to the exact scan.
-    pub fn best_fit_bounded(
-        &mut self,
-        machines: &[Machine],
-        request: Resources,
-        tier: Tier,
-        cap: usize,
-    ) -> Option<(usize, f64)> {
-        self.stats.bounded_probes += 1;
-        let n = self.probe_order.len();
-        if n == 0 {
-            return None;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        let mut feasible = 0usize;
-        let mut scanned = 0usize;
-        while scanned < n && feasible < cap {
-            let mi = self.probe_order[(self.probe_cursor + scanned) % n] as usize;
-            scanned += 1;
-            if let Some(s) = machines[mi].fit_score(request, tier) {
-                feasible += 1;
-                if best.is_none_or(|(_, bs)| s < bs) {
-                    best = Some((mi, s));
-                }
-            }
-        }
-        self.probe_cursor = (self.probe_cursor + scanned) % n;
-        best
-    }
-
     /// The lowest-indexed machine that can host `request` at `tier` after
     /// preempting lower tiers, with its victim list — exactly the machine
     /// the naive `find_map` over [`Machine::preemption_victims`] returns.
@@ -912,46 +857,9 @@ impl PlacementIndex {
 mod tests {
     use super::*;
     use crate::machine::Occupant;
+    use crate::reference::{naive_best_fit, naive_first_preemptible, tier_of};
     use borg_trace::machine::MachineId;
     use borg_workload::usage_model::splitmix64;
-
-    /// The reference scan `try_place` used before the index existed.
-    fn naive_best_fit(
-        machines: &[Machine],
-        request: Resources,
-        tier: Tier,
-    ) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, m) in machines.iter().enumerate() {
-            if let Some(score) = m.fit_score(request, tier) {
-                if best.is_none_or(|(_, s)| score < s) {
-                    best = Some((i, score));
-                }
-            }
-        }
-        best
-    }
-
-    fn naive_first_preemptible(
-        machines: &[Machine],
-        request: Resources,
-        tier: Tier,
-    ) -> Option<(usize, Vec<(usize, usize)>)> {
-        machines
-            .iter()
-            .enumerate()
-            .find_map(|(i, m)| m.preemption_victims(request, tier).map(|v| (i, v)))
-    }
-
-    fn tier_of(r: u64) -> Tier {
-        match r % 5 {
-            0 => Tier::Free,
-            1 => Tier::BestEffortBatch,
-            2 => Tier::Mid,
-            3 => Tier::Production,
-            _ => Tier::Monitoring,
-        }
-    }
 
     /// Drives random commits/frees/queries and checks every query against
     /// the naive reference — the index's core exactness property.
@@ -966,7 +874,7 @@ mod tests {
                     Machine::new(MachineId(i), Resources::new(cpu, mem))
                 })
                 .collect();
-            let mut index = PlacementIndex::new(&machines, seed);
+            let mut index = PlacementIndex::new(&machines);
             let mut occupants: Vec<(usize, usize)> = Vec::new();
             let mut next_owner = 0usize;
             // A small shape pool so the cache sees repeated equivalence
@@ -1036,7 +944,7 @@ mod tests {
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
         let mut machines = machines;
-        let mut index = PlacementIndex::new(&machines, 0);
+        let mut index = PlacementIndex::new(&machines);
         let request = Resources::new(0.1, 0.1);
         for owner in 0..32 {
             let (mi, _) = index
@@ -1067,7 +975,7 @@ mod tests {
         let mut machines: Vec<Machine> = (0..8)
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
-        let mut index = PlacementIndex::new(&machines, 0);
+        let mut index = PlacementIndex::new(&machines);
         let request = Resources::new(0.2, 0.2);
         let (w, _) = index.best_fit(&machines, request, Tier::Mid).expect("fits");
         machines[w].add(Occupant {
@@ -1093,7 +1001,7 @@ mod tests {
     #[test]
     fn negative_answers_cached() {
         let mut machines = vec![Machine::new(MachineId(0), Resources::new(0.5, 0.5))];
-        let mut index = PlacementIndex::new(&machines, 0);
+        let mut index = PlacementIndex::new(&machines);
         let big = Resources::new(0.9, 0.9);
         assert_eq!(index.best_fit(&machines, big, Tier::Free), None);
         machines[0].add(Occupant {
@@ -1115,7 +1023,7 @@ mod tests {
         let machines: Vec<Machine> = (0..4)
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
-        let mut index = PlacementIndex::new(&machines, 0);
+        let mut index = PlacementIndex::new(&machines);
         for k in 0..(MAX_ENTRIES + 50) {
             let request = Resources::new(0.1 + k as f64 * 1e-7, 0.1);
             let got = index.best_fit(&machines, request, Tier::Mid);
@@ -1130,36 +1038,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_mode_is_deterministic_and_feasible() {
-        let machines: Vec<Machine> = (0..128)
-            .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
-            .collect();
-        let request = Resources::new(0.25, 0.25);
-        let run = |seed: u64| {
-            let mut index = PlacementIndex::new(&machines, seed);
-            (0..10)
-                .map(|_| {
-                    index
-                        .best_fit_bounded(&machines, request, Tier::Mid, 4)
-                        .expect("fits")
-                        .0
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(5), run(5), "same seed, same probes");
-        assert_ne!(run(5), run(6), "different seed, different probes");
-    }
-
-    #[test]
     fn empty_fleet_queries_are_none() {
         let machines: Vec<Machine> = Vec::new();
-        let mut index = PlacementIndex::new(&machines, 1);
+        let mut index = PlacementIndex::new(&machines);
         assert_eq!(
             index.best_fit(&machines, Resources::new(0.1, 0.1), Tier::Free),
-            None
-        );
-        assert_eq!(
-            index.best_fit_bounded(&machines, Resources::new(0.1, 0.1), Tier::Free, 3),
             None
         );
         assert_eq!(

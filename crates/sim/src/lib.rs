@@ -40,6 +40,8 @@ pub mod metrics;
 pub mod multi;
 pub mod pending;
 pub mod pool;
+#[cfg(test)]
+mod reference;
 pub mod runset;
 pub mod shard;
 

@@ -12,7 +12,7 @@
 //!
 //! # Determinism contract
 //!
-//! Exact mode stays **bit-identical** to the single sequential index
+//! Placement stays **bit-identical** to the single sequential index
 //! (and therefore to the naive full scan) for every shard count:
 //!
 //! * Per-machine scores are computed by [`PlacementIndex`]'s mirror
@@ -33,20 +33,14 @@
 //!   reassembles results by tag, so thread scheduling can reorder
 //!   *when* shards finish, never *which* answer wins.
 //!
-//! K = 1 (the default on small fleets and single-core hosts — see
-//! `SimConfig::effective_shards`) delegates every call straight to the
-//! untouched single-index code path.
+//! K = 1 (the default — see `SimConfig::effective_shards`) delegates
+//! every call straight to the untouched single-index code path.
 
 use crate::index::{IndexStats, PlacementIndex};
 use crate::machine::{discount, Machine};
 use crate::pool::WorkerPool;
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
-
-/// Stride deriving per-shard index seeds from the cell's placement
-/// seed; shard 0 keeps the cell seed itself, so K=1 is byte-for-byte
-/// the pre-shard construction.
-const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One unit of shard work moved to a pool worker by value. The shard's
 /// whole index travels with the job (a handful of `Vec` headers) and
@@ -157,10 +151,8 @@ pub struct ShardedPlacement {
 
 impl ShardedPlacement {
     /// Builds `shards` indices over near-equal contiguous ranges of the
-    /// fleet (clamped to `[1, machines.len()]`). `seed` fixes each
-    /// shard's bounded-probe order; shard 0 reuses it unchanged so K=1
-    /// reproduces the pre-shard index exactly.
-    pub fn new(machines: &[Machine], seed: u64, shards: usize) -> ShardedPlacement {
+    /// fleet (clamped to `[1, machines.len()]`).
+    pub fn new(machines: &[Machine], shards: usize) -> ShardedPlacement {
         let n = machines.len();
         let k = shards.clamp(1, n.max(1));
         let base = n / k;
@@ -171,10 +163,7 @@ impl ShardedPlacement {
         let mut start = 0usize;
         for s in 0..k {
             let end = start + base + usize::from(s < rem);
-            built.push(PlacementIndex::new(
-                &machines[start..end],
-                seed.wrapping_add((s as u64).wrapping_mul(SHARD_SEED_STRIDE)),
-            ));
+            built.push(PlacementIndex::new(&machines[start..end]));
             offsets.push(end);
             start = end;
         }
@@ -255,7 +244,7 @@ impl ShardedPlacement {
                 let jobs: Vec<ShardJob> = missed
                     .iter()
                     .map(|&s| ShardJob::Scan {
-                        shard: std::mem::replace(&mut self.shards[s], PlacementIndex::new(&[], 0)),
+                        shard: std::mem::replace(&mut self.shards[s], PlacementIndex::new(&[])),
                         request,
                         tier,
                     })
@@ -277,21 +266,6 @@ impl ShardedPlacement {
             }
         }
         combine_winners(&winners)
-    }
-
-    /// Bounded candidate search. Only reachable at K=1: the config
-    /// layer forces a single shard whenever `candidate_cap` is set,
-    /// because the bounded mode's seeded probe permutation spans the
-    /// whole fleet.
-    pub fn best_fit_bounded(
-        &mut self,
-        machines: &[Machine],
-        request: Resources,
-        tier: Tier,
-        cap: usize,
-    ) -> Option<(usize, f64)> {
-        debug_assert_eq!(self.shards.len(), 1, "bounded mode requires K = 1");
-        self.shards[0].best_fit_bounded(machines, request, tier, cap)
     }
 
     /// The lowest-indexed machine fleet-wide where preempting lower
@@ -318,7 +292,7 @@ impl ShardedPlacement {
         if let Some(pool) = self.pool.as_mut() {
             let jobs: Vec<ShardJob> = (0..k)
                 .map(|s| ShardJob::Preempt {
-                    shard: std::mem::replace(&mut self.shards[s], PlacementIndex::new(&[], 0)),
+                    shard: std::mem::replace(&mut self.shards[s], PlacementIndex::new(&[])),
                     needed,
                     tier,
                 })
@@ -362,7 +336,6 @@ impl ShardedPlacement {
             total.cache_misses += s.cache_misses;
             total.leaves_scanned += s.leaves_scanned;
             total.preempt_probes += s.preempt_probes;
-            total.bounded_probes += s.bounded_probes;
         }
         total
     }
@@ -377,45 +350,9 @@ impl ShardedPlacement {
 mod tests {
     use super::*;
     use crate::machine::Occupant;
+    use crate::reference::{naive_best_fit, naive_first_preemptible, tier_of};
     use borg_trace::machine::MachineId;
     use borg_workload::usage_model::splitmix64;
-
-    fn naive_best_fit(
-        machines: &[Machine],
-        request: Resources,
-        tier: Tier,
-    ) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, m) in machines.iter().enumerate() {
-            if let Some(score) = m.fit_score(request, tier) {
-                if best.is_none_or(|(_, s)| score < s) {
-                    best = Some((i, score));
-                }
-            }
-        }
-        best
-    }
-
-    fn naive_first_preemptible(
-        machines: &[Machine],
-        request: Resources,
-        tier: Tier,
-    ) -> Option<(usize, Vec<(usize, usize)>)> {
-        machines
-            .iter()
-            .enumerate()
-            .find_map(|(i, m)| m.preemption_victims(request, tier).map(|v| (i, v)))
-    }
-
-    fn tier_of(r: u64) -> Tier {
-        match r % 5 {
-            0 => Tier::Free,
-            1 => Tier::BestEffortBatch,
-            2 => Tier::Mid,
-            3 => Tier::Production,
-            _ => Tier::Monitoring,
-        }
-    }
 
     #[test]
     fn combine_prefers_lower_score_then_lower_index() {
@@ -443,7 +380,7 @@ mod tests {
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
         for k in [1usize, 2, 3, 7, 16, 37, 64] {
-            let sharded = ShardedPlacement::new(&machines, 5, k);
+            let sharded = ShardedPlacement::new(&machines, k);
             let want_k = k.min(37);
             assert_eq!(sharded.shard_count(), want_k, "k = {k}");
             assert_eq!(sharded.offsets[0], 0);
@@ -475,7 +412,7 @@ mod tests {
                     Machine::new(MachineId(i), Resources::new(cpu, mem))
                 })
                 .collect();
-            let mut sharded = ShardedPlacement::new(&machines, seed, k);
+            let mut sharded = ShardedPlacement::new(&machines, k);
             let mut occupants: Vec<(usize, usize)> = Vec::new();
             let mut next_owner = 0usize;
             let shapes: Vec<Resources> = (0..8)
@@ -551,7 +488,7 @@ mod tests {
             let mut machines: Vec<Machine> = (0..24)
                 .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
                 .collect();
-            let mut sharded = ShardedPlacement::new(&machines, seed, k);
+            let mut sharded = ShardedPlacement::new(&machines, k);
             let request = Resources::new(0.3, 0.3);
             for step in 0..400u64 {
                 let r = splitmix64(seed.wrapping_add(step * 2654435761));
@@ -576,7 +513,7 @@ mod tests {
     #[test]
     fn empty_fleet_is_a_single_empty_shard() {
         let machines: Vec<Machine> = Vec::new();
-        let mut sharded = ShardedPlacement::new(&machines, 1, 8);
+        let mut sharded = ShardedPlacement::new(&machines, 8);
         assert_eq!(sharded.shard_count(), 1);
         assert_eq!(
             sharded.best_fit(&machines, Resources::new(0.1, 0.1), Tier::Free),

@@ -13,21 +13,25 @@
 //!   `deterministic_bytes`, from a second run with telemetry on — whose
 //!   trace must digest to the same value (telemetry is a pure observer).
 //!
-//! The pinned values were produced by the **reference arms**, not by the
-//! code under test: trace and metrics by the seed event loop over the
-//! naive O(machines) scan (`legacy_event_loop = true`,
-//! `use_placement_index = false`), telemetry by the naive scan under the
-//! default loop (the seed loop's per-placement `Dispatch` events are
-//! engine detail the deterministic plane does record, so it has no
-//! loop-independent telemetry). `reference_arms_match_golden` re-derives
-//! the table from those arms; `default_arm_matches_golden` holds the
-//! production path to the same bytes. `print_golden_table` regenerates
-//! the table.
+//! The pinned values were produced by the **reference arms** at the
+//! commit that introduced this file, while they still existed — not by
+//! the code under test: trace and metrics by the seed event loop (one
+//! `Dispatch` heap round-trip per placement, allocating usage tick) over
+//! the naive O(machines) scan, telemetry by the naive scan under the
+//! batched loop (the seed loop's per-placement `Dispatch` events show in
+//! the deterministic plane, so telemetry has no loop-independent
+//! reference). That commit ran both arms and the production path against
+//! this table; the arms are gone, and the production path is held to the
+//! same bytes. The live, platform-independent oracle for the placement
+//! structures is the shared reference model in
+//! `crates/sim/src/reference.rs`.
 //!
 //! Generated on: rustc 1.95.0 (59807616e 2026-04-14),
-//! x86_64-unknown-linux-gnu. The simulation is integer- and
-//! IEEE-754-deterministic (no `mul_add`, no platform `libm` in the
-//! placement path), so the table is expected to hold elsewhere.
+//! x86_64-unknown-linux-gnu — recorded because the usage model's `cos`
+//! and `exp`/`ln` draws go through the platform's libm: a mismatch on
+//! another toolchain or target is first checked against that, before it
+//! is read as a regression. A deliberate behaviour change regenerates
+//! the table with `print_golden_table`.
 //!
 //! On top of the digests, every row's trace passes
 //! `borg_trace::validate::validate` with zero violations and a
@@ -95,7 +99,7 @@ fn bytes_digest(bytes: &[u8]) -> (u64, u64) {
     (fnv.hash, fnv.bytes)
 }
 
-/// The metrics the retired equivalence suites compared between arms.
+/// The scheduler-visible metrics, as the table spells them.
 fn metrics_line(o: &CellOutcome) -> String {
     let m = &o.metrics;
     let stalls: Vec<String> = m
@@ -181,11 +185,10 @@ fn sharded(seed: u64, k: usize) -> SimConfig {
     }
 }
 
-/// The full matrix the retired `loop_equivalence.rs`,
-/// `index_equivalence.rs`, `shard_equivalence.rs::
-/// sharded_placement_matches_naive_scan`, `chaos_roundtrip.rs::
-/// faulty_sim_indexed_matches_naive_scan` and `telemetry_determinism.rs::
-/// deterministic_plane_is_identical_across_naive_and_indexed` ran.
+/// Seeds × cells a/b/c/d/g/2011 × gang × faults × gang + faults ×
+/// churn stress × sharded K: the matrix the loop-, index- and
+/// naive-vs-sharded equivalence tests ran while the reference arms
+/// existed.
 fn matrix() -> Vec<Row> {
     let mut rows = Vec::new();
     let mut push = |label: String, profile: CellProfile, cfg: SimConfig| {
@@ -331,16 +334,11 @@ fn assert_tasks_conserved(label: &str, o: &CellOutcome) {
     );
 }
 
-/// Runs one row on `cfg` (telemetry off) and on `cfg` with telemetry on,
-/// checks the invariants every run must satisfy, and returns what the
-/// row pins.
-fn run_row(
-    label: &str,
-    profile: &CellProfile,
-    cfg: &SimConfig,
-    telemetry_cfg: &SimConfig,
-) -> Pinned {
-    let off = CellSim::run_cell(profile, cfg);
+/// Runs one row with telemetry off and again with it on, checks the
+/// invariants every run must satisfy, and returns what the row pins.
+fn run_row(row: &Row) -> Pinned {
+    let label = &row.label;
+    let off = CellSim::run_cell(&row.profile, &row.cfg);
     let violations = validate(&off.trace);
     assert!(
         violations.is_empty(),
@@ -350,17 +348,15 @@ fn run_row(
     );
     assert_tasks_conserved(label, &off);
     let ix = off.metrics.index;
-    if cfg.use_placement_index {
-        assert!(
-            ix.cache_hits + ix.negative_hits + ix.cache_misses > 0,
-            "{label}: index never consulted"
-        );
-    }
+    assert!(
+        ix.cache_hits + ix.negative_hits + ix.cache_misses > 0,
+        "{label}: index never consulted"
+    );
     let on = CellSim::run_cell(
-        profile,
+        &row.profile,
         &SimConfig {
             telemetry: true,
-            ..telemetry_cfg.clone()
+            ..row.cfg.clone()
         },
     );
     let trace = trace_digest(&off.trace);
@@ -376,9 +372,9 @@ fn run_row(
     }
 }
 
-/// Compares every row's observation against `GOLDEN`, reporting all
-/// mismatches at once.
-fn check_against_golden(arm: &str, run: impl Fn(&Row) -> Pinned) {
+/// Every row against `GOLDEN`, reporting all mismatches at once.
+#[test]
+fn every_row_matches_golden() {
     let rows = matrix();
     assert_eq!(
         rows.len(),
@@ -393,58 +389,18 @@ fn check_against_golden(arm: &str, run: impl Fn(&Row) -> Pinned) {
             metrics: metrics.to_string(),
             telemetry,
         };
-        let got = run(row);
+        let got = run_row(row);
         if got != want {
             mismatches.push(format!("{label}: got\n{got}\nwant\n{want}"));
         }
     }
     assert!(
         mismatches.is_empty(),
-        "{arm}: {} of {} rows diverge from the golden table\n{}",
+        "{} of {} rows diverge from the golden table\n{}",
         mismatches.len(),
         rows.len(),
         mismatches.join("\n")
     );
-}
-
-/// The seed event loop over the naive scan: the arm that produced the
-/// pinned trace and metrics.
-fn reference_loop_and_scan(cfg: &SimConfig) -> SimConfig {
-    SimConfig {
-        legacy_event_loop: true,
-        use_placement_index: false,
-        ..cfg.clone()
-    }
-}
-
-/// The naive scan under the default loop: the arm that produced the
-/// pinned telemetry.
-fn reference_scan(cfg: &SimConfig) -> SimConfig {
-    SimConfig {
-        use_placement_index: false,
-        ..cfg.clone()
-    }
-}
-
-fn run_reference_row(row: &Row) -> Pinned {
-    run_row(
-        &row.label,
-        &row.profile,
-        &reference_loop_and_scan(&row.cfg),
-        &reference_scan(&row.cfg),
-    )
-}
-
-#[test]
-fn default_arm_matches_golden() {
-    check_against_golden("default arm", |row| {
-        run_row(&row.label, &row.profile, &row.cfg, &row.cfg)
-    });
-}
-
-#[test]
-fn reference_arms_match_golden() {
-    check_against_golden("reference arms", run_reference_row);
 }
 
 /// The churn rows must actually exercise preemption/eviction churn, or
@@ -474,18 +430,14 @@ fn model_fault_row_actually_fails_machines() {
     );
 }
 
-/// Prints a fresh `GOLDEN` body from the reference arms. Run with
+/// Prints a fresh `GOLDEN` body from the code as it stands. Run with
 /// `cargo test -p borg-sim --test golden -- --ignored --nocapture` and
-/// paste over the table below.
+/// paste over the table below — only for a deliberate behaviour change.
 #[test]
 #[ignore = "regenerates the table; not a check"]
 fn print_golden_table() {
     for row in matrix() {
-        println!(
-            "    (\n        {:?},\n{}\n    ),",
-            row.label,
-            run_reference_row(&row)
-        );
+        println!("    (\n        {:?},\n{}\n    ),", row.label, run_row(&row));
     }
 }
 

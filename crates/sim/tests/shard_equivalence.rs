@@ -1,8 +1,8 @@
 //! The sharded placement layer's determinism contract: for **every**
 //! shard count K, exact mode must emit a bit-identical trace and
 //! identical scheduler-visible metrics to the K=1 single-index path
-//! (which `index_equivalence.rs` in turn proves bit-identical to the
-//! naive scan). Sharding changes *where* each machine's score is
+//! (which `golden.rs` pins to the digests the naive scan produced, K>1
+//! rows included). Sharding changes *where* each machine's score is
 //! computed and *which thread* computes it — never which machine wins
 //! (DESIGN.md §14).
 //!
@@ -133,29 +133,6 @@ fn sharded_placement_survives_churn_stress() {
     check_shard_sweep(&CellProfile::cell_2019('c'), &cfg, "churn stress");
 }
 
-/// Sharded-vs-naive directly: K>1 against the reference O(machines)
-/// scan, closing the triangle (naive == K=1 == K>1) without relying on
-/// transitivity across test files.
-#[test]
-fn sharded_placement_matches_naive_scan() {
-    let profile = CellProfile::cell_2019('b');
-    let mut naive_cfg = SimConfig::tiny_for_tests(17);
-    naive_cfg.use_placement_index = false;
-    let mut sharded_cfg = SimConfig::tiny_for_tests(17);
-    sharded_cfg.placement_shards = Some(5);
-    let naive = CellSim::run_cell(&profile, &naive_cfg);
-    let sharded = CellSim::run_cell(&profile, &sharded_cfg);
-    assert_traces_identical(&naive.trace, &sharded.trace, "naive vs K=5");
-    assert_eq!(
-        naive.metrics.preemptions, sharded.metrics.preemptions,
-        "naive vs K=5: preemption counts diverge"
-    );
-    assert_eq!(
-        naive.metrics.stalls_by_tier, sharded.metrics.stalls_by_tier,
-        "naive vs K=5: stall counts diverge"
-    );
-}
-
 /// Gang scheduling batches placements through the same best-fit path;
 /// a quick guard that the sharded index composes with it.
 #[test]
@@ -165,22 +142,19 @@ fn sharded_placement_is_bit_identical_under_gang_scheduling() {
     check_shard_sweep(&CellProfile::cell_2019('b'), &cfg, "gang mode");
 }
 
-/// The default (auto-sized) configuration must run and match an
-/// explicit K=1 run whenever auto-sizing resolves to one shard — and on
-/// a tiny fleet it always does (fleets below the 512-machine floor
-/// never split).
+/// The default configuration (`placement_shards = None`) is the
+/// single-index path and matches an explicit K=1 run.
 #[test]
-fn auto_sharding_defaults_are_safe_on_small_fleets() {
+fn default_is_one_shard() {
     let profile = CellProfile::cell_2019('a');
-    let auto_cfg = SimConfig::tiny_for_tests(42);
+    let default_cfg = SimConfig::tiny_for_tests(42);
     assert_eq!(
-        auto_cfg.effective_shards(auto_cfg.machine_count(&profile)),
-        1,
-        "tiny fleets must stay on the single-index path"
+        default_cfg.effective_shards(default_cfg.machine_count(&profile)),
+        1
     );
-    let mut one_cfg = auto_cfg.clone();
+    let mut one_cfg = default_cfg.clone();
     one_cfg.placement_shards = Some(1);
-    let auto = CellSim::run_cell(&profile, &auto_cfg);
+    let default = CellSim::run_cell(&profile, &default_cfg);
     let one = CellSim::run_cell(&profile, &one_cfg);
-    assert_traces_identical(&auto.trace, &one.trace, "auto vs explicit K=1");
+    assert_traces_identical(&default.trace, &one.trace, "default vs explicit K=1");
 }

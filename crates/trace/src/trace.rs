@@ -3,7 +3,7 @@
 use crate::collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, VerticalScalingMode,
 };
-use crate::instance::{InstanceEvent, InstanceId};
+use crate::instance::InstanceEvent;
 use crate::machine::{MachineEvent, MachineEventType};
 use crate::priority::Priority;
 use crate::resources::Resources;
@@ -163,18 +163,6 @@ impl Trace {
                 entry.final_event = Some(ev.event_type);
                 entry.final_time = Some(ev.time);
             }
-        }
-        out
-    }
-
-    /// Groups instance events by instance id, each group sorted by time.
-    pub fn instance_event_groups(&self) -> BTreeMap<InstanceId, Vec<&InstanceEvent>> {
-        let mut out: BTreeMap<InstanceId, Vec<&InstanceEvent>> = BTreeMap::new();
-        for ev in &self.instance_events {
-            out.entry(ev.instance_id).or_default().push(ev);
-        }
-        for group in out.values_mut() {
-            group.sort_by_key(|e| e.time);
         }
         out
     }

@@ -9,8 +9,7 @@
 
 use borg2019::core::pipeline::{load_trace_dir, simulate_cell, simulate_cell_faulty, SimScale};
 use borg2019::sim::{
-    corrupt_trace, write_trace_dir_lossy, CellSim, CorruptionConfig, FaultConfig, SimConfig,
-    TableFaults,
+    corrupt_trace, write_trace_dir_lossy, CellSim, CorruptionConfig, SimConfig, TableFaults,
 };
 use borg2019::trace::csv::{FILE_COLLECTION, FILE_INSTANCE, FILE_MACHINE, FILE_USAGE};
 use borg2019::trace::machine::MachineEventType;
@@ -139,27 +138,6 @@ fn chaos_roundtrip_repairs_to_zero_violations() {
             std::fs::remove_dir_all(&dir).ok();
         }
     }
-}
-
-#[test]
-fn faulty_sim_indexed_matches_naive_scan() {
-    let profile = CellProfile::cell_2019('a');
-    let faults = Some(FaultConfig::from_model(&profile.failure_model));
-    let mut indexed = SimConfig {
-        faults: faults.clone(),
-        ..SimConfig::tiny_for_tests(13)
-    };
-    indexed.use_placement_index = true;
-    let mut naive = indexed.clone();
-    naive.use_placement_index = false;
-
-    let a = CellSim::run_cell(&profile, &indexed);
-    let b = CellSim::run_cell(&profile, &naive);
-    assert!(a.metrics.machine_failures > 0, "want an active fault run");
-    assert_eq!(a.trace.machine_events, b.trace.machine_events);
-    assert_eq!(a.trace.collection_events, b.trace.collection_events);
-    assert_eq!(a.trace.instance_events, b.trace.instance_events);
-    assert_eq!(a.trace.usage, b.trace.usage);
 }
 
 #[test]

@@ -2,20 +2,20 @@
 //!
 //! The deterministic plane is a pure function of (seed, config): two
 //! runs give byte-identical snapshots, and since it only records *what*
-//! the simulation did — never how the engine did it — it is also
-//! identical across naive-scan and indexed placement. Engine-plane
-//! counters (index hit/miss) legitimately differ across strategies and
-//! are only stable per config. Disabled telemetry produces an empty
-//! snapshot and never perturbs the simulated trace.
+//! the simulation did — never how the engine did it — its bytes are
+//! pinned per configuration in `crates/sim/tests/golden.rs` to what the
+//! naive scan recorded. Engine-plane counters (index hit/miss)
+//! legitimately differ across shard counts and are only stable per
+//! config. Disabled telemetry produces an empty snapshot and never
+//! perturbs the simulated trace.
 
 use borg_sim::{CellSim, SimConfig};
 use borg_telemetry::{chrome_trace_json, validate_json, Plane};
 use borg_workload::cells::CellProfile;
 
-fn cfg(seed: u64, telemetry: bool, indexed: bool) -> SimConfig {
+fn cfg(seed: u64, telemetry: bool) -> SimConfig {
     SimConfig {
         telemetry,
-        use_placement_index: indexed,
         ..SimConfig::tiny_for_tests(seed)
     }
 }
@@ -23,8 +23,8 @@ fn cfg(seed: u64, telemetry: bool, indexed: bool) -> SimConfig {
 #[test]
 fn deterministic_plane_is_byte_identical_across_runs() {
     let profile = CellProfile::cell_2019('a');
-    let a = CellSim::run_cell(&profile, &cfg(7, true, true)).telemetry;
-    let b = CellSim::run_cell(&profile, &cfg(7, true, true)).telemetry;
+    let a = CellSim::run_cell(&profile, &cfg(7, true)).telemetry;
+    let b = CellSim::run_cell(&profile, &cfg(7, true)).telemetry;
     assert!(!a.deterministic_bytes().is_empty());
     assert_eq!(a.deterministic_bytes(), b.deterministic_bytes());
     // Same config ⇒ even the engine plane repeats byte-for-byte.
@@ -35,24 +35,10 @@ fn deterministic_plane_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn deterministic_plane_is_identical_across_naive_and_indexed() {
-    let profile = CellProfile::cell_2019('b');
-    let indexed = CellSim::run_cell(&profile, &cfg(11, true, true)).telemetry;
-    let naive = CellSim::run_cell(&profile, &cfg(11, true, false)).telemetry;
-    assert_eq!(indexed.deterministic_bytes(), naive.deterministic_bytes());
-    // The engine plane is allowed — expected — to differ: the index
-    // answers placements from its cache, the naive scan never does.
-    assert_ne!(
-        indexed.config_deterministic_bytes(),
-        naive.config_deterministic_bytes()
-    );
-}
-
-#[test]
 fn disabled_telemetry_is_empty_and_does_not_perturb_the_trace() {
     let profile = CellProfile::cell_2019('a');
-    let off = CellSim::run_cell(&profile, &cfg(7, false, true));
-    let on = CellSim::run_cell(&profile, &cfg(7, true, true));
+    let off = CellSim::run_cell(&profile, &cfg(7, false));
+    let on = CellSim::run_cell(&profile, &cfg(7, true));
     assert!(off.telemetry.is_empty());
     assert!(off.telemetry.deterministic_bytes().is_empty());
     assert!(!on.telemetry.is_empty());
@@ -70,7 +56,7 @@ fn disabled_telemetry_is_empty_and_does_not_perturb_the_trace() {
 #[test]
 fn chrome_trace_export_is_valid_json() {
     let profile = CellProfile::cell_2019('a');
-    let snap = CellSim::run_cell(&profile, &cfg(3, true, true)).telemetry;
+    let snap = CellSim::run_cell(&profile, &cfg(3, true)).telemetry;
     let json = chrome_trace_json(&snap);
     assert!(json.contains("traceEvents"));
     validate_json(&json).expect("chrome trace must parse as JSON");
@@ -83,7 +69,7 @@ fn chrome_trace_export_is_valid_json() {
 fn snapshot_round_trips_through_borg_query() {
     use borg_query::{bridge, col, lit, Agg, Query};
     let profile = CellProfile::cell_2019('a');
-    let snap = CellSim::run_cell(&profile, &cfg(3, true, true)).telemetry;
+    let snap = CellSim::run_cell(&profile, &cfg(3, true)).telemetry;
     let rollup = Query::from(bridge::counters_table(&snap))
         .filter(col("plane").eq(lit("det")))
         .group_by(&[], vec![Agg::sum("value", "total")])
