@@ -32,26 +32,6 @@ impl CellSim<'_> {
         }
     }
 
-    /// Best-fit winner across the fleet (lowest score, lowest index
-    /// among equals).
-    pub(super) fn best_fit_machine(
-        &mut self,
-        request: Resources,
-        tier: Tier,
-    ) -> Option<(usize, f64)> {
-        self.index.best_fit(&self.machines, request, tier)
-    }
-
-    /// First machine (lowest index) where preempting lower tiers frees
-    /// room for `request`, with the victim list.
-    fn find_preemption(
-        &mut self,
-        request: Resources,
-        tier: Tier,
-    ) -> Option<(usize, Vec<(usize, usize)>)> {
-        self.index.first_preemptible(&self.machines, request, tier)
-    }
-
     pub(super) fn ensure_dispatch(&mut self) {
         if !self.dispatch_live && !self.pending.is_empty() {
             self.dispatch_live = true;
@@ -224,7 +204,7 @@ impl CellSim<'_> {
 
         // 2. Best fit across machines (tight packing preserves the large
         // holes that big tasks need).
-        if let Some((machine, _)) = self.best_fit_machine(request, tier) {
+        if let Some((machine, _)) = self.index.best_fit(&self.machines, request, tier) {
             self.commit_occupant(
                 machine,
                 Occupant {
@@ -241,7 +221,9 @@ impl CellSim<'_> {
 
         // 3. Production preempts lower tiers (§2, §5.2).
         if matches!(tier, Tier::Production | Tier::Monitoring) {
-            if let Some((machine, victims)) = self.find_preemption(request, tier) {
+            if let Some((machine, victims)) =
+                self.index.first_preemptible(&self.machines, request, tier)
+            {
                 self.metrics.preemptions += 1;
                 for (vj, vt) in victims {
                     self.evict_task_cause(vj, vt, "preemption");

@@ -193,7 +193,7 @@ impl CellSim<'_> {
             self.emit_alloc_instance(alloc, i, EventType::Submit);
             // Alloc instances place like production tasks (they back
             // production workloads).
-            if let Some((mi, _)) = self.best_fit_machine(size, Tier::Production) {
+            if let Some((mi, _)) = self.index.best_fit(&self.machines, size, Tier::Production) {
                 self.commit_occupant(
                     mi,
                     Occupant {

@@ -403,11 +403,19 @@ fn every_row_matches_golden() {
     );
 }
 
+fn row(label: &str) -> Row {
+    matrix()
+        .into_iter()
+        .find(|r| r.label == label)
+        .expect("label names a matrix row")
+}
+
 /// The churn rows must actually exercise preemption/eviction churn, or
 /// their digests pin less than they claim.
 #[test]
 fn churn_stress_actually_churns() {
-    let outcome = CellSim::run_cell(&cell('c'), &churn(5));
+    let row = row("churn stress, cell c, seed 5");
+    let outcome = CellSim::run_cell(&row.profile, &row.cfg);
     let evictions: u64 = outcome.metrics.evictions_by_cause.values().sum();
     assert!(
         evictions > 20,
@@ -418,12 +426,8 @@ fn churn_stress_actually_churns() {
 /// The model-fault row must actually fail machines.
 #[test]
 fn model_fault_row_actually_fails_machines() {
-    let a = cell('a');
-    let cfg = SimConfig {
-        faults: Some(FaultConfig::from_model(&a.failure_model)),
-        ..SimConfig::tiny_for_tests(13)
-    };
-    let outcome = CellSim::run_cell(&a, &cfg);
+    let row = row("model faults, cell a, seed 13");
+    let outcome = CellSim::run_cell(&row.profile, &row.cfg);
     assert!(
         outcome.metrics.machine_failures > 0,
         "want an active fault run"

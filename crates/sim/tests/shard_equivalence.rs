@@ -141,20 +141,3 @@ fn sharded_placement_is_bit_identical_under_gang_scheduling() {
     cfg.gang_scheduling = true;
     check_shard_sweep(&CellProfile::cell_2019('b'), &cfg, "gang mode");
 }
-
-/// The default configuration (`placement_shards = None`) is the
-/// single-index path and matches an explicit K=1 run.
-#[test]
-fn default_is_one_shard() {
-    let profile = CellProfile::cell_2019('a');
-    let default_cfg = SimConfig::tiny_for_tests(42);
-    assert_eq!(
-        default_cfg.effective_shards(default_cfg.machine_count(&profile)),
-        1
-    );
-    let mut one_cfg = default_cfg.clone();
-    one_cfg.placement_shards = Some(1);
-    let default = CellSim::run_cell(&profile, &default_cfg);
-    let one = CellSim::run_cell(&profile, &one_cfg);
-    assert_traces_identical(&default.trace, &one.trace, "default vs explicit K=1");
-}
