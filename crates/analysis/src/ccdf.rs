@@ -5,6 +5,16 @@
 //! 14) or log-log axes (Fig 12). [`Ccdf`] stores the sorted sample and can
 //! be evaluated at arbitrary points, emitted as a step series, or resampled
 //! on linear/log grids for plotting.
+//!
+//! It is also the crate's one sorted-sample view. [`Ccdf::from_samples`]
+//! is the only place a raw sample is filtered to finite values and sorted
+//! (ascending by `total_cmp`); percentiles, top-k load shares
+//! ([`Ccdf::top_share`], [`crate::pareto::TailShare`]), the Pareto
+//! regression, Lorenz curves and the Gini coefficient all read it, so a
+//! caller that wants several of them sorts once. The paper's Table 2
+//! reports medians, 90/99/99.9 percentiles and maxima of the per-job usage
+//! integrals; percentiles interpolate linearly between order statistics
+//! (the "type 7" estimator used by most statistics packages).
 
 /// An empirical complementary cumulative distribution function.
 ///
@@ -65,40 +75,88 @@ impl Ccdf {
         if self.sorted.is_empty() || !(0.0..=1.0).contains(&q) {
             return None;
         }
-        Some(crate::percentile::percentile_of_sorted(
-            &self.sorted,
-            (1.0 - q) * 100.0,
-        ))
+        Some(percentile_of_sorted(&self.sorted, (1.0 - q) * 100.0))
     }
 
     /// Median of the samples.
     pub fn median(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(crate::percentile::percentile_of_sorted(&self.sorted, 50.0))
+        self.percentile(50.0)
+    }
+
+    /// The `p`-th percentile (0 ≤ `p` ≤ 100) with linear interpolation
+    /// between closest ranks.
+    ///
+    /// Returns `None` when empty or for a `p` outside `[0, 100]`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use borg_analysis::ccdf::Ccdf;
+    ///
+    /// let c = Ccdf::from_samples([4.0, 1.0, 3.0, 2.0]);
+    /// assert_eq!(c.percentile(50.0), Some(2.5));
+    /// assert_eq!(c.percentile(100.0), Some(4.0));
+    /// ```
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        if self.sorted.is_empty() || !(0.0..=100.0).contains(&p) {
+            return None;
         }
+        Some(percentile_of_sorted(&self.sorted, p))
+    }
+
+    /// Several percentiles of the sample; `None` when empty or any
+    /// requested percentile is out of range.
+    pub fn percentiles(&self, ps: &[f64]) -> Option<Vec<f64>> {
+        if self.sorted.is_empty() {
+            return None;
+        }
+        ps.iter().map(|&p| self.percentile(p)).collect()
+    }
+
+    /// The fraction of total mass contributed by the top `top_percent`
+    /// percent of the largest values.
+    ///
+    /// This is the paper's "hogs" statistic: in the 2019 trace the top 1% of
+    /// jobs account for 99.2% of all NCU-hours (Table 2). A value of `1.0` for
+    /// `top_percent` computes exactly that share.
+    ///
+    /// Returns `None` when empty, on a non-positive total, or for an
+    /// out-of-range `top_percent`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use borg_analysis::ccdf::Ccdf;
+    ///
+    /// // One hog of 99 units among 99 mice of ~0.0101 units each.
+    /// let mut xs = vec![0.0101; 99];
+    /// xs.push(99.0);
+    /// let share = Ccdf::from_samples(xs).top_share(1.0).unwrap();
+    /// assert!(share > 0.98);
+    /// ```
+    pub fn top_share(&self, top_percent: f64) -> Option<f64> {
+        let n = self.sorted.len();
+        if n == 0 || !(0.0..=100.0).contains(&top_percent) {
+            return None;
+        }
+        // Both sums run largest first: float addition is not associative,
+        // and small-to-large would round differently.
+        let total: f64 = self.sorted.iter().rev().sum();
+        if total <= 0.0 {
+            return None;
+        }
+        // At least one job belongs to the top group whenever top_percent > 0.
+        let k = ((top_percent / 100.0 * n as f64).round() as usize)
+            .max(usize::from(top_percent > 0.0))
+            .min(n);
+        let top: f64 = self.sorted[n - k..].iter().rev().sum();
+        Some(top / total)
     }
 
     /// The full step series `(x_i, P(X > x_i))`, one point per distinct
     /// sample value, suitable for plotting.
-    // Exact equality groups runs of identical samples in the sorted array;
-    // an epsilon would merge distinct values and misplace step points.
-    #[allow(clippy::float_cmp)]
     pub fn steps(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let x = self.sorted[i];
-            let mut j = i;
-            while j < n && self.sorted[j] == x {
-                j += 1;
-            }
-            out.push((x, (n - j) as f64 / n as f64));
-            i = j;
-        }
-        out
+        steps_of_sorted(&self.sorted)
     }
 
     /// Evaluates the CCDF on `points` evenly spaced values of x between
@@ -112,6 +170,48 @@ impl Ccdf {
     pub fn log_series(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
         grid_series(self, log_grid(lo, hi, points))
     }
+}
+
+/// Percentile on an already-sorted, non-empty slice.
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty.
+pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+    assert!(!sorted.is_empty(), "percentile of empty slice");
+    if sorted.len() == 1 {
+        return sorted[0];
+    }
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = rank - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+/// The step series of an ascending slice taken as the whole sample: a
+/// window of a [`Ccdf`] is already in order and needs no second sort.
+// Exact equality groups runs of identical samples in the sorted array;
+// an epsilon would merge distinct values and misplace step points.
+#[allow(clippy::float_cmp)]
+pub(crate) fn steps_of_sorted(sorted: &[f64]) -> Vec<(f64, f64)> {
+    let n = sorted.len();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < n {
+        let x = sorted[i];
+        let mut j = i;
+        while j < n && sorted[j] == x {
+            j += 1;
+        }
+        out.push((x, (n - j) as f64 / n as f64));
+        i = j;
+    }
+    out
 }
 
 fn grid_series(ccdf: &Ccdf, grid: Vec<f64>) -> Vec<(f64, f64)> {
@@ -192,6 +292,117 @@ mod tests {
     fn median_works() {
         let c = Ccdf::from_samples([1.0, 2.0, 3.0]);
         assert_eq!(c.median(), Some(2.0));
+    }
+
+    #[test]
+    fn percentile_interpolates_between_ranks() {
+        let even = Ccdf::from_samples([1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(even.percentile(50.0), Some(2.5));
+        let odd = Ccdf::from_samples([5.0, 1.0, 3.0]);
+        assert_eq!(odd.percentile(50.0), Some(3.0));
+        assert_eq!(odd.percentile(0.0), Some(1.0));
+        assert_eq!(odd.percentile(100.0), Some(5.0));
+        assert_eq!(odd.percentile(-1.0), None);
+        assert_eq!(odd.percentile(101.0), None);
+        assert_eq!(odd.percentile(f64::NAN), None);
+    }
+
+    #[test]
+    fn percentiles_match_single_calls() {
+        let c = Ccdf::from_samples((0..101).map(f64::from));
+        let got = c.percentiles(&[10.0, 50.0, 90.0, 99.0]).unwrap();
+        assert_eq!(got, vec![10.0, 50.0, 90.0, 99.0]);
+        assert_eq!(c.percentiles(&[50.0, 100.5]), None);
+        assert_eq!(c.percentiles(&[]), Some(Vec::new()));
+    }
+
+    #[test]
+    fn top_share_uniform_is_proportional() {
+        let s = Ccdf::from_samples(vec![1.0; 100]).top_share(10.0).unwrap();
+        assert!((s - 0.10).abs() < 1e-12);
+    }
+
+    #[test]
+    fn top_share_hog_dominates() {
+        let mut xs = vec![0.001; 999];
+        xs.push(1000.0);
+        let s = Ccdf::from_samples(xs).top_share(0.1).unwrap();
+        assert!(s > 0.999, "share = {s}");
+    }
+
+    #[test]
+    fn top_share_rejects_degenerate_input() {
+        let zeros = Ccdf::from_samples([0.0, 0.0]);
+        assert_eq!(zeros.top_share(1.0), None);
+        let c = Ccdf::from_samples([1.0, 2.0]);
+        assert_eq!(c.top_share(-0.1), None);
+        assert_eq!(c.top_share(100.1), None);
+        // Zero percent selects nobody; any positive percent at least one.
+        assert_eq!(c.top_share(0.0), Some(0.0));
+        assert_eq!(c.top_share(1e-9), Some(2.0 / 3.0));
+    }
+
+    /// Every method on a sample nothing survives the finite filter of:
+    /// empty and all-NaN/±inf inputs behave alike.
+    #[test]
+    fn nothing_retained() {
+        for xs in [
+            vec![],
+            vec![f64::NAN; 3],
+            vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN],
+        ] {
+            let c = Ccdf::from_samples(xs);
+            assert!(c.is_empty());
+            assert_eq!(c.len(), 0);
+            assert!(c.samples().is_empty());
+            assert_eq!(c.eval(0.0), 0.0);
+            assert_eq!(c.quantile_exceeding(0.5), None);
+            assert_eq!(c.median(), None);
+            assert_eq!(c.percentile(50.0), None);
+            assert_eq!(c.percentiles(&[50.0]), None);
+            assert_eq!(c.percentiles(&[]), None);
+            assert_eq!(c.top_share(1.0), None);
+            assert!(c.steps().is_empty());
+            assert_eq!(c.linear_series(0.0, 1.0, 2), vec![(0.0, 0.0), (1.0, 0.0)]);
+            assert_eq!(c.log_series(1.0, 10.0, 1), vec![(1.0, 0.0)]);
+        }
+    }
+
+    #[test]
+    fn single_sample() {
+        let c = Ccdf::from_samples([7.0]);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.eval(6.0), 1.0);
+        assert_eq!(c.eval(7.0), 0.0);
+        assert_eq!(c.quantile_exceeding(0.3), Some(7.0));
+        assert_eq!(c.median(), Some(7.0));
+        assert_eq!(c.percentile(33.0), Some(7.0));
+        assert_eq!(c.percentiles(&[0.0, 100.0]), Some(vec![7.0, 7.0]));
+        assert_eq!(c.top_share(1.0), Some(1.0));
+        assert_eq!(c.steps(), vec![(7.0, 0.0)]);
+    }
+
+    /// Non-finite values are dropped; -0.0 is kept, sorts below +0.0 and
+    /// compares equal to it.
+    #[test]
+    fn non_finite_dropped_negative_zero_kept() {
+        let c = Ccdf::from_samples([
+            3.0,
+            f64::NAN,
+            0.0,
+            f64::INFINITY,
+            -0.0,
+            f64::NEG_INFINITY,
+            1.0,
+        ]);
+        let bits: Vec<u64> = c.samples().iter().map(|x| x.to_bits()).collect();
+        let want = [-0.0f64, 0.0, 1.0, 3.0].map(f64::to_bits);
+        assert_eq!(bits, want);
+        assert_eq!(c.eval(-0.0), 0.5);
+        assert_eq!(c.median(), Some(0.5));
+        assert_eq!(c.percentile(100.0), Some(3.0));
+        assert_eq!(c.top_share(25.0), Some(0.75));
+        assert_eq!(c.steps(), vec![(-0.0, 0.5), (1.0, 0.25), (3.0, 0.0)]);
     }
 
     #[test]

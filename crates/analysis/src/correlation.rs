@@ -86,7 +86,7 @@ pub fn bucketed_medians(pairs: &[(f64, f64)], width: f64) -> Vec<Bucket> {
             Bucket {
                 x_lo: idx as f64 * width,
                 x_hi: (idx + 1) as f64 * width,
-                median_y: crate::percentile::percentile_of_sorted(&ys, 50.0),
+                median_y: crate::ccdf::percentile_of_sorted(&ys, 50.0),
                 count: ys.len(),
             }
         })
@@ -94,9 +94,9 @@ pub fn bucketed_medians(pairs: &[(f64, f64)], width: f64) -> Vec<Bucket> {
 }
 
 /// Pearson correlation between bucket centers and bucket medians — the
-/// statistic the paper actually quotes for Figure 13.
-pub fn bucketed_median_correlation(pairs: &[(f64, f64)], width: f64) -> Option<f64> {
-    let buckets = bucketed_medians(pairs, width);
+/// statistic the paper actually quotes for Figure 13 — over the output of
+/// [`bucketed_medians`].
+pub fn bucketed_median_correlation(buckets: &[Bucket]) -> Option<f64> {
     let pts: Vec<(f64, f64)> = buckets
         .iter()
         .map(|b| ((b.x_lo + b.x_hi) / 2.0, b.median_y))
@@ -159,7 +159,7 @@ mod tests {
                 (x, 0.5 * x * noise)
             })
             .collect();
-        let r = bucketed_median_correlation(&pairs, 1.0).unwrap();
+        let r = bucketed_median_correlation(&bucketed_medians(&pairs, 1.0)).unwrap();
         assert!(r > 0.95, "r = {r}");
     }
 

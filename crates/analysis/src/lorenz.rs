@@ -4,6 +4,17 @@
 //! Lorenz curve of per-job consumption. The full curve and its Gini
 //! coefficient summarize load concentration in one number: a Gini near 1
 //! means a few jobs carry nearly all the load — the 2019 trace's regime.
+//!
+//! Both read the non-negative part of a [`Ccdf`]'s ascending sample.
+
+use crate::ccdf::Ccdf;
+
+/// The samples `>= 0` (from the first `-0.0` on): a suffix of the
+/// ascending sample.
+fn non_negative(sample: &Ccdf) -> &[f64] {
+    let sorted = sample.samples();
+    &sorted[sorted.partition_point(|&x| x < 0.0)..]
+}
 
 /// A Lorenz curve: cumulative load share versus cumulative population
 /// share, jobs sorted smallest first.
@@ -15,19 +26,14 @@ pub struct Lorenz {
 }
 
 impl Lorenz {
-    /// Builds the Lorenz curve of non-negative samples, compressed to at
-    /// most `resolution + 1` points. Returns `None` on empty input or a
+    /// Builds the Lorenz curve of the non-negative samples, compressed to
+    /// at most `resolution + 1` points. Returns `None` on empty input or a
     /// non-positive total.
-    pub fn from_samples(xs: &[f64], resolution: usize) -> Option<Lorenz> {
-        let mut sorted: Vec<f64> = xs
-            .iter()
-            .copied()
-            .filter(|x| x.is_finite() && *x >= 0.0)
-            .collect();
+    pub fn from_ccdf(sample: &Ccdf, resolution: usize) -> Option<Lorenz> {
+        let sorted = non_negative(sample);
         if sorted.is_empty() || resolution == 0 {
             return None;
         }
-        sorted.sort_by(|a, b| a.total_cmp(b));
         let total: f64 = sorted.iter().sum();
         if total <= 0.0 {
             return None;
@@ -86,21 +92,17 @@ impl Lorenz {
 /// # Examples
 ///
 /// ```
+/// use borg_analysis::ccdf::Ccdf;
 /// use borg_analysis::lorenz::gini;
 ///
-/// assert!(gini(&[1.0, 1.0, 1.0, 1.0]).unwrap() < 1e-12);
-/// assert!(gini(&[0.0, 0.0, 0.0, 100.0]).unwrap() > 0.7);
+/// assert!(gini(&Ccdf::from_samples([1.0, 1.0, 1.0, 1.0])).unwrap() < 1e-12);
+/// assert!(gini(&Ccdf::from_samples([0.0, 0.0, 0.0, 100.0])).unwrap() > 0.7);
 /// ```
-pub fn gini(xs: &[f64]) -> Option<f64> {
-    let mut sorted: Vec<f64> = xs
-        .iter()
-        .copied()
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .collect();
+pub fn gini(sample: &Ccdf) -> Option<f64> {
+    let sorted = non_negative(sample);
     if sorted.is_empty() {
         return None;
     }
-    sorted.sort_by(|a, b| a.total_cmp(b));
     let n = sorted.len() as f64;
     let total: f64 = sorted.iter().sum();
     if total <= 0.0 {
@@ -120,14 +122,14 @@ mod tests {
 
     #[test]
     fn equal_distribution_gini_zero() {
-        assert!(gini(&[5.0; 100]).unwrap().abs() < 1e-12);
+        assert!(gini(&Ccdf::from_samples([5.0; 100])).unwrap().abs() < 1e-12);
     }
 
     #[test]
     fn single_hog_gini_near_one() {
         let mut xs = vec![0.0; 999];
         xs.push(1.0);
-        let g = gini(&xs).unwrap();
+        let g = gini(&Ccdf::from_samples(xs)).unwrap();
         assert!(g > 0.99, "gini = {g}");
     }
 
@@ -135,14 +137,14 @@ mod tests {
     fn gini_of_uniform_is_one_third() {
         // For U(0, 1), G = 1/3.
         let xs: Vec<f64> = (0..10_000).map(|i| (i as f64 + 0.5) / 10_000.0).collect();
-        let g = gini(&xs).unwrap();
+        let g = gini(&Ccdf::from_samples(xs)).unwrap();
         assert!((g - 1.0 / 3.0).abs() < 1e-3, "gini = {g}");
     }
 
     #[test]
     fn lorenz_curve_endpoints_and_convexity() {
         let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let l = Lorenz::from_samples(&xs, 20).unwrap();
+        let l = Lorenz::from_ccdf(&Ccdf::from_samples(xs), 20).unwrap();
         assert_eq!(l.points.first(), Some(&(0.0, 0.0)));
         assert_eq!(l.points.last().map(|p| p.1), Some(1.0));
         // Lorenz curves lie below the diagonal and are non-decreasing.
@@ -157,8 +159,9 @@ mod tests {
     #[test]
     fn lorenz_top_share_matches_top_share_fn() {
         let xs: Vec<f64> = (1..=1000).map(|i| (i as f64).powi(3)).collect();
-        let l = Lorenz::from_samples(&xs, 1000).unwrap();
-        let direct = crate::percentile::top_share(&xs, 1.0).unwrap();
+        let xs = Ccdf::from_samples(xs);
+        let l = Lorenz::from_ccdf(&xs, 1000).unwrap();
+        let direct = xs.top_share(1.0).unwrap();
         let via_lorenz = l.top_share(0.01);
         assert!(
             (direct - via_lorenz).abs() < 0.01,
@@ -168,10 +171,34 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert!(gini(&[]).is_none());
-        assert!(gini(&[0.0, 0.0]).is_none());
-        assert!(Lorenz::from_samples(&[], 10).is_none());
-        assert!(Lorenz::from_samples(&[1.0], 0).is_none());
+        for xs in [
+            vec![],
+            vec![0.0, 0.0],
+            vec![-0.0],
+            vec![-1.0, -2.0],
+            vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
+        ] {
+            let xs = Ccdf::from_samples(xs);
+            assert!(gini(&xs).is_none());
+            assert!(Lorenz::from_ccdf(&xs, 10).is_none());
+        }
+        assert!(Lorenz::from_ccdf(&Ccdf::from_samples([1.0]), 0).is_none());
+    }
+
+    #[test]
+    fn single_sample_and_dropped_values() {
+        let one = Ccdf::from_samples([3.0]);
+        assert_eq!(gini(&one), Some(0.0));
+        assert_eq!(
+            Lorenz::from_ccdf(&one, 2).unwrap().points,
+            vec![(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)]
+        );
+        // Negatives and non-finite values take no part; -0.0 counts as a
+        // job with no load.
+        let mixed = Ccdf::from_samples([-5.0, f64::NAN, -0.0, 1.0, f64::INFINITY, 3.0]);
+        let kept = Ccdf::from_samples([0.0, 1.0, 3.0]);
+        assert_eq!(gini(&mixed), gini(&kept));
+        assert_eq!(Lorenz::from_ccdf(&mixed, 3), Lorenz::from_ccdf(&kept, 3));
     }
 
     #[test]
@@ -183,7 +210,7 @@ mod tests {
                 u.powf(-1.0 / 0.7).min(1e5)
             })
             .collect();
-        let g = gini(&xs).unwrap();
+        let g = gini(&Ccdf::from_samples(xs)).unwrap();
         assert!(g > 0.9, "heavy-tailed gini = {g}");
     }
 }

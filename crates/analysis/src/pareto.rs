@@ -7,8 +7,7 @@
 //! and α = 0.72 (memory) with R² > 99%. This module implements that exact
 //! procedure plus a Hill maximum-likelihood estimator for cross-checking.
 
-use crate::ccdf::Ccdf;
-use crate::percentile::{percentile_of_sorted, top_share};
+use crate::ccdf::{steps_of_sorted, Ccdf};
 use crate::regression::LinearFit;
 
 /// A fitted Pareto tail.
@@ -30,32 +29,26 @@ pub struct ParetoFit {
 impl ParetoFit {
     /// Fits a Pareto tail by log-log CCDF regression, following §7.
     ///
-    /// `samples` is the raw data; only values in `(x_min, x_max_percentile]`
+    /// Only the values of `sample` in `(x_min, x_max_percentile]`
     /// participate. The paper uses `x_min = 1.0` and
     /// `x_max_percentile = 99.99`.
     ///
     /// Returns `None` when fewer than [`MIN_TAIL_SAMPLES`](Self::MIN_TAIL_SAMPLES)
-    /// samples fall in the fitting window.
-    pub fn fit_ccdf_regression(samples: &[f64], x_min: f64, x_max_percentile: f64) -> Option<Self> {
-        let mut finite: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
-        if finite.is_empty() {
-            return None;
-        }
-        finite.sort_by(|a, b| a.total_cmp(b));
-        let x_max = percentile_of_sorted(&finite, x_max_percentile);
-        let tail: Vec<f64> = finite
-            .iter()
-            .copied()
-            .filter(|&x| x > x_min && x <= x_max)
-            .collect();
+    /// samples fall in the fitting window, or when `x_max_percentile` is
+    /// outside `[0, 100]`.
+    pub fn fit_ccdf_regression(sample: &Ccdf, x_min: f64, x_max_percentile: f64) -> Option<Self> {
+        let x_max = sample.percentile(x_max_percentile)?;
+        // The window is a contiguous run of the ascending sample.
+        let sorted = sample.samples();
+        let lo = sorted.partition_point(|&x| x <= x_min);
+        let hi = sorted.partition_point(|&x| x <= x_max);
+        let tail = sorted.get(lo..hi)?;
         if tail.len() < Self::MIN_TAIL_SAMPLES {
             return None;
         }
-        let ccdf = Ccdf::from_samples(tail.iter().copied());
         // Regress log P(X > x) on log x at each distinct sample value,
         // skipping the final step where the CCDF reaches exactly zero.
-        let points: Vec<(f64, f64)> = ccdf
-            .steps()
+        let points: Vec<(f64, f64)> = steps_of_sorted(tail)
             .into_iter()
             .filter(|&(x, p)| x > 0.0 && p > 0.0)
             .map(|(x, p)| (x.ln(), p.ln()))
@@ -132,17 +125,18 @@ impl TailShare {
     /// # Examples
     ///
     /// ```
+    /// use borg_analysis::ccdf::Ccdf;
     /// use borg_analysis::pareto::TailShare;
     ///
     /// let mut xs = vec![0.001; 990];
     /// xs.extend(vec![100.0; 10]);
-    /// let t = TailShare::compute(&xs).unwrap();
+    /// let t = TailShare::compute(&Ccdf::from_samples(xs)).unwrap();
     /// assert!(t.top_1_percent > 0.99);
     /// ```
-    pub fn compute(samples: &[f64]) -> Option<Self> {
+    pub fn compute(sample: &Ccdf) -> Option<Self> {
         Some(TailShare {
-            top_1_percent: top_share(samples, 1.0)?,
-            top_01_percent: top_share(samples, 0.1)?,
+            top_1_percent: sample.top_share(1.0)?,
+            top_01_percent: sample.top_share(0.1)?,
         })
     }
 }
@@ -168,7 +162,7 @@ mod tests {
     #[test]
     fn regression_recovers_alpha() {
         for &alpha in &[0.69, 0.72, 0.77, 1.5] {
-            let xs = pareto_samples(alpha, 1.0, 20_000);
+            let xs = Ccdf::from_samples(pareto_samples(alpha, 1.0, 20_000));
             let fit = ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99).unwrap();
             assert!(
                 (fit.alpha - alpha).abs() < 0.08,
@@ -195,8 +189,39 @@ mod tests {
     #[test]
     fn too_few_tail_samples() {
         let xs = vec![0.5; 1000]; // nothing above x_min = 1
-        assert!(ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99).is_none());
         assert!(ParetoFit::fit_hill(&xs, 1.0).is_none());
+        let xs = Ccdf::from_samples(xs);
+        assert!(ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99).is_none());
+    }
+
+    #[test]
+    fn degenerate_samples_and_windows() {
+        for xs in [vec![], vec![f64::NAN, f64::INFINITY]] {
+            let xs = Ccdf::from_samples(xs);
+            assert_eq!(ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99), None);
+            assert_eq!(TailShare::compute(&xs), None);
+        }
+        let one = Ccdf::from_samples([5.0]);
+        assert_eq!(ParetoFit::fit_ccdf_regression(&one, 1.0, 99.99), None);
+        let whole = TailShare {
+            top_1_percent: 1.0,
+            top_01_percent: 1.0,
+        };
+        assert_eq!(TailShare::compute(&one), Some(whole));
+        let xs = Ccdf::from_samples(pareto_samples(0.7, 1.0, 1000));
+        // An empty window (x_min above the cut) and a percentile out of range.
+        assert_eq!(ParetoFit::fit_ccdf_regression(&xs, 1e12, 99.99), None);
+        assert_eq!(ParetoFit::fit_ccdf_regression(&xs, 1.0, 100.5), None);
+        assert_eq!(ParetoFit::fit_ccdf_regression(&xs, 1.0, -1.0), None);
+        // ±inf and NaN beside a real sample change nothing.
+        let mut noisy = pareto_samples(0.7, 1.0, 1000);
+        noisy.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        let noisy = Ccdf::from_samples(noisy);
+        assert_eq!(
+            ParetoFit::fit_ccdf_regression(&noisy, 1.0, 99.99),
+            ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99)
+        );
+        assert_eq!(TailShare::compute(&noisy), TailShare::compute(&xs));
     }
 
     #[test]
@@ -216,7 +241,7 @@ mod tests {
     fn pareto_below_one_has_extreme_tail_share() {
         // α < 1 means the top 1% carries most of the mass, the paper's
         // headline "hogs" observation.
-        let xs = pareto_samples(0.7, 0.001, 100_000);
+        let xs = Ccdf::from_samples(pareto_samples(0.7, 0.001, 100_000));
         let t = TailShare::compute(&xs).unwrap();
         assert!(t.top_1_percent > 0.80, "top 1% = {}", t.top_1_percent);
         assert!(t.top_01_percent > 0.5, "top 0.1% = {}", t.top_01_percent);

@@ -1,9 +1,12 @@
-//! Statistics-kernel throughput: CCDF, Pareto fits, moments, percentiles.
+//! Statistics-kernel throughput: the one sort behind every order
+//! statistic (`Ccdf::from_samples`), the CCDF series, the Hill fit and
+//! streaming moments. What percentiles, tail shares and the Pareto
+//! regression cost on top of that sort is pipeline-bench's
+//! `analysis.table2_ms`.
 
 use borg_analysis::ccdf::Ccdf;
 use borg_analysis::moments::Moments;
-use borg_analysis::pareto::{ParetoFit, TailShare};
-use borg_analysis::percentile::percentiles;
+use borg_analysis::pareto::ParetoFit;
 use borg_workload::dist::Sample;
 use borg_workload::integral::IntegralModel;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,16 +30,10 @@ fn bench_ccdf(c: &mut Criterion) {
     });
 }
 
-fn bench_pareto_fit(c: &mut Criterion) {
+fn bench_hill_fit(c: &mut Criterion) {
     let xs = samples(100_000);
-    c.bench_function("pareto_regression_fit_100k", |b| {
-        b.iter(|| ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99));
-    });
     c.bench_function("pareto_hill_fit_100k", |b| {
         b.iter(|| ParetoFit::fit_hill(&xs, 1.0));
-    });
-    c.bench_function("tail_share_100k", |b| {
-        b.iter(|| TailShare::compute(&xs));
     });
 }
 
@@ -48,10 +45,7 @@ fn bench_moments(c: &mut Criterion) {
             m.c_squared()
         });
     });
-    c.bench_function("percentiles_1m", |b| {
-        b.iter(|| percentiles(&xs, &[50.0, 90.0, 99.0, 99.9]));
-    });
 }
 
-criterion_group!(benches, bench_ccdf, bench_pareto_fit, bench_moments);
+criterion_group!(benches, bench_ccdf, bench_hill_fit, bench_moments);
 criterion_main!(benches);

@@ -10,7 +10,6 @@
 use borg_analysis::ccdf::Ccdf;
 use borg_analysis::moments::Moments;
 use borg_analysis::pareto::{ParetoFit, TailShare};
-use borg_analysis::percentile::percentiles;
 use borg_workload::integral::IntegralModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,11 +45,16 @@ pub struct Table2Column {
 }
 
 /// Computes a Table 2 column from raw per-job integrals.
+///
+/// The column is sorted once, into the [`Ccdf`] every order statistic
+/// reads; the moments accumulate over `xs` as given, because Welford's
+/// update rounds differently in a different order.
 pub fn column_from_samples(xs: &[f64]) -> Option<Table2Column> {
-    let ps = percentiles(xs, &[50.0, 90.0, 99.0, 99.9])?;
+    let sample = Ccdf::from_samples(xs.iter().copied());
+    let ps = sample.percentiles(&[50.0, 90.0, 99.0, 99.9])?;
     let m: Moments = xs.iter().copied().collect();
-    let tail = TailShare::compute(xs)?;
-    let fit = ParetoFit::fit_ccdf_regression(xs, 1.0, 99.99)?;
+    let tail = TailShare::compute(&sample)?;
+    let fit = ParetoFit::fit_ccdf_regression(&sample, 1.0, 99.99)?;
     Some(Table2Column {
         median: ps[0],
         mean: m.mean(),
@@ -223,6 +227,28 @@ mod tests {
             assert!(p <= prev + 1e-12);
             prev = p;
         }
+    }
+
+    #[test]
+    fn column_needs_a_fittable_tail() {
+        assert_eq!(column_from_samples(&[]), None);
+        assert_eq!(column_from_samples(&[3.0]), None);
+        assert_eq!(column_from_samples(&[f64::NAN; 8]), None);
+        assert_eq!(
+            column_from_samples(&[f64::INFINITY, f64::NEG_INFINITY, -0.0]),
+            None
+        );
+    }
+
+    #[test]
+    fn column_ignores_non_finite_samples() {
+        let (clean, _) = era_samples(&IntegralModel::model_2019(), 20_000, 9);
+        let mut noisy = clean.clone();
+        noisy.insert(5, f64::NAN);
+        noisy.insert(1_000, f64::INFINITY);
+        noisy.push(f64::NEG_INFINITY);
+        let col = column_from_samples(&clean).expect("20k samples fit");
+        assert_eq!(column_from_samples(&noisy), Some(col));
     }
 
     #[test]

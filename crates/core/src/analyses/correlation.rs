@@ -24,7 +24,7 @@ pub fn figure13(samples: usize, seed: u64) -> Option<Figure13> {
     let jobs = IntegralModel::model_2019().sample_many(samples, &mut rng);
     let pairs: Vec<(f64, f64)> = jobs.iter().map(|j| (j.ncu_hours, j.nmu_hours)).collect();
     let buckets = bucketed_medians(&pairs, 1.0);
-    let pearson = bucketed_median_correlation(&pairs, 1.0)?;
+    let pearson = bucketed_median_correlation(&buckets)?;
     Some(Figure13 { buckets, pearson })
 }
 

@@ -5,7 +5,7 @@
 //! eras and for the "mice-only" workload with the hogs isolated.
 
 use borg_analysis::queueing::{isolation_benefit, mg1_mean_queueing_delay};
-use borg_analysis::Moments;
+use borg_analysis::{Ccdf, Moments};
 
 /// One row of the §7.3 analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,12 +22,19 @@ pub struct QueueingRow {
 
 /// Computes the §7.3 rows from per-job usage integrals: the full-workload
 /// C² versus the C² of the bottom 99% ("mice") at the given loads.
+///
+/// Non-finite samples take no part. Returns `None` when no sample is left
+/// or a load is outside `[0, 1)`.
 pub fn queueing_rows(samples: &[f64], loads: &[f64]) -> Option<Vec<QueueingRow>> {
     let full: Moments = samples.iter().copied().collect();
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
+    let sorted = Ccdf::from_samples(samples.iter().copied());
     let cut = (sorted.len() as f64 * 0.99) as usize;
-    let mice: Moments = sorted[..cut.max(1)].iter().copied().collect();
+    let mice: Moments = sorted
+        .samples()
+        .get(..cut.max(1))?
+        .iter()
+        .copied()
+        .collect();
     let c2_full = full.c_squared();
     let c2_mice = mice.c_squared();
     loads
@@ -44,6 +51,9 @@ pub fn queueing_rows(samples: &[f64], loads: &[f64]) -> Option<Vec<QueueingRow>>
 }
 
 #[cfg(test)]
+// Exact equality below asserts deterministically-computed values reproduce
+// bit-for-bit; approximate comparison would mask a determinism regression.
+#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
     use borg_workload::integral::IntegralModel;
@@ -74,5 +84,36 @@ mod tests {
     #[test]
     fn invalid_load_rejected() {
         assert!(queueing_rows(&[1.0, 2.0, 3.0], &[1.5]).is_none());
+    }
+
+    #[test]
+    fn nothing_to_measure_is_none() {
+        assert_eq!(queueing_rows(&[], &[0.5]), None);
+        assert_eq!(queueing_rows(&[f64::NAN; 4], &[0.5]), None);
+        assert_eq!(
+            queueing_rows(&[f64::INFINITY, f64::NEG_INFINITY], &[0.5]),
+            None
+        );
+    }
+
+    #[test]
+    fn single_sample_has_no_variability() {
+        // C² = 0 for both populations: deterministic service, the M/D/1 delay.
+        let rows = queueing_rows(&[4.0], &[0.5]).unwrap();
+        assert_eq!(rows[0].delay_full, 0.5);
+        assert_eq!(rows[0].delay_mice, 0.5);
+    }
+
+    #[test]
+    fn non_finite_samples_take_no_part() {
+        let clean: Vec<f64> = (0..200).map(|i| f64::from(i) * 0.25).collect();
+        let mut noisy = clean.clone();
+        noisy.insert(17, f64::NAN);
+        noisy.insert(90, f64::INFINITY);
+        noisy.push(f64::NEG_INFINITY);
+        assert_eq!(
+            queueing_rows(&noisy, &[0.3, 0.7]),
+            queueing_rows(&clean, &[0.3, 0.7])
+        );
     }
 }

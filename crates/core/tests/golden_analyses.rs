@@ -24,6 +24,7 @@
 //! `cargo test -p borg-core --test golden_analyses -- --ignored
 //! --nocapture print_golden`.
 
+use borg_analysis::ccdf::Ccdf;
 use borg_analysis::lorenz::{gini, Lorenz};
 use borg_core::analyses::{consumption, correlation, queueing, tasks_per_job};
 use borg_trace::priority::Tier;
@@ -159,9 +160,10 @@ fn concentration_text() -> String {
 /// The only lines that follow the statistics API rather than
 /// `borg_core::analyses`.
 fn concentration(xs: &[f64]) -> (f64, Lorenz) {
+    let sample = Ccdf::from_samples(xs.iter().copied());
     (
-        gini(xs).expect("positive total"),
-        Lorenz::from_samples(xs, 8).expect("positive total"),
+        gini(&sample).expect("positive total"),
+        Lorenz::from_ccdf(&sample, 8).expect("positive total"),
     )
 }
 

@@ -16,10 +16,11 @@ fn main() {
     use borg_workload::integral::IntegralModel;
     let (cpu19, _) = consumption::era_samples(&IntegralModel::model_2019(), 500_000, opts.seed);
     let (cpu11, _) = consumption::era_samples(&IntegralModel::model_2011(), 500_000, opts.seed ^ 3);
+    let gini = |xs: Vec<f64>| borg_analysis::gini(&borg_analysis::Ccdf::from_samples(xs));
     println!(
         "Gini coefficient of per-job CPU consumption: 2011 {:.4}, 2019 {:.4}",
-        borg_analysis::lorenz::gini(&cpu11).unwrap_or(f64::NAN),
-        borg_analysis::lorenz::gini(&cpu19).unwrap_or(f64::NAN),
+        gini(cpu11).unwrap_or(f64::NAN),
+        gini(cpu19).unwrap_or(f64::NAN),
     );
     println!("paper: C^2 = 8375/11001 (2011), 23312/43476 (2019); alpha = 0.77/0.72, 0.69/0.72; top-1% load > 97%");
 }

@@ -160,7 +160,7 @@ proptest! {
             .run()
             .unwrap();
         let got = out.value(0, "q").unwrap().as_f64().unwrap();
-        let expected = borg_analysis::percentile::percentile(&xs, p).unwrap();
+        let expected = borg_analysis::Ccdf::from_samples(xs).percentile(p).unwrap();
         prop_assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
     }
 

@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use borg_analysis::moments::Moments;
     use borg_analysis::pareto::{ParetoFit, TailShare};
-    use borg_analysis::percentile::percentile;
+    use borg_analysis::Ccdf;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn cpu_2019_matches_table2_shape() {
         let xs = cpu_samples(&IntegralModel::model_2019(), 1);
-        let median = percentile(&xs, 50.0).unwrap();
+        let median = Ccdf::from_samples(xs.iter().copied()).median().unwrap();
         assert!(
             (0.2e-4..2.0e-4).contains(&median),
             "median = {median} (paper: 0.05e-3)"
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn cpu_2019_pareto_tail() {
-        let xs = cpu_samples(&IntegralModel::model_2019(), 2);
+        let xs = Ccdf::from_samples(cpu_samples(&IntegralModel::model_2019(), 2));
         let fit = ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99).unwrap();
         assert!(
             (fit.alpha - 0.69).abs() < 0.1,
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn cpu_2019_hogs_carry_the_load() {
-        let xs = cpu_samples(&IntegralModel::model_2019(), 3);
+        let xs = Ccdf::from_samples(cpu_samples(&IntegralModel::model_2019(), 3));
         let t = TailShare::compute(&xs).unwrap();
         assert!(
             t.top_1_percent > 0.97,
@@ -162,7 +162,7 @@ mod tests {
         );
         let c2 = m.c_squared();
         assert!((3_000.0..30_000.0).contains(&c2), "C² = {c2} (paper: 8375)");
-        let fit = ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99).unwrap();
+        let fit = ParetoFit::fit_ccdf_regression(&Ccdf::from_samples(xs), 1.0, 99.99).unwrap();
         assert!((fit.alpha - 0.77).abs() < 0.1, "alpha = {}", fit.alpha);
     }
 
@@ -183,7 +183,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let jobs = IntegralModel::model_2019().sample_many(N, &mut rng);
         let pairs: Vec<(f64, f64)> = jobs.iter().map(|j| (j.ncu_hours, j.nmu_hours)).collect();
-        let r = borg_analysis::correlation::bucketed_median_correlation(&pairs, 1.0).unwrap();
+        let buckets = borg_analysis::correlation::bucketed_medians(&pairs, 1.0);
+        let r = borg_analysis::correlation::bucketed_median_correlation(&buckets).unwrap();
         assert!(r > 0.9, "bucketed-median correlation = {r} (paper: 0.97)");
     }
 

@@ -10,6 +10,7 @@
 //! cargo run --release --example hog_isolation
 //! ```
 
+use borg2019::analysis::ccdf::Ccdf;
 use borg2019::analysis::moments::Moments;
 use borg2019::analysis::pareto::{ParetoFit, TailShare};
 use borg2019::analysis::queueing::{isolation_benefit, mg1_mean_queueing_delay};
@@ -24,9 +25,10 @@ fn main() {
     let jobs = IntegralModel::model_2019().sample_many(1_000_000, &mut rng);
     let cpu: Vec<f64> = jobs.iter().map(|j| j.ncu_hours).collect();
 
-    // 1. How heavy is the tail?
-    let tail = TailShare::compute(&cpu).expect("non-degenerate sample");
-    let fit = ParetoFit::fit_ccdf_regression(&cpu, 1.0, 99.99).expect("tail fits");
+    // 1. How heavy is the tail? One sort serves every order statistic.
+    let sorted = Ccdf::from_samples(cpu.iter().copied());
+    let tail = TailShare::compute(&sorted).expect("non-degenerate sample");
+    let fit = ParetoFit::fit_ccdf_regression(&sorted, 1.0, 99.99).expect("tail fits");
     println!("workload characterization (1M jobs):");
     println!(
         "  top 1% of jobs carry {:.1}% of the CPU load",
@@ -39,9 +41,7 @@ fn main() {
     );
 
     // 2. Split hogs from mice at the 99th percentile.
-    let mut sorted = cpu.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let cut = sorted[(sorted.len() as f64 * 0.99) as usize];
+    let cut = sorted.samples()[(sorted.len() as f64 * 0.99) as usize];
     let mice: Moments = cpu.iter().copied().filter(|&x| x < cut).collect();
     let all: Moments = cpu.iter().copied().collect();
     println!("\nsquared coefficient of variation:");

@@ -10,7 +10,6 @@
 
 use borg2019::analysis::ccdf::Ccdf;
 use borg2019::analysis::moments::Moments;
-use borg2019::analysis::percentile::{percentile, top_share};
 use borg2019::analysis::timeseries::HourBuckets;
 use borg2019::query::prelude::*;
 use borg2019::query::Agg;
@@ -62,7 +61,7 @@ proptest! {
 
     #[test]
     fn percentile_within_range(xs in prop::collection::vec(-1e3f64..1e3, 1..100), p in 0.0f64..100.0) {
-        let v = percentile(&xs, p).unwrap();
+        let v = Ccdf::from_samples(xs.iter().copied()).percentile(p).unwrap();
         let lo = xs.iter().copied().fold(f64::MAX, f64::min);
         let hi = xs.iter().copied().fold(f64::MIN, f64::max);
         prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
@@ -70,7 +69,7 @@ proptest! {
 
     #[test]
     fn top_share_bounds(xs in prop::collection::vec(0.01f64..1e3, 2..200), pct in 0.1f64..100.0) {
-        let s = top_share(&xs, pct).unwrap();
+        let s = Ccdf::from_samples(xs.iter().copied()).top_share(pct).unwrap();
         prop_assert!((0.0..=1.0 + 1e-12).contains(&s));
         // The top share always covers at least its proportional share.
         prop_assert!(s >= pct / 100.0 - 1.0 / xs.len() as f64 - 1e-9);
