@@ -31,8 +31,7 @@ use borg_serve::{
 };
 use borg_sim::{CellSim, SimConfig};
 use borg_telemetry::{
-    breakdown_report, chrome_trace_json, fmt_ns, grid_breakdown, human_report, validate_json,
-    Snapshot, Telemetry,
+    breakdown_report, chrome_trace_json, fmt_ns, human_report, validate_json, Snapshot, Telemetry,
 };
 use borg_trace::time::Micros;
 use borg_workload::cells::CellProfile;
@@ -122,23 +121,6 @@ fn main() {
         "{}",
         breakdown_report(snap, "sim.ev", "event-loop breakdown by event kind")
     );
-
-    // Machine-readable hot-path share, consumed by the regression guard
-    // in scripts/check.sh --profile: Dispatch + UsageTick as a
-    // percentage of total event-loop time.
-    let rows = grid_breakdown(snap, "sim.ev");
-    let total_ns: u64 = rows.iter().map(|r| r.total_ns).sum();
-    let hot_ns: u64 = rows
-        .iter()
-        .filter(|r| r.kind == "dispatch" || r.kind == "usage_tick")
-        .map(|r| r.total_ns)
-        .sum();
-    let hot_share = if total_ns == 0 {
-        0.0
-    } else {
-        hot_ns as f64 * 100.0 / total_ns as f64
-    };
-    println!("guard: dispatch+usage_tick share = {hot_share:.1}% of event-loop time\n");
 
     // 2. Phase spans.
     println!("phase spans:");
