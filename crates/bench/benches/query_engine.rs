@@ -1,4 +1,7 @@
-//! Query-engine operator throughput on trace-shaped tables.
+//! Query-engine operator throughput on trace-shaped tables with string
+//! keys. The 360k-row integer-key group-by, join and table clone are
+//! pipeline-bench's `query.q_*_ms` / `query.table_clone_ms` rows
+//! (`sql_battery --traced`).
 
 use borg_query::prelude::*;
 use borg_query::Agg;
@@ -110,72 +113,12 @@ fn bench_sort(c: &mut Criterion) {
     });
 }
 
-/// The numeric-key cases the string-key benches above never reach: a
-/// 360k-row instance-events-shaped table (the size of `sql_battery`'s)
-/// whose `(collection_id, instance_index)` pairs are nearly all distinct.
-/// Keys like these are `f64` bit patterns with ~40 trailing zero bits,
-/// which is what degraded the old low-bits-indexed hash maps.
-fn instance_shaped_table(rows: usize) -> Table {
-    let mut t = Table::new(vec![
-        ("collection_id", DataType::Int),
-        ("instance_index", DataType::Int),
-        ("cpu", DataType::Float),
-    ]);
-    t.reserve_rows(rows);
-    for i in 0..rows {
-        t.push_row(vec![
-            Value::Int((i % 10_700) as i64),
-            Value::Int((i / 10_700 % 6) as i64),
-            Value::Float((i % 100) as f64 / 100.0),
-        ])
-        .unwrap();
-    }
-    t
-}
-
-fn bench_int_keys(c: &mut Criterion) {
-    let inst = instance_shaped_table(360_000);
-    let mut coll = Table::new(vec![
-        ("collection_id", DataType::Int),
-        ("scheduler", DataType::Str),
-    ]);
-    for id in 0..10_700i64 {
-        coll.push_row(vec![
-            Value::Int(id),
-            Value::str(["default", "batch"][(id % 2) as usize]),
-        ])
-        .unwrap();
-    }
-    c.bench_function("group_by_360k_int_keys_high_card", |b| {
-        b.iter(|| {
-            Query::from(inst.clone())
-                .group_by(
-                    &["collection_id", "instance_index"],
-                    vec![Agg::count_all("n")],
-                )
-                .run()
-                .unwrap()
-        });
-    });
-    c.bench_function("join_360k_int_keys", |b| {
-        b.iter(|| {
-            Query::from(inst.clone())
-                .join(coll.clone(), &["collection_id"], &["collection_id"])
-                .group_by(&["scheduler"], vec![Agg::sum("cpu", "cpu")])
-                .run()
-                .unwrap()
-        });
-    });
-    c.bench_function("table_clone_360k", |b| b.iter(|| inst.clone()));
-}
-
 criterion_group!(
     benches,
     bench_filter,
     bench_group_by,
     bench_group_by_1m,
     bench_join,
-    bench_sort,
-    bench_int_keys
+    bench_sort
 );
 criterion_main!(benches);

@@ -1,5 +1,9 @@
-//! Simulator throughput: events per second of cell-month simulation at
-//! several scales, plus the scheduler's placement path in isolation.
+//! Simulator throughput: a cell-day across fleet sizes, the scheduler's
+//! placement path in isolation, and the ablation switches. The
+//! 512-machine day (telemetry off and on), the shard-count sweep and the
+//! 2011-vs-2019 day are pipeline-bench's `sim.run_cell_ms`,
+//! `telemetry.sim_overhead_share`, `sim.run_cell_k1_ms`/`k2_ms` and
+//! `sim.run_cell_2011_ms`, measured there with a noise interval.
 
 use borg_sim::{CellSim, SimConfig};
 use borg_trace::time::Micros;
@@ -13,7 +17,6 @@ fn bench_cell_day(c: &mut Criterion) {
         ("16_machines", 0.0013),
         ("24_machines", 0.002),
         ("48_machines", 0.004),
-        ("512_machines", 512.0 / 12000.0),
         ("2048_machines", 2048.0 / 12000.0),
         // Paper-scale points (a 12k-machine cell is scale 1.0).
         ("4096_machines", 4096.0 / 12000.0),
@@ -23,59 +26,6 @@ fn bench_cell_day(c: &mut Criterion) {
             let profile = CellProfile::cell_2019('d');
             let mut cfg = SimConfig::tiny_for_tests(1);
             cfg.scale = scale;
-            cfg.horizon = Micros::from_days(1);
-            cfg.snapshot_at = Micros::from_hours(12);
-            b.iter(|| CellSim::run_cell(&profile, &cfg));
-        });
-    }
-    // Telemetry overhead at the profiling scale: same cell-day with
-    // span/counter/timing recording on (one blessed-clock read per
-    // event). BENCH_simulator.json tracks enabled-vs-disabled; disabled
-    // is the default `512_machines` row above (a single branch per
-    // event).
-    group.bench_function("512_machines_telemetry", |b| {
-        let profile = CellProfile::cell_2019('d');
-        let mut cfg = SimConfig::tiny_for_tests(1);
-        cfg.scale = 512.0 / 12000.0;
-        cfg.horizon = Micros::from_days(1);
-        cfg.snapshot_at = Micros::from_hours(12);
-        cfg.telemetry = true;
-        b.iter(|| CellSim::run_cell(&profile, &cfg));
-    });
-    group.finish();
-}
-
-/// Shard-count sweep at the acceptance scale: the same 2048-machine
-/// cell-day under explicit K ∈ {1, 2, 4, 8}. Every K produces the same
-/// trace (see `shard_equivalence.rs`); this group records what each K
-/// costs on this host — including the expected *negative* result on
-/// single-core machines, where the fan-out is pure overhead.
-fn bench_shard_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_sweep_2048");
-    group.sample_size(10);
-    for k in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(format!("K{k}")), &k, |b, &k| {
-            let profile = CellProfile::cell_2019('d');
-            let mut cfg = SimConfig::tiny_for_tests(1);
-            cfg.scale = 2048.0 / 12000.0;
-            cfg.horizon = Micros::from_days(1);
-            cfg.snapshot_at = Micros::from_hours(12);
-            cfg.placement_shards = Some(k);
-            b.iter(|| CellSim::run_cell(&profile, &cfg));
-        });
-    }
-    group.finish();
-}
-
-fn bench_2011_vs_2019(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simulate_era_day");
-    group.sample_size(10);
-    for (name, profile) in [
-        ("2011", CellProfile::cell_2011()),
-        ("2019_cell_a", CellProfile::cell_2019('a')),
-    ] {
-        group.bench_function(name, |b| {
-            let mut cfg = SimConfig::tiny_for_tests(2);
             cfg.horizon = Micros::from_days(1);
             cfg.snapshot_at = Micros::from_hours(12);
             b.iter(|| CellSim::run_cell(&profile, &cfg));
@@ -212,8 +162,6 @@ fn bench_ablations(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cell_day,
-    bench_shard_sweep,
-    bench_2011_vs_2019,
     bench_machine_fit,
     bench_placement_path,
     bench_ablations

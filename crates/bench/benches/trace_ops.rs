@@ -1,13 +1,11 @@
-//! Trace-layer throughput: validation, CSV round trips, state machines,
-//! and relational-table conversion.
+//! Trace-layer throughput on a Tiny two-day cell: validation, CSV
+//! writing, relational-table conversion, and the state machine. The
+//! 512-machine round trip kernel by kernel is pipeline-bench's
+//! `trace.*_ms` rows (`trace_roundtrip --traced`).
 
 use borg_core::pipeline::{simulate_cell, SimScale};
 use borg_core::tables;
-use borg_sim::{corrupt_trace, write_trace_dir_lossy, CellSim, CorruptionConfig, SimConfig};
-use borg_trace::csv::{read_trace_dir_lenient, write_trace_dir};
-use borg_trace::repair::repair;
 use borg_trace::state::{EventType, StateMachine};
-use borg_trace::time::Micros;
 use borg_trace::validate::validate;
 use borg_workload::cells::CellProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -36,50 +34,6 @@ fn bench_validate(c: &mut Criterion) {
     group.finish();
 }
 
-/// The round trip `pipeline-bench`'s `trace_roundtrip` workload times,
-/// kernel by kernel, on its input: cell `d` cut to 512 machines for one
-/// day (seed 2019), clean and through `CorruptionConfig::lossy()`.
-fn bench_round_trip(c: &mut Criterion) {
-    let profile = CellProfile::cell_2019('d');
-    let mut cfg = SimConfig::tiny_for_tests(2019);
-    cfg.scale = 512.0 / profile.machine_count as f64;
-    cfg.horizon = Micros::from_hours(24);
-    cfg.snapshot_at = Micros::from_hours(12);
-    let clean = CellSim::run_cell(&profile, &cfg).trace;
-
-    let scratch = std::env::temp_dir().join(format!("borg_bench_trace_{}", std::process::id()));
-    let (clean_dir, lossy_dir) = (scratch.join("clean"), scratch.join("lossy"));
-    let lossy = CorruptionConfig::lossy();
-    let (damaged, mut ledger) = corrupt_trace(&clean, &lossy, 2019);
-    write_trace_dir_lossy(&damaged, &lossy_dir, &lossy, 2019, &mut ledger).unwrap();
-    write_trace_dir(&clean, &clean_dir).unwrap();
-    let (reread, _) = read_trace_dir_lenient(&clean_dir);
-    let (ingested, _) = read_trace_dir_lenient(&lossy_dir);
-    let mut repaired = ingested.clone();
-    repair(&mut repaired);
-
-    let mut group = c.benchmark_group("trace_512");
-    group.sample_size(10);
-    group.bench_function("csv_write_dir", |b| {
-        b.iter(|| write_trace_dir(&clean, &clean_dir).unwrap());
-    });
-    group.bench_function("csv_read_dir_lenient", |b| {
-        b.iter(|| read_trace_dir_lenient(&clean_dir));
-    });
-    // The clones are part of both repair timings; they cost the same.
-    group.bench_function("repair_clean", |b| {
-        b.iter(|| repair(&mut reread.clone()));
-    });
-    group.bench_function("repair_lossy", |b| {
-        b.iter(|| repair(&mut ingested.clone()));
-    });
-    group.bench_function("validate", |b| {
-        b.iter(|| validate(&repaired));
-    });
-    group.finish();
-    let _ = std::fs::remove_dir_all(&scratch);
-}
-
 fn bench_state_machine(c: &mut Criterion) {
     use std::hint::black_box;
     c.bench_function("state_machine_lifecycle_x1000", |b| {
@@ -102,10 +56,5 @@ fn bench_state_machine(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_validate,
-    bench_round_trip,
-    bench_state_machine
-);
+criterion_group!(benches, bench_validate, bench_state_machine);
 criterion_main!(benches);
