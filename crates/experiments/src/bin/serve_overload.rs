@@ -10,8 +10,8 @@
 //! * best-effort absorbs the overload (sheds > 0);
 //! * every submitted query reaches exactly one terminal outcome.
 //!
-//! The per-tier table below is what EXPERIMENTS.md records; the
-//! `serve_overload` entry in BENCH_simulator.json carries the summary.
+//! The per-tier table below is what EXPERIMENTS.md records; DESIGN.md
+//! §16 carries the summary.
 
 use borg_core::pipeline::simulate_cell;
 use borg_experiments::{banner, parse_opts};
@@ -147,8 +147,8 @@ fn main() {
     }
 
     // Witness overhead A/B on the base seed: the observability layer
-    // must ride within noise of the bare state machine (the delta lands
-    // in BENCH_simulator.json).
+    // must ride within noise of the bare state machine (DESIGN.md §17
+    // records the measured delta).
     {
         let chaos = ChaosConfig::moderate(opts.seed);
         let gap = open_loop_gap_us(&admission, &cost, &chaos, 1.0, LOAD_FACTOR);
