@@ -72,10 +72,10 @@ impl Ccdf {
     /// i.e. the `(1 - q)`-quantile. Returns `None` when empty or `q`
     /// outside `[0, 1]`.
     pub fn quantile_exceeding(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() || !(0.0..=1.0).contains(&q) {
+        if !(0.0..=1.0).contains(&q) {
             return None;
         }
-        Some(percentile_of_sorted(&self.sorted, (1.0 - q) * 100.0))
+        self.percentile((1.0 - q) * 100.0)
     }
 
     /// Median of the samples.

@@ -1,12 +1,16 @@
 //! Test-only reference implementations: the slice-taking order
 //! statistics the library had before every one of them moved onto
 //! [`borg_analysis::Ccdf`]. Each copies its input, filters it and sorts
-//! it on its own, exactly as retired; the bodies are verbatim, only
-//! paths into the crate and the `Lorenz`/`TailShare`/`ParetoFit`
-//! constructors (free functions here, the types stay the library's) are
-//! adjusted. `differential.rs` holds the `Ccdf` forms to these bit for
-//! bit.
-#![allow(dead_code)]
+//! it on its own, exactly as retired. The bodies are verbatim except
+//! that `Lorenz::from_samples`, `TailShare::compute` and
+//! `ParetoFit::fit_ccdf_regression` are free functions here (the types
+//! stay the library's), and the regression's
+//! `Ccdf::from_samples(tail).steps()` is spelled out as [`steps`] so the
+//! reference shares no sorting code with the library. One difference in
+//! behaviour: an `x_max_percentile` outside `[0, 100]` is not rejected
+//! here (above 100 it indexes out of bounds) and is `None` in the
+//! library; `differential.rs`, which holds the `Ccdf` forms to these bit
+//! for bit, stays in range.
 
 use borg_analysis::lorenz::Lorenz;
 use borg_analysis::pareto::{ParetoFit, TailShare};
