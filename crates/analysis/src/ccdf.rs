@@ -8,10 +8,10 @@
 //!
 //! It is also the crate's one sorted-sample view. [`Ccdf::from_samples`]
 //! is the only place a raw sample is filtered to finite values and sorted
-//! (ascending by `total_cmp`); percentiles, top-k load shares
-//! ([`Ccdf::top_share`], [`crate::pareto::TailShare`]), the Pareto
-//! regression, Lorenz curves and the Gini coefficient all read it, so a
-//! caller that wants several of them sorts once. The paper's Table 2
+//! (ascending in `total_cmp` order, as integer keys); percentiles, top-k
+//! load shares ([`Ccdf::top_share`], [`crate::pareto::TailShare`]), the
+//! Pareto regression, Lorenz curves and the Gini coefficient all read it,
+//! so a caller that wants several of them sorts once. The paper's Table 2
 //! reports medians, 90/99/99.9 percentiles and maxima of the per-job usage
 //! integrals; percentiles interpolate linearly between order statistics
 //! (the "type 7" estimator used by most statistics packages).
@@ -35,10 +35,23 @@ pub struct Ccdf {
 
 impl Ccdf {
     /// Builds a CCDF from samples; non-finite values are dropped.
+    ///
+    /// The sort runs on integers: each sample is mapped to the `u64` whose
+    /// unsigned order is `total_cmp`'s, the keys are sorted and mapped
+    /// back. The map is a bijection, so the result is the `total_cmp`
+    /// sort bit for bit (equal keys are equal bit patterns, so an unstable
+    /// sort cannot show).
     pub fn from_samples<I: IntoIterator<Item = f64>>(samples: I) -> Self {
-        let mut sorted: Vec<f64> = samples.into_iter().filter(|x| x.is_finite()).collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        Ccdf { sorted }
+        let samples = samples.into_iter();
+        let mut keys: Vec<u64> = Vec::new();
+        // The filter hides the length from `collect`; the upper hint is
+        // exact for a slice. A hint too large to allocate is just ignored.
+        let _ = keys.try_reserve_exact(samples.size_hint().1.unwrap_or(0));
+        keys.extend(samples.filter(|x| x.is_finite()).map(order_key));
+        keys.sort_unstable();
+        Ccdf {
+            sorted: keys.into_iter().map(from_order_key).collect(),
+        }
     }
 
     /// Number of samples retained.
@@ -172,12 +185,34 @@ impl Ccdf {
     }
 }
 
+/// The `u64` whose unsigned order among keys is `total_cmp`'s order among
+/// floats: a negative value's bits are all flipped (larger magnitude,
+/// smaller key), anything else only gains the top bit (above every
+/// negative, order among themselves kept).
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
 /// Percentile on an already-sorted, non-empty slice.
 ///
 /// # Panics
 ///
 /// Panics if `sorted` is empty.
-pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     if sorted.len() == 1 {
         return sorted[0];

@@ -63,34 +63,55 @@ pub struct Bucket {
 /// of each non-empty bin, exactly as Figure 13 buckets jobs into
 /// 1-NCU-hour bins and plots the median NMU-hours.
 ///
-/// Returns an empty vector for empty input.
-///
-/// # Panics
-///
-/// Panics when `width` is not strictly positive.
+/// Returns an empty vector for empty input and for a `width` that is not
+/// strictly positive (zero, negative or NaN).
 pub fn bucketed_medians(pairs: &[(f64, f64)], width: f64) -> Vec<Bucket> {
-    assert!(width > 0.0, "bucket width must be positive");
+    // Written so that a NaN width fails it too.
+    if !(width > 0.0) {
+        return Vec::new();
+    }
     let mut by_bucket: std::collections::BTreeMap<i64, Vec<f64>> =
         std::collections::BTreeMap::new();
     for &(x, y) in pairs {
         if !x.is_finite() || !y.is_finite() {
             continue;
         }
+        // The cast saturates for a quotient beyond i64.
         let idx = (x / width).floor() as i64;
         by_bucket.entry(idx).or_default().push(y);
     }
+    // Every bucket holds at least one `y`, so none is filtered out.
     by_bucket
         .into_iter()
-        .map(|(idx, mut ys)| {
-            ys.sort_by(|a, b| a.total_cmp(b));
-            Bucket {
+        .filter_map(|(idx, mut ys)| {
+            Some(Bucket {
                 x_lo: idx as f64 * width,
-                x_hi: (idx + 1) as f64 * width,
-                median_y: crate::ccdf::percentile_of_sorted(&ys, 50.0),
+                // Added as floats: `idx + 1` overflows in the last bucket.
+                x_hi: (idx as f64 + 1.0) * width,
+                median_y: median_by_selection(&mut ys)?,
                 count: ys.len(),
-            }
+            })
         })
         .collect()
+}
+
+/// The type-7 median of `ys` (reordering it), `None` when empty: the two
+/// order statistics a full `total_cmp` sort would put at the middle ranks,
+/// found by selection. `total_cmp` ties are equal bit patterns, so which
+/// of them selection lands on cannot show.
+fn median_by_selection(ys: &mut [f64]) -> Option<f64> {
+    let n = ys.len();
+    if n == 0 {
+        return None;
+    }
+    let (_, &mut lower, above) = ys.select_nth_unstable_by((n - 1) / 2, f64::total_cmp);
+    if n % 2 == 1 {
+        return Some(lower);
+    }
+    // An even count interpolates halfway to the next rank: the smallest
+    // of what selection left on the right.
+    let upper = above.iter().copied().min_by(f64::total_cmp)?;
+    Some(lower * 0.5 + upper * 0.5)
 }
 
 /// Pearson correlation between bucket centers and bucket medians — the
@@ -164,8 +185,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bucket width")]
-    fn zero_width_panics() {
-        bucketed_medians(&[(1.0, 1.0)], 0.0);
+    fn non_positive_width_gives_no_buckets() {
+        for width in [0.0, -0.0, -1.0, f64::NEG_INFINITY, f64::NAN] {
+            assert!(bucketed_medians(&[(1.0, 1.0)], width).is_empty(), "{width}");
+        }
+    }
+
+    /// `x / width` beyond `i64` saturates into the last bucket, whose upper
+    /// edge must not wrap around below its lower one.
+    #[test]
+    fn huge_x_lands_in_a_saturated_bucket() {
+        let buckets = bucketed_medians(&[(1e300, 1.0), (-1e300, 2.0), (0.5, 3.0)], 1.0);
+        let edges: Vec<(f64, f64)> = buckets.iter().map(|b| (b.x_lo, b.x_hi)).collect();
+        let top = i64::MAX as f64;
+        assert_eq!(
+            edges,
+            vec![(-top, -top + 1.0), (0.0, 1.0), (top, top + 1.0)]
+        );
+        assert!(buckets.iter().all(|b| b.x_lo <= b.x_hi && b.count == 1));
+        assert_eq!(buckets[2].median_y, 1.0);
     }
 }

@@ -15,7 +15,7 @@
 /// assert_eq!(m.mean(), 5.0);
 /// assert_eq!(m.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Moments {
     count: u64,
     mean: f64,
@@ -159,6 +159,14 @@ impl Moments {
     }
 }
 
+/// The empty accumulator of [`Moments::new`]: a derived `Default` would
+/// start `min` and `max` at zero and report that zero as an observation.
+impl Default for Moments {
+    fn default() -> Self {
+        Moments::new()
+    }
+}
+
 impl FromIterator<f64> for Moments {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         let mut m = Moments::new();
@@ -183,6 +191,16 @@ mod tests {
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.population_variance(), 0.0);
         assert_eq!(m.c_squared(), 0.0);
+    }
+
+    #[test]
+    fn default_is_new() {
+        assert_eq!(Moments::default(), Moments::new());
+        for x in [3.0, -3.0] {
+            let mut m = Moments::default();
+            m.push(x);
+            assert_eq!((m.min(), m.max()), (x, x));
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Differential suite: every order statistic read off a [`Ccdf`]
 //! against the slice routine it replaced (kept in `reference/`), bit for
-//! bit.
+//! bit; the integer-key sort behind the `Ccdf` against the comparator
+//! sort, and the bucket medians taken by selection against a full sort of
+//! each bucket.
 //!
 //! Inputs are seeded random samples built to hit what the one
 //! filter-and-sort must get right: NaN and ±inf (dropped), `-0.0` beside
@@ -14,6 +16,7 @@
 mod reference;
 
 use borg_analysis::ccdf::{linear_grid, log_grid, Ccdf};
+use borg_analysis::correlation::{bucketed_medians, Bucket};
 use borg_analysis::lorenz::{gini, Lorenz};
 use borg_analysis::pareto::{ParetoFit, TailShare};
 use rand::rngs::StdRng;
@@ -82,29 +85,55 @@ fn pair_bits(points: &[(f64, f64)]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-#[test]
-fn sorted_view_is_the_finite_sample_in_total_order() {
-    for (label, xs) in samples() {
-        let c = Ccdf::from_samples(xs.iter().copied());
-        let finite = xs.iter().filter(|x| x.is_finite()).count();
-        assert_eq!(c.len(), finite, "{label}");
-        assert_eq!(c.is_empty(), finite == 0, "{label}");
-        assert!(
-            c.samples()
-                .windows(2)
-                .all(|w| w[0].total_cmp(&w[1]).is_le()),
-            "{label}: not ascending"
-        );
-        // Same multiset: each retained bit pattern as often as in the input.
-        let mut want: Vec<u64> = xs
-            .iter()
-            .filter(|x| x.is_finite())
-            .map(|x| x.to_bits())
+/// Samples over the whole of `f64`, for the sort alone (their sums
+/// overflow): both signs, signed zeros, subnormals, the largest finite
+/// magnitudes, runs of duplicates, and NaNs of either sign with a payload.
+fn extreme_samples() -> Vec<(String, Vec<f64>)> {
+    let specials = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::MAX,
+        f64::MIN,
+        1.0,
+        -1.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0xFFF8_0000_0000_0001),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let mut rng = StdRng::seed_from_u64(0x50B7);
+    let mut out = vec![("specials".to_string(), specials.to_vec())];
+    for len in LENGTHS {
+        let xs = (0..len)
+            .map(|_| match rng.random::<u32>() % 4 {
+                0 => specials[rng.random::<u32>() as usize % specials.len()],
+                // Any bit pattern at all: half negative, some non-finite.
+                1 => f64::from_bits(rng.random::<u64>()),
+                // Subnormals of both signs.
+                2 => f64::from_bits(rng.random::<u64>() & 0x800F_FFFF_FFFF_FFFF),
+                _ => (rng.random_range(-3.0..3.0f64) * 4.0).round() / 4.0,
+            })
             .collect();
-        let mut got: Vec<u64> = c.samples().iter().map(|x| x.to_bits()).collect();
-        want.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(got, want, "{label}");
+        out.push((format!("extreme len {len}"), xs));
+    }
+    out
+}
+
+#[test]
+fn sorted_view_is_the_reference_total_cmp_sort() {
+    let to_bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    for (label, xs) in samples().into_iter().chain(extreme_samples()) {
+        let c = Ccdf::from_samples(xs.iter().copied());
+        let want = reference::sorted(&xs);
+        assert_eq!(to_bits(c.samples()), to_bits(&want), "{label}");
+        assert_eq!(c.len(), want.len(), "{label}");
+        assert_eq!(c.is_empty(), want.is_empty(), "{label}");
     }
 }
 
@@ -268,5 +297,63 @@ fn lorenz_and_gini_match_reference() {
             let want = reference::lorenz(&xs, resolution).map(|l| pair_bits(&l.points));
             assert_eq!(got, want, "{label} resolution {resolution}");
         }
+    }
+}
+
+#[test]
+fn bucketed_medians_match_the_full_sort() {
+    let bucket_bits = |buckets: Vec<Bucket>| {
+        buckets
+            .into_iter()
+            .map(|b| {
+                (
+                    b.x_lo.to_bits(),
+                    b.x_hi.to_bits(),
+                    b.median_y.to_bits(),
+                    b.count,
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut rng = StdRng::seed_from_u64(0xB0C4);
+    // One bucket per size, `x` anywhere inside it: the sizes where the
+    // middle ranks sit differently, then large ones of each parity.
+    let sizes = [1, 2, 3, 4, 5, 8, 9, 64, 65, 1000, 1001];
+    for style in 0..4u64 {
+        let mut pairs = Vec::new();
+        for (bucket, &size) in sizes.iter().enumerate() {
+            for _ in 0..size {
+                let x = bucket as f64 - 3.0 + rng.random_range(0.0..1.0);
+                let y = match style {
+                    // Heavy-tailed, as Figure 13's memory integrals.
+                    0 => rng.random_range(-12.0..12.0f64).exp(),
+                    // All equal.
+                    1 => 2.5,
+                    // Nothing but signed zeros: the middle ranks straddle
+                    // the `-0.0` / `+0.0` boundary.
+                    2 => [-0.0, 0.0][rng.random::<u32>() as usize % 2],
+                    // Both signs, duplicates on a grid, zeros of both signs.
+                    _ => (rng.random_range(-1.0..1.0f64) * 4.0).round() / 4.0,
+                };
+                pairs.push((x, y));
+            }
+        }
+        for width in [1.0, 0.25, 3.0] {
+            assert_eq!(
+                bucket_bits(bucketed_medians(&pairs, width)),
+                bucket_bits(reference::bucketed_medians(&pairs, width)),
+                "style {style} width {width}"
+            );
+        }
+    }
+    // The raw samples paired up: non-finite on either side dropped,
+    // negative `x`, bucket sizes as they fall.
+    for (label, xs) in samples() {
+        let pairs: Vec<(f64, f64)> = xs.iter().copied().zip(xs.iter().rev().copied()).collect();
+        assert_eq!(
+            bucket_bits(bucketed_medians(&pairs, 1.0)),
+            bucket_bits(reference::bucketed_medians(&pairs, 1.0)),
+            "{label}"
+        );
     }
 }

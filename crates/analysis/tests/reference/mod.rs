@@ -11,7 +11,14 @@
 //! here (above 100 it indexes out of bounds) and is `None` in the
 //! library; `differential.rs`, which holds the `Ccdf` forms to these bit
 //! for bit, stays in range.
+//!
+//! [`bucketed_medians`] is the full sort of every bucket the library
+//! replaced by selection, body verbatim. It still panics on a
+//! non-positive width and wraps the upper edge of the bucket at
+//! `i64::MAX`, where the library returns no buckets and adds in floats;
+//! the differential cases stay clear of both.
 
+use borg_analysis::correlation::Bucket;
 use borg_analysis::lorenz::Lorenz;
 use borg_analysis::pareto::{ParetoFit, TailShare};
 use borg_analysis::regression::LinearFit;
@@ -103,6 +110,14 @@ pub fn top_share(xs: &[f64], top_percent: f64) -> Option<f64> {
 }
 
 // ---- ccdf.rs: `Ccdf::from_samples(tail).steps()` as one function ----
+
+/// The sample `Ccdf::from_samples` keeps, sorted by comparator as it was
+/// before the library sorted integer keys.
+pub fn sorted(samples: &[f64]) -> Vec<f64> {
+    let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    sorted
+}
 
 /// The step series `(x_i, P(X > x_i))` of a fresh filter-and-sort of
 /// `samples`, one point per distinct value.
@@ -232,4 +247,32 @@ pub fn gini(xs: &[f64]) -> Option<f64> {
         .map(|(i, &x)| (i as f64 + 1.0) * x)
         .sum();
     Some((2.0 * weighted / (n * total)) - (n + 1.0) / n)
+}
+
+// ---- correlation.rs ----
+
+/// `bucketed_medians` with each bucket sorted in full.
+pub fn bucketed_medians(pairs: &[(f64, f64)], width: f64) -> Vec<Bucket> {
+    assert!(width > 0.0, "bucket width must be positive");
+    let mut by_bucket: std::collections::BTreeMap<i64, Vec<f64>> =
+        std::collections::BTreeMap::new();
+    for &(x, y) in pairs {
+        if !x.is_finite() || !y.is_finite() {
+            continue;
+        }
+        let idx = (x / width).floor() as i64;
+        by_bucket.entry(idx).or_default().push(y);
+    }
+    by_bucket
+        .into_iter()
+        .map(|(idx, mut ys)| {
+            ys.sort_by(|a, b| a.total_cmp(b));
+            Bucket {
+                x_lo: idx as f64 * width,
+                x_hi: (idx + 1) as f64 * width,
+                median_y: percentile_of_sorted(&ys, 50.0),
+                count: ys.len(),
+            }
+        })
+        .collect()
 }

@@ -1,10 +1,14 @@
 //! Statistics-kernel throughput: the one sort behind every order
-//! statistic (`Ccdf::from_samples`), the CCDF series, the Hill fit and
-//! streaming moments. What percentiles, tail shares and the Pareto
-//! regression cost on top of that sort is pipeline-bench's
-//! `analysis.table2_ms`.
+//! statistic (`Ccdf::from_samples`), the CCDF series, Figure 13's bucket
+//! medians, the Hill fit and streaming moments. What percentiles, tail
+//! shares and the Pareto regression cost on top of that sort is
+//! pipeline-bench's `analysis.table2_ms`; that span and
+//! `analysis.fig13_ms` also time the sampler, so `ccdf_build_1m` (one
+//! Table 2 column at the benchmark's size) and `bucketed_medians_500k`
+//! are the only place the two kernels show alone.
 
 use borg_analysis::ccdf::Ccdf;
+use borg_analysis::correlation::bucketed_medians;
 use borg_analysis::moments::Moments;
 use borg_analysis::pareto::ParetoFit;
 use borg_workload::dist::Sample;
@@ -28,6 +32,22 @@ fn bench_ccdf(c: &mut Criterion) {
     c.bench_function("ccdf_log_series_100k", |b| {
         b.iter(|| ccdf.log_series(1e-6, 1e5, 100));
     });
+    let xs = samples(1_000_000);
+    c.bench_function("ccdf_build_1m", |b| {
+        b.iter(|| Ccdf::from_samples(xs.iter().copied()));
+    });
+}
+
+fn bench_bucketed_medians(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let pairs: Vec<(f64, f64)> = IntegralModel::model_2019()
+        .sample_many(500_000, &mut rng)
+        .iter()
+        .map(|j| (j.ncu_hours, j.nmu_hours))
+        .collect();
+    c.bench_function("bucketed_medians_500k", |b| {
+        b.iter(|| bucketed_medians(&pairs, 1.0));
+    });
 }
 
 fn bench_hill_fit(c: &mut Criterion) {
@@ -47,5 +67,11 @@ fn bench_moments(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_ccdf, bench_hill_fit, bench_moments);
+criterion_group!(
+    benches,
+    bench_ccdf,
+    bench_bucketed_medians,
+    bench_hill_fit,
+    bench_moments
+);
 criterion_main!(benches);

@@ -10,6 +10,7 @@
 use borg_analysis::ccdf::Ccdf;
 use borg_analysis::moments::Moments;
 use borg_analysis::pareto::{ParetoFit, TailShare};
+use borg_sim::WorkerPool;
 use borg_workload::integral::IntegralModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,25 +73,54 @@ pub fn column_from_samples(xs: &[f64]) -> Option<Table2Column> {
 }
 
 /// The full Table 2: `(2011 cpu, 2011 mem, 2019 cpu, 2019 mem)`.
+///
+/// The two eras are independent — their own model, their own seed — and
+/// run side by side when the host has a second core. Each is computed by
+/// the same sequential code either way, so the table does not depend on
+/// where it ran.
 pub fn table2(samples: usize, seed: u64) -> Option<[Table2Column; 4]> {
-    let (cpu11, mem11) = era_samples(&IntegralModel::model_2011(), samples, seed);
-    let (cpu19, mem19) = era_samples(&IntegralModel::model_2019(), samples, seed ^ 0x5eed);
-    Some([
-        column_from_samples(&cpu11)?,
-        column_from_samples(&mem11)?,
-        column_from_samples(&cpu19)?,
-        column_from_samples(&mem19)?,
-    ])
+    // The calling thread takes one era; the other wants one worker.
+    let par = std::thread::available_parallelism().map_or(1, usize::from);
+    table2_on(par.saturating_sub(1).min(1), samples, seed)
+}
+
+/// One era of Table 2 moved to a pool worker by value: its sample, then
+/// its cpu and mem columns.
+fn era_columns_job(
+    (model, samples, seed): (IntegralModel, usize, u64),
+) -> Option<[Table2Column; 2]> {
+    let (cpu, mem) = era_samples(&model, samples, seed);
+    Some([column_from_samples(&cpu)?, column_from_samples(&mem)?])
+}
+
+/// [`table2`] on a pool of `workers` threads beside the caller (zero:
+/// one era after the other on the caller).
+fn table2_on(workers: usize, samples: usize, seed: u64) -> Option<[Table2Column; 4]> {
+    let mut pool = WorkerPool::new(
+        workers,
+        era_columns_job as fn((IntegralModel, usize, u64)) -> Option<[Table2Column; 2]>,
+    );
+    let eras = pool.run_batch(vec![
+        (IntegralModel::model_2011(), samples, seed),
+        (IntegralModel::model_2019(), samples, seed ^ 0x5eed),
+    ]);
+    match eras[..] {
+        [Some([cpu11, mem11]), Some([cpu19, mem19])] => Some([cpu11, mem11, cpu19, mem19]),
+        _ => None,
+    }
 }
 
 /// Samples `(cpu, mem)` integrals for one era.
 pub fn era_samples(model: &IntegralModel, samples: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let jobs = model.sample_many(samples, &mut rng);
-    (
-        jobs.iter().map(|j| j.ncu_hours).collect(),
-        jobs.iter().map(|j| j.nmu_hours).collect(),
-    )
+    let mut cpu = Vec::with_capacity(samples);
+    let mut mem = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let job = model.sample(&mut rng);
+        cpu.push(job.ncu_hours);
+        mem.push(job.nmu_hours);
+    }
+    (cpu, mem)
 }
 
 /// Figure 12: the log-log CCDF series of resource-hours for one sample
@@ -249,6 +279,65 @@ mod tests {
         noisy.push(f64::NEG_INFINITY);
         let col = column_from_samples(&clean).expect("20k samples fit");
         assert_eq!(column_from_samples(&noisy), Some(col));
+    }
+
+    /// Every field of a column as bits, so a `-0.0` or NaN payload that
+    /// `==` would let through shows.
+    fn column_bits(c: &Table2Column) -> [u64; 12] {
+        [
+            c.median,
+            c.mean,
+            c.variance,
+            c.p90,
+            c.p99,
+            c.p999,
+            c.maximum,
+            c.top_1_percent_load,
+            c.top_01_percent_load,
+            c.c_squared,
+            c.pareto_alpha,
+            c.r_squared,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// The worker count decides where an era runs, never what it computes:
+    /// on the caller alone and with one worker, Table 2 is the four
+    /// columns composed by hand from `era_samples`.
+    #[test]
+    fn worker_count_cannot_reach_the_bits() {
+        let (samples, seed) = (30_000, 11);
+        let (cpu11, mem11) = era_samples(&IntegralModel::model_2011(), samples, seed);
+        let (cpu19, mem19) = era_samples(&IntegralModel::model_2019(), samples, seed ^ 0x5eed);
+        let want = [&cpu11, &mem11, &cpu19, &mem19]
+            .map(|xs| column_bits(&column_from_samples(xs).expect("30k samples fit")));
+        for workers in [0, 1] {
+            let got = table2_on(workers, samples, seed).expect("table 2 computes");
+            assert_eq!(got.each_ref().map(column_bits), want, "{workers} workers");
+        }
+        let public = table2(samples, seed).expect("table 2 computes");
+        assert_eq!(public.each_ref().map(column_bits), want);
+    }
+
+    #[test]
+    fn era_samples_split_the_sample_many_stream() {
+        let model = IntegralModel::model_2011();
+        let jobs = model.sample_many(5_000, &mut StdRng::seed_from_u64(3));
+        let (cpu, mem) = era_samples(&model, 5_000, 3);
+        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(cpu), bits(jobs.iter().map(|j| j.ncu_hours).collect()));
+        assert_eq!(bits(mem), bits(jobs.iter().map(|j| j.nmu_hours).collect()));
+    }
+
+    /// A column that cannot be fitted comes back across the pool as
+    /// `None`, not as a panic re-raised on the caller.
+    #[test]
+    fn unfittable_sample_is_none_on_every_worker_count() {
+        for workers in [0, 1] {
+            assert_eq!(table2_on(workers, 1, 42), None, "{workers} workers");
+            assert_eq!(table2_on(workers, 0, 42), None, "{workers} workers");
+        }
+        assert_eq!(table2(1, 42), None);
     }
 
     #[test]

@@ -21,8 +21,13 @@ pub struct Figure13 {
 /// Computes Figure 13 from the 2019 integral model.
 pub fn figure13(samples: usize, seed: u64) -> Option<Figure13> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let jobs = IntegralModel::model_2019().sample_many(samples, &mut rng);
-    let pairs: Vec<(f64, f64)> = jobs.iter().map(|j| (j.ncu_hours, j.nmu_hours)).collect();
+    let model = IntegralModel::model_2019();
+    let pairs: Vec<(f64, f64)> = (0..samples)
+        .map(|_| {
+            let job = model.sample(&mut rng);
+            (job.ncu_hours, job.nmu_hours)
+        })
+        .collect();
     let buckets = bucketed_medians(&pairs, 1.0);
     let pearson = bucketed_median_correlation(&buckets)?;
     Some(Figure13 { buckets, pearson })
