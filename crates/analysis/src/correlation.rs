@@ -66,8 +66,7 @@ pub struct Bucket {
 /// Returns an empty vector for empty input and for a `width` that is not
 /// strictly positive (zero, negative or NaN).
 pub fn bucketed_medians(pairs: &[(f64, f64)], width: f64) -> Vec<Bucket> {
-    // Written so that a NaN width fails it too.
-    if !(width > 0.0) {
+    if width.is_nan() || width <= 0.0 {
         return Vec::new();
     }
     let mut by_bucket: std::collections::BTreeMap<i64, Vec<f64>> =
