@@ -440,6 +440,15 @@ mod tests {
         assert_eq!(c.steps(), vec![(-0.0, 0.5), (1.0, 0.25), (3.0, 0.0)]);
     }
 
+    /// The upper size hint only sizes the key vector: one far beyond what
+    /// can be allocated must not fail the build.
+    #[test]
+    fn oversized_size_hint_is_only_a_hint() {
+        let samples = (0..u64::MAX).map(|i| i as f64).take_while(|&x| x < 3.0);
+        assert_eq!(samples.size_hint().1, Some(usize::MAX));
+        assert_eq!(Ccdf::from_samples(samples).samples(), [0.0, 1.0, 2.0]);
+    }
+
     #[test]
     fn steps_deduplicate() {
         let c = Ccdf::from_samples([1.0, 1.0, 2.0]);
