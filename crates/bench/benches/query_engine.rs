@@ -4,7 +4,7 @@
 //! (`sql_battery --traced`).
 
 use borg_query::prelude::*;
-use borg_query::Agg;
+use borg_query::{Agg, Column};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn trace_shaped_table(rows: usize) -> Table {
@@ -113,12 +113,37 @@ fn bench_sort(c: &mut Criterion) {
     });
 }
 
+fn bench_sort_wide_keys(c: &mut Criterion) {
+    // `sort_100k_rows` packs into one u128 and `sql_battery`'s sort into
+    // one u64; this is the third route. Two float keys of about 62 bits
+    // each, 17 bits of time and 17 of row number do not fit 128 bits, so
+    // the kernel runs twice: (mem, time) first, then cpu.
+    let t = trace_shaped_table(100_000);
+    let mem = (0..t.num_rows())
+        .map(|i| Some((i * 7919 % 1000) as f64 / 1000.0))
+        .collect();
+    let t = t.with_column("mem", Column::Float(mem)).unwrap();
+    c.bench_function("sort_100k_rows_wide_keys", |b| {
+        b.iter(|| {
+            Query::from(t.clone())
+                .sort_by_many(&[
+                    ("cpu", SortOrder::Descending),
+                    ("mem", SortOrder::Ascending),
+                    ("time", SortOrder::Ascending),
+                ])
+                .run()
+                .unwrap()
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_filter,
     bench_group_by,
     bench_group_by_1m,
     bench_join,
-    bench_sort
+    bench_sort,
+    bench_sort_wide_keys
 );
 criterion_main!(benches);

@@ -3,9 +3,11 @@
 //! A [`CancelToken`] is a cheap, clonable flag shared between the caller
 //! that owns a query's deadline and the workers executing its scans. The
 //! engine checks the token at **block boundaries** (`parallel::
-//! try_map_blocks`) and between plan steps, so an overdue query stops
-//! within one block's worth of work instead of running to completion —
-//! the deadline-propagation primitive borg-serve threads through every
+//! try_map_blocks`), between plan steps, and inside sort and join
+//! between their phases and before each gathered column, so an overdue
+//! query stops within one block's (or one column's, or one key sort's)
+//! worth of work instead of running to completion — the
+//! deadline-propagation primitive borg-serve threads through every
 //! admitted query.
 //!
 //! Cancellation is strictly cooperative and one-way: once set, the flag
@@ -17,6 +19,7 @@
 //! the parallel==sequential bit-identity contract is unaffected for
 //! queries that complete.
 
+use crate::error::QueryError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,6 +71,14 @@ impl CancelToken {
     /// result channel orders the workers' notes before the read).
     pub fn blocks_scanned(&self) -> u64 {
         self.blocks.load(Ordering::Relaxed)
+    }
+}
+
+/// `Err(Cancelled)` once `cancel` is set; `Ok` for a clear token or none.
+pub(crate) fn check(cancel: Option<&CancelToken>) -> Result<(), QueryError> {
+    match cancel {
+        Some(token) if token.is_cancelled() => Err(QueryError::Cancelled),
+        _ => Ok(()),
     }
 }
 

@@ -231,10 +231,10 @@ impl Column {
 
     /// A new column with rows rearranged to `indices` order
     /// (out-of-range indices become null).
-    pub fn take(&self, indices: &[usize]) -> Column {
-        fn gather<T: Copy>(v: &[Option<T>], idx: &[usize]) -> Vec<Option<T>> {
+    pub fn take(&self, indices: &[u32]) -> Column {
+        fn gather<T: Copy>(v: &[Option<T>], idx: &[u32]) -> Vec<Option<T>> {
             let mut out = Vec::with_capacity(idx.len());
-            out.extend(idx.iter().map(|&i| v.get(i).copied().flatten()));
+            out.extend(idx.iter().map(|&i| v.get(i as usize).copied().flatten()));
             out
         }
         match self {

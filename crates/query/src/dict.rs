@@ -185,12 +185,12 @@ impl StrVec {
 
     /// Rows rearranged to `indices` order (out-of-range → null), sharing
     /// this pool.
-    pub fn take(&self, indices: &[usize]) -> StrVec {
+    pub fn take(&self, indices: &[u32]) -> StrVec {
         let mut codes = Vec::with_capacity(indices.len());
         codes.extend(
             indices
                 .iter()
-                .map(|&i| self.codes.get(i).copied().unwrap_or(NULL_CODE)),
+                .map(|&i| self.codes.get(i as usize).copied().unwrap_or(NULL_CODE)),
         );
         StrVec {
             dict: Arc::clone(&self.dict),
@@ -200,8 +200,8 @@ impl StrVec {
 
     /// For every pool code, its rank in lexicographic string order.
     ///
-    /// Sorting decorates string cells with `rank[code]`, turning string
-    /// comparisons into integer comparisons.
+    /// Sorting reads a string cell as `rank[code]`, so string order
+    /// becomes integer order.
     pub fn lex_ranks(&self) -> Vec<u32> {
         let n = self.dict.strings.len();
         let mut order: Vec<u32> = (0..crate::cast::code32(n)).collect();

@@ -17,6 +17,7 @@
 //!
 //! Group order follows first appearance in the input, as before.
 
+use crate::cast::code32;
 use crate::column::Column;
 use crate::error::QueryError;
 use crate::keys::{encode_column, hash_key, EncodedCol, GroupTable};
@@ -471,7 +472,7 @@ fn pair_group(pair: &[u64]) -> usize {
 /// table's). Group order is first appearance.
 struct Partial {
     groups: GroupTable,
-    first_rows: Vec<usize>,
+    first_rows: Vec<u32>,
     cols: Vec<AggCol>,
 }
 
@@ -516,7 +517,7 @@ fn aggregate_block(
         }
         let (g, new) = groups.find_or_insert(&key_buf, hash_key(&key_buf));
         if new {
-            first_rows.push(row);
+            first_rows.push(code32(row));
         }
         gids.push(g);
     }

@@ -10,15 +10,18 @@
 //! compares integer codes directly; right strings absent from the left
 //! pool get a sentinel no left row can produce.
 //!
-//! Output assembly is `take`-based: string columns share their
-//! dictionary with the input instead of cloning row values.
+//! Output assembly is `take`-based over `u32` row lists, the output
+//! columns dealt over the query threads ([`crate::table::take_columns`]):
+//! string columns share their dictionary with the input instead of
+//! cloning row values.
 
+use crate::cancel::{self, CancelToken};
 use crate::cast::code32;
 use crate::column::{Column, DataType};
 use crate::dict::NULL_CODE;
 use crate::error::QueryError;
 use crate::keys::{encode_column, hash_key, EncodedCol, GroupTable, STR_NULL};
-use crate::table::Table;
+use crate::table::{take_columns, Table};
 use std::collections::BTreeSet;
 
 /// Join flavor.
@@ -80,13 +83,14 @@ pub fn join(
     right_keys: &[&str],
     kind: JoinKind,
 ) -> Result<Table, QueryError> {
-    join_live(left, right, left_keys, right_keys, kind, None)
+    join_live(left, right, left_keys, right_keys, kind, None, None)
 }
 
 /// [`join`] that gathers only the output columns named in `live`
 /// (`None` = all). Output names, their order and every error are those
 /// of the full join; `left` must still hold each column whose presence
-/// the naming rule inspects ([`naming_columns`]).
+/// the naming rule inspects ([`naming_columns`]). `cancel` is checked
+/// after the build, after the probe and before each gathered column.
 pub(crate) fn join_live(
     left: &Table,
     right: &Table,
@@ -94,6 +98,7 @@ pub(crate) fn join_live(
     right_keys: &[&str],
     kind: JoinKind,
     live: Option<&BTreeSet<String>>,
+    cancel: Option<&CancelToken>,
 ) -> Result<Table, QueryError> {
     if left_keys.len() != right_keys.len() {
         return Err(QueryError::InvalidParameter(format!(
@@ -177,29 +182,31 @@ pub(crate) fn join_live(
         matches[next[g as usize]] = row;
         next[g as usize] += 1;
     }
+    cancel::check(cancel)?;
 
     // Probe with the left side, in left row order.
-    let mut left_rows: Vec<usize> = Vec::with_capacity(left.num_rows());
-    let mut right_indices: Vec<usize> = Vec::with_capacity(left.num_rows());
+    let mut left_rows: Vec<u32> = Vec::with_capacity(left.num_rows());
+    let mut right_indices: Vec<u32> = Vec::with_capacity(left.num_rows());
     // Out-of-range marker: `Column::take` turns it into null.
-    let missing = right.num_rows();
+    let missing = code32(right.num_rows());
     let mut key_buf = vec![0u64; lkeys.len()];
-    'probe: for row in 0..left.num_rows() {
+    'probe: for row in 0..code32(left.num_rows()) {
+        let at = row as usize;
         for (slot, e) in key_buf.iter_mut().zip(&lkeys) {
-            if e.is_null(row) {
+            if e.is_null(at) {
                 if kind == JoinKind::LeftOuter {
                     left_rows.push(row);
                     right_indices.push(missing);
                 }
                 continue 'probe;
             }
-            *slot = e.keys[row];
+            *slot = e.keys[at];
         }
         match index.find(&key_buf, hash_key(&key_buf)) {
             Some(g) => {
                 for &r in &matches[starts[g as usize]..starts[g as usize + 1]] {
                     left_rows.push(row);
-                    right_indices.push(r as usize);
+                    right_indices.push(r);
                 }
             }
             None => {
@@ -211,9 +218,11 @@ pub(crate) fn join_live(
         }
     }
 
+    cancel::check(cancel)?;
+
     // Materialize the observable output columns; `take` shares string
     // dictionaries, so no cell values are cloned here.
-    let out_cols = schema
+    let (names, jobs): (Vec<String>, Vec<(&Column, &[u32])>) = schema
         .into_iter()
         .filter(|(name, ..)| live.is_none_or(|l| l.contains(name)))
         .map(|(name, from_right, col)| {
@@ -222,8 +231,12 @@ pub(crate) fn join_live(
             } else {
                 &left_rows
             };
-            (name, col.take(rows))
+            (name, (col, rows.as_slice()))
         })
+        .unzip();
+    let out_cols = names
+        .into_iter()
+        .zip(take_columns(&jobs, cancel)?)
         .collect();
     Table::from_columns_of_len(out_cols, Some(left_rows.len()))
 }
@@ -342,5 +355,32 @@ mod tests {
         let outer = join(&l, &r, &["k"], &["k"], JoinKind::LeftOuter).unwrap();
         assert_eq!(outer.num_rows(), 1);
         assert!(outer.value(0, "v").unwrap().is_null());
+    }
+
+    #[test]
+    fn a_token_set_before_the_join_cancels_it() {
+        let n = crate::parallel::BLOCK_ROWS * 2 + 5;
+        let left = Table::from_columns(vec![
+            (
+                "k",
+                Column::Int((0..n).map(|i| Some((i % 50) as i64)).collect()),
+            ),
+            ("v", Column::Float((0..n).map(|i| Some(i as f64)).collect())),
+        ])
+        .unwrap();
+        let right = Table::from_columns(vec![
+            ("k", Column::Int((0..40).map(Some).collect())),
+            ("w", Column::Int((0..40).map(|i| Some(i * 10)).collect())),
+        ])
+        .unwrap();
+        let run = |kind, token| join_live(&left, &right, &["k"], &["k"], kind, None, token);
+        let token = CancelToken::new();
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+            assert_eq!(run(kind, Some(&token)), run(kind, None));
+        }
+        token.cancel();
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+            assert_eq!(run(kind, Some(&token)), Err(QueryError::Cancelled));
+        }
     }
 }

@@ -13,13 +13,19 @@
 //! sequential path: the sequential path is simply the same block loop run
 //! on one thread.
 //!
-//! [`try_map_blocks`] adds cooperative cancellation on top: workers
-//! re-check a [`CancelToken`] before claiming each block, so a query
-//! whose deadline has passed stops within one block of work
-//! (`QueryError::Cancelled`) instead of finishing the scan. A token that
-//! is never set leaves the schedule and results untouched.
+//! The row gather behind sort and join fans out the other way, by
+//! column ([`try_map_items`] over the output columns): each column is
+//! gathered whole by one worker, so its bytes cannot depend on the
+//! thread count either.
+//!
+//! Both go through one work-claiming loop, which adds cooperative
+//! cancellation: workers re-check a [`CancelToken`] before claiming each
+//! item, so a query whose deadline has passed stops within one block of
+//! a scan, or one column of a gather (`QueryError::Cancelled`), instead
+//! of finishing. A token that is never set leaves the schedule and
+//! results untouched.
 
-use crate::cancel::CancelToken;
+use crate::cancel::{self, CancelToken};
 use crate::error::QueryError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,41 +86,55 @@ where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let n_blocks = n_rows.div_ceil(BLOCK_ROWS);
-    let block_range = |b: usize| b * BLOCK_ROWS..((b + 1) * BLOCK_ROWS).min(n_rows);
-    if threads <= 1 || n_blocks <= 1 {
-        let mut out = Vec::with_capacity(n_blocks);
-        for b in 0..n_blocks {
-            if cancelled() {
-                return Err(QueryError::Cancelled);
-            }
-            if let Some(tok) = cancel {
-                tok.note_block();
-            }
-            out.push(f(b, block_range(b)));
+    try_map_items(n_rows.div_ceil(BLOCK_ROWS), threads, cancel, |b| {
+        if let Some(tok) = cancel {
+            tok.note_block();
+        }
+        f(b, b * BLOCK_ROWS..((b + 1) * BLOCK_ROWS).min(n_rows))
+    })
+}
+
+/// The engine's one work-claiming loop: applies `f` to every item index
+/// in `0..n_items` on up to `threads` workers and returns the results in
+/// item order. One item, or one thread, runs on the calling thread and
+/// spawns nothing. Every worker checks `cancel` before claiming each
+/// item; once the token is set the call returns
+/// [`QueryError::Cancelled`] and drops what was computed. `f` must be
+/// pure; scheduling cannot affect the output.
+pub(crate) fn try_map_items<T, F>(
+    n_items: usize,
+    threads: usize,
+    cancel: Option<&CancelToken>,
+    f: F,
+) -> Result<Vec<T>, QueryError>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if threads <= 1 || n_items <= 1 {
+        let mut out = Vec::with_capacity(n_items);
+        for i in 0..n_items {
+            cancel::check(cancel)?;
+            out.push(f(i));
         }
         return Ok(out);
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n_blocks).map(|_| None).collect();
+    let mut slots: Vec<Option<T>> = (0..n_items).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.min(n_blocks))
+        let workers: Vec<_> = (0..threads.min(n_items))
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
                     loop {
-                        if cancelled() {
+                        if cancel.is_some_and(CancelToken::is_cancelled) {
                             break;
                         }
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_blocks {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n_items {
                             break;
                         }
-                        if let Some(tok) = cancel {
-                            tok.note_block();
-                        }
-                        done.push((b, f(b, block_range(b))));
+                        done.push((i, f(i)));
                     }
                     done
                 })
@@ -122,18 +142,16 @@ where
             .collect();
         for w in workers {
             // lint: library-panic-ok (re-raises a worker panic on the caller thread) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
-            for (b, value) in w.join().expect("query worker panicked") {
-                slots[b] = Some(value);
+            for (i, value) in w.join().expect("query worker panicked") {
+                slots[i] = Some(value);
             }
         }
     });
-    if cancelled() {
-        return Err(QueryError::Cancelled);
-    }
+    cancel::check(cancel)?;
     Ok(slots
         .into_iter()
-        // lint: library-panic-ok (the fetch_add work loop covers 0..n_blocks exactly) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
-        .map(|s| s.expect("every block computed"))
+        // lint: library-panic-ok (the fetch_add work loop covers 0..n_items exactly) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
+        .map(|s| s.expect("every item computed"))
         .collect())
 }
 
@@ -222,6 +240,57 @@ mod tests {
         });
         assert_eq!(out, Err(QueryError::Cancelled));
         assert_eq!(seen.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn items_come_back_in_order_whatever_the_thread_count() {
+        for threads in [1, 2, 8] {
+            let out = try_map_items(9, threads, None, |i| i * i).expect("no token");
+            assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(try_map_items(0, 4, None, |i| i)
+            .expect("no token")
+            .is_empty());
+    }
+
+    #[test]
+    fn one_item_or_one_thread_stays_on_the_calling_thread() {
+        thread_local!(static IS_CALLER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+        IS_CALLER.set(true);
+        let on_caller = |n_items, threads| {
+            try_map_items(n_items, threads, None, |_| IS_CALLER.get()).expect("no token")
+        };
+        assert_eq!(on_caller(1, 8), vec![true]);
+        assert_eq!(on_caller(3, 1), vec![true; 3]);
+        assert_eq!(on_caller(3, 2), vec![false; 3]);
+    }
+
+    #[test]
+    fn a_token_set_by_the_first_claimed_item_stops_before_the_last() {
+        // Three columns of a gather: whoever claims column 0 sets the
+        // token, column 1 (claimable at the same moment on a second
+        // worker) does not finish before it is set, so column 2 can only
+        // be reached through a check that sees it.
+        for threads in [1, 2] {
+            let token = CancelToken::new();
+            let ran = [const { AtomicUsize::new(0) }; 3];
+            let out = try_map_items(3, threads, Some(&token), |i| {
+                ran[i].fetch_add(1, Ordering::SeqCst);
+                match i {
+                    0 => token.cancel(),
+                    _ => {
+                        while !token.is_cancelled() {
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+                i
+            });
+            assert_eq!(out, Err(QueryError::Cancelled), "threads={threads}");
+            assert_eq!(ran[0].load(Ordering::SeqCst), 1, "threads={threads}");
+            assert_eq!(ran[2].load(Ordering::SeqCst), 0, "threads={threads}");
+            assert_eq!(token.blocks_scanned(), 0, "a gather notes no scan block");
+        }
     }
 
     #[test]

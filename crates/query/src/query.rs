@@ -129,10 +129,11 @@ impl Query {
     }
 
     /// Attaches a cooperative cancellation token: execution checks it
-    /// between plan steps and at block boundaries inside scan and
-    /// group-by operators, returning [`QueryError::Cancelled`] once it
-    /// is set. borg-serve arms one per admitted query with the query's
-    /// deadline budget.
+    /// between plan steps, at block boundaries inside scan and group-by
+    /// operators, and between the phases and gathered columns of sort
+    /// and join, returning [`QueryError::Cancelled`] once it is set.
+    /// borg-serve arms one per admitted query with the query's deadline
+    /// budget.
     pub fn with_cancel(mut self, token: crate::cancel::CancelToken) -> Query {
         self.cancel = Some(token);
         self
@@ -236,9 +237,7 @@ impl Query {
         let cancel = self.cancel.as_ref();
         for (step, live) in self.steps.into_iter().zip(live) {
             let live = live.as_ref();
-            if cancel.is_some_and(crate::cancel::CancelToken::is_cancelled) {
-                return Err(QueryError::Cancelled);
-            }
+            crate::cancel::check(cancel)?;
             let name = step.name();
             let rows_in = t.num_rows() as u64;
             let span = tel.span_enter(&format!("query.{name}"));
@@ -273,8 +272,8 @@ impl Query {
                 Step::Sort(keys) => {
                     let pairs: Vec<(&str, SortOrder)> =
                         keys.iter().map(|(c, o)| (c.as_str(), *o)).collect();
-                    let order = crate::sort::sort_indices(&t, &pairs)?;
-                    t.keep(live).take_rows(&order)
+                    let order = crate::sort::sort_indices(&t, &pairs, cancel)?;
+                    t.keep(live).take_rows_cancel(&order, cancel)?
                 }
                 Step::Join {
                     right,
@@ -284,7 +283,7 @@ impl Query {
                 } => {
                     let lk: Vec<&str> = left_keys.iter().map(String::as_str).collect();
                     let rk: Vec<&str> = right_keys.iter().map(String::as_str).collect();
-                    crate::join::join_live(&t, &right, &lk, &rk, kind, live)?
+                    crate::join::join_live(&t, &right, &lk, &rk, kind, live, cancel)?
                 }
                 Step::Limit(n) => t.keep(live).head(n),
             };

@@ -7,8 +7,10 @@
 //! [`Table::reserve_rows`]) copy a shared column before writing to it,
 //! so a write through one handle never shows through another.
 
+use crate::cancel::CancelToken;
 use crate::column::{Column, DataType};
 use crate::error::QueryError;
+use crate::parallel;
 use crate::value::Value;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -191,17 +193,30 @@ impl Table {
         }
     }
 
-    /// A new table with rows rearranged to `indices` order.
-    pub fn take_rows(&self, indices: &[usize]) -> Table {
-        Table {
+    /// A new table with rows rearranged to `indices` order
+    /// (out-of-range indices become null rows).
+    pub fn take_rows(&self, indices: &[u32]) -> Table {
+        // With no token the gather never cancels; the fallback is unreachable.
+        self.take_rows_cancel(indices, None)
+            .unwrap_or_else(|_| self.head(0))
+    }
+
+    /// [`Table::take_rows`] that stops between columns once `cancel` is
+    /// set ([`QueryError::Cancelled`], the gathered columns dropped).
+    pub(crate) fn take_rows_cancel(
+        &self,
+        indices: &[u32],
+        cancel: Option<&CancelToken>,
+    ) -> Result<Table, QueryError> {
+        let jobs: Vec<(&Column, &[u32])> = self.columns.iter().map(|c| (&**c, indices)).collect();
+        Ok(Table {
             names: self.names.clone(),
-            columns: self
-                .columns
-                .iter()
-                .map(|c| Arc::new(c.take(indices)))
+            columns: take_columns(&jobs, cancel)?
+                .into_iter()
+                .map(Arc::new)
                 .collect(),
             rows: indices.len(),
-        }
+        })
     }
 
     /// The first `n` rows (the whole table, sharing its buffers, when it
@@ -275,6 +290,24 @@ impl Table {
         }
         Ok(self)
     }
+}
+
+/// Gathers every `(column, row list)` pair — [`Column::take`] — dealing
+/// the columns over the query threads. A gather of one block of rows or
+/// fewer stays on the calling thread, as a scan of one block does, and
+/// so does a gather of one column; each column is built whole by one
+/// worker, so the output is the same for any thread count.
+pub(crate) fn take_columns(
+    jobs: &[(&Column, &[u32])],
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Column>, QueryError> {
+    let rows = jobs.iter().map(|(_, idx)| idx.len()).max().unwrap_or(0);
+    let threads = if rows <= parallel::BLOCK_ROWS {
+        1
+    } else {
+        parallel::num_threads()
+    };
+    parallel::try_map_items(jobs.len(), threads, cancel, |j| jobs[j].0.take(jobs[j].1))
 }
 
 impl fmt::Display for Table {

@@ -2,8 +2,8 @@
 //! implementations, over randomized tables.
 //!
 //! The optimized engine encodes keys as integers, aggregates in blocks,
-//! and sorts by decorated primitive keys; the references here use the
-//! original row-at-a-time `Value`/`GroupKey` semantics. Generators cover
+//! and sorts packed integer images of its keys; the references here use
+//! the original row-at-a-time `Value`/`GroupKey` semantics. Generators cover
 //! nulls, `-0.0`/`+0.0` floats, duplicate keys, and cross-dictionary
 //! strings. The randomized tables stay below one parallel block so float
 //! accumulation order matches the references exactly; cross-block
@@ -95,6 +95,97 @@ fn mixed_table(rows: &[(u8, u8, u8, f64, i64)]) -> Table {
         t.push_row(decode_row(s, f, c, x, i)).unwrap();
     }
     t
+}
+
+/// Adds the key columns whose images are wide or degenerate: `wide`
+/// (ints over the whole `i64` range), `bits` (floats from raw bit
+/// patterns), `flag` (bools) and `void` (all null), each with nulls.
+/// The last two rows are fixed, so `wide` always holds `i64::MIN` and
+/// `i64::MAX` (a 65-bit image) and `bits` always `-inf` and NaN (64).
+fn with_wide_keys(t: Table, cells: &[(u8, i64, u8, u64, u8)]) -> Table {
+    assert_eq!(t.num_rows(), cells.len() + 2);
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let fixed = [(1, 0, 4, 0, 1), (2, 0, 1, 7, 2)];
+    let cells = || cells.iter().chain(&fixed);
+    let wide = cells()
+        .map(|&(sel, raw, ..)| match sel {
+            0 => None,
+            1 => Some(i64::MIN),
+            2 => Some(i64::MAX),
+            3 => Some(raw % 3 - 1),
+            _ => Some(raw),
+        })
+        .collect();
+    let bits = cells()
+        .map(|&(_, _, sel, raw, _)| match sel {
+            0 => None,
+            1 => Some(f64::from_bits(f64::NAN.to_bits() | (raw & MANTISSA))),
+            2 => Some(f64::from_bits((-f64::NAN).to_bits() | (raw & MANTISSA))),
+            3 => Some(f64::INFINITY),
+            4 => Some(f64::NEG_INFINITY),
+            5 => Some(-0.0),
+            6 => Some(0.0),
+            7 => Some(f64::from_bits(raw & MANTISSA)), // subnormal
+            8 => Some(-f64::from_bits(raw & MANTISSA)),
+            _ => Some(f64::from_bits(raw)),
+        })
+        .collect();
+    let flag = cells()
+        .map(|&(.., sel)| [None, Some(false), Some(true)][sel as usize])
+        .collect();
+    let n = t.num_rows();
+    t.with_column("wide", borg_query::Column::Int(wide))
+        .unwrap()
+        .with_column("bits", borg_query::Column::Float(bits))
+        .unwrap()
+        .with_column("flag", borg_query::Column::Bool(flag))
+        .unwrap()
+        .with_column("void", borg_query::Column::Int(vec![None; n]))
+        .unwrap()
+}
+
+/// The sort reference: a stable index sort with the row-at-a-time
+/// `Value` comparator, plus the two rules the engine documents and
+/// `Value::compare` (which widens to `f64` and has no answer for NaN)
+/// leaves open: ints order exactly, and NaNs tie after `+inf`.
+fn naive_sort(t: &Table, keys: &[(&str, SortOrder)]) -> Table {
+    fn cell_cmp(a: &Value, b: &Value) -> Ordering {
+        let nan = |v: &Value| matches!(v, Value::Float(x) if x.is_nan());
+        match (a, b) {
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            _ if nan(a) || nan(b) => nan(a).cmp(&nan(b)),
+            _ => a.sort_key_cmp(b),
+        }
+    }
+    let cols: Vec<_> = keys.iter().map(|(k, _)| t.column(k).unwrap()).collect();
+    let mut idx: Vec<u32> = (0..t.num_rows() as u32).collect();
+    idx.sort_by(|&a, &b| {
+        for (c, &(_, ord)) in cols.iter().zip(keys) {
+            let mut o = cell_cmp(&c.get(a as usize), &c.get(b as usize));
+            if ord == SortOrder::Descending {
+                o = o.reverse();
+            }
+            if o != Ordering::Equal {
+                return o;
+            }
+        }
+        Ordering::Equal
+    });
+    t.take_rows(&idx)
+}
+
+/// Table equality with float cells compared by bit pattern: NaN cells
+/// equal themselves, and `-0.0` is not `+0.0`.
+fn same_bits(a: &Table, b: &Table) -> bool {
+    a.column_names() == b.column_names()
+        && a.num_rows() == b.num_rows()
+        && (0..a.num_columns()).all(|c| match (a.column_at(c), b.column_at(c)) {
+            (borg_query::Column::Float(x), borg_query::Column::Float(y)) => x
+                .iter()
+                .zip(y)
+                .all(|(x, y)| x.map(f64::to_bits) == y.map(f64::to_bits)),
+            (x, y) => x == y,
+        })
 }
 
 proptest! {
@@ -274,32 +365,43 @@ proptest! {
 
     #[test]
     fn sort_matches_naive_stable_sort(
-        rows in prop::collection::vec((0u8..6, 0u8..5, 0u8..4, -4.0f64..4.0, 0i64..6), 0..80),
+        rows in prop::collection::vec(
+            (
+                (0u8..6, 0u8..5, 0u8..4, -4.0f64..4.0, 0i64..6),
+                (0u8..6, i64::MIN..i64::MAX, 0u8..12, 0u64..u64::MAX, 0u8..3),
+            ),
+            0..80,
+        ),
         o1 in 0u8..2,
         o2 in 0u8..2,
     ) {
-        let t = mixed_table(&rows);
+        let (mut narrow, wide): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+        narrow.extend([(1, 3, 2, 0.0, 0), (2, 4, 3, 1.0, 5)]);
+        let t = with_wide_keys(mixed_table(&narrow), &wide);
         let order = |o: u8| if o == 0 { SortOrder::Ascending } else { SortOrder::Descending };
-        let keys = [("k_s", order(o1)), ("k_f", order(o2)), ("w", SortOrder::Ascending)];
-        let sorted = borg_query::sort::sort_by(&t, &keys).unwrap();
-
-        // Reference: stable index sort with the original row-at-a-time
-        // comparator.
-        let cols: Vec<_> = keys.iter().map(|(k, _)| t.column(k).unwrap()).collect();
-        let mut idx: Vec<usize> = (0..t.num_rows()).collect();
-        idx.sort_by(|&a, &b| {
-            for (c, &(_, ord)) in cols.iter().zip(&keys) {
-                let mut o = c.get(a).sort_key_cmp(&c.get(b));
-                if ord == SortOrder::Descending {
-                    o = o.reverse();
-                }
-                if o != Ordering::Equal {
-                    return o;
-                }
+        let (o1, o2) = (order(o1), order(o2));
+        // Summed key widths, known from the inputs: the whole table has
+        // at most 82 rows (7 position bits), `wide` is 65 bits, `bits` 64.
+        let key_sets: [&[(&str, SortOrder)]; 5] = [
+            &[("k_s", o1), ("k_f", o2), ("w", SortOrder::Ascending)],
+            // 3 + 2 + 3 + 7: one u64.
+            &[("k_s", o1), ("flag", o2), ("w", SortOrder::Ascending)],
+            // An all-null key orders nothing, alone or among others.
+            &[("void", o1)],
+            // 65 + 0 + 3 + 7: one u128.
+            &[("wide", o1), ("void", o2), ("k_s", SortOrder::Ascending)],
+            // 65 + 64 and more: over 128, so passes, in mixed directions.
+            &[("wide", o1), ("bits", o2), ("k_f", SortOrder::Descending), ("flag", SortOrder::Ascending)],
+        ];
+        for keys in key_sets {
+            for table in [t.clone(), t.head(1), t.head(0)] {
+                let sorted = borg_query::sort::sort_by(&table, keys).unwrap();
+                prop_assert!(
+                    same_bits(&sorted, &naive_sort(&table, keys)),
+                    "keys {:?} over {} rows", keys, table.num_rows()
+                );
             }
-            Ordering::Equal
-        });
-        prop_assert_eq!(sorted, t.take_rows(&idx));
+        }
     }
 
     #[test]
@@ -437,6 +539,145 @@ fn parallel_pipeline_matches_sequential() {
     override_threads(0);
     assert_eq!(sequential, parallel);
     assert!(sequential.num_rows() > 0);
+}
+
+/// The row gather behind sort and join deals columns over the worker
+/// threads. Over a table of more than two blocks with all four column
+/// types and nulls, a two-key sort and an inner and a left-outer join
+/// with unmatched rows must give the same table on one thread and on
+/// eight — and the table `take_rows` gives one column at a time, which
+/// never leaves the calling thread.
+#[test]
+fn gather_is_the_same_for_any_thread_count() {
+    use borg_query::parallel::{override_threads, BLOCK_ROWS};
+    use borg_query::Column;
+    let n = BLOCK_ROWS * 2 + 4321;
+    let tiers = ["prod", "batch", "free", "mid"];
+    let nth = |i: usize, every: usize| i % every != every - 1;
+    let left = Table::from_columns(vec![
+        ("id", Column::Int((0..n).map(|i| Some(i as i64)).collect())),
+        (
+            "tier",
+            Column::Str((0..n).map(|i| nth(i, 89).then(|| tiers[i % 4])).collect()),
+        ),
+        (
+            "cpu",
+            Column::Float(
+                (0..n)
+                    .map(|i| nth(i, 31).then(|| (i * 7919 % 1000) as f64 * 0.25 - 100.0))
+                    .collect(),
+            ),
+        ),
+        (
+            "k",
+            Column::Int(
+                (0..n)
+                    .map(|i| nth(i, 53).then(|| (i * 31 % 700) as i64))
+                    .collect(),
+            ),
+        ),
+        (
+            "hot",
+            Column::Bool((0..n).map(|i| nth(i, 13).then_some(i % 3 == 0)).collect()),
+        ),
+    ])
+    .unwrap();
+    // Keys 0..500 of the left's 0..700, some twice: matched, doubly
+    // matched and unmatched left rows.
+    let m = 600usize;
+    let right = Table::from_columns(vec![
+        (
+            "k",
+            Column::Int((0..m).map(|i| Some((i % 500) as i64)).collect()),
+        ),
+        ("rid", Column::Int((0..m).map(|i| Some(i as i64)).collect())),
+        (
+            "weight",
+            Column::Float(
+                (0..m)
+                    .map(|i| nth(i, 7).then_some(i as f64 * 0.5))
+                    .collect(),
+            ),
+        ),
+        (
+            "zone",
+            Column::Str(
+                (0..m)
+                    .map(|i| nth(i, 11).then(|| ["a", "b", "c"][i % 3]))
+                    .collect(),
+            ),
+        ),
+    ])
+    .unwrap();
+
+    // `out`'s columns, each gathered alone from `source` by the row list
+    // that `rows_of` names (null = a row past the end).
+    let column_by_column = |out: &Table, source: &Table, rows_of: &str, cols: &[&str]| {
+        let rows: Vec<u32> = out
+            .column(rows_of)
+            .unwrap()
+            .int_slice()
+            .unwrap()
+            .iter()
+            .map(|r| r.map_or(u32::MAX, |r| r as u32))
+            .collect();
+        for c in cols {
+            let alone = source.project(&[c]).unwrap().take_rows(&rows);
+            assert!(
+                same_bits(&out.project(&[c]).unwrap(), &alone),
+                "column {c} by {rows_of}"
+            );
+        }
+    };
+    let run = || {
+        let sorted = Query::from(left.clone())
+            .sort_by_many(&[
+                ("tier", SortOrder::Ascending),
+                ("cpu", SortOrder::Descending),
+            ])
+            .run()
+            .unwrap();
+        let inner = Query::from(left.clone())
+            .join(right.clone(), &["k"], &["k"])
+            .run()
+            .unwrap();
+        let outer = Query::from(left.clone())
+            .left_join(right.clone(), &["k"], &["k"])
+            .run()
+            .unwrap();
+        [sorted, inner, outer]
+    };
+    override_threads(1);
+    let sequential = run();
+    override_threads(8);
+    let parallel = run();
+    override_threads(0);
+    for (seq, par) in sequential.iter().zip(&parallel) {
+        assert!(same_bits(seq, par));
+        assert!(
+            seq.num_rows() > BLOCK_ROWS,
+            "more than one block: fanned out"
+        );
+    }
+    let [sorted, inner, outer] = &parallel;
+    let left_cols = ["id", "tier", "cpu", "k", "hot"];
+    column_by_column(sorted, &left, "id", &left_cols);
+    for joined in [inner, outer] {
+        column_by_column(joined, &left, "id", &left_cols);
+        column_by_column(joined, &right, "rid", &["rid", "weight", "zone"]);
+    }
+    let unmatched = |t: &Table| {
+        t.column("rid")
+            .unwrap()
+            .int_slice()
+            .unwrap()
+            .iter()
+            .filter(|r| r.is_none())
+            .count()
+    };
+    assert_eq!(unmatched(inner), 0);
+    assert!(unmatched(outer) > 1000);
+    assert_eq!(outer.num_rows(), inner.num_rows() + unmatched(outer));
 }
 
 /// Integer and integer-valued-float keys at high cardinality, over more
@@ -642,7 +883,7 @@ fn step_by_step(source: &Table, plan: &[Op]) -> Result<Table, borg_query::QueryE
             Op::Sort(keys) => borg_query::sort::sort_by(&t, &keys)?,
             Op::Join(right, lk, rk, kind) => join(&t, &right, &lk, &rk, kind)?,
             Op::Limit(n) => {
-                let keep: Vec<usize> = (0..t.num_rows().min(n)).collect();
+                let keep: Vec<u32> = (0..t.num_rows().min(n) as u32).collect();
                 t.take_rows(&keep)
             }
         };
