@@ -659,6 +659,23 @@ mod tests {
     }
 
     #[test]
+    fn lossy_writer_refuses_a_cell_name_no_reader_takes_back() {
+        let mut t = toy_trace(10);
+        t.cell_name = "cell,v3-2019".to_string();
+        let dir = std::env::temp_dir().join(format!("borg_faults_name_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ledger = FaultLedger::default();
+        let err = write_trace_dir_lossy(&t, &dir, &CorruptionConfig::harsh(), 5, &mut ledger)
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("\"cell,v3-2019\""), "{err}");
+        assert_eq!(ledger.garbled(), 0, "refused before a line was drawn");
+        let left = std::fs::read_dir(&dir).map_or(0, |files| files.count());
+        assert_eq!(left, 0, "no file was created");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn injector_domains_and_clocks() {
         let cfg = FaultConfig {
             domain_size: 4,

@@ -5,9 +5,15 @@
 //! inspected with standard tools, and diffed. Fields never contain commas,
 //! so no quoting is needed.
 //!
-//! Each table has one `Codec`: how a row is rendered and how a line is
-//! parsed. The file-format rules the codecs, `write_table` and `Lines`
-//! must keep (shortest-round-trip floats, std's parse acceptance set, the
+//! Each table has one `Codec`: how a row is rendered, how a line is
+//! parsed, and how a line the writer could have written is recognised.
+//! `Lines` hands out every line as a slice of its read buffer; the
+//! codec's recogniser walks those bytes once and answers with the row for
+//! any line `render` emits; every other line goes to `parse`, which is
+//! the definition of what the readers accept, of the order a line's bad
+//! fields are reported in, and of every error message. The file-format
+//! rules the codecs, `write_table` and `Lines` must keep
+//! (shortest-round-trip floats, std's parse acceptance set, the
 //! line-numbering rules) are listed in DESIGN.md §11.
 
 use crate::collection::{
@@ -24,7 +30,7 @@ use crate::usage::{CpuHistogram, UsageRecord};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Errors arising while parsing a CSV trace table.
 #[derive(Debug)]
@@ -151,6 +157,116 @@ impl<'a, const N: usize> Fields<'a, N> {
     }
 }
 
+/// A line being walked by a recogniser ([`Codec::recognise`]), left to
+/// right and once: every method reads the field at the cursor and stops
+/// at its comma, [`Cursor::next`] steps over the comma, and
+/// [`Cursor::end`] holds when nothing is left, so a line is recognised
+/// only with exactly its table's field count.
+struct Cursor<'a> {
+    line: &'a [u8],
+    at: usize,
+    /// `line` as text, once a float field has asked for it: checking the
+    /// line once costs less than checking 27 fields of a usage row, and a
+    /// line with no float to convert is never checked at all.
+    text: Option<&'a str>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(line: &'a [u8]) -> Self {
+        Cursor {
+            line,
+            at: 0,
+            text: None,
+        }
+    }
+
+    /// Steps over the comma that ends the field just read.
+    fn next(&mut self) -> Option<&mut Self> {
+        if *self.line.get(self.at)? != b',' {
+            return None;
+        }
+        self.at += 1;
+        Some(self)
+    }
+
+    /// Holds at the end of the line.
+    fn end(&self) -> Option<()> {
+        (self.at == self.line.len()).then_some(())
+    }
+
+    /// An integer field, converted while looking for its comma: decimal
+    /// digits only, as the writer renders one. A sign, a blank or a
+    /// value over `u64::MAX` is for `parse_u64` to judge.
+    fn int(&mut self) -> Option<u64> {
+        let mut v: u64 = 0;
+        let mut digits = 0;
+        for &b in &self.line[self.at..] {
+            let d = u64::from(b.wrapping_sub(b'0'));
+            if d > 9 {
+                break;
+            }
+            // Nineteen digits cannot overflow.
+            v = if digits < 19 {
+                v * 10 + d
+            } else {
+                v.checked_mul(10)?.checked_add(d)?
+            };
+            digits += 1;
+        }
+        if digits == 0 {
+            return None;
+        }
+        self.at += digits;
+        Some(v)
+    }
+
+    /// An integer field of a column narrower than `u64`.
+    fn narrow<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        T::try_from(self.int()?).ok()
+    }
+
+    /// An integer field that may be empty.
+    fn optional<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        match self.line.get(self.at) {
+            None | Some(b',') => Some(None),
+            Some(_) => read(self).map(Some),
+        }
+    }
+
+    /// Steps to the end of the field, whatever it holds; where in `line`
+    /// it lies.
+    fn span(&mut self) -> std::ops::Range<usize> {
+        let rest = &self.line[self.at..];
+        let from = self.at;
+        self.at += find_byte::<b','>(rest).unwrap_or(rest.len());
+        from..self.at
+    }
+
+    /// The bytes of the field.
+    fn field(&mut self) -> &'a [u8] {
+        &self.line[self.span()]
+    }
+
+    /// A float field: whatever `f64::from_str` accepts, as `parse_f64`.
+    fn float(&mut self) -> Option<f64> {
+        let span = self.span();
+        let text = match self.text {
+            Some(text) => text,
+            None => *self.text.insert(std::str::from_utf8(self.line).ok()?),
+        };
+        text.get(span)?.parse().ok()
+    }
+
+    /// A field holding the name of one of `values`.
+    fn name<T: Copy>(&mut self, values: &[T], name: impl Fn(T) -> &'static str) -> Option<T> {
+        let field = self.field();
+        values
+            .iter()
+            .copied()
+            .find(|&v| name(v).as_bytes() == field)
+    }
+}
+
 /// Appends `v` in decimal, then a comma.
 fn push_int(out: &mut Vec<u8>, v: impl Into<u64>) {
     let mut v: u64 = v.into();
@@ -232,15 +348,24 @@ impl FloatMemo {
         out.push(b',');
     }
 
-    fn parse(&mut self, s: &str, line: usize) -> Result<f64, CsvError> {
-        if !s.is_empty() && s.as_bytes() == self.text {
-            return Ok(f64::from_bits(self.bits));
+    /// The value of a field, `None` when `f64::from_str` refuses it.
+    fn recognise(&mut self, field: &[u8]) -> Option<f64> {
+        if !field.is_empty() && field == self.text {
+            return Some(f64::from_bits(self.bits));
         }
-        let v = parse_f64(s, line)?;
+        let v: f64 = std::str::from_utf8(field).ok()?.parse().ok()?;
         self.bits = v.to_bits();
         self.text.clear();
-        self.text.extend_from_slice(s.as_bytes());
-        Ok(v)
+        self.text.extend_from_slice(field);
+        Some(v)
+    }
+
+    fn parse(&mut self, s: &str, line: usize) -> Result<f64, CsvError> {
+        match self.recognise(s.as_bytes()) {
+            Some(v) => Ok(v),
+            // Refused again, this time with the message.
+            None => parse_f64(s, line),
+        }
     }
 }
 
@@ -264,12 +389,19 @@ trait Codec: Default {
     /// turns the last comma into the newline.
     fn render(&mut self, out: &mut Vec<u8>, row: &Self::Row);
     /// Parses one data line (`n` is its 1-based number, for errors only).
+    /// This is the definition of the table's accepted language, of which
+    /// of a line's bad fields is reported, and of every message.
     fn parse(&mut self, line: &str, n: usize) -> Result<Self::Row, CsvError>;
+    /// The row of a line `render` could have written, in one walk over
+    /// its bytes; `None` hands the line to [`Codec::parse`], which alone
+    /// decides whether it is an error. `Some(row)` only where `parse`
+    /// returns `Ok(row)`.
+    fn recognise(&mut self, line: &[u8]) -> Option<Self::Row>;
 }
 
 /// Bytes rendered before a table writer hands them to its sink.
 const WRITE_CHUNK: usize = 64 * 1024;
-/// Read-buffer size of the directory readers.
+/// Bytes a table reader asks its source for at a time.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Renders a table into one reused buffer, flushed to `w` a chunk at a
@@ -298,57 +430,150 @@ fn write_table<C: Codec>(
     w.write_all(&buf)
 }
 
-/// The data lines of a table, read into one reused buffer: the header is
-/// skipped whatever it says, blank lines are skipped, `\n` and `\r\n`
-/// both end a line, and lines are numbered from 1 counting every line.
+/// What ends a table early — an I/O failure, or bytes that are not UTF-8 —
+/// with the number of the line it happened on.
+type LineError = (usize, io::Error);
+
+/// The data lines of a table, each handed out as a slice of one read
+/// buffer: the header is skipped whatever it says, blank lines are
+/// skipped, `\n` and `\r\n` both end a line, and lines are numbered from 1
+/// counting every line. Bytes are copied once more only when a refill
+/// moves the unfinished line at the buffer's end to its front.
 struct Lines<R> {
     reader: R,
+    /// `buf[start..end]` is read and not handed out; no newline in
+    /// `buf[start..searched]`.
     buf: Vec<u8>,
+    start: usize,
+    searched: usize,
+    end: usize,
     number: usize,
+    /// Bytes read so far, and how many `reader` is expected to yield in
+    /// all (0: no idea).
+    read: u64,
+    expected: u64,
 }
 
-impl<R: BufRead> Lines<R> {
-    fn new(reader: R) -> Self {
+impl<R: Read> Lines<R> {
+    fn new(reader: R, expected: u64) -> Self {
         Lines {
             reader,
-            buf: Vec::new(),
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            searched: 0,
+            end: 0,
             number: 0,
+            read: 0,
+            expected,
         }
+    }
+
+    /// About how many lines are not handed out yet, if they are as long
+    /// as those that were: 0 until a buffer's worth of them was (the
+    /// header and the first rows are no sample), and, from a reader that
+    /// came without a length, those in the buffer.
+    fn lines_ahead(&self) -> usize {
+        let unread = (self.end - self.start) as u64;
+        let taken = self.read - unread;
+        if taken < READ_CHUNK as u64 {
+            return 0;
+        }
+        let ahead = self.expected.saturating_sub(self.read) + unread;
+        let mean = taken / (self.number as u64).max(1);
+        usize::try_from(ahead / mean.max(1)).unwrap_or(usize::MAX)
     }
 
     /// The next data line and its number, `None` at the end. An I/O
-    /// failure or a line that is not UTF-8 (the header included) is an
-    /// error carrying the number of the line it happened on.
-    fn next_row(&mut self) -> Result<Option<(&str, usize)>, (usize, io::Error)> {
+    /// failure or a header that is not UTF-8 is an error carrying the
+    /// number of the line it happened on.
+    fn next_row(&mut self) -> Result<Option<(&[u8], usize)>, LineError> {
         loop {
-            self.buf.clear();
             self.number += 1;
-            let read = self
-                .reader
-                .read_until(b'\n', &mut self.buf)
-                .map_err(|e| (self.number, e))?;
-            if read == 0 {
+            let Some((from, to)) = self.next_line().map_err(|e| (self.number, e))? else {
                 return Ok(None);
-            }
-            if self.buf.last() == Some(&b'\n') {
-                self.buf.pop();
-                if self.buf.last() == Some(&b'\r') {
-                    self.buf.pop();
-                }
-            }
+            };
             if self.number == 1 {
-                if std::str::from_utf8(&self.buf).is_err() {
+                if std::str::from_utf8(&self.buf[from..to]).is_err() {
                     return Err((1, invalid_utf8()));
                 }
-            } else if !self.buf.is_empty() {
-                break;
+            } else if from < to {
+                return Ok(Some((&self.buf[from..to], self.number)));
             }
         }
-        match std::str::from_utf8(&self.buf) {
-            Ok(line) => Ok(Some((line, self.number))),
-            Err(_) => Err((self.number, invalid_utf8())),
+    }
+
+    /// Where in `buf` the next line lies, its terminator left out; `None`
+    /// when the input is used up.
+    fn next_line(&mut self) -> io::Result<Option<(usize, usize)>> {
+        loop {
+            if let Some(at) = find_byte::<b'\n'>(&self.buf[self.searched..self.end]) {
+                let newline = self.searched + at;
+                let from = self.start;
+                self.start = newline + 1;
+                self.searched = newline + 1;
+                let to = match self.buf[from..newline].last() {
+                    Some(b'\r') => newline - 1,
+                    _ => newline,
+                };
+                return Ok(Some((from, to)));
+            }
+            self.searched = self.end;
+            if !self.refill()? {
+                // The last line needs no newline.
+                let rest = (self.start, self.end);
+                self.start = self.end;
+                return Ok((rest.0 < rest.1).then_some(rest));
+            }
         }
     }
+
+    /// Reads more bytes behind those not handed out; `false` at the end
+    /// of the input. A full buffer first moves the unfinished line to its
+    /// front, or doubles when that line is all it holds.
+    fn refill(&mut self) -> io::Result<bool> {
+        if self.end == self.buf.len() {
+            if self.start == 0 {
+                self.buf.resize(self.buf.len() * 2, 0);
+            } else {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.searched -= self.start;
+                self.end -= self.start;
+                self.start = 0;
+            }
+        }
+        loop {
+            match self.reader.read(&mut self.buf[self.end..]) {
+                Ok(read) => {
+                    self.end += read;
+                    self.read += read as u64;
+                    return Ok(read > 0);
+                }
+                // As `read_until` does.
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// The index of the first byte `B`, looked for eight bytes at a time.
+fn find_byte<const B: u8>(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        // Zero where the byte is `B`.
+        let x = u64::from_le_bytes(*word) ^ (ONES * B as u64);
+        // The high bit of every zero byte of `x` and, through the
+        // subtraction's borrow, of some bytes above the first of them
+        // (`,-` reads as two commas): only the lowest bit set is exact.
+        let zeros = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        if zeros != 0 {
+            return Some(i * 8 + (zeros.trailing_zeros() / 8) as usize);
+        }
+    }
+    tail.iter()
+        .position(|&b| b == B)
+        .map(|at| words.len() * 8 + at)
 }
 
 /// The error `BufRead::lines` reports for a line that is not UTF-8.
@@ -359,13 +584,55 @@ fn invalid_utf8() -> io::Error {
     )
 }
 
-/// Strict table read: the first malformed line aborts it.
-fn read_table<C: Codec>(r: impl BufRead) -> Result<Vec<C::Row>, CsvError> {
-    let mut codec = C::default();
-    let mut lines = Lines::new(r);
+/// A table being read: its lines and the codec that turns them into rows.
+struct Rows<C, R> {
+    codec: C,
+    lines: Lines<R>,
+}
+
+impl<C: Codec, R: Read> Rows<C, R> {
+    /// The rows of `reader`, expected to yield `bytes` bytes (0: no idea).
+    fn new(reader: R, bytes: u64) -> Self {
+        Rows {
+            codec: C::default(),
+            lines: Lines::new(reader, bytes),
+        }
+    }
+
+    /// Appends a row of this table to `out`, which, when full, first
+    /// grows by the number of lines still ahead: the seventeen doublings
+    /// on the way to 374k instance rows touch twice the memory.
+    fn keep(&self, out: &mut Vec<C::Row>, row: C::Row) {
+        if out.len() == out.capacity() {
+            // Only a hint: refused, `push` grows the vector as ever.
+            let _ = out.try_reserve(self.lines.lines_ahead());
+        }
+        out.push(row);
+    }
+
+    /// The next data line's row, or what is wrong with the line (its
+    /// number is `self.lines.number`); `None` at the end.
+    fn next(&mut self) -> Result<Option<Result<C::Row, CsvError>>, LineError> {
+        let Some((line, n)) = self.lines.next_row()? else {
+            return Ok(None);
+        };
+        if let Some(row) = self.codec.recognise(line) {
+            return Ok(Some(Ok(row)));
+        }
+        match std::str::from_utf8(line) {
+            Ok(line) => Ok(Some(self.codec.parse(line, n))),
+            Err(_) => Err((n, invalid_utf8())),
+        }
+    }
+}
+
+/// Strict table read of the `bytes` bytes (0: no idea) `r` yields: the
+/// first malformed line aborts it.
+fn read_table<C: Codec>(r: impl Read, bytes: u64) -> Result<Vec<C::Row>, CsvError> {
+    let mut rows = Rows::<C, _>::new(r, bytes);
     let mut out = Vec::new();
-    while let Some((line, n)) = lines.next_row().map_err(|(_, e)| CsvError::Io(e))? {
-        out.push(codec.parse(line, n)?);
+    while let Some(row) = rows.next().map_err(|(_, e)| CsvError::Io(e))? {
+        rows.keep(&mut out, row?);
     }
     Ok(out)
 }
@@ -373,16 +640,13 @@ fn read_table<C: Codec>(r: impl BufRead) -> Result<Vec<C::Row>, CsvError> {
 /// Lenient table read: malformed lines are quarantined instead of
 /// aborting; a mid-file I/O failure records a table error and keeps
 /// what was read so far.
-fn read_table_lenient<C: Codec>(r: impl BufRead, q: &mut Quarantine) -> Vec<C::Row> {
-    let mut codec = C::default();
-    let mut lines = Lines::new(r);
+fn read_table_lenient<C: Codec>(r: impl Read, bytes: u64, q: &mut Quarantine) -> Vec<C::Row> {
+    let mut rows = Rows::<C, _>::new(r, bytes);
     let mut out = Vec::new();
     loop {
-        match lines.next_row() {
-            Ok(Some((line, n))) => match codec.parse(line, n) {
-                Ok(v) => out.push(v),
-                Err(e) => q.reject_line(C::FILE, n, e.to_string()),
-            },
+        match rows.next() {
+            Ok(Some(Ok(row))) => rows.keep(&mut out, row),
+            Ok(Some(Err(e))) => q.reject_line(C::FILE, rows.lines.number, e.to_string()),
             Ok(None) => break,
             Err((n, e)) => {
                 q.table_error(C::FILE, format!("io error near line {n}: {e}"));
@@ -437,6 +701,24 @@ impl Codec for MachineCodec {
             platform: Platform(parse_narrow(f.get(5, n)?, "platform", n)?),
         })
     }
+
+    fn recognise(&mut self, line: &[u8]) -> Option<MachineEvent> {
+        use MachineEventType::{Add, Remove, Update};
+        let mut c = Cursor::new(line);
+        let e = MachineEvent {
+            time: Micros(c.int()?),
+            machine_id: MachineId(c.next()?.narrow()?),
+            event_type: c.next()?.name(&[Add, Remove, Update], |ty| match ty {
+                Add => "add",
+                Remove => "remove",
+                Update => "update",
+            })?,
+            capacity: Resources::new(c.next()?.float()?, c.next()?.float()?),
+            platform: Platform(c.next()?.narrow()?),
+        };
+        c.end()?;
+        Some(e)
+    }
 }
 
 /// Writes the machine-events table.
@@ -452,7 +734,7 @@ pub fn parse_machine_line(line: &str, n: usize) -> Result<MachineEvent, CsvError
 
 /// Reads the machine-events table.
 pub fn read_machine_events(r: impl BufRead) -> Result<Vec<MachineEvent>, CsvError> {
-    read_table::<MachineCodec>(r)
+    read_table::<MachineCodec>(r, 0)
 }
 
 fn scheduler_name(s: SchedulerKind) -> &'static str {
@@ -520,6 +802,37 @@ impl Codec for CollectionCodec {
             user_id: UserId(parse_narrow(f.get(9, n)?, "user_id", n)?),
         })
     }
+
+    fn recognise(&mut self, line: &[u8]) -> Option<CollectionEvent> {
+        let mut c = Cursor::new(line);
+        let e = CollectionEvent {
+            time: Micros(c.int()?),
+            collection_id: CollectionId(c.next()?.int()?),
+            event_type: c.next()?.name(&EventType::ALL, EventType::name)?,
+            collection_type: c.next()?.name(
+                &[CollectionType::Job, CollectionType::AllocSet],
+                CollectionType::name,
+            )?,
+            priority: Priority::new(c.next()?.narrow()?),
+            scheduler: c.next()?.name(
+                &[SchedulerKind::Default, SchedulerKind::Batch],
+                scheduler_name,
+            )?,
+            vertical_scaling: c.next()?.name(
+                &[
+                    VerticalScalingMode::Off,
+                    VerticalScalingMode::Constrained,
+                    VerticalScalingMode::Full,
+                ],
+                VerticalScalingMode::name,
+            )?,
+            parent_id: c.next()?.optional(Cursor::int)?.map(CollectionId),
+            alloc_collection_id: c.next()?.optional(Cursor::int)?.map(CollectionId),
+            user_id: UserId(c.next()?.narrow()?),
+        };
+        c.end()?;
+        Some(e)
+    }
 }
 
 /// Writes the collection-events table.
@@ -534,7 +847,7 @@ pub fn parse_collection_line(line: &str, n: usize) -> Result<CollectionEvent, Cs
 
 /// Reads the collection-events table.
 pub fn read_collection_events(r: impl BufRead) -> Result<Vec<CollectionEvent>, CsvError> {
-    read_table::<CollectionCodec>(r)
+    read_table::<CollectionCodec>(r, 0)
 }
 
 /// The instance-events table; an instance's request repeats from event to
@@ -594,6 +907,33 @@ impl Codec for InstanceCodec {
             alloc_instance,
         })
     }
+
+    fn recognise(&mut self, line: &[u8]) -> Option<InstanceEvent> {
+        let mut c = Cursor::new(line);
+        let e = InstanceEvent {
+            time: Micros(c.int()?),
+            instance_id: InstanceId::new(CollectionId(c.next()?.int()?), c.next()?.narrow()?),
+            event_type: c.next()?.name(&EventType::ALL, EventType::name)?,
+            machine_id: c.next()?.optional(Cursor::narrow)?.map(MachineId),
+            request: Resources::new(
+                self.cpu.recognise(c.next()?.field())?,
+                self.mem.recognise(c.next()?.field())?,
+            ),
+            priority: Priority::new(c.next()?.narrow()?),
+            alloc_instance: match (
+                c.next()?.optional(Cursor::int)?,
+                c.next()?.optional(Cursor::narrow)?,
+            ) {
+                (Some(collection), Some(index)) => {
+                    Some(InstanceId::new(CollectionId(collection), index))
+                }
+                (None, None) => None,
+                _ => return None,
+            },
+        };
+        c.end()?;
+        Some(e)
+    }
 }
 
 /// Writes the instance-events table.
@@ -608,7 +948,7 @@ pub fn parse_instance_line(line: &str, n: usize) -> Result<InstanceEvent, CsvErr
 
 /// Reads the instance-events table.
 pub fn read_instance_events(r: impl BufRead) -> Result<Vec<InstanceEvent>, CsvError> {
-    read_table::<InstanceCodec>(r)
+    read_table::<InstanceCodec>(r, 0)
 }
 
 /// The usage table (histogram inlined as 21 extra columns). Measured
@@ -674,6 +1014,28 @@ impl Codec for UsageCodec {
             cpu_histogram: CpuHistogram(hist),
         })
     }
+
+    fn recognise(&mut self, line: &[u8]) -> Option<UsageRecord> {
+        let mut c = Cursor::new(line);
+        let mut u = UsageRecord {
+            start: Micros(c.int()?),
+            end: Micros(c.next()?.int()?),
+            instance_id: InstanceId::new(CollectionId(c.next()?.int()?), c.next()?.narrow()?),
+            machine_id: MachineId(c.next()?.narrow()?),
+            avg_usage: Resources::new(c.next()?.float()?, c.next()?.float()?),
+            max_usage: Resources::new(c.next()?.float()?, c.next()?.float()?),
+            limit: Resources::new(
+                self.limit_cpu.recognise(c.next()?.field())?,
+                self.limit_mem.recognise(c.next()?.field())?,
+            ),
+            cpu_histogram: CpuHistogram([0.0; 21]),
+        };
+        for bucket in &mut u.cpu_histogram.0 {
+            *bucket = c.next()?.float()? as f32;
+        }
+        c.end()?;
+        Some(u)
+    }
 }
 
 /// Writes the usage table (histogram inlined as 21 extra columns).
@@ -688,7 +1050,7 @@ pub fn parse_usage_line(line: &str, n: usize) -> Result<UsageRecord, CsvError> {
 
 /// Reads the usage table.
 pub fn read_usage(r: impl BufRead) -> Result<Vec<UsageRecord>, CsvError> {
-    read_table::<UsageCodec>(r)
+    read_table::<UsageCodec>(r, 0)
 }
 
 /// Writes every table of a trace into a directory, one file per table.
@@ -729,6 +1091,17 @@ fn write_tables<W: Write>(
         write_table::<C>(&mut w, rows, &mut |line| before_row(C::FILE, line))?;
         w.flush()
     }
+    // Fields are not quoted: such a name would shift the metadata row,
+    // and no reader would take the directory back.
+    if trace.cell_name.contains([',', '\n', '\r']) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "cell name {:?} holds a comma or a line break, which {FILE_METADATA} cannot",
+                trace.cell_name
+            ),
+        ));
+    }
     table::<MachineCodec, W>(create(FILE_MACHINE)?, &trace.machine_events, before_row)?;
     table::<CollectionCodec, W>(
         create(FILE_COLLECTION)?,
@@ -750,13 +1123,18 @@ fn write_tables<W: Write>(
     w.flush()
 }
 
+/// The length of an open table file, 0 when the system will not say.
+fn file_len(f: &std::fs::File) -> u64 {
+    f.metadata().map_or(0, |m| m.len())
+}
+
 /// Reads a trace previously written by [`write_trace_dir`]. Errors are
 /// wrapped as [`CsvError::Table`] naming the offending file.
 pub fn read_trace_dir(dir: &std::path::Path) -> Result<Trace, CsvError> {
     fn load<C: Codec>(dir: &std::path::Path) -> Result<Vec<C::Row>, CsvError> {
         std::fs::File::open(dir.join(C::FILE))
             .map_err(CsvError::Io)
-            .and_then(|f| read_table::<C>(std::io::BufReader::with_capacity(READ_CHUNK, f)))
+            .and_then(|f| read_table::<C>(&f, file_len(&f)))
             .map_err(|e| in_file(C::FILE, e))
     }
     let (cell_name, schema, horizon) = std::fs::read_to_string(dir.join(FILE_METADATA))
@@ -910,7 +1288,7 @@ pub fn read_trace_dir_lenient(dir: &std::path::Path) -> (Trace, Quarantine) {
     };
     fn load<C: Codec>(dir: &std::path::Path, q: &mut Quarantine) -> Vec<C::Row> {
         match std::fs::File::open(dir.join(C::FILE)) {
-            Ok(f) => read_table_lenient::<C>(std::io::BufReader::with_capacity(READ_CHUNK, f), q),
+            Ok(f) => read_table_lenient::<C>(&f, file_len(&f), q),
             Err(e) => {
                 q.table_error(C::FILE, format!("io error: {e}"));
                 Vec::new()
@@ -1345,5 +1723,597 @@ mod tests {
         assert_eq!(t.horizon, Micros::from_secs(6));
         assert_eq!(q.table_errors.len(), 4, "metadata + three tables");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_cell_name_the_metadata_row_cannot_hold_is_refused() {
+        let dir = std::env::temp_dir().join(format!("borg_csv_name_{}", std::process::id()));
+        for name in ["a,b", "a\nb", "a\rb", ","] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let t = Trace {
+                cell_name: name.to_string(),
+                ..sample_trace()
+            };
+            let err = write_trace_dir(&t, &dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(&format!("{name:?}")), "{err}");
+            let left: Vec<_> = std::fs::read_dir(&dir).map_or(Vec::new(), |d| d.collect());
+            assert!(left.is_empty(), "no file was created");
+        }
+        // Any other name round-trips, to the metadata bytes it always had.
+        let t = Trace {
+            cell_name: "cell d.2019-05 (a)".to_string(),
+            ..sample_trace()
+        };
+        write_trace_dir(&t, &dir).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join(FILE_METADATA)).unwrap(),
+            "cell_name,schema,horizon\ncell d.2019-05 (a),v3-2019,172800000000\n"
+        );
+        assert_eq!(read_trace_dir(&dir).unwrap().cell_name, t.cell_name);
+        assert_eq!(read_trace_dir_lenient(&dir).0.cell_name, t.cell_name);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Yields `bytes` at most `step` at a time and fails once `fail_at`
+    /// bytes (if any) were read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        fail_at: Option<usize>,
+        at: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.fail_at == Some(self.at) {
+                return Err(io::Error::other("disk on fire"));
+            }
+            let end = (self.at + self.step.min(buf.len()))
+                .min(self.fail_at.unwrap_or(usize::MAX))
+                .min(self.bytes.len());
+            let chunk = &self.bytes[self.at..end];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.at = end;
+            Ok(chunk.len())
+        }
+    }
+
+    /// The refill sizes of the boundary tests: every phase of a short
+    /// sequence, and one byte either side of the reader's own buffer.
+    const STEPS: [usize; 7] = [1, 2, 3, 7, 4095, READ_CHUNK - 1, READ_CHUNK + 1];
+
+    /// A machine table of some 200 KiB with, scattered through it, what a
+    /// refill must not tear: `\r\n`, blank lines, a multi-byte character
+    /// and an invalid byte sequence (both in lines `parse` rejects), a line
+    /// longer than the buffer, and a last line without its newline.
+    fn boundary_table(invalid_utf8: bool) -> Vec<u8> {
+        let mut bytes = b"time,machine_id,event_type,cpu,mem,platform\r\n".to_vec();
+        for i in 0..6000u32 {
+            match i % 1000 {
+                100 => bytes.extend_from_slice(b"\r\n\n"),
+                300 => bytes.extend_from_slice("1,2,ädd,0.5,0.5,0\n".as_bytes()),
+                500 if invalid_utf8 && i > 3000 => bytes.extend_from_slice(b"1,2,\xE2\x82,0,0,0\n"),
+                700 => {
+                    bytes.extend_from_slice(b"7,");
+                    bytes.resize(bytes.len() + READ_CHUNK + 10, b'0');
+                    bytes.extend_from_slice(b"8,update,0.5,0.25,1\r\n");
+                }
+                _ => {}
+            }
+            let end = if i % 3 == 0 { "\r\n" } else { "\n" };
+            bytes.extend_from_slice(
+                format!("{i},{},add,0.5,0.25,{}{end}", i * 7, i % 256).as_bytes(),
+            );
+        }
+        bytes.extend_from_slice(b"9,9,remove,0,0,9");
+        bytes
+    }
+
+    fn lenient(r: impl Read) -> (Vec<MachineEvent>, Quarantine) {
+        let mut q = Quarantine::default();
+        let rows = read_table_lenient::<MachineCodec>(r, 0, &mut q);
+        (rows, q)
+    }
+
+    fn assert_same_ingest(
+        got: (Vec<MachineEvent>, Quarantine),
+        want: &(Vec<MachineEvent>, Quarantine),
+        what: &str,
+    ) {
+        assert!(got.0 == want.0, "{what}: rows");
+        assert_eq!(got.1.line_counts, want.1.line_counts, "{what}: counts");
+        assert_eq!(
+            got.1.table_errors, want.1.table_errors,
+            "{what}: table errors"
+        );
+        assert_eq!(
+            format!("{:?}", got.1.lines),
+            format!("{:?}", want.1.lines),
+            "{what}: rejected lines"
+        );
+    }
+
+    #[test]
+    fn lenient_reader_reads_the_same_across_any_refill_boundary() {
+        let header_only: &[u8] = b"time,machine_id,event_type,cpu,mem,platform\n";
+        let tables = [
+            boundary_table(false),
+            boundary_table(true),
+            header_only.to_vec(),
+            Vec::new(),
+        ];
+        for (t, bytes) in tables.iter().enumerate() {
+            let want = lenient(&bytes[..]);
+            if t < 2 {
+                assert!(
+                    want.0.len() > 3000 && want.1.total_lines() >= 3,
+                    "table {t}"
+                );
+                assert_eq!(
+                    want.1.table_errors.len(),
+                    t,
+                    "only the invalid bytes end a table"
+                );
+            }
+            for step in STEPS {
+                let trickle = Trickle {
+                    bytes,
+                    step,
+                    fail_at: None,
+                    at: 0,
+                };
+                assert_same_ingest(lenient(trickle), &want, &format!("table {t} step {step}"));
+            }
+        }
+        // A failing source: the lines complete by then, and the number of
+        // the one that was being read.
+        let bytes = &tables[0];
+        for fail_at in [0, 1, 44, 45, 46, 70_000, 150_000, bytes.len()] {
+            let complete = bytes[..fail_at]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |p| p + 1);
+            let mut want = lenient(&bytes[..complete]);
+            let line = bytes[..complete].iter().filter(|&&b| b == b'\n').count() + 1;
+            want.1.table_errors.push((
+                FILE_MACHINE.to_string(),
+                format!("io error near line {line}: disk on fire"),
+            ));
+            for step in STEPS {
+                let trickle = Trickle {
+                    bytes,
+                    step,
+                    fail_at: Some(fail_at),
+                    at: 0,
+                };
+                assert_same_ingest(
+                    lenient(trickle),
+                    &want,
+                    &format!("fail at {fail_at} step {step}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_length_is_only_a_hint() {
+        let bytes = boundary_table(false);
+        let want = lenient(&bytes[..]);
+        let len = bytes.len() as u64;
+        for expected in [len, 1, len / 10, len * 10, u64::MAX] {
+            let mut q = Quarantine::default();
+            let rows = read_table_lenient::<MachineCodec>(&bytes[..], expected, &mut q);
+            if expected == len {
+                // Sized once, from the first buffer's lines.
+                assert!(rows.capacity() < rows.len() * 3 / 2, "{}", rows.capacity());
+            }
+            assert_same_ingest((rows, q), &want, &format!("expecting {expected} bytes"));
+        }
+    }
+
+    #[test]
+    fn find_byte_finds_the_first_of_neighbouring_matches() {
+        // The word-at-a-time mask also flags the byte after a match when
+        // it is one more than the needle (`,-`, `\n\x0b`).
+        for len in 0..40 {
+            for at in 0..len {
+                let mut bytes = vec![b'x'; len];
+                bytes[at] = b',';
+                for b in &mut bytes[at + 1..] {
+                    *b = b'-';
+                }
+                assert_eq!(find_byte::<b','>(&bytes), Some(at), "{len} {at}");
+                bytes[at] = b'-';
+                assert_eq!(find_byte::<b','>(&bytes), None, "{len} {at}");
+            }
+        }
+    }
+
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Every field of a row as an integer, floats by `to_bits`: `==` on
+    /// rows calls `-0.0` and `0.0` equal and a NaN unequal to itself.
+    trait Bits {
+        fn bits(&self) -> Vec<u64>;
+    }
+
+    fn float_bits(r: Resources) -> [u64; 2] {
+        [r.cpu.to_bits(), r.mem.to_bits()]
+    }
+
+    fn opt_bits(v: Option<u64>) -> [u64; 2] {
+        [u64::from(v.is_some()), v.unwrap_or(0)]
+    }
+
+    impl Bits for MachineEvent {
+        fn bits(&self) -> Vec<u64> {
+            let mut out = vec![
+                self.time.0,
+                self.machine_id.0.into(),
+                self.event_type as u64,
+            ];
+            out.extend(float_bits(self.capacity));
+            out.push(self.platform.0.into());
+            out
+        }
+    }
+
+    impl Bits for CollectionEvent {
+        fn bits(&self) -> Vec<u64> {
+            let mut out = vec![
+                self.time.0,
+                self.collection_id.0,
+                self.event_type as u64,
+                self.collection_type as u64,
+                self.priority.0.into(),
+                self.scheduler as u64,
+                self.vertical_scaling as u64,
+                self.user_id.0.into(),
+            ];
+            out.extend(opt_bits(self.parent_id.map(|c| c.0)));
+            out.extend(opt_bits(self.alloc_collection_id.map(|c| c.0)));
+            out
+        }
+    }
+
+    impl Bits for InstanceEvent {
+        fn bits(&self) -> Vec<u64> {
+            let mut out = vec![
+                self.time.0,
+                self.instance_id.collection.0,
+                self.instance_id.index.into(),
+                self.event_type as u64,
+                self.priority.0.into(),
+            ];
+            out.extend(opt_bits(self.machine_id.map(|m| m.0.into())));
+            out.extend(float_bits(self.request));
+            out.extend(opt_bits(self.alloc_instance.map(|a| a.collection.0)));
+            out.extend(opt_bits(self.alloc_instance.map(|a| a.index.into())));
+            out
+        }
+    }
+
+    impl Bits for UsageRecord {
+        fn bits(&self) -> Vec<u64> {
+            let mut out = vec![
+                self.start.0,
+                self.end.0,
+                self.instance_id.collection.0,
+                self.instance_id.index.into(),
+                self.machine_id.0.into(),
+            ];
+            for r in [self.avg_usage, self.max_usage, self.limit] {
+                out.extend(float_bits(r));
+            }
+            out.extend(self.cpu_histogram.0.iter().map(|v| u64::from(v.to_bits())));
+            out
+        }
+    }
+
+    /// What the recogniser promises about `line`: `Some(row)` only where
+    /// `parse` returns that row. Returns whether it recognised the line.
+    fn holds_to_parse<C: Codec>(recogniser: &mut C, parser: &mut C, line: &[u8]) -> bool
+    where
+        C::Row: Bits,
+    {
+        let Some(row) = recogniser.recognise(line) else {
+            return false;
+        };
+        let text = std::str::from_utf8(line).expect("a recognised line is UTF-8");
+        let parsed = parser
+            .parse(text, 1)
+            .unwrap_or_else(|e| panic!("recognised, but {e}: {text}"));
+        assert_eq!(row.bits(), parsed.bits(), "{text}");
+        true
+    }
+
+    fn below(rng: &mut StdRng, n: usize) -> usize {
+        (rng.random::<u64>() % n as u64) as usize
+    }
+
+    /// Column values at and between the edges of their types.
+    fn any_u64(rng: &mut StdRng) -> u64 {
+        [0, u64::MAX, rng.random(), rng.random::<u64>() % 100_000][below(rng, 4)]
+    }
+
+    fn any_u32(rng: &mut StdRng) -> u32 {
+        [0, u32::MAX, rng.random(), rng.random::<u32>() % 1000][below(rng, 4)]
+    }
+
+    fn any_f64(rng: &mut StdRng) -> f64 {
+        let edges = [-0.0, 0.0, 1e300, 5e-324, 0.1 + 0.2, f64::NAN, f64::INFINITY];
+        match below(rng, 3) {
+            0 => f64::from_bits(rng.random()),
+            1 => edges[below(rng, edges.len())],
+            _ => rng.random(),
+        }
+    }
+
+    fn any_resources(rng: &mut StdRng) -> Resources {
+        Resources::new(any_f64(rng), any_f64(rng))
+    }
+
+    fn any_instance(rng: &mut StdRng) -> InstanceId {
+        InstanceId::new(CollectionId(any_u64(rng)), any_u32(rng))
+    }
+
+    /// Seeded rows of all four tables: every enum value in turn, optional
+    /// fields present and absent, and floats that repeat from row to row
+    /// (a memo hit) or do not.
+    fn seeded_trace(rows: usize) -> Trace {
+        let rng = &mut StdRng::seed_from_u64(0xC5F0);
+        let mut t = Trace::new("seeded", SchemaVersion::V3Trace2019, Micros::ZERO);
+        let mut request = Resources::new(0.25, 0.125);
+        for i in 0..rows {
+            if rng.random_bool(0.5) {
+                request = any_resources(rng);
+            }
+            let event_type = EventType::ALL[i % EventType::ALL.len()];
+            t.machine_events.push(MachineEvent {
+                time: Micros(any_u64(rng)),
+                machine_id: MachineId(any_u32(rng)),
+                event_type: [
+                    MachineEventType::Add,
+                    MachineEventType::Remove,
+                    MachineEventType::Update,
+                ][i % 3],
+                capacity: any_resources(rng),
+                platform: Platform([0, u8::MAX, rng.random::<u32>() as u8][i % 3]),
+            });
+            t.collection_events.push(CollectionEvent {
+                time: Micros(any_u64(rng)),
+                collection_id: CollectionId(any_u64(rng)),
+                event_type,
+                collection_type: [CollectionType::Job, CollectionType::AllocSet][i % 2],
+                priority: Priority([0, u16::MAX, 450, rng.random::<u32>() as u16][i % 4]),
+                scheduler: [SchedulerKind::Default, SchedulerKind::Batch][i / 2 % 2],
+                vertical_scaling: [
+                    VerticalScalingMode::Off,
+                    VerticalScalingMode::Constrained,
+                    VerticalScalingMode::Full,
+                ][i % 3],
+                parent_id: rng.random_bool(0.5).then(|| CollectionId(any_u64(rng))),
+                alloc_collection_id: rng.random_bool(0.5).then(|| CollectionId(any_u64(rng))),
+                user_id: UserId(any_u32(rng)),
+            });
+            t.instance_events.push(InstanceEvent {
+                time: Micros(any_u64(rng)),
+                instance_id: any_instance(rng),
+                event_type,
+                machine_id: rng.random_bool(0.5).then(|| MachineId(any_u32(rng))),
+                request,
+                priority: Priority([0, u16::MAX, 450, rng.random::<u32>() as u16][i % 4]),
+                alloc_instance: rng.random_bool(0.5).then(|| any_instance(rng)),
+            });
+            let mut cpu_histogram = CpuHistogram([0.0; 21]);
+            for bucket in &mut cpu_histogram.0 {
+                *bucket = match below(rng, 3) {
+                    0 => f32::from_bits(rng.random()),
+                    1 => [-0.0, f32::MAX, f32::MIN_POSITIVE, 1e-45][below(rng, 4)],
+                    _ => rng.random(),
+                };
+            }
+            t.usage.push(UsageRecord {
+                start: Micros(any_u64(rng)),
+                end: Micros(any_u64(rng)),
+                instance_id: any_instance(rng),
+                machine_id: MachineId(any_u32(rng)),
+                avg_usage: any_resources(rng),
+                max_usage: any_resources(rng),
+                limit: request,
+                cpu_histogram,
+            });
+        }
+        t
+    }
+
+    /// `csv_fuzz.rs`'s replacement fields.
+    const FIELDS: [&str; 16] = [
+        "",
+        "+1",
+        "-1",
+        "1e3",
+        "nan",
+        "NaN",
+        "inf",
+        "-0",
+        "0x10",
+        " 1",
+        "1 ",
+        "18446744073709551615",
+        "18446744073709551616",
+        "4294967296",
+        "000000000000000000000000000000000000000007",
+        "1.7976931348623157e309",
+    ];
+
+    /// One of `csv_fuzz.rs`'s byte-level edits, within a line.
+    fn mutate_line(line: &mut Vec<u8>, rng: &mut StdRng) {
+        if line.is_empty() {
+            return;
+        }
+        let at = below(rng, line.len());
+        match below(rng, 7) {
+            0 => line[at] ^= 1 << below(rng, 8),
+            1 => {
+                let len = (1 + below(rng, 16)).min(line.len() - at);
+                line.drain(at..at + len);
+            }
+            2 => line.truncate(at),
+            3 => line.insert(at, b'\r'),
+            4 => line.insert(at, 0),
+            5 => {
+                let bad: &[u8] =
+                    [&[0xFF][..], &[0xC3], &[0xE2, 0x82], &[0xF0, 0x9F]][below(rng, 4)];
+                line.splice(at..at, bad.iter().copied());
+            }
+            _ => line.insert(at, b','),
+        }
+    }
+
+    /// Completeness: every line `render` writes for `rows` is recognised,
+    /// to the row `parse` returns. Soundness: whatever is made of those
+    /// lines by each of `FIELDS` in every column and by byte-level damage,
+    /// a recognised line is one `parse` takes to the same row.
+    fn recogniser_agrees_with_parse<C: Codec>(rows: &[C::Row], rng: &mut StdRng)
+    where
+        C::Row: Bits,
+    {
+        let mut table = Vec::new();
+        write_table::<C>(&mut table, rows, &mut |_| {}).unwrap();
+        let lines: Vec<&[u8]> = table.split(|&b| b == b'\n').skip(1).collect();
+        let lines = &lines[..rows.len()];
+        let (mut recogniser, mut parser) = (C::default(), C::default());
+        let hits = lines
+            .iter()
+            .filter(|line| holds_to_parse(&mut recogniser, &mut parser, line))
+            .count();
+        assert_eq!(
+            hits,
+            lines.len(),
+            "{}: a rendered line was declined",
+            C::FILE
+        );
+
+        let (mut substituted, mut damaged) = (0, 0);
+        for line in lines {
+            let fields: Vec<&[u8]> = line.split(|&b| b == b',').collect();
+            for column in 0..fields.len() {
+                for field in FIELDS {
+                    let mut fields = fields.clone();
+                    fields[column] = field.as_bytes();
+                    let line = fields.join(&b","[..]);
+                    substituted += usize::from(holds_to_parse(&mut recogniser, &mut parser, &line));
+                }
+            }
+            for _ in 0..40 {
+                let mut line = line.to_vec();
+                for _ in 0..=below(rng, 3) {
+                    mutate_line(&mut line, rng);
+                }
+                damaged += usize::from(holds_to_parse(&mut recogniser, &mut parser, &line));
+            }
+        }
+        // The damage must land on both sides of the recogniser.
+        assert!(
+            substituted > 0 && damaged > 0,
+            "{}: nothing recognised",
+            C::FILE
+        );
+    }
+
+    #[test]
+    fn recognisers_take_every_rendered_line_and_nothing_parse_refuses() {
+        let t = seeded_trace(120);
+        let rng = &mut StdRng::seed_from_u64(0x5EED);
+        recogniser_agrees_with_parse::<MachineCodec>(&t.machine_events, rng);
+        recogniser_agrees_with_parse::<CollectionCodec>(&t.collection_events, rng);
+        recogniser_agrees_with_parse::<InstanceCodec>(&t.instance_events, rng);
+        recogniser_agrees_with_parse::<UsageCodec>(&t.usage, rng);
+    }
+
+    #[test]
+    fn recognisers_decline_what_render_does_not_write() {
+        /// Whether the table's recogniser takes the line, and whether
+        /// `parse` does.
+        fn verdicts(file: &str, line: &str) -> (bool, bool) {
+            let bytes = line.as_bytes();
+            match file {
+                FILE_MACHINE => (
+                    MachineCodec.recognise(bytes).is_some(),
+                    parse_machine_line(line, 2).is_ok(),
+                ),
+                FILE_COLLECTION => (
+                    CollectionCodec.recognise(bytes).is_some(),
+                    parse_collection_line(line, 2).is_ok(),
+                ),
+                FILE_INSTANCE => (
+                    InstanceCodec::default().recognise(bytes).is_some(),
+                    parse_instance_line(line, 2).is_ok(),
+                ),
+                _ => (
+                    UsageCodec::default().recognise(bytes).is_some(),
+                    parse_usage_line(line, 2).is_ok(),
+                ),
+            }
+        }
+        let usage = format!("1,2,3,4,5{}", ",0.5".repeat(27));
+        let valid = [
+            (FILE_MACHINE, "1,2,add,0.5,0.25,3"),
+            (FILE_COLLECTION, "1,2,submit,job,200,default,off,3,4,5"),
+            (FILE_INSTANCE, "1,2,3,submit,4,0.5,0.25,200,5,6"),
+            (FILE_USAGE, usage.as_str()),
+        ];
+        for (file, line) in valid {
+            assert_eq!(verdicts(file, line), (true, true), "{file}");
+            // Extra trailing fields: `parse` ignores them, `render` does
+            // not write them.
+            for extra in [",", ",7", ",,"] {
+                let line = format!("{line}{extra}");
+                assert_eq!(verdicts(file, &line), (false, true), "{file}: {line}");
+            }
+            // A line that stops one field short, with or without the comma.
+            let short = &line[..line.rfind(',').unwrap()];
+            assert_eq!(verdicts(file, short), (false, false), "{file}: {short}");
+            // `4294967296` in every column: too wide for the narrow ones,
+            // and then `parse` refuses it too.
+            let fields: Vec<&str> = line.split(',').collect();
+            for column in 0..fields.len() {
+                let mut fields = fields.clone();
+                fields[column] = "4294967296";
+                let (recognised, parsed) = verdicts(file, &fields.join(","));
+                assert_eq!(recognised, parsed, "{file}: column {column}");
+            }
+            // A sign in the first integer column: `+1` is `parse`'s alone.
+            for (field, parsed) in [("-0", false), ("-1", false), ("+1", true)] {
+                let line = format!("{field}{}", &line[1..]);
+                assert_eq!(verdicts(file, &line), (false, parsed), "{file}: {line}");
+            }
+        }
+        // Nine fields ending in a comma: the end of the line is not a
+        // second comma.
+        let nine = "1,2,3,submit,4,0.5,0.25,200,";
+        assert_eq!(verdicts(FILE_INSTANCE, nine), (false, false));
+        // A half-specified alloc pair, either half.
+        for line in [
+            "1,2,3,submit,4,0.5,0.25,200,5,",
+            "1,2,3,submit,4,0.5,0.25,200,,6",
+        ] {
+            assert_eq!(verdicts(FILE_INSTANCE, line), (false, false), "{line}");
+        }
+        // `,-0` and `,-1` inside a line, where the comma search sees `,-`.
+        for line in [
+            "1,-0,3,submit,4,0.5,0.25,200,5,6",
+            "1,2,3,submit,-1,0.5,0.25,200,5,6",
+        ] {
+            assert_eq!(verdicts(FILE_INSTANCE, line), (false, false), "{line}");
+        }
+        // A float column takes them.
+        assert_eq!(
+            verdicts(FILE_INSTANCE, "1,2,3,submit,4,-0,-1,200,5,6"),
+            (true, true)
+        );
     }
 }

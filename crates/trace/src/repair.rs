@@ -21,7 +21,7 @@
 use crate::collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
 };
-use crate::group::entity_order;
+use crate::group::{entity_order, Entity};
 use crate::instance::InstanceEvent;
 use crate::machine::{MachineEvent, MachineEventType, MachineId, Platform};
 use crate::priority::Priority;
@@ -226,23 +226,19 @@ fn bridge(state: Option<InstanceState>, event: EventType) -> Option<&'static [Ev
     Some(b)
 }
 
-/// Where a surviving row goes in the output: tables come out sorted by
-/// this, which is "group by entity, sort each group by time, concatenate,
+/// Where a surviving row goes in the output: its time above its index in
+/// entity-major order, in one integer. Tables come out sorted by this,
+/// which is "group by entity, sort each group by time, concatenate,
 /// stable-sort by time" without the intermediate copies.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Slot {
-    time: Micros,
-    /// The row's index in entity-major order.
-    rank: usize,
-    /// The row's index in the input table.
-    pos: usize,
+fn slot_of(time: Micros, rank: usize) -> u128 {
+    u128::from(time.0) << 64 | rank as u128
 }
 
-/// `Slot::rank` of a row that does not survive.
-const REMOVED: usize = usize::MAX;
+/// The slot of a row that does not survive (no table has this many rows).
+const REMOVED: u128 = u128::MAX;
 
 /// The per-table kernel: dedupes, walks and reorders `rows` in one pass
-/// over [`entity_order`]'s keys.
+/// over them in [`entity_order`].
 ///
 /// Entity by entity, in `(time, input position)` order: a row equal to an
 /// earlier row of the same entity and timestamp is a duplicate and is
@@ -253,42 +249,36 @@ const REMOVED: usize = usize::MAX;
 /// in front of it. The survivors are then laid out by `(time, entity,
 /// input position)`. When nothing was removed or made and the table is in
 /// that order already, it is left untouched.
-fn rewrite_by_entity<T: Copy + PartialEq, K: Ord + Copy>(
+fn rewrite_by_entity<T: Copy + PartialEq, K: Entity + PartialEq>(
     rows: &mut Vec<T>,
     counts: &mut TableRepair,
     key: impl Fn(&T) -> (K, Micros),
     mut visit: impl FnMut(&T, bool) -> Walk,
     synth: impl Fn(&T, EventType) -> T,
 ) {
-    let keys = entity_order(rows, &key);
+    let by_entity = entity_order(rows, &key);
     // Filled by input position during the entity-major walk.
-    let mut order = vec![
-        Slot {
-            time: Micros::ZERO,
-            rank: REMOVED,
-            pos: 0
-        };
-        rows.len()
-    ];
+    let mut order = vec![REMOVED; rows.len()];
     // The few rows that need bridge rows in front, and which.
-    let mut bridged: Vec<(Slot, &'static [EventType])> = Vec::new();
+    let mut bridged: Vec<(u128, &'static [EventType])> = Vec::new();
     let before = counts.total();
+    // The previous row's entity and time, and where its run of rows that
+    // share both starts.
+    let mut previous = None;
     let mut run_start = 0;
-    for (rank, cur) in keys.iter().enumerate() {
-        let new_entity = rank == 0 || keys[rank - 1].entity != cur.entity;
-        if new_entity || keys[rank - 1].time != cur.time {
+    for (rank, &pos) in by_entity.iter().enumerate() {
+        let row = &rows[pos];
+        let (entity, time) = key(row);
+        let new_entity = previous.is_none_or(|(e, _)| e != entity);
+        if previous != Some((entity, time)) {
             run_start = rank;
         }
-        let row = &rows[cur.pos];
-        if keys[run_start..rank].iter().any(|e| rows[e.pos] == *row) {
+        previous = Some((entity, time));
+        if by_entity[run_start..rank].iter().any(|&e| rows[e] == *row) {
             counts.deduped += 1;
             continue;
         }
-        let slot = Slot {
-            time: cur.time,
-            rank,
-            pos: cur.pos,
-        };
+        let slot = slot_of(time, rank);
         match visit(row, new_entity) {
             Walk::Legal => {}
             Walk::Bridged(steps) => {
@@ -300,25 +290,25 @@ fn rewrite_by_entity<T: Copy + PartialEq, K: Ord + Copy>(
                 continue;
             }
         }
-        order[cur.pos] = slot;
+        order[pos] = slot;
     }
-    drop(keys);
 
     let changed = counts.total() != before;
     if changed {
-        order.retain(|slot| slot.rank != REMOVED);
+        order.retain(|&slot| slot != REMOVED);
     }
     if !changed && order.is_sorted() {
         return;
     }
-    // Ingested tables are close to time order already, which the stable
-    // sort's run detection turns into a near-linear pass.
-    order.sort();
+    // Ranks are distinct, so no two slots are equal.
+    order.sort_unstable();
     bridged.sort_unstable_by_key(|&(slot, _)| slot);
+    let made: usize = bridged.iter().map(|(_, steps)| steps.len()).sum();
     let mut bridged = bridged.into_iter().peekable();
-    let mut out = Vec::with_capacity(rows.len());
+    let mut out = Vec::with_capacity(order.len() + made);
     for slot in order {
-        let row = rows[slot.pos];
+        // The low half is the rank.
+        let row = rows[by_entity[slot as u64 as usize]];
         if let Some((_, steps)) = bridged.next_if(|&(at, _)| at == slot) {
             out.extend(steps.iter().map(|&step| synth(&row, step)));
         }

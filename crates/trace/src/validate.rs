@@ -167,10 +167,10 @@ pub fn validate_with(trace: &Trace, cfg: &ValidateConfig) -> Vec<Violation> {
 
 fn check_collection_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
     let events = &trace.collection_events;
-    let keys = entity_order(events, &|e| (e.collection_id, e.time));
-    for group in keys.chunk_by(|a, b| a.entity == b.entity) {
-        let id = group[0].entity;
-        let lifecycle = || group.iter().map(|k| &events[k.pos]);
+    let order = entity_order(events, &|e| (e.collection_id, e.time));
+    for group in order.chunk_by(|&a, &b| events[a].collection_id == events[b].collection_id) {
+        let id = events[group[0]].collection_id;
+        let lifecycle = || group.iter().map(|&pos| &events[pos]);
         if let Some(first_terminal) = lifecycle().find(|e| e.event_type.is_terminal()) {
             if let Some(first_submit) = lifecycle().find(|e| e.event_type == EventType::Submit) {
                 if first_terminal.time < first_submit.time {
@@ -204,15 +204,15 @@ fn check_instance_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &Vali
     known_collections.sort_unstable();
     known_collections.dedup();
     let events = &trace.instance_events;
-    let keys = entity_order(events, &|e| (e.instance_id, e.time));
-    for group in keys.chunk_by(|a, b| a.entity == b.entity) {
-        let id = group[0].entity;
+    let order = entity_order(events, &|e| (e.instance_id, e.time));
+    for group in order.chunk_by(|&a, &b| events[a].instance_id == events[b].instance_id) {
+        let id = events[group[0]].instance_id;
         if !known_collections.is_empty() && known_collections.binary_search(&id.collection).is_err()
         {
             out.push(Violation::OrphanInstance { instance: id });
         }
         let mut sm = StateMachine::new();
-        for ev in group.iter().map(|k| &events[k.pos]) {
+        for ev in group.iter().map(|&pos| &events[pos]) {
             if sm.apply(ev.event_type).is_err() {
                 out.push(Violation::IllegalInstanceTransition {
                     instance: id,
@@ -269,12 +269,13 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
 
     // One sort groups each window's records, still in table order, which
     // is the order their usage is summed in.
-    let keys = entity_order(&windowed, &|rec| (rec.machine_id, rec.start));
-    for window in keys.chunk_by(|a, b| (a.entity, a.time) == (b.entity, b.time)) {
-        let (machine, start) = (window[0].entity, window[0].time);
+    let window_of = |rec: &&UsageRecord| (rec.machine_id, rec.start);
+    let order = entity_order(&windowed, &window_of);
+    for window in order.chunk_by(|&a, &b| window_of(&windowed[a]) == window_of(&windowed[b])) {
+        let (machine, start) = window_of(&windowed[window[0]]);
         let mut used = Resources::ZERO;
-        for k in window {
-            used += windowed[k.pos].avg_usage;
+        for &pos in window {
+            used += windowed[pos].avg_usage;
         }
         if let Some(cap) = capacity.get(&machine) {
             if used.cpu > cap.cpu * cfg.capacity_tolerance {
