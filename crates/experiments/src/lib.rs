@@ -7,6 +7,8 @@
 //! emits the same rows/series the paper reports. `all` runs the complete
 //! battery — its month-scale output is what EXPERIMENTS.md records.
 
+pub mod paper;
+
 use borg_core::pipeline::SimScale;
 use borg_sim::CellOutcome;
 
@@ -31,63 +33,79 @@ impl Default for ExpOpts {
     }
 }
 
-/// Parses `--scale` and `--seed` from `std::env::args`.
-///
-/// # Panics
-///
-/// Panics with a usage message on unknown arguments.
-pub fn parse_opts() -> ExpOpts {
+/// Parses `--scale`, `--seed` and `--dump`; anything not starting with
+/// `-` is returned in order as a positional argument.
+pub fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(ExpOpts, Vec<String>), String> {
     let mut opts = ExpOpts::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut positional = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--scale" => {
-                i += 1;
-                opts.scale = match args.get(i).map(String::as_str) {
+                opts.scale = match args.next().as_deref() {
                     Some("tiny") => SimScale::Tiny,
                     Some("small") => SimScale::Small,
                     Some("month") => SimScale::Month,
-                    other => panic!("unknown scale {other:?}; use tiny|small|month"),
-                };
+                    other => return Err(format!("unknown scale {other:?}; use tiny|small|month")),
+                }
             }
             "--seed" => {
-                i += 1;
                 opts.seed = args
-                    .get(i)
+                    .next()
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("--seed needs an integer"));
+                    .ok_or("--seed needs an integer")?
             }
             "--dump" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .unwrap_or_else(|| panic!("--dump needs a directory"));
-                opts.dump = Some(std::path::PathBuf::from(dir));
+                let dir = args.next().filter(|d| !d.starts_with('-'));
+                opts.dump = Some(dir.ok_or("--dump needs a directory")?.into());
             }
-            other => {
-                panic!(
-                    "unknown argument {other:?}; usage: [--scale tiny|small|month] [--seed N] [--dump DIR]"
-                )
+            flag if flag.starts_with('-') => {
+                return Err(format!(
+                    "unknown argument {flag:?}; options: [--scale tiny|small|month] [--seed N] [--dump DIR]"
+                ))
             }
+            _ => positional.push(arg),
         }
-        i += 1;
     }
-    opts
+    Ok((opts, positional))
 }
 
-/// Prints a standard experiment banner.
-pub fn banner(id: &str, what: &str, opts: &ExpOpts) {
+/// The options of a binary that takes no positional arguments, from
+/// `std::env::args`; a bad command line is reported on stderr and exits 2.
+pub fn parse_opts() -> ExpOpts {
+    let parsed =
+        parse_args(std::env::args().skip(1)).and_then(|(opts, positional)| {
+            match positional.first() {
+                None => Ok(opts),
+                Some(arg) => Err(format!("unknown argument {arg:?}")),
+            }
+        });
+    parsed.unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// Reports a bad command line on stderr and exits 2.
+pub fn exit_usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// The scale and seed a run used, in one line.
+pub fn scale_line(opts: &ExpOpts) -> String {
     let cfg = opts.scale.config(opts.seed);
-    println!("=== {id}: {what} ===");
-    println!(
+    format!(
         "scale: {:?} ({}% of a cell, {:.0} days, seed {})",
         opts.scale,
         cfg.scale * 100.0,
         cfg.horizon.as_days_f64(),
         opts.seed
-    );
-    println!();
+    )
+}
+
+/// Prints a standard experiment banner.
+pub fn banner(id: &str, what: &str, opts: &ExpOpts) {
+    println!("=== {id}: {what} ===");
+    println!("{}\n", scale_line(opts));
 }
 
 /// Prints a CCDF compactly: sample count, median, and tail quantiles.
@@ -141,10 +159,39 @@ pub fn labelled(outcomes: &[CellOutcome]) -> Vec<(&str, &CellOutcome)> {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<(ExpOpts, Vec<String>), String> {
+        parse_args(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn defaults() {
-        let o = ExpOpts::default();
+        let (o, positional) = parse(&[]).unwrap();
         assert_eq!(o.seed, 2019);
         assert_eq!(o.scale, SimScale::Small);
+        assert!(o.dump.is_none() && positional.is_empty());
+    }
+
+    #[test]
+    fn options_and_positionals_in_any_order() {
+        let (o, positional) =
+            parse(&["a", "--seed", "7", "b", "--scale", "tiny", "--dump", "out"]).unwrap();
+        assert_eq!((o.seed, o.scale), (7, SimScale::Tiny));
+        assert_eq!(o.dump, Some("out".into()));
+        assert_eq!(positional, ["a", "b"]);
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors_not_panics() {
+        for (args, needle) in [
+            (&["--seed", "x"][..], "--seed needs an integer"),
+            (&["--seed"], "--seed needs an integer"),
+            (&["--dump"], "--dump needs a directory"),
+            (&["--dump", "--seed", "1"], "--dump needs a directory"),
+            (&["--scale", "bogus"], "use tiny|small|month"),
+            (&["--shards"], "unknown argument"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 }
