@@ -1,16 +1,13 @@
 #![warn(missing_docs)]
 
-//! Shared scaffolding for the experiment binaries.
-//!
-//! Every binary accepts `--scale tiny|small|month` (default `small`) and
-//! `--seed N` (default 2019), prints which experiment it reproduces, and
-//! emits the same rows/series the paper reports. `all` runs the complete
-//! battery — its month-scale output is what EXPERIMENTS.md records.
+//! The paper's experiments ([`paper`]) and the command-line scaffolding
+//! every binary of this crate shares: `--scale tiny|small|month` (default
+//! `small`), `--seed N` (default 2019), `--dump DIR`, and a banner saying
+//! what is being reproduced at which scale.
 
 pub mod paper;
 
 use borg_core::pipeline::SimScale;
-use borg_sim::CellOutcome;
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -106,53 +103,6 @@ pub fn scale_line(opts: &ExpOpts) -> String {
 pub fn banner(id: &str, what: &str, opts: &ExpOpts) {
     println!("=== {id}: {what} ===");
     println!("{}\n", scale_line(opts));
-}
-
-/// Prints a CCDF compactly: sample count, median, and tail quantiles.
-pub fn print_ccdf_summary(name: &str, ccdf: &borg_analysis::ccdf::Ccdf) {
-    if ccdf.is_empty() {
-        println!("{name}: (no samples)");
-        return;
-    }
-    let q = |p: f64| ccdf.quantile_exceeding(p).unwrap_or(f64::NAN);
-    println!(
-        "{name}: n={}  median={:.4}  p90={:.4}  p99={:.4}  max={:.4}",
-        ccdf.len(),
-        ccdf.median().unwrap_or(f64::NAN),
-        q(0.10),
-        q(0.01),
-        ccdf.samples().last().copied().unwrap_or(f64::NAN),
-    );
-}
-
-/// Writes an `(x, y)` series as a two-column CSV into the dump directory,
-/// when one was requested. Errors are reported, not fatal.
-pub fn dump_series(opts: &ExpOpts, name: &str, series: &[(f64, f64)]) {
-    let Some(dir) = &opts.dump else {
-        return;
-    };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("dump: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.csv"));
-    let mut out = String::from("x,y\n");
-    for (x, y) in series {
-        out.push_str(&format!("{x},{y}\n"));
-    }
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("dump: cannot write {}: {e}", path.display());
-    } else {
-        println!("(wrote {})", path.display());
-    }
-}
-
-/// Labels for the 2019 outcomes ("a" … "h").
-pub fn labelled(outcomes: &[CellOutcome]) -> Vec<(&str, &CellOutcome)> {
-    outcomes
-        .iter()
-        .map(|o| (o.metrics.cell_name.as_str(), o))
-        .collect()
 }
 
 #[cfg(test)]

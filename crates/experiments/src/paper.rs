@@ -166,110 +166,26 @@ fn ccdf_line(out: &mut String, name: &str, ccdf: &Ccdf) {
 }
 
 /// Every experiment, in the paper's order.
+#[rustfmt::skip]
 pub const EXPERIMENTS: &[Experiment] = &[
     entry("table1", "Table 1", "trace summary comparison", table1),
-    entry(
-        "figure01",
-        "Figure 1",
-        "machine-shape frequency by CPU and memory",
-        figure01,
-    ),
-    entry(
-        "figure02",
-        "Figure 2",
-        "fraction of cell capacity used per hour, by tier",
-        figure02,
-    ),
-    entry(
-        "figure03",
-        "Figure 3",
-        "average usage by tier per cell",
-        |inp, out| per_cell_bars(inp, out, Quantity::Usage),
-    ),
-    entry(
-        "figure04",
-        "Figure 4",
-        "fraction of cell capacity allocated per hour",
-        figure04,
-    ),
-    entry(
-        "figure05",
-        "Figure 5",
-        "average allocation by tier per cell",
-        |inp, out| per_cell_bars(inp, out, Quantity::Allocation),
-    ),
-    entry(
-        "figure06",
-        "Figure 6",
-        "machine utilization CCDFs at the day-15 snapshot",
-        figure06,
-    ),
-    entry(
-        "figure07",
-        "Figure 7",
-        "state-transition counts in cell g",
-        figure07,
-    ),
-    entry(
-        "figure08",
-        "Figure 8",
-        "job submissions per hour (full-cell rates)",
-        figure08,
-    ),
-    entry(
-        "figure09",
-        "Figure 9",
-        "task submissions per hour, new tasks vs all tasks",
-        figure09,
-    ),
-    entry(
-        "figure10",
-        "Figure 10",
-        "job scheduling delay (ready → first task running, seconds)",
-        figure10,
-    ),
-    entry(
-        "figure11",
-        "Figure 11",
-        "tasks per job by tier (calibrated model, uncapped)",
-        figure11,
-    ),
-    entry(
-        "figure12",
-        "Figure 12",
-        "CCDF of usage-integral per job (log-log)",
-        figure12,
-    ),
-    entry(
-        "figure13",
-        "Figure 13",
-        "median NMU-hours per 1-NCU-hour bucket",
-        figure13,
-    ),
-    entry(
-        "figure14",
-        "Figure 14",
-        "peak NCU slack (%) by autopilot mode",
-        figure14,
-    ),
-    entry(
-        "table2",
-        "Table 2",
-        "per-job NCU-hour / NMU-hour distribution statistics",
-        table2,
-    ),
-    entry(
-        "section5",
-        "Section 5",
-        "alloc sets (§5.1) and terminations (§5.2)",
-        section5,
-    ),
-    entry(
-        "section7",
-        "Section 7.3",
-        "Pollaczek–Khinchine delays for the measured C²",
-        section7,
-    ),
+    entry("figure01", "Figure 1", "machine-shape frequency by CPU and memory", figure01),
+    entry("figure02", "Figure 2", "fraction of cell capacity used per hour, by tier", figure02),
+    entry("figure03", "Figure 3", "average usage by tier per cell", |inp, out| per_cell_bars(inp, out, Quantity::Usage)),
+    entry("figure04", "Figure 4", "fraction of cell capacity allocated per hour", figure04),
+    entry("figure05", "Figure 5", "average allocation by tier per cell", |inp, out| per_cell_bars(inp, out, Quantity::Allocation)),
+    entry("figure06", "Figure 6", "machine utilization CCDFs at the day-15 snapshot", figure06),
+    entry("figure07", "Figure 7", "state-transition counts in cell g", figure07),
+    entry("figure08", "Figure 8", "job submissions per hour (full-cell rates)", figure08),
+    entry("figure09", "Figure 9", "task submissions per hour, new tasks vs all tasks", figure09),
+    entry("figure10", "Figure 10", "job scheduling delay (ready → first task running, seconds)", figure10),
+    entry("figure11", "Figure 11", "tasks per job by tier (calibrated model, uncapped)", figure11),
+    entry("figure12", "Figure 12", "CCDF of usage-integral per job (log-log)", figure12),
+    entry("figure13", "Figure 13", "median NMU-hours per 1-NCU-hour bucket", figure13),
+    entry("figure14", "Figure 14", "peak NCU slack (%) by autopilot mode", figure14),
+    entry("table2", "Table 2", "per-job NCU-hour / NMU-hour distribution statistics", table2),
+    entry("section5", "Section 5", "alloc sets (§5.1) and terminations (§5.2)", section5),
+    entry("section7", "Section 7.3", "Pollaczek–Khinchine delays for the measured C²", section7),
 ];
 
 const fn entry(
@@ -589,54 +505,83 @@ fn table2(inp: &Inputs, out: &mut String) {
 }
 
 fn section5(inp: &Inputs, out: &mut String) {
-    fn row(out: &mut String, what: &str, measured: String, paper: &str) {
-        say!(out, "{what}: {measured} ({paper})");
+    fn row(out: &mut String, what: &str, fraction: f64, paper: &str) {
+        say!(out, "{what}: {} ({paper})", pct(fraction));
     }
     let refs = inp.refs_2019();
 
     let a = allocs::alloc_stats(&refs);
     say!(out, "--- §5.1 alloc sets (paper values in parentheses) ---");
-    let share = pct(a.alloc_set_collection_fraction);
-    row(out, "alloc sets among collections", share, "2%");
-    let share = pct(a.alloc_cpu_allocation_share);
-    row(out, "alloc sets' share of CPU allocation", share, "20%");
-    let share = pct(a.alloc_mem_allocation_share);
-    row(out, "alloc sets' share of RAM allocation", share, "18%");
-    let share = pct(a.jobs_in_alloc_fraction);
-    row(out, "jobs running in an alloc set", share, "15%");
-    let share = pct(a.in_alloc_prod_fraction);
-    row(out, "of those, production tier", share, "95%");
-    let fill = format!(
-        "{} vs {}",
-        pct(a.mem_fill_in_alloc),
-        pct(a.mem_fill_outside)
+    row(
+        out,
+        "alloc sets among collections",
+        a.alloc_set_collection_fraction,
+        "2%",
     );
     row(
         out,
-        "memory utilization in-alloc vs others",
-        fill,
-        "73% vs 41%",
+        "alloc sets' share of CPU allocation",
+        a.alloc_cpu_allocation_share,
+        "20%",
+    );
+    row(
+        out,
+        "alloc sets' share of RAM allocation",
+        a.alloc_mem_allocation_share,
+        "18%",
+    );
+    row(
+        out,
+        "jobs running in an alloc set",
+        a.jobs_in_alloc_fraction,
+        "15%",
+    );
+    row(
+        out,
+        "of those, production tier",
+        a.in_alloc_prod_fraction,
+        "95%",
+    );
+    say!(
+        out,
+        "memory utilization in-alloc vs others: {} vs {} (73% vs 41%)",
+        pct(a.mem_fill_in_alloc),
+        pct(a.mem_fill_outside)
     );
 
     let t = terminations::termination_stats(&refs);
     say!(out, "\n--- §5.2 terminations ---");
-    let share = pct(t.collections_with_evictions);
-    row(out, "collections with any eviction", share, "3.2%");
-    let share = pct(t.evicted_nonprod_fraction);
-    row(out, "evicted collections below production", share, "96.6%");
-    let share = pct(t.prod_collections_evicted);
-    row(out, "production collections evicted", share, "<0.2%");
-    let share = pct(t.single_eviction_fraction);
+    row(
+        out,
+        "collections with any eviction",
+        t.collections_with_evictions,
+        "3.2%",
+    );
+    row(
+        out,
+        "evicted collections below production",
+        t.evicted_nonprod_fraction,
+        "96.6%",
+    );
+    row(
+        out,
+        "production collections evicted",
+        t.prod_collections_evicted,
+        "<0.2%",
+    );
     row(
         out,
         "evicted collections with exactly one eviction",
-        share,
+        t.single_eviction_fraction,
         "52%",
     );
-    let share = pct(t.kill_rate_with_parent);
-    row(out, "kill rate with parent", share, "87%");
-    let share = pct(t.kill_rate_without_parent);
-    row(out, "kill rate without parent", share, "41%");
+    row(out, "kill rate with parent", t.kill_rate_with_parent, "87%");
+    row(
+        out,
+        "kill rate without parent",
+        t.kill_rate_without_parent,
+        "41%",
+    );
 }
 
 fn section7(inp: &Inputs, out: &mut String) {
