@@ -1,60 +1,13 @@
 #!/usr/bin/env sh
-# Repo-wide sanity gate: formatting, lints, build, tests.
+# Repo-wide sanity gate: formatting, lints, build, tests, report smoke.
+# `--help` lists the modes; at most one may be given.
 #
 # Everything runs with --offline: the container has no crates.io access and
 # all dependencies are workspace-local (see DESIGN.md §8).
 #
-# With --lint, runs only the borg-lint stage (fast pre-commit loop).
-# Set LINT_BASELINE=<file> to grandfather known findings during an
-# incremental cleanup; `borg-lint --write-baseline <file>` creates one.
-# Every lint run writes machine-readable findings to
-# target/lint-findings.json (the CI artifact) and enforces a 5-second
-# wall-time budget over the analysis itself (total_ms in the JSON):
-# the linter sits on the pre-commit path, so its cost is a contract.
-#
-# With --lint-graph, dumps the contract/pool reachability set computed
-# from the call graph (one `file:line  fn  tag` row per policed
-# function) — the review surface for "what does the contract cover?".
-#
-# With --bench, also smoke-runs every criterion benchmark once
-# (CRITERION_SMOKE=1): proves the bench suite builds and executes without
-# paying for real measurements.
-#
-# With --chaos, runs only the chaos roundtrip suite (fault injection →
-# lossy write → lenient read → repair → validate) and borg-trace's
-# differential and fuzz suites (the CSV, repair and validate kernels
-# against their test-only reference implementations, DESIGN.md §11),
-# the fast loop when working on the fault subsystem or the trace I/O
-# kernels.
-#
-# With --shards, runs only the sharded-placement equivalence suite
-# (every shard count bit-identical to the single index, DESIGN.md §14),
-# the fast loop when working on the shard/pool subsystem.
-#
-# With --serve, runs only the borg-serve fast loop: the crate's unit
-# tests plus the wall-clock chaos smoke (200 mixed-tier queries through
-# a real ServePool with injected stalls and panics; asserts clean drain
-# and zero prod deadline misses, DESIGN.md §16). Budgeted under 10 s
-# after the build.
-#
-# With --slo, runs only the observability fast loop: the witness / SLO
-# / flight-recorder unit tests plus the serve_slo experiment at tiny
-# scale (incident replay byte-identity, exemplar drill-down, chaos-off
-# control; DESIGN.md §17).
-#
-# With --profile, runs only the borg-telemetry profile report
-# (experiments/profile): the per-event-kind breakdown of a 512-machine
-# cell-day, with the query-engine round-trip and chrome-trace JSON
-# checks asserted in-process. A small smoke run of the same binary is
-# part of the default path so the exporters can't rot.
-#
-# With --pipeline, runs only pipeline-bench's self-check
-# (benchmark/run.sh --check): the harness's unit tests, then all five
-# BENCHMARK.json workloads at tiny scale, untraced and traced, with
-# their output checks on (digests, SQL vs simulator metrics, served
-# bytes vs direct execution). It builds into target/benchmark; nothing
-# under benchmark/ is edited. The fast loop for any change that claims
-# or must not move a benchmark number.
+# Every lint run enforces a 5-second wall-time budget over the analysis
+# itself (total_ms in target/lint-findings.json): the linter sits on the
+# pre-commit path, so its cost is a contract.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -63,9 +16,9 @@ usage() {
     cat <<'EOF'
 usage: scripts/check.sh [MODE]
 
-Default (no flag): lint, fmt, clippy, build, tests, profile smoke.
+Default (no flag): lint, fmt, clippy, build, tests, paper and profile smoke.
 
-Modes:
+Modes (at most one):
   --lint        borg-lint only (fast pre-commit loop; honors $LINT_BASELINE)
   --lint-graph  dump the computed contract/pool reachability set and exit
   --chaos    chaos roundtrip + trace-kernel differential/fuzz suites only
@@ -79,26 +32,17 @@ Modes:
 EOF
 }
 
-run_bench=0
-lint_only=0
-lint_graph=0
-chaos_only=0
-profile_only=0
-shards_only=0
-serve_only=0
-slo_only=0
-pipeline_only=0
+mode=
 for arg in "$@"; do
     case "$arg" in
-    --bench) run_bench=1 ;;
-    --lint) lint_only=1 ;;
-    --lint-graph) lint_graph=1 ;;
-    --chaos) chaos_only=1 ;;
-    --shards) shards_only=1 ;;
-    --serve) serve_only=1 ;;
-    --slo) slo_only=1 ;;
-    --profile) profile_only=1 ;;
-    --pipeline) pipeline_only=1 ;;
+    --bench | --lint | --lint-graph | --chaos | --shards | --serve | --slo | --profile | --pipeline)
+        if [ -n "$mode" ]; then
+            echo "more than one mode: $mode $arg" >&2
+            usage >&2
+            exit 2
+        fi
+        mode=$arg
+        ;;
     --help | -h)
         usage
         exit 0
@@ -111,7 +55,7 @@ for arg in "$@"; do
     esac
 done
 
-if [ "$profile_only" -eq 1 ]; then
+if [ "$mode" = --profile ]; then
     echo "==> telemetry profile (512-machine cell-day)"
     cargo run -q --release -p borg-experiments --offline --bin profile
     echo "==> telemetry profile (512-machine cell-day, 4 placement shards)"
@@ -120,14 +64,14 @@ if [ "$profile_only" -eq 1 ]; then
     exit 0
 fi
 
-if [ "$pipeline_only" -eq 1 ]; then
+if [ "$mode" = --pipeline ]; then
     echo "==> pipeline-bench self-check (unit tests + five workloads, tiny inputs, both modes)"
     bash benchmark/run.sh --check
     echo "Pipeline check passed."
     exit 0
 fi
 
-if [ "$shards_only" -eq 1 ]; then
+if [ "$mode" = --shards ]; then
     echo "==> sharded-placement equivalence (bit-identity across shard counts)"
     cargo test -p borg-sim --test shard_equivalence --offline -q
     cargo test -p borg-sim --offline -q --lib shard::
@@ -136,7 +80,7 @@ if [ "$shards_only" -eq 1 ]; then
     exit 0
 fi
 
-if [ "$serve_only" -eq 1 ]; then
+if [ "$mode" = --serve ]; then
     echo "==> borg-serve unit tests"
     cargo test -p borg-serve --offline -q
     echo "==> serve smoke (wall-clock chaos: stalls, panics, tiered deadlines)"
@@ -145,7 +89,7 @@ if [ "$serve_only" -eq 1 ]; then
     exit 0
 fi
 
-if [ "$slo_only" -eq 1 ]; then
+if [ "$mode" = --slo ]; then
     echo "==> observability unit tests (witness, slo, recorder)"
     cargo test -p borg-serve --offline -q --lib witness::
     cargo test -p borg-serve --offline -q --lib slo::
@@ -158,7 +102,7 @@ if [ "$slo_only" -eq 1 ]; then
     exit 0
 fi
 
-if [ "$chaos_only" -eq 1 ]; then
+if [ "$mode" = --chaos ]; then
     echo "==> chaos roundtrip (fault injection & trace repair)"
     cargo test -p borg2019 --test chaos_roundtrip --offline -q
     echo "==> trace kernels vs reference implementations (differential + fuzz)"
@@ -193,13 +137,13 @@ run_lint() {
     echo "lint budget: ${total_ms} ms of ${LINT_BUDGET_MS} ms; findings artifact at $LINT_JSON"
 }
 
-if [ "$lint_graph" -eq 1 ]; then
+if [ "$mode" = --lint-graph ]; then
     echo "==> borg-lint --dump-graph (contract/pool reachability set)"
     cargo run -q --release -p borg-lint --offline -- --root . --dump-graph
     exit 0
 fi
 
-if [ "$lint_only" -eq 1 ]; then
+if [ "$mode" = --lint ]; then
     run_lint
     echo "Lint check passed."
     exit 0
@@ -219,11 +163,14 @@ cargo build --release --workspace --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> paper smoke (every table, figure and section at tiny scale)"
+cargo run -q --release -p borg-experiments --offline --bin paper -- --scale tiny >/dev/null
+
 echo "==> telemetry profile smoke (64-machine cell-day)"
 cargo run -q --release -p borg-experiments --offline --bin profile -- --machines 64 >/dev/null
 cargo run -q --release -p borg-experiments --offline --bin profile -- --machines 64 --shards 4 >/dev/null
 
-if [ "$run_bench" -eq 1 ]; then
+if [ "$mode" = --bench ]; then
     echo "==> cargo bench (smoke: one pass per benchmark)"
     CRITERION_SMOKE=1 cargo bench --workspace --offline
 fi
