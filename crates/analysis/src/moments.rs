@@ -118,11 +118,6 @@ impl Moments {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Smallest observation; `+inf` when empty.
     pub fn min(&self) -> f64 {
         self.min

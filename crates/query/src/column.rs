@@ -168,22 +168,6 @@ impl Column {
         }
     }
 
-    /// The raw float cells, for float columns.
-    pub fn float_slice(&self) -> Option<&[Option<f64>]> {
-        match self {
-            Column::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The raw boolean cells, for bool columns.
-    pub fn bool_slice(&self) -> Option<&[Option<bool>]> {
-        match self {
-            Column::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Appends a value, checking its type against the column.
     ///
     /// Integers are accepted into float columns (widening); everything

@@ -18,15 +18,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 /// `HashSet` with the deterministic [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Snapshot of a hash set's elements in sorted order — the blessed way
-/// (borg-lint rule D1) to iterate an [`FxHashSet`] when anything
-/// order-sensitive is derived from the traversal.
-pub fn sorted_set<T: Ord + Copy>(set: &FxHashSet<T>) -> Vec<T> {
-    let mut v: Vec<T> = set.iter().copied().collect();
-    v.sort_unstable();
-    v
-}
-
 /// Snapshot of a hash map's entries in key-sorted order — the blessed
 /// way (borg-lint rule D1) to iterate an [`FxHashMap`] when anything
 /// order-sensitive is derived from the traversal.

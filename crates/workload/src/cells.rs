@@ -303,11 +303,6 @@ impl CellProfile {
         self.tiers.iter().find(|t| t.tier == tier)
     }
 
-    /// Total target CPU utilization across tiers.
-    pub fn total_target_cpu_util(&self) -> f64 {
-        self.tiers.iter().map(|t| t.target_cpu_util).sum()
-    }
-
     /// Total target CPU *allocation* (usage ÷ fill) across tiers — the
     /// over-commitment level of Figures 4/5.
     pub fn total_target_cpu_alloc(&self) -> f64 {

@@ -84,18 +84,6 @@ impl JobSpec {
         self.tasks.iter().map(|t| t.request).sum()
     }
 
-    /// The job's intended usage integral in resource-hours (full duration,
-    /// ignoring early termination).
-    pub fn intended_integral(&self) -> Resources {
-        self.tasks
-            .iter()
-            .map(|t| {
-                t.usage
-                    .integral_over(self.submit_time, self.submit_time + self.duration)
-            })
-            .sum()
-    }
-
     /// The realized run duration after the termination intent.
     pub fn realized_duration(&self) -> Micros {
         match self.termination {
@@ -139,11 +127,6 @@ impl Workload {
     /// Total number of collections (jobs + alloc sets).
     pub fn collection_count(&self) -> usize {
         self.jobs.len() + self.alloc_sets.len()
-    }
-
-    /// Total number of task replicas across all jobs.
-    pub fn task_count(&self) -> usize {
-        self.jobs.iter().map(|j| j.tasks.len()).sum()
     }
 }
 
