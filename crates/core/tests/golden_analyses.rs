@@ -5,7 +5,7 @@
 //! Every float is pinned as its `f64::to_bits` pattern (hex), followed
 //! by a `{:e}` rendering so a mismatch reads as a diff a person can
 //! size up. Table 2 is pinned twice: as the rendered table (what
-//! `experiments/table2` prints) and field by field.
+//! `paper table2` prints) and field by field.
 //!
 //! The pinned values were printed by the routines at the commit that
 //! introduced this file — the slice-taking `percentiles`, `top_share`,
