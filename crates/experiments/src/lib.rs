@@ -71,14 +71,11 @@ pub fn parse_args(
 /// The options of a binary that takes no positional arguments, from
 /// `std::env::args`; a bad command line is reported on stderr and exits 2.
 pub fn parse_opts() -> ExpOpts {
-    let parsed =
-        parse_args(std::env::args().skip(1)).and_then(|(opts, positional)| {
-            match positional.first() {
-                None => Ok(opts),
-                Some(arg) => Err(format!("unknown argument {arg:?}")),
-            }
-        });
-    parsed.unwrap_or_else(|e| exit_usage(&e))
+    match parse_args(std::env::args().skip(1)) {
+        Ok((opts, positional)) if positional.is_empty() => opts,
+        Ok((_, positional)) => exit_usage(&format!("unknown argument {:?}", positional[0])),
+        Err(e) => exit_usage(&e),
+    }
 }
 
 /// Reports a bad command line on stderr and exits 2.

@@ -22,7 +22,7 @@ use borg_core::report::{pct, render_series};
 use borg_sim::CellOutcome;
 use borg_trace::priority::Tier;
 use borg_workload::integral::IntegralModel;
-use std::cell::{Cell, OnceCell};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// `println!` into the report text.
@@ -67,7 +67,6 @@ impl Experiment {
 pub struct Inputs {
     opts: ExpOpts,
     eras: OnceCell<(CellOutcome, Vec<CellOutcome>)>,
-    simulations: Cell<u32>,
     samples_2019: OnceCell<(Vec<f64>, Vec<f64>)>,
 }
 
@@ -77,21 +76,19 @@ impl Inputs {
         Inputs {
             opts,
             eras: OnceCell::new(),
-            simulations: Cell::new(0),
             samples_2019: OnceCell::new(),
         }
     }
 
-    /// How many times the two eras have been simulated: 0 or 1.
-    pub fn simulations(&self) -> u32 {
-        self.simulations.get()
+    /// Whether an experiment has asked for the simulation yet. It runs
+    /// on the first request and is kept, so never more than once.
+    pub fn simulated(&self) -> bool {
+        self.eras.get().is_some()
     }
 
     fn eras(&self) -> &(CellOutcome, Vec<CellOutcome>) {
-        self.eras.get_or_init(|| {
-            self.simulations.set(self.simulations.get() + 1);
-            simulate_both_eras(self.opts.scale, self.opts.seed)
-        })
+        self.eras
+            .get_or_init(|| simulate_both_eras(self.opts.scale, self.opts.seed))
     }
 
     fn y2011(&self) -> &CellOutcome {
@@ -282,13 +279,10 @@ fn figure02(inp: &Inputs, out: &mut String) {
             &averaged,
         );
         for (tier, series) in &averaged {
-            let days = || {
-                series
-                    .iter()
-                    .enumerate()
-                    .map(|(h, &v)| (h as f64 / 24.0, v))
-            };
-            inp.dump(&format!("figure02_2019_{dn}_{tier}"), || days().collect());
+            inp.dump(&format!("figure02_2019_{dn}_{tier}"), || {
+                let days = series.iter().enumerate();
+                days.map(|(h, &v)| (h as f64 / 24.0, v)).collect()
+            });
         }
     }
 }

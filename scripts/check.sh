@@ -4,10 +4,6 @@
 #
 # Everything runs with --offline: the container has no crates.io access and
 # all dependencies are workspace-local (see DESIGN.md §8).
-#
-# Every lint run enforces a 5-second wall-time budget over the analysis
-# itself (total_ms in target/lint-findings.json): the linter sits on the
-# pre-commit path, so its cost is a contract.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -115,7 +111,8 @@ fi
 # §15). Runs first — it needs only `cargo build -p borg-lint`, so it
 # reports before the full workspace compiles. Honors $LINT_BASELINE if
 # set. Always leaves target/lint-findings.json behind as the CI
-# artifact, and budgets the analysis at 5 s of wall time (total_ms as
+# artifact, and budgets the analysis at 5 s of wall time — the linter
+# sits on the pre-commit path, so its cost is a contract (total_ms as
 # the linter itself measures it, so the guard is independent of cargo's
 # compile time on a cold target dir).
 LINT_JSON=target/lint-findings.json
