@@ -98,7 +98,9 @@ fn parse_narrow<T: TryFrom<u64>>(s: &str, what: &str, line: usize) -> Result<T, 
     T::try_from(v).map_err(|_| parse_err(line, format!("{what} {v} out of range")))
 }
 
-fn parse_f64(s: &str, line: usize) -> Result<f64, CsvError> {
+/// A float field: `f64::from_str` for an `f64` column, `f32::from_str`
+/// (one grammar, each rounded once) for a histogram bucket.
+fn parse_float<T: std::str::FromStr>(s: &str, line: usize) -> Result<T, CsvError> {
     s.parse()
         .map_err(|_| parse_err(line, format!("bad float {s:?}")))
 }
@@ -247,8 +249,8 @@ impl<'a> Cursor<'a> {
         &self.line[self.span()]
     }
 
-    /// A float field: whatever `f64::from_str` accepts, as `parse_f64`.
-    fn float(&mut self) -> Option<f64> {
+    /// A float field: whatever `T::from_str` accepts, as `parse_float`.
+    fn float<T: std::str::FromStr>(&mut self) -> Option<T> {
         let span = self.span();
         let text = match self.text {
             Some(text) => text,
@@ -315,35 +317,85 @@ fn display(out: &mut Vec<u8>, v: impl fmt::Display) {
     let _ = write!(Utf8Sink(out), "{v}");
 }
 
-/// The last value that passed through one float column, as bits and as
-/// text. Floats are written with `Display` (its shortest round-trip
-/// digits *are* the file format) and read with `f64::from_str`; both cost
-/// far more than a comparison, and adjacent rows usually repeat a request
-/// or a limit, so each memoized column remembers its
-/// previous value and converts only when the next one differs. Rendering
-/// is keyed on the bit pattern (`-0.0` and NaN payloads stay distinct),
-/// parsing on the exact field bytes, so a hit returns precisely what the
-/// conversion would have.
-#[derive(Default)]
-struct FloatMemo {
+/// Slots in a [`FloatMemo`]'s render table: on the benchmark's cell 256
+/// hit for 89% of `cpu_request`, 1024 for 91% (DESIGN.md §11).
+const MEMO_SLOTS: usize = 256;
+/// Text bytes a slot holds, which makes a slot 32 bytes; a float needs
+/// 18 significant digits or more than five leading zeros to exceed it.
+const MEMO_TEXT: usize = 23;
+
+/// One value a [`FloatMemo`] has rendered, as bits and as text.
+#[derive(Clone, Copy)]
+struct Rendered {
     bits: u64,
-    /// Empty until the first value: no float renders to, or parses from,
-    /// an empty field.
+    /// 0 while the slot is empty: no float renders to nothing.
+    len: u8,
+    text: [u8; MEMO_TEXT],
+}
+
+/// What one float column remembers of the values that passed through it.
+/// Floats are written as `Display` writes them (its shortest round-trip
+/// digits *are* the file format) and read with `f64::from_str`; both cost
+/// far more than a lookup, and a request or a limit takes few distinct
+/// values that come back row after row. Rendering looks the bit pattern
+/// up (`-0.0` and NaN payloads stay distinct) in a direct-mapped table
+/// and converts only on a miss; parsing remembers the previous field
+/// alone, since a hit there has to compare the field's bytes. Either way
+/// a hit returns precisely what the conversion would have.
+struct FloatMemo {
+    rendered: [Rendered; MEMO_SLOTS],
+    bits: u64,
+    /// Empty until the first field: no float parses from an empty field.
     text: Vec<u8>,
+    /// Values `push` had to convert.
+    #[cfg(test)]
+    conversions: usize,
+}
+
+impl Default for FloatMemo {
+    fn default() -> Self {
+        let empty = Rendered {
+            bits: 0,
+            len: 0,
+            text: [0; MEMO_TEXT],
+        };
+        FloatMemo {
+            rendered: [empty; MEMO_SLOTS],
+            bits: 0,
+            text: Vec::new(),
+            #[cfg(test)]
+            conversions: 0,
+        }
+    }
 }
 
 impl FloatMemo {
+    /// Where a bit pattern lives in `rendered`: the top bits of one
+    /// multiplication, which depend on every bit of the pattern.
+    fn slot(bits: u64) -> usize {
+        (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
     /// Appends `v` as `Display` writes it, then a comma.
     fn push(&mut self, out: &mut Vec<u8>, v: f64) {
         let bits = v.to_bits();
-        if self.text.is_empty() || self.bits != bits {
+        let slot = &mut self.rendered[Self::slot(bits)];
+        if slot.bits == bits && slot.len != 0 {
+            out.extend_from_slice(&slot.text[..usize::from(slot.len)]);
+        } else {
+            #[cfg(test)]
+            {
+                self.conversions += 1;
+            }
             let start = out.len();
             display(out, v);
-            self.bits = bits;
-            self.text.clear();
-            self.text.extend_from_slice(&out[start..]);
-        } else {
-            out.extend_from_slice(&self.text);
+            let text = &out[start..];
+            // Text too long for a slot is converted every time.
+            if let Some(kept) = slot.text.get_mut(..text.len()) {
+                kept.copy_from_slice(text);
+                slot.bits = bits;
+                slot.len = text.len() as u8;
+            }
         }
         out.push(b',');
     }
@@ -364,14 +416,14 @@ impl FloatMemo {
         match self.recognise(s.as_bytes()) {
             Some(v) => Ok(v),
             // Refused again, this time with the message.
-            None => parse_f64(s, line),
+            None => parse_float(s, line),
         }
     }
 }
 
-/// Appends `v` as `Display` writes it, then a comma (the columns where
-/// adjacent rows do not repeat, or too few rows to matter).
-fn push_float(out: &mut Vec<u8>, v: impl fmt::Display) {
+/// Appends `v` as `Display` writes it, then a comma (the columns whose
+/// values do not come back, or too few rows to matter).
+fn push_float(out: &mut Vec<u8>, v: f64) {
     display(out, v);
     out.push(b',');
 }
@@ -697,7 +749,7 @@ impl Codec for MachineCodec {
             time: Micros(parse_u64(f.get(0, n)?, n)?),
             machine_id: MachineId(parse_narrow(f.get(1, n)?, "machine_id", n)?),
             event_type: ty,
-            capacity: Resources::new(parse_f64(f.get(3, n)?, n)?, parse_f64(f.get(4, n)?, n)?),
+            capacity: Resources::new(parse_float(f.get(3, n)?, n)?, parse_float(f.get(4, n)?, n)?),
             platform: Platform(parse_narrow(f.get(5, n)?, "platform", n)?),
         })
     }
@@ -987,7 +1039,8 @@ impl Codec for UsageCodec {
         self.limit_cpu.push(out, u.limit.cpu);
         self.limit_mem.push(out, u.limit.mem);
         for v in u.cpu_histogram.0 {
-            push_float(out, v);
+            crate::f32_display::push(out, v);
+            out.push(b',');
         }
     }
 
@@ -995,7 +1048,7 @@ impl Codec for UsageCodec {
         let f = Fields::<32>::split(line);
         let mut hist = [0.0f32; 21];
         for (k, h) in hist.iter_mut().enumerate() {
-            *h = parse_f64(f.get(11 + k, n)?, n)? as f32;
+            *h = parse_float(f.get(11 + k, n)?, n)?;
         }
         Ok(UsageRecord {
             start: Micros(parse_u64(f.get(0, n)?, n)?),
@@ -1005,8 +1058,8 @@ impl Codec for UsageCodec {
                 parse_narrow(f.get(3, n)?, "instance_index", n)?,
             ),
             machine_id: MachineId(parse_narrow(f.get(4, n)?, "machine_id", n)?),
-            avg_usage: Resources::new(parse_f64(f.get(5, n)?, n)?, parse_f64(f.get(6, n)?, n)?),
-            max_usage: Resources::new(parse_f64(f.get(7, n)?, n)?, parse_f64(f.get(8, n)?, n)?),
+            avg_usage: Resources::new(parse_float(f.get(5, n)?, n)?, parse_float(f.get(6, n)?, n)?),
+            max_usage: Resources::new(parse_float(f.get(7, n)?, n)?, parse_float(f.get(8, n)?, n)?),
             limit: Resources::new(
                 self.limit_cpu.parse(f.get(9, n)?, n)?,
                 self.limit_mem.parse(f.get(10, n)?, n)?,
@@ -1031,7 +1084,7 @@ impl Codec for UsageCodec {
             cpu_histogram: CpuHistogram([0.0; 21]),
         };
         for bucket in &mut u.cpu_histogram.0 {
-            *bucket = c.next()?.float()? as f32;
+            *bucket = c.next()?.float()?;
         }
         c.end()?;
         Some(u)
@@ -1477,6 +1530,104 @@ mod tests {
             assert_eq!(b.request.cpu.to_bits(), e.request.cpu.to_bits());
             assert_eq!(b.request.mem.to_bits(), e.request.mem.to_bits());
         }
+    }
+
+    /// `values` through one memo, each held to plain `Display`; how many
+    /// of them the memo converted.
+    fn conversions_rendering(values: impl IntoIterator<Item = f64>) -> usize {
+        let mut memo = FloatMemo::default();
+        let mut out = Vec::new();
+        for v in values {
+            out.clear();
+            memo.push(&mut out, v);
+            assert_eq!(String::from_utf8_lossy(&out), format!("{v},"));
+        }
+        memo.conversions
+    }
+
+    #[test]
+    fn render_memo_writes_what_display_writes() {
+        // Two values of one slot evict each other every time.
+        let slot = FloatMemo::slot(0.25f64.to_bits());
+        let rival = (17..)
+            .map(|k| f64::from(k) / 64.0)
+            .find(|v| FloatMemo::slot(v.to_bits()) == slot)
+            .expect("256 slots, unbounded candidates");
+        assert_eq!(conversions_rendering([0.25, rival].repeat(50)), 100);
+        // Equal as floats, distinct as text: keyed on the bits.
+        assert_eq!(conversions_rendering([0.0, -0.0].repeat(50)), 2);
+        let nans = [
+            0x7ff8_0000_0000_0000,
+            0xfff8_0000_0000_0000,
+            0x7ff0_0000_0000_0001,
+        ];
+        conversions_rendering(nans.repeat(3).into_iter().map(f64::from_bits));
+        // 326 bytes of text fit no slot and must not be cut to one.
+        assert_eq!(conversions_rendering([5e-324; 4]), 4);
+        assert_eq!(conversions_rendering([0.1 + 0.2; 4]), 1);
+        // Forwards every value evicts some other; backwards the last 256
+        // at most are still there.
+        let mut rng = StdRng::seed_from_u64(23);
+        let raw: Vec<f64> = (0..10_000).map(|_| f64::from_bits(rng.random())).collect();
+        let there_and_back = raw.iter().chain(raw.iter().rev()).copied();
+        let converted = conversions_rendering(there_and_back);
+        assert!(
+            (20_000 - MEMO_SLOTS..20_000).contains(&converted),
+            "{converted}"
+        );
+    }
+
+    #[test]
+    fn render_memo_converts_under_a_quarter_of_a_simulated_cells_requests() {
+        // The property the table exists for (DESIGN.md §11): requests come
+        // back. A hash that sent them all to one slot, or a slot too short
+        // for them, would still write the right bytes — and convert every row.
+        let profile = borg_workload::cells::CellProfile::cell_2019('a');
+        let config = borg_sim::SimConfig::tiny_for_tests(3);
+        let events = borg_sim::CellSim::run_cell(&profile, &config)
+            .trace
+            .instance_events;
+        assert!(events.len() > 1000, "cell is not trivial");
+        for converted in [
+            conversions_rendering(events.iter().map(|e| e.request.cpu)),
+            conversions_rendering(events.iter().map(|e| e.request.mem)),
+        ] {
+            assert!(
+                converted * 4 < events.len(),
+                "{converted} of {}",
+                events.len()
+            );
+        }
+    }
+
+    #[test]
+    fn the_bucket_f64_parsing_rounded_twice_round_trips() {
+        // As an `f64` the text of this `f32` lies so close to the midpoint
+        // above it that narrowing used to land on the next float up.
+        let odd = f32::from_bits(0x15ae_43fd);
+        let mut row = sample_trace().usage[0];
+        row.cpu_histogram.0[0] = -odd;
+        row.cpu_histogram.0[20] = odd;
+        let mut written = Vec::new();
+        write_usage(&mut written, &[row]).unwrap();
+        let text = std::str::from_utf8(&written).unwrap();
+        assert!(
+            text.ends_with(",0.00000000000000000000000007038531\n"),
+            "{text}"
+        );
+        let line = text.lines().nth(1).unwrap();
+        let mut q = Quarantine::default();
+        for back in [
+            read_usage(&written[..]).unwrap(),
+            read_table_lenient::<UsageCodec>(&written[..], 0, &mut q),
+            vec![parse_usage_line(line, 2).unwrap()],
+        ] {
+            assert_eq!(back[0].cpu_histogram.0[20].to_bits(), odd.to_bits());
+            let mut again = Vec::new();
+            write_usage(&mut again, &back).unwrap();
+            assert_eq!(again, written);
+        }
+        assert!(q.is_clean());
     }
 
     #[test]

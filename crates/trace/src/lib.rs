@@ -26,6 +26,7 @@
 
 pub mod collection;
 pub mod csv;
+mod f32_display;
 mod group;
 pub mod instance;
 pub mod machine;

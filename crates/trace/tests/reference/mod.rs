@@ -2,10 +2,12 @@
 //! `lines()` / `split(',').collect()` parsers and `BTreeMap`-regrouping
 //! `repair` / `validate` that the library used before its kernels were
 //! rewritten. The differential and fuzz suites compare the library
-//! against these byte for byte and row for row. The one deliberate
-//! difference from the retired code is the narrow-field range check
-//! (`machine_id`, `instance_index`, ... used to wrap through `as`), which
-//! both sides now apply.
+//! against these byte for byte and row for row. Two deliberate
+//! differences from the retired code, which both sides now apply: the
+//! narrow-field range check (`machine_id`, `instance_index`, ... used to
+//! wrap through `as`), and the histogram buckets read by `f32::from_str`
+//! (`f64::from_str` narrowed by `as` rounded twice and misread the one
+//! `f32` with bits `0x15ae43fd`).
 #![allow(dead_code)]
 
 use borg_sim::{CorruptionConfig, FaultLedger};
@@ -54,6 +56,11 @@ fn parse_u64(s: &str, line: usize) -> Result<u64, CsvError> {
 }
 
 fn parse_f64(s: &str, line: usize) -> Result<f64, CsvError> {
+    s.parse()
+        .map_err(|_| parse_err(line, format!("bad float {s:?}")))
+}
+
+fn parse_f32(s: &str, line: usize) -> Result<f32, CsvError> {
     s.parse()
         .map_err(|_| parse_err(line, format!("bad float {s:?}")))
 }
@@ -307,7 +314,7 @@ pub fn parse_usage_line(line: &str, n: usize) -> Result<UsageRecord, CsvError> {
     let parts: Vec<&str> = line.split(',').collect();
     let mut hist = [0.0f32; 21];
     for (k, h) in hist.iter_mut().enumerate() {
-        *h = parse_f64(field(&parts, 11 + k, n)?, n)? as f32;
+        *h = parse_f32(field(&parts, 11 + k, n)?, n)?;
     }
     Ok(UsageRecord {
         start: Micros(parse_u64(field(&parts, 0, n)?, n)?),
