@@ -33,6 +33,15 @@ fn bench_validate(c: &mut Criterion) {
             buf.len()
         });
     });
+    // The table the `f32` bucket writer serves: 21 buckets a row that
+    // never come back, beside the instance table's memoized requests.
+    group.bench_function("csv_write_usage_cell_2days", |b| {
+        b.iter(|| {
+            let mut buf = Vec::new();
+            borg_trace::csv::write_usage(&mut buf, &outcome.trace.usage).unwrap();
+            buf.len()
+        });
+    });
     // The lenient directory read, of the cell as written and of the same
     // bytes with `harsh()`'s share of lines garbled: those take the
     // reader's whole error route (recogniser, `parse`, `Quarantine`).

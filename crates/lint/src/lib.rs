@@ -457,7 +457,7 @@ mod tests {
         let fc = classify("crates/sim/tests/behavior.rs").unwrap();
         assert_eq!(fc.target, Target::Test);
 
-        let fc = classify("crates/experiments/src/bin/all.rs").unwrap();
+        let fc = classify("crates/experiments/src/bin/paper.rs").unwrap();
         assert!(!fc.deterministic);
         assert_eq!(fc.target, Target::Bin);
 

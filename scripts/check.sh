@@ -17,7 +17,9 @@ Default (no flag): lint, fmt, clippy, build, tests, paper and profile smoke.
 Modes (at most one):
   --lint        borg-lint only (fast pre-commit loop; honors $LINT_BASELINE)
   --lint-graph  dump the computed contract/pool reachability set and exit
-  --chaos    chaos roundtrip + trace-kernel differential/fuzz suites only
+  --chaos    chaos roundtrip + trace-kernel differential/fuzz suites, then the
+             f32 bucket writer against Display on all 2^32 bit patterns
+             (release build; 5.5 min of the mode's 6.5 on two cores)
   --shards   sharded-placement equivalence suite only (bit-identity sweep)
   --serve    borg-serve fast loop only (unit tests + wall-clock chaos smoke)
   --slo      observability fast loop only (witness/SLO/recorder tests + serve_slo)
@@ -103,6 +105,8 @@ if [ "$mode" = --chaos ]; then
     cargo test -p borg2019 --test chaos_roundtrip --offline -q
     echo "==> trace kernels vs reference implementations (differential + fuzz)"
     cargo test -p borg-trace --test differential --test csv_fuzz --offline -q
+    echo "==> f32 bucket writer vs Display, every bit pattern (release)"
+    cargo test --release -p borg-trace --lib --offline -- --ignored --nocapture
     echo "Chaos check passed."
     exit 0
 fi
