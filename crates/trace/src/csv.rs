@@ -320,8 +320,8 @@ fn display(out: &mut Vec<u8>, v: impl fmt::Display) {
 /// Slots in a [`FloatMemo`]'s render table: on the benchmark's cell 256
 /// hit for 89% of `cpu_request`, 1024 for 91% (DESIGN.md §11).
 const MEMO_SLOTS: usize = 256;
-/// Text bytes a slot holds, which makes a slot 32 bytes; a float needs
-/// 18 significant digits or more than five leading zeros to exceed it.
+/// Text bytes a slot holds, which makes a slot 32 bytes: a sign, `0.`,
+/// three leading zeros and an `f64`'s 17 digits at most.
 const MEMO_TEXT: usize = 23;
 
 /// One value a [`FloatMemo`] has rendered, as bits and as text.

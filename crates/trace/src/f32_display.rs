@@ -230,19 +230,13 @@ mod tests {
 
     /// Both directions for one bit pattern, through buffers the caller
     /// keeps: the bytes are `Display`'s, and they read back as the bits.
+    #[derive(Default)]
     struct Checker {
         ours: Vec<u8>,
         std: String,
     }
 
     impl Checker {
-        fn new() -> Self {
-            Checker {
-                ours: Vec::new(),
-                std: String::new(),
-            }
-        }
-
         fn check(&mut self, bits: u32) {
             let v = f32::from_bits(bits);
             self.ours.clear();
@@ -262,7 +256,7 @@ mod tests {
 
     #[test]
     fn matches_display_on_a_stratified_sample() {
-        let mut c = Checker::new();
+        let mut c = Checker::default();
         // ±0, subnormals, every binade's first, middle and last floats,
         // both infinities and quiet and signalling NaNs of both signs.
         for exponent in 0..=0xff_u32 {
@@ -292,7 +286,7 @@ mod tests {
         std::thread::scope(|s| {
             for half in [0..=u32::MAX >> 1, 1 << 31..=u32::MAX] {
                 s.spawn(move || {
-                    let mut c = Checker::new();
+                    let mut c = Checker::default();
                     half.for_each(|bits| c.check(bits));
                 });
             }
