@@ -125,6 +125,82 @@ fn bench_placement_path(c: &mut Criterion) {
         index.best_fit(&machines, req, Tier::Production);
         b.iter(|| index.best_fit(&machines, req, Tier::Production));
     });
+
+    // The fleet size pipeline-bench's `cell_day_512` runs. Three machines
+    // in eight are half empty, one is nearly full and still takes `req`,
+    // four are too full to: a scan meets feasible and infeasible rows
+    // half and half in a fixed but irregular order — the mix a simulated
+    // day shows — and about half the fleet is full enough to pass the
+    // score cache's relevance filter.
+    let mut small: Vec<Machine> = (0..512)
+        .map(|i| {
+            let cap = 0.5 + (i * 37 % 11) as f64 * 0.004;
+            Machine::new(MachineId(i as u32), Resources::new(cap, cap))
+        })
+        .collect();
+    for (i, m) in small.iter_mut().enumerate() {
+        let occupants = match ((i * 2_654_435_761) >> 7) & 7 {
+            0..=2 => 9 + i % 3,
+            3 => 19 + i % 2,
+            _ => 21 + i % 2,
+        };
+        for k in 0..occupants {
+            m.add(Occupant {
+                owner: k,
+                index: i,
+                is_alloc_instance: false,
+                tier: Tier::BestEffortBatch,
+                request: Resources::new(0.05, 0.04),
+            });
+        }
+    }
+    group.bench_function("indexed_miss_512", |b| {
+        // As `indexed_miss_10k`, more shapes than the cache holds; here
+        // they span 0.02–0.10 NCU and are asked in a scattered order, so
+        // which of the nearly full machines fit changes from one scan to
+        // the next and a branch predictor cannot learn the fleet.
+        let mut index = PlacementIndex::new(&small);
+        let shapes: Vec<Resources> = (0..8192)
+            .map(|i| Resources::new(0.02 + i as f64 * 1e-5, 0.015 + i as f64 * 8e-6))
+            .collect();
+        let mut k = 0usize;
+        b.iter(|| {
+            k = (k + 3571) % shapes.len();
+            index.best_fit(&small, shapes[k], Tier::Production)
+        });
+    });
+    // Forty mutations on machines drawn by an LCG (a fixed stride would
+    // repeat every 512 records, which a branch predictor learns and a
+    // cell does not do). The index has no other way to grow a tail, so
+    // `indexed_revalidate_512` times them too; `mutate_40_512` is that
+    // share alone, to subtract.
+    let mutate = |index: &mut PlacementIndex, lcg: &mut u64| {
+        for _ in 0..40 {
+            *lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let mi = (*lcg >> 33) as usize % small.len();
+            index.on_machine_changed(mi, &small[mi]);
+        }
+    };
+    group.bench_function("mutate_40_512", |b| {
+        let mut index = PlacementIndex::new(&small);
+        let mut lcg = 2019u64;
+        b.iter(|| mutate(&mut index, &mut lcg));
+    });
+    group.bench_function("indexed_revalidate_512", |b| {
+        // One shape asked again after the forty mutations: the lookup
+        // walks a 40-record tail, of which the half-empty machines'
+        // records fail the relevance filter, and re-scores the
+        // candidates plus the nearly full machines it kept.
+        let mut index = PlacementIndex::new(&small);
+        index.best_fit(&small, req, Tier::Production);
+        let mut lcg = 2019u64;
+        b.iter(|| {
+            mutate(&mut index, &mut lcg);
+            index.best_fit(&small, req, Tier::Production)
+        });
+    });
     group.finish();
 }
 

@@ -135,6 +135,31 @@ fn main() {
     {
         println!("  {:<34} {:>12}", c.name, c.value);
     }
+    // What an answer from the score cache cost: log records walked and
+    // machines re-scored per revalidation, against the longest tail a
+    // shard of this size walks (`scripts/check.sh --profile` reads the
+    // two lines below).
+    let index = |name: &str| {
+        let name = format!("sim.index.{name}");
+        snap.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    };
+    let revalidations = index("cache_hits") + index("negative_hits");
+    let shard_fleet = cfg
+        .machine_count(&profile)
+        .div_ceil(index("shards").max(1) as usize);
+    println!(
+        "  answered: {} (hits + negative hits + misses)",
+        revalidations + index("cache_misses")
+    );
+    println!(
+        "  per revalidation: {:.1} records walked, {:.1} machines re-scored (tail cutoff {})",
+        index("tail_records") as f64 / revalidations.max(1) as f64,
+        index("rescored") as f64 / revalidations.max(1) as f64,
+        borg_sim::index::max_tail(shard_fleet),
+    );
 
     // 4. Round-trip through the query engine: analyze the snapshot with
     // the same operators the paper's tables use, and cross-check.

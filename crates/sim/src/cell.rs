@@ -689,6 +689,9 @@ impl<'a> CellSim<'a> {
         self.tel
             .count("sim.index.leaves_scanned", eng, ix.leaves_scanned);
         self.tel
+            .count("sim.index.tail_records", eng, ix.tail_records);
+        self.tel.count("sim.index.rescored", eng, ix.rescored);
+        self.tel
             .count("sim.index.preempt_probes", eng, ix.preempt_probes);
         self.tel
             .count("sim.index.shards", eng, self.index.shard_count() as u64);

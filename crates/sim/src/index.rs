@@ -15,17 +15,23 @@
 //!    `(score, index)` threshold that every non-candidate provably sits
 //!    above. A lookup re-scores only the candidates and the machines
 //!    mutated since the entry was written — an O(R + dirty) check that
-//!    stays exact (see "Determinism contract" below). Runner-up
-//!    candidates mean the common bin-packing pattern — identical tasks
-//!    filling the winner until it is full — falls through to the next
-//!    candidate instead of forcing a fleet rescan.
-//! 2. **Structure-of-arrays scan mirror** ([`Mirror`]): cache misses pay
-//!    one flat pass over per-machine `(committed, capacity)` columns
-//!    kept in lock-step with every commit/free. The pass performs the
-//!    identical float operations as [`Machine::fit_score`], so results
-//!    are bit-identical, but touches 32 contiguous bytes per machine
-//!    instead of chasing `Machine` structs — and it harvests the top-R
-//!    candidate list for the cache in the same pass.
+//!    stays exact (see "Determinism contract" below), tried for as long
+//!    as the tail is shorter than the rescan is expensive
+//!    ([`max_tail`]). Runner-up candidates mean the common bin-packing
+//!    pattern — identical tasks filling the winner until it is full —
+//!    falls through to the next candidate instead of forcing a fleet
+//!    rescan.
+//! 2. **Scan mirror** ([`Mirror`]): cache misses pay one flat pass over
+//!    per-machine `(committed, capacity)` rows kept in lock-step with
+//!    every commit/free. The pass performs the identical float
+//!    operations as [`Machine::fit_score`], so results are
+//!    bit-identical, but touches 32 contiguous bytes per machine instead
+//!    of chasing `Machine` structs, and it takes no branch on what a row
+//!    holds: [`score`] turns "does not fit" into `+inf` by select, the
+//!    fleet's scores land in a scratch vector, and a second pass offers
+//!    them to the top-R list behind one comparison that is rarely true
+//!    ([`TopList::offer`]). Lookups score their few rows through the
+//!    same two passes.
 //!
 //! Preemption probes use a separate **feasibility segment tree**
 //! ([`FeasTree`]) over per-subtree maxima of preemption *potential*
@@ -45,7 +51,7 @@
 //!
 //! - Scores come from the identical float expression as
 //!   [`Machine::fit_score`] — same adds, same divides, same `max` — so
-//!   results are bit-identical (the mirror columns are exact copies of
+//!   results are bit-identical (the mirror rows are exact copies of
 //!   `committed`/`capacity`).
 //! - The naive loop keeps the first machine (lowest index) among equal
 //!   scores; the index selects the lexicographic minimum of
@@ -72,6 +78,7 @@ use crate::machine::{discount, Machine};
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
 use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 
 /// Counters exposing how placements were answered (see
 /// [`crate::metrics::SimMetrics::index`]).
@@ -86,6 +93,11 @@ pub struct IndexStats {
     pub cache_misses: u64,
     /// Machines whose exact score was evaluated during mirror scans.
     pub leaves_scanned: u64,
+    /// Mutation-log records walked by the lookups counted in
+    /// `cache_hits` and `negative_hits`.
+    pub tail_records: u64,
+    /// Machines those lookups re-scored (candidates ∪ relevant tail).
+    pub rescored: u64,
     /// Preemption probes answered via the potential-headroom tree.
     pub preempt_probes: u64,
 }
@@ -329,36 +341,43 @@ impl Mirror {
         };
         frac(c_cpu, cap_cpu).max(frac(c_mem, cap_mem))
     }
+}
 
-    /// [`Machine::fit_score`] on the mirrored row: the same adds,
-    /// comparisons, divides, and `max` in the same order, so the result
-    /// bits are identical. `d` must be `discount(request, tier)`.
-    #[inline]
-    fn eval(&self, mi: usize, request: Resources, d: Resources) -> Option<f64> {
-        let [comm_cpu, comm_mem, cap_cpu, cap_mem] = self.rows[mi];
-        let after_cpu = comm_cpu + d.cpu;
-        let after_mem = comm_mem + d.mem;
-        // One predictable branch over the AND of all four feasibility
-        // comparisons; the scan's common case (machine too full) leaves
-        // through it immediately.
-        let feasible = (after_cpu <= cap_cpu)
-            & (after_mem <= cap_mem)
-            & (request.cpu <= cap_cpu)
-            & (request.mem <= cap_mem);
-        if !feasible {
-            return None;
-        }
-        let frac = |v: f64, c: f64| {
-            if v <= 0.0 {
-                0.0
-            } else if c <= 0.0 {
-                f64::INFINITY
-            } else {
-                v / c
-            }
-        };
-        Some(1.0 - frac(after_cpu, cap_cpu).max(frac(after_mem, cap_mem)))
-    }
+/// [`Machine::fit_score`] on a mirrored row as one number: the exact
+/// score bits where the request fits, `+inf` where it does not (feasible
+/// scores are finite). The same adds, the same two IEEE divides and the
+/// same `max` in the same order, with each `if` of the original applied
+/// as a select on values already computed, so a fleet of rows is one
+/// straight run of arithmetic whatever share of it is feasible. The
+/// divides run on infeasible rows too (`x / 0.0` and `0.0 / 0.0` do not
+/// trap; the select discards them). `dominant_fraction_of`'s remaining
+/// arm — `+inf` for a positive demand on a zero capacity — has no select
+/// here because no feasible row reaches it: `0 < after <= capacity`.
+/// `d` must be `discount(request, tier)`.
+#[inline]
+fn score(row: [f64; 4], request: Resources, d: Resources) -> f64 {
+    let [comm_cpu, comm_mem, cap_cpu, cap_mem] = row;
+    let after_cpu = comm_cpu + d.cpu;
+    let after_mem = comm_mem + d.mem;
+    let feasible = (after_cpu <= cap_cpu)
+        & (after_mem <= cap_mem)
+        & (request.cpu <= cap_cpu)
+        & (request.mem <= cap_mem);
+    let frac = |v: f64, c: f64| select_unpredictable(v <= 0.0, 0.0, v / c);
+    select_unpredictable(
+        feasible,
+        1.0 - frac(after_cpu, cap_cpu).max(frac(after_mem, cap_mem)),
+        f64::INFINITY,
+    )
+}
+
+/// Scores a contiguous run of rows into `out`, one [`score`] per row and
+/// nothing else in the loop — the shape the compiler turns into packed
+/// divides, two rows at a time. A scan passes the mirror itself; a
+/// lookup first copies the rows it wants side by side.
+fn score_rows(rows: &[[f64; 4]], request: Resources, d: Resources, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(rows.iter().map(|&row| score(row, request, d)));
 }
 
 /// An equivalence class of placement requests: identical request bits at
@@ -441,12 +460,6 @@ struct CacheEntry {
 /// jobs, so precision beyond this is wasted memory.
 const MAX_ENTRIES: usize = 4096;
 
-/// Longest mutation tail a lookup will re-score before deciding a full
-/// scan is cheaper (the tail dedups by machine, so its cost is bounded
-/// by the fleet size anyway). Raising this measures *slower*: the walk
-/// itself starts to rival the rescan it replaces.
-const MAX_TAIL: usize = 512;
-
 /// Tail length at which a hit also rewrites the entry (advancing its
 /// epoch and re-seeding candidates). Refreshing on *every* hit wastes
 /// time on hash-table writes; never refreshing lets tails grow until
@@ -454,11 +467,29 @@ const MAX_TAIL: usize = 512;
 /// records walked.
 const REFRESH_TAIL: usize = 8;
 
-/// The top-(R+1) lex-smallest entries seen by a scan: the first R seed a
-/// cache entry's candidates, the (R+1)-th is its threshold.
+/// Longest mutation tail a lookup walks, and so the number of mutations
+/// the log keeps, over `fleet` machines: the length at which the walk
+/// costs what the rescan it stands in for costs. Measured at 512
+/// machines (`placement_path` benches, DESIGN.md §7): a record walked
+/// costs ~3.1 ns with about half of them kept and re-scored, a leaf
+/// scanned ~2.4 ns — three records for four leaves. The chance that a
+/// lookup fails and scans anyway is 2–3% at every tail length from 1 to
+/// 512 on a simulated cell-day, so it does not move the break-even.
+/// Never below [`REFRESH_TAIL`], or no entry could live to be refreshed.
+pub fn max_tail(fleet: usize) -> usize {
+    (fleet * 3 / 4).max(REFRESH_TAIL)
+}
+
+/// The top-(R+1) lex-smallest entries among the scores offered to it:
+/// the first R seed a cache entry's candidates, the (R+1)-th is its
+/// threshold.
 struct TopList {
     arr: [Lex; R + 1],
     len: usize,
+    /// No score above this can enter the list: `f64::MAX` while there is
+    /// room (every feasible score passes, the `+inf` of an infeasible
+    /// row does not), then the (R+1)-th score.
+    bound: f64,
 }
 
 impl TopList {
@@ -466,21 +497,41 @@ impl TopList {
         TopList {
             arr: [Lex::MAX; R + 1],
             len: 0,
+            bound: f64::MAX,
         }
     }
 
+    /// Takes machine `mi` at `score` if it belongs in the list. The
+    /// bound gate is the only test most rows of a scan meet, and once the
+    /// list is full it is rarely passed; it is `<=` because a machine
+    /// tying the (R+1)-th score under a lower index displaces it (the
+    /// lexicographic test below decides).
     #[inline]
-    fn insert(&mut self, l: Lex) {
-        if self.len == self.arr.len() && !l.lt(self.arr[self.len - 1]) {
-            return;
+    fn offer(&mut self, score: f64, mi: u32) {
+        if score <= self.bound {
+            let l = Lex { score, mi };
+            let last = self.arr.len() - 1;
+            if self.len > last && !l.lt(self.arr[last]) {
+                return;
+            }
+            let mut i = self.len.min(last);
+            while i > 0 && l.lt(self.arr[i - 1]) {
+                self.arr[i] = self.arr[i - 1];
+                i -= 1;
+            }
+            self.arr[i] = l;
+            self.len = (self.len + 1).min(self.arr.len());
+            if self.len > last {
+                self.bound = self.arr[last].score;
+            }
         }
-        let mut i = self.len.min(self.arr.len() - 1);
-        while i > 0 && l.lt(self.arr[i - 1]) {
-            self.arr[i] = self.arr[i - 1];
-            i -= 1;
+    }
+
+    /// Offers every `(score, machine)` pair in order.
+    fn offer_all(&mut self, scores: &[f64], machines: impl Iterator<Item = u32>) {
+        for (&score, mi) in scores.iter().zip(machines) {
+            self.offer(score, mi);
         }
-        self.arr[i] = l;
-        self.len = (self.len + 1).min(self.arr.len());
     }
 
     fn first(&self) -> Option<Lex> {
@@ -500,15 +551,18 @@ struct ScoreCache {
     log: VecDeque<LogRec>,
     /// Epoch of `log.front()`; `epoch_base + log.len()` is "now".
     epoch_base: u64,
-    /// Mutations remembered before entries older than the log give up
-    /// on revalidation. Scaled to the fleet so a worst-case tail walk
-    /// costs no more than the fleet rescan it replaces.
+    /// Mutations remembered: [`max_tail`] of the fleet, the longest tail
+    /// a lookup will walk. An entry the log no longer covers is exactly
+    /// an entry whose tail is longer than that, so one test expires both.
     log_cap: usize,
     /// Per-machine visit stamps for O(1) tail dedup.
     stamp: Vec<u32>,
     stamp_gen: u32,
-    /// Scratch: deduped candidate machine indices.
-    scratch: Vec<u32>,
+    /// Scratch: the machines a lookup re-scores (candidates ∪ relevant
+    /// tail, deduped; `R + log_cap` slots, filled from the front) and
+    /// their mirror rows, copied side by side.
+    ids: Vec<u32>,
+    rows: Vec<[f64; 4]>,
 }
 
 impl ScoreCache {
@@ -518,10 +572,11 @@ impl ScoreCache {
             fifo: VecDeque::new(),
             log: VecDeque::new(),
             epoch_base: 0,
-            log_cap: (4 * fleet).max(256),
+            log_cap: max_tail(fleet),
             stamp: vec![0; fleet],
             stamp_gen: 0,
-            scratch: Vec::new(),
+            ids: vec![0; R + max_tail(fleet)],
+            rows: Vec::new(),
         }
     }
 
@@ -541,24 +596,26 @@ impl ScoreCache {
         }
     }
 
-    /// Tries to answer `key` from the cached candidates. Returns `None`
-    /// on a miss; the caller then scans and calls [`ScoreCache::store`].
+    /// Tries to answer `key` from the cached candidates, counting what
+    /// an answer cost into `stats`. Returns `None` on a miss; the caller
+    /// then scans and calls [`ScoreCache::store`].
     fn lookup(
         &mut self,
         key: ShapeKey,
         mirror: &Mirror,
         request: Resources,
         d: Resources,
+        scores: &mut Vec<f64>,
+        stats: &mut IndexStats,
     ) -> Option<Option<(usize, f64)>> {
         let entry = *self.entries.get(&key)?;
         if entry.epoch < self.epoch_base {
-            return None; // Mutation log no longer covers this entry.
+            // The tail outgrew the log: longer than `max_tail`, so the
+            // caller's scan is the cheaper way to the answer.
+            return None;
         }
         let tail_start = (entry.epoch - self.epoch_base) as usize;
         let tail_len = self.log.len() - tail_start;
-        if tail_len > MAX_TAIL {
-            return None; // Re-scoring the tail would cost a scan anyway.
-        }
 
         // Candidates ∪ the *relevant* tail, deduped by visit stamp. Most
         // mutations provably cannot affect this entry's answer and are
@@ -592,36 +649,39 @@ impl ScoreCache {
             self.stamp.fill(0);
             self.stamp_gen = 1;
         }
-        self.scratch.clear();
-        for &mi in &entry.cands[..entry.n_cands as usize] {
-            if self.stamp[mi as usize] != self.stamp_gen {
-                self.stamp[mi as usize] = self.stamp_gen;
-                self.scratch.push(mi);
-            }
+        // `ids` has a slot for every candidate and every record the log
+        // can hold: each record is written to the next slot whether or
+        // not it is kept, and the slot advances by the keep bit — no
+        // branch on a fullness that differs from one record to the next.
+        let mark = self.stamp_gen;
+        // A scan's or a refresh's top-R never names a machine twice.
+        let mut kept = entry.n_cands as usize;
+        for (slot, &mi) in self.ids.iter_mut().zip(&entry.cands[..kept]) {
+            self.stamp[mi as usize] = mark;
+            *slot = mi;
         }
         for rec in self.log.range(tail_start..) {
+            let fullness = f64::from(rec.fullness);
             let relevant = if negative {
-                rec.loosened && (rec.fullness as f64) <= full_cut
+                rec.loosened & (fullness <= full_cut)
             } else {
-                (rec.fullness as f64) > full_cut
+                fullness > full_cut
             };
-            if !relevant {
-                continue;
-            }
-            let mi = rec.machine;
-            if self.stamp[mi as usize] != self.stamp_gen {
-                self.stamp[mi as usize] = self.stamp_gen;
-                self.scratch.push(mi);
-            }
+            let seen = &mut self.stamp[rec.machine as usize];
+            let keep = relevant & (*seen != mark);
+            *seen = select_unpredictable(keep, mark, *seen);
+            self.ids[kept] = rec.machine;
+            kept += usize::from(keep);
         }
+        let ids = &self.ids[..kept];
 
-        // Exact current scores for every candidate; lex-min wins.
+        // Exact current scores for every one of them; lex-min wins.
+        self.rows.clear();
+        self.rows
+            .extend(ids.iter().map(|&mi| mirror.rows[mi as usize]));
+        score_rows(&self.rows, request, d, scores);
         let mut top = TopList::new();
-        for &mi in &self.scratch {
-            if let Some(score) = mirror.eval(mi as usize, request, d) {
-                top.insert(Lex { score, mi });
-            }
-        }
+        top.offer_all(scores, ids.iter().copied());
         let best = top.first();
 
         // Machines outside candidates ∪ tail are unchanged since the
@@ -636,6 +696,12 @@ impl ScoreCache {
         if !hit {
             return None;
         }
+        match best {
+            Some(_) => stats.cache_hits += 1,
+            None => stats.negative_hits += 1,
+        }
+        stats.tail_records += tail_len as u64;
+        stats.rescored += kept as u64;
 
         // Long tails get the entry rewritten in place: re-scored top-R
         // candidates, epoch advanced to now, threshold tightened by the
@@ -702,6 +768,8 @@ pub struct PlacementIndex {
     tree_dirty: Vec<bool>,
     dirty_list: Vec<u32>,
     mirror: Mirror,
+    /// Scratch: the scores of the rows a scan or a lookup just scored.
+    scores: Vec<f64>,
     cache: ScoreCache,
     /// Query counters.
     pub stats: IndexStats,
@@ -715,6 +783,7 @@ impl PlacementIndex {
             tree_dirty: vec![false; machines.len()],
             dirty_list: Vec::new(),
             mirror: Mirror::new(machines),
+            scores: Vec::new(),
             cache: ScoreCache::new(machines.len()),
             stats: IndexStats::default(),
         }
@@ -776,12 +845,14 @@ impl PlacementIndex {
     ) -> Option<Option<(usize, f64)>> {
         let key = ShapeKey::of(request, tier);
         let d = discount(request, tier);
-        let answer = self.cache.lookup(key, &self.mirror, request, d)?;
-        match answer {
-            Some(_) => self.stats.cache_hits += 1,
-            None => self.stats.negative_hits += 1,
-        }
-        Some(answer)
+        self.cache.lookup(
+            key,
+            &self.mirror,
+            request,
+            d,
+            &mut self.scores,
+            &mut self.stats,
+        )
     }
 
     /// The miss half of [`PlacementIndex::best_fit`]: a full mirror scan
@@ -793,15 +864,9 @@ impl PlacementIndex {
         let d = discount(request, tier);
         self.stats.cache_misses += 1;
         let n = self.mirror.len();
+        score_rows(&self.mirror.rows, request, d, &mut self.scores);
         let mut top = TopList::new();
-        for mi in 0..n {
-            if let Some(score) = self.mirror.eval(mi, request, d) {
-                top.insert(Lex {
-                    score,
-                    mi: mi as u32,
-                });
-            }
-        }
+        top.offer_all(&self.scores, 0..n as u32);
         self.stats.leaves_scanned += n as u64;
         self.cache.store(key, &top);
         top.first().map(|l| (l.mi as usize, l.score))
@@ -861,78 +926,320 @@ mod tests {
     use borg_trace::machine::MachineId;
     use borg_workload::usage_model::splitmix64;
 
-    /// Drives random commits/frees/queries and checks every query against
-    /// the naive reference — the index's core exactness property.
+    fn occupant(owner: usize, tier: Tier, request: Resources) -> Occupant {
+        Occupant {
+            owner,
+            index: 0,
+            is_alloc_instance: false,
+            tier,
+            request,
+        }
+    }
+
+    /// Drives seeded commits, frees, machine failures and repairs, and
+    /// queries — after a burst of mutations the same shape is asked
+    /// twice, so an entry rewritten by a long-tail hit is read again —
+    /// and checks every answer against the naive reference: the index's
+    /// core exactness property. Returns the counters.
+    fn churn(seed: u64, capacities: &[Resources], shapes: &[Resources], steps: u64) -> IndexStats {
+        let mut machines: Vec<Machine> = capacities
+            .iter()
+            .enumerate()
+            .map(|(i, &cap)| Machine::new(MachineId(i as u32), cap))
+            .collect();
+        let mut index = PlacementIndex::new(&machines);
+        let mut occupants: Vec<(usize, usize)> = Vec::new();
+        let mut next_owner = 0usize;
+        for step in 0..steps {
+            let r = splitmix64(seed.wrapping_mul(31).wrapping_add(step));
+            let request = shapes[(r % shapes.len() as u64) as usize];
+            let tier = tier_of(r / 1369);
+            match r % 13 {
+                // Frees dominate less than commits so machines fill.
+                0..=2 => {
+                    if !occupants.is_empty() {
+                        let k = (r / 13) as usize % occupants.len();
+                        let (mi, owner) = occupants.swap_remove(k);
+                        machines[mi].remove(owner, 0).expect("occupant present");
+                        index.on_machine_changed(mi, &machines[mi]);
+                    }
+                }
+                3..=8 => {
+                    let expect = naive_best_fit(&machines, request, tier);
+                    // Twice: the second query reads what the first left.
+                    for _ in 0..2 {
+                        let got = index.best_fit(&machines, request, tier);
+                        assert_eq!(got, expect, "seed {seed} step {step}");
+                    }
+                    if let Some((mi, _)) = expect {
+                        machines[mi].add(occupant(next_owner, tier, request));
+                        index.on_machine_changed(mi, &machines[mi]);
+                        occupants.push((mi, next_owner));
+                        next_owner += 1;
+                    }
+                }
+                // A machine fails (capacity to zero, as `fail_machine`
+                // leaves it) or comes back.
+                9 => {
+                    let mi = (r / 13) as usize % machines.len();
+                    machines[mi].capacity = if machines[mi].capacity == Resources::ZERO {
+                        capacities[mi]
+                    } else {
+                        Resources::ZERO
+                    };
+                    index.on_machine_changed(mi, &machines[mi]);
+                }
+                _ => {
+                    let tier = if r.is_multiple_of(2) {
+                        Tier::Production
+                    } else {
+                        Tier::Monitoring
+                    };
+                    let expect = naive_first_preemptible(&machines, request, tier);
+                    let got = index.first_preemptible(&machines, request, tier);
+                    assert_eq!(got, expect, "seed {seed} step {step}");
+                }
+            }
+        }
+        index.stats
+    }
+
+    fn seeded_shapes(seed: u64, n: u64) -> Vec<Resources> {
+        (0..n)
+            .map(|k| {
+                let r = splitmix64(seed ^ (k * 104729));
+                Resources::new(
+                    0.01 + (r % 37) as f64 / 90.0,
+                    0.01 + (r / 37 % 37) as f64 / 90.0,
+                )
+            })
+            .collect()
+    }
+
+    /// A mixed fleet and a small shape pool, so the cache sees repeated
+    /// equivalence classes interleaved with invalidating mutations.
     #[test]
     fn randomized_ops_match_naive_scan() {
         for seed in [1u64, 7, 99, 1234] {
-            let mut machines: Vec<Machine> = (0..37)
+            let capacities: Vec<Resources> = (0..37u64)
                 .map(|i| {
-                    let r = splitmix64(seed ^ (i as u64 * 7919));
-                    let cpu = 0.3 + (r % 100) as f64 / 120.0;
-                    let mem = 0.3 + (r / 100 % 100) as f64 / 120.0;
-                    Machine::new(MachineId(i), Resources::new(cpu, mem))
-                })
-                .collect();
-            let mut index = PlacementIndex::new(&machines);
-            let mut occupants: Vec<(usize, usize)> = Vec::new();
-            let mut next_owner = 0usize;
-            // A small shape pool so the cache sees repeated equivalence
-            // classes interleaved with invalidating mutations.
-            let shapes: Vec<Resources> = (0..8)
-                .map(|k| {
-                    let r = splitmix64(seed ^ (k as u64 * 104729));
+                    let r = splitmix64(seed ^ (i * 7919));
                     Resources::new(
-                        0.01 + (r % 37) as f64 / 90.0,
-                        0.01 + (r / 37 % 37) as f64 / 90.0,
+                        0.3 + (r % 100) as f64 / 120.0,
+                        0.3 + (r / 100 % 100) as f64 / 120.0,
                     )
                 })
                 .collect();
-            for step in 0..4000u64 {
-                let r = splitmix64(seed.wrapping_mul(31).wrapping_add(step));
-                let request = shapes[(r % 8) as usize];
-                let tier = tier_of(r / 1369);
-                match r % 11 {
-                    // Frees dominate less than commits so machines fill.
-                    0..=2 => {
-                        if !occupants.is_empty() {
-                            let k = (r / 13) as usize % occupants.len();
-                            let (mi, owner) = occupants.swap_remove(k);
-                            machines[mi].remove(owner, 0).expect("occupant present");
-                            index.on_machine_changed(mi, &machines[mi]);
-                        }
-                    }
-                    3..=7 => {
-                        let expect = naive_best_fit(&machines, request, tier);
-                        let got = index.best_fit(&machines, request, tier);
-                        assert_eq!(got, expect, "seed {seed} step {step}");
-                        if let Some((mi, _)) = got {
-                            machines[mi].add(Occupant {
-                                owner: next_owner,
-                                index: 0,
-                                is_alloc_instance: false,
-                                tier,
-                                request,
-                            });
-                            index.on_machine_changed(mi, &machines[mi]);
-                            occupants.push((mi, next_owner));
-                            next_owner += 1;
-                        }
-                    }
-                    _ => {
-                        let tier = if r.is_multiple_of(2) {
-                            Tier::Production
-                        } else {
-                            Tier::Monitoring
-                        };
-                        let expect = naive_first_preemptible(&machines, request, tier);
-                        let got = index.first_preemptible(&machines, request, tier);
-                        assert_eq!(got, expect, "seed {seed} step {step}");
-                    }
+            let stats = churn(seed, &capacities, &seeded_shapes(seed, 8), 4000);
+            assert!(stats.cache_hits > 0 && stats.negative_hits > 0);
+            assert!(stats.cache_misses > 0);
+            assert!(stats.rescored > 0 && stats.tail_records > stats.cache_hits);
+        }
+    }
+
+    /// Identical machines and two shapes that divide them evenly: every
+    /// machine holding the same tasks has the same score to the bit, so
+    /// far more than R+1 machines tie at the threshold, and a free on a
+    /// low-indexed machine brings it back into a tie through the tail —
+    /// after higher indices already fill the list.
+    #[test]
+    fn churn_over_exact_score_ties_matches_naive_scan() {
+        let capacities = [Resources::new(1.0, 1.0); 24];
+        let shapes = [Resources::new(0.125, 0.125), Resources::new(0.25, 0.125)];
+        for seed in [3u64, 11, 2019] {
+            let stats = churn(seed, &capacities, &shapes, 3000);
+            assert!(stats.cache_hits > 0 && stats.cache_misses > 0);
+        }
+    }
+
+    /// Fewer machines than a candidate list holds: every entry carries
+    /// the sentinel threshold, and shapes near a whole machine leave
+    /// "nothing fits" cached while machines fail and come back.
+    #[test]
+    fn churn_over_a_fleet_smaller_than_the_list_matches_naive_scan() {
+        let capacities = [
+            Resources::new(1.0, 1.0),
+            Resources::new(0.5, 1.0),
+            Resources::new(1.0, 0.5),
+            Resources::new(0.75, 0.75),
+            Resources::new(0.5, 0.5),
+        ];
+        assert!(capacities.len() < R + 1);
+        let shapes = [
+            Resources::new(0.9, 0.9),
+            Resources::new(0.6, 0.3),
+            Resources::new(0.2, 0.2),
+        ];
+        for seed in [5u64, 13, 77] {
+            let stats = churn(seed, &capacities, &shapes, 3000);
+            assert!(stats.cache_hits > 0 && stats.negative_hits > 0);
+        }
+    }
+
+    /// The list is full of machines tying at one score when a lower
+    /// index with that same score arrives last, through the tail: the
+    /// bound gate has to let it in, because it is the answer.
+    #[test]
+    fn lower_index_tying_the_bound_wins_when_it_arrives_last() {
+        let mut machines: Vec<Machine> = (0..12)
+            .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
+            .collect();
+        let request = Resources::new(0.25, 0.25);
+        // Machine 0 starts too full for the request, so the scan's
+        // candidates are 1..=8 and its threshold is machine 9.
+        machines[0].add(occupant(0, Tier::Mid, Resources::new(1.0, 1.0)));
+        let mut index = PlacementIndex::new(&machines);
+        let scanned = index.best_fit(&machines, request, Tier::Mid);
+        assert_eq!(scanned.map(|(mi, _)| mi), Some(1));
+        // The tail: machine 9 touched (ninth entry of the list), then
+        // machine 0 emptied — same score as all the others, index 0.
+        index.on_machine_changed(9, &machines[9]);
+        machines[0].remove(0, 0).expect("present");
+        index.on_machine_changed(0, &machines[0]);
+        let got = index.best_fit(&machines, request, Tier::Mid);
+        assert_eq!(got, naive_best_fit(&machines, request, Tier::Mid));
+        assert_eq!(got.map(|(mi, _)| mi), Some(0));
+        assert_eq!(index.stats.cache_misses, 1, "answered by revalidation");
+    }
+
+    /// The score function against `Machine::fit_score`, bit for bit where
+    /// the request fits and `+inf` exactly where it does not, over seeded
+    /// rows and the rows most likely to separate a select from a branch.
+    #[test]
+    fn score_is_fit_score_or_infinity() {
+        let check = |capacity: Resources, committed: Resources, request: Resources, tier: Tier| {
+            let mut m = Machine::new(MachineId(0), capacity);
+            m.committed = committed;
+            let got = score(Mirror::row(&m), request, discount(request, tier));
+            let want = m.fit_score(request, tier).unwrap_or(f64::INFINITY);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{capacity:?} {committed:?} {request:?} {tier:?}"
+            );
+        };
+        let unit = |r: u64| (r % (1 << 20)) as f64 / (1u64 << 20) as f64;
+        let mut fits = 0;
+        for i in 0..40_000u64 {
+            let r = splitmix64(i);
+            let tier = tier_of(r >> 3);
+            // One machine in eight has failed; commitments of either zero.
+            let capacity = if r.is_multiple_of(8) {
+                Resources::ZERO
+            } else {
+                Resources::new(unit(r >> 8), unit(r >> 28))
+            };
+            let s = splitmix64(r);
+            let committed = match s % 4 {
+                0 => Resources::ZERO,
+                1 => Resources::new(-0.0, -0.0),
+                _ => Resources::new(capacity.cpu * unit(s >> 8), capacity.mem * unit(s >> 28)),
+            };
+            let t = splitmix64(s);
+            let request = match t % 8 {
+                0 => Resources::ZERO,
+                _ => Resources::new(unit(t >> 8) * 0.5, unit(t >> 28) * 0.5),
+            };
+            check(capacity, committed, request, tier);
+            fits += usize::from(
+                Machine::new(MachineId(0), capacity)
+                    .fit_score_at(committed, request, tier)
+                    .is_some(),
+            );
+            // The same row with the capacity the placement fills exactly:
+            // `after == capacity`, the last feasible point, score 0.0.
+            let brim = committed + discount(request, tier);
+            check(brim, committed, request, tier);
+        }
+        assert!(
+            (10_000..30_000).contains(&fits),
+            "both arms of every select exercised: {fits} of 40000 fit"
+        );
+        let one = Resources::new(1.0, 1.0);
+        // Over the machine's size in one dimension only, though the
+        // discounted commitment fits in both.
+        check(
+            Resources::new(0.5, 0.5),
+            Resources::ZERO,
+            Resources::new(0.6, 0.1),
+            Tier::Free,
+        );
+        check(
+            Resources::new(0.5, 0.5),
+            Resources::ZERO,
+            Resources::new(0.1, 0.6),
+            Tier::Free,
+        );
+        // A NaN request fits nowhere, whichever dimension carries it.
+        check(
+            one,
+            Resources::ZERO,
+            Resources::new(f64::NAN, 0.1),
+            Tier::Mid,
+        );
+        check(
+            one,
+            Resources::ZERO,
+            Resources::new(0.1, f64::NAN),
+            Tier::Mid,
+        );
+        // A failed machine takes the empty request and nothing else.
+        check(Resources::ZERO, Resources::ZERO, Resources::ZERO, Tier::Mid);
+        check(
+            Resources::ZERO,
+            Resources::new(-0.0, -0.0),
+            Resources::new(0.0, 1e-300),
+            Tier::Mid,
+        );
+    }
+
+    /// The tail cutoff follows the fleet: at 1, 48 and 512 machines a
+    /// lookup whose tail is exactly `max_tail` long revalidates, one
+    /// record more and it rescans — with the reference's answer both
+    /// times. The first lookup also refreshes its entry (every cutoff is
+    /// at least `REFRESH_TAIL`), or the second tail would be twice the
+    /// cutoff, not one past it.
+    #[test]
+    fn tail_cutoff_scales_with_the_fleet() {
+        for fleet in [1usize, 48, 512] {
+            let mut machines: Vec<Machine> = (0..fleet)
+                .map(|i| Machine::new(MachineId(i as u32), Resources::new(1.0, 1.0)))
+                .collect();
+            for (i, m) in machines.iter_mut().enumerate() {
+                for k in 0..i % 5 {
+                    m.add(occupant(k, Tier::Mid, Resources::new(0.2, 0.1)));
                 }
             }
-            assert!(index.stats.cache_hits + index.stats.negative_hits > 0);
-            assert!(index.stats.cache_misses > 0);
+            let mut index = PlacementIndex::new(&machines);
+            let cutoff = max_tail(fleet);
+            assert!((REFRESH_TAIL..=fleet.max(REFRESH_TAIL)).contains(&cutoff));
+            let request = Resources::new(0.15, 0.15);
+            let expect = naive_best_fit(&machines, request, Tier::Mid);
+            assert!(expect.is_some());
+            assert_eq!(index.best_fit(&machines, request, Tier::Mid), expect);
+            assert_eq!(index.stats.cache_misses, 1);
+            let touch = |index: &mut PlacementIndex, n: usize| {
+                for k in 0..n {
+                    let mi = k * 7 % fleet;
+                    index.on_machine_changed(mi, &machines[mi]);
+                }
+            };
+            touch(&mut index, cutoff);
+            assert_eq!(index.best_fit(&machines, request, Tier::Mid), expect);
+            assert_eq!(
+                (index.stats.cache_hits, index.stats.cache_misses),
+                (1, 1),
+                "fleet {fleet}: a tail of {cutoff} revalidates"
+            );
+            assert_eq!(index.stats.tail_records, cutoff as u64);
+            touch(&mut index, cutoff + 1);
+            assert_eq!(index.best_fit(&machines, request, Tier::Mid), expect);
+            assert_eq!(
+                (index.stats.cache_hits, index.stats.cache_misses),
+                (1, 2),
+                "fleet {fleet}: a tail of {} rescans",
+                cutoff + 1
+            );
         }
     }
 

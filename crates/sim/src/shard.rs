@@ -335,6 +335,8 @@ impl ShardedPlacement {
             total.negative_hits += s.negative_hits;
             total.cache_misses += s.cache_misses;
             total.leaves_scanned += s.leaves_scanned;
+            total.tail_records += s.tail_records;
+            total.rescored += s.rescored;
             total.preempt_probes += s.preempt_probes;
         }
         total

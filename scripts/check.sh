@@ -23,7 +23,8 @@ Modes (at most one):
   --shards   sharded-placement equivalence suite only (bit-identity sweep)
   --serve    borg-serve fast loop only (unit tests + wall-clock chaos smoke)
   --slo      observability fast loop only (witness/SLO/recorder tests + serve_slo)
-  --profile  telemetry profile report only (512-machine cell-day breakdown)
+  --profile  telemetry profile report only (512-machine cell-day breakdown); fails if the
+             placement index answered nothing or walks more log per revalidation than its cutoff
   --pipeline pipeline-bench self-check only (benchmark/run.sh --check: unit tests + 5 tiny workloads)
   --bench    default path plus a one-pass smoke of every criterion bench
   --help     this text
@@ -53,11 +54,37 @@ for arg in "$@"; do
     esac
 done
 
+# Runs `profile` with the given flags, shows its report, and holds the
+# placement index's two summary lines to what they must say: some query
+# was answered, and a revalidation walks, on average, no more log
+# records than the tail cutoff allows any single one to walk.
+run_profile() {
+    report=$(cargo run -q --release -p borg-experiments --offline --bin profile -- "$@")
+    printf '%s\n' "$report"
+    printf '%s\n' "$report" | awk '
+        /^  answered: / { answered = $2; seen_answered = 1 }
+        /^  per revalidation: / { mean = $3; cutoff = $NF; sub(/\)$/, "", cutoff); seen_mean = 1 }
+        END {
+            if (!seen_answered || !seen_mean) {
+                print "profile check: the placement-index summary lines are missing" > "/dev/stderr"
+                exit 1
+            }
+            if (answered + 0 == 0) {
+                print "profile check: hits + negative hits + misses is 0" > "/dev/stderr"
+                exit 1
+            }
+            if (mean + 0 > cutoff + 0) {
+                print "profile check: " mean " records per revalidation, tail cutoff " cutoff > "/dev/stderr"
+                exit 1
+            }
+        }'
+}
+
 if [ "$mode" = --profile ]; then
     echo "==> telemetry profile (512-machine cell-day)"
-    cargo run -q --release -p borg-experiments --offline --bin profile
+    run_profile
     echo "==> telemetry profile (512-machine cell-day, 4 placement shards)"
-    cargo run -q --release -p borg-experiments --offline --bin profile -- --shards 4
+    run_profile --shards 4
     echo "Profile check passed."
     exit 0
 fi
