@@ -1,16 +1,18 @@
-//! Statistics-kernel throughput: the one sort behind every order
-//! statistic (`Ccdf::from_samples`), the CCDF series, Figure 13's bucket
-//! medians, the Hill fit and streaming moments. What percentiles, tail
-//! shares and the Pareto regression cost on top of that sort is
-//! pipeline-bench's `analysis.table2_ms`; that span and
-//! `analysis.fig13_ms` also time the sampler, so `ccdf_build_1m` (one
-//! Table 2 column at the benchmark's size) and `bucketed_medians_500k`
-//! are the only place the two kernels show alone.
+//! Statistics-kernel throughput: the statistical-mode sampler, the one
+//! sort behind every order statistic (`Ccdf::from_samples`), the CCDF
+//! series, Figure 13's bucket medians, the Hill fit and streaming
+//! moments. pipeline-bench's `analysis.table2_ms` and
+//! `analysis.fig13_ms` time the sampler and the statistics together, so
+//! `era_samples_1m` (one era's chunk-parallel draw on every core),
+//! `ccdf_build_1m` (one Table 2 column at the benchmark's size) and
+//! `bucketed_medians_500k` are the only place the three kernels show
+//! alone.
 
 use borg_analysis::ccdf::Ccdf;
 use borg_analysis::correlation::bucketed_medians;
 use borg_analysis::moments::Moments;
 use borg_analysis::pareto::ParetoFit;
+use borg_core::analyses::consumption::era_samples;
 use borg_workload::dist::Sample;
 use borg_workload::integral::IntegralModel;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -21,6 +23,13 @@ fn samples(n: usize) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(1);
     let model = IntegralModel::model_2019();
     (0..n).map(|_| model.cpu.sample(&mut rng)).collect()
+}
+
+fn bench_era_samples(c: &mut Criterion) {
+    let model = IntegralModel::model_2019();
+    c.bench_function("era_samples_1m", |b| {
+        b.iter(|| era_samples(&model, 1_000_000, 1));
+    });
 }
 
 fn bench_ccdf(c: &mut Criterion) {
@@ -69,6 +78,7 @@ fn bench_moments(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_era_samples,
     bench_ccdf,
     bench_bucketed_medians,
     bench_hill_fit,

@@ -10,10 +10,11 @@
 use borg_analysis::ccdf::Ccdf;
 use borg_analysis::moments::Moments;
 use borg_analysis::pareto::{ParetoFit, TailShare};
-use borg_sim::WorkerPool;
+use borg_query::parallel;
 use borg_workload::integral::IntegralModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
 
 /// One column of Table 2 (one era × one resource dimension).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,52 +75,87 @@ pub fn column_from_samples(xs: &[f64]) -> Option<Table2Column> {
 
 /// The full Table 2: `(2011 cpu, 2011 mem, 2019 cpu, 2019 mem)`.
 ///
-/// The two eras are independent — their own model, their own seed — and
-/// run side by side when the host has a second core. Each is computed by
-/// the same sequential code either way, so the table does not depend on
-/// where it ran.
+/// Each era's sample is drawn chunk by chunk on every core
+/// ([`era_samples`]), then the four columns are four items of the same
+/// loop. Neither step's bits depend on the thread count.
 pub fn table2(samples: usize, seed: u64) -> Option<[Table2Column; 4]> {
-    // The calling thread takes one era; the other wants one worker.
-    let par = std::thread::available_parallelism().map_or(1, usize::from);
-    table2_on(par.saturating_sub(1).min(1), samples, seed)
+    table2_on(parallel::num_threads(), samples, seed)
 }
 
-/// One era of Table 2 moved to a pool worker by value: its sample, then
-/// its cpu and mem columns.
-fn era_columns_job(
-    (model, samples, seed): (IntegralModel, usize, u64),
-) -> Option<[Table2Column; 2]> {
-    let (cpu, mem) = era_samples(&model, samples, seed);
-    Some([column_from_samples(&cpu)?, column_from_samples(&mem)?])
-}
-
-/// [`table2`] on a pool of `workers` threads beside the caller (zero:
-/// one era after the other on the caller).
-fn table2_on(workers: usize, samples: usize, seed: u64) -> Option<[Table2Column; 4]> {
-    let mut pool = WorkerPool::new(
-        workers,
-        era_columns_job as fn((IntegralModel, usize, u64)) -> Option<[Table2Column; 2]>,
+/// [`table2`] on `threads` threads (one: everything on the caller).
+fn table2_on(threads: usize, samples: usize, seed: u64) -> Option<[Table2Column; 4]> {
+    let (cpu11, mem11) = era_samples_on(threads, &IntegralModel::model_2011(), samples, seed);
+    let (cpu19, mem19) = era_samples_on(
+        threads,
+        &IntegralModel::model_2019(),
+        samples,
+        seed ^ 0x5eed,
     );
-    let eras = pool.run_batch(vec![
-        (IntegralModel::model_2011(), samples, seed),
-        (IntegralModel::model_2019(), samples, seed ^ 0x5eed),
-    ]);
-    match eras[..] {
-        [Some([cpu11, mem11]), Some([cpu19, mem19])] => Some([cpu11, mem11, cpu19, mem19]),
+    let sets = [&cpu11, &mem11, &cpu19, &mem19];
+    let cols = parallel::map_items(sets.len(), threads, |i| column_from_samples(sets[i]));
+    match cols[..] {
+        [Some(cpu11), Some(mem11), Some(cpu19), Some(mem19)] => Some([cpu11, mem11, cpu19, mem19]),
         _ => None,
     }
 }
 
-/// Samples `(cpu, mem)` integrals for one era.
+/// Draws per chunk of a statistical-mode sample. Chunk `i` of a sample
+/// is the jobs `i · CHUNK ..` drawn from their own generator, seeded by
+/// `chunk_seed(seed, i)`; the last chunk is cut short.
+const CHUNK: usize = 1 << 16;
+
+/// The seed of chunk `chunk` of the sample seeded `seed`: output
+/// `chunk + 1` of a SplitMix64 stream started at `seed`. Mixing, rather
+/// than `seed ^ chunk`, keeps the chunks' generators from starting in
+/// near-identical states (`StdRng::seed_from_u64` seeds its own words
+/// with SplitMix64 steps from its seed, so seeds one golden-ratio step
+/// apart would share three of four words).
+fn chunk_seed(seed: u64, chunk: u64) -> u64 {
+    let mut z = seed.wrapping_add(chunk.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Samples `(cpu, mem)` integrals for one era: `samples` jobs from
+/// `model`, in fixed chunks of 64 Ki (`CHUNK`) seeded from `(seed, chunk)`,
+/// filled in place on every core. The bits are a function of `(model,
+/// samples, seed)` alone, and a smaller sample is a prefix of a larger
+/// one.
 pub fn era_samples(model: &IntegralModel, samples: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut cpu = Vec::with_capacity(samples);
-    let mut mem = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let job = model.sample(&mut rng);
-        cpu.push(job.ncu_hours);
-        mem.push(job.nmu_hours);
-    }
+    era_samples_on(parallel::num_threads(), model, samples, seed)
+}
+
+/// [`era_samples`] on `threads` threads.
+fn era_samples_on(
+    threads: usize,
+    model: &IntegralModel,
+    samples: usize,
+    seed: u64,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut cpu = vec![0.0; samples];
+    let mut mem = vec![0.0; samples];
+    // Each chunk is claimed by exactly one worker, so its lock is taken
+    // once and never contended: it only hands the two disjoint slices
+    // over. No other thread can see it poisoned (a worker's panic
+    // re-raises on the caller), and the slices hold plain floats, so the
+    // guard is recovered rather than unwrapped.
+    let chunks: Vec<Mutex<(&mut [f64], &mut [f64])>> = cpu
+        .chunks_mut(CHUNK)
+        .zip(mem.chunks_mut(CHUNK))
+        .map(Mutex::new)
+        .collect();
+    parallel::map_items(chunks.len(), threads, |i| {
+        let mut slot = chunks[i].lock().unwrap_or_else(PoisonError::into_inner);
+        let (cpu, mem) = &mut *slot;
+        let mut rng = StdRng::seed_from_u64(chunk_seed(seed, i as u64));
+        for (c, m) in cpu.iter_mut().zip(mem.iter_mut()) {
+            let job = model.sample(&mut rng);
+            *c = job.ncu_hours;
+            *m = job.nmu_hours;
+        }
+    });
+    drop(chunks);
     (cpu, mem)
 }
 
@@ -301,41 +337,129 @@ mod tests {
         .map(f64::to_bits)
     }
 
-    /// The worker count decides where an era runs, never what it computes:
-    /// on the caller alone and with one worker, Table 2 is the four
-    /// columns composed by hand from `era_samples`.
+    /// The thread count decides where a chunk or a column is computed,
+    /// never what: at 1, 2 and 5 threads (the 30 000-draw sample is one
+    /// chunk, the 150 000-draw one three), Table 2 is the four columns
+    /// composed by hand from `era_samples`.
     #[test]
     fn worker_count_cannot_reach_the_bits() {
-        let (samples, seed) = (30_000, 11);
-        let (cpu11, mem11) = era_samples(&IntegralModel::model_2011(), samples, seed);
-        let (cpu19, mem19) = era_samples(&IntegralModel::model_2019(), samples, seed ^ 0x5eed);
-        let want = [&cpu11, &mem11, &cpu19, &mem19]
-            .map(|xs| column_bits(&column_from_samples(xs).expect("30k samples fit")));
-        for workers in [0, 1] {
-            let got = table2_on(workers, samples, seed).expect("table 2 computes");
-            assert_eq!(got.each_ref().map(column_bits), want, "{workers} workers");
+        for (samples, seed) in [(30_000, 11), (150_000, 12)] {
+            let (cpu11, mem11) = era_samples(&IntegralModel::model_2011(), samples, seed);
+            let (cpu19, mem19) = era_samples(&IntegralModel::model_2019(), samples, seed ^ 0x5eed);
+            let want = [&cpu11, &mem11, &cpu19, &mem19]
+                .map(|xs| column_bits(&column_from_samples(xs).expect("samples fit")));
+            for threads in [1, 2, 5] {
+                let got = table2_on(threads, samples, seed).expect("table 2 computes");
+                let got = got.each_ref().map(column_bits);
+                assert_eq!(got, want, "{samples} samples, {threads} threads");
+            }
+            let public = table2(samples, seed).expect("table 2 computes");
+            assert_eq!(public.each_ref().map(column_bits), want);
         }
-        let public = table2(samples, seed).expect("table 2 computes");
-        assert_eq!(public.each_ref().map(column_bits), want);
     }
 
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The sizes that sit on and beside a chunk edge.
+    const EDGE_COUNTS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17];
+
+    /// A sample is the same bits at any thread count, and a smaller
+    /// sample is a prefix of a larger one.
     #[test]
-    fn era_samples_split_the_sample_many_stream() {
+    fn era_samples_depend_on_model_count_and_seed_alone() {
         let model = IntegralModel::model_2011();
-        let jobs = model.sample_many(5_000, &mut StdRng::seed_from_u64(3));
-        let (cpu, mem) = era_samples(&model, 5_000, 3);
-        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        assert_eq!(bits(cpu), bits(jobs.iter().map(|j| j.ncu_hours).collect()));
-        assert_eq!(bits(mem), bits(jobs.iter().map(|j| j.nmu_hours).collect()));
+        let (cpu, mem) = era_samples_on(1, &model, 3 * CHUNK + 17, 3);
+        for samples in EDGE_COUNTS {
+            for threads in [1, 2, 5] {
+                let (c, m) = era_samples_on(threads, &model, samples, 3);
+                let at = format!("{samples} samples, {threads} threads");
+                assert_eq!(bits(&c), bits(&cpu[..samples]), "cpu, {at}");
+                assert_eq!(bits(&m), bits(&mem[..samples]), "mem, {at}");
+            }
+        }
     }
 
-    /// A column that cannot be fitted comes back across the pool as
-    /// `None`, not as a panic re-raised on the caller.
+    /// What defines a sample: chunk `i` is `sample_many` on a generator of
+    /// its own, seeded `chunk_seed(seed, i)`.
+    #[test]
+    fn each_chunk_is_its_own_seeded_stream() {
+        let model = IntegralModel::model_2019();
+        let (cpu, mem) = era_samples(&model, 2 * CHUNK + 5, 8);
+        for (chunk, rows) in [
+            (0, 0..CHUNK),
+            (1, CHUNK..2 * CHUNK),
+            (2, 2 * CHUNK..2 * CHUNK + 5),
+        ] {
+            let mut rng = StdRng::seed_from_u64(chunk_seed(8, chunk));
+            let jobs = model.sample_many(rows.len(), &mut rng);
+            let want_cpu: Vec<f64> = jobs.iter().map(|j| j.ncu_hours).collect();
+            let want_mem: Vec<f64> = jobs.iter().map(|j| j.nmu_hours).collect();
+            assert_eq!(bits(&cpu[rows.clone()]), bits(&want_cpu), "chunk {chunk}");
+            assert_eq!(bits(&mem[rows]), bits(&want_mem), "chunk {chunk}");
+        }
+        assert_ne!(chunk_seed(8, 0), chunk_seed(8, 1));
+        assert_ne!(chunk_seed(8, 1), chunk_seed(9, 0));
+    }
+
+    /// Two-sample Kolmogorov–Smirnov distance: the largest gap between
+    /// the two empirical CDFs.
+    fn ks_distance(mut a: Vec<f64>, mut b: Vec<f64>) -> f64 {
+        a.sort_unstable_by(f64::total_cmp);
+        b.sort_unstable_by(f64::total_cmp);
+        let (na, nb) = (a.len() as f64, b.len() as f64);
+        let (mut i, mut j, mut d) = (0, 0, 0.0f64);
+        while i < a.len() && j < b.len() {
+            let x = a[i].min(b[j]);
+            while i < a.len() && a[i] <= x {
+                i += 1;
+            }
+            while j < b.len() && b[j] <= x {
+                j += 1;
+            }
+            d = d.max((i as f64 / na - j as f64 / nb).abs());
+        }
+        d
+    }
+
+    /// The paired draw has the law of the draw it replaced: for cpu and
+    /// mem in both eras, the KS distance between 200 000 new draws and
+    /// 200 000 draws of `cpu.sample` then `mem_ratio.sample` (the old
+    /// `IntegralModel::sample`, rebuilt here from the unchanged
+    /// `BodyTail` and `LogNormal` samplers) is under the α = 0.001
+    /// critical value 1.95·√(2/n).
+    #[test]
+    fn paired_draw_matches_the_old_draw_in_law() {
+        use borg_workload::dist::Sample;
+        const N: usize = 200_000;
+        let critical = 1.95 * (2.0 / N as f64).sqrt();
+        for (era, model) in [
+            ("2011", IntegralModel::model_2011()),
+            ("2019", IntegralModel::model_2019()),
+        ] {
+            let (cpu, mem) = era_samples(&model, N, 21);
+            let mut rng = StdRng::seed_from_u64(22);
+            let (old_cpu, old_mem): (Vec<f64>, Vec<f64>) = (0..N)
+                .map(|_| {
+                    let ncu = model.cpu.sample(&mut rng);
+                    (ncu, ncu * model.mem_ratio.sample(&mut rng))
+                })
+                .unzip();
+            for (what, new, old) in [("cpu", cpu, old_cpu), ("mem", mem, old_mem)] {
+                let d = ks_distance(new, old);
+                assert!(d < critical, "{era} {what}: D = {d} ≥ {critical}");
+            }
+        }
+    }
+
+    /// A column that cannot be fitted comes back as `None`, not as a
+    /// panic re-raised on the caller.
     #[test]
     fn unfittable_sample_is_none_on_every_worker_count() {
-        for workers in [0, 1] {
-            assert_eq!(table2_on(workers, 1, 42), None, "{workers} workers");
-            assert_eq!(table2_on(workers, 0, 42), None, "{workers} workers");
+        for threads in [1, 2] {
+            assert_eq!(table2_on(threads, 1, 42), None, "{threads} threads");
+            assert_eq!(table2_on(threads, 0, 42), None, "{threads} threads");
         }
         assert_eq!(table2(1, 42), None);
     }

@@ -4,10 +4,9 @@
 //! bin is plotted; the paper reports a Pearson correlation of 0.97 on the
 //! bucketed medians.
 
+use crate::analyses::consumption::era_samples;
 use borg_analysis::correlation::{bucketed_median_correlation, bucketed_medians, Bucket};
 use borg_workload::integral::IntegralModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The Figure 13 result.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,16 +17,11 @@ pub struct Figure13 {
     pub pearson: f64,
 }
 
-/// Computes Figure 13 from the 2019 integral model.
+/// Computes Figure 13 from the 2019 integral model: the same draw
+/// [`era_samples`] makes for `(samples, seed)`.
 pub fn figure13(samples: usize, seed: u64) -> Option<Figure13> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model = IntegralModel::model_2019();
-    let pairs: Vec<(f64, f64)> = (0..samples)
-        .map(|_| {
-            let job = model.sample(&mut rng);
-            (job.ncu_hours, job.nmu_hours)
-        })
-        .collect();
+    let (cpu, mem) = era_samples(&IntegralModel::model_2019(), samples, seed);
+    let pairs: Vec<(f64, f64)> = cpu.into_iter().zip(mem).collect();
     let buckets = bucketed_medians(&pairs, 1.0);
     let pearson = bucketed_median_correlation(&buckets)?;
     Some(Figure13 { buckets, pearson })

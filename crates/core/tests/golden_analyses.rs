@@ -7,7 +7,7 @@
 //! size up. Table 2 is pinned twice: as the rendered table (what
 //! `paper table2` prints) and field by field.
 //!
-//! The pinned values were printed by the routines at the commit that
+//! The statistics were first pinned by the routines at the commit that
 //! introduced this file — the slice-taking `percentiles`, `top_share`,
 //! `TailShare::compute`, `ParetoFit::fit_ccdf_regression`,
 //! `Lorenz::from_samples`, `gini` and the copy-and-sort inside
@@ -15,6 +15,14 @@
 //! routines survive as the differential reference in
 //! `crates/analysis/tests/reference/`; this table holds whatever
 //! replaces them to the same bits end to end.
+//!
+//! Every section but Figure 11 was re-pinned once, when the
+//! statistical-mode sample changed definition (paired Box–Muller draw,
+//! chunk-seeded streams; DESIGN.md §5). That re-pin was held to the
+//! paper rather than to the old bits: the calibration tests in
+//! `integral.rs` and `consumption.rs` kept their bounds, and
+//! `consumption.rs` bounds the KS distance between the new draw and the
+//! old one. Figure 11 draws no integral and did not move.
 //!
 //! Generated on: rustc 1.95.0 (59807616e 2026-04-14),
 //! x86_64-unknown-linux-gnu — recorded because the integral model's
@@ -233,107 +241,107 @@ fn print_golden() {
 const TABLE2: &str = concat!(
     "           measure  2011 NCU-h  2011 NMU-h  2019 NCU-h  2019 NMU-h  \n",
     "------------------  ----------  ----------  ----------  ----------  \n",
-    "            median    1.922e-4    1.640e-4    5.206e-5    2.757e-5  \n",
-    "              mean      2.7475      2.7035      0.5237      0.2822  \n",
-    "          variance     5.036e4     5.894e4     2.857e3    780.6921  \n",
-    "            90%ile      0.0271      0.0246      0.0029      0.0015  \n",
-    "            99%ile     11.1855     10.3644      1.3644      0.7240  \n",
-    "          99.9%ile    198.3519    191.3308     32.8562     19.3673  \n",
-    "           maximum     4.988e4     7.217e4     1.875e4     8.668e3  \n",
-    "  top 1% jobs load      0.9415      0.9465      0.9891      0.9896  \n",
-    "top 0.1% jobs load      0.8121      0.8223      0.8921      0.8882  \n",
-    "               C^2     6.671e3     8.065e3     1.042e4     9.804e3  \n",
-    "     Pareto(alpha)      0.7991      0.7826      0.7892      0.8039  \n",
-    "               R^2      0.9953      0.9933      0.9887      0.9841  \n",
-    "2011 cpu median 3f292fe144d157db 1.921617971755708e-4\n",
-    "2011 cpu mean 4005fae2b6a4fe33 2.7475027340986116e0\n",
-    "2011 cpu variance 40e89683d5c79d4d 5.035611984616015e4\n",
-    "2011 cpu p90 3f9bbc8bc5180ba8 2.7086433319719966e-2\n",
-    "2011 cpu p99 40265ef6de101aac 1.1185477199045032e1\n",
-    "2011 cpu p999 4068cb4303e15d6a 1.983519305612238e2\n",
-    "2011 cpu maximum 40e85b7b6f9d5475 4.9883857374825435e4\n",
-    "2011 cpu top_1 3fee20ca765d2be9 9.415027915759967e-1\n",
-    "2011 cpu top_01 3fe9fcd8291456fb 8.121147920926143e-1\n",
-    "2011 cpu c_squared 40ba0ec537db9af2 6.670770383572892e3\n",
-    "2011 cpu alpha 3fe9921df050849f 7.990865415232696e-1\n",
-    "2011 cpu r_squared 3fefd955f072eebc 9.952802368420275e-1\n",
-    "2011 mem median 3f257f8a7289a7e3 1.6401829749962326e-4\n",
-    "2011 mem mean 4005a0bd60ce85ce 2.7034862101579398e0\n",
-    "2011 mem variance 40ecc7d157750890 5.8942541925923084e4\n",
-    "2011 mem p90 3f993782210ecb9d 2.462580992478146e-2\n",
-    "2011 mem p99 4024ba9154f97c59 1.0364390044646074e1\n",
-    "2011 mem p999 4067ea95e495b6c3 1.9133079747429846e2\n",
-    "2011 mem maximum 40f19e79b83c7362 7.21676074795253e4\n",
-    "2011 mem top_1 3fee49a93370f7f3 9.464918141090933e-1\n",
-    "2011 mem top_01 3fea502e045791d5 8.22287567597011e-1\n",
-    "2011 mem c_squared 40bf808eb9796ca1 8.064557517613431e3\n",
-    "2011 mem alpha 3fe90b66109dc24e 7.826414417778069e-1\n",
-    "2011 mem r_squared 3fefc916ddec1069 9.932970365921509e-1\n",
-    "2019 cpu median 3f0b4bb36189c3cc 5.206242730516168e-5\n",
-    "2019 cpu mean 3fe0c24fb2e074ae 5.237196439444654e-1\n",
-    "2019 cpu variance 40a6517350409e32 2.8567252216523275e3\n",
-    "2019 cpu p90 3f677e37d667dd77 2.8678026749237545e-3\n",
-    "2019 cpu p99 3ff5d489013c8c15 1.3643884704877156e0\n",
-    "2019 cpu p999 40406d984ccd00ad 3.28562103272428e1\n",
-    "2019 cpu maximum 40d250af470c2f8a 1.875473871140139e4\n",
-    "2019 cpu top_1 3fefa670b7fcd31c 9.890674203403225e-1\n",
-    "2019 cpu top_01 3fec8bb62690117c 8.920546296290435e-1\n",
-    "2019 cpu c_squared 40c457a3331ecd25 1.0415274997568291e4\n",
-    "2019 cpu alpha 3fe941855cf92f9f 7.892481628309617e-1\n",
-    "2019 cpu r_squared 3fefa32bd2d539ce 9.88668357642206e-1\n",
-    "2019 mem median 3efce9b87811350b 2.7573557876349674e-5\n",
-    "2019 mem mean 3fd20f731b830feb 2.821929711028576e-1\n",
-    "2019 mem variance 4088658953736e4d 7.806920537012135e2\n",
-    "2019 mem p90 3f59632638532fc9 1.5495179407478568e-3\n",
-    "2019 mem p99 3fe72aa75e49b726 7.239567605554142e-1\n",
-    "2019 mem p999 40335e08752cc1aa 1.9367316554476623e1\n",
-    "2019 mem maximum 40c0ee0b6bb91585 8.668089224944599e3\n",
-    "2019 mem top_1 3fefaac789488702 9.89597099429574e-1\n",
-    "2019 mem top_01 3fec6bfc6ea4848f 8.881818924893582e-1\n",
-    "2019 mem c_squared 40c325d1fa049c60 9.803640442444186e3\n",
-    "2019 mem alpha 3fe9b9da2300fd14 8.039370235127614e-1\n",
-    "2019 mem r_squared 3fef7d890ff4ae40 9.840741454731372e-1\n",
+    "            median    1.935e-4    1.652e-4    5.212e-5    2.761e-5  \n",
+    "              mean      2.2690      2.0365      1.1295      0.7138  \n",
+    "          variance     4.029e4     3.278e4     6.712e4     2.183e4  \n",
+    "            90%ile      0.0270      0.0248      0.0029      0.0016  \n",
+    "            99%ile     10.2402      9.4328      1.3846      0.7173  \n",
+    "          99.9%ile    185.2048    165.1386     33.7622     19.2663  \n",
+    "           maximum     5.141e4     4.732e4     1.115e5     5.920e4  \n",
+    "  top 1% jobs load      0.9329      0.9329      0.9949      0.9959  \n",
+    "top 0.1% jobs load      0.7901      0.7860      0.9486      0.9552  \n",
+    "               C^2     7.827e3     7.904e3     5.261e4     4.285e4  \n",
+    "     Pareto(alpha)      0.8181      0.8123      0.7882      0.8107  \n",
+    "               R^2      0.9942      0.9907      0.9864      0.9825  \n",
+    "2011 cpu median 3f295e43165bb0ce 1.9354409157957278e-4\n",
+    "2011 cpu mean 400226f371cc9d80 2.269019021088468e0\n",
+    "2011 cpu variance 40e3acd3ea106ca1 4.029462232228486e4\n",
+    "2011 cpu p90 3f9ba49e8f24ef5c 2.6995160567124685e-2\n",
+    "2011 cpu p99 40247b0051b5ca0f 1.0240236810151172e1\n",
+    "2011 cpu p999 4067268dc27b2a63 1.8520480464988495e2\n",
+    "2011 cpu maximum 40e91a8309f59650 5.1412094965737895e4\n",
+    "2011 cpu top_1 3fedda3582eb0363 9.328868443482005e-1\n",
+    "2011 cpu top_01 3fe9482a4bac9ace 7.900592306148952e-1\n",
+    "2011 cpu c_squared 40be928ee2fc45f3 7.826558151022985e3\n",
+    "2011 cpu alpha 3fea2df157e2eff0 8.181082455189408e-1\n",
+    "2011 cpu r_squared 3fefd0651a541fef 9.941888345938404e-1\n",
+    "2011 mem median 3f25a86432aee1de 1.652357398975864e-4\n",
+    "2011 mem mean 40004acbe231d2d5 2.0365216895537324e0\n",
+    "2011 mem variance 40e00188930198ff 3.278026794509775e4\n",
+    "2011 mem p90 3f9962192ceda442 2.4788277976231628e-2\n",
+    "2011 mem p99 4022dd91f5636757 9.432754200348127e0\n",
+    "2011 mem p999 4064a46f5f02a9ee 1.6513859510917922e2\n",
+    "2011 mem maximum 40e71a783035a238 4.7315755884949525e4\n",
+    "2011 mem top_1 3fedda76507fabb3 9.329177448502065e-1\n",
+    "2011 mem top_01 3fe92748d97e6157 7.860454795764252e-1\n",
+    "2011 mem c_squared 40bedfc5b4b77bf9 7.903772288768546e3\n",
+    "2011 mem alpha 3fe9fe799d27b438 8.123138493953155e-1\n",
+    "2011 mem r_squared 3fefb42e2c5b6a96 9.907446733808054e-1\n",
+    "2019 cpu median 3f0b53a83fdd1d32 5.212170797946405e-5\n",
+    "2019 cpu mean 3ff2127e623dc501 1.1295150601911816e0\n",
+    "2019 cpu variance 40f062d8abfe9682 6.711754199084084e4\n",
+    "2019 cpu p90 3f676c1d1006cfa7 2.8591697339041713e-3\n",
+    "2019 cpu p99 3ff627648705aecc 1.3846173548035265e0\n",
+    "2019 cpu p999 4040e190a2ebee72 3.376222645301904e1\n",
+    "2019 cpu maximum 40fb3725eb4af485 1.1147436994452968e5\n",
+    "2019 cpu top_1 3fefd667b2ae60d1 9.949224939218998e-1\n",
+    "2019 cpu top_01 3fee5a92724f9c75 9.485561592708921e-1\n",
+    "2019 cpu c_squared 40e9b000c65b47d8 5.2608024213447876e4\n",
+    "2019 cpu alpha 3fe939463abadee8 7.882414958066564e-1\n",
+    "2019 cpu r_squared 3fef9059423105ee 9.863706867983504e-1\n",
+    "2019 mem median 3efcf4906901823e 2.7613953136886584e-5\n",
+    "2019 mem mean 3fe6d74bda91c9b2 7.137812870917541e-1\n",
+    "2019 mem variance 40d551381de8f171 2.18288768255575e4\n",
+    "2019 mem p90 3f598b5378dd091e 1.5590968282173721e-3\n",
+    "2019 mem p99 3fe6f46761d15b7b 7.173344526771496e-1\n",
+    "2019 mem p999 4033442c118c05c3 1.926629743259924e1\n",
+    "2019 mem maximum 40ece76bf94384e1 5.919537417770341e4\n",
+    "2019 mem top_1 3fefde5a396a78c4 9.958926316646957e-1\n",
+    "2019 mem top_01 3fee90fd8f966f07 9.55199032253831e-1\n",
+    "2019 mem c_squared 40e4eba2ed2dc5b6 4.284509145249e4\n",
+    "2019 mem alpha 3fe9f10073b14693 8.106691608065425e-1\n",
+    "2019 mem r_squared 3fef70d326c407b3 9.82522559847203e-1\n",
 );
 
 #[rustfmt::skip]
 const FIG12: &str = concat!(
-    "00 x 3eb0c6f7a0b5ed8f 1.0000000000000004e-6 p 3fecf41f212d7732 9.048e-1\n",
-    "01 x 3ec00f5198d3e478 1.9144819761699587e-6 p 3feba176ddaceee1 8.6346e-1\n",
-    "02 x 3ecebf0badec4741 3.6652412370796288e-6 p 3fe9f06f69446738 8.106e-1\n",
-    "03 x 3edd6e7ccc14f9b8 7.0170382867038286e-6 p 3fe7e718a86d71f3 7.4696e-1\n",
-    "04 x 3eec2c51fbd20b28 1.3433993325989e-5 p 3fe58adab9f559b4 6.732e-1\n",
-    "05 x 3efaf7edb6311644 2.5719138090593446e-5 p 3fe2ed1394317acc 5.9144e-1\n",
-    "06 x 3f09d0b93096da51 4.923882631706746e-5 p 3fe03c9eecbfb15b 5.074e-1\n",
-    "07 x 3f18b62413041224 9.426684551178864e-5 p 3fdb16b11c6d1e11 4.2326e-1\n",
-    "08 x 3f27a7a4318160e2 1.8047217668271722e-4 p 3fd5f6a93f290abb 3.4318e-1\n",
-    "09 x 3f36a4b5488fd0fc 3.4551072945922224e-4 p 3fd141c8216c6152 2.6964e-1\n",
-    "10 x 3f45acd8bc7cdd48 6.614740641230155e-4 p 3fca1426fe718a87 2.0374e-1\n",
-    "11 x 3f54bf955b7a64c3 1.2663801734674053e-3 p 3fc31b9b66f9335d 1.4928e-1\n",
-    "12 x 3f63dc77225c43d2 2.4244620170823317e-3 p 3fbb3fa6defc7a3a 1.0644e-1\n",
-    "13 x 3f73030f03de999c 4.6415888336127885e-3 p 3fb3443d46b26bf8 7.526e-2\n",
-    "14 x 3f8232f2b258fc61 8.886238162743422e-3 p 3faabf3387160957 5.224e-2\n",
-    "15 x 3f916bbc6bc4107d 1.701254279852592e-2 p 3fa31e3a7daa4fca 3.734e-2\n",
-    "16 x 3fa0ad0ac7f8174b 3.257020655659789e-2 p 3f9c58255b035bd5 2.768e-2\n",
-    "17 x 3fafed011218440c 6.235507341273924e-2 p 3f95a07b352a8438 2.112e-2\n",
-    "18 x 3fbe8f88db7d3daa 1.1937766417144383e-1 p 3f91394317acc4f0 1.682e-2\n",
-    "19 x 3fcd41020ba1ea28 2.2854638641349934e-1 p 3f8d9d3458cd20b0 1.446e-2\n",
-    "20 x 3fdc00c91081b415 4.37547937507419e-1 p 3f8afe1da7b0b392 1.318e-2\n",
-    "21 x 3feace415695e18d 8.376776400682943e-1 p 3f8999999999999a 1.25e-2\n",
-    "22 x 3ff9a8d4fc464e96 1.6037187437513345e0 p 3f822fad6cb53501 8.88e-3\n",
-    "23 x 40088ff488a033b2 3.0702906297578574e0 p 3f776ddaceee0f3d 5.72e-3\n",
-    "24 x 40178316a52f21fb 5.878016072274927e0 p 3f6e2584f4c6e6da 3.68e-3\n",
-    "25 x 402681b7dad5e882 1.1253355826007695e1 p 3f6426fe718a86d7 2.46e-3\n",
-    "26 x 40358b5a51868c7a 2.154434690031892e1 p 3f5b866e43aa79bc 1.68e-3\n",
-    "27 x 40449f8592b9e696 4.124626382901367e1 p 3f52ad81adea8976 1.14e-3\n",
-    "28 x 4053bdc64e88ce6f 7.896522868499754e1 p 3f4797cc39ffd60f 7.2e-4\n",
-    "29 x 4062e5ae234a079f 1.5117750706156673e2 p 3f3e2584f4c6e6da 4.6e-4\n",
-    "30 x 407216d367995ea1 2.8942661247167604e2 p 3f310a137f38c543 2.6e-4\n",
-    "31 x 408150d0f6ad9193 5.541020330009509e2 p 3f2797cc39ffd60f 1.8e-4\n",
-    "32 x 40909345fee3c1d5 1.0608183551394516e3 p 3f22599ed7c6fbd2 1.4e-4\n",
+    "00 x 3eb0c6f7a0b5ed8f 1.0000000000000004e-6 p 3fecf0068db8bac7 9.043e-1\n",
+    "01 x 3ec00f5198d3e478 1.9144819761699587e-6 p 3feb9d3458cd20b0 8.6294e-1\n",
+    "02 x 3ecebf0badec4741 3.6652412370796288e-6 p 3fe9ef49cf56eac8 8.1046e-1\n",
+    "03 x 3edd6e7ccc14f9b8 7.0170382867038286e-6 p 3fe7ecaab8a5ce5b 7.4764e-1\n",
+    "04 x 3eec2c51fbd20b28 1.3433993325989e-5 p 3fe592641b328b6e 6.7412e-1\n",
+    "05 x 3efaf7edb6311644 2.5719138090593446e-5 p 3fe308ede54b48d4 5.9484e-1\n",
+    "06 x 3f09d0b93096da51 4.923882631706746e-5 p 3fe049906cca2db6 5.0898e-1\n",
+    "07 x 3f18b62413041224 9.426684551178864e-5 p 3fdb06f694467382 4.223e-1\n",
+    "08 x 3f27a7a4318160e2 1.8047217668271722e-4 p 3fd5d052934acaff 3.4084e-1\n",
+    "09 x 3f36a4b5488fd0fc 3.4551072945922224e-4 p 3fd12c7b890d5a5c 2.6834e-1\n",
+    "10 x 3f45acd8bc7cdd48 6.614740641230155e-4 p 3fca21426fe718a8 2.0414e-1\n",
+    "11 x 3f54bf955b7a64c3 1.2663801734674053e-3 p 3fc35a858793dd98 1.512e-1\n",
+    "12 x 3f63dc77225c43d2 2.4244620170823317e-3 p 3fbb8cfbfc6540cc 1.0762e-1\n",
+    "13 x 3f73030f03de999c 4.6415888336127885e-3 p 3fb32df505d0fa59 7.492e-2\n",
+    "14 x 3f8232f2b258fc61 8.886238162743422e-3 p 3faaa4fca42aed14 5.204e-2\n",
+    "15 x 3f916bbc6bc4107d 1.701254279852592e-2 p 3fa2ccf6be37de94 3.672e-2\n",
+    "16 x 3fa0ad0ac7f8174b 3.257020655659789e-2 p 3f9a858793dd97f6 2.59e-2\n",
+    "17 x 3fafed011218440c 6.235507341273924e-2 p 3f944bb1af3a14cf 1.982e-2\n",
+    "18 x 3fbe8f88db7d3daa 1.1937766417144383e-1 p 3f903d9a95421c04 1.586e-2\n",
+    "19 x 3fcd41020ba1ea28 2.2854638641349934e-1 p 3f8bf9c62a1b5c7d 1.366e-2\n",
+    "20 x 3fdc00c91081b415 4.37547937507419e-1 p 3f8930be0ded288d 1.23e-2\n",
+    "21 x 3feace415695e18d 8.376776400682943e-1 p 3f87e132b55ef1fe 1.166e-2\n",
+    "22 x 3ff9a8d4fc464e96 1.6037187437513345e0 p 3f7f9f01b866e43b 7.72e-3\n",
+    "23 x 40088ff488a033b2 3.0702906297578574e0 p 3f74b9cb6848beb6 5.06e-3\n",
+    "24 x 40178316a52f21fb 5.878016072274927e0 p 3f6bda5119ce075f 3.4e-3\n",
+    "25 x 402681b7dad5e882 1.1253355826007695e1 p 3f5fc8f32378ab0d 1.94e-3\n",
+    "26 x 40358b5a51868c7a 2.154434690031892e1 p 3f530164840e171a 1.16e-3\n",
+    "27 x 40449f8592b9e696 4.124626382901367e1 p 3f483f91e646f156 7.4e-4\n",
+    "28 x 4053bdc64e88ce6f 7.896522868499754e1 p 3f3cd5f99c38b04b 4.4e-4\n",
+    "29 x 4062e5ae234a079f 1.5117750706156673e2 p 3f2a36e2eb1c432d 2e-4\n",
+    "30 x 407216d367995ea1 2.8942661247167604e2 p 3f24f8b588e368f1 1.6e-4\n",
+    "31 x 408150d0f6ad9193 5.541020330009509e2 p 3f1f75104d551d69 1.2e-4\n",
+    "32 x 40909345fee3c1d5 1.0608183551394516e3 p 3f14f8b588e368f1 8e-5\n",
     "33 x 409fbbaba4d07ff6 2.0309176209047414e3 p 3f0f75104d551d69 6e-5\n",
-    "34 x 40ae604f73cb1889 3.888155180308099e3 p 3ef4f8b588e368f1 2e-5\n",
+    "34 x 40ae604f73cb1889 3.888155180308099e3 p 3f04f8b588e368f1 4e-5\n",
     "35 x 40bd13cd9246c656 7.443803013251707e3 p 3ef4f8b588e368f1 2e-5\n",
-    "36 x 40cbd5836b01404f 1.4251026703030015e4 p 0000000000000000 0e0\n",
+    "36 x 40cbd5836b01404f 1.4251026703030015e4 p 3ef4f8b588e368f1 2e-5\n",
     "37 x 40daa4d55c6751e0 2.728333376486774e4 p 0000000000000000 0e0\n",
     "38 x 40e9812e6c7be388 5.223345074266853e4 p 0000000000000000 0e0\n",
     "39 x 40f86a000000000e 1.000000000000002e5 p 0000000000000000 0e0\n",
@@ -341,231 +349,209 @@ const FIG12: &str = concat!(
 
 #[rustfmt::skip]
 const FIG13: &str = concat!(
-    "pearson 3fef5459082cd529 9.790463599844418e-1\n",
-    "buckets 216\n",
-    "[0, 1) n 296207 median 3efb90137116206c 2.628593126055604e-5\n",
-    "[1, 2) n 1527 median 3fe78728017d607d 7.352485684487103e-1\n",
-    "[2, 3) n 562 median 3ff4828abafd1674 1.2818705848925704e0\n",
-    "[3, 4) n 319 median 3ffdd42c250acbe4 1.864299912162772e0\n",
-    "[4, 5) n 183 median 400283c5905af4f1 2.3143416669614614e0\n",
-    "[5, 6) n 139 median 4007263ea3e151e7 2.8936741641175447e0\n",
-    "[6, 7) n 118 median 400a8c6f8ad2ac5d 3.3185721250097644e0\n",
-    "[7, 8) n 93 median 400e6b6894d851e2 3.802445566989477e0\n",
-    "[8, 9) n 67 median 4012b1502a549465 4.673157369053205e0\n",
-    "[9, 10) n 36 median 4015e1a87912e24e 5.470369235780323e0\n",
-    "[10, 11) n 49 median 4017c9a0904a06d1 5.946901564138629e0\n",
-    "[11, 12) n 35 median 401a067f0ced2f69 6.506344034172664e0\n",
-    "[12, 13) n 37 median 4019e0be3b02917f 6.4694756717984765e0\n",
-    "[13, 14) n 45 median 401d540b79f4236e 7.332075028921151e0\n",
-    "[14, 15) n 22 median 401fe50e548da5b2 7.973687478204214e0\n",
-    "[15, 16) n 26 median 40223f236c3b2ec8 9.12331712934919e0\n",
-    "[16, 17) n 17 median 4022d85ec1410faa 9.422597922508277e0\n",
-    "[17, 18) n 24 median 4020d8a601b9e484 8.423141530935261e0\n",
-    "[18, 19) n 14 median 4022cfeb6d10bf48 9.406093033117614e0\n",
-    "[19, 20) n 15 median 4025ace3a015c0a2 1.0837674143462497e1\n",
-    "[20, 21) n 11 median 4029c664393df4f8 1.2887483395398235e1\n",
-    "[21, 22) n 19 median 402c6df6bbbc3181 1.4214773050997566e1\n",
-    "[22, 23) n 14 median 402bd30a581dc355 1.3912188295014554e1\n",
-    "[23, 24) n 10 median 4025657d4b7c02e2 1.0698221548927396e1\n",
-    "[24, 25) n 5 median 40283911d67741e9 1.2111464216287418e1\n",
-    "[25, 26) n 11 median 40314008cff381b8 1.7250134465169793e1\n",
-    "[26, 27) n 11 median 402ae3cecfabe8e4 1.3444937219367098e1\n",
-    "[27, 28) n 14 median 402f289db1f8a74b 1.5579328118899545e1\n",
-    "[28, 29) n 8 median 40319f348aac13aa 1.7621895472536984e1\n",
-    "[29, 30) n 11 median 4030a198cd6577dd 1.663123782851459e1\n",
-    "[30, 31) n 6 median 402d079f2afcd9cc 1.4514886229863713e1\n",
-    "[31, 32) n 9 median 40308dd09db0f140 1.655396447725184e1\n",
-    "[32, 33) n 12 median 402fbf0ce6d88e50 1.587314530747895e1\n",
-    "[33, 34) n 10 median 403573c4ec018730 2.14522235397082e1\n",
-    "[34, 35) n 9 median 4032e1ea92cdfde4 1.8882485556879956e1\n",
-    "[35, 36) n 8 median 4033b7c57262f03a 1.9717856549410705e1\n",
-    "[36, 37) n 10 median 4033f6201e333e75 1.996142758132051e1\n",
-    "[37, 38) n 3 median 403714b7230f4355 2.3080919448114702e1\n",
-    "[38, 39) n 10 median 40307768cfd9c2f2 1.646644305292552e1\n",
-    "[39, 40) n 7 median 40338658c6e85f01 1.952479212926028e1\n",
-    "[40, 41) n 4 median 402ff1cb591eae82 1.5972254548068353e1\n",
-    "[41, 42) n 2 median 40361629492461d4 2.208656746996151e1\n",
-    "[42, 43) n 2 median 40409c4c2fff9a0b 3.322107505779794e1\n",
-    "[43, 44) n 1 median 4032fab34fe78605 1.8979298585914893e1\n",
-    "[44, 45) n 3 median 40406b38d5f91876 3.283767199194783e1\n",
-    "[46, 47) n 5 median 403961573739fdb7 2.5380237056406e1\n",
-    "[47, 48) n 4 median 4039684d0dea45d0 2.540742575616406e1\n",
-    "[48, 49) n 4 median 40375efde7ef366a 2.337106179800177e1\n",
-    "[49, 50) n 4 median 4035658dcc814cbe 2.1396694928710296e1\n",
-    "[50, 51) n 4 median 403b8113e28f711e 2.750420967103957e1\n",
-    "[51, 52) n 2 median 4040f1c5097d8e03 3.388882559424021e1\n",
-    "[52, 53) n 5 median 404048339c0ff517 3.256407500056428e1\n",
-    "[53, 54) n 3 median 4035ea4140ca6c39 2.1915058183116546e1\n",
-    "[54, 55) n 2 median 4035cafee7d761d9 2.17929520512424e1\n",
-    "[55, 56) n 4 median 4034f7a0a4a7fafa 2.0967294970522723e1\n",
-    "[56, 57) n 2 median 4031a68ecaabee99 1.7650616328216163e1\n",
-    "[57, 58) n 5 median 4040b3ea14228be5 3.340558101355399e1\n",
-    "[58, 59) n 3 median 4042b609a6c16d64 3.74221695370168e1\n",
-    "[59, 60) n 1 median 4035a394c5486aaa 2.1638988809757087e1\n",
-    "[60, 61) n 3 median 4047225f098e66ea 4.626852530911658e1\n",
-    "[61, 62) n 3 median 403a4fd92b5d3195 2.6311907491924632e1\n",
-    "[63, 64) n 2 median 4044aabced5dbef2 4.133389060094295e1\n",
-    "[64, 65) n 1 median 403719c365d166f1 2.310063778269154e1\n",
-    "[65, 66) n 1 median 40301915df30e62a 1.60979899877913e1\n",
-    "[66, 67) n 4 median 403b006575918e80 2.7001548145328798e1\n",
-    "[67, 68) n 1 median 403cd9ef67608708 2.88513092623389e1\n",
-    "[68, 69) n 2 median 40455e43112d8641 4.273642172549126e1\n",
-    "[69, 70) n 2 median 404354b0d8a32e03 3.866164691894303e1\n",
-    "[71, 72) n 2 median 403e34a890b8609c 3.0205697102560052e1\n",
-    "[72, 73) n 4 median 404490b943d41c86 4.11306538377476e1\n",
-    "[73, 74) n 1 median 404311df5a8c55b7 3.813962871410643e1\n",
-    "[74, 75) n 4 median 403b9dede5fc0166 2.761691129114606e1\n",
-    "[75, 76) n 1 median 40450d81f4b1be92 4.210552843741347e1\n",
-    "[76, 77) n 3 median 40404ab40d987826 3.258361978478233e1\n",
-    "[77, 78) n 2 median 403a6aa1a7b407c2 2.641652916093131e1\n",
-    "[80, 81) n 2 median 403fa8874d0b178c 3.1658314528663638e1\n",
-    "[81, 82) n 1 median 404fc9eed775a3a3 6.357760136837103e1\n",
-    "[82, 83) n 2 median 40423010639e246e 3.6375500156610414e1\n",
-    "[83, 84) n 1 median 4044e079b646e278 4.175371435605206e1\n",
-    "[85, 86) n 2 median 404413298057c34b 4.0149704020359955e1\n",
-    "[86, 87) n 5 median 4049be8a598d149d 5.148859710110376e1\n",
-    "[87, 88) n 2 median 4044c48809494660 4.153540149762989e1\n",
-    "[88, 89) n 3 median 404ae389a4cbc167 5.377763805340765e1\n",
-    "[89, 90) n 2 median 4047b3fa17db245a 4.7406069738390855e1\n",
-    "[91, 92) n 1 median 40482d24e325f483 4.835268821099546e1\n",
-    "[92, 93) n 3 median 404a5be4e7511c4e 5.2717923082928436e1\n",
-    "[97, 98) n 1 median 405359012d430766 7.739069682641784e1\n",
-    "[98, 99) n 3 median 405393444356edf6 7.830104144562924e1\n",
-    "[99, 100) n 2 median 404ac49b29b1da45 5.3535985195009324e1\n",
-    "[101, 102) n 2 median 404abb91ff3815c2 5.346539297331357e1\n",
-    "[102, 103) n 1 median 404f8a12833e45ff 6.30786899618215e1\n",
-    "[103, 104) n 1 median 405253293e2f3370 7.329939226731744e1\n",
-    "[104, 105) n 1 median 40487aa5172cf588 4.895816316314e1\n",
-    "[106, 107) n 1 median 40413f93c0f8657b 3.449669658783656e1\n",
-    "[107, 108) n 2 median 40528c20d4471e8b 7.418950373597379e1\n",
-    "[108, 109) n 1 median 404fcda82995624e 6.360669441026822e1\n",
-    "[112, 113) n 1 median 405b901587054ac8 1.102513139297181e2\n",
-    "[121, 122) n 2 median 4052a016835dbb45 7.450137409356564e1\n",
-    "[122, 123) n 1 median 4047b0d24af2580b 4.738141762574386e1\n",
-    "[123, 124) n 1 median 4054bee085cdcaf5 8.29824537763305e1\n",
-    "[124, 125) n 1 median 404b33589ca9f6d7 5.440114172266993e1\n",
-    "[125, 126) n 3 median 404ff42c3b8fcab8 6.390759987374389e1\n",
-    "[128, 129) n 1 median 404b17101db926ec 5.4180179324537534e1\n",
-    "[129, 130) n 1 median 4052cb29a19f1863 7.51744159749665e1\n",
-    "[134, 135) n 1 median 404d56f0071889d2 5.867920006464159e1\n",
-    "[136, 137) n 1 median 4049a2ac6bda5f97 5.127088688051952e1\n",
-    "[138, 139) n 1 median 404813df49256e31 4.815525163962992e1\n",
-    "[139, 140) n 1 median 4051e49c8e0cf527 7.157205535188096e1\n",
-    "[140, 141) n 2 median 4049df6f7733e89b 5.1745589161249164e1\n",
-    "[143, 144) n 2 median 40548454b9c01c89 8.206767123947988e1\n",
-    "[146, 147) n 1 median 4051f9b6e91a4c7c 7.190178897445907e1\n",
-    "[147, 148) n 1 median 404d08f14c89073a 5.806986386004287e1\n",
-    "[148, 149) n 1 median 404b55af16d2fa6d 5.466940579702064e1\n",
-    "[150, 151) n 2 median 4054be994d26d5d2 8.297810677330497e1\n",
-    "[152, 153) n 1 median 40503f0e855da86d 6.498526128908425e1\n",
-    "[155, 156) n 1 median 4049c372a8398436 5.152693655785008e1\n",
-    "[161, 162) n 1 median 4058393e94a2b132 9.68944446171561e1\n",
-    "[167, 168) n 2 median 405468152db29550 8.162629263343592e1\n",
-    "[168, 169) n 1 median 4058fec72dcab243 9.998090691370548e1\n",
-    "[171, 172) n 1 median 405f82ca8fd6dfa5 1.2604361339553596e2\n",
-    "[172, 173) n 2 median 4059224af35a5503 1.0053582462140552e2\n",
-    "[174, 175) n 1 median 4057dc0133284035 9.543757323199027e1\n",
-    "[181, 182) n 1 median 405208d2cb12a02d 7.213786579913058e1\n",
-    "[185, 186) n 2 median 4061ed67008adcfc 1.434188235008404e2\n",
-    "[187, 188) n 1 median 40677b36139b479b 1.87850351146012e2\n",
-    "[189, 190) n 1 median 40613ef7562300ad 1.379676924403806e2\n",
-    "[190, 191) n 1 median 40650e5099a2c16e 1.684473388842411e2\n",
-    "[197, 198) n 1 median 40579e7aab15bfe0 9.447623707889534e1\n",
-    "[198, 199) n 2 median 405c97f09bdd4c39 1.1437406059847935e2\n",
-    "[200, 201) n 1 median 40610cc1daafbfbc 1.3639866384817094e2\n",
-    "[201, 202) n 1 median 4062a4aec5220b31 1.4914633423470653e2\n",
-    "[204, 205) n 2 median 405c84acbefead20 1.1407304358359079e2\n",
-    "[207, 208) n 1 median 405a28e9aa707eea 1.0463926182733454e2\n",
-    "[208, 209) n 1 median 404a0517989b86bb 5.203978259653146e1\n",
-    "[214, 215) n 1 median 404ea1ac0d211c7c 6.12630630885769e1\n",
-    "[216, 217) n 1 median 4056b614251c1919 9.084497955078076e1\n",
-    "[218, 219) n 1 median 40629ce21df6364e 1.489026021775084e2\n",
-    "[220, 221) n 1 median 406583ebe3839e1c 1.7212254501062932e2\n",
-    "[221, 222) n 1 median 40592d5d36339adb 1.0070881419219533e2\n",
-    "[224, 225) n 1 median 40718d9367392603 2.808484871132243e2\n",
-    "[226, 227) n 1 median 4060d83d80858ee4 1.3475750757299022e2\n",
-    "[227, 228) n 1 median 405ddcd100eb1d07 1.1945025656662266e2\n",
-    "[229, 230) n 1 median 406981a4aeb6d563 2.0405135284146954e2\n",
-    "[230, 231) n 1 median 4059c7fa0ba87306 1.0312463656854752e2\n",
-    "[237, 238) n 1 median 4057b383c7469249 9.480491811649075e1\n",
-    "[245, 246) n 1 median 405e8b93aeef5160 1.2218088887568365e2\n",
-    "[246, 247) n 1 median 40561f6de84b3c5b 8.849108321521037e1\n",
-    "[258, 259) n 1 median 405510bcd611264b 8.426152564692272e1\n",
-    "[265, 266) n 1 median 405f7d38515a6114 1.259565623648271e2\n",
-    "[272, 273) n 1 median 4062c00a7cf8156d 1.500012802930245e2\n",
-    "[276, 277) n 1 median 4059f2f55e2b9745 1.0379622606522487e2\n",
-    "[304, 305) n 1 median 405c0cacabfa692d 1.121980390496653e2\n",
-    "[338, 339) n 1 median 406c379331d0c1e9 2.2573671808979933e2\n",
-    "[340, 341) n 1 median 4064450a4293183f 1.621575024483627e2\n",
-    "[350, 351) n 1 median 40612dd0e503b9ff 1.3743174982765046e2\n",
-    "[355, 356) n 1 median 406dd574470daaa7 2.3867044403714428e2\n",
-    "[358, 359) n 1 median 406706ec8c87a85a 1.8421637560363416e2\n",
-    "[373, 374) n 1 median 4062747298fb3b5e 1.4763898896282893e2\n",
-    "[378, 379) n 1 median 405c7d69c5e49048 1.1395958087273277e2\n",
-    "[396, 397) n 1 median 406184341dd9d341 1.4013136189025866e2\n",
-    "[402, 403) n 1 median 406a9f7a921b4631 2.1298371224715223e2\n",
-    "[411, 412) n 1 median 405ceb76e3fcc3a7 1.1567913150486002e2\n",
-    "[455, 456) n 1 median 406c04010dfe5677 2.2412512874293654e2\n",
-    "[477, 478) n 1 median 407461197d1c7973 3.2606872283099e2\n",
-    "[479, 480) n 1 median 40796dc576e0d90c 4.068607090743178e2\n",
-    "[496, 497) n 1 median 40714cacfc3b3b6b 2.767922327340845e2\n",
-    "[503, 504) n 1 median 406fc08793b068c9 2.5401654991583771e2\n",
-    "[518, 519) n 1 median 4074c7c0683fb3d6 3.3248447441943915e2\n",
-    "[566, 567) n 1 median 407916cb2532af16 4.0142459602163706e2\n",
-    "[582, 583) n 1 median 406c6900151737de 2.2728126005682765e2\n",
-    "[607, 608) n 1 median 40725770d3fb7a86 2.934650459121116e2\n",
-    "[618, 619) n 1 median 406ed26ff073e547 2.4657616446147787e2\n",
-    "[622, 623) n 1 median 407d9a695d6da770 4.736507238658296e2\n",
-    "[676, 677) n 1 median 4071a979fda25d0f 2.8259228290007826e2\n",
-    "[682, 683) n 1 median 4079270f481250a7 4.0244123084215465e2\n",
-    "[687, 688) n 1 median 407f39156503a82c 4.9956772328785405e2\n",
-    "[705, 706) n 1 median 407605fb785eb9a8 3.523738940906719e2\n",
-    "[787, 788) n 1 median 408c4e156bd8b258 9.057604596070696e2\n",
-    "[828, 829) n 1 median 4074384b14567099 3.235183299423748e2\n",
-    "[871, 872) n 1 median 407872bc28ed23d4 3.911709374678878e2\n",
-    "[957, 958) n 2 median 40851ade4d56c83c 6.753585459499222e2\n",
-    "[967, 968) n 1 median 408157d36a1e7d00 5.549782297498605e2\n",
-    "[992, 993) n 1 median 407fcdccb1a442d2 5.08862474099774e2\n",
-    "[1065, 1066) n 1 median 40833472a66b638c 6.145559814824824e2\n",
-    "[1110, 1111) n 1 median 408c760c5b0a3cdb 9.107560330200025e2\n",
-    "[1226, 1227) n 1 median 4080a1b7376af352 5.322144611697679e2\n",
-    "[1243, 1244) n 1 median 408edc630dee66c7 9.875483664155116e2\n",
-    "[1306, 1307) n 1 median 40829259d7c1c36f 5.94293868554856e2\n",
-    "[1528, 1529) n 1 median 40810548216d05ea 5.446602200047903e2\n",
-    "[1569, 1570) n 1 median 408c94008710e86e 9.145002576180393e2\n",
-    "[1627, 1628) n 1 median 4079cf135a4313a8 4.1294222475244396e2\n",
-    "[1756, 1757) n 1 median 40833d4ec86e2acf 6.156634682280363e2\n",
-    "[1949, 1950) n 1 median 4096201f4c218c37 1.416030563854392e3\n",
-    "[1982, 1983) n 1 median 408beb9d6e5dc239 8.934518706631562e2\n",
-    "[2090, 2091) n 1 median 409431b1051d8743 1.2924228710759933e3\n",
-    "[2227, 2228) n 1 median 4090a87f5218c72d 1.0661243366118972e3\n",
-    "[2259, 2260) n 1 median 4095768b6cd4c4eb 1.373636157345313e3\n",
-    "[2969, 2970) n 1 median 4090a305d180ac57 1.0647556820016086e3\n",
-    "[3457, 3458) n 1 median 409d7a3d5ea1fc65 1.8865599313078212e3\n",
-    "[3708, 3709) n 1 median 40aeb505b9e8d23a 3.9305111840016007e3\n",
-    "[4142, 4143) n 1 median 409620fafe147ae1 1.4162451098632812e3\n",
-    "[4546, 4547) n 1 median 409fbc063448dd14 2.0310060588250099e3\n",
-    "[4620, 4621) n 1 median 409f43fe050525d1 2.0009980660251933e3\n",
-    "[5429, 5430) n 1 median 40acbc0e9cf10cb1 3.678028541119384e3\n",
-    "[5577, 5578) n 1 median 40ba1d0c1e8b4245 6.685047341064147e3\n",
-    "[6102, 6103) n 1 median 409691f81feb4873 1.4444923092616052e3\n",
-    "[7972, 7973) n 1 median 40b49217758c0a98 5.266091637375437e3\n",
-    "[13831, 13832) n 1 median 40bf69dff33c81bc 8.041874805242227e3\n",
-    "[15021, 15022) n 1 median 40bfc8dff85a1fc1 8.136874883301499e3\n",
-    "[17011, 17012) n 1 median 40bb2d61fa742784 6.957382727870605e3\n",
-    "[17979, 17980) n 1 median 40ca46257e04ae4a 1.345229290827284e4\n",
-    "[21932, 21933) n 1 median 40c2bb0e410f9ce3 9.590111360503774e3\n",
-    "[23293, 23294) n 1 median 40c82501e50697df 1.2362014801811367e4\n",
-    "[24300, 24301) n 1 median 40c1f1dabb046404 9.18770883231052e3\n",
-    "[100906, 100907) n 1 median 40f42c58c81cb7e8 8.262954885551299e4\n",
-    "[105276, 105277) n 1 median 40edad5ac3948eaa 6.077883637454857e4\n",
+    "pearson 3fefcb757cc2cf10 9.935862957704291e-1\n",
+    "buckets 194\n",
+    "[0, 1) n 296314 median 3efb9867ef524ab0 2.631696311945303e-5\n",
+    "[1, 2) n 1460 median 3fe788b8480f635a 7.354394347595232e-1\n",
+    "[2, 3) n 582 median 3ff4fe1e207b91e4 1.3120404499869602e0\n",
+    "[3, 4) n 300 median 3ffc7e0add19a468 1.7807720791554633e0\n",
+    "[4, 5) n 187 median 4001e06c372f680d 2.234581404813986e0\n",
+    "[5, 6) n 156 median 4006d6ca93545b46 2.854878569614274e0\n",
+    "[6, 7) n 104 median 4009e0c97d96b67e 3.2347593127840915e0\n",
+    "[7, 8) n 99 median 401095a8c5b95ed8 4.146151627959362e0\n",
+    "[8, 9) n 59 median 4012e3b2ab03ed28 4.7223612519403915e0\n",
+    "[9, 10) n 52 median 4013ddba948b3e72 4.966532059668326e0\n",
+    "[10, 11) n 38 median 4012fbbf8185d14e 4.745847724716738e0\n",
+    "[11, 12) n 43 median 4016e7052523d7e5 5.725605564415649e0\n",
+    "[12, 13) n 37 median 401684dcb150cc79 5.629748125607073e0\n",
+    "[13, 14) n 27 median 4019f503c3251562 6.489272164476775e0\n",
+    "[14, 15) n 27 median 40218f08367b630c 8.779359533845785e0\n",
+    "[15, 16) n 20 median 4021f6dcf65d2bc6 8.982154559014713e0\n",
+    "[16, 17) n 29 median 401db9a4d78f616f 7.4312928849470685e0\n",
+    "[17, 18) n 23 median 40221cf388fba060 9.056545525280114e0\n",
+    "[18, 19) n 15 median 4023b1a919eee15a 9.846993265543166e0\n",
+    "[19, 20) n 13 median 40216610a7b86026 8.699345818764481e0\n",
+    "[20, 21) n 16 median 40238cdd2d9e823c 9.775124955748758e0\n",
+    "[21, 22) n 16 median 40296aaf82bfc7fa 1.2708370290671144e1\n",
+    "[22, 23) n 12 median 402459bb8f383dfd 1.0175259090056892e1\n",
+    "[23, 24) n 14 median 402e542d695d19b0 1.5164408962836063e1\n",
+    "[24, 25) n 13 median 402595357ca3ae4b 1.0791423697453089e1\n",
+    "[25, 26) n 12 median 402a36ab21b7cc04 1.3106774381338262e1\n",
+    "[26, 27) n 13 median 402a66d902bd1f0e 1.3200874410234544e1\n",
+    "[27, 28) n 14 median 40305850a4bbfb96 1.634498052205489e1\n",
+    "[28, 29) n 6 median 402a6abd3fde6f18 1.3208475109007438e1\n",
+    "[29, 30) n 4 median 403097adf44b8182 1.6592498081621223e1\n",
+    "[30, 31) n 4 median 402ecbf42a0bc61f 1.5398347200333829e1\n",
+    "[31, 32) n 4 median 4028a16fa1222bfc 1.2315304789944996e1\n",
+    "[32, 33) n 14 median 4030d0c5cd4a6806 1.6815518217721568e1\n",
+    "[33, 34) n 8 median 40345414116dc724 2.032843121461987e1\n",
+    "[34, 35) n 6 median 40339782d1ad1b26 1.9591839890253276e1\n",
+    "[35, 36) n 10 median 403302a09c48d02b 1.901026322152772e1\n",
+    "[36, 37) n 6 median 40353e9939cc0cdd 2.1244525539700465e1\n",
+    "[37, 38) n 7 median 4039b51d0158ac33 2.5707473835133168e1\n",
+    "[38, 39) n 3 median 4038854e273ae7a7 2.4520723773842885e1\n",
+    "[39, 40) n 3 median 403b8380bc9120b8 2.751368311446342e1\n",
+    "[40, 41) n 2 median 403c339d6ed5dfcb 2.8201620986190203e1\n",
+    "[41, 42) n 4 median 403e6f9275a8ecc8 3.0435828546277463e1\n",
+    "[42, 43) n 2 median 4035d0b423e439c1 2.181524872133173e1\n",
+    "[43, 44) n 1 median 40421fcfd4b2c15b 3.624852999428068e1\n",
+    "[44, 45) n 5 median 404048b8e9adc974 3.256814309106531e1\n",
+    "[45, 46) n 2 median 40365601c9f0efb8 2.233596479542004e1\n",
+    "[47, 48) n 4 median 403966fb924a324f 2.5402276175608048e1\n",
+    "[48, 49) n 1 median 40491b15b37ecd35 5.0211599766650046e1\n",
+    "[49, 50) n 3 median 403371fea451c7af 1.944529177662451e1\n",
+    "[50, 51) n 3 median 403636abb242ff32 2.221355737815538e1\n",
+    "[51, 52) n 3 median 403a94d6cffa5416 2.658140277730498e1\n",
+    "[54, 55) n 3 median 4031d585d55726b4 1.7834073385026116e1\n",
+    "[55, 56) n 1 median 40337ee861b63767 1.949573336313861e1\n",
+    "[56, 57) n 2 median 40449bb3a302a387 4.121641957882735e1\n",
+    "[57, 58) n 1 median 403f926451f6177f 3.1571843264180185e1\n",
+    "[58, 59) n 2 median 40337cf129165326 1.9488054817152396e1\n",
+    "[59, 60) n 2 median 4043a55f8480a5a4 3.929197746545404e1\n",
+    "[60, 61) n 2 median 4039e915697ec8e2 2.5910482972577377e1\n",
+    "[61, 62) n 2 median 403fa821dcbbd1fa 3.1656766696791216e1\n",
+    "[62, 63) n 3 median 403d408318b70a4e 2.9252000374496042e1\n",
+    "[63, 64) n 2 median 40453c9ac4e69850 4.247347317943115e1\n",
+    "[64, 65) n 4 median 4040b74793d8f304 3.343187187283732e1\n",
+    "[65, 66) n 2 median 403f15f5bb9c81ea 3.1085780835828622e1\n",
+    "[66, 67) n 3 median 40458799e3dfdd51 4.305938385420689e1\n",
+    "[67, 68) n 1 median 403fc48bc20b81c1 3.176775753765992e1\n",
+    "[68, 69) n 2 median 403e0dfdecea8beb 3.0054655844938605e1\n",
+    "[69, 70) n 1 median 40327ac07102579c 1.84794989233702e1\n",
+    "[70, 71) n 4 median 4040eeb8defe5fdf 3.3865016817289636e1\n",
+    "[72, 73) n 1 median 4049f0b013e3afd0 5.1880373464751415e1\n",
+    "[73, 74) n 2 median 403e71add2e5d608 3.0444058590996093e1\n",
+    "[75, 76) n 3 median 4046755807696374 4.4916748930415366e1\n",
+    "[76, 77) n 1 median 4041482fae3dc136 3.4563955097345044e1\n",
+    "[77, 78) n 1 median 4059b510784ee189 1.0282913024619315e2\n",
+    "[78, 79) n 2 median 404b9c13897cfa75 5.521934622385462e1\n",
+    "[79, 80) n 3 median 4041c33442021788 3.5525032282849736e1\n",
+    "[82, 83) n 3 median 4038de37c92a400f 2.4868038723769185e1\n",
+    "[83, 84) n 2 median 40542c5398398893 8.069260221117501e1\n",
+    "[84, 85) n 1 median 405040cce3309a25 6.501250533815671e1\n",
+    "[86, 87) n 2 median 404289422ef4c568 3.7072332257764e1\n",
+    "[87, 88) n 4 median 4047a77628980fbe 4.730829341339948e1\n",
+    "[88, 89) n 2 median 404863afc74be776 4.877880183416612e1\n",
+    "[89, 90) n 2 median 404c0105cd1f7638 5.600798954044552e1\n",
+    "[90, 91) n 2 median 4045e8cbab36114c 4.381871547832506e1\n",
+    "[92, 93) n 1 median 4043be785c2ce30b 3.9488048097531724e1\n",
+    "[94, 95) n 3 median 4050fab62175a6ed 6.791736637582262e1\n",
+    "[95, 96) n 2 median 4046bbec6906d2fc 4.546815216859065e1\n",
+    "[96, 97) n 1 median 404b8ff682d78a74 5.512471042179541e1\n",
+    "[97, 98) n 1 median 404eeb32d596cd6c 6.183748884070778e1\n",
+    "[98, 99) n 2 median 4045185609763f1c 4.219012563966518e1\n",
+    "[99, 100) n 2 median 405978c2a6f7cb6a 1.0188688062857332e2\n",
+    "[100, 101) n 1 median 40547848b4651510 8.187943754073444e1\n",
+    "[102, 103) n 2 median 404efb0de3377996 6.196136131485689e1\n",
+    "[104, 105) n 1 median 404dce0ed4cd18cd 5.960982761396881e1\n",
+    "[105, 106) n 4 median 4047d4f39fd10c22 4.766368482310669e1\n",
+    "[106, 107) n 2 median 4053b19d34e9f518 7.877522013518717e1\n",
+    "[113, 114) n 2 median 40518104defe3684 7.001592230630382e1\n",
+    "[114, 115) n 1 median 40586ee40b9d1812 9.773266878453458e1\n",
+    "[115, 116) n 1 median 40486ba326d55dbb 4.884091649454373e1\n",
+    "[116, 117) n 1 median 40552593e84f443c 8.458715255490182e1\n",
+    "[118, 119) n 1 median 4050cc2aa4a6ffef 6.71901027327401e1\n",
+    "[119, 120) n 3 median 404ed0a64672d201 6.16300743160864e1\n",
+    "[120, 121) n 1 median 4049398274d41df5 5.044929371220852e1\n",
+    "[121, 122) n 1 median 4048b257135669fc 4.939328233451303e1\n",
+    "[122, 123) n 1 median 405285b9ea7dd0eb 7.408947241102912e1\n",
+    "[125, 126) n 1 median 404c773d5362b91d 5.693155901260818e1\n",
+    "[130, 131) n 1 median 40506034ab4a31e3 6.550321466680138e1\n",
+    "[131, 132) n 1 median 4054df170ad55b3a 8.348578139148313e1\n",
+    "[134, 135) n 1 median 404de32b374c91fb 5.9774756348026095e1\n",
+    "[139, 140) n 2 median 4060b302d964dc9e 1.3359409780215805e2\n",
+    "[140, 141) n 1 median 4060a8c456581193 1.3327396695328625e2\n",
+    "[142, 143) n 1 median 4053e4907ebe7604 7.95713192806216e1\n",
+    "[143, 144) n 1 median 404929efbc163a87 5.032762862286932e1\n",
+    "[148, 149) n 1 median 405875758b209d4a 9.783529928383828e1\n",
+    "[151, 152) n 1 median 40473c3b07dd2a2e 4.647055147456227e1\n",
+    "[152, 153) n 2 median 4057f56ac19fee26 9.583464089029493e1\n",
+    "[156, 157) n 1 median 40500879348b89fd 6.41323977816282e1\n",
+    "[160, 161) n 1 median 40518aefc593e8e0 7.017088450855545e1\n",
+    "[161, 162) n 1 median 4054e4554b6db836 8.3567705971859e1\n",
+    "[172, 173) n 1 median 40579ca619091d8c 9.444763780489137e1\n",
+    "[173, 174) n 2 median 4050d4c51f254430 6.73245313514642e1\n",
+    "[179, 180) n 1 median 405a4746f01a5f91 1.0511370470595854e2\n",
+    "[182, 183) n 1 median 40600c0008533d0e 1.2837500396974104e2\n",
+    "[190, 191) n 1 median 4055061ac5c74797 8.409538406811622e1\n",
+    "[199, 200) n 2 median 40593d850a5c0ace 1.0096124514568803e2\n",
+    "[208, 209) n 2 median 405e1b48b14172d8 1.2042631179229227e2\n",
+    "[211, 212) n 1 median 405416e98fcee2da 8.03580054779408e1\n",
+    "[212, 213) n 1 median 405937b13ff8208b 1.0087019347411312e2\n",
+    "[215, 216) n 1 median 40601ef11e8ebeca 1.2896693351631103e2\n",
+    "[225, 226) n 1 median 40647308602abfb1 1.6359477241849302e2\n",
+    "[227, 228) n 1 median 40589cfad07b6e79 9.845280849508153e1\n",
+    "[229, 230) n 1 median 40601b15e57d9f93 1.2884642290626343e2\n",
+    "[231, 232) n 1 median 40571e43c5d40669 9.247288652139254e1\n",
+    "[240, 241) n 1 median 40629c108eda3c90 1.4887702124237376e2\n",
+    "[241, 242) n 1 median 405d061a106c5ad5 1.1609534082967305e2\n",
+    "[255, 256) n 1 median 4056d91f57a823b0 9.139253798885215e1\n",
+    "[256, 257) n 1 median 40570a452beaa151 9.21604718962965e1\n",
+    "[266, 267) n 1 median 40638a317b3d68de 1.5631854021066732e2\n",
+    "[272, 273) n 1 median 405fad9c64a3d66a 1.2671267047881852e2\n",
+    "[278, 279) n 1 median 406115d831678339 1.3668264074532797e2\n",
+    "[285, 286) n 1 median 40760d864e5fa5af 3.528452895866603e2\n",
+    "[286, 287) n 1 median 406d7fa0d2fafa51 2.359883818532858e2\n",
+    "[292, 293) n 1 median 405db8f1663d32a4 1.1888973384834622e2\n",
+    "[296, 297) n 2 median 4061cf5e15caf461 1.4248023500098773e2\n",
+    "[302, 303) n 1 median 406022bac0ec19df 1.2908529707063187e2\n",
+    "[326, 327) n 1 median 4066fab6ab0d4b69 1.8383479836079212e2\n",
+    "[330, 331) n 1 median 405eb3a61eadde01 1.2280701415042132e2\n",
+    "[352, 353) n 1 median 4068868064727c8a 1.962031728969635e2\n",
+    "[360, 361) n 1 median 4067f2c0176b1f94 1.9158594866678743e2\n",
+    "[369, 370) n 1 median 406c40b5da17b374 2.2602219872120952e2\n",
+    "[380, 381) n 1 median 406b3fc007baffd0 2.179921911861734e2\n",
+    "[395, 396) n 1 median 4066906a03b2d784 1.805129412167554e2\n",
+    "[396, 397) n 1 median 4068bba2b5e589d9 1.9786361212569935e2\n",
+    "[402, 403) n 1 median 4064af5c94a14827 1.6548005134106026e2\n",
+    "[403, 404) n 2 median 406d6ed17bacdfe8 2.3546307166828706e2\n",
+    "[411, 412) n 1 median 40626cbd0ae10845 1.473980764765894e2\n",
+    "[456, 457) n 1 median 407314ef218ce486 3.0530838160549354e2\n",
+    "[488, 489) n 2 median 4071146dfc74e9c4 2.7327685208958815e2\n",
+    "[489, 490) n 1 median 4076554f358d4e0f 3.573318381805156e2\n",
+    "[508, 509) n 1 median 40640a3e5075517b 1.6032010672487e2\n",
+    "[527, 528) n 1 median 40707619d0053163 2.6338130189922794e2\n",
+    "[570, 571) n 1 median 4073037df96c0395 3.0421825544541326e2\n",
+    "[621, 622) n 1 median 4076b1ee1fc10f7f 3.6312063575186033e2\n",
+    "[642, 643) n 1 median 406ad6844a9718a5 2.1470364884863844e2\n",
+    "[715, 716) n 1 median 4070eca1a4d31307 2.70789463829526e2\n",
+    "[749, 750) n 1 median 407b3617c036b9c9 4.3538079854371296e2\n",
+    "[770, 771) n 1 median 408126d3b993226c 5.488533812994842e2\n",
+    "[774, 775) n 1 median 407033abb6d45cc7 2.592294224067122e2\n",
+    "[783, 784) n 1 median 407bd70c2c047389 4.4544047166575234e2\n",
+    "[792, 793) n 1 median 40862f43e53635e6 7.099081520304869e2\n",
+    "[898, 899) n 1 median 4085fa76f17b9a14 7.033080777794262e2\n",
+    "[1074, 1075) n 1 median 4082230742c792fb 5.80378545340703e2\n",
+    "[1082, 1083) n 1 median 4081345d20d69868 5.505454727902661e2\n",
+    "[1091, 1092) n 1 median 4082af01e96f5bc1 5.978759335231663e2\n",
+    "[1663, 1664) n 1 median 408a6d3e4a6afba7 8.456554153783844e2\n",
+    "[1930, 1931) n 1 median 408f714a4b1b0c34 1.0061612760651683e3\n",
+    "[1965, 1966) n 1 median 409250bfa98a0e77 1.17218717017854e3\n",
+    "[2494, 2495) n 1 median 408dc93684db0f7b 9.531516205896472e2\n",
+    "[2526, 2527) n 1 median 409bf852472ad452 1.7900803496067133e3\n",
+    "[2973, 2974) n 1 median 40a00cad6b7a1234 2.0543387106082173e3\n",
+    "[3042, 3043) n 1 median 4092f0ef2c7d4eb6 1.2122335681514064e3\n",
+    "[3379, 3380) n 1 median 409939e057cad67e 1.6144690849011818e3\n",
+    "[5079, 5080) n 1 median 409a76160fb4dc3a 1.6935215442904869e3\n",
+    "[5500, 5501) n 1 median 40b2c04c2b6a16ae 4.800297537451303e3\n",
+    "[5556, 5557) n 1 median 40b064e9758d2be2 4.1969119499427925e3\n",
+    "[5757, 5758) n 1 median 40a6c0ca04b28aa3 2.912394567088531e3\n",
+    "[5796, 5797) n 1 median 40b28c5a933415e2 4.748353808646529e3\n",
+    "[6429, 6430) n 1 median 40b15cf2d61d6c95 4.444948579634675e3\n",
+    "[7016, 7017) n 1 median 40bbddf43df5682f 7.133954070413528e3\n",
+    "[9355, 9356) n 1 median 40b1050c80425247 4.357048832078063e3\n",
+    "[9991, 9992) n 1 median 40b286ca6aecdb05 4.742790694049331e3\n",
+    "[17908, 17909) n 1 median 40cd5b40b564e1c9 1.5030505535707709e4\n",
+    "[30209, 30210) n 1 median 40ca1b1c440784cd 1.3366220826091618e4\n",
+    "[51224, 51225) n 1 median 40e211b6da122ab3 3.700571411999073e4\n",
+    "[106335, 106336) n 1 median 40f1055f4b69edb2 6.971795591156816e4\n",
 );
 
 #[rustfmt::skip]
 const QUEUEING: &str = concat!(
-    "rho 0.3 full 40be28e965cf44fe 7.72091170974192e3 mice 403a0b98ad898b16 2.6045298429565342e1 benefit 4072871112742244 2.96441667989395e2\n",
-    "rho 0.5 full 40d197dd7b6392e9 1.801546065606448e4 mice 404e62dcca75ccee 6.0772363002319125e1 benefit 4072871112742244 2.96441667989395e2\n",
-    "rho 0.7 full 40e48682654980ba 4.203607486415045e4 mice 4061b9ab761a0ce0 1.4180218033874462e2 benefit 4072871112742244 2.96441667989395e2\n",
+    "rho 0.3 full 40ae33eeb4f94415 3.8659662244697197e3 mice 403a6d41a62bdbcb 2.6426782975871713e1 benefit 406249453e90e042 1.462897026853189e2\n",
+    "rho 0.5 full 40c19e4b3ee6bd0c 9.020587857096012e3 mice 404ed4cc97332b17 6.166249361036733e1 benefit 406249453e90e042 1.462897026853189e2\n",
+    "rho 0.7 full 40d48e02740d31e3 2.1048038333224027e4 mice 4061fc2202ddd922 1.4387915175752374e2 benefit 406249453e90e042 1.462897026853189e2\n",
 );
 
 #[rustfmt::skip]
@@ -578,24 +564,24 @@ const FIG11: &str = concat!(
 
 #[rustfmt::skip]
 const CONCENTRATION: &str = concat!(
-    "2011 gini 3fefdb5281c1a5a0 9.955227407746641e-1\n",
+    "2011 gini 3fefd64017af05da 9.949036085674223e-1\n",
     "2011 lorenz 0000000000000000 0e0 0000000000000000 0e0\n",
-    "2011 lorenz 3fc0000000000000 1.25e-1 3e786eeefbe80ad0 9.102126250635556e-8\n",
-    "2011 lorenz 3fd0000000000000 2.5e-1 3ea678cc5fdf2eb8 6.697138699106493e-7\n",
-    "2011 lorenz 3fd8000000000000 3.75e-1 3ec60897d88ba2b8 2.626605866463561e-6\n",
-    "2011 lorenz 3fe0000000000000 5e-1 3ee11051d4a0e83e 8.136629407674256e-6\n",
-    "2011 lorenz 3fe4000000000000 6.25e-1 3ef87df41f3f91e3 2.3357397324634792e-5\n",
-    "2011 lorenz 3fe8000000000000 7.5e-1 3f126993d3b9f88d 7.023777737377914e-5\n",
-    "2011 lorenz 3fec000000000000 8.75e-1 3f33abdbb799d291 3.001605433390698e-4\n",
+    "2011 lorenz 3fc0000000000000 1.25e-1 3e7d66fc841b641c 1.0953206788388765e-7\n",
+    "2011 lorenz 3fd0000000000000 2.5e-1 3eab4aace848d9d4 8.133560674476104e-7\n",
+    "2011 lorenz 3fd8000000000000 3.75e-1 3ecac0d9cbb3f685 3.1892446635806972e-6\n",
+    "2011 lorenz 3fe0000000000000 5e-1 3ee4bdd2e4e14ade 9.890317553528366e-6\n",
+    "2011 lorenz 3fe4000000000000 6.25e-1 3efde2eb78bf6f11 2.8501897347029426e-5\n",
+    "2011 lorenz 3fe8000000000000 7.5e-1 3f1693a33bbe84c3 8.612331197223586e-5\n",
+    "2011 lorenz 3fec000000000000 8.75e-1 3f3802ba50cc55bd 3.6637352677479e-4\n",
     "2011 lorenz 3ff0000000000000 1e0 3ff0000000000000 1e0\n",
-    "2019 gini 3feffa4deed73190 9.993047394614667e-1\n",
+    "2019 gini 3feff4d1039e43f8 9.98634821955533e-1\n",
     "2019 lorenz 0000000000000000 0e0 0000000000000000 0e0\n",
-    "2019 lorenz 3fc0000000000000 1.25e-1 3e7336baa286688c 7.157692805682298e-8\n",
-    "2019 lorenz 3fd0000000000000 2.5e-1 3ea138ffcace3945 5.132750594426507e-7\n",
-    "2019 lorenz 3fd8000000000000 3.75e-1 3ec06aae4328260f 1.9570257106013196e-6\n",
-    "2019 lorenz 3fe0000000000000 5e-1 3ed8afac6c9aea0a 5.885654624721804e-6\n",
-    "2019 lorenz 3fe4000000000000 6.25e-1 3ef0f5ee2e31fef9 1.6174951167346127e-5\n",
-    "2019 lorenz 3fe8000000000000 7.5e-1 3f07c31a4d8e0de0 4.532264728765076e-5\n",
-    "2019 lorenz 3fec000000000000 8.75e-1 3f23d24552aab82a 1.512250540449134e-4\n",
+    "2019 lorenz 3fc0000000000000 1.25e-1 3e82b23d6bbe7618 1.3929791531097167e-7\n",
+    "2019 lorenz 3fd0000000000000 2.5e-1 3eb0dc5adc5ae825 1.0049796953918557e-6\n",
+    "2019 lorenz 3fd8000000000000 3.75e-1 3ed01409614adc66 3.833357841535097e-6\n",
+    "2019 lorenz 3fe0000000000000 5e-1 3ee838e4cde31d18 1.155006469523308e-5\n",
+    "2019 lorenz 3fe4000000000000 6.25e-1 3f00bbccf9e31a64 3.191680228691455e-5\n",
+    "2019 lorenz 3fe8000000000000 7.5e-1 3f1731a126c69989 8.847757425787228e-5\n",
+    "2019 lorenz 3fec000000000000 8.75e-1 3f336039d3e7b443 2.9565250215918634e-4\n",
     "2019 lorenz 3ff0000000000000 1e0 3ff0000000000000 1e0\n",
 );

@@ -23,7 +23,9 @@
 //! item, so a query whose deadline has passed stops within one block of
 //! a scan, or one column of a gather (`QueryError::Cancelled`), instead
 //! of finishing. A token that is never set leaves the schedule and
-//! results untouched.
+//! results untouched. [`map_items`] is the same loop with no token, for
+//! code outside the engine: borg-core draws its statistical-mode samples
+//! and Table 2's columns on it and spawns no thread of its own.
 
 use crate::cancel::{self, CancelToken};
 use crate::error::QueryError;
@@ -92,6 +94,18 @@ where
         }
         f(b, b * BLOCK_ROWS..((b + 1) * BLOCK_ROWS).min(n_rows))
     })
+}
+
+/// The work-claiming loop with no token: applies `f` to every item index
+/// in `0..n_items` on up to `threads` workers and returns the results in
+/// item order. `f` must be pure; scheduling cannot affect the output.
+pub fn map_items<T, F>(n_items: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    // With no token, try_map_items never cancels; the default is unreachable.
+    try_map_items(n_items, threads, None, f).unwrap_or_default()
 }
 
 /// The engine's one work-claiming loop: applies `f` to every item index
@@ -245,12 +259,10 @@ mod tests {
     #[test]
     fn items_come_back_in_order_whatever_the_thread_count() {
         for threads in [1, 2, 8] {
-            let out = try_map_items(9, threads, None, |i| i * i).expect("no token");
+            let out = map_items(9, threads, |i| i * i);
             assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
         }
-        assert!(try_map_items(0, 4, None, |i| i)
-            .expect("no token")
-            .is_empty());
+        assert!(map_items(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -113,18 +113,27 @@ impl Sample for Pareto {
 /// Heavy-tailed workload models must be bounded in practice: the largest
 /// job in the 2019 trace used 370k NCU-hours, not infinity, and α < 1
 /// makes the unbounded mean diverge.
+///
+/// The inverse CDF's three constants are computed once, in
+/// [`BoundedPareto::new`], with the same `powf` calls a draw used to
+/// make, so a draw is one `powf` and the same bits. The fields are private
+/// so that the constants cannot go stale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedPareto {
-    /// Tail index α.
-    pub alpha: f64,
-    /// Lower bound.
-    pub lo: f64,
-    /// Upper bound.
-    pub hi: f64,
+    alpha: f64,
+    lo: f64,
+    hi: f64,
+    /// `lo^-α`.
+    la: f64,
+    /// `hi^-α`.
+    ha: f64,
+    /// `-1/α`.
+    neg_inv_alpha: f64,
 }
 
 impl BoundedPareto {
-    /// Creates a bounded Pareto distribution.
+    /// Creates a bounded Pareto distribution with tail index `alpha` on
+    /// `[lo, hi]`.
     ///
     /// # Panics
     ///
@@ -134,7 +143,19 @@ impl BoundedPareto {
             alpha > 0.0 && lo > 0.0 && lo < hi,
             "bad bounded-pareto parameters"
         );
-        BoundedPareto { alpha, lo, hi }
+        BoundedPareto {
+            alpha,
+            lo,
+            hi,
+            la: lo.powf(-alpha),
+            ha: hi.powf(-alpha),
+            neg_inv_alpha: -1.0 / alpha,
+        }
+    }
+
+    /// The inverse CDF at `u` in `[0, 1)`: `(la - u (la - ha))^(-1/α)`.
+    pub(crate) fn inverse_cdf(&self, u: f64) -> f64 {
+        (self.la - u * (self.la - self.ha)).powf(self.neg_inv_alpha)
     }
 
     /// Analytic second moment `E[X²]` of the bounded Pareto.
@@ -165,11 +186,7 @@ impl BoundedPareto {
 
 impl Sample for BoundedPareto {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u = rng.random::<f64>();
-        let la = self.lo.powf(-self.alpha);
-        let ha = self.hi.powf(-self.alpha);
-        // Inverse CDF: x = (la - u (la - ha))^(-1/alpha).
-        (la - u * (la - ha)).powf(-1.0 / self.alpha)
+        self.inverse_cdf(rng.random::<f64>())
     }
 }
 
@@ -209,19 +226,37 @@ impl LogNormal {
     pub fn second_moment(&self) -> f64 {
         (2.0 * self.mu + 2.0 * self.sigma * self.sigma).exp()
     }
+
+    /// The value at standard-normal deviate `z`: `exp(mu + sigma z)`.
+    pub(crate) fn at(&self, z: f64) -> f64 {
+        (self.mu + self.sigma * z).exp()
+    }
 }
 
 impl Sample for LogNormal {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.mu + self.sigma * standard_normal(rng)).exp()
+        self.at(standard_normal(rng))
     }
 }
 
-/// One standard-normal draw via Box–Muller.
+/// One standard-normal draw via Box–Muller: the cosine half of
+/// `standard_normal_pair`'s pair, with the sine half thrown away.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.random::<f64>(); // (0, 1]
     let u2: f64 = rng.random();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Two independent standard-normal draws from one Box–Muller pair:
+/// `r cos θ` and `r sin θ` with `r = sqrt(-2 ln u1)`, `θ = 2π u2`. It
+/// takes the same two uniforms as [`standard_normal`], and its first
+/// value is that function's draw.
+pub(crate) fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    let u1: f64 = 1.0 - rng.random::<f64>(); // (0, 1]
+    let u2: f64 = rng.random();
+    let r = (-2.0 * u1.ln()).sqrt();
+    let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+    (r * cos, r * sin)
 }
 
 /// A body-plus-tail mixture: with probability `tail_prob` draw from the
@@ -434,6 +469,43 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.03, "var = {var}");
+    }
+
+    #[test]
+    fn normal_pair_halves_are_standard_and_uncorrelated() {
+        let (mut a, mut b) = (rng(), rng());
+        let n = 100_000;
+        let pairs: Vec<(f64, f64)> = (0..n)
+            .map(|_| {
+                let (z1, z2) = standard_normal_pair(&mut a);
+                assert_eq!(z1.to_bits(), standard_normal(&mut b).to_bits());
+                (z1, z2)
+            })
+            .collect();
+        let nf = n as f64;
+        let m1 = pairs.iter().map(|p| p.0).sum::<f64>() / nf;
+        let m2 = pairs.iter().map(|p| p.1).sum::<f64>() / nf;
+        let v2 = pairs.iter().map(|p| (p.1 - m2).powi(2)).sum::<f64>() / nf;
+        let cov = pairs.iter().map(|p| (p.0 - m1) * (p.1 - m2)).sum::<f64>() / nf;
+        assert!(m2.abs() < 0.02, "sine-half mean = {m2}");
+        assert!((v2 - 1.0).abs() < 0.03, "sine-half var = {v2}");
+        assert!(cov.abs() < 0.02, "cov = {cov}");
+    }
+
+    #[test]
+    fn bounded_pareto_draw_is_its_inverse_cdf() {
+        let d = BoundedPareto::new(0.69, 1.0, 1.4e5);
+        assert_eq!(d.inverse_cdf(0.0), 1.0);
+        let mut r = rng();
+        for _ in 0..1000 {
+            let u = r.clone().random::<f64>();
+            let (alpha, lo, hi) = (0.69f64, 1.0f64, 1.4e5f64);
+            let (la, ha) = (lo.powf(-alpha), hi.powf(-alpha));
+            // The formula every draw evaluated before the constants moved
+            // into `new`.
+            let want = (la - u * (la - ha)).powf(-1.0 / alpha);
+            assert_eq!(d.sample(&mut r).to_bits(), want.to_bits());
+        }
     }
 
     #[test]

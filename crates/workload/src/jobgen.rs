@@ -338,13 +338,15 @@ impl<'a> JobGenerator<'a> {
                 .collect(),
         );
 
-        // Pre-compute per-tier calibration. The per-task rate damps as
+        // Pre-compute per-tier calibration, and the task-count model every
+        // arrival of the tier draws from. The per-task rate damps as
         // footprint^(-1/2), so the realized per-job integral is
         // `base_median × e^(σ²/2) × sqrt(n·d) × sqrt(E[n]·E[d])`; solving
         // its expectation for the tier target needs E[sqrt(n)] and
         // E[sqrt(d)] explicitly (Jensen's gap is a factor ~2 for the
         // heavy-tailed tiers).
         struct TierCal {
+            task_model: TaskCountModel,
             base_median: f64,
             mean_tasks: f64,
             mean_realized_hours: f64,
@@ -359,8 +361,8 @@ impl<'a> JobGenerator<'a> {
                 let stream_util = tp.target_cpu_util * (1.0 - resident_fraction(tp.tier));
                 let rate_tier = self.params.job_rate_per_hour * tp.job_share;
                 let mean_ncu_hours = stream_util * self.params.capacity.cpu / rate_tier.max(1e-9);
-                let (mean_tasks, sqrt_tasks) =
-                    TaskCountModel::for_tier(tp.tier).capped_moments(self.params.task_cap);
+                let task_model = TaskCountModel::for_tier(tp.tier);
+                let (mean_tasks, sqrt_tasks) = task_model.capped_moments(self.params.task_cap);
                 let (dur_mean, dur_sqrt) = self.truncated_duration_moments(tp.mean_duration_hours);
                 let mean_realized_hours = dur_mean * early_mean;
                 let sqrt_realized_hours = dur_sqrt * early_sqrt;
@@ -372,6 +374,7 @@ impl<'a> JobGenerator<'a> {
                 (
                     tp.tier,
                     TierCal {
+                        task_model,
                         base_median,
                         mean_tasks,
                         mean_realized_hours,
@@ -388,7 +391,7 @@ impl<'a> JobGenerator<'a> {
             // lint: library-panic-ok (cals was built from the same tier list above) unwind-across-pool-ok (same closed tier set, so no worker unwind)
             let cal = &cals.iter().find(|(t, _)| *t == tier).expect("calibrated").1;
 
-            let n_tasks = TaskCountModel::for_tier(tier).sample_capped(rng, self.params.task_cap);
+            let n_tasks = cal.task_model.sample_capped(rng, self.params.task_cap);
             let dur_dist = duration_dist(tp.mean_duration_hours);
             let dur_hours = dur_dist
                 .sample(rng)

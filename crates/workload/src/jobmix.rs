@@ -13,19 +13,21 @@ use borg_trace::priority::{Priority, Tier};
 use rand::{Rng, RngExt};
 
 /// Tasks-per-job sampler: with probability `p_single` the job has exactly
-/// one task, otherwise `1 + floor(BoundedPareto(alpha, 1, max))`.
+/// one task, otherwise `1 + floor(BoundedPareto(alpha, 1, max_tasks))`.
+/// The tail is built once, in [`TaskCountModel::new`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskCountModel {
     /// Probability of a single-task job.
-    pub p_single: f64,
-    /// Tail index of the multi-task part.
-    pub alpha: f64,
+    p_single: f64,
+    /// `BoundedPareto(alpha, 1, max_tasks)`.
+    tail: BoundedPareto,
     /// Largest task count.
-    pub max_tasks: u32,
+    max_tasks: u32,
 }
 
 impl TaskCountModel {
-    /// Creates a model.
+    /// Creates a model: a single task with probability `p_single`,
+    /// otherwise a tail of index `alpha` up to `max_tasks`.
     ///
     /// # Panics
     ///
@@ -38,7 +40,7 @@ impl TaskCountModel {
         assert!(alpha > 0.0 && max_tasks >= 2, "bad task-count parameters");
         TaskCountModel {
             p_single,
-            alpha,
+            tail: BoundedPareto::new(alpha, 1.0, f64::from(max_tasks)),
             max_tasks,
         }
     }
@@ -81,9 +83,7 @@ impl TaskCountModel {
                 // Inverse CDF of the bounded Pareto at the rescaled
                 // quantile, floored and clipped exactly like the sampler.
                 let v = (u - self.p_single) / (1.0 - self.p_single);
-                let la = 1.0f64;
-                let ha = (self.max_tasks as f64).powf(-self.alpha);
-                let x = (la - v * (la - ha)).powf(-1.0 / self.alpha);
+                let x = self.tail.inverse_cdf(v);
                 (1.0 + x.floor()).min(cap as f64)
             };
             sum += n;
@@ -103,8 +103,7 @@ impl TaskCountModel {
         if rng.random::<f64>() < self.p_single {
             return 1;
         }
-        let tail = BoundedPareto::new(self.alpha, 1.0, self.max_tasks as f64);
-        let n = 1 + tail.sample(rng).floor() as u32;
+        let n = 1 + self.tail.sample(rng).floor() as u32;
         n.min(self.max_tasks)
     }
 }

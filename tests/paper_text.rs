@@ -12,6 +12,10 @@
 //!   `all` did (5753 new-task submits, not 5217);
 //! * `figure10` — gained the `2019 pooled` row only `all` printed.
 //!
+//! `table2`, `figure12`, `figure13` and `section7` were re-pinned once
+//! since, when the statistical-mode sample changed definition (paired
+//! Box–Muller draw, chunk-seeded streams; DESIGN.md §5).
+//!
 //! Generated on: rustc 1.95.0, x86_64-unknown-linux-gnu (the samplers go
 //! through the platform's libm, as in `crates/sim/tests/golden.rs`). A
 //! deliberate change to an experiment's text regenerates the table with
@@ -36,12 +40,12 @@ const PINNED: &[(&str, u64, usize)] = &[
     ("figure09", 0xd743af79aea2611e, 1731),
     ("figure10", 0x8263331e16150874, 1085),
     ("figure11", 0xfaf6cee1c3bd59d3, 519),
-    ("figure12", 0x9315764e025e5979, 2586),
-    ("figure13", 0x044e44af1d963d6d, 1200),
+    ("figure12", 0xf64653207c532af5, 2586),
+    ("figure13", 0xd720f4be79f0c181, 1200),
     ("figure14", 0xf09d0e50c51d9a0f, 292),
-    ("table2", 0xc87fa94d7b7e18d2, 1137),
+    ("table2", 0x6a61df2c08225a8e, 1137),
     ("section5", 0xa2c99e4828b13608, 640),
-    ("section7", 0x03a8310cdbc1b415, 409),
+    ("section7", 0xa011848bcfed3dd5, 409),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
