@@ -1,10 +1,16 @@
 //! Query-engine operator throughput on trace-shaped tables with string
 //! keys. The 360k-row integer-key group-by, join and table clone are
 //! pipeline-bench's `query.q_*_ms` / `query.table_clone_ms` rows
-//! (`sql_battery --traced`).
+//! (`sql_battery --traced`); `tables_cell_day_512` and
+//! `take_rows_instance` time that workload's table build and its sort's
+//! row gather alone, on the same cell-day.
 
+use borg_core::tables;
 use borg_query::prelude::*;
 use borg_query::{Agg, Column};
+use borg_sim::{CellSim, SimConfig};
+use borg_trace::time::Micros;
+use borg_workload::cells::CellProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn trace_shaped_table(rows: usize) -> Table {
@@ -137,6 +143,48 @@ fn bench_sort_wide_keys(c: &mut Criterion) {
     });
 }
 
+/// The cell-day `sql_battery` runs: 512 machines of cell 2019d for 24
+/// simulated hours (about 374k instance rows, 40k usage rows).
+fn cell_day_512() -> borg_trace::trace::Trace {
+    let profile = CellProfile::cell_2019('d');
+    let mut cfg = SimConfig::tiny_for_tests(2019);
+    cfg.scale = (512.0 / profile.machine_count as f64).min(1.0);
+    cfg.horizon = Micros::from_hours(24);
+    cfg.snapshot_at = Micros::from_hours(12);
+    CellSim::run_cell(&profile, &cfg).trace
+}
+
+fn bench_trace_tables(c: &mut Criterion) {
+    // The four `core::tables` builders (`core.tables_ms`), then the row
+    // gather of `q_sort_tier_time` on its own: the instance table taken
+    // through its `(tier, time desc)` permutation.
+    let trace = cell_day_512();
+    c.bench_function("tables_cell_day_512", |b| {
+        b.iter(|| {
+            (
+                tables::collection_events_table(&trace).unwrap(),
+                tables::instance_events_table(&trace).unwrap(),
+                tables::machine_events_table(&trace).unwrap(),
+                tables::usage_table(&trace).unwrap(),
+            )
+        });
+    });
+    let inst = tables::instance_events_table(&trace).unwrap();
+    let rows = Column::Int((0..inst.num_rows() as i64).map(Some).collect());
+    let numbered = inst.clone().with_column("row", rows).unwrap();
+    let sorted = Query::from(numbered)
+        .sort_by_many(&[
+            ("tier", SortOrder::Ascending),
+            ("time", SortOrder::Descending),
+        ])
+        .run()
+        .unwrap();
+    let perm: Vec<u32> = (0..sorted.num_rows())
+        .map(|r| sorted.value(r, "row").unwrap().as_i64().unwrap() as u32)
+        .collect();
+    c.bench_function("take_rows_instance", |b| b.iter(|| inst.take_rows(&perm)));
+}
+
 criterion_group!(
     benches,
     bench_filter,
@@ -144,6 +192,7 @@ criterion_group!(
     bench_group_by_1m,
     bench_join,
     bench_sort,
-    bench_sort_wide_keys
+    bench_sort_wide_keys,
+    bench_trace_tables
 );
 criterion_main!(benches);

@@ -7,11 +7,14 @@
 //!
 //! The builders are columnar: one pass over the events fills one typed
 //! vector per column, and the vectors become the table's columns as they
-//! are — no per-row `Vec<Value>`, no per-cell `String`. Every string
-//! column here is the label of a small enum, so a cell is written as a
-//! dictionary code ([`Labels`]).
+//! are — no per-row `Vec<Value>`, no per-cell `String`. Numeric columns
+//! are plain values; only the three optional ids (an instance's
+//! `machine_id`, a collection's `parent_id` and `alloc_collection_id`)
+//! are [`PrimVec`]s that grow a validity mask at their first null. Every
+//! string column here is the label of a small enum, so a cell is written
+//! as a dictionary code ([`Labels`]).
 
-use borg_query::{Column, QueryError, StrVec, Table};
+use borg_query::{Column, PrimVec, QueryError, StrVec, Table};
 use borg_trace::trace::Trace;
 
 /// A string column of enum labels: a label is interned when its variant
@@ -61,15 +64,15 @@ pub fn collection_events_table(trace: &Trace) -> Result<Table, QueryError> {
     let mut tier = Labels::with_capacity(n);
     let mut scheduler = Labels::with_capacity(n);
     let mut vertical_scaling = Labels::with_capacity(n);
-    let mut parent_id = Vec::with_capacity(n);
-    let mut alloc_collection_id = Vec::with_capacity(n);
+    let mut parent_id = PrimVec::with_capacity(n);
+    let mut alloc_collection_id = PrimVec::with_capacity(n);
     let mut user_id = Vec::with_capacity(n);
     for ev in &trace.collection_events {
-        time.push(Some(ev.time.as_micros() as i64));
-        collection_id.push(Some(ev.collection_id.0 as i64));
+        time.push(ev.time.as_micros() as i64);
+        collection_id.push(ev.collection_id.0 as i64);
         event.push(ev.event_type, |e| e.name());
         kind.push(ev.collection_type, |c| c.name());
-        priority.push(Some(i64::from(ev.priority.raw())));
+        priority.push(i64::from(ev.priority.raw()));
         tier.push(ev.priority.reporting_tier(), |t| t.short_name());
         scheduler.push(ev.scheduler, |s| match s {
             borg_trace::collection::SchedulerKind::Default => "default",
@@ -78,20 +81,20 @@ pub fn collection_events_table(trace: &Trace) -> Result<Table, QueryError> {
         vertical_scaling.push(ev.vertical_scaling, |v| v.name());
         parent_id.push(ev.parent_id.map(|p| p.0 as i64));
         alloc_collection_id.push(ev.alloc_collection_id.map(|p| p.0 as i64));
-        user_id.push(Some(i64::from(ev.user_id.0)));
+        user_id.push(i64::from(ev.user_id.0));
     }
     Table::from_columns(vec![
-        ("time", Column::Int(time)),
-        ("collection_id", Column::Int(collection_id)),
+        ("time", Column::Int(time.into())),
+        ("collection_id", Column::Int(collection_id.into())),
         ("event", event.finish()),
         ("type", kind.finish()),
-        ("priority", Column::Int(priority)),
+        ("priority", Column::Int(priority.into())),
         ("tier", tier.finish()),
         ("scheduler", scheduler.finish()),
         ("vertical_scaling", vertical_scaling.finish()),
         ("parent_id", Column::Int(parent_id)),
         ("alloc_collection_id", Column::Int(alloc_collection_id)),
-        ("user_id", Column::Int(user_id)),
+        ("user_id", Column::Int(user_id.into())),
     ])
 }
 
@@ -104,31 +107,31 @@ pub fn instance_events_table(trace: &Trace) -> Result<Table, QueryError> {
     let mut collection_id = Vec::with_capacity(n);
     let mut instance_index = Vec::with_capacity(n);
     let mut event = Labels::with_capacity(n);
-    let mut machine_id = Vec::with_capacity(n);
+    let mut machine_id = PrimVec::with_capacity(n);
     let mut cpu_request = Vec::with_capacity(n);
     let mut mem_request = Vec::with_capacity(n);
     let mut priority = Vec::with_capacity(n);
     let mut tier = Labels::with_capacity(n);
     for ev in &trace.instance_events {
-        time.push(Some(ev.time.as_micros() as i64));
-        collection_id.push(Some(ev.instance_id.collection.0 as i64));
-        instance_index.push(Some(i64::from(ev.instance_id.index)));
+        time.push(ev.time.as_micros() as i64);
+        collection_id.push(ev.instance_id.collection.0 as i64);
+        instance_index.push(i64::from(ev.instance_id.index));
         event.push(ev.event_type, |e| e.name());
         machine_id.push(ev.machine_id.map(|m| i64::from(m.0)));
-        cpu_request.push(Some(ev.request.cpu));
-        mem_request.push(Some(ev.request.mem));
-        priority.push(Some(i64::from(ev.priority.raw())));
+        cpu_request.push(ev.request.cpu);
+        mem_request.push(ev.request.mem);
+        priority.push(i64::from(ev.priority.raw()));
         tier.push(ev.priority.reporting_tier(), |t| t.short_name());
     }
     Table::from_columns(vec![
-        ("time", Column::Int(time)),
-        ("collection_id", Column::Int(collection_id)),
-        ("instance_index", Column::Int(instance_index)),
+        ("time", Column::Int(time.into())),
+        ("collection_id", Column::Int(collection_id.into())),
+        ("instance_index", Column::Int(instance_index.into())),
         ("event", event.finish()),
         ("machine_id", Column::Int(machine_id)),
-        ("cpu_request", Column::Float(cpu_request)),
-        ("mem_request", Column::Float(mem_request)),
-        ("priority", Column::Int(priority)),
+        ("cpu_request", Column::Float(cpu_request.into())),
+        ("mem_request", Column::Float(mem_request.into())),
+        ("priority", Column::Int(priority.into())),
         ("tier", tier.finish()),
     ])
 }
@@ -143,24 +146,24 @@ pub fn machine_events_table(trace: &Trace) -> Result<Table, QueryError> {
     let mut mem = Vec::with_capacity(n);
     let mut platform = Vec::with_capacity(n);
     for ev in &trace.machine_events {
-        time.push(Some(ev.time.as_micros() as i64));
-        machine_id.push(Some(i64::from(ev.machine_id.0)));
+        time.push(ev.time.as_micros() as i64);
+        machine_id.push(i64::from(ev.machine_id.0));
         event.push(ev.event_type, |e| match e {
             borg_trace::machine::MachineEventType::Add => "add",
             borg_trace::machine::MachineEventType::Remove => "remove",
             borg_trace::machine::MachineEventType::Update => "update",
         });
-        cpu.push(Some(ev.capacity.cpu));
-        mem.push(Some(ev.capacity.mem));
-        platform.push(Some(i64::from(ev.platform.0)));
+        cpu.push(ev.capacity.cpu);
+        mem.push(ev.capacity.mem);
+        platform.push(i64::from(ev.platform.0));
     }
     Table::from_columns(vec![
-        ("time", Column::Int(time)),
-        ("machine_id", Column::Int(machine_id)),
+        ("time", Column::Int(time.into())),
+        ("machine_id", Column::Int(machine_id.into())),
         ("event", event.finish()),
-        ("cpu", Column::Float(cpu)),
-        ("mem", Column::Float(mem)),
-        ("platform", Column::Int(platform)),
+        ("cpu", Column::Float(cpu.into())),
+        ("mem", Column::Float(mem.into())),
+        ("platform", Column::Int(platform.into())),
     ])
 }
 
@@ -179,28 +182,28 @@ pub fn usage_table(trace: &Trace) -> Result<Table, QueryError> {
     let mut limit_cpu = Vec::with_capacity(n);
     let mut limit_mem = Vec::with_capacity(n);
     for u in &trace.usage {
-        start.push(Some(u.start.as_micros() as i64));
-        end.push(Some(u.end.as_micros() as i64));
-        collection_id.push(Some(u.instance_id.collection.0 as i64));
-        instance_index.push(Some(i64::from(u.instance_id.index)));
-        machine_id.push(Some(i64::from(u.machine_id.0)));
-        avg_cpu.push(Some(u.avg_usage.cpu));
-        avg_mem.push(Some(u.avg_usage.mem));
-        max_cpu.push(Some(u.max_usage.cpu));
-        limit_cpu.push(Some(u.limit.cpu));
-        limit_mem.push(Some(u.limit.mem));
+        start.push(u.start.as_micros() as i64);
+        end.push(u.end.as_micros() as i64);
+        collection_id.push(u.instance_id.collection.0 as i64);
+        instance_index.push(i64::from(u.instance_id.index));
+        machine_id.push(i64::from(u.machine_id.0));
+        avg_cpu.push(u.avg_usage.cpu);
+        avg_mem.push(u.avg_usage.mem);
+        max_cpu.push(u.max_usage.cpu);
+        limit_cpu.push(u.limit.cpu);
+        limit_mem.push(u.limit.mem);
     }
     Table::from_columns(vec![
-        ("start", Column::Int(start)),
-        ("end", Column::Int(end)),
-        ("collection_id", Column::Int(collection_id)),
-        ("instance_index", Column::Int(instance_index)),
-        ("machine_id", Column::Int(machine_id)),
-        ("avg_cpu", Column::Float(avg_cpu)),
-        ("avg_mem", Column::Float(avg_mem)),
-        ("max_cpu", Column::Float(max_cpu)),
-        ("limit_cpu", Column::Float(limit_cpu)),
-        ("limit_mem", Column::Float(limit_mem)),
+        ("start", Column::Int(start.into())),
+        ("end", Column::Int(end.into())),
+        ("collection_id", Column::Int(collection_id.into())),
+        ("instance_index", Column::Int(instance_index.into())),
+        ("machine_id", Column::Int(machine_id.into())),
+        ("avg_cpu", Column::Float(avg_cpu.into())),
+        ("avg_mem", Column::Float(avg_mem.into())),
+        ("max_cpu", Column::Float(max_cpu.into())),
+        ("limit_cpu", Column::Float(limit_cpu.into())),
+        ("limit_mem", Column::Float(limit_mem.into())),
     ])
 }
 

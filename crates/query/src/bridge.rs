@@ -12,11 +12,11 @@ use crate::table::Table;
 use borg_telemetry::Snapshot;
 
 fn ints<T>(rows: &[T], cell: impl Fn(&T) -> u64) -> Column {
-    Column::Int(
-        rows.iter()
-            .map(|r| Some(i64::try_from(cell(r)).unwrap_or(i64::MAX)))
-            .collect(),
-    )
+    let values: Vec<i64> = rows
+        .iter()
+        .map(|r| i64::try_from(cell(r)).unwrap_or(i64::MAX))
+        .collect();
+    Column::Int(values.into())
 }
 
 fn strs<'a, T>(rows: &'a [T], cell: impl Fn(&'a T) -> &'a str) -> Column {

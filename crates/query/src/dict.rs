@@ -1,7 +1,7 @@
 //! Dictionary-encoded string storage.
 //!
 //! String columns are the hot keys of every trace analysis (tiers, event
-//! names, collection ids…), and a `Vec<Option<String>>` representation
+//! names, collection ids…), and an optional `String` per cell
 //! heap-allocates per cell and clones per comparison. [`StrVec`] instead
 //! interns every distinct string once in an [`Arc`]-shared pool and
 //! stores one dense `u32` code per row, so:
@@ -11,7 +11,9 @@
 //!   clones at all);
 //! * equality against a literal is one pool lookup plus a code scan.
 //!
-//! Null is represented by the reserved [`NULL_CODE`].
+//! Null is represented by the reserved [`NULL_CODE`]: a code vector is
+//! already the value-plus-validity layout the other column types use
+//! ([`crate::column::PrimVec`]), with the mask folded into one value.
 
 use crate::fxhash::FxHashMap;
 use std::sync::Arc;
@@ -121,6 +123,8 @@ impl StrVec {
     /// # Panics
     ///
     /// Panics when `code` is neither in the pool nor [`NULL_CODE`].
+    // Inlined into the builders in other crates, which call it per row.
+    #[inline]
     pub fn push_code(&mut self, code: u32) {
         assert!(
             code == NULL_CODE || (code as usize) < self.dict.strings.len(),
@@ -217,17 +221,22 @@ impl StrVec {
 
     /// Maps every code of `self` to the corresponding code in `other`'s
     /// pool, for join probes across tables. Strings absent from `other`
-    /// map to `None`.
-    pub fn code_mapping_into(&self, other: &StrVec) -> Vec<Option<u32>> {
+    /// map to [`NULL_CODE`].
+    pub fn code_mapping_into(&self, other: &StrVec) -> Vec<u32> {
         if Arc::ptr_eq(&self.dict, &other.dict) {
-            return (0..crate::cast::code32(self.dict.strings.len()))
-                .map(Some)
-                .collect();
+            return (0..crate::cast::code32(self.dict.strings.len())).collect();
         }
         self.dict
             .strings
             .iter()
-            .map(|s| other.dict.lookup.get(s.as_ref()).copied())
+            .map(|s| {
+                other
+                    .dict
+                    .lookup
+                    .get(s.as_ref())
+                    .copied()
+                    .unwrap_or(NULL_CODE)
+            })
             .collect()
     }
 
@@ -336,7 +345,7 @@ mod tests {
         r.push(Some("beb"));
         r.push(Some("unknown"));
         let map = r.code_mapping_into(&l);
-        assert_eq!(map[r.code(0) as usize], Some(l.code(1)));
-        assert_eq!(map[r.code(1) as usize], None);
+        assert_eq!(map[r.code(0) as usize], l.code(1));
+        assert_eq!(map[r.code(1) as usize], NULL_CODE);
     }
 }

@@ -7,21 +7,23 @@
 //! the row.
 //!
 //! Evaluation is columnar: an expression evaluates over a row range into
-//! a typed vector ([`EvalVec`]), with literal operands kept as broadcast
-//! constants and per-type kernels for the hot combinations (numeric
-//! arithmetic and comparison, string-vs-literal comparison via
-//! dictionary codes, boolean logic). Predicate masks evaluate blocks of
-//! rows in parallel ([`crate::parallel`]); because each block is a pure
-//! function of the input rows, the mask is identical however many
-//! threads run. [`Expr::eval_row`] remains as the row-at-a-time
-//! reference implementation.
+//! typed cells ([`EvalVec`]) — a column reference borrows its rows, plain
+//! values plus validity mask, without copying — with literal operands
+//! kept as broadcast constants and per-type kernels for the hot
+//! combinations (numeric arithmetic and comparison, string-vs-literal
+//! comparison via dictionary codes, boolean logic). Predicate masks
+//! evaluate blocks of rows in parallel ([`crate::parallel`]); because
+//! each block is a pure function of the input rows, the mask is
+//! identical however many threads run. [`Expr::eval_row`] remains as the
+//! row-at-a-time reference implementation.
 
-use crate::column::Column;
+use crate::column::{Column, PrimVec};
 use crate::dict::{StrVec, NULL_CODE};
 use crate::error::QueryError;
 use crate::parallel;
 use crate::table::Table;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -253,19 +255,18 @@ impl Expr {
     pub fn eval_column(&self, table: &Table) -> Result<Column, QueryError> {
         let n = table.num_rows();
         if n == 0 {
-            return Ok(Column::Float(Vec::new()));
-        }
-        fn all_null<T>(v: &[Option<T>]) -> bool {
-            v.iter().all(Option::is_none)
+            return Ok(Column::Float(PrimVec::new()));
         }
         Ok(match self.eval_vec(table, 0..n)? {
-            EvalVec::Int(v) if !all_null(&v) => Column::Int(v),
-            EvalVec::Float(v) if !all_null(&v) => Column::Float(v),
-            EvalVec::Str(v) if v.codes().iter().any(|&c| c != NULL_CODE) => Column::Str(v),
-            EvalVec::Bool(v) if !all_null(&v) => Column::Bool(v),
-            EvalVec::Const(Value::Int(x)) => Column::Int(vec![Some(x); n]),
-            EvalVec::Const(Value::Float(x)) => Column::Float(vec![Some(x); n]),
-            EvalVec::Const(Value::Bool(x)) => Column::Bool(vec![Some(x); n]),
+            EvalVec::Int(c) if c.any_valid() => Column::Int(c.into_prim()),
+            EvalVec::Float(c) if c.any_valid() => Column::Float(c.into_prim()),
+            EvalVec::Str(sv, codes) if codes.iter().any(|&c| c != NULL_CODE) => {
+                Column::Str(sv.slice(0..n))
+            }
+            EvalVec::Bool(c) if c.any_valid() => Column::Bool(c.into_prim()),
+            EvalVec::Const(Value::Int(x)) => Column::Int(vec![x; n].into()),
+            EvalVec::Const(Value::Float(x)) => Column::Float(vec![x; n].into()),
+            EvalVec::Const(Value::Bool(x)) => Column::Bool(vec![x; n].into()),
             EvalVec::Const(Value::Str(s)) => {
                 let mut v = StrVec::with_capacity(n);
                 let code = v.intern(&s);
@@ -276,19 +277,25 @@ impl Expr {
             }
             // All-null results (whatever carrier produced them) become a
             // float column, matching the row-at-a-time type inference.
-            _ => Column::Float(vec![None; n]),
+            _ => Column::Float(PrimVec::nulls(n)),
         })
     }
 
     /// Columnar evaluation over a row range. Pure: the result depends
-    /// only on `table` and `rows`, never on scheduling.
-    fn eval_vec(&self, table: &Table, rows: Range<usize>) -> Result<EvalVec, QueryError> {
+    /// only on `table` and `rows`, never on scheduling. A column
+    /// reference borrows the range of the column; only operators write
+    /// new cells.
+    fn eval_vec<'t>(
+        &self,
+        table: &'t Table,
+        rows: Range<usize>,
+    ) -> Result<EvalVec<'t>, QueryError> {
         match self {
             Expr::Column(name) => Ok(match table.column(name)? {
-                Column::Int(v) => EvalVec::Int(v[rows].to_vec()),
-                Column::Float(v) => EvalVec::Float(v[rows].to_vec()),
-                Column::Str(v) => EvalVec::Str(v.slice(rows)),
-                Column::Bool(v) => EvalVec::Bool(v[rows].to_vec()),
+                Column::Int(v) => EvalVec::Int(Cells::of(v, rows)),
+                Column::Float(v) => EvalVec::Float(Cells::of(v, rows)),
+                Column::Str(v) => EvalVec::Str(v, &v.codes()[rows]),
+                Column::Bool(v) => EvalVec::Bool(Cells::of(v, rows)),
             }),
             Expr::Literal(v) => Ok(EvalVec::Const(v.clone())),
             Expr::Not(inner) => eval_not(inner.eval_vec(table, rows)?),
@@ -307,13 +314,76 @@ impl Expr {
     }
 }
 
-/// One block's evaluation result: a typed vector, or a broadcast literal
+/// One block of plain-value cells: a range of a column, borrowed, or an
+/// operator's output. Either way a null row's value slot holds zero, as
+/// in a column, so a kernel may compute on every slot and mask after;
+/// unlike a column's, a borrowed block's mask may have no `false` in it.
+struct Cells<'a, T: Clone> {
+    values: Cow<'a, [T]>,
+    valid: Option<Cow<'a, [bool]>>,
+}
+
+impl<'a, T: Copy + Default> Cells<'a, T> {
+    /// The rows `rows` of a column.
+    fn of(v: &'a PrimVec<T>, rows: Range<usize>) -> Cells<'a, T> {
+        Cells {
+            values: Cow::Borrowed(&v.values()[rows.clone()]),
+            valid: v.validity().map(|mask| Cow::Borrowed(&mask[rows])),
+        }
+    }
+
+    /// An operator's output.
+    fn new(v: PrimVec<T>) -> Cells<'a, T> {
+        let (values, valid) = v.into_parts();
+        Cells {
+            values: Cow::Owned(values),
+            valid: valid.map(Cow::Owned),
+        }
+    }
+
+    /// An operator's output from every slot's value and the rows that
+    /// hold one (null slots are zeroed here).
+    fn computed(values: Vec<T>, valid: Option<Vec<bool>>) -> Cells<'a, T> {
+        Cells::new(PrimVec::from_parts(values, valid))
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<T> {
+        self.valid
+            .as_ref()
+            .is_none_or(|mask| mask[i])
+            .then(|| self.values[i])
+    }
+
+    fn values(&self) -> &[T] {
+        &self.values
+    }
+
+    fn validity(&self) -> Option<&[bool]> {
+        self.valid.as_deref()
+    }
+
+    /// True when some row holds a value.
+    fn any_valid(&self) -> bool {
+        self.valid
+            .as_ref()
+            .map_or(!self.values.is_empty(), |mask| mask.contains(&true))
+    }
+
+    /// The cells as a column's (canonical) storage.
+    fn into_prim(self) -> PrimVec<T> {
+        PrimVec::from_parts(self.values.into_owned(), self.valid.map(Cow::into_owned))
+    }
+}
+
+/// One block's evaluation result: typed cells, or a broadcast literal
 /// (length-independent).
-enum EvalVec {
-    Int(Vec<Option<i64>>),
-    Float(Vec<Option<f64>>),
-    Str(StrVec),
-    Bool(Vec<Option<bool>>),
+enum EvalVec<'a> {
+    Int(Cells<'a, i64>),
+    Float(Cells<'a, f64>),
+    /// A string column's dictionary and the block's codes.
+    Str(&'a StrVec, &'a [u32]),
+    Bool(Cells<'a, bool>),
     Const(Value),
 }
 
@@ -353,14 +423,17 @@ impl Cell<'_> {
     }
 }
 
-impl EvalVec {
+impl EvalVec<'_> {
     #[inline]
     fn cell(&self, i: usize) -> Cell<'_> {
         match self {
-            EvalVec::Int(v) => v[i].map_or(Cell::Null, Cell::Int),
-            EvalVec::Float(v) => v[i].map_or(Cell::Null, Cell::Float),
-            EvalVec::Str(v) => v.get(i).map_or(Cell::Null, Cell::Str),
-            EvalVec::Bool(v) => v[i].map_or(Cell::Null, Cell::Bool),
+            EvalVec::Int(c) => c.get(i).map_or(Cell::Null, Cell::Int),
+            EvalVec::Float(c) => c.get(i).map_or(Cell::Null, Cell::Float),
+            EvalVec::Str(sv, codes) => match codes[i] {
+                NULL_CODE => Cell::Null,
+                code => Cell::Str(sv.string_of(code)),
+            },
+            EvalVec::Bool(c) => c.get(i).map_or(Cell::Null, Cell::Bool),
             EvalVec::Const(v) => match v {
                 Value::Null => Cell::Null,
                 Value::Int(x) => Cell::Int(*x),
@@ -368,6 +441,29 @@ impl EvalVec {
                 Value::Str(s) => Cell::Str(s),
                 Value::Bool(b) => Cell::Bool(*b),
             },
+        }
+    }
+
+    /// Rows to scan for a first non-null cell: the block's, or one for a
+    /// literal.
+    fn rows(&self) -> usize {
+        match self {
+            EvalVec::Int(c) => c.values().len(),
+            EvalVec::Float(c) => c.values().len(),
+            EvalVec::Str(_, codes) => codes.len(),
+            EvalVec::Bool(c) => c.values().len(),
+            EvalVec::Const(_) => 1,
+        }
+    }
+
+    /// The validity mask of typed cells; `None` for mask-free cells, a
+    /// string block or a literal.
+    fn validity(&self) -> Option<&[bool]> {
+        match self {
+            EvalVec::Int(c) => c.validity(),
+            EvalVec::Float(c) => c.validity(),
+            EvalVec::Bool(c) => c.validity(),
+            EvalVec::Str(..) | EvalVec::Const(_) => None,
         }
     }
 
@@ -381,55 +477,76 @@ impl EvalVec {
     }
 }
 
-/// Numeric per-row view: ints widen to `f64`.
+/// Rows where both operands hold a value; `None` when neither has a mask.
+fn both_valid(l: Option<&[bool]>, r: Option<&[bool]>) -> Option<Vec<bool>> {
+    match (l, r) {
+        (None, None) => None,
+        (Some(m), None) | (None, Some(m)) => Some(m.to_vec()),
+        (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(&x, &y)| x & y).collect()),
+    }
+}
+
+/// Marks null every row `i` for which `null(i)` holds, creating the mask
+/// on the first.
+fn null_where(valid: &mut Option<Vec<bool>>, len: usize, null: impl Fn(usize) -> bool) {
+    if (0..len).any(&null) {
+        let mask = valid.get_or_insert_with(|| vec![true; len]);
+        for (i, ok) in mask.iter_mut().enumerate() {
+            *ok &= !null(i);
+        }
+    }
+}
+
+/// Numeric per-row view of every value slot: ints widen to `f64`.
 enum NumView<'a> {
-    Int(&'a [Option<i64>]),
-    Float(&'a [Option<f64>]),
+    Int(&'a [i64]),
+    Float(&'a [f64]),
     Const(f64),
 }
 
 impl NumView<'_> {
     #[inline]
-    fn get(&self, i: usize) -> Option<f64> {
+    fn get(&self, i: usize) -> f64 {
         match self {
-            NumView::Int(v) => v[i].map(|x| x as f64),
+            NumView::Int(v) => v[i] as f64,
             NumView::Float(v) => v[i],
-            NumView::Const(x) => Some(*x),
+            NumView::Const(x) => *x,
         }
     }
 }
 
 /// Numeric view when the operand is statically numeric; `None` otherwise
 /// (the caller falls back to the generic cell path).
-fn num_view(v: &EvalVec) -> Option<NumView<'_>> {
+fn num_view<'v>(v: &'v EvalVec<'_>) -> Option<NumView<'v>> {
     match v {
-        EvalVec::Int(v) => Some(NumView::Int(v)),
-        EvalVec::Float(v) => Some(NumView::Float(v)),
+        EvalVec::Int(c) => Some(NumView::Int(c.values())),
+        EvalVec::Float(c) => Some(NumView::Float(c.values())),
         EvalVec::Const(Value::Int(x)) => Some(NumView::Const(*x as f64)),
         EvalVec::Const(Value::Float(x)) => Some(NumView::Const(*x)),
         _ => None,
     }
 }
 
-/// Integer per-row view (for int-preserving arithmetic).
+/// Integer per-row view of every value slot (for int-preserving
+/// arithmetic).
 enum IntView<'a> {
-    Vec(&'a [Option<i64>]),
+    Vec(&'a [i64]),
     Const(i64),
 }
 
 impl IntView<'_> {
     #[inline]
-    fn get(&self, i: usize) -> Option<i64> {
+    fn get(&self, i: usize) -> i64 {
         match self {
             IntView::Vec(v) => v[i],
-            IntView::Const(x) => Some(*x),
+            IntView::Const(x) => *x,
         }
     }
 }
 
-fn int_view(v: &EvalVec) -> Option<IntView<'_>> {
+fn int_view<'v>(v: &'v EvalVec<'_>) -> Option<IntView<'v>> {
     match v {
-        EvalVec::Int(v) => Some(IntView::Vec(v)),
+        EvalVec::Int(c) => Some(IntView::Vec(c.values())),
         EvalVec::Const(Value::Int(x)) => Some(IntView::Const(*x)),
         _ => None,
     }
@@ -439,23 +556,29 @@ fn int_view(v: &EvalVec) -> Option<IntView<'_>> {
 /// operand can produce a non-null non-boolean (matching the row-at-a-time
 /// semantics, where such a row errors regardless of the other operand).
 enum BoolView<'a> {
-    Vec(&'a [Option<bool>]),
+    /// Values and validity.
+    Vec(&'a [bool], Option<&'a [bool]>),
     Const(Option<bool>),
 }
 
 impl BoolView<'_> {
+    /// The row's value slot (`false` for a null) and whether it is valid.
     #[inline]
-    fn get(&self, i: usize) -> Option<bool> {
+    fn get(&self, i: usize) -> (bool, bool) {
         match self {
-            BoolView::Vec(v) => v[i],
-            BoolView::Const(b) => *b,
+            BoolView::Vec(v, valid) => (v[i], valid.is_none_or(|mask| mask[i])),
+            BoolView::Const(b) => (b.unwrap_or(false), b.is_some()),
         }
     }
 }
 
-fn bool_view<'a>(v: &'a EvalVec, len: usize, op: &'static str) -> Result<BoolView<'a>, QueryError> {
+fn bool_view<'v>(
+    v: &'v EvalVec<'_>,
+    len: usize,
+    op: &'static str,
+) -> Result<BoolView<'v>, QueryError> {
     match v {
-        EvalVec::Bool(v) => Ok(BoolView::Vec(v)),
+        EvalVec::Bool(c) => Ok(BoolView::Vec(c.values(), c.validity())),
         EvalVec::Const(Value::Bool(b)) => Ok(BoolView::Const(Some(*b))),
         EvalVec::Const(Value::Null) => Ok(BoolView::Const(None)),
         other => match other.first_non_null(len) {
@@ -495,83 +618,72 @@ fn bucket_f64(x: f64, width: f64) -> f64 {
     (x / width).floor() * width
 }
 
-fn eval_not(v: EvalVec) -> Result<EvalVec, QueryError> {
+fn eval_not(v: EvalVec<'_>) -> Result<EvalVec<'_>, QueryError> {
     match v {
-        EvalVec::Bool(v) => Ok(EvalVec::Bool(
-            v.into_iter().map(|b| b.map(|b| !b)).collect(),
-        )),
+        EvalVec::Bool(c) => Ok(EvalVec::Bool(Cells::computed(
+            c.values().iter().map(|&b| !b).collect(),
+            c.validity().map(<[bool]>::to_vec),
+        ))),
         EvalVec::Const(Value::Bool(b)) => Ok(EvalVec::Const(Value::Bool(!b))),
         EvalVec::Const(Value::Null) => Ok(EvalVec::Const(Value::Null)),
-        other => {
-            let len = match &other {
-                EvalVec::Int(v) => v.len(),
-                EvalVec::Float(v) => v.len(),
-                EvalVec::Str(v) => v.len(),
-                _ => 1,
-            };
-            match other.first_non_null(len) {
-                None => Ok(EvalVec::Const(Value::Null)),
-                Some(cell) => Err(QueryError::IncompatibleOperands {
-                    op: "not",
-                    detail: format!("{:?}", cell.to_value()),
-                }),
-            }
-        }
+        other => match other.first_non_null(other.rows()) {
+            None => Ok(EvalVec::Const(Value::Null)),
+            Some(cell) => Err(QueryError::IncompatibleOperands {
+                op: "not",
+                detail: format!("{:?}", cell.to_value()),
+            }),
+        },
     }
 }
 
-fn eval_is_null(v: EvalVec) -> EvalVec {
-    match v {
-        EvalVec::Int(v) => EvalVec::Bool(v.into_iter().map(|c| Some(c.is_none())).collect()),
-        EvalVec::Float(v) => EvalVec::Bool(v.into_iter().map(|c| Some(c.is_none())).collect()),
-        EvalVec::Str(v) => EvalVec::Bool(v.codes().iter().map(|&c| Some(c == NULL_CODE)).collect()),
-        EvalVec::Bool(v) => EvalVec::Bool(v.into_iter().map(|c| Some(c.is_none())).collect()),
-        EvalVec::Const(v) => EvalVec::Const(Value::Bool(v.is_null())),
-    }
+fn eval_is_null(v: EvalVec<'_>) -> EvalVec<'_> {
+    let values: Vec<bool> = match &v {
+        EvalVec::Str(_, codes) => codes.iter().map(|&c| c == NULL_CODE).collect(),
+        EvalVec::Const(c) => return EvalVec::Const(Value::Bool(c.is_null())),
+        cells => match cells.validity() {
+            Some(valid) => valid.iter().map(|&ok| !ok).collect(),
+            None => vec![false; cells.rows()],
+        },
+    };
+    EvalVec::Bool(Cells::new(values.into()))
 }
 
 // Same round-trip-checked truncation as `bucket_int` above.
 #[allow(clippy::cast_possible_truncation)]
-fn eval_bucket(v: EvalVec, width: f64) -> Result<EvalVec, QueryError> {
+fn eval_bucket(v: EvalVec<'_>, width: f64) -> Result<EvalVec<'_>, QueryError> {
     match v {
-        EvalVec::Int(xs) => {
+        EvalVec::Int(c) => {
             let w = width as i64;
+            let valid = c.validity().map(<[bool]>::to_vec);
             if w >= 1 && (width - w as f64).abs() < 1e-9 {
-                Ok(EvalVec::Int(
-                    xs.into_iter()
-                        .map(|c| c.map(|i| i.div_euclid(w) * w))
-                        .collect(),
-                ))
+                Ok(EvalVec::Int(Cells::computed(
+                    c.values().iter().map(|&i| i.div_euclid(w) * w).collect(),
+                    valid,
+                )))
             } else {
-                Ok(EvalVec::Float(
-                    xs.into_iter()
-                        .map(|c| c.map(|i| bucket_f64(i as f64, width)))
+                Ok(EvalVec::Float(Cells::computed(
+                    c.values()
+                        .iter()
+                        .map(|&i| bucket_f64(i as f64, width))
                         .collect(),
-                ))
+                    valid,
+                )))
             }
         }
-        EvalVec::Float(xs) => Ok(EvalVec::Float(
-            xs.into_iter()
-                .map(|c| c.map(|x| bucket_f64(x, width)))
-                .collect(),
-        )),
+        EvalVec::Float(c) => Ok(EvalVec::Float(Cells::computed(
+            c.values().iter().map(|&x| bucket_f64(x, width)).collect(),
+            c.validity().map(<[bool]>::to_vec),
+        ))),
         EvalVec::Const(Value::Null) => Ok(EvalVec::Const(Value::Null)),
         EvalVec::Const(Value::Int(i)) => Ok(EvalVec::Const(bucket_int(i, width))),
         EvalVec::Const(Value::Float(x)) => Ok(EvalVec::Const(Value::Float(bucket_f64(x, width)))),
-        other => {
-            let len = match &other {
-                EvalVec::Str(v) => v.len(),
-                EvalVec::Bool(v) => v.len(),
-                _ => 1,
-            };
-            match other.first_non_null(len) {
-                None => Ok(EvalVec::Const(Value::Null)),
-                Some(cell) => Err(QueryError::IncompatibleOperands {
-                    op: "bucket",
-                    detail: format!("{:?}", cell.to_value()),
-                }),
-            }
-        }
+        other => match other.first_non_null(other.rows()) {
+            None => Ok(EvalVec::Const(Value::Null)),
+            Some(cell) => Err(QueryError::IncompatibleOperands {
+                op: "bucket",
+                detail: format!("{:?}", cell.to_value()),
+            }),
+        },
     }
 }
 
@@ -588,31 +700,28 @@ fn ord_matches(op: BinOp, ord: Ordering) -> bool {
     }
 }
 
-/// String column vs string literal: one `Ordering` per dictionary code,
-/// then an integer scan (`flipped` when the literal is the left operand).
-fn str_const_cmp(op: BinOp, sv: &StrVec, s: &str, flipped: bool) -> EvalVec {
-    let ords: Vec<Ordering> = (0..crate::cast::code32(sv.dict_len()))
+/// String column vs string literal: one answer per dictionary code, then
+/// an integer scan (`flipped` when the literal is the left operand).
+fn str_const_cmp<'a>(op: BinOp, sv: &StrVec, codes: &[u32], s: &str, flipped: bool) -> EvalVec<'a> {
+    let hits: Vec<bool> = (0..crate::cast::code32(sv.dict_len()))
         .map(|c| {
             let ord = sv.string_of(c).cmp(s);
-            if flipped {
-                ord.reverse()
-            } else {
-                ord
-            }
+            ord_matches(op, if flipped { ord.reverse() } else { ord })
         })
         .collect();
-    EvalVec::Bool(
-        sv.codes()
-            .iter()
-            .map(|&c| {
-                if c == NULL_CODE {
-                    None
-                } else {
-                    Some(ord_matches(op, ords[c as usize]))
-                }
+    // Only the null code is past the end of `hits`.
+    let mut any_null = false;
+    let values: Vec<bool> = codes
+        .iter()
+        .map(|&c| {
+            hits.get(c as usize).copied().unwrap_or_else(|| {
+                any_null = true;
+                false
             })
-            .collect(),
-    )
+        })
+        .collect();
+    let valid = any_null.then(|| codes.iter().map(|&c| c != NULL_CODE).collect());
+    EvalVec::Bool(Cells::computed(values, valid))
 }
 
 fn incompatible(op: &'static str, l: Cell<'_>, r: Cell<'_>) -> QueryError {
@@ -625,19 +734,28 @@ fn incompatible(op: &'static str, l: Cell<'_>, r: Cell<'_>) -> QueryError {
 /// Generic arithmetic fallback: at least one operand is statically
 /// non-numeric, so every row with both sides non-null is an error and
 /// the surviving rows are all null.
-fn generic_arith(l: &EvalVec, r: &EvalVec, len: usize) -> Result<EvalVec, QueryError> {
+fn generic_arith<'a>(
+    l: &EvalVec<'_>,
+    r: &EvalVec<'_>,
+    len: usize,
+) -> Result<EvalVec<'a>, QueryError> {
     for i in 0..len {
         let (cl, cr) = (l.cell(i), r.cell(i));
         if !cl.is_null() && !cr.is_null() {
             return Err(incompatible("arithmetic", cl, cr));
         }
     }
-    Ok(EvalVec::Float(vec![None; len]))
+    Ok(EvalVec::Float(Cells::new(PrimVec::nulls(len))))
 }
 
 /// Generic comparison fallback, mirroring `Value::compare` cell-wise.
-fn generic_cmp(op: BinOp, l: &EvalVec, r: &EvalVec, len: usize) -> Result<EvalVec, QueryError> {
-    let mut out = Vec::with_capacity(len);
+fn generic_cmp<'a>(
+    op: BinOp,
+    l: &EvalVec<'_>,
+    r: &EvalVec<'_>,
+    len: usize,
+) -> Result<EvalVec<'a>, QueryError> {
+    let mut out = PrimVec::with_capacity(len);
     for i in 0..len {
         let (cl, cr) = (l.cell(i), r.cell(i));
         if cl.is_null() || cr.is_null() {
@@ -657,10 +775,36 @@ fn generic_cmp(op: BinOp, l: &EvalVec, r: &EvalVec, len: usize) -> Result<EvalVe
         };
         out.push(Some(ord_matches(op, ord)));
     }
-    Ok(EvalVec::Bool(out))
+    Ok(EvalVec::Bool(Cells::new(out)))
 }
 
-fn eval_binop_vec(op: BinOp, l: EvalVec, r: EvalVec, len: usize) -> Result<EvalVec, QueryError> {
+#[inline]
+fn int_arith(op: BinOp, x: i64, y: i64) -> i64 {
+    match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        _ => unreachable!("int arithmetic op"),
+    }
+}
+
+#[inline]
+fn float_arith(op: BinOp, x: f64, y: f64) -> f64 {
+    match op {
+        BinOp::Add => x + y,
+        BinOp::Sub => x - y,
+        BinOp::Mul => x * y,
+        BinOp::Div => x / y,
+        _ => unreachable!("arithmetic op"),
+    }
+}
+
+fn eval_binop_vec<'a>(
+    op: BinOp,
+    l: EvalVec<'a>,
+    r: EvalVec<'a>,
+    len: usize,
+) -> Result<EvalVec<'a>, QueryError> {
     use BinOp::*;
     // Two literals fold to a literal via the scalar engine.
     if let (EvalVec::Const(a), EvalVec::Const(b)) = (&l, &r) {
@@ -670,72 +814,56 @@ fn eval_binop_vec(op: BinOp, l: EvalVec, r: EvalVec, len: usize) -> Result<EvalV
         And | Or => {
             let lv = bool_view(&l, len, "and/or")?;
             let rv = bool_view(&r, len, "and/or")?;
-            let mut out = Vec::with_capacity(len);
+            // SQL three-valued logic, without a branch: a null's value
+            // slot is `false`, so a value alone means "known true".
+            let mut values = Vec::with_capacity(len);
+            let mut valid = Vec::with_capacity(len);
             for i in 0..len {
-                // SQL three-valued logic.
-                out.push(match (op, lv.get(i), rv.get(i)) {
-                    (And, Some(false), _) | (And, _, Some(false)) => Some(false),
-                    (And, Some(true), Some(true)) => Some(true),
-                    (Or, Some(true), _) | (Or, _, Some(true)) => Some(true),
-                    (Or, Some(false), Some(false)) => Some(false),
-                    _ => None,
-                });
+                let ((a, a_ok), (b, b_ok)) = (lv.get(i), rv.get(i));
+                let (known_true, known_false) = match op {
+                    And => (a & b, (a_ok & !a) | (b_ok & !b)),
+                    _ => (a | b, a_ok & !a & b_ok & !b),
+                };
+                values.push(known_true);
+                valid.push(known_true | known_false);
             }
-            Ok(EvalVec::Bool(out))
+            Ok(EvalVec::Bool(Cells::computed(values, Some(valid))))
         }
         Add | Sub | Mul | Div => {
             // A null literal nulls every row, whatever the other side is.
             if l.is_const_null() || r.is_const_null() {
                 return Ok(EvalVec::Const(Value::Null));
             }
+            let mut valid = both_valid(l.validity(), r.validity());
             if let (Some(a), Some(b)) = (int_view(&l), int_view(&r)) {
                 // Integer arithmetic stays integral except for division.
                 return Ok(if op == Div {
-                    EvalVec::Float(
+                    null_where(&mut valid, len, |i| b.get(i) == 0);
+                    EvalVec::Float(Cells::computed(
                         (0..len)
-                            .map(|i| match (a.get(i), b.get(i)) {
-                                (Some(x), Some(y)) if y != 0 => Some(x as f64 / y as f64),
-                                _ => None,
-                            })
+                            .map(|i| a.get(i) as f64 / b.get(i) as f64)
                             .collect(),
-                    )
+                        valid,
+                    ))
                 } else {
-                    EvalVec::Int(
+                    EvalVec::Int(Cells::computed(
                         (0..len)
-                            .map(|i| match (a.get(i), b.get(i)) {
-                                (Some(x), Some(y)) => Some(match op {
-                                    Add => x.wrapping_add(y),
-                                    Sub => x.wrapping_sub(y),
-                                    Mul => x.wrapping_mul(y),
-                                    _ => unreachable!("int arithmetic op"),
-                                }),
-                                _ => None,
-                            })
+                            .map(|i| int_arith(op, a.get(i), b.get(i)))
                             .collect(),
-                    )
+                        valid,
+                    ))
                 });
             }
             if let (Some(a), Some(b)) = (num_view(&l), num_view(&r)) {
-                return Ok(EvalVec::Float(
+                if op == Div {
+                    null_where(&mut valid, len, |i| b.get(i) == 0.0);
+                }
+                return Ok(EvalVec::Float(Cells::computed(
                     (0..len)
-                        .map(|i| match (a.get(i), b.get(i)) {
-                            (Some(x), Some(y)) => match op {
-                                Add => Some(x + y),
-                                Sub => Some(x - y),
-                                Mul => Some(x * y),
-                                Div => {
-                                    if y == 0.0 {
-                                        None
-                                    } else {
-                                        Some(x / y)
-                                    }
-                                }
-                                _ => unreachable!("arithmetic op"),
-                            },
-                            _ => None,
-                        })
+                        .map(|i| float_arith(op, a.get(i), b.get(i)))
                         .collect(),
-                ));
+                    valid,
+                )));
             }
             generic_arith(&l, &r, len)
         }
@@ -744,25 +872,27 @@ fn eval_binop_vec(op: BinOp, l: EvalVec, r: EvalVec, len: usize) -> Result<EvalV
             if l.is_const_null() || r.is_const_null() {
                 return Ok(EvalVec::Const(Value::Null));
             }
-            if let (EvalVec::Str(sv), EvalVec::Const(Value::Str(s))) = (&l, &r) {
-                return Ok(str_const_cmp(op, sv, s, false));
+            if let (EvalVec::Str(sv, codes), EvalVec::Const(Value::Str(s))) = (&l, &r) {
+                return Ok(str_const_cmp(op, sv, codes, s, false));
             }
-            if let (EvalVec::Const(Value::Str(s)), EvalVec::Str(sv)) = (&l, &r) {
-                return Ok(str_const_cmp(op, sv, s, true));
+            if let (EvalVec::Const(Value::Str(s)), EvalVec::Str(sv, codes)) = (&l, &r) {
+                return Ok(str_const_cmp(op, sv, codes, s, true));
             }
             if let (Some(a), Some(b)) = (num_view(&l), num_view(&r)) {
+                let valid = both_valid(l.validity(), r.validity());
                 let mut out = Vec::with_capacity(len);
                 for i in 0..len {
-                    out.push(match (a.get(i), b.get(i)) {
-                        (Some(x), Some(y)) => match x.partial_cmp(&y) {
-                            Some(ord) => Some(ord_matches(op, ord)),
-                            // NaN comparisons error, as in the scalar path.
-                            None => return Err(incompatible("comparison", l.cell(i), r.cell(i))),
-                        },
-                        _ => None,
+                    out.push(match a.get(i).partial_cmp(&b.get(i)) {
+                        Some(ord) => ord_matches(op, ord),
+                        // NaN comparisons error, as in the scalar path; a
+                        // null row compares nothing.
+                        None if valid.as_ref().is_none_or(|mask| mask[i]) => {
+                            return Err(incompatible("comparison", l.cell(i), r.cell(i)))
+                        }
+                        None => false,
                     });
                 }
-                return Ok(EvalVec::Bool(out));
+                return Ok(EvalVec::Bool(Cells::computed(out, valid)));
             }
             generic_cmp(op, &l, &r, len)
         }
@@ -770,9 +900,10 @@ fn eval_binop_vec(op: BinOp, l: EvalVec, r: EvalVec, len: usize) -> Result<EvalV
 }
 
 /// Converts one block's predicate result to a mask (null ⇒ `false`).
-fn mask_block(v: EvalVec, len: usize) -> Result<Vec<bool>, QueryError> {
+fn mask_block(v: EvalVec<'_>, len: usize) -> Result<Vec<bool>, QueryError> {
     match v {
-        EvalVec::Bool(v) => Ok(v.into_iter().map(|b| b.unwrap_or(false)).collect()),
+        // A null row's value slot holds `false`.
+        EvalVec::Bool(c) => Ok(c.values.into_owned()),
         EvalVec::Const(Value::Bool(b)) => Ok(vec![b; len]),
         EvalVec::Const(Value::Null) => Ok(vec![false; len]),
         other => {
@@ -1085,6 +1216,38 @@ mod tests {
                     (a, b) if a == b => {}
                     (a, b) => panic!("row {row}: columnar {a:?} vs reference {b:?}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn columnar_three_valued_logic_matches_row_reference() {
+        // Every (true, false, null) pair, column against column and
+        // against each literal.
+        let cells = [Value::Bool(true), Value::Bool(false), Value::Null];
+        let mut t = Table::new(vec![("a", DataType::Bool), ("b", DataType::Bool)]);
+        for a in &cells {
+            for b in &cells {
+                t.push_row(vec![a.clone(), b.clone()]).unwrap();
+            }
+        }
+        let mut exprs = vec![col("a").and(col("b")), col("a").or(col("b"))];
+        for c in cells {
+            exprs.push(col("a").and(lit(c.clone())));
+            exprs.push(lit(c).or(col("b")));
+        }
+        for e in exprs {
+            let column = e.eval_column(&t).unwrap();
+            let mask = e.eval_mask(&t).unwrap();
+            assert_eq!(mask.len(), t.num_rows());
+            for (row, &selected) in mask.iter().enumerate() {
+                let want = e.eval_row(&t, row).unwrap();
+                // An all-null result is a float column, so compare cells.
+                assert_eq!(column.get(row).is_null(), want.is_null(), "{e:?} row {row}");
+                if !want.is_null() {
+                    assert_eq!(column.get(row), want, "{e:?} row {row}");
+                }
+                assert_eq!(selected, want == Value::Bool(true), "{e:?} row {row}");
             }
         }
     }

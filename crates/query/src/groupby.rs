@@ -18,7 +18,7 @@
 //! Group order follows first appearance in the input, as before.
 
 use crate::cast::code32;
-use crate::column::Column;
+use crate::column::{Column, PrimVec};
 use crate::error::QueryError;
 use crate::keys::{encode_column, hash_key, EncodedCol, GroupTable};
 use crate::parallel;
@@ -152,9 +152,9 @@ enum AggInput<'a> {
     /// `COUNT(DISTINCT col)`: needs grouping-equality keys.
     Distinct(EncodedCol),
     /// Numeric aggregate over an int column.
-    Int(&'a [Option<i64>]),
+    Int(&'a PrimVec<i64>),
     /// Numeric aggregate over a float column.
-    Float(&'a [Option<f64>]),
+    Float(&'a PrimVec<f64>),
 }
 
 impl AggInput<'_> {
@@ -162,22 +162,34 @@ impl AggInput<'_> {
     /// block starting at row `start`, in row order (`gids[i]` is the
     /// group of row `start + i`).
     #[inline]
-    fn for_each_value(&self, gids: &[u32], start: usize, mut f: impl FnMut(usize, f64)) {
+    fn for_each_value(&self, gids: &[u32], start: usize, f: impl FnMut(usize, f64)) {
+        #[inline]
+        fn each<T: Copy + Default>(
+            v: &PrimVec<T>,
+            gids: &[u32],
+            start: usize,
+            widen: impl Fn(T) -> f64,
+            mut f: impl FnMut(usize, f64),
+        ) {
+            let values = &v.values()[start..];
+            match v.validity() {
+                None => {
+                    for (&g, &x) in gids.iter().zip(values) {
+                        f(g as usize, widen(x));
+                    }
+                }
+                Some(valid) => {
+                    for ((&g, &x), &ok) in gids.iter().zip(values).zip(&valid[start..]) {
+                        if ok {
+                            f(g as usize, widen(x));
+                        }
+                    }
+                }
+            }
+        }
         match self {
-            AggInput::Int(v) => {
-                for (&g, cell) in gids.iter().zip(&v[start..]) {
-                    if let Some(x) = cell {
-                        f(g as usize, *x as f64);
-                    }
-                }
-            }
-            AggInput::Float(v) => {
-                for (&g, cell) in gids.iter().zip(&v[start..]) {
-                    if let Some(x) = cell {
-                        f(g as usize, *x);
-                    }
-                }
-            }
+            AggInput::Int(v) => each(v, gids, start, |x| x as f64, f),
+            AggInput::Float(v) => each(v, gids, start, |x| x, f),
             _ => unreachable!("numeric aggregate validated"),
         }
     }
@@ -199,8 +211,12 @@ enum AggCol {
         sum: Vec<f64>,
         n: Vec<u64>,
     },
-    Min(Vec<Option<f64>>),
-    Max(Vec<Option<f64>>),
+    /// `MIN` (`max` false) or `MAX`.
+    Extreme {
+        best: Vec<f64>,
+        seen: Vec<bool>,
+        max: bool,
+    },
     Percentile {
         values: Vec<Vec<f64>>,
         p: f64,
@@ -227,8 +243,11 @@ impl AggCol {
                 sum: Vec::new(),
                 n: Vec::new(),
             },
-            AggKind::Min => AggCol::Min(Vec::new()),
-            AggKind::Max => AggCol::Max(Vec::new()),
+            AggKind::Min | AggKind::Max => AggCol::Extreme {
+                best: Vec::new(),
+                seen: Vec::new(),
+                max: kind == AggKind::Max,
+            },
             AggKind::Percentile(p) => AggCol::Percentile {
                 values: Vec::new(),
                 p,
@@ -248,15 +267,14 @@ impl AggCol {
     fn grow_to(&mut self, groups: usize) {
         match self {
             AggCol::Count(c) => c.resize(groups, 0),
-            AggCol::Sum { sum, seen } => {
-                sum.resize(groups, 0.0);
-                seen.resize(groups, false);
-            }
             AggCol::Mean { sum, n } => {
                 sum.resize(groups, 0.0);
                 n.resize(groups, 0);
             }
-            AggCol::Min(m) | AggCol::Max(m) => m.resize(groups, None),
+            AggCol::Sum { sum: best, seen } | AggCol::Extreme { best, seen, .. } => {
+                best.resize(groups, 0.0);
+                seen.resize(groups, false);
+            }
             AggCol::Percentile { values, .. } => values.resize_with(groups, Vec::new),
             AggCol::Distinct(_) => {}
             AggCol::Variance { sum, sum_sq, n } => {
@@ -291,11 +309,9 @@ impl AggCol {
                 sum[g] += v;
                 n[g] += 1;
             }),
-            AggCol::Min(m) => input.for_each_value(gids, start, |g, v| {
-                m[g] = Some(m[g].map_or(v, |x: f64| x.min(v)));
-            }),
-            AggCol::Max(m) => input.for_each_value(gids, start, |g, v| {
-                m[g] = Some(m[g].map_or(v, |x: f64| x.max(v)));
+            AggCol::Extreme { best, seen, max } => input.for_each_value(gids, start, |g, v| {
+                best[g] = extreme(*max, seen[g], best[g], v);
+                seen[g] = true;
             }),
             AggCol::Percentile { values, .. } => {
                 input.for_each_value(gids, start, |g, v| values[g].push(v));
@@ -351,19 +367,19 @@ impl AggCol {
                     }
                 }
             }
-            (AggCol::Min(m), AggCol::Min(m2)) => {
-                for (og, v) in m2.into_iter().enumerate() {
-                    if let Some(v) = v {
+            (
+                AggCol::Extreme { best, seen, max },
+                AggCol::Extreme {
+                    best: b2,
+                    seen: seen2,
+                    ..
+                },
+            ) => {
+                for (og, (v, was_seen)) in b2.into_iter().zip(seen2).enumerate() {
+                    if was_seen {
                         let g = slot(og);
-                        m[g] = Some(m[g].map_or(v, |x: f64| x.min(v)));
-                    }
-                }
-            }
-            (AggCol::Max(m), AggCol::Max(m2)) => {
-                for (og, v) in m2.into_iter().enumerate() {
-                    if let Some(v) = v {
-                        let g = slot(og);
-                        m[g] = Some(m[g].map_or(v, |x: f64| x.max(v)));
+                        best[g] = extreme(*max, seen[g], best[g], v);
+                        seen[g] = true;
                     }
                 }
             }
@@ -404,22 +420,21 @@ impl AggCol {
     // f64→usize casts cannot truncate a meaningful value.
     #[allow(clippy::cast_possible_truncation)]
     fn finish(self, groups: usize) -> Column {
-        let count = |c: u64| Some(c as i64);
+        let counts = |c: Vec<u64>| {
+            let c: Vec<i64> = c.into_iter().map(|c| c as i64).collect();
+            Column::Int(c.into())
+        };
         match self {
-            AggCol::Count(c) => Column::Int(c.into_iter().map(count).collect()),
-            AggCol::Sum { sum, seen } => Column::Float(
-                sum.into_iter()
-                    .zip(seen)
-                    .map(|(s, seen)| seen.then_some(s))
-                    .collect(),
-            ),
+            AggCol::Count(c) => counts(c),
+            AggCol::Sum { sum: best, seen } | AggCol::Extreme { best, seen, .. } => {
+                Column::Float(PrimVec::from_parts(best, Some(seen)))
+            }
             AggCol::Mean { sum, n } => Column::Float(
                 sum.into_iter()
                     .zip(n)
                     .map(|(s, n)| (n > 0).then(|| s / n as f64))
                     .collect(),
             ),
-            AggCol::Min(m) | AggCol::Max(m) => Column::Float(m),
             AggCol::Percentile { values, p } => Column::Float(
                 values
                     .into_iter()
@@ -437,11 +452,11 @@ impl AggCol {
                     .collect(),
             ),
             AggCol::Distinct(pairs) => {
-                let mut counts = vec![0u64; groups];
+                let mut per_group = vec![0u64; groups];
                 for i in 0..pairs.len() {
-                    counts[pair_group(pairs.key(i))] += 1;
+                    per_group[pair_group(pairs.key(i))] += 1;
                 }
-                Column::Int(counts.into_iter().map(count).collect())
+                counts(per_group)
             }
             AggCol::Variance { sum, sum_sq, n } => Column::Float(
                 sum.into_iter()
@@ -457,6 +472,17 @@ impl AggCol {
                     .collect(),
             ),
         }
+    }
+}
+
+/// `MIN` (`max` false) or `MAX` of a group's `best` so far and `v`; just
+/// `v` when the group has `seen` no value yet.
+#[inline]
+fn extreme(max: bool, seen: bool, best: f64, v: f64) -> f64 {
+    match (seen, max) {
+        (false, _) => v,
+        (true, false) => best.min(v),
+        (true, true) => best.max(v),
     }
 }
 

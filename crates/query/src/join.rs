@@ -54,12 +54,12 @@ fn encode_right(lcol: &Column, rcol: &Column) -> EncodedCol {
             let keys = r
                 .codes()
                 .iter()
-                .map(|&c| {
-                    if c == NULL_CODE {
-                        STR_NULL
-                    } else {
-                        map[c as usize].map_or((1u64 << 32) | c as u64, |lc| lc as u64)
-                    }
+                .map(|&c| match c {
+                    NULL_CODE => STR_NULL,
+                    c => match map[c as usize] {
+                        NULL_CODE => (1u64 << 32) | c as u64,
+                        lc => lc as u64,
+                    },
                 })
                 .collect();
             EncodedCol {

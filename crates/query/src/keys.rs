@@ -20,7 +20,7 @@
 //! side all use it.
 
 use crate::cast::code32;
-use crate::column::Column;
+use crate::column::{Column, PrimVec};
 use crate::dict::NULL_CODE;
 use crate::fxhash::{finalize, FxHasher};
 use std::hash::Hasher;
@@ -63,29 +63,28 @@ impl EncodedCol {
 /// Encodes a column for grouping (equality semantics of
 /// [`crate::value::Value::group_key`]).
 pub fn encode_column(col: &Column) -> EncodedCol {
+    /// Every value slot's key, then the null sentinel over the masked rows.
+    fn encode<T: Copy + Default>(
+        v: &PrimVec<T>,
+        null_key: u64,
+        key: impl Fn(T) -> u64,
+    ) -> EncodedCol {
+        let mut keys: Vec<u64> = v.values().iter().map(|&x| key(x)).collect();
+        if let Some(valid) = v.validity() {
+            for (k, &ok) in keys.iter_mut().zip(valid) {
+                *k = if ok { *k } else { null_key };
+            }
+        }
+        EncodedCol { keys, null_key }
+    }
     match col {
-        Column::Int(v) => EncodedCol {
-            keys: v
-                .iter()
-                .map(|c| c.map_or(NUM_NULL, |x| num_key(x as f64)))
-                .collect(),
-            null_key: NUM_NULL,
-        },
-        Column::Float(v) => EncodedCol {
-            keys: v.iter().map(|c| c.map_or(NUM_NULL, num_key)).collect(),
-            null_key: NUM_NULL,
-        },
+        Column::Int(v) => encode(v, NUM_NULL, |x| num_key(x as f64)),
+        Column::Float(v) => encode(v, NUM_NULL, num_key),
         Column::Str(v) => EncodedCol {
             keys: v.codes().iter().map(|&c| c as u64).collect(),
             null_key: STR_NULL,
         },
-        Column::Bool(v) => EncodedCol {
-            keys: v
-                .iter()
-                .map(|c| c.map_or(BOOL_NULL, |b| b as u64))
-                .collect(),
-            null_key: BOOL_NULL,
-        },
+        Column::Bool(v) => encode(v, BOOL_NULL, u64::from),
     }
 }
 

@@ -52,7 +52,7 @@ pub mod value;
 
 pub use cache::{CacheOutcome, CacheStats, ResultCache};
 pub use cancel::CancelToken;
-pub use column::{Column, DataType};
+pub use column::{Column, DataType, PrimVec};
 pub use dict::StrVec;
 pub use error::QueryError;
 pub use expr::{col, lit, Expr};

@@ -134,7 +134,7 @@ where
         return Ok(out);
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n_items).map(|_| None).collect();
+    let mut done: Vec<(usize, T)> = Vec::with_capacity(n_items);
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads.min(n_items))
             .map(|_| {
@@ -156,17 +156,14 @@ where
             .collect();
         for w in workers {
             // lint: library-panic-ok (re-raises a worker panic on the caller thread) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
-            for (i, value) in w.join().expect("query worker panicked") {
-                slots[i] = Some(value);
-            }
+            done.extend(w.join().expect("query worker panicked"));
         }
     });
     cancel::check(cancel)?;
-    Ok(slots
-        .into_iter()
-        // lint: library-panic-ok (the fetch_add work loop covers 0..n_items exactly) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
-        .map(|s| s.expect("every item computed"))
-        .collect())
+    // Uncancelled, the fetch_add work loop covered 0..n_items exactly once.
+    debug_assert_eq!(done.len(), n_items);
+    done.sort_unstable_by_key(|&(i, _)| i);
+    Ok(done.into_iter().map(|(_, value)| value).collect())
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 
 use crate::cancel::{self, CancelToken};
 use crate::cast::code32;
-use crate::column::Column;
+use crate::column::{Column, PrimVec};
 use crate::dict::NULL_CODE;
 use crate::error::QueryError;
 use crate::keys::num_key;
@@ -77,22 +77,38 @@ fn for_each_cell(
     at: Option<&[u32]>,
     mut f: impl FnMut(usize, Option<u64>),
 ) {
-    let n = col.len();
-    let row = |i: usize| at.map_or(i, |rows| rows[i] as usize);
+    /// A plain-value column: every slot's `u64`, or `None` where the
+    /// mask says null.
+    fn each<T: Copy + Default>(
+        v: &PrimVec<T>,
+        at: Option<&[u32]>,
+        bits: impl Fn(T) -> u64,
+        mut f: impl FnMut(usize, Option<u64>),
+    ) {
+        let row = |i: usize| at.map_or(i, |rows| rows[i] as usize);
+        let values = v.values();
+        match v.validity() {
+            None => (0..values.len()).for_each(|i| f(i, Some(bits(values[row(i)])))),
+            Some(valid) => (0..values.len()).for_each(|i| {
+                let r = row(i);
+                f(i, valid[r].then(|| bits(values[r])));
+            }),
+        }
+    }
     match col {
-        Column::Int(v) => (0..n).for_each(|i| f(i, v[row(i)].map(|x| (x as u64) ^ (1 << 63)))),
-        Column::Float(v) => (0..n).for_each(|i| f(i, v[row(i)].map(order_bits))),
+        Column::Int(v) => each(v, at, |x| (x as u64) ^ (1 << 63), f),
+        Column::Float(v) => each(v, at, order_bits, f),
         Column::Str(v) => {
             let codes = v.codes();
-            (0..n).for_each(|i| {
-                let code = codes[row(i)];
+            (0..codes.len()).for_each(|i| {
+                let code = codes[at.map_or(i, |rows| rows[i] as usize)];
                 f(
                     i,
                     (code != NULL_CODE).then(|| u64::from(ranks[code as usize])),
                 );
             });
         }
-        Column::Bool(v) => (0..n).for_each(|i| f(i, v[row(i)].map(u64::from))),
+        Column::Bool(v) => each(v, at, u64::from, f),
     }
 }
 
@@ -415,7 +431,7 @@ mod tests {
     #[test]
     fn key_widths_follow_the_observed_range() {
         let bits = |col: Column, order| Key::new(&col, order).bits;
-        let ints = |xs: &[Option<i64>]| Column::Int(xs.to_vec());
+        let ints = |xs: &[Option<i64>]| Column::Int(xs.iter().copied().collect());
         // Null is image 0, so n distinct values need room for n + 1.
         assert_eq!(bits(ints(&[Some(5)]), SortOrder::Ascending), 1);
         assert_eq!(bits(ints(&[Some(10), Some(12)]), SortOrder::Descending), 2);
@@ -433,10 +449,7 @@ mod tests {
             65
         );
         assert_eq!(
-            bits(
-                Column::Bool(vec![Some(true), Some(false)]),
-                SortOrder::Ascending
-            ),
+            bits(Column::Bool(vec![true, false].into()), SortOrder::Ascending),
             2
         );
     }

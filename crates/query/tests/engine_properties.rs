@@ -140,7 +140,10 @@ fn with_wide_keys(t: Table, cells: &[(u8, i64, u8, u64, u8)]) -> Table {
         .unwrap()
         .with_column("flag", borg_query::Column::Bool(flag))
         .unwrap()
-        .with_column("void", borg_query::Column::Int(vec![None; n]))
+        .with_column(
+            "void",
+            borg_query::Column::Int(borg_query::PrimVec::nulls(n)),
+        )
         .unwrap()
 }
 
@@ -174,6 +177,14 @@ fn naive_sort(t: &Table, keys: &[(&str, SortOrder)]) -> Table {
     t.take_rows(&idx)
 }
 
+/// An int column's cells (`None` = null).
+fn ints(t: &Table, column: &str) -> Vec<Option<i64>> {
+    match t.column(column).unwrap() {
+        borg_query::Column::Int(v) => v.iter().collect(),
+        other => panic!("{column} is {:?}, not int", other.data_type()),
+    }
+}
+
 /// Table equality with float cells compared by bit pattern: NaN cells
 /// equal themselves, and `-0.0` is not `+0.0`.
 fn same_bits(a: &Table, b: &Table) -> bool {
@@ -182,7 +193,7 @@ fn same_bits(a: &Table, b: &Table) -> bool {
         && (0..a.num_columns()).all(|c| match (a.column_at(c), b.column_at(c)) {
             (borg_query::Column::Float(x), borg_query::Column::Float(y)) => x
                 .iter()
-                .zip(y)
+                .zip(y.iter())
                 .all(|(x, y)| x.map(f64::to_bits) == y.map(f64::to_bits)),
             (x, y) => x == y,
         })
@@ -489,9 +500,19 @@ proptest! {
     }
 }
 
+/// The rows a multi-block test nulls in every nullable int, float and
+/// bool column: the last row of block 0, the first of block 1, and the
+/// table's last row.
+fn block_edge(i: usize, n: usize) -> bool {
+    use borg_query::parallel::BLOCK_ROWS;
+    i == BLOCK_ROWS - 1 || i == BLOCK_ROWS || i == n - 1
+}
+
 /// A full filter → group-by → sort pipeline over a table spanning several
 /// parallel blocks must produce identical values *and row order* whatever
-/// the worker-thread count.
+/// the worker-thread count — and so must the filter alone, whose
+/// nullable int, float and bool columns carry validity masks with nulls
+/// at the block edges.
 #[test]
 fn parallel_pipeline_matches_sequential() {
     use borg_query::parallel::{override_threads, BLOCK_ROWS};
@@ -501,36 +522,45 @@ fn parallel_pipeline_matches_sequential() {
         ("tier", DataType::Str),
         ("cpu", DataType::Float),
         ("id", DataType::Int),
+        ("w", DataType::Int),
+        ("f", DataType::Float),
+        ("flag", DataType::Bool),
     ]);
     t.reserve_rows(n);
+    let or_null = |null: bool, v: Value| if null { Value::Null } else { v };
     for i in 0..n {
-        let tier = if i % 97 == 0 {
-            Value::Null
-        } else {
-            Value::str(tiers[i % 4])
-        };
-        let cpu = if i % 31 == 0 {
-            Value::Null
-        } else {
-            Value::Float((i % 1000) as f64 * 0.25 - 100.0)
-        };
-        t.push_row(vec![tier, cpu, Value::Int(i as i64)]).unwrap();
+        let edge = block_edge(i, n);
+        t.push_row(vec![
+            or_null(i % 97 == 0, Value::str(tiers[i % 4])),
+            or_null(i % 31 == 0, Value::Float((i % 1000) as f64 * 0.25 - 100.0)),
+            Value::Int(i as i64),
+            or_null(edge || i % 41 == 0, Value::Int((i * 13 % 1000) as i64)),
+            or_null(edge, Value::Float((i % 64) as f64 * 0.5)),
+            or_null(edge, Value::Bool(i % 5 == 0)),
+        ])
+        .unwrap();
     }
+    let pred = col("cpu").gt(lit(-50.0)).or(col("flag"));
     let run = || {
-        Query::from(t.clone())
-            .filter(col("cpu").gt(lit(-50.0)))
+        let filtered = Query::from(t.clone()).filter(pred.clone()).run().unwrap();
+        let grouped = Query::from(t.clone())
+            .filter(pred.clone())
             .group_by(
-                &["tier"],
+                &["tier", "flag"],
                 vec![
                     Agg::sum("cpu", "s"),
                     Agg::mean("cpu", "m"),
                     Agg::count_all("n"),
                     Agg::count_distinct("id", "d"),
+                    Agg::sum("w", "sw"),
+                    Agg::count("w", "nw"),
+                    Agg::max("f", "hi"),
                 ],
             )
             .sort_by("s", SortOrder::Descending)
             .run()
-            .unwrap()
+            .unwrap();
+        (filtered, grouped)
     };
     override_threads(1);
     let sequential = run();
@@ -538,15 +568,25 @@ fn parallel_pipeline_matches_sequential() {
     let parallel = run();
     override_threads(0);
     assert_eq!(sequential, parallel);
-    assert!(sequential.num_rows() > 0);
+    let (filtered, grouped) = &sequential;
+    assert!(grouped.num_rows() > 0);
+    // The three edge rows pass the filter (their `cpu` is above -50), so
+    // their nulls, and the masks, survive it.
+    for c in ["f", "flag"] {
+        let column = filtered.column(c).unwrap();
+        let nulls = (0..filtered.num_rows())
+            .filter(|&r| column.is_null_at(r))
+            .count();
+        assert_eq!(nulls, 3, "{c}");
+    }
 }
 
 /// The row gather behind sort and join deals columns over the worker
 /// threads. Over a table of more than two blocks with all four column
-/// types and nulls, a two-key sort and an inner and a left-outer join
-/// with unmatched rows must give the same table on one thread and on
-/// eight — and the table `take_rows` gives one column at a time, which
-/// never leaves the calling thread.
+/// types and nulls (some only at the block edges), two two-key sorts and
+/// an inner and a left-outer join with unmatched rows must give the same
+/// table on one thread and on eight — and the table `take_rows` gives one
+/// column at a time, which never leaves the calling thread.
 #[test]
 fn gather_is_the_same_for_any_thread_count() {
     use borg_query::parallel::{override_threads, BLOCK_ROWS};
@@ -579,6 +619,32 @@ fn gather_is_the_same_for_any_thread_count() {
         (
             "hot",
             Column::Bool((0..n).map(|i| nth(i, 13).then_some(i % 3 == 0)).collect()),
+        ),
+        // Nulls at the block edges only, or there and sparsely: the masks
+        // a gather across blocks must carry row for row.
+        (
+            "w",
+            Column::Int(
+                (0..n)
+                    .map(|i| (!block_edge(i, n)).then_some((i * 17 % 900) as i64))
+                    .collect(),
+            ),
+        ),
+        (
+            "f",
+            Column::Float(
+                (0..n)
+                    .map(|i| (!block_edge(i, n) && nth(i, 97)).then_some(i as f64 * 0.125))
+                    .collect(),
+            ),
+        ),
+        (
+            "flag",
+            Column::Bool(
+                (0..n)
+                    .map(|i| (!block_edge(i, n)).then_some(i % 2 == 0))
+                    .collect(),
+            ),
         ),
     ])
     .unwrap();
@@ -613,11 +679,7 @@ fn gather_is_the_same_for_any_thread_count() {
     // `out`'s columns, each gathered alone from `source` by the row list
     // that `rows_of` names (null = a row past the end).
     let column_by_column = |out: &Table, source: &Table, rows_of: &str, cols: &[&str]| {
-        let rows: Vec<u32> = out
-            .column(rows_of)
-            .unwrap()
-            .int_slice()
-            .unwrap()
+        let rows: Vec<u32> = ints(out, rows_of)
             .iter()
             .map(|r| r.map_or(u32::MAX, |r| r as u32))
             .collect();
@@ -645,7 +707,11 @@ fn gather_is_the_same_for_any_thread_count() {
             .left_join(right.clone(), &["k"], &["k"])
             .run()
             .unwrap();
-        [sorted, inner, outer]
+        let by_masked = Query::from(left.clone())
+            .sort_by_many(&[("flag", SortOrder::Ascending), ("w", SortOrder::Descending)])
+            .run()
+            .unwrap();
+        [sorted, inner, outer, by_masked]
     };
     override_threads(1);
     let sequential = run();
@@ -659,22 +725,20 @@ fn gather_is_the_same_for_any_thread_count() {
             "more than one block: fanned out"
         );
     }
-    let [sorted, inner, outer] = &parallel;
-    let left_cols = ["id", "tier", "cpu", "k", "hot"];
+    let [sorted, inner, outer, by_masked] = &parallel;
+    let left_cols = ["id", "tier", "cpu", "k", "hot", "w", "f", "flag"];
     column_by_column(sorted, &left, "id", &left_cols);
+    column_by_column(by_masked, &left, "id", &left_cols);
+    // Nulls sort first ascending: the three edge rows lead, in row order.
+    assert_eq!(
+        ints(by_masked, "id")[..3],
+        [BLOCK_ROWS - 1, BLOCK_ROWS, n - 1].map(|r| Some(r as i64))
+    );
     for joined in [inner, outer] {
         column_by_column(joined, &left, "id", &left_cols);
         column_by_column(joined, &right, "rid", &["rid", "weight", "zone"]);
     }
-    let unmatched = |t: &Table| {
-        t.column("rid")
-            .unwrap()
-            .int_slice()
-            .unwrap()
-            .iter()
-            .filter(|r| r.is_none())
-            .count()
-    };
+    let unmatched = |t: &Table| ints(t, "rid").iter().filter(|r| r.is_none()).count();
     assert_eq!(unmatched(inner), 0);
     assert!(unmatched(outer) > 1000);
     assert_eq!(outer.num_rows(), inner.num_rows() + unmatched(outer));
@@ -832,8 +896,7 @@ fn mixed_numeric_join_keys_match_naive_at_high_cardinality() {
         let out = join(&lt, &rt, &["k"], &["k"], kind).unwrap();
         assert_eq!(out.num_rows(), expected.len());
         assert!(expected.iter().any(|(_, r)| r.is_some()));
-        let lid = out.column("lid").unwrap().int_slice().unwrap();
-        let rid = out.column("rid").unwrap().int_slice().unwrap();
+        let (lid, rid) = (ints(&out, "lid"), ints(&out, "rid"));
         for (i, &(l, r)) in expected.iter().enumerate() {
             assert_eq!(lid[i], Some(l as i64), "row {i}");
             assert_eq!(rid[i], r.map(|r| r as i64), "row {i}");
@@ -1181,7 +1244,7 @@ fn table_handles_share_buffers_and_copy_on_write() {
     assert!(same_buffer(&a, &whole, "id"));
     let widened = a
         .clone()
-        .with_column("flag", borg_query::Column::Bool(vec![Some(true); 3]))
+        .with_column("flag", borg_query::Column::Bool(vec![true; 3].into()))
         .unwrap();
     assert!(same_buffer(&a, &widened, "id"));
     let through_query = Query::from(a.clone()).select(&["id"]).run().unwrap();
