@@ -1,11 +1,13 @@
-//! Simulator throughput: a cell-day across fleet sizes, the scheduler's
-//! placement path in isolation, and the ablation switches. The
-//! 512-machine day (telemetry off and on), the shard-count sweep and the
-//! 2011-vs-2019 day are pipeline-bench's `sim.run_cell_ms`,
-//! `telemetry.sim_overhead_share`, `sim.run_cell_k1_ms`/`k2_ms` and
-//! `sim.run_cell_2011_ms`, measured there with a noise interval.
+//! Simulator throughput: a cell-day across fleet sizes, the eight-cell
+//! fan-out, the scheduler's placement path in isolation, and the
+//! ablation switches. The 512-machine day (telemetry off and on), the
+//! shard-count sweep, the 2011-vs-2019 day and the fan-out are
+//! pipeline-bench's `sim.run_cell_ms`, `telemetry.sim_overhead_share`,
+//! `sim.run_cell_k1_ms`/`k2_ms`, `sim.run_cell_2011_ms` and
+//! `sim.run_cells_parallel_ms`, measured there with a noise interval.
 
-use borg_sim::{CellSim, SimConfig};
+use borg_core::pipeline::SimScale;
+use borg_sim::{run_cells_parallel, CellSim, SimConfig};
 use borg_trace::time::Micros;
 use borg_workload::cells::CellProfile;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -31,6 +33,22 @@ fn bench_cell_day(c: &mut Criterion) {
             b.iter(|| CellSim::run_cell(&profile, &cfg));
         });
     }
+    group.finish();
+}
+
+/// The eight 2019 cells at `SimScale::Small` for one day, as
+/// `paper_small` simulates them: the multi-cell fan-out whole, so the
+/// time is that of the slowest worker's share of the cells.
+fn bench_cells_parallel(c: &mut Criterion) {
+    let profiles = CellProfile::all_2019();
+    let mut cfg = SimScale::Small.config(2019);
+    cfg.horizon = Micros::from_days(1);
+    cfg.snapshot_at = Micros::from_hours(13);
+    let mut group = c.benchmark_group("multi_cell");
+    group.sample_size(10);
+    group.bench_function("run_cells_parallel_small_day", |b| {
+        b.iter(|| run_cells_parallel(&profiles, &cfg));
+    });
     group.finish();
 }
 
@@ -238,6 +256,7 @@ fn bench_ablations(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cell_day,
+    bench_cells_parallel,
     bench_machine_fit,
     bench_placement_path,
     bench_ablations

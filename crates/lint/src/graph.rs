@@ -58,7 +58,7 @@ pub const CONTRACT_ROOTS: &[ContractRoot] = &[
         file: "crates/sim/src/cell.rs",
         qual: "CellSim::run_cell",
     },
-    // Multi-cell fan-out over the worker pool.
+    // Multi-cell fan-out on its work-claiming loop.
     ContractRoot {
         file: "crates/sim/src/multi.rs",
         qual: "run_cells_parallel",

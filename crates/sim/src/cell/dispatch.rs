@@ -192,7 +192,7 @@ impl CellSim<'_> {
                     if let Some(inst) = found {
                         let machine = self.allocs[alloc_idx].instances[inst]
                             .machine
-                            // lint: library-panic-ok (position() above required machine.is_some()) unwind-across-pool-ok (unreachable by the same invariant, so no worker unwind)
+                            // lint: library-panic-ok (position() above required machine.is_some())
                             .expect("checked placed");
                         self.allocs[alloc_idx].instances[inst].used += request;
                         self.start_task(job, task, machine, Some((alloc_idx, inst)));

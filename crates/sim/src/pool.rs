@@ -22,10 +22,12 @@
 //!   hangup, drain, and exit, and `Drop` joins them.
 //!
 //! Jobs must be owned values (`J: Send + 'static`): the sharded
-//! placement layer moves whole per-shard `PlacementIndex` values into
-//! jobs and back out with the results (a handful of `Vec` headers per
-//! move), and `multi::run_cells_parallel` moves `(profile, config)`
-//! pairs. A panicking job is caught inside the worker loop
+//! placement layer, the pool's only client, moves whole per-shard
+//! `PlacementIndex` values into jobs and back out with the results (a
+//! handful of `Vec` headers per move); the pool goes when the shard
+//! layer does. One-shot fan-outs such as `multi::run_cells_parallel`
+//! use a scoped work-claiming loop instead. A panicking job is caught
+//! inside the worker loop
 //! (`catch_unwind`), carried back over the result channel, and
 //! re-raised on the caller **after** the whole batch has drained: the
 //! lowest-tagged panic wins, so which panic the caller observes does

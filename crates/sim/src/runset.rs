@@ -35,7 +35,7 @@ impl RunningSet {
         let mut base = Vec::new();
         let mut pairs = Vec::new();
         for (job, n) in task_counts.enumerate() {
-            // lint: library-panic-ok (a >4-billion-task workload is unrepresentable elsewhere in the sim) unwind-across-pool-ok (same bound holds per worker cell, so no worker unwind)
+            // lint: library-panic-ok (a >4-billion-task workload is unrepresentable elsewhere in the sim)
             base.push(u32::try_from(pairs.len()).expect("task-id space fits u32"));
             for t in 0..n {
                 pairs.push((job as u32, t as u32));

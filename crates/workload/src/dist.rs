@@ -356,7 +356,7 @@ impl<T: Clone> Discrete<T> {
 
     /// Draws one item.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> T {
-        // lint: library-panic-ok (constructor asserts a non-empty, positive-weight table) unwind-across-pool-ok (construction precedes dispatch, so the invariant holds on workers)
+        // lint: library-panic-ok (constructor asserts a non-empty, positive-weight table)
         let total = *self.cumulative.last().expect("non-empty");
         let u = rng.random::<f64>() * total;
         let idx = self.cumulative.partition_point(|&c| c <= u);

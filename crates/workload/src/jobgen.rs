@@ -386,9 +386,9 @@ impl<'a> JobGenerator<'a> {
 
         for submit in arrivals {
             let tier = tier_sampler.sample(rng);
-            // lint: library-panic-ok (tier_sampler only emits tiers present in the profile) unwind-across-pool-ok (profile-closed tier set, so no worker unwind)
+            // lint: library-panic-ok (tier_sampler only emits tiers present in the profile)
             let tp = self.profile.tier(tier).expect("tier from profile");
-            // lint: library-panic-ok (cals was built from the same tier list above) unwind-across-pool-ok (same closed tier set, so no worker unwind)
+            // lint: library-panic-ok (cals was built from the same tier list above)
             let cal = &cals.iter().find(|(t, _)| *t == tier).expect("calibrated").1;
 
             let n_tasks = cal.task_model.sample_capped(rng, self.params.task_cap);
@@ -562,7 +562,7 @@ impl<'a> JobGenerator<'a> {
         let prod = self
             .profile
             .tier(Tier::Production)
-            // lint: library-panic-ok (every CellProfile constructor includes production) unwind-across-pool-ok (profiles are fixed before dispatch, so no worker unwind)
+            // lint: library-panic-ok (every CellProfile constructor includes production)
             .expect("profiles always include production");
         let inst_cpu = (0.015 / prod.cpu_fill) * 2.5;
         let inst_mem =
