@@ -29,9 +29,9 @@
 //!   model defining `fn pop` must not police the library's `pop`.
 //!
 //! Unresolvable calls (closure parameters, fn pointers, macro bodies)
-//! produce no edge; the `WorkerPool` dispatch boundary — the one place
+//! produce no edge; the `ServePool` dispatch boundary — the one place
 //! a fn pointer launders code onto other threads — is recovered
-//! explicitly: every `WorkerPool::new(workers, worker_fn …)` call site
+//! explicitly: every `ServePool::new(workers, worker_fn …)` call site
 //! marks `worker_fn` as a **pool root**, and the C2 rule polices its
 //! transitive callees (see [`crate::rules`]).
 
@@ -130,7 +130,7 @@ pub struct Node {
 pub enum ReachKind {
     /// Transitively callable from a [`ContractRoot`].
     Contract,
-    /// Transitively callable from a `WorkerPool` worker function.
+    /// Transitively callable from a `ServePool` worker function.
     Pool,
 }
 
@@ -151,7 +151,7 @@ pub struct CallGraph {
     pub missing_roots: Vec<(String, &'static str)>,
     /// Pool worker functions, as `(call-site file, line, node)`.
     pub pool_roots: Vec<(usize, u32, usize)>,
-    /// `WorkerPool::new` call sites whose worker argument did not
+    /// `ServePool::new` call sites whose worker argument did not
     /// resolve to a named function: `(file, line)` — C2 findings.
     pub opaque_pool_workers: Vec<(usize, u32)>,
 }
@@ -176,7 +176,7 @@ pub struct FileScope {
     /// `(start_line, end_line)` of pool *worker* fns themselves (the
     /// direct dispatch bodies; C2's indexing arm applies only here).
     pub pool_direct: Vec<(u32, u32)>,
-    /// `WorkerPool::new` call sites with unresolvable worker fns.
+    /// `ServePool::new` call sites with unresolvable worker fns.
     pub opaque_pool_workers: Vec<u32>,
 }
 
@@ -294,12 +294,10 @@ impl CallGraph {
                             ));
                         }
                         Callee::Qualified(head, name) => {
-                            // `WorkerPool::new(workers, worker_fn as fn…)`
-                            // (and the serve crate's streaming
-                            // `ServePool::new`): the worker fn (the next
-                            // fn-pointer cast in token order) is a pool
-                            // root.
-                            if (head == "WorkerPool" || head == "ServePool") && name == "new" {
+                            // `ServePool::new(workers, worker_fn as fn…)`:
+                            // the worker fn (the next fn-pointer cast in
+                            // token order) is a pool root.
+                            if head == "ServePool" && name == "new" {
                                 let worker =
                                     f.calls[c + 1..].iter().find_map(|w| match &w.callee {
                                         Callee::FnRef(n) => Some(n.clone()),

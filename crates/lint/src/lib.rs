@@ -19,7 +19,7 @@
 //!   library-panic rule (S2) on their library code.
 //! - **Contract-reachable code** — everything transitively callable
 //!   from [`graph::CONTRACT_ROOTS`] — additionally gets C3
-//!   (order-sensitive reductions); code reachable from a `WorkerPool`
+//!   (order-sensitive reductions); code reachable from a `ServePool`
 //!   worker fn gets C2 (panic paths across the pool). These scopes are
 //!   *computed*, not listed: a new helper called from a contract root
 //!   is policed the day it is written.

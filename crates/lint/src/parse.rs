@@ -38,7 +38,7 @@ pub enum Callee {
     Method(String),
     /// `name as fn(…) -> …` — a function passed by pointer. The graph
     /// treats it as a call edge (the pointer may be invoked anywhere),
-    /// and `WorkerPool::new` sites use it to recover the worker fn.
+    /// and `ServePool::new` sites use it to recover the worker fn.
     FnRef(String),
 }
 

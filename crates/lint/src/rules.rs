@@ -8,7 +8,7 @@
 //! | D2 | nondeterministic-source     | wall clock, entropy, thread identity            |
 //! | D3 | float-reduction             | partial-order float compares treated as total   |
 //! | C1 | channel-protocol            | untagged `send`; `recv` outside the pool API    |
-//! | C2 | unwind-across-pool          | panic paths in code dispatched onto WorkerPool  |
+//! | C2 | unwind-across-pool          | panic paths in code dispatched onto ServePool   |
 //! | C3 | order-sensitive-reduction   | unordered reductions in contract-reachable code |
 //! | S1 | undocumented-unsafe         | `unsafe` without a `// SAFETY:` comment         |
 //! | S2 | library-panic               | `unwrap`/`expect`/`panic!` in library code      |
@@ -19,7 +19,7 @@
 //! C2 and C3 are the graph-scoped rules: they apply not to named files
 //! but to every function transitively reachable from the contract
 //! entry points ([`crate::graph::CONTRACT_ROOTS`]) or from a
-//! `WorkerPool` worker function — `borg-lint --explain <fn>` prints the
+//! `ServePool` worker function — `borg-lint --explain <fn>` prints the
 //! chain that put a function in scope. G1 keeps the root table honest:
 //! renaming an entry point without updating the table is itself a
 //! finding, not a silent scope shrink.
@@ -121,10 +121,10 @@ impl RuleId {
             RuleId::C1 => {
                 "channel-protocol breach: `.send(…)` in deterministic code without a \
                  batch-position tag tuple `((tag, …))`, or `.recv()` outside the blessed \
-                 pool API (crates/sim/src/pool.rs)"
+                 serve pool API (crates/serve/src/pool.rs)"
             }
             RuleId::C2 => {
-                "panic path dispatched onto the WorkerPool: unwrap/expect/panic! reachable \
+                "panic path dispatched onto the ServePool: unwrap/expect/panic! reachable \
                  from a worker fn (and unchecked indexing in the worker body itself) with no \
                  catch_unwind — a worker panic poisons determinism silently"
             }
@@ -238,10 +238,9 @@ const ORDER_SENSITIVE_REDUCERS: &[&str] =
 const D2_BLESSED_FILES: &[&str] = &["crates/telemetry/src/clock.rs"];
 
 /// The only files allowed to call `.recv()`/`.try_recv()` on a
-/// channel: the pool APIs restore result attribution behind these
-/// boundaries (C1) — batch order in the sim pool, id-tagged streaming
-/// results in the serve pool.
-const BLESSED_POOL_FILES: &[&str] = &["crates/sim/src/pool.rs", "crates/serve/src/pool.rs"];
+/// channel: the serve pool restores result attribution behind this
+/// boundary (C1) with id-tagged streaming results.
+const BLESSED_POOL_FILES: &[&str] = &["crates/serve/src/pool.rs"];
 
 /// Everything the workspace pipeline hands a per-file rule run.
 pub(crate) struct FileInput<'a> {
@@ -884,18 +883,17 @@ const NON_INDEX_PRECEDERS: &[&str] = &[
     "const", "let", "if", "while",
 ];
 
-/// C2: panic paths dispatched onto the `WorkerPool`. In any function
+/// C2: panic paths dispatched onto the `ServePool`. In any function
 /// transitively reachable from a pool worker fn: no `unwrap`/`expect`/
 /// `panic!` (the unwind crosses the pool boundary and poisons the
-/// batch-order protocol silently). In the worker fn's own body,
+/// result protocol silently). In the worker fn's own body,
 /// unchecked indexing is flagged too — it is the direct dispatch
 /// surface. A reachable span containing `catch_unwind` is exempt: the
 /// unwind is contained.
 fn rule_c2(ctx: &mut Ctx) {
-    // The pool implementations are the boundary itself: their panic
-    // sites are the protocol's own caller-thread re-raises (each
-    // already S2 reason-suppressed), not payload code dispatched onto
-    // workers.
+    // The pool implementation is the boundary itself: its panic sites
+    // are the protocol's own (each already S2 reason-suppressed), not
+    // payload code dispatched onto workers.
     if BLESSED_POOL_FILES.contains(&ctx.rel) {
         return;
     }
@@ -931,7 +929,7 @@ fn rule_c2(ctx: &mut Ctx) {
                     line,
                     RuleId::C2,
                     format!(
-                        "`.{what}()` in code dispatched onto the WorkerPool \
+                        "`.{what}()` in code dispatched onto the ServePool \
                          (borg-lint --explain shows the chain): a worker panic unwinds across \
                          the pool and poisons determinism silently; return an error, contain \
                          it with catch_unwind, or annotate \
@@ -943,7 +941,7 @@ fn rule_c2(ctx: &mut Ctx) {
                 ctx.emit(
                     line,
                     RuleId::C2,
-                    "`panic!` in code dispatched onto the WorkerPool (borg-lint --explain \
+                    "`panic!` in code dispatched onto the ServePool (borg-lint --explain \
                      shows the chain): the unwind crosses the pool boundary; return an error, \
                      contain it with catch_unwind, or annotate \
                      `// lint: unwind-across-pool-ok (reason)`"
@@ -969,7 +967,7 @@ fn rule_c2(ctx: &mut Ctx) {
                 ctx.emit(
                     line,
                     RuleId::C2,
-                    "unchecked indexing in a WorkerPool worker body panics across the pool \
+                    "unchecked indexing in a ServePool worker body panics across the pool \
                      on a bad index; use .get() and handle None, or annotate \
                      `// lint: unwind-across-pool-ok (reason)`"
                         .to_string(),
@@ -981,7 +979,7 @@ fn rule_c2(ctx: &mut Ctx) {
         ctx.emit(
             line,
             RuleId::C2,
-            "WorkerPool::new with a worker that is not a named `fn` (closure or unresolved \
+            "ServePool::new with a worker that is not a named `fn` (closure or unresolved \
              path): the lint cannot police what runs on the pool; dispatch a named function \
              (`name as fn(J) -> R`) or annotate `// lint: unwind-across-pool-ok (reason)`"
                 .to_string(),

@@ -1,19 +1,19 @@
 //! C2 failing fixture (linted as a sim library file): a named worker fn
-//! dispatched onto a local WorkerPool indexes unchecked in its own body
+//! dispatched onto a local ServePool indexes unchecked in its own body
 //! and reaches a helper that unwraps — both panic paths unwind across
 //! the pool boundary. The `unreached` helper unwraps too but is not
 //! pool-reachable, proving C2 is graph-scoped.
 
-pub struct WorkerPool;
+pub struct ServePool;
 
-impl WorkerPool {
+impl ServePool {
     pub fn new(_workers: usize, _f: fn(u64) -> u64) -> Self {
-        WorkerPool
+        ServePool
     }
 }
 
-pub fn build() -> WorkerPool {
-    WorkerPool::new(4, work as fn(u64) -> u64)
+pub fn build() -> ServePool {
+    ServePool::new(4, work as fn(u64) -> u64)
 }
 
 fn work(job: u64) -> u64 {

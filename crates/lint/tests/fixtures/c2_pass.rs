@@ -3,16 +3,16 @@
 //! with the invariant that makes it unreachable (dual marker: the site
 //! is both a library panic and a pool unwind).
 
-pub struct WorkerPool;
+pub struct ServePool;
 
-impl WorkerPool {
+impl ServePool {
     pub fn new(_workers: usize, _f: fn(u64) -> u64) -> Self {
-        WorkerPool
+        ServePool
     }
 }
 
-pub fn build() -> WorkerPool {
-    WorkerPool::new(4, work as fn(u64) -> u64)
+pub fn build() -> ServePool {
+    ServePool::new(4, work as fn(u64) -> u64)
 }
 
 fn work(job: u64) -> u64 {

@@ -16,7 +16,7 @@ const SHARD_CONTRACT: &str = "crates/sim/src/shard.rs";
 const TRACE_LIB: &str = "crates/trace/src/fixture.rs";
 const ANALYSIS_LIB: &str = "crates/analysis/src/fixture.rs";
 /// The blessed pool boundary: C1 allows `.recv()` here, C2 skips it.
-const POOL_FILE: &str = "crates/sim/src/pool.rs";
+const POOL_FILE: &str = "crates/serve/src/pool.rs";
 
 fn rules_hit(rel: &str, src: &str) -> Vec<RuleId> {
     let mut rules: Vec<RuleId> = lint_source(rel, src).into_iter().map(|d| d.rule).collect();
@@ -281,7 +281,7 @@ fn c2_closure_worker_is_opaque_and_flagged() {
     let mutated =
         include_str!("fixtures/c2_pass.rs").replace("work as fn(u64) -> u64", "|j| j + 1");
     let c2 = count_rule(SIM_LIB, &mutated, RuleId::C2);
-    assert_eq!(c2, 1, "exactly the opaque WorkerPool::new site");
+    assert_eq!(c2, 1, "exactly the opaque ServePool::new site");
 }
 
 #[test]

@@ -30,6 +30,7 @@
 use crate::cancel::{self, CancelToken};
 use crate::error::QueryError;
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Rows per partition block. Fixed (never derived from the thread count)
@@ -113,8 +114,9 @@ where
 /// item order. One item, or one thread, runs on the calling thread and
 /// spawns nothing. Every worker checks `cancel` before claiming each
 /// item; once the token is set the call returns
-/// [`QueryError::Cancelled`] and drops what was computed. `f` must be
-/// pure; scheduling cannot affect the output.
+/// [`QueryError::Cancelled`] and drops what was computed. A panic in `f`
+/// is re-raised on the caller with its own payload once every worker has
+/// stopped. `f` must be pure; scheduling cannot affect the output.
 pub(crate) fn try_map_items<T, F>(
     n_items: usize,
     threads: usize,
@@ -155,8 +157,12 @@ where
             })
             .collect();
         for w in workers {
-            // lint: library-panic-ok (re-raises a worker panic on the caller thread) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
-            done.extend(w.join().expect("query worker panicked"));
+            match w.join() {
+                Ok(items) => done.extend(items),
+                // The scope joins the remaining workers before this
+                // unwinds out of it.
+                Err(payload) => resume_unwind(payload),
+            }
         }
     });
     cancel::check(cancel)?;
@@ -272,6 +278,26 @@ mod tests {
         assert_eq!(on_caller(1, 8), vec![true]);
         assert_eq!(on_caller(3, 1), vec![true; 3]);
         assert_eq!(on_caller(3, 2), vec![false; 3]);
+    }
+
+    #[test]
+    fn an_item_panic_surfaces_on_the_caller_with_its_own_message() {
+        for threads in [1, 2] {
+            let payload = std::panic::catch_unwind(|| {
+                map_items(3, threads, |i| {
+                    if i == 1 {
+                        panic!("item {i} rejected");
+                    }
+                    i
+                })
+            })
+            .expect_err("item 1 panics");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(msg, Some("item 1 rejected"), "threads={threads}");
+        }
     }
 
     #[test]

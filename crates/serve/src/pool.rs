@@ -1,12 +1,11 @@
 //! The streaming worker pool behind the real (wall-clock) service.
 //!
-//! Unlike `borg_sim`'s batch-synchronous `WorkerPool` (dispatch a
-//! batch, wait for all of it), a service needs a *streaming* pool:
-//! jobs are submitted one at a time as the admission layer releases
-//! them, and results are polled as they land. The same channel
-//! discipline applies — every message is a tagged tuple, results carry
-//! the query id so completion order cannot scramble attribution — plus
-//! the robustness lessons the batch pool learned the hard way:
+//! A service needs a *streaming* pool, not a batch one (dispatch a
+//! batch, wait for all of it): jobs are submitted one at a time as the
+//! admission layer releases them, and results are polled as they land.
+//! Every message is a tagged tuple, and results carry the query id so
+//! completion order cannot scramble attribution. Two rules keep it
+//! robust:
 //!
 //! * the worker loop wraps every job in `catch_unwind`, so a panicking
 //!   query (chaos or real) becomes a [`JobResult::Panicked`] message

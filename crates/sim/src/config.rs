@@ -58,11 +58,11 @@ pub struct SimConfig {
     /// traces are bit-identical either way (see DESIGN.md §12).
     pub telemetry: bool,
     /// Number of placement-index shards (`crate::shard`): the fleet is
-    /// split into this many contiguous ranges, probed in parallel and
-    /// combined deterministically — bit-identical to one index for any
-    /// value (DESIGN.md §14). `None` (the default) is one shard, on every
-    /// host: the measured cost of splitting (benchmark/README.md: K=2 is
-    /// 3.2× slower than K=1 on a 1024-machine cell-day) never pays back.
+    /// split into this many contiguous ranges, probed one after another
+    /// and combined deterministically — bit-identical to one index for
+    /// any value (DESIGN.md §14). `None` (the default) is one shard, on
+    /// every host: splitting never pays back (DESIGN.md §14 measures K=2
+    /// against K=1 on a 1024-machine cell-day).
     pub placement_shards: Option<usize>,
     /// RNG seed.
     pub seed: u64,

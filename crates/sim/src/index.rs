@@ -250,8 +250,8 @@ impl FeasTree {
     /// Every real leaf whose inflated bound admits `needed`, in
     /// ascending machine order — the same pruning as
     /// [`FeasTree::walk_preempt`], but without the exact victim check,
-    /// so it needs no access to the `Machine` structs and can run on a
-    /// pool worker (see [`crate::shard`]).
+    /// which the sharded layer runs itself in global machine order (see
+    /// [`crate::shard`]).
     fn collect_preemptible(&self, node: usize, needed: Resources, tier: Tier, out: &mut Vec<u32>) {
         if !self.nodes[node].may_preempt(needed, tier) {
             return;
@@ -835,9 +835,8 @@ impl PlacementIndex {
 
     /// The score-cache half of [`PlacementIndex::best_fit`]: `Some` with
     /// the exact answer on a hit (including cached "nothing fits"),
-    /// `None` on a miss. The sharded layer probes every shard's cache
-    /// sequentially — a hit is O(R + tail), far cheaper than a channel
-    /// round-trip — before fanning the misses out to workers.
+    /// `None` on a miss. The sharded layer probes each shard's cache and
+    /// scans only the shards that miss.
     pub(crate) fn cached_best_fit(
         &mut self,
         request: Resources,
@@ -856,9 +855,8 @@ impl PlacementIndex {
     }
 
     /// The miss half of [`PlacementIndex::best_fit`]: a full mirror scan
-    /// plus a cache store. Touches only the mirror columns — never the
-    /// `Machine` structs — so the sharded layer can move the whole index
-    /// to a pool worker and run this there.
+    /// plus a cache store. Touches only the mirror columns, never the
+    /// `Machine` structs.
     pub(crate) fn scan_best_fit(&mut self, request: Resources, tier: Tier) -> Option<(usize, f64)> {
         let key = ShapeKey::of(request, tier);
         let d = discount(request, tier);
@@ -890,15 +888,13 @@ impl PlacementIndex {
         })
     }
 
-    /// Flushes dirty preemption-tree leaves. The sharded fan-out calls
-    /// this on the main thread — which holds the `Machine` structs —
-    /// before moving the shard to a pool worker for candidate
-    /// enumeration.
+    /// Flushes dirty preemption-tree leaves. The sharded layer calls
+    /// this on every shard before enumerating candidates.
     pub(crate) fn flush_for_preempt(&mut self, machines: &[Machine]) {
         self.flush_tree(machines);
     }
 
-    /// Preemption candidates for the sharded fan-out: the shard-local
+    /// Preemption candidates for the sharded layer: the shard-local
     /// indices of every machine whose inflated tree bound admits
     /// `needed`, ascending. Requires [`PlacementIndex::flush_for_preempt`]
     /// first. The caller runs the exact `preemption_victims` checks in

@@ -39,7 +39,6 @@ pub mod machine;
 pub mod metrics;
 pub mod multi;
 pub mod pending;
-pub mod pool;
 #[cfg(test)]
 mod reference;
 pub mod runset;
@@ -54,5 +53,4 @@ pub use faults::{
 pub use index::PlacementIndex;
 pub use metrics::SimMetrics;
 pub use multi::run_cells_parallel;
-pub use pool::WorkerPool;
 pub use shard::ShardedPlacement;

@@ -1,14 +1,13 @@
 //! Sharded within-cell placement: K per-shard [`PlacementIndex`]
-//! instances over contiguous machine ranges, probed in parallel on a
-//! persistent [`WorkerPool`], with a deterministic combining layer
+//! instances over contiguous machine ranges, probed one after another
+//! on the calling thread, with a deterministic combining layer
 //! (DESIGN.md §14).
 //!
-//! The paper's cells run ~12k machines; a single `PlacementIndex` scans
-//! them on one thread. This layer splits the fleet into K near-equal
-//! contiguous ranges — shard `s` owns global machines
-//! `[offsets[s], offsets[s+1])` — each backed by a full index (score
-//! cache, scan mirror, preemption tree) over its local range. Probes
-//! fan out; mutations route to the owning shard.
+//! This layer splits the fleet into K near-equal contiguous ranges —
+//! shard `s` owns global machines `[offsets[s], offsets[s+1])` — each
+//! backed by a full index (score cache, scan mirror, preemption tree)
+//! over its local range. Probes visit every shard in order; mutations
+//! route to the owning shard.
 //!
 //! # Determinism contract
 //!
@@ -25,87 +24,25 @@
 //!   tie-break. Shards partition the fleet, so this two-level minimum
 //!   equals the flat scan's minimum, bit for bit.
 //! * Preemption probes enumerate each shard's bound-passing tree
-//!   leaves on workers, but the *exact* victim checks run on the
-//!   calling thread in ascending global machine order with early exit
-//!   — the first machine that passes is the one the naive walk
-//!   returns.
-//! * The pool tags every job with its batch position and the caller
-//!   reassembles results by tag, so thread scheduling can reorder
-//!   *when* shards finish, never *which* answer wins.
+//!   leaves and run the *exact* victim checks in ascending global
+//!   machine order, shard by shard, with early exit — the first machine
+//!   that passes is the one the naive walk returns, and later shards
+//!   are never probed.
 //!
 //! K = 1 (the default — see `SimConfig::effective_shards`) delegates
 //! every call straight to the untouched single-index code path.
 
 use crate::index::{IndexStats, PlacementIndex};
 use crate::machine::{discount, Machine};
-use crate::pool::WorkerPool;
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
-
-/// One unit of shard work moved to a pool worker by value. The shard's
-/// whole index travels with the job (a handful of `Vec` headers) and
-/// comes home inside [`ShardDone`].
-enum ShardJob {
-    /// Cold best-fit: full mirror scan + cache store on the shard.
-    Scan {
-        shard: PlacementIndex,
-        request: Resources,
-        tier: Tier,
-    },
-    /// Preemption candidate enumeration over the (pre-flushed) shard
-    /// tree.
-    Preempt {
-        shard: PlacementIndex,
-        needed: Resources,
-        tier: Tier,
-    },
-}
-
-/// A shard coming home from a worker with its answer.
-struct ShardDone {
-    shard: PlacementIndex,
-    /// `Scan` answer, in shard-local machine indices.
-    best: Option<(usize, f64)>,
-    /// `Preempt` answer: bound-passing leaves, ascending, shard-local.
-    candidates: Vec<u32>,
-}
-
-/// The pool worker function: pure per-shard work, no shared state.
-fn run_shard_job(job: ShardJob) -> ShardDone {
-    match job {
-        ShardJob::Scan {
-            mut shard,
-            request,
-            tier,
-        } => {
-            let best = shard.scan_best_fit(request, tier);
-            ShardDone {
-                shard,
-                best,
-                candidates: Vec::new(),
-            }
-        }
-        ShardJob::Preempt {
-            mut shard,
-            needed,
-            tier,
-        } => {
-            let candidates = shard.preempt_candidates(needed, tier);
-            ShardDone {
-                shard,
-                best: None,
-                candidates,
-            }
-        }
-    }
-}
 
 /// Reduces per-shard best-fit winners (already translated to *global*
 /// machine indices) to the fleet winner.
 ///
 /// **The blessed combining helper**: an explicit loop in fixed shard
 /// order under the lexicographic `(score, machine_index)` order — the
-/// only reduction shape borg-lint permits over parallel float results
+/// only reduction shape borg-lint permits over per-shard float results
 /// in a bit-identity file (D3 flags `.reduce(` / `.min_by(` here; see
 /// `crates/lint`). Every shard reports its own lexicographic minimum
 /// and shards partition the fleet, so the minimum over per-shard
@@ -144,9 +81,6 @@ pub struct ShardedPlacement {
     /// machines, the rest `base`.
     base: usize,
     rem: usize,
-    /// Persistent workers for K > 1 on multi-core hosts; `None` means
-    /// every fan-out runs inline on the caller (same answers).
-    pool: Option<WorkerPool<ShardJob, ShardDone>>,
 }
 
 impl ShardedPlacement {
@@ -167,22 +101,11 @@ impl ShardedPlacement {
             offsets.push(end);
             start = end;
         }
-        // Workers beyond the shard count or the host's cores would only
-        // idle; the calling thread always acts as one more worker.
-        let pool = if k > 1 {
-            let par = std::thread::available_parallelism().map_or(1, usize::from);
-            let workers = (k - 1).min(par.saturating_sub(1));
-            (workers > 0)
-                .then(|| WorkerPool::new(workers, run_shard_job as fn(ShardJob) -> ShardDone))
-        } else {
-            None
-        };
         ShardedPlacement {
             shards: built,
             offsets,
             base,
             rem,
-            pool,
         }
     }
 
@@ -214,9 +137,8 @@ impl ShardedPlacement {
     }
 
     /// Exact best-fit across all shards: the machine (and score) the
-    /// flat sequential scan would choose. Sequential per-shard cache
-    /// probes, parallel scans for the shards that miss, deterministic
-    /// combine.
+    /// flat sequential scan would choose. Each shard answers from its
+    /// cache or scans its range; the winners combine in shard order.
     pub fn best_fit(
         &mut self,
         machines: &[Machine],
@@ -227,53 +149,27 @@ impl ShardedPlacement {
             // K=1 is the pre-shard code path, untouched.
             return self.shards[0].best_fit(machines, request, tier);
         }
-        let k = self.shards.len();
-        let mut winners: Vec<Option<(usize, f64)>> = vec![None; k];
-        let mut missed: Vec<usize> = Vec::new();
-        for (s, winner) in winners.iter_mut().enumerate() {
-            match self.shards[s].cached_best_fit(request, tier) {
-                Some(answer) => {
-                    *winner = answer.map(|(mi, score)| (mi + self.offsets[s], score));
-                }
-                None => missed.push(s),
-            }
-        }
-        let mut fanned = false;
-        if missed.len() >= 2 {
-            if let Some(pool) = self.pool.as_mut() {
-                let jobs: Vec<ShardJob> = missed
-                    .iter()
-                    .map(|&s| ShardJob::Scan {
-                        shard: std::mem::replace(&mut self.shards[s], PlacementIndex::new(&[])),
-                        request,
-                        tier,
-                    })
-                    .collect();
-                // Results come back in `missed` order: the pool tags by
-                // batch position, independent of scheduling.
-                for (&s, done) in missed.iter().zip(pool.run_batch(jobs)) {
-                    winners[s] = done.best.map(|(mi, score)| (mi + self.offsets[s], score));
-                    self.shards[s] = done.shard;
-                }
-                fanned = true;
-            }
-        }
-        if !fanned {
-            for &s in &missed {
-                winners[s] = self.shards[s]
-                    .scan_best_fit(request, tier)
-                    .map(|(mi, score)| (mi + self.offsets[s], score));
-            }
-        }
+        let winners: Vec<Option<(usize, f64)>> = self
+            .shards
+            .iter_mut()
+            .zip(&self.offsets)
+            .map(|(shard, &offset)| {
+                let answer = match shard.cached_best_fit(request, tier) {
+                    Some(answer) => answer,
+                    None => shard.scan_best_fit(request, tier),
+                };
+                answer.map(|(mi, score)| (mi + offset, score))
+            })
+            .collect();
         combine_winners(&winners)
     }
 
     /// The lowest-indexed machine fleet-wide where preempting lower
     /// tiers frees room for `request`, with its victim list — exactly
-    /// the machine the naive `find_map` returns. Shard trees are
-    /// flushed here (this thread holds the machines), candidate
-    /// enumeration fans out, exact checks run in ascending global order
-    /// with early exit.
+    /// the machine the naive `find_map` returns. Every shard tree is
+    /// flushed first; then candidates are enumerated shard by shard and
+    /// checked exactly in ascending global order, stopping at the first
+    /// hit.
     #[allow(clippy::type_complexity)]
     pub fn first_preemptible(
         &mut self,
@@ -289,41 +185,16 @@ impl ShardedPlacement {
         for s in 0..k {
             self.shards[s].flush_for_preempt(&machines[self.offsets[s]..self.offsets[s + 1]]);
         }
-        if let Some(pool) = self.pool.as_mut() {
-            let jobs: Vec<ShardJob> = (0..k)
-                .map(|s| ShardJob::Preempt {
-                    shard: std::mem::replace(&mut self.shards[s], PlacementIndex::new(&[])),
-                    needed,
-                    tier,
-                })
-                .collect();
-            let mut hit: Option<(usize, Vec<(usize, usize)>)> = None;
-            for (s, done) in pool.run_batch(jobs).into_iter().enumerate() {
-                if hit.is_none() {
-                    for &local in &done.candidates {
-                        let g = self.offsets[s] + local as usize;
-                        if let Some(victims) = machines[g].preemption_victims(request, tier) {
-                            hit = Some((g, victims));
-                            break;
-                        }
-                    }
-                }
-                self.shards[s] = done.shard;
-            }
-            hit
-        } else {
-            // Inline: early-exit shard by shard, like the naive walk.
-            for s in 0..k {
-                let candidates = self.shards[s].preempt_candidates(needed, tier);
-                for &local in &candidates {
-                    let g = self.offsets[s] + local as usize;
-                    if let Some(victims) = machines[g].preemption_victims(request, tier) {
-                        return Some((g, victims));
-                    }
+        for s in 0..k {
+            let candidates = self.shards[s].preempt_candidates(needed, tier);
+            for &local in &candidates {
+                let g = self.offsets[s] + local as usize;
+                if let Some(victims) = machines[g].preemption_victims(request, tier) {
+                    return Some((g, victims));
                 }
             }
-            None
         }
+        None
     }
 
     /// Aggregate query counters, summed in fixed shard order.
@@ -400,8 +271,7 @@ mod tests {
 
     /// The sharded core exactness property: random commits, frees, and
     /// queries match the naive scan for every shard count — including
-    /// K values that do not divide the fleet and K > cores (which
-    /// exercises both the pooled and the inline fan-out).
+    /// K values that do not divide the fleet.
     #[test]
     fn randomized_ops_match_naive_scan_across_shard_counts() {
         for k in [1usize, 2, 3, 7, 16] {
@@ -510,6 +380,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A hit in shard 0 ends the preemption walk: shard 1 is never
+    /// probed, as the naive walk would never visit its machines.
+    #[test]
+    fn a_preemption_hit_in_shard_zero_leaves_shard_one_unprobed() {
+        let mut machines: Vec<Machine> = (0..4)
+            .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
+            .collect();
+        // Shard 0 holds machines 0 and 1, full of preemptible work;
+        // shard 1's machines are full of work nothing here outranks.
+        for (mi, m) in machines.iter_mut().enumerate() {
+            m.add(Occupant {
+                owner: mi,
+                index: 0,
+                is_alloc_instance: false,
+                tier: if mi < 2 { Tier::Free } else { Tier::Production },
+                request: Resources::new(1.0, 1.0),
+            });
+        }
+        let mut sharded = ShardedPlacement::new(&machines, 2);
+        for (mi, m) in machines.iter().enumerate() {
+            sharded.on_machine_changed(mi, m);
+        }
+        let request = Resources::new(0.9, 0.9);
+        let got = sharded.first_preemptible(&machines, request, Tier::Production);
+        assert_eq!(
+            got,
+            naive_first_preemptible(&machines, request, Tier::Production)
+        );
+        assert_eq!(got.map(|(mi, _)| mi), Some(0));
+        let per_shard = sharded.per_shard_stats();
+        assert_eq!(per_shard[0].preempt_probes, 1);
+        assert_eq!(per_shard[1].preempt_probes, 0);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! shard count K, exact mode must emit a bit-identical trace and
 //! identical scheduler-visible metrics to the K=1 single-index path
 //! (which `golden.rs` pins to the digests the naive scan produced, K>1
-//! rows included). Sharding changes *where* each machine's score is
-//! computed and *which thread* computes it — never which machine wins
-//! (DESIGN.md §14).
+//! rows included). Sharding changes *which index* computes each
+//! machine's score — never which machine wins (DESIGN.md §14).
 //!
 //! `metrics.index` is deliberately excluded from the comparison: probe
 //! counters are accounted per shard (a K=4 run records different
@@ -15,8 +14,7 @@ use borg_trace::trace::Trace;
 use borg_workload::cells::CellProfile;
 
 /// The shard counts under test: the untouched baseline, even and odd
-/// splits, a prime that never divides the fleet, and more shards than
-/// this host has cores (exercising the inline fan-out path).
+/// splits, a prime that never divides the fleet, and many small shards.
 const SHARD_SWEEP: [usize; 5] = [1, 2, 3, 7, 16];
 
 /// Full bitwise comparison of every trace table.

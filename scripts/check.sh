@@ -100,7 +100,6 @@ if [ "$mode" = --shards ]; then
     echo "==> sharded-placement equivalence (bit-identity across shard counts)"
     cargo test -p borg-sim --test shard_equivalence --offline -q
     cargo test -p borg-sim --offline -q --lib shard::
-    cargo test -p borg-sim --offline -q --lib pool::
     echo "Shard check passed."
     exit 0
 fi
