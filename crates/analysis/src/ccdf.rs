@@ -10,8 +10,8 @@
 //! is the only place a raw sample is filtered to finite values and sorted
 //! (ascending in `total_cmp` order, as integer keys); percentiles, top-k
 //! load shares ([`Ccdf::top_share`], [`crate::pareto::TailShare`]), the
-//! Pareto regression, Lorenz curves and the Gini coefficient all read it,
-//! so a caller that wants several of them sorts once. The paper's Table 2
+//! Pareto regression and the Gini coefficient ([`gini`]) all read it, so
+//! a caller that wants several of them sorts once. The paper's Table 2
 //! reports medians, 90/99/99.9 percentiles and maxima of the per-job usage
 //! integrals; percentiles interpolate linearly between order statistics
 //! (the "type 7" estimator used by most statistics packages).
@@ -166,6 +166,12 @@ impl Ccdf {
         Some(top / total)
     }
 
+    /// The samples `>= 0` (from the first `-0.0` on): a suffix of the
+    /// ascending sample.
+    fn non_negative(&self) -> &[f64] {
+        &self.sorted[self.sorted.partition_point(|&x| x < 0.0)..]
+    }
+
     /// The full step series `(x_i, P(X > x_i))`, one point per distinct
     /// sample value, suitable for plotting.
     pub fn steps(&self) -> Vec<(f64, f64)> {
@@ -183,6 +189,41 @@ impl Ccdf {
     pub fn log_series(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
         grid_series(self, log_grid(lo, hi, points))
     }
+}
+
+/// The Gini coefficient of the non-negative samples: 0 = perfectly equal,
+/// → 1 = all load on one job. A Gini near 1 is the 2019 trace's hogs and
+/// mice regime in one number.
+///
+/// Computed exactly from the sorted sample:
+/// `G = (2 Σ i·x_(i) / (n Σ x)) − (n + 1)/n`.
+///
+/// Returns `None` on empty input or a non-positive total.
+///
+/// # Examples
+///
+/// ```
+/// use borg_analysis::ccdf::{gini, Ccdf};
+///
+/// assert!(gini(&Ccdf::from_samples([1.0, 1.0, 1.0, 1.0])).unwrap() < 1e-12);
+/// assert!(gini(&Ccdf::from_samples([0.0, 0.0, 0.0, 100.0])).unwrap() > 0.7);
+/// ```
+pub fn gini(sample: &Ccdf) -> Option<f64> {
+    let sorted = sample.non_negative();
+    if sorted.is_empty() {
+        return None;
+    }
+    let n = sorted.len() as f64;
+    let total: f64 = sorted.iter().sum();
+    if total <= 0.0 {
+        return None;
+    }
+    let weighted: f64 = sorted
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| (i as f64 + 1.0) * x)
+        .sum();
+    Some((2.0 * weighted / (n * total)) - (n + 1.0) / n)
 }
 
 /// The `u64` whose unsigned order among keys is `total_cmp`'s order among
@@ -377,6 +418,43 @@ mod tests {
         assert_eq!(c.top_share(1e-9), Some(2.0 / 3.0));
     }
 
+    #[test]
+    fn gini_of_equal_uniform_and_hog_samples() {
+        assert!(gini(&Ccdf::from_samples([5.0; 100])).unwrap().abs() < 1e-12);
+        // For U(0, 1), G = 1/3.
+        let uniform = (0..10_000).map(|i| (i as f64 + 0.5) / 10_000.0);
+        let g = gini(&Ccdf::from_samples(uniform)).unwrap();
+        assert!((g - 1.0 / 3.0).abs() < 1e-3, "gini = {g}");
+        let mut xs = vec![0.0; 999];
+        xs.push(1.0);
+        let g = gini(&Ccdf::from_samples(xs)).unwrap();
+        assert!(g > 0.99, "gini = {g}");
+    }
+
+    #[test]
+    fn heavy_tail_has_extreme_gini() {
+        // Pareto(0.7)-style: inverse-CDF samples.
+        let xs = (1..=50_000).map(|i| {
+            let u = (i as f64 - 0.5) / 50_000.0;
+            u.powf(-1.0 / 0.7).min(1e5)
+        });
+        let g = gini(&Ccdf::from_samples(xs)).unwrap();
+        assert!(g > 0.9, "heavy-tailed gini = {g}");
+    }
+
+    #[test]
+    fn gini_degenerate_and_dropped_values() {
+        for xs in [vec![], vec![0.0, 0.0], vec![-0.0], vec![-1.0, -2.0]] {
+            assert!(gini(&Ccdf::from_samples(xs)).is_none());
+        }
+        assert_eq!(gini(&Ccdf::from_samples([3.0])), Some(0.0));
+        // Negatives and non-finite values take no part; -0.0 counts as a
+        // job with no load.
+        let mixed = Ccdf::from_samples([-5.0, f64::NAN, -0.0, 1.0, f64::INFINITY, 3.0]);
+        let kept = Ccdf::from_samples([0.0, 1.0, 3.0]);
+        assert_eq!(gini(&mixed), gini(&kept));
+    }
+
     /// Every method on a sample nothing survives the finite filter of:
     /// empty and all-NaN/±inf inputs behave alike.
     #[test]
@@ -397,6 +475,7 @@ mod tests {
             assert_eq!(c.percentiles(&[50.0]), None);
             assert_eq!(c.percentiles(&[]), None);
             assert_eq!(c.top_share(1.0), None);
+            assert_eq!(gini(&c), None);
             assert!(c.steps().is_empty());
             assert_eq!(c.linear_series(0.0, 1.0, 2), vec![(0.0, 0.0), (1.0, 0.0)]);
             assert_eq!(c.log_series(1.0, 10.0, 1), vec![(1.0, 0.0)]);

@@ -11,8 +11,8 @@
 //!
 //! One rule holds the order statistics together: a raw sample is filtered
 //! to finite values and sorted once, by [`Ccdf::from_samples`], and
-//! percentiles, tail shares, the Pareto regression, Lorenz curves and the
-//! Gini coefficient all read that [`Ccdf`]. [`Moments`] alone keeps reading
+//! percentiles, tail shares, the Pareto regression and the Gini
+//! coefficient all read that [`Ccdf`]. [`Moments`] alone keeps reading
 //! the raw column, in its original order: Welford accumulation is
 //! order-sensitive.
 //!
@@ -33,16 +33,14 @@
 
 pub mod ccdf;
 pub mod correlation;
-pub mod lorenz;
 pub mod moments;
 pub mod pareto;
 pub mod queueing;
 pub mod regression;
 pub mod timeseries;
 
-pub use ccdf::Ccdf;
+pub use ccdf::{gini, Ccdf};
 pub use correlation::{bucketed_medians, pearson};
-pub use lorenz::{gini, Lorenz};
 pub use moments::Moments;
 pub use pareto::{ParetoFit, TailShare};
 pub use queueing::{mg1_mean_queueing_delay, mm1_mean_queueing_delay};

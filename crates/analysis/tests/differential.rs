@@ -7,7 +7,7 @@
 //! Inputs are seeded random samples built to hit what the one
 //! filter-and-sort must get right: NaN and ±inf (dropped), `-0.0` beside
 //! `0.0` (kept, ordered, equal), negatives (in the sample, out of the
-//! Lorenz curve), values snapped to a coarse grid so duplicates land
+//! Gini coefficient), values snapped to a coarse grid so duplicates land
 //! exactly on the Pareto window's edges, heavy tails so float sums depend
 //! on their order, and lengths 0 and 1. Two mistakes this suite exists to
 //! catch: summing `top_share` smallest-first, and fitting the Pareto
@@ -15,9 +15,8 @@
 
 mod reference;
 
-use borg_analysis::ccdf::{linear_grid, log_grid, Ccdf};
+use borg_analysis::ccdf::{gini, linear_grid, log_grid, Ccdf};
 use borg_analysis::correlation::{bucketed_medians, Bucket};
-use borg_analysis::lorenz::{gini, Lorenz};
 use borg_analysis::pareto::{ParetoFit, TailShare};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -288,15 +287,10 @@ fn pareto_regression_matches_reference() {
 }
 
 #[test]
-fn lorenz_and_gini_match_reference() {
+fn gini_matches_reference() {
     for (label, xs) in samples() {
         let c = Ccdf::from_samples(xs.iter().copied());
         assert_eq!(bits(gini(&c)), bits(reference::gini(&xs)), "{label}");
-        for resolution in [0, 1, 7, 100, 6000] {
-            let got = Lorenz::from_ccdf(&c, resolution).map(|l| pair_bits(&l.points));
-            let want = reference::lorenz(&xs, resolution).map(|l| pair_bits(&l.points));
-            assert_eq!(got, want, "{label} resolution {resolution}");
-        }
     }
 }
 

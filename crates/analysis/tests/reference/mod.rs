@@ -2,8 +2,8 @@
 //! statistics the library had before every one of them moved onto
 //! [`borg_analysis::Ccdf`]. Each copies its input, filters it and sorts
 //! it on its own, exactly as retired. The bodies are verbatim except
-//! that `Lorenz::from_samples`, `TailShare::compute` and
-//! `ParetoFit::fit_ccdf_regression` are free functions here (the types
+//! that `TailShare::compute` and `ParetoFit::fit_ccdf_regression` are
+//! free functions here (the types
 //! stay the library's), and the regression's
 //! `Ccdf::from_samples(tail).steps()` is spelled out as [`steps`] so the
 //! reference shares no sorting code with the library. One difference in
@@ -19,7 +19,6 @@
 //! the differential cases stay clear of both.
 
 use borg_analysis::correlation::Bucket;
-use borg_analysis::lorenz::Lorenz;
 use borg_analysis::pareto::{ParetoFit, TailShare};
 use borg_analysis::regression::LinearFit;
 
@@ -187,43 +186,7 @@ pub fn tail_share(samples: &[f64]) -> Option<TailShare> {
     })
 }
 
-// ---- lorenz.rs ----
-
-/// `Lorenz::from_samples` over a raw slice.
-pub fn lorenz(xs: &[f64], resolution: usize) -> Option<Lorenz> {
-    let mut sorted: Vec<f64> = xs
-        .iter()
-        .copied()
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .collect();
-    if sorted.is_empty() || resolution == 0 {
-        return None;
-    }
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let total: f64 = sorted.iter().sum();
-    if total <= 0.0 {
-        return None;
-    }
-    let n = sorted.len();
-    let mut points = Vec::with_capacity(resolution + 1);
-    points.push((0.0, 0.0));
-    let mut cumulative = 0.0;
-    let mut next_emit = 1;
-    for (i, &x) in sorted.iter().enumerate() {
-        cumulative += x;
-        // Emit at evenly spaced population shares plus the endpoint.
-        while next_emit <= resolution
-            && (i + 1) as f64 / n as f64 >= next_emit as f64 / resolution as f64
-        {
-            points.push(((i + 1) as f64 / n as f64, cumulative / total));
-            next_emit += 1;
-        }
-    }
-    if points.last().map(|p| p.1) != Some(1.0) {
-        points.push((1.0, 1.0));
-    }
-    Some(Lorenz { points })
-}
+// ---- ccdf.rs: gini ----
 
 /// `gini` over a raw slice.
 pub fn gini(xs: &[f64]) -> Option<f64> {

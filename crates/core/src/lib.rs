@@ -7,8 +7,7 @@
 //! [`analyses`] contains one module per table/figure, each returning
 //! plain-data results that the experiment binaries print and
 //! EXPERIMENTS.md records; [`report`] renders ASCII tables and series;
-//! [`longitudinal`] packages the 2011-vs-2019 comparisons the paper
-//! headlines.
+//! [`tables`] turns a trace into relational tables for the query engine.
 //!
 //! # Examples
 //!
@@ -22,7 +21,6 @@
 //! ```
 
 pub mod analyses;
-pub mod longitudinal;
 pub mod pipeline;
 pub mod report;
 pub mod tables;

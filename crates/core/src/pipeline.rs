@@ -47,17 +47,6 @@ pub fn simulate_cell(profile: &CellProfile, scale: SimScale, seed: u64) -> CellO
     CellSim::run_cell(profile, &scale.config(seed))
 }
 
-/// [`simulate_cell`] with telemetry recording switched on: identical
-/// trace and metrics (telemetry reads nothing back into the
-/// simulation), plus a populated `CellOutcome::telemetry` snapshot.
-pub fn simulate_cell_profiled(profile: &CellProfile, scale: SimScale, seed: u64) -> CellOutcome {
-    let cfg = SimConfig {
-        telemetry: true,
-        ..scale.config(seed)
-    };
-    CellSim::run_cell(profile, &cfg)
-}
-
 /// Simulates the 2011 cell.
 pub fn simulate_2011(scale: SimScale, seed: u64) -> CellOutcome {
     simulate_cell(&CellProfile::cell_2011(), scale, seed)
@@ -196,48 +185,6 @@ impl DataQuality {
             }
         }
     }
-
-    /// Re-exports the same tallies on the **engine** plane under
-    /// `trace.quarantine.*` / `trace.repair.*`, for long-running
-    /// services (borg-serve) whose operational dashboards live on the
-    /// engine plane: a service load of a damaged epoch should be
-    /// visible next to its latency histograms, without touching the
-    /// deterministic plane that result-digest tests compare.
-    pub fn export_engine_metrics(&self, tel: &mut Telemetry) {
-        if !tel.is_enabled() {
-            return;
-        }
-        tel.count("trace.rows_ingested", Plane::Engine, self.rows_ingested);
-        tel.count(
-            "trace.quarantine.lines",
-            Plane::Engine,
-            self.quarantine.total_lines(),
-        );
-        tel.count(
-            "trace.quarantine.table_errors",
-            Plane::Engine,
-            self.quarantine.table_errors.len() as u64,
-        );
-        tel.count(
-            "trace.repair.actions",
-            Plane::Engine,
-            self.repair.total_actions(),
-        );
-        for (table, r) in [
-            ("machine_events", &self.repair.machine_events),
-            ("collection_events", &self.repair.collection_events),
-            ("instance_events", &self.repair.instance_events),
-            ("usage", &self.repair.usage),
-        ] {
-            if r.total() > 0 {
-                tel.count(
-                    &format!("trace.repair.{table}.actions"),
-                    Plane::Engine,
-                    r.total(),
-                );
-            }
-        }
-    }
 }
 
 /// `machine_events.csv` → `machine_events`, for metric-name embedding.
@@ -333,25 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_simulation_matches_and_snapshots() {
-        let profile = CellProfile::cell_2019('a');
-        let plain = simulate_cell(&profile, SimScale::Tiny, 1);
-        let profiled = simulate_cell_profiled(&profile, SimScale::Tiny, 1);
-        // Telemetry never perturbs the simulation.
-        assert_eq!(
-            plain.trace.instance_events.len(),
-            profiled.trace.instance_events.len()
-        );
-        assert!(plain.telemetry.is_empty());
-        assert!(!profiled.telemetry.is_empty());
-        assert!(profiled
-            .telemetry
-            .spans
-            .iter()
-            .any(|s| s.path == "sim.run_cell/run_loop"));
-    }
-
-    #[test]
     fn instrumented_load_records_quality_metrics() {
         let outcome = simulate_cell(&CellProfile::cell_2019('b'), SimScale::Tiny, 5);
         let dir = std::env::temp_dir().join(format!("borg_load_tel_{}", std::process::id()));
@@ -375,43 +303,6 @@ mod tests {
             .iter()
             .any(|s| s.path == "core.load_trace_dir/repair"));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn engine_metrics_mirror_quality_tallies() {
-        let quality = DataQuality {
-            quarantine: Quarantine::default(),
-            repair: RepairReport {
-                usage: borg_trace::repair::TableRepair {
-                    deduped: 3,
-                    ..Default::default()
-                },
-                windows_swapped: 2,
-                ..Default::default()
-            },
-            rows_ingested: 100,
-        };
-        let mut tel = Telemetry::enabled();
-        quality.export_engine_metrics(&mut tel);
-        let snap = tel.snapshot();
-        let get = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| (c.plane, c.value))
-        };
-        assert_eq!(
-            get("trace.rows_ingested"),
-            Some((Plane::Engine, 100)),
-            "row count on the engine plane"
-        );
-        assert_eq!(get("trace.quarantine.lines"), Some((Plane::Engine, 0)));
-        assert_eq!(get("trace.repair.actions"), Some((Plane::Engine, 5)));
-        assert_eq!(get("trace.repair.usage.actions"), Some((Plane::Engine, 3)));
-        // Untouched tables emit no per-table counter.
-        assert_eq!(get("trace.repair.machine_events.actions"), None);
-        // The deterministic plane stays empty: digests unaffected.
-        assert!(snap.counters.iter().all(|c| c.plane == Plane::Engine));
     }
 
     #[test]

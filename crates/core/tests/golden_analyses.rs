@@ -1,5 +1,5 @@
 //! The §7 analyses' frozen oracle: Table 2, Figures 11–13, the §7.3
-//! queueing rows and the Gini/Lorenz summary, pinned to the bits the
+//! queueing rows and the Gini coefficients, pinned to the bits the
 //! statistics routines must produce.
 //!
 //! Every float is pinned as its `f64::to_bits` pattern (hex), followed
@@ -9,10 +9,9 @@
 //!
 //! The statistics were first pinned by the routines at the commit that
 //! introduced this file — the slice-taking `percentiles`, `top_share`,
-//! `TailShare::compute`, `ParetoFit::fit_ccdf_regression`,
-//! `Lorenz::from_samples`, `gini` and the copy-and-sort inside
-//! `queueing_rows` — before any of them moved onto `Ccdf`. Those
-//! routines survive as the differential reference in
+//! `TailShare::compute`, `ParetoFit::fit_ccdf_regression`, `gini` and
+//! the copy-and-sort inside `queueing_rows` — before any of them moved
+//! onto `Ccdf`. Those routines survive as the differential reference in
 //! `crates/analysis/tests/reference/`; this table holds whatever
 //! replaces them to the same bits end to end.
 //!
@@ -32,8 +31,7 @@
 //! `cargo test -p borg-core --test golden_analyses -- --ignored
 //! --nocapture print_golden`.
 
-use borg_analysis::ccdf::Ccdf;
-use borg_analysis::lorenz::{gini, Lorenz};
+use borg_analysis::ccdf::{gini, Ccdf};
 use borg_core::analyses::{consumption, correlation, queueing, tasks_per_job};
 use borg_trace::priority::Tier;
 use borg_workload::integral::IntegralModel;
@@ -147,8 +145,9 @@ fn fig11_text() -> String {
     out
 }
 
-/// Gini coefficient and an 8-step Lorenz curve of per-job CPU
-/// consumption, both eras (200 000 samples, seeds 42 and 43).
+/// Gini coefficient of per-job CPU consumption, both eras (200 000
+/// samples, seeds 42 and 43). The only lines that follow the statistics
+/// API rather than `borg_core::analyses`.
 fn concentration_text() -> String {
     let mut out = String::new();
     for (era, model, seed) in [
@@ -156,23 +155,10 @@ fn concentration_text() -> String {
         ("2019", IntegralModel::model_2019(), 43),
     ] {
         let (cpu, _) = consumption::era_samples(&model, 200_000, seed);
-        let (g, lorenz) = concentration(&cpu);
+        let g = gini(&Ccdf::from_samples(cpu)).expect("positive total");
         writeln!(out, "{era} gini {}", bits(g)).expect("write to String");
-        for (pop, load) in lorenz.points {
-            writeln!(out, "{era} lorenz {} {}", bits(pop), bits(load)).expect("write to String");
-        }
     }
     out
-}
-
-/// The only lines that follow the statistics API rather than
-/// `borg_core::analyses`.
-fn concentration(xs: &[f64]) -> (f64, Lorenz) {
-    let sample = Ccdf::from_samples(xs.iter().copied());
-    (
-        gini(&sample).expect("positive total"),
-        Lorenz::from_ccdf(&sample, 8).expect("positive total"),
-    )
 }
 
 /// Fails with the first differing line instead of two walls of hex.
@@ -214,7 +200,7 @@ fn figure11_matches_golden() {
 
 #[test]
 fn concentration_matches_golden() {
-    assert_same("gini/lorenz", &concentration_text(), CONCENTRATION);
+    assert_same("gini", &concentration_text(), CONCENTRATION);
 }
 
 /// Prints the constants below, ready to paste.
@@ -565,23 +551,5 @@ const FIG11: &str = concat!(
 #[rustfmt::skip]
 const CONCENTRATION: &str = concat!(
     "2011 gini 3fefd64017af05da 9.949036085674223e-1\n",
-    "2011 lorenz 0000000000000000 0e0 0000000000000000 0e0\n",
-    "2011 lorenz 3fc0000000000000 1.25e-1 3e7d66fc841b641c 1.0953206788388765e-7\n",
-    "2011 lorenz 3fd0000000000000 2.5e-1 3eab4aace848d9d4 8.133560674476104e-7\n",
-    "2011 lorenz 3fd8000000000000 3.75e-1 3ecac0d9cbb3f685 3.1892446635806972e-6\n",
-    "2011 lorenz 3fe0000000000000 5e-1 3ee4bdd2e4e14ade 9.890317553528366e-6\n",
-    "2011 lorenz 3fe4000000000000 6.25e-1 3efde2eb78bf6f11 2.8501897347029426e-5\n",
-    "2011 lorenz 3fe8000000000000 7.5e-1 3f1693a33bbe84c3 8.612331197223586e-5\n",
-    "2011 lorenz 3fec000000000000 8.75e-1 3f3802ba50cc55bd 3.6637352677479e-4\n",
-    "2011 lorenz 3ff0000000000000 1e0 3ff0000000000000 1e0\n",
     "2019 gini 3feff4d1039e43f8 9.98634821955533e-1\n",
-    "2019 lorenz 0000000000000000 0e0 0000000000000000 0e0\n",
-    "2019 lorenz 3fc0000000000000 1.25e-1 3e82b23d6bbe7618 1.3929791531097167e-7\n",
-    "2019 lorenz 3fd0000000000000 2.5e-1 3eb0dc5adc5ae825 1.0049796953918557e-6\n",
-    "2019 lorenz 3fd8000000000000 3.75e-1 3ed01409614adc66 3.833357841535097e-6\n",
-    "2019 lorenz 3fe0000000000000 5e-1 3ee838e4cde31d18 1.155006469523308e-5\n",
-    "2019 lorenz 3fe4000000000000 6.25e-1 3f00bbccf9e31a64 3.191680228691455e-5\n",
-    "2019 lorenz 3fe8000000000000 7.5e-1 3f1731a126c69989 8.847757425787228e-5\n",
-    "2019 lorenz 3fec000000000000 8.75e-1 3f336039d3e7b443 2.9565250215918634e-4\n",
-    "2019 lorenz 3ff0000000000000 1e0 3ff0000000000000 1e0\n",
 );

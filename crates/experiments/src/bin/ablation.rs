@@ -8,6 +8,8 @@
 //! * **batch-admission queueing** (§3) — measured on delay and evictions;
 //! * **Autopilot vertical scaling** (§8) — measured on peak NCU slack.
 
+use borg_analysis::Ccdf;
+use borg_core::analyses::delay;
 use borg_core::pipeline::SimScale;
 use borg_experiments::{banner, parse_opts};
 use borg_sim::{CellOutcome, CellSim, SimConfig};
@@ -22,26 +24,6 @@ fn run(profile: &CellProfile, base: &SimConfig, v: &Variant) -> CellOutcome {
     let mut cfg = base.clone();
     (v.configure)(&mut cfg);
     CellSim::run_cell(profile, &cfg)
-}
-
-fn delay_stats(o: &CellOutcome) -> (f64, f64) {
-    let mut xs: Vec<f64> = o.metrics.delays.iter().map(|d| d.delay_secs).collect();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let med = xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN);
-    let p90 = xs
-        .get((xs.len() as f64 * 0.9) as usize)
-        .copied()
-        .unwrap_or(f64::NAN);
-    (med, p90)
-}
-
-fn median_slack(o: &CellOutcome) -> f64 {
-    let mut xs: Vec<f64> = o.metrics.slack.iter().map(|s| s.slack * 100.0).collect();
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    xs[xs.len() / 2]
 }
 
 fn main() {
@@ -75,15 +57,16 @@ fn main() {
     );
     for v in &variants {
         let o = run(&profile, &base, v);
-        let (med, p90) = delay_stats(&o);
+        let delays = delay::delay_ccdf(&o);
+        let slack = Ccdf::from_samples(o.metrics.slack.iter().map(|s| s.slack * 100.0));
         let evictions: u64 = o.metrics.evictions_by_collection.values().sum();
         let util: f64 = o.metrics.average_cpu_util_by_tier().values().sum();
         println!(
             "{:<32} {:>9.2}s {:>9.0}s {:>12.1} {:>12} {:>12.3}",
             v.name,
-            med,
-            p90,
-            median_slack(&o),
+            delays.percentile(50.0).unwrap_or(f64::NAN),
+            delays.percentile(90.0).unwrap_or(f64::NAN),
+            slack.median().unwrap_or(f64::NAN),
             evictions,
             util
         );

@@ -153,17 +153,14 @@ fn main() {
     }
     assert!(drilled, "prod must have a p99 exemplar to drill into");
 
-    // The same traces export as a chrome-tracing file and as a table
-    // queryable by the engine they describe.
+    // The same traces export as a chrome-tracing file.
     let events = r.witness.chrome_events();
     let json = trace_events_json(&events);
     validate_json(&json).expect("chrome trace export is valid json");
-    let table = r.witness.to_table().expect("segment table");
     println!(
-        "\nexports: chrome trace {} events ({} bytes), segment table {} rows",
+        "\nexports: chrome trace {} events ({} bytes)",
         events.len(),
-        json.len(),
-        table.num_rows()
+        json.len()
     );
 
     // Control: no chaos, comfortable load — zero alerts, zero prod

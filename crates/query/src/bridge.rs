@@ -41,23 +41,6 @@ pub fn counters_table(snap: &Snapshot) -> Table {
     ])
 }
 
-/// The snapshot's histograms as a table: `name`, `plane`, `count`,
-/// `sum`, and the compact bucket rendering.
-pub fn hists_table(snap: &Snapshot) -> Table {
-    let rows = &snap.hists;
-    let mut buckets = StrVec::with_capacity(rows.len());
-    for h in rows {
-        buckets.push(Some(&h.hist.render()));
-    }
-    table(vec![
-        ("name", strs(rows, |h| &h.name)),
-        ("plane", strs(rows, |h| plane_tag(h.plane))),
-        ("count", ints(rows, |h| h.hist.count)),
-        ("sum", ints(rows, |h| h.hist.sum)),
-        ("buckets", Column::Str(buckets)),
-    ])
-}
-
 /// The snapshot's span tree as a table in depth-first order: `path`,
 /// `name`, `depth`, `count`, `total_ns`.
 pub fn spans_table(snap: &Snapshot) -> Table {
@@ -69,11 +52,6 @@ pub fn spans_table(snap: &Snapshot) -> Table {
         ("count", ints(rows, |s| s.count)),
         ("total_ns", ints(rows, |s| s.total_ns)),
     ])
-}
-
-/// All three bridge tables: `[counters, hists, spans]`.
-pub fn snapshot_tables(snap: &Snapshot) -> Vec<Table> {
-    vec![counters_table(snap), hists_table(snap), spans_table(snap)]
 }
 
 fn plane_tag(p: borg_telemetry::Plane) -> &'static str {
@@ -98,8 +76,6 @@ mod tests {
         let root = tel.span_enter("root");
         tel.count("a.hits", Plane::Deterministic, 5);
         tel.count("a.misses", Plane::Engine, 2);
-        let h = tel.hist("a.sizes", Plane::Deterministic);
-        tel.record(h, 100);
         tel.span_exit(root);
         let snap = tel.snapshot();
 
@@ -117,16 +93,12 @@ mod tests {
         let spans = spans_table(&snap);
         assert_eq!(spans.num_rows(), 1);
         assert_eq!(spans.value(0, "path").unwrap(), Value::str("root"));
-
-        let hists = hists_table(&snap);
-        assert_eq!(hists.value(0, "count").unwrap(), Value::Int(1));
-        assert_eq!(hists.value(0, "sum").unwrap(), Value::Int(100));
     }
 
     #[test]
     fn empty_snapshot_gives_empty_tables() {
-        let tables = snapshot_tables(&Snapshot::default());
-        assert_eq!(tables.len(), 3);
-        assert!(tables.iter().all(|t| t.num_rows() == 0));
+        let snap = Snapshot::default();
+        assert_eq!(counters_table(&snap).num_rows(), 0);
+        assert_eq!(spans_table(&snap).num_rows(), 0);
     }
 }

@@ -7,9 +7,7 @@
 //! reload), and the sequence number keys the result cache so stale
 //! results can never be served for a reloaded epoch of the same name.
 
-use borg_core::pipeline::{load_trace_dir_with, DataQuality};
 use borg_query::{QueryError, Table};
-use borg_telemetry::Telemetry;
 use borg_trace::trace::Trace;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -107,23 +105,6 @@ impl EpochStore {
         Ok(epoch)
     }
 
-    /// Loads a trace directory through the repairing ingestion pipeline
-    /// and freezes it as an epoch. The load's [`DataQuality`] tallies
-    /// are exported on the telemetry engine plane
-    /// (`trace.quarantine.*`, `trace.repair.*`), so a service that
-    /// swallowed a damaged epoch is visible on its dashboard.
-    pub fn load_dir(
-        &mut self,
-        name: &str,
-        dir: &std::path::Path,
-        tel: &mut Telemetry,
-    ) -> Result<(Arc<Epoch>, DataQuality), QueryError> {
-        let (trace, quality) = load_trace_dir_with(dir, tel);
-        quality.export_engine_metrics(tel);
-        let epoch = self.insert_trace(name, &trace)?;
-        Ok((epoch, quality))
-    }
-
     /// The current epoch for `name`, if loaded.
     pub fn get(&self, name: &str) -> Option<Arc<Epoch>> {
         self.epochs.get(name).cloned()
@@ -155,26 +136,5 @@ mod tests {
             assert_eq!(e1.rows(id), e2.rows(id));
         }
         assert!(e1.rows(TableId::InstanceEvents) > 0);
-    }
-
-    #[test]
-    fn load_dir_exports_engine_metrics() {
-        let outcome = simulate_cell(&CellProfile::cell_2019('b'), SimScale::Tiny, 2);
-        let dir = std::env::temp_dir().join(format!("borg_serve_epoch_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        borg_trace::csv::write_trace_dir(&outcome.trace, &dir).unwrap();
-        let mut store = EpochStore::new();
-        let mut tel = Telemetry::enabled();
-        let (epoch, quality) = store.load_dir("b", &dir, &mut tel).unwrap();
-        assert!(quality.is_pristine());
-        assert!(epoch.rows(TableId::Usage) > 0);
-        let snap = tel.snapshot();
-        assert!(
-            snap.counters
-                .iter()
-                .any(|c| c.name == "trace.rows_ingested"),
-            "engine-plane ingest metrics exported"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -34,7 +34,7 @@ use crate::slo::{SloConfig, SloEngine};
 use crate::tier::{AdmissionConfig, Tier};
 use crate::witness::{mint_trace_id, Witness, WitnessConfig};
 use borg_query::CancelToken;
-use borg_telemetry::{Histogram, Plane, Telemetry};
+use borg_telemetry::Histogram;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -188,8 +188,7 @@ impl ServeConfig {
     }
 }
 
-/// Tallies the service keeps per tier, exported to telemetry at the end
-/// of a run.
+/// Tallies the service keeps per tier, read by the run reports.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Requests submitted.
@@ -208,9 +207,7 @@ pub struct ServiceStats {
     pub failed: [u64; 3],
     /// Retry attempts scheduled.
     pub retries: [u64; 3],
-    /// Completion-latency histograms (µs) of done requests — the same
-    /// [`borg_telemetry::Histogram`] the registry/export path uses, so
-    /// serve metrics fold into snapshots without re-recording samples.
+    /// Completion-latency histograms (µs) of done requests.
     pub latency_us: [Histogram; 3],
 }
 
@@ -750,44 +747,5 @@ impl Service {
     /// [`SloEngine::alert_bytes`]).
     pub fn alert_bytes(&self) -> Vec<u8> {
         self.slo.alert_bytes()
-    }
-
-    /// Exports per-tier latency histograms and tallies on the
-    /// telemetry engine plane (`serve.tier.<tier>.*`,
-    /// `serve.breaker.trips`), plus the witness's per-segment-kind
-    /// aggregates (`serve.seg.*`).
-    pub fn export_metrics(&self, tel: &mut Telemetry) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for t in Tier::ALL {
-            let i = t.index();
-            let hist = tel.hist(
-                &format!("serve.tier.{}.latency_us", t.name()),
-                Plane::Engine,
-            );
-            tel.record_hist(hist, &self.stats.latency_us[i]);
-            for (metric, v) in [
-                ("submitted", self.stats.submitted[i]),
-                ("done", self.stats.done[i]),
-                ("expired", self.stats.expired[i]),
-                ("shed", self.stats.sheds(t)),
-                ("failed", self.stats.failed[i]),
-                ("retries", self.stats.retries[i]),
-            ] {
-                tel.count(
-                    &format!("serve.tier.{}.{metric}", t.name()),
-                    Plane::Engine,
-                    v,
-                );
-            }
-        }
-        tel.count("serve.breaker.trips", Plane::Engine, self.breaker_trips);
-        tel.count(
-            "serve.slo.alerts_fired",
-            Plane::Engine,
-            self.slo.alerts_fired(),
-        );
-        self.witness.export_telemetry(tel);
     }
 }

@@ -18,11 +18,10 @@
 //! Block-scan attribution rides the [`borg_query::CancelToken`] the
 //! service already threads into `try_map_blocks`: workers note each
 //! claimed block on the token, the witness reads the count when the
-//! attempt's result comes back. The same tree is exported three ways:
+//! attempt's result comes back. The same tree is exported two ways:
 //! canonical text bytes (the byte-identity surface the determinism
-//! tests pin), real-timestamp chrome-tracing JSON
-//! ([`borg_telemetry::trace_events_json`]), and a [`borg_query::Table`]
-//! so traces are queryable by the engine they describe.
+//! tests pin) and real-timestamp chrome-tracing JSON
+//! ([`borg_telemetry::trace_events_json`]).
 //!
 //! The witness also keeps per-tier **histogram exemplars**: for each
 //! latency bucket of the per-tier histogram, the trace id of the first
@@ -31,7 +30,6 @@
 
 use crate::tier::Tier;
 use borg_query::fxhash::FxHasher;
-use borg_query::{DataType, QueryError, Table, Value};
 use borg_telemetry::{Histogram, Plane, Telemetry, TraceEvent};
 use std::collections::BTreeMap;
 use std::hash::Hasher;
@@ -451,38 +449,6 @@ impl Witness {
         out
     }
 
-    /// The span tree as a queryable [`Table`] (one row per segment):
-    /// `trace_id, query_id, tier, segment, attempt, start_us, end_us,
-    /// blocks` — traces analyzable by the engine they describe.
-    pub fn to_table(&self) -> Result<Table, QueryError> {
-        let mut t = Table::new(vec![
-            ("trace_id", DataType::Str),
-            ("query_id", DataType::Int),
-            ("tier", DataType::Str),
-            ("segment", DataType::Str),
-            ("attempt", DataType::Int),
-            ("start_us", DataType::Int),
-            ("end_us", DataType::Int),
-            ("blocks", DataType::Int),
-        ]);
-        for tr in self.traces.values() {
-            let hex = format!("{:016x}", tr.trace_id);
-            for s in &tr.segments {
-                t.push_row(vec![
-                    Value::Str(hex.clone()),
-                    Value::Int(tr.query_id as i64),
-                    Value::Str(tr.tier.name().to_string()),
-                    Value::Str(s.kind.name().to_string()),
-                    Value::Int(s.attempt as i64),
-                    Value::Int(s.start_us as i64),
-                    Value::Int(s.end_us as i64),
-                    Value::Int(s.blocks as i64),
-                ])?;
-            }
-        }
-        Ok(t)
-    }
-
     /// Exports per-segment-kind aggregates onto the telemetry engine
     /// plane — grid-style counters (`serve.seg.{kind}.d00.{count,ns}`)
     /// plus span aggregates — so serve-side time breaks down through
@@ -638,8 +604,6 @@ mod tests {
         assert!(!a.export_bytes().is_empty());
         let json = borg_telemetry::trace_events_json(&a.chrome_events());
         borg_telemetry::validate_json(&json).unwrap();
-        let table = a.to_table().unwrap();
-        assert_eq!(table.num_rows(), a.trace(7).unwrap().segments.len());
         let tr = a.trace_by_id(a.trace(7).unwrap().trace_id).unwrap();
         assert_eq!(tr.query_id, 7);
     }

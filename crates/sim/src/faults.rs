@@ -4,7 +4,7 @@
 //! of logical invariants" precisely because real event collection loses,
 //! duplicates, and reorders records. This module injects both fault
 //! classes deterministically so the ingestion pipeline
-//! ([`borg_trace::repair`]) can be tested closed-loop:
+//! ([`mod@borg_trace::repair`]) can be tested closed-loop:
 //!
 //! * **Generation faults** — [`FaultConfig`] + [`FaultInjector`] drive
 //!   machine failure/repair as first-class simulation events (wired into
@@ -349,41 +349,6 @@ impl FaultLedger {
             self.duplicated(),
             self.garbled()
         )
-    }
-
-    /// Re-exports the ledger as telemetry counters named
-    /// `chaos.{table}.{kind}`. Deterministic plane: the corruption
-    /// stream is seeded, so the ledger is a pure function of
-    /// (seed, config). Zero tallies are skipped.
-    pub fn export_metrics(&self, tel: &mut borg_telemetry::Telemetry) {
-        if !tel.is_enabled() {
-            return;
-        }
-        let tables = [
-            ("machine_events", &self.machine_events),
-            ("collection_events", &self.collection_events),
-            ("instance_events", &self.instance_events),
-            ("usage", &self.usage),
-        ];
-        for (table, f) in tables {
-            let kinds = [
-                ("dropped", f.dropped),
-                ("duplicated", f.duplicated),
-                ("jittered", f.jittered),
-                ("reordered", f.reordered),
-                ("truncated", f.truncated),
-                ("garbled", f.garbled),
-            ];
-            for (kind, v) in kinds {
-                if v > 0 {
-                    tel.count(
-                        &format!("chaos.{table}.{kind}"),
-                        borg_telemetry::Plane::Deterministic,
-                        v,
-                    );
-                }
-            }
-        }
     }
 }
 

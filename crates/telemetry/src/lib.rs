@@ -248,17 +248,6 @@ impl Telemetry {
         self.registry.record(id, value);
     }
 
-    /// Folds a pre-accumulated [`Histogram`] into a registered one —
-    /// the bridge for subsystems (e.g. borg-serve's per-tier latency
-    /// histograms) that accumulate locally and export at the end of a
-    /// run. No-op for disabled ids.
-    pub fn record_hist(&mut self, id: HistId, hist: &Histogram) {
-        if id.0 == registry::DISABLED {
-            return;
-        }
-        self.registry.merge_hist(id, hist);
-    }
-
     /// Convenience: register-and-add in one call (cold paths only; hot
     /// loops should hold a [`CounterId`] or use a [`PhaseGrid`]).
     pub fn count(&mut self, name: &str, plane: Plane, delta: u64) {

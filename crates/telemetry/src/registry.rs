@@ -186,12 +186,6 @@ impl Registry {
         }
     }
 
-    pub(crate) fn merge_hist(&mut self, id: HistId, other: &Histogram) {
-        if let Some(slot) = self.hists.get_mut(id.0 as usize) {
-            slot.2.merge(other);
-        }
-    }
-
     /// Counter rows in sorted-name order.
     pub(crate) fn counter_rows(&self) -> Vec<CounterRow> {
         self.counter_ids

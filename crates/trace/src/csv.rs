@@ -44,14 +44,6 @@ pub enum CsvError {
         /// What was wrong.
         message: String,
     },
-    /// An error attributed to one of the per-table files of a trace
-    /// directory, so `line 17: bad integer` says which CSV it came from.
-    Table {
-        /// File name within the trace directory (e.g. `instance_events.csv`).
-        file: String,
-        /// The underlying error.
-        source: Box<CsvError>,
-    },
 }
 
 impl fmt::Display for CsvError {
@@ -59,7 +51,6 @@ impl fmt::Display for CsvError {
         match self {
             CsvError::Io(e) => write!(f, "io error: {e}"),
             CsvError::Parse { line, message } => write!(f, "line {line}: {message}"),
-            CsvError::Table { file, source } => write!(f, "{file}: {source}"),
         }
     }
 }
@@ -76,13 +67,6 @@ fn parse_err(line: usize, message: impl Into<String>) -> CsvError {
     CsvError::Parse {
         line,
         message: message.into(),
-    }
-}
-
-fn in_file(file: &str, e: CsvError) -> CsvError {
-    CsvError::Table {
-        file: file.to_string(),
-        source: Box::new(e),
     }
 }
 
@@ -678,10 +662,10 @@ impl<C: Codec, R: Read> Rows<C, R> {
     }
 }
 
-/// Strict table read of the `bytes` bytes (0: no idea) `r` yields: the
-/// first malformed line aborts it.
-fn read_table<C: Codec>(r: impl Read, bytes: u64) -> Result<Vec<C::Row>, CsvError> {
-    let mut rows = Rows::<C, _>::new(r, bytes);
+/// Strict table read of an in-memory source: the first malformed line
+/// aborts it.
+fn read_table<C: Codec>(r: impl Read) -> Result<Vec<C::Row>, CsvError> {
+    let mut rows = Rows::<C, _>::new(r, 0);
     let mut out = Vec::new();
     while let Some(row) = rows.next().map_err(|(_, e)| CsvError::Io(e))? {
         rows.keep(&mut out, row?);
@@ -786,7 +770,7 @@ pub fn parse_machine_line(line: &str, n: usize) -> Result<MachineEvent, CsvError
 
 /// Reads the machine-events table.
 pub fn read_machine_events(r: impl BufRead) -> Result<Vec<MachineEvent>, CsvError> {
-    read_table::<MachineCodec>(r, 0)
+    read_table::<MachineCodec>(r)
 }
 
 fn scheduler_name(s: SchedulerKind) -> &'static str {
@@ -899,7 +883,7 @@ pub fn parse_collection_line(line: &str, n: usize) -> Result<CollectionEvent, Cs
 
 /// Reads the collection-events table.
 pub fn read_collection_events(r: impl BufRead) -> Result<Vec<CollectionEvent>, CsvError> {
-    read_table::<CollectionCodec>(r, 0)
+    read_table::<CollectionCodec>(r)
 }
 
 /// The instance-events table; an instance's request repeats from event to
@@ -1000,7 +984,7 @@ pub fn parse_instance_line(line: &str, n: usize) -> Result<InstanceEvent, CsvErr
 
 /// Reads the instance-events table.
 pub fn read_instance_events(r: impl BufRead) -> Result<Vec<InstanceEvent>, CsvError> {
-    read_table::<InstanceCodec>(r, 0)
+    read_table::<InstanceCodec>(r)
 }
 
 /// The usage table (histogram inlined as 21 extra columns). Measured
@@ -1103,7 +1087,7 @@ pub fn parse_usage_line(line: &str, n: usize) -> Result<UsageRecord, CsvError> {
 
 /// Reads the usage table.
 pub fn read_usage(r: impl BufRead) -> Result<Vec<UsageRecord>, CsvError> {
-    read_table::<UsageCodec>(r, 0)
+    read_table::<UsageCodec>(r)
 }
 
 /// Writes every table of a trace into a directory, one file per table.
@@ -1179,29 +1163,6 @@ fn write_tables<W: Write>(
 /// The length of an open table file, 0 when the system will not say.
 fn file_len(f: &std::fs::File) -> u64 {
     f.metadata().map_or(0, |m| m.len())
-}
-
-/// Reads a trace previously written by [`write_trace_dir`]. Errors are
-/// wrapped as [`CsvError::Table`] naming the offending file.
-pub fn read_trace_dir(dir: &std::path::Path) -> Result<Trace, CsvError> {
-    fn load<C: Codec>(dir: &std::path::Path) -> Result<Vec<C::Row>, CsvError> {
-        std::fs::File::open(dir.join(C::FILE))
-            .map_err(CsvError::Io)
-            .and_then(|f| read_table::<C>(&f, file_len(&f)))
-            .map_err(|e| in_file(C::FILE, e))
-    }
-    let (cell_name, schema, horizon) = std::fs::read_to_string(dir.join(FILE_METADATA))
-        .map_err(|e| in_file(FILE_METADATA, CsvError::Io(e)))
-        .and_then(|meta| parse_metadata(&meta).map_err(|e| in_file(FILE_METADATA, e)))?;
-    Ok(Trace {
-        cell_name,
-        schema,
-        horizon,
-        machine_events: load::<MachineCodec>(dir)?,
-        collection_events: load::<CollectionCodec>(dir)?,
-        instance_events: load::<InstanceCodec>(dir)?,
-        usage: load::<UsageCodec>(dir)?,
-    })
 }
 
 /// The five file names of a trace directory.
@@ -1720,7 +1681,6 @@ mod tests {
         assert!(q.lines[0]
             .message
             .contains("machine_id 4294967296 out of range"));
-        assert!(read_trace_dir(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1794,7 +1754,8 @@ mod tests {
         let t = sample_trace();
         let dir = std::env::temp_dir().join(format!("borg_csv_test_{}", std::process::id()));
         write_trace_dir(&t, &dir).unwrap();
-        let back = read_trace_dir(&dir).unwrap();
+        let (back, q) = read_trace_dir_lenient(&dir);
+        assert!(q.is_clean(), "{}", q.summary());
         assert_eq!(back.cell_name, t.cell_name);
         assert_eq!(back.schema, t.schema);
         assert_eq!(back.horizon, t.horizon);
@@ -1818,27 +1779,6 @@ mod tests {
     fn half_specified_alloc_rejected() {
         let bad = b"header\n1,2,submit,,0.1,0.1,200,5,\n";
         assert!(read_instance_events(&bad[..]).is_err());
-    }
-
-    #[test]
-    fn directory_errors_name_the_table_file() {
-        let dir = std::env::temp_dir().join(format!("borg_csv_tbl_{}", std::process::id()));
-        write_trace_dir(&sample_trace(), &dir).unwrap();
-        // Damage one line of the instance table.
-        let path = dir.join(FILE_INSTANCE);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("x,oops\n");
-        std::fs::write(&path, text).unwrap();
-        let err = read_trace_dir(&dir).unwrap_err();
-        match &err {
-            CsvError::Table { file, source } => {
-                assert_eq!(file, FILE_INSTANCE);
-                assert!(matches!(**source, CsvError::Parse { .. }));
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-        assert!(err.to_string().contains(FILE_INSTANCE));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1901,7 +1841,6 @@ mod tests {
             std::fs::read_to_string(dir.join(FILE_METADATA)).unwrap(),
             "cell_name,schema,horizon\ncell d.2019-05 (a),v3-2019,172800000000\n"
         );
-        assert_eq!(read_trace_dir(&dir).unwrap().cell_name, t.cell_name);
         assert_eq!(read_trace_dir_lenient(&dir).0.cell_name, t.cell_name);
         std::fs::remove_dir_all(&dir).ok();
     }

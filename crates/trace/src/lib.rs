@@ -33,7 +33,6 @@ pub mod machine;
 pub mod priority;
 pub mod repair;
 pub mod resources;
-pub mod schema_2011;
 pub mod state;
 pub mod time;
 pub mod trace;

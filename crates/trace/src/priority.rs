@@ -70,11 +70,6 @@ impl PriorityBand2011 {
         PriorityBand2011(band.min(11))
     }
 
-    /// The raw priority value the band encoded (§3's translation table).
-    pub const fn raw_priority(self) -> Priority {
-        Priority(RAW_2011_PRIORITIES[self.0 as usize])
-    }
-
     /// The 2011 band of a raw priority: the index of the largest
     /// 2011-known raw value not exceeding it.
     pub fn from_raw(p: Priority) -> PriorityBand2011 {
@@ -133,18 +128,6 @@ impl Tier {
         Tier::Production,
     ];
 
-    /// A representative raw 2019 priority inside the tier, used by
-    /// generators.
-    pub const fn representative_priority(self) -> Priority {
-        match self {
-            Tier::Free => Priority(25),
-            Tier::BestEffortBatch => Priority(112),
-            Tier::Mid => Priority(117),
-            Tier::Production => Priority(200),
-            Tier::Monitoring => Priority(400),
-        }
-    }
-
     /// Short name used in reports ("free", "beb", "mid", "prod", "mon").
     pub const fn short_name(self) -> &'static str {
         match self {
@@ -154,11 +137,6 @@ impl Tier {
             Tier::Production => "prod",
             Tier::Monitoring => "mon",
         }
-    }
-
-    /// True when the tier exists in the 2011 trace (mid does not).
-    pub const fn present_in_2011(self) -> bool {
-        !matches!(self, Tier::Mid)
     }
 }
 
@@ -199,18 +177,12 @@ mod tests {
     }
 
     #[test]
-    fn band_translation_table() {
-        // §3: band 3 in 2011 corresponds to raw priority 101.
-        assert_eq!(PriorityBand2011::new(3).raw_priority(), Priority(101));
-        assert_eq!(PriorityBand2011::new(0).raw_priority(), Priority(0));
-        assert_eq!(PriorityBand2011::new(11).raw_priority(), Priority(450));
-    }
-
-    #[test]
     fn band_from_raw_round_trips() {
-        for band in 0..=11u8 {
-            let b = PriorityBand2011::new(band);
-            assert_eq!(PriorityBand2011::from_raw(b.raw_priority()), b);
+        // §3: band 3 in 2011 corresponds to raw priority 101.
+        assert_eq!(PriorityBand2011::from_raw(Priority(101)).0, 3);
+        for (band, &raw) in RAW_2011_PRIORITIES.iter().enumerate() {
+            let b = PriorityBand2011::new(band as u8);
+            assert_eq!(PriorityBand2011::from_raw(Priority(raw)), b);
         }
         // In-between values map to the band below.
         assert_eq!(PriorityBand2011::from_raw(Priority(102)).0, 3);
@@ -226,18 +198,5 @@ mod tests {
         assert_eq!(PriorityBand2011::new(9).tier(), Tier::Production);
         assert_eq!(PriorityBand2011::new(10).tier(), Tier::Production);
         assert_eq!(PriorityBand2011::new(11).tier(), Tier::Monitoring);
-    }
-
-    #[test]
-    fn representative_priorities_map_back() {
-        for tier in Tier::ALL {
-            assert_eq!(tier.representative_priority().tier(), tier);
-        }
-    }
-
-    #[test]
-    fn mid_absent_in_2011() {
-        assert!(!Tier::Mid.present_in_2011());
-        assert!(Tier::Production.present_in_2011());
     }
 }

@@ -16,8 +16,8 @@ use borg_sim::{
     corrupt_trace, write_trace_dir_lossy, CellSim, CorruptionConfig, FaultConfig, SimConfig,
 };
 use borg_trace::csv::{
-    self, read_trace_dir, read_trace_dir_lenient, write_trace_dir, Quarantine, FILE_COLLECTION,
-    FILE_INSTANCE, FILE_MACHINE, FILE_METADATA, FILE_USAGE,
+    self, read_trace_dir_lenient, write_trace_dir, Quarantine, FILE_COLLECTION, FILE_INSTANCE,
+    FILE_MACHINE, FILE_METADATA, FILE_USAGE,
 };
 use borg_trace::repair::{repair, RepairReport};
 use borg_trace::trace::Trace;
@@ -188,8 +188,6 @@ fn readers_ingest_the_same_rows_and_quarantine() {
         assert_traces_equal(&ours, t, &format!("{cell}: round trip"));
         assert_quarantines_equal(&q, &rq, cell);
         assert!(q.is_clean());
-        let strict = read_trace_dir(&dir).expect("clean directory reads strictly");
-        assert_traces_equal(&strict, t, &format!("{cell}: strict"));
         std::fs::remove_dir_all(&dir).ok();
     }
     let mut quarantined = 0;
@@ -199,14 +197,6 @@ fn readers_ingest_the_same_rows_and_quarantine() {
         assert_traces_equal(&ours, &theirs, what);
         assert_quarantines_equal(&q, &rq, what);
         quarantined += q.total_lines();
-        // The strict reader stops where the reference's first rejected
-        // line is, with the same message.
-        let strict = read_trace_dir(dir).map(|_| ()).map_err(|e| e.to_string());
-        let want = match rq.lines.first() {
-            Some(l) => Err(format!("{}: {}", l.file, l.message)),
-            None => Ok(()),
-        };
-        assert_eq!(strict, want, "{what}: strict reader");
     });
     assert!(quarantined > 0, "the harsh profile garbles lines");
 }

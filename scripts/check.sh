@@ -12,7 +12,7 @@ usage() {
     cat <<'EOF'
 usage: scripts/check.sh [MODE]
 
-Default (no flag): lint, fmt, clippy, build, tests, paper and profile smoke.
+Default (no flag): lint, fmt, clippy, build, doc links, tests, paper and profile smoke.
 
 Modes (at most one):
   --lint        borg-lint only (fast pre-commit loop; honors $LINT_BASELINE)
@@ -186,6 +186,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
+
+echo "==> cargo doc (deny broken intra-doc links)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test"
 cargo test --workspace --offline -q

@@ -8,7 +8,6 @@ use borg2019::query::prelude::*;
 use borg2019::query::Agg;
 use borg2019::sim::CellOutcome;
 use borg2019::trace::priority::Tier;
-use borg2019::trace::schema_2011::downgrade;
 use borg2019::trace::validate::validate;
 use borg2019::workload::cells::CellProfile;
 use std::sync::OnceLock;
@@ -36,33 +35,11 @@ fn whole_pipeline_produces_valid_traces() {
 }
 
 #[test]
-fn downgraded_2019_trace_is_valid_2011() {
-    let v2 = downgrade(&cell_b().trace);
-    assert_eq!(
-        v2.schema,
-        Some(borg2019::trace::trace::SchemaVersion::V2Trace2011)
-    );
-    assert!(validate(&v2).is_empty());
-    // Every collection in the v2 view is a plain job with band-quantized
-    // priority.
-    for info in v2.collections().values() {
-        assert_eq!(
-            info.collection_type,
-            borg2019::trace::collection::CollectionType::Job
-        );
-        let raw = info.priority.raw();
-        assert!(
-            borg2019::trace::priority::RAW_2011_PRIORITIES.contains(&raw),
-            "priority {raw} is not a 2011 band value"
-        );
-    }
-}
-
-#[test]
 fn csv_round_trip_of_simulated_trace() {
     let dir = std::env::temp_dir().join(format!("borg_e2e_{}", std::process::id()));
     borg2019::trace::csv::write_trace_dir(&cell_b().trace, &dir).expect("write");
-    let back = borg2019::trace::csv::read_trace_dir(&dir).expect("read");
+    let (back, q) = borg2019::trace::csv::read_trace_dir_lenient(&dir);
+    assert!(q.is_clean(), "{}", q.summary());
     assert_eq!(
         back.collection_events.len(),
         cell_b().trace.collection_events.len()
@@ -104,6 +81,36 @@ fn longitudinal_rates_grow() {
     assert!(
         r2019 > r2011 * 1.5,
         "2019 median job rate {r2019} vs 2011 {r2011}"
+    );
+    // All-task submissions grow with the jobs.
+    let task_rate = |o| {
+        let (_, all_tasks) = submission::task_rate_ccdfs(o, scale);
+        all_tasks.median().unwrap()
+    };
+    let (t2011, t2019) = (task_rate(cell_2011()), task_rate(cell_b()));
+    assert!(
+        t2019 > t2011,
+        "2019 median task rate {t2019} vs 2011 {t2011}"
+    );
+    // §4's tier migration: work moves into best-effort batch and out of
+    // the free tier.
+    let share = |o: &CellOutcome, tier| {
+        let by_tier = o.metrics.average_cpu_util_by_tier();
+        by_tier.get(&tier).copied().unwrap_or(0.0)
+    };
+    let beb = |o| share(o, Tier::BestEffortBatch);
+    let free = |o| share(o, Tier::Free);
+    assert!(
+        beb(cell_b()) > beb(cell_2011()),
+        "best-effort batch share: 2011 {} vs 2019 {}",
+        beb(cell_2011()),
+        beb(cell_b())
+    );
+    assert!(
+        free(cell_b()) < free(cell_2011()),
+        "free share: 2011 {} vs 2019 {}",
+        free(cell_2011()),
+        free(cell_b())
     );
 }
 
