@@ -37,22 +37,6 @@ pub fn mm1_mean_queueing_delay(rho: f64) -> Option<f64> {
     mg1_mean_queueing_delay(rho, 1.0)
 }
 
-/// The load at which an M/G/1 queue with variability `c_squared` reaches a
-/// target mean queueing delay (in mean-service-time units).
-///
-/// This inverts [`mg1_mean_queueing_delay`]; useful for the paper's point
-/// that with C² ≈ 23 000 even a *tiny* load produces large delays.
-///
-/// Returns `None` for non-positive targets or negative `c_squared`.
-pub fn mg1_load_for_delay(target_delay: f64, c_squared: f64) -> Option<f64> {
-    if target_delay <= 0.0 || c_squared < 0.0 || !c_squared.is_finite() {
-        return None;
-    }
-    let k = (c_squared + 1.0) / 2.0;
-    // delay = rho/(1-rho) * k  =>  rho = delay / (delay + k)
-    Some(target_delay / (target_delay + k))
-}
-
 /// Slowdown factor from serving a mixed hog/mouse workload in one queue
 /// versus isolating the mice, under M/G/1 with the given per-class C².
 ///
@@ -103,17 +87,6 @@ mod tests {
         assert_eq!(mg1_mean_queueing_delay(-0.1, 1.0), None);
         assert_eq!(mg1_mean_queueing_delay(0.5, -1.0), None);
         assert_eq!(mg1_mean_queueing_delay(0.5, f64::NAN), None);
-    }
-
-    #[test]
-    fn load_for_delay_inverts() {
-        let c2 = 23_312.0;
-        let rho = mg1_load_for_delay(10.0, c2).unwrap();
-        let d = mg1_mean_queueing_delay(rho, c2).unwrap();
-        assert!((d - 10.0).abs() < 1e-9);
-        // With enormous C², only a minuscule load keeps delay at 10 service
-        // times.
-        assert!(rho < 0.001, "rho = {rho}");
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl LinearFit {
             n,
         })
     }
-
-    /// Predicted y at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 #[cfg(test)]
@@ -127,12 +122,6 @@ mod tests {
         let fit = LinearFit::fit(&[(0.0, 3.0), (1.0, 3.0), (2.0, 3.0)]).unwrap();
         assert_eq!(fit.slope, 0.0);
         assert_eq!(fit.r_squared, 1.0);
-    }
-
-    #[test]
-    fn predict_roundtrip() {
-        let fit = LinearFit::fit(&[(0.0, 1.0), (2.0, 5.0)]).unwrap();
-        assert!((fit.predict(1.0) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use borg_analysis::ccdf::Ccdf;
 use borg_sim::CellOutcome;
-use borg_trace::trace::Trace;
 
 /// The CCDF of machine CPU utilization at the snapshot.
 pub fn cpu_ccdf(outcome: &CellOutcome) -> Ccdf {
@@ -41,22 +40,6 @@ pub fn fraction_above_cpu(outcome: &CellOutcome, threshold: f64) -> f64 {
     cpu_ccdf(outcome).eval(threshold)
 }
 
-/// CCDF of within-window CPU burstiness — the ratio of the 99th to the
-/// 50th percentile of the 21-point CPU histograms the v3 trace attaches
-/// to every usage sample (§3). A ratio near 1 is steady consumption; high
-/// ratios are bursty tasks whose peaks drive the §8 slack metric.
-pub fn burstiness_ccdf(trace: &Trace) -> Ccdf {
-    Ccdf::from_samples(trace.usage.iter().filter_map(|u| {
-        let p50 = f64::from(u.cpu_histogram.median());
-        let p99 = f64::from(u.cpu_histogram.0[19]);
-        if p50 > 1e-9 {
-            Some(p99 / p50)
-        } else {
-            None
-        }
-    }))
-}
-
 #[cfg(test)]
 // Exact equality below asserts deterministically-computed values reproduce
 // bit-for-bit; approximate comparison would mask a determinism regression.
@@ -92,15 +75,5 @@ mod tests {
         let lo = fraction_above_cpu(outcome(), 0.2);
         let hi = fraction_above_cpu(outcome(), 0.8);
         assert!(lo >= hi);
-    }
-
-    #[test]
-    fn burstiness_at_least_one() {
-        let c = burstiness_ccdf(&outcome().trace);
-        assert!(!c.is_empty(), "usage samples carry histograms");
-        // p99 ≥ p50 in a monotone histogram, so the ratio is ≥ 1.
-        assert!(c.samples().iter().all(|&r| r >= 1.0 - 1e-6));
-        // The workload's within-window peaks make some samples bursty.
-        assert!(c.median().unwrap() > 1.0);
     }
 }

@@ -26,8 +26,7 @@
 use borg_query::{bridge, col, lit, Agg, Query, SortOrder};
 use borg_serve::{
     generate_arrivals, open_loop_gap_us, overload_admission, ChaosConfig, Epoch, ModelCost,
-    RecorderConfig, RetryPolicy, ServeConfig, ServeSim, SloConfig, Tier, WitnessConfig,
-    WorkloadSpec,
+    ServeConfig, ServeSim, Tier, WorkloadSpec,
 };
 use borg_sim::{CellSim, SimConfig};
 use borg_telemetry::{
@@ -276,16 +275,7 @@ fn main() {
         let admission = overload_admission();
         let chaos = ChaosConfig::moderate(opts.seed);
         let gap = open_loop_gap_us(&admission, &ModelCost::default(), &chaos, 1.0, 1.5);
-        let cfg = ServeConfig {
-            admission,
-            retry: RetryPolicy::default_with_seed(opts.seed),
-            breaker_threshold: 5,
-            breaker_cooloff_us: 50_000,
-            chaos,
-            slo: SloConfig::for_admission(&admission),
-            witness: WitnessConfig::on(),
-            recorder: RecorderConfig::standard(),
-        };
+        let cfg = ServeConfig::new(admission, chaos, opts.seed);
         let spec = WorkloadSpec {
             seed: opts.seed,
             queries: 1_000,

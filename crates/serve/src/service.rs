@@ -171,20 +171,26 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Small test profile with chaos off; observability on, with SLO
-    /// objectives derived from the admission deadlines.
-    pub fn small(seed: u64) -> ServeConfig {
-        let admission = AdmissionConfig::small();
+    /// The standard service around `admission` and `chaos`: retries
+    /// seeded with `seed`, a breaker that opens after 5 consecutive
+    /// failures for 50 ms, SLO objectives derived from the admission
+    /// deadlines, and the witness and flight recorder on.
+    pub fn new(admission: AdmissionConfig, chaos: ChaosConfig, seed: u64) -> ServeConfig {
         ServeConfig {
             admission,
             retry: RetryPolicy::default_with_seed(seed),
             breaker_threshold: 5,
             breaker_cooloff_us: 50_000,
-            chaos: ChaosConfig::off(),
+            chaos,
             slo: SloConfig::for_admission(&admission),
             witness: WitnessConfig::on(),
             recorder: RecorderConfig::standard(),
         }
+    }
+
+    /// Small test profile with chaos off.
+    pub fn small(seed: u64) -> ServeConfig {
+        ServeConfig::new(AdmissionConfig::small(), ChaosConfig::off(), seed)
     }
 }
 

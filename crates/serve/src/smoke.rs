@@ -8,8 +8,7 @@
 //! the real engine. It is deliberately non-deterministic (wall-clock
 //! timing), so its contract is coarse: every query reaches a terminal
 //! outcome (clean drain), prod never misses its (generous) deadline,
-//! and the run finishes fast. `scripts/check.sh --serve` pins exactly
-//! that.
+//! and the run finishes fast. The unit test below pins exactly that.
 //!
 //! Times read here come from [`borg_telemetry::clock::now_ns`] — the
 //! workspace's single blessed wall-clock routing point — and feed only
@@ -19,13 +18,9 @@
 use crate::chaos::ChaosConfig;
 use crate::epoch::Epoch;
 use crate::pool::{run_serve_job, JobResult, ServeJob, ServePool};
-use crate::recorder::RecorderConfig;
-use crate::retry::RetryPolicy;
 use crate::service::{Action, AttemptResult, Outcome, ServeConfig, Service, ServiceStats};
 use crate::sim::{generate_arrivals, WorkloadSpec};
-use crate::slo::SloConfig;
 use crate::tier::{AdmissionConfig, Tier, TierPolicy};
-use crate::witness::WitnessConfig;
 use borg_telemetry::clock::now_ns;
 use std::sync::Arc;
 
@@ -105,8 +100,8 @@ fn smoke_chaos(seed: u64) -> ChaosConfig {
     }
 }
 
-/// Wall-clock budget for one smoke run. `check.sh --serve` requires
-/// completion well under 10 s; a run that exceeds this is reported as
+/// Wall-clock budget for one smoke run. The smoke test requires
+/// completion within it; a run that exceeds this is reported as
 /// not drained rather than hanging the harness.
 const SMOKE_BUDGET_US: u64 = 10_000_000;
 
@@ -114,20 +109,10 @@ const SMOKE_BUDGET_US: u64 = 10_000_000;
 /// a real thread pool, on the wall clock. See the module docs for the
 /// contract.
 pub fn run_smoke(epoch: Arc<Epoch>, seed: u64) -> SmokeReport {
-    let admission = smoke_admission();
-    let cfg = ServeConfig {
-        admission,
-        retry: RetryPolicy::default_with_seed(seed),
-        breaker_threshold: 5,
-        breaker_cooloff_us: 50_000,
-        chaos: smoke_chaos(seed),
-        // The same SLO engine runs on the blessed clock here: alert
-        // content is timing-flavored (do not pin), but the machinery
-        // is exercised against real threads.
-        slo: SloConfig::for_admission(&admission),
-        witness: WitnessConfig::on(),
-        recorder: RecorderConfig::standard(),
-    };
+    // The same SLO engine runs on the blessed clock here: alert content
+    // is timing-flavored (do not pin), but the machinery is exercised
+    // against real threads.
+    let cfg = ServeConfig::new(smoke_admission(), smoke_chaos(seed), seed);
     let spec = WorkloadSpec {
         seed,
         queries: 200,

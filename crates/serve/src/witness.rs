@@ -26,7 +26,7 @@
 //! The witness also keeps per-tier **histogram exemplars**: for each
 //! latency bucket of the per-tier histogram, the trace id of the first
 //! completion that landed there — the hook that resolves "p99 spiked"
-//! to a concrete span tree (see `serve_slo`).
+//! to a concrete span tree (the `serve` report prints one).
 
 use crate::tier::Tier;
 use borg_query::fxhash::FxHasher;

@@ -586,6 +586,11 @@ impl<'a> CellSim<'a> {
         if self.allocs[alloc].instances[inst].sm.apply(ev).is_ok() {
             self.metrics.instance_transitions.record(from, ev);
             self.trace.instance_events.push(event);
+        } else {
+            debug_assert!(
+                false,
+                "illegal alloc-instance transition: {ev} from {from:?}"
+            );
         }
     }
 

@@ -13,6 +13,10 @@ use borg_trace::state::EventType;
 use borg_trace::time::Micros;
 use borg_workload::dist::{Exponential, Sample};
 
+/// Mean scheduler decision time per task, in microseconds (the Borg
+/// scheduler takes O(seconds) per job; Figure 10's delays are seconds).
+const MEAN_DECISION_MICROS: f64 = 400_000.0;
+
 impl CellSim<'_> {
     /// Adds an occupant to a machine, keeping the placement index
     /// current. Every machine mutation must flow through this or
@@ -44,7 +48,7 @@ impl CellSim<'_> {
     /// one evaluation — so consecutive placements for the same job are an
     /// order of magnitude cheaper than a fresh job's first task.
     fn decision_time(&mut self, job: usize) -> Micros {
-        let mut mean = self.cfg.mean_decision_micros as f64;
+        let mut mean = MEAN_DECISION_MICROS;
         if self.last_dispatched_job == Some(job) {
             mean /= self.cfg.equivalence_class_speedup;
         }

@@ -27,9 +27,6 @@ pub struct SimConfig {
     /// The 5-minute window (by start time) at which to snapshot per-machine
     /// utilization for Figure 6; defaults to day 15, 13:00.
     pub snapshot_at: Micros,
-    /// Mean scheduler decision time per task, in microseconds (the Borg
-    /// scheduler takes O(seconds) per job; Figure 10's delays are seconds).
-    pub mean_decision_micros: u64,
     /// Per-machine maintenance sweeps per 30 days (§5.2: "a forced OS
     /// upgrade about 1/month per machine").
     pub maintenance_per_month: f64,
@@ -78,7 +75,6 @@ impl SimConfig {
             task_cap: Some(500),
             keep_usage_every: 101,
             snapshot_at: Micros::from_days(15) + Micros::from_hours(13),
-            mean_decision_micros: 400_000,
             maintenance_per_month: 1.0,
             equivalence_class_speedup: 20.0,
             disable_batch_queue: false,
@@ -101,7 +97,6 @@ impl SimConfig {
             task_cap: Some(100),
             keep_usage_every: 11,
             snapshot_at: Micros::from_days(1),
-            mean_decision_micros: 400_000,
             maintenance_per_month: 1.0,
             equivalence_class_speedup: 20.0,
             disable_batch_queue: false,
@@ -159,10 +154,6 @@ impl SimConfig {
             "usage interval below trace resolution"
         );
         assert!(self.keep_usage_every >= 1, "keep_usage_every >= 1");
-        assert!(
-            self.mean_decision_micros > 0,
-            "decision time must be positive"
-        );
         assert!(
             self.equivalence_class_speedup >= 1.0,
             "equivalence-class speedup must be >= 1"

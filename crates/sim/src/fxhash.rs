@@ -15,17 +15,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` with the deterministic [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` with the deterministic [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
-
-/// Snapshot of a hash map's entries in key-sorted order — the blessed
-/// way (borg-lint rule D1) to iterate an [`FxHashMap`] when anything
-/// order-sensitive is derived from the traversal.
-pub fn sorted_entries<K: Ord + Copy, V: Clone>(map: &FxHashMap<K, V>) -> Vec<(K, V)> {
-    let mut v: Vec<(K, V)> = map.iter().map(|(k, v)| (*k, v.clone())).collect();
-    v.sort_unstable_by_key(|e| e.0);
-    v
-}
 
 /// Multiplier from FxHash (Firefox's hasher): odd, high bit entropy.
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;

@@ -110,13 +110,6 @@ pub struct CollectionEvent {
     pub user_id: UserId,
 }
 
-impl CollectionEvent {
-    /// True when this row describes a job (not an alloc set).
-    pub fn is_job(&self) -> bool {
-        self.collection_type == CollectionType::Job
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,23 +119,6 @@ mod tests {
         assert_eq!(CollectionType::Job.name(), "job");
         assert_eq!(CollectionType::AllocSet.name(), "alloc_set");
         assert_eq!(VerticalScalingMode::Full.name(), "full");
-    }
-
-    #[test]
-    fn is_job() {
-        let ev = CollectionEvent {
-            time: Micros::ZERO,
-            collection_id: CollectionId(1),
-            event_type: EventType::Submit,
-            collection_type: CollectionType::AllocSet,
-            priority: Priority::new(200),
-            scheduler: SchedulerKind::Default,
-            vertical_scaling: VerticalScalingMode::Off,
-            parent_id: None,
-            alloc_collection_id: None,
-            user_id: UserId(0),
-        };
-        assert!(!ev.is_job());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Both public traces timestamp events in microseconds from the start of
 //! the trace window. [`Micros`] is a thin wrapper that keeps that unit
-//! explicit and provides the hour/day bucketing the analyses rely on.
+//! explicit.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -66,24 +66,9 @@ impl Micros {
         self.0 as f64 / MICROS_PER_DAY as f64
     }
 
-    /// Index of the hour-long bucket containing this timestamp.
-    pub const fn hour_index(self) -> u64 {
-        self.0 / MICROS_PER_HOUR
-    }
-
-    /// Index of the day containing this timestamp (day 0 is the first).
-    pub const fn day_index(self) -> u64 {
-        self.0 / MICROS_PER_DAY
-    }
-
     /// Index of the 5-minute usage window containing this timestamp.
     pub const fn five_minute_index(self) -> u64 {
         self.0 / MICROS_PER_FIVE_MINUTES
-    }
-
-    /// Start of the 5-minute window containing this timestamp.
-    pub const fn five_minute_floor(self) -> Micros {
-        Micros(self.0 / MICROS_PER_FIVE_MINUTES * MICROS_PER_FIVE_MINUTES)
     }
 
     /// Saturating subtraction.
@@ -161,13 +146,7 @@ mod tests {
     #[test]
     fn bucketing() {
         let t = Micros::from_hours(25) + Micros::from_minutes(7);
-        assert_eq!(t.hour_index(), 25);
-        assert_eq!(t.day_index(), 1);
         assert_eq!(t.five_minute_index(), 25 * 12 + 1);
-        assert_eq!(
-            t.five_minute_floor(),
-            Micros::from_hours(25) + Micros::from_minutes(5)
-        );
     }
 
     #[test]

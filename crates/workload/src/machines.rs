@@ -70,15 +70,6 @@ impl MachineCatalog {
         ps.dedup();
         ps.len()
     }
-
-    /// Weighted mean capacity of a machine drawn from the catalogue.
-    pub fn mean_capacity(&self) -> Resources {
-        let total: f64 = self.shapes.iter().map(|(_, w)| w).sum();
-        self.shapes
-            .iter()
-            .map(|(s, w)| s.capacity * (*w / total))
-            .sum()
-    }
 }
 
 /// The 2011-era catalogue: 10 shapes, 3 platforms (Table 1). The dominant
@@ -174,13 +165,6 @@ mod tests {
             .count();
         let frac = dominant as f64 / n as f64;
         assert!((frac - 0.53).abs() < 0.02, "frac = {frac}");
-    }
-
-    #[test]
-    fn mean_capacity_reasonable() {
-        let m = catalog_2019().mean_capacity();
-        assert!(m.cpu > 0.3 && m.cpu < 0.9, "mean cpu = {}", m.cpu);
-        assert!(m.mem > 0.2 && m.mem < 0.8, "mean mem = {}", m.mem);
     }
 
     #[test]

@@ -21,8 +21,8 @@ Modes (at most one):
              f32 bucket writer against Display on all 2^32 bit patterns
              (release build; 5.5 min of the mode's 6.5 on two cores)
   --shards   sharded-placement equivalence suite only (bit-identity sweep)
-  --serve    borg-serve fast loop only (unit tests + wall-clock chaos smoke)
-  --slo      observability fast loop only (witness/SLO/recorder tests + serve_slo)
+  --serve    borg-serve only (unit tests incl. the wall-clock chaos smoke,
+             the serve determinism/witness/equivalence suites, serve report)
   --profile  telemetry profile report only (512-machine cell-day breakdown); fails if the
              placement index answered nothing or walks more log per revalidation than its cutoff
   --pipeline pipeline-bench self-check only (benchmark/run.sh --check: unit tests + 5 tiny workloads)
@@ -34,7 +34,7 @@ EOF
 mode=
 for arg in "$@"; do
     case "$arg" in
-    --bench | --lint | --lint-graph | --chaos | --shards | --serve | --slo | --profile | --pipeline)
+    --bench | --lint | --lint-graph | --chaos | --shards | --serve | --profile | --pipeline)
         if [ -n "$mode" ]; then
             echo "more than one mode: $mode $arg" >&2
             usage >&2
@@ -105,24 +105,13 @@ if [ "$mode" = --shards ]; then
 fi
 
 if [ "$mode" = --serve ]; then
-    echo "==> borg-serve unit tests"
+    echo "==> borg-serve unit tests (incl. wall-clock chaos smoke)"
     cargo test -p borg-serve --offline -q
-    echo "==> serve smoke (wall-clock chaos: stalls, panics, tiered deadlines)"
-    cargo run -q -p borg-experiments --offline --bin serve_smoke -- --scale tiny
+    echo "==> serve determinism, witness and equivalence suites"
+    cargo test -p borg2019 --offline -q --test serve_determinism --test serve_witness --test serve_equivalence
+    echo "==> serve report (2x overload, SLO incident, controls)"
+    cargo run -q --release -p borg-experiments --offline --bin serve -- --scale tiny
     echo "Serve check passed."
-    exit 0
-fi
-
-if [ "$mode" = --slo ]; then
-    echo "==> observability unit tests (witness, slo, recorder)"
-    cargo test -p borg-serve --offline -q --lib witness::
-    cargo test -p borg-serve --offline -q --lib slo::
-    cargo test -p borg-serve --offline -q --lib recorder::
-    echo "==> witness determinism suite"
-    cargo test -p borg2019 --test serve_witness --offline -q
-    echo "==> serve_slo (incident replay, exemplar drill-down, control)"
-    cargo run -q --release -p borg-experiments --offline --bin serve_slo -- --scale tiny
-    echo "SLO check passed."
     exit 0
 fi
 

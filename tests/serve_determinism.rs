@@ -5,11 +5,14 @@
 //! is that none of it leaks nondeterminism — for a fixed seed and
 //! stall schedule, two runs of the virtual-time driver produce a
 //! byte-identical event log and identical shed / expired / retried
-//! query-id sets; a different seed produces a different schedule.
+//! query-id sets; a different seed produces a different schedule. Under
+//! 2× overload the decisions also follow the admission design's order:
+//! best-effort sheds, prod is never shed and keeps its deadline.
 
 use borg2019::core::pipeline::{simulate_cell, SimScale};
 use borg2019::serve::{
-    generate_arrivals, ChaosConfig, Epoch, Outcome, ServeConfig, ServeSim, SimReport, WorkloadSpec,
+    generate_arrivals, open_loop_gap_us, overload_admission, ChaosConfig, Epoch, ModelCost,
+    Outcome, ServeConfig, ServeSim, SimReport, Tier, WorkloadSpec,
 };
 use borg2019::workload::cells::CellProfile;
 use std::sync::Arc;
@@ -101,4 +104,46 @@ fn every_query_gets_exactly_one_outcome() {
     assert_eq!(r.outcomes.len(), 300);
     let ids: std::collections::BTreeSet<u64> = r.outcomes.iter().map(|(id, _)| *id).collect();
     assert_eq!(ids.len(), 300, "duplicate terminal outcomes");
+}
+
+/// The degradation order under `serve`'s overload: at twice what the
+/// service can serve, with moderate chaos, the overload lands on the
+/// lower tiers and prod keeps its deadline — replayably.
+#[test]
+fn overload_sheds_best_effort_and_protects_prod() {
+    let epoch = tiny_epoch();
+    let admission = overload_admission();
+    let prod_deadline_us = admission.tiers[Tier::Prod.index()].deadline_us;
+    for seed in 2019..=2021 {
+        let chaos = ChaosConfig::moderate(seed);
+        let arrivals = generate_arrivals(&WorkloadSpec {
+            seed,
+            queries: 3_000,
+            mean_gap_us: open_loop_gap_us(&admission, &ModelCost::default(), &chaos, 1.0, 2.0),
+            tier_mix: [0.10, 0.40, 0.50],
+            epochs: vec!["a".into()],
+        });
+        let run = || {
+            let cfg = ServeConfig::new(admission, chaos, seed);
+            ServeSim::default().run(cfg, std::slice::from_ref(&epoch), &arrivals)
+        };
+        let r = run();
+        assert_eq!(r.stats.sheds(Tier::Prod), 0, "seed {seed}: prod was shed");
+        let prod_p99 = r.stats.latency_quantile_us(Tier::Prod, 0.99);
+        assert!(
+            prod_p99 <= prod_deadline_us,
+            "seed {seed}: prod p99 {prod_p99}us over its {prod_deadline_us}us deadline"
+        );
+        assert!(
+            r.stats.sheds(Tier::BestEffort) > 0,
+            "seed {seed}: best-effort absorbed none of the overload"
+        );
+        let ids: std::collections::BTreeSet<u64> = r.outcomes.iter().map(|(id, _)| *id).collect();
+        assert_eq!(
+            (r.outcomes.len(), ids.len()),
+            (3_000, 3_000),
+            "seed {seed}: one outcome per query"
+        );
+        assert_eq!(r.digest(), run().digest(), "seed {seed}: not replayable");
+    }
 }

@@ -9,7 +9,8 @@
 
 use borg2019::core::pipeline::{simulate_cell, SimScale};
 use borg2019::serve::{
-    generate_arrivals, ChaosConfig, Epoch, SegKind, ServeConfig, ServeSim, SimReport, Tier,
+    generate_arrivals, open_loop_gap_us, overload_admission, ChaosConfig, Epoch, ModelCost,
+    RecorderConfig, SegKind, ServeConfig, ServeSim, SimReport, SloConfig, Tier, WitnessConfig,
     WorkloadSpec,
 };
 use borg2019::workload::cells::CellProfile;
@@ -164,4 +165,67 @@ fn trace_ids_are_unique_and_stable() {
     assert_eq!(ids_a, ids_b, "minted trace ids differ across replays");
     let set: std::collections::BTreeSet<u64> = ids_a.iter().copied().collect();
     assert_eq!(set.len(), 300, "trace-id collision");
+}
+
+/// `serve`'s incident: 2 000 queries at 1.5× the overload admission's
+/// capacity with 8% attempt panics; the witness, SLO engine and recorder
+/// are all on when `observe` is set and all off otherwise.
+fn incident(epoch: &Arc<Epoch>, seed: u64, observe: bool) -> SimReport {
+    let admission = overload_admission();
+    let chaos = ChaosConfig {
+        panic_prob: 0.08,
+        ..ChaosConfig::moderate(seed)
+    };
+    let on = ServeConfig::new(admission, chaos, seed);
+    let cfg = if observe {
+        on
+    } else {
+        ServeConfig {
+            slo: SloConfig::off(),
+            witness: WitnessConfig::off(),
+            recorder: RecorderConfig::off(),
+            ..on
+        }
+    };
+    let arrivals = generate_arrivals(&WorkloadSpec {
+        seed,
+        queries: 2_000,
+        mean_gap_us: open_loop_gap_us(&admission, &ModelCost::default(), &chaos, 1.0, 1.5),
+        tier_mix: [0.10, 0.40, 0.50],
+        epochs: vec!["a".into()],
+    });
+    ServeSim::default().run(cfg, std::slice::from_ref(epoch), &arrivals)
+}
+
+/// DESIGN.md §17: the witness, the SLO engine and the flight recorder
+/// observe the decisions and never change one.
+#[test]
+fn observability_is_a_pure_observer() {
+    let epoch = tiny_epoch();
+    for seed in 2019..=2021 {
+        let on = incident(&epoch, seed, true);
+        let off = incident(&epoch, seed, false);
+        assert!(off.witness.is_empty() && off.alerts.is_empty());
+        assert_eq!(
+            on.log, off.log,
+            "seed {seed}: observability moved a decision"
+        );
+    }
+}
+
+#[test]
+fn incident_alerts_and_prod_has_an_exemplar() {
+    let epoch = tiny_epoch();
+    for seed in 2019..=2021 {
+        let r = incident(&epoch, seed, true);
+        assert!(
+            !r.alerts.is_empty(),
+            "seed {seed}: the incident paged no one"
+        );
+        let prod = &r.stats.latency_us[Tier::Prod.index()];
+        assert!(
+            r.witness.exemplar_for(Tier::Prod, prod, 0.99).is_some(),
+            "seed {seed}: prod has no p99 exemplar to drill into"
+        );
+    }
 }
