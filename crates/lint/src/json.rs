@@ -10,17 +10,13 @@
 //!
 //! ```json
 //! {
-//!   "version": 1,
+//!   "version": 2,
 //!   "findings": [{"file", "line", "rule", "slug", "message"}],
 //!   "unused_suppressions": [{"file", "line", "marker", "known"}],
 //!   "unused_baseline": ["path:line:RULE"],
-//!   "timings_ms": {"lex": 1.2, "parse": 0.8, "graph": 0.3, "D1": …},
+//!   "timings_ms": {"lex": 1.2, "D1": 0.3, …},
 //!   "total_ms": 12.5,
-//!   "files": 93,
-//!   "fns": 812,
-//!   "contract_reachable_fns": 120,
-//!   "pool_reachable_fns": 95,
-//!   "contract_files": ["crates/sim/src/cell.rs", …]
+//!   "files": 93
 //! }
 //! ```
 
@@ -50,7 +46,7 @@ fn num(ms: f64) -> String {
 
 /// Renders the full report as a single JSON document.
 pub fn render_report(r: &WorkspaceReport) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
+    let mut out = String::from("{\n  \"version\": 2,\n  \"findings\": [");
     for (i, d) in r.diags.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -108,23 +104,8 @@ pub fn render_report(r: &WorkspaceReport) -> String {
     }
     out.push_str("},\n");
 
-    let contract_fns = r.reach.contract.iter().filter(|&&b| b).count();
-    let pool_fns = r.reach.pool.iter().filter(|&&b| b).count();
     out.push_str(&format!("  \"total_ms\": {},\n", num(r.total_ms)));
-    out.push_str(&format!("  \"files\": {},\n", r.n_files));
-    out.push_str(&format!("  \"fns\": {},\n", r.graph.nodes.len()));
-    out.push_str(&format!(
-        "  \"contract_reachable_fns\": {contract_fns},\n  \"pool_reachable_fns\": {pool_fns},\n"
-    ));
-
-    out.push_str("  \"contract_files\": [");
-    for (i, f) in r.contract_files().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", escape(f)));
-    }
-    out.push_str("]\n}\n");
+    out.push_str(&format!("  \"files\": {}\n}}\n", r.n_files));
     out
 }
 
@@ -147,7 +128,7 @@ mod tests {
             &Allowlist::empty(),
         );
         let json = render_report(&report);
-        assert!(json.contains("\"version\": 1"));
+        assert!(json.contains("\"version\": 2"));
         assert!(json.contains("\"rule\": \"S2\""));
         assert!(json.contains("\"total_ms\""));
         // Balanced braces/brackets — a cheap well-formedness check.

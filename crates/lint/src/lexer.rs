@@ -40,14 +40,10 @@ pub struct Tok {
 
 /// Multi-char operators, longest first so maximal munch works.
 ///
-/// Deliberately absent: `<<`, `>>`, `<<=`, `>>=`. The item parser
-/// ([`crate::parse`]) tracks generic-argument depth by counting `<` and
-/// `>` tokens, and a glued `>>` would swallow both closers of
-/// `Vec<Vec<u32>>` in one token (likewise `Foo<<T as B>::O>` opens two
-/// depths at once). Shift expressions simply lex as two adjacent
-/// angle-bracket tokens — no rule patterns on shifts, so nothing is
-/// lost. `->` stays fused so a return arrow can never be miscounted as
-/// a generic closer.
+/// Deliberately absent: `<<`, `>>`, `<<=`, `>>=`, so every generic
+/// bracket of `Vec<Vec<u32>>` is a token of its own. Shift expressions
+/// lex as two adjacent angle-bracket tokens; no rule patterns on shifts.
+/// `->` stays fused so a return arrow is never read as a generic closer.
 const OPS3: &[&str] = &["..=", "..."];
 const OPS2: &[&str] = &[
     "::", "->", "=>", "..", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "^=",
@@ -389,7 +385,7 @@ mod tests {
     #[test]
     fn raw_identifiers_stay_single_tokens() {
         // `r#fn` / `r#type` are ordinary identifiers that happen to
-        // spell keywords; the item parser must see them as one Ident
+        // spell keywords; the rules must see them as one Ident
         // (with the `r#` sigil preserved) and NOT as the `fn` keyword.
         let ts = kinds("fn r#fn() { r#type(); }");
         assert_eq!(ts[0], (TokKind::Ident, "fn".into()));
@@ -409,9 +405,8 @@ mod tests {
 
     #[test]
     fn nested_generic_closers_are_individual_tokens() {
-        // `Vec<Vec<u32>>` must close two generic depths with two `>`
-        // tokens — a glued `>>` shift token would break the item
-        // parser's depth tracking.
+        // `Vec<Vec<u32>>` closes two generic depths with two `>`
+        // tokens, never one glued `>>` shift token.
         let ts = kinds("fn f() -> Vec<Vec<u32>> { g::<Option<Option<u8>>>() }");
         let closers = ts.iter().filter(|(k, t)| *k == TokKind::Punct && t == ">");
         assert_eq!(closers.count(), 5, "every `>` lexes on its own");
@@ -420,8 +415,8 @@ mod tests {
 
     #[test]
     fn return_arrow_is_never_a_generic_closer() {
-        // Inside nested generics, `->` (one token) must stay distinct
-        // from `>` so `Fn() -> T` bounds don't unbalance the depth.
+        // Inside nested generics, `->` (one token) stays distinct from
+        // `>` so a `Fn() -> T` bound is not read as a closer.
         let ts = kinds("fn apply<F: Fn(u32) -> Vec<u32>>(f: F) -> u8 { 0 }");
         let arrows = ts.iter().filter(|(_, t)| t == "->").count();
         let closers = ts.iter().filter(|(_, t)| t == ">").count();

@@ -2,46 +2,36 @@
 //!
 //! An offline, dependency-free static-analysis tool enforcing the
 //! project invariants that the bit-identity contracts (parallel ==
-//! sequential query scans, indexed == naive placement, sharded ==
-//! single-index) and the paper's figure-reproducibility rest on. It
-//! lexes every `.rs` file in the workspace with its own token-level
-//! lexer ([`lexer`]), recovers items and call sites with a lightweight
-//! parser ([`parse`]), resolves a workspace call graph ([`graph`]),
-//! and runs ten named, individually-suppressable rules ([`rules`])
-//! over the streams. DESIGN.md §10 has the per-file rule catalogue;
-//! §15 covers the call-graph contract analysis.
+//! sequential query scans, indexed == naive placement) and the paper's
+//! figure-reproducibility rest on. It lexes every `.rs` file in the
+//! workspace with its own token-level lexer ([`lexer`]) and runs seven
+//! named, individually-suppressable rules ([`rules`]) over each token
+//! stream. DESIGN.md §10 has the rule catalogue.
 //!
 //! Scope, by construction:
 //!
-//! - **Deterministic crates** — `sim`, `workload`, `query`, `analysis`,
-//!   `core`, `trace`, `telemetry`, and the root `borg2019` façade — get
-//!   the determinism rules (D1–D3), the channel rule (C1), and the
-//!   library-panic rule (S2) on their library code.
-//! - **Contract-reachable code** — everything transitively callable
-//!   from [`graph::CONTRACT_ROOTS`] — additionally gets C3
-//!   (order-sensitive reductions); code reachable from a `ServePool`
-//!   worker fn gets C2 (panic paths across the pool). These scopes are
-//!   *computed*, not listed: a new helper called from a contract root
-//!   is policed the day it is written.
+//! - **Deterministic crates** ([`DETERMINISTIC_CRATES`]) get the
+//!   determinism rules (D1, D3), the library-panic rule (S2) and the
+//!   metric rule (M1) on their library code.
+//! - **Contract crates** ([`C3_CRATES`]) additionally get C3
+//!   (order-sensitive reductions) on their library code: the crates
+//!   whose output the golden digests, parallel == sequential and the
+//!   serve log digests pin.
 //! - `bench` and `criterion` are exempt from D2 (timing is their job),
 //!   as is the one *blessed* wall-clock helper
 //!   (`crates/telemetry/src/clock.rs`).
-//! - Tests, benches and examples are exempt from D1–D3/C1–C3/S2: they
-//!   may iterate maps and unwrap freely. `#[cfg(test)]` modules inside
-//!   library files are recognised and skipped the same way, and test
-//!   functions never enter the call graph.
-//! - S1 (`unsafe` needs `// SAFETY:`) applies to every scanned file.
-//! - The vendored shim crates (`rand`, `proptest`, `criterion`) are
-//!   scanned (S1/D2 where applicable); `borg-lint` itself is not — its
-//!   sources quote the very patterns it hunts.
+//! - Tests, benches and examples are exempt from every rule: they may
+//!   iterate maps and unwrap freely. `#[cfg(test)]` modules inside
+//!   library files are recognised and skipped the same way.
+//! - `unsafe` is rustc's job: `[workspace.lints.rust] unsafe_code =
+//!   "deny"` rejects it in every build.
+//! - `borg-lint` itself is not scanned — its sources quote the very
+//!   patterns it hunts.
 
-pub mod graph;
 pub mod json;
 pub mod lexer;
-pub mod parse;
 pub mod rules;
 
-pub use graph::{CallGraph, FileScope, ReachKind, Reachability, CONTRACT_ROOTS};
 pub use rules::{Diagnostic, RuleId, UnusedSuppression};
 
 use lexer::{lex, Tok, TokKind};
@@ -66,6 +56,15 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "serve",
     "borg2019",
 ];
+
+/// Crates whose library code C3 polices for order-sensitive reductions:
+/// the simulator and its inputs (`sim`, `workload`, `trace`), which the
+/// golden trace digests pin; the query engine, which parallel ==
+/// sequential pins; and the service (`serve`, `telemetry`), which the
+/// serve log digests pin. `analysis` and `core` are left out:
+/// `golden_analyses.rs` pins their output bits directly, so a reduction
+/// whose order changed there fails that test instead.
+pub const C3_CRATES: &[&str] = &["sim", "workload", "trace", "query", "serve", "telemetry"];
 
 /// Which cargo target kind a file belongs to; rules scope on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,121 +153,47 @@ pub struct WorkspaceReport {
     pub unused_baseline: Vec<String>,
     pub timings: Timings,
     pub total_ms: f64,
-    pub graph: CallGraph,
-    pub reach: Reachability,
-    /// Per-file policed line ranges, indexed like `graph.files`.
-    pub scopes: Vec<FileScope>,
     pub n_files: usize,
 }
 
-impl WorkspaceReport {
-    /// Repo-relative paths of files with at least one
-    /// contract-reachable function — the computed successor of the old
-    /// hand-named `BIT_IDENTITY_FILES` list.
-    pub fn contract_files(&self) -> Vec<&str> {
-        self.graph
-            .files
-            .iter()
-            .zip(&self.scopes)
-            .filter(|(_, s)| !s.contract.is_empty())
-            .map(|(f, _)| f.as_str())
-            .collect()
-    }
-}
-
-/// Lints a set of in-memory sources as one workspace: lex → parse →
-/// call graph → reachability → rules. `files` holds `(rel_path, src)`
-/// pairs; out-of-scope paths are skipped. Contract roots are required
-/// only when their anchor file is in the set, so single-file fixtures
-/// exercise the reachability engine without dragging in the tree.
+/// Lints a set of in-memory sources, one file at a time: lex → test
+/// regions → rules. `files` holds `(rel_path, src)` pairs; out-of-scope
+/// paths are skipped.
 pub fn lint_sources(files: &[(String, String)], allow: &Allowlist) -> WorkspaceReport {
     let t_total = Instant::now();
     let mut timings = Timings::default();
-
-    struct Prepped {
-        rel: String,
-        fc: FileClass,
-        toks: Vec<Tok>,
-        comments: Vec<(u32, String)>,
-        in_test: Vec<bool>,
-    }
-
-    let t0 = Instant::now();
-    let mut prepped: Vec<Prepped> = Vec::new();
+    let mut diags: Vec<Diagnostic> = Vec::new();
+    let mut unused: Vec<UnusedSuppression> = Vec::new();
+    let mut n_files = 0;
     for (rel, src) in files {
         let Some(fc) = classify(rel) else { continue };
-        let all = lex(src);
+        n_files += 1;
+        let t0 = Instant::now();
         let mut comments: Vec<(u32, String)> = Vec::new();
-        let mut toks: Vec<Tok> = Vec::with_capacity(all.len());
-        for t in all {
+        let mut toks: Vec<Tok> = Vec::new();
+        for t in lex(src) {
             if t.kind == TokKind::Comment {
-                // A block comment spanning lines suppresses/justifies
-                // only at its start line; good enough for `// …` markers.
+                // A block comment spanning lines suppresses only at its
+                // start line; good enough for `// …` markers.
                 comments.push((t.line, t.text));
             } else {
                 toks.push(t);
             }
         }
         let in_test = rules::test_regions(&toks);
-        prepped.push(Prepped {
-            rel: rel.clone(),
-            fc,
-            toks,
-            comments,
-            in_test,
-        });
-    }
-    timings.add("lex", t0.elapsed().as_secs_f64() * 1e3);
-
-    let t0 = Instant::now();
-    let parsed: Vec<(String, FileClass, parse::ParsedFile)> = prepped
-        .iter()
-        .map(|p| {
-            (
-                p.rel.clone(),
-                p.fc.clone(),
-                parse::parse_file(&p.toks, &p.in_test),
-            )
-        })
-        .collect();
-    timings.add("parse", t0.elapsed().as_secs_f64() * 1e3);
-
-    let t0 = Instant::now();
-    let graph = CallGraph::build(&parsed);
-    let reach = graph.reach();
-    let scopes = graph.file_scopes(&reach);
-    timings.add("graph", t0.elapsed().as_secs_f64() * 1e3);
-
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut unused: Vec<UnusedSuppression> = Vec::new();
-    for (p, scope) in prepped.iter().zip(&scopes) {
+        timings.add("lex", t0.elapsed().as_secs_f64() * 1e3);
         let outcome = rules::lint_tokens(
             &rules::FileInput {
-                rel: &p.rel,
-                toks: &p.toks,
-                comments: &p.comments,
-                in_test: &p.in_test,
-                fc: &p.fc,
-                scope,
+                rel,
+                toks: &toks,
+                comments: &comments,
+                in_test: &in_test,
+                fc: &fc,
             },
             &mut timings,
         );
         diags.extend(outcome.diags);
         unused.extend(outcome.unused);
-    }
-    // G1: contract roots whose file is present but whose fn is gone —
-    // the root table rotted and the contract scope silently shrank.
-    for (file, qual) in &graph.missing_roots {
-        diags.push(Diagnostic {
-            file: file.clone(),
-            line: 1,
-            rule: RuleId::G1,
-            message: format!(
-                "contract root `{qual}` is not defined in this file; if it moved or was \
-                 renamed, update graph::CONTRACT_ROOTS — the contract scope must not \
-                 silently shrink"
-            ),
-        });
     }
     diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
@@ -288,23 +213,18 @@ pub fn lint_sources(files: &[(String, String)], allow: &Allowlist) -> WorkspaceR
         .map(|(i, _)| allow.render_entry(i))
         .collect();
 
-    let n_files = prepped.len();
     WorkspaceReport {
         diags,
         unused,
         unused_baseline,
         timings,
         total_ms: t_total.elapsed().as_secs_f64() * 1e3,
-        graph,
-        reach,
-        scopes,
         n_files,
     }
 }
 
-/// Lints one source text under its repo-relative path (single-file
-/// workspace; see [`lint_sources`]). Out-of-scope paths return no
-/// diagnostics.
+/// Lints one source text under its repo-relative path (see
+/// [`lint_sources`]). Out-of-scope paths return no diagnostics.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
     lint_sources(&[(rel.to_string(), src.to_string())], &Allowlist::empty()).diags
 }

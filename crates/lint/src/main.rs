@@ -5,12 +5,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use borg_lint::{
-    json, lint_workspace, render_baseline, Allowlist, ReachKind, RuleId, WorkspaceReport,
-};
+use borg_lint::{json, lint_workspace, render_baseline, Allowlist, RuleId};
 
 const USAGE: &str = "\
-borg-lint: workspace determinism & soundness lint (see DESIGN.md §10, §15)
+borg-lint: workspace determinism & soundness lint (see DESIGN.md §10)
 
 usage: borg-lint [options]
   --root DIR             workspace root to scan (default: .)
@@ -19,10 +17,6 @@ usage: borg-lint [options]
   --write-baseline FILE  write current diagnostics to FILE and exit 0
   --format text|json     findings format on stdout (default: text)
   --json FILE            also write the JSON report to FILE
-  --explain FN           print why FN is contract/pool-policed (the
-                         reachability chain from the nearest root)
-  --dump-graph           print the contract/pool reachability set
-                         (file:line\\tfn\\tscope, sorted) and exit
   --list-rules           print the rule catalogue and exit
   -q, --quiet            print only the summary line
 
@@ -36,8 +30,6 @@ fn main() -> ExitCode {
     let mut write_baseline: Option<PathBuf> = None;
     let mut json_file: Option<PathBuf> = None;
     let mut format = String::from("text");
-    let mut explain: Option<String> = None;
-    let mut dump_graph = false;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
@@ -67,11 +59,6 @@ fn main() -> ExitCode {
                 Some(v) => json_file = Some(PathBuf::from(v)),
                 None => return usage_error("--json needs a value"),
             },
-            "--explain" => match args.next() {
-                Some(v) => explain = Some(v),
-                None => return usage_error("--explain needs a function name"),
-            },
-            "--dump-graph" => dump_graph = true,
             "--list-rules" => {
                 for r in RuleId::ALL {
                     println!("{} {}: {}", r.id(), r.slug(), r.describe());
@@ -112,14 +99,6 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => return io_error(&format!("scanning {}: {e}", root.display())),
     };
-
-    if dump_graph {
-        println!("{}", report.graph.dump(&report.reach));
-        return ExitCode::SUCCESS;
-    }
-    if let Some(needle) = explain {
-        return explain_fn(&report, &needle);
-    }
 
     if let Some(path) = write_baseline {
         if let Err(e) = std::fs::write(&path, render_baseline(&report.diags)) {
@@ -181,40 +160,11 @@ fn main() -> ExitCode {
         ExitCode::from(3)
     } else {
         println!(
-            "borg-lint: clean ({} files, {} fns, {:.1} ms)",
-            report.n_files,
-            report.graph.nodes.len(),
-            report.total_ms
+            "borg-lint: clean ({} files, {:.1} ms)",
+            report.n_files, report.total_ms
         );
         ExitCode::SUCCESS
     }
-}
-
-/// `--explain FN`: prints, for every function matching `FN`, the BFS
-/// chain from the nearest contract root and pool worker (if policed).
-fn explain_fn(report: &WorkspaceReport, needle: &str) -> ExitCode {
-    let hits = report.graph.find(needle);
-    if hits.is_empty() {
-        println!("borg-lint: no function named `{needle}` in the workspace graph");
-        return ExitCode::FAILURE;
-    }
-    for node in hits {
-        println!("{}", report.graph.describe(node));
-        let mut policed = false;
-        for (kind, label) in [(ReachKind::Contract, "contract"), (ReachKind::Pool, "pool")] {
-            if let Some(chain) = report.graph.chain(&report.reach, kind, node) {
-                policed = true;
-                println!("  {label}-reachable via:");
-                for (depth, &n) in chain.iter().enumerate() {
-                    println!("    {}{}", "  ".repeat(depth), report.graph.describe(n));
-                }
-            }
-        }
-        if !policed {
-            println!("  not contract- or pool-reachable: C2/C3 do not apply here");
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn usage_error(msg: &str) -> ExitCode {

@@ -1,28 +1,15 @@
-//! The rule engine: eleven named rules pattern-matched over the token
-//! stream from [`crate::lexer`], scoped by the call-graph reachability
-//! computed in [`crate::graph`].
+//! The rule engine: seven named rules pattern-matched over the token
+//! stream from [`crate::lexer`], scoped by crate and target kind.
 //!
 //! | ID | slug                        | hazard                                          |
 //! |----|-----------------------------|-------------------------------------------------|
 //! | D1 | nondeterministic-iteration  | iterating hash maps/sets in deterministic crates|
 //! | D2 | nondeterministic-source     | wall clock, entropy, thread identity            |
 //! | D3 | float-reduction             | partial-order float compares treated as total   |
-//! | C1 | channel-protocol            | untagged `send`; `recv` outside the pool API    |
-//! | C2 | unwind-across-pool          | panic paths in code dispatched onto ServePool   |
-//! | C3 | order-sensitive-reduction   | unordered reductions in contract-reachable code |
-//! | S1 | undocumented-unsafe         | `unsafe` without a `// SAFETY:` comment         |
+//! | C3 | order-sensitive-reduction   | unordered reductions in the contract crates     |
 //! | S2 | library-panic               | `unwrap`/`expect`/`panic!` in library code      |
 //! | S3 | truncating-cast             | `as u32` in the query crate's code paths        |
-//! | G1 | contract-root               | a `CONTRACT_ROOTS` entry points at nothing      |
 //! | M1 | unregistered-metric         | raw latency sample vectors outside the registry |
-//!
-//! C2 and C3 are the graph-scoped rules: they apply not to named files
-//! but to every function transitively reachable from the contract
-//! entry points ([`crate::graph::CONTRACT_ROOTS`]) or from a
-//! `ServePool` worker function — `borg-lint --explain <fn>` prints the
-//! chain that put a function in scope. G1 keeps the root table honest:
-//! renaming an entry point without updating the table is itself a
-//! finding, not a silent scope shrink.
 //!
 //! Every diagnostic is suppressable at the site with
 //! `// lint: <slug>-ok (reason)` (or `// lint: <ID>-ok (reason)`) on
@@ -30,11 +17,10 @@
 //! suppression whose site no longer fires is reported as *unused* (its
 //! reason has rotted — delete it). The rules are heuristic by design —
 //! they run on tokens, not types — and the scoping that keeps them
-//! honest lives in [`crate::FileClass`] and [`crate::graph::FileScope`].
+//! honest lives in [`crate::FileClass`] and [`crate::C3_CRATES`].
 
-use crate::graph::FileScope;
 use crate::lexer::{Tok, TokKind};
-use crate::{FileClass, Target, Timings};
+use crate::{FileClass, Target, Timings, C3_CRATES};
 use std::time::Instant;
 
 /// Stable identifiers for the rule catalogue (see module docs).
@@ -43,29 +29,21 @@ pub enum RuleId {
     D1,
     D2,
     D3,
-    C1,
-    C2,
     C3,
-    S1,
     S2,
     S3,
-    G1,
     M1,
 }
 
 impl RuleId {
     /// All rules, in catalogue order.
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 7] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
-        RuleId::C1,
-        RuleId::C2,
         RuleId::C3,
-        RuleId::S1,
         RuleId::S2,
         RuleId::S3,
-        RuleId::G1,
         RuleId::M1,
     ];
 
@@ -75,13 +53,9 @@ impl RuleId {
             RuleId::D1 => "D1",
             RuleId::D2 => "D2",
             RuleId::D3 => "D3",
-            RuleId::C1 => "C1",
-            RuleId::C2 => "C2",
             RuleId::C3 => "C3",
-            RuleId::S1 => "S1",
             RuleId::S2 => "S2",
             RuleId::S3 => "S3",
-            RuleId::G1 => "G1",
             RuleId::M1 => "M1",
         }
     }
@@ -92,13 +66,9 @@ impl RuleId {
             RuleId::D1 => "nondeterministic-iteration",
             RuleId::D2 => "nondeterministic-source",
             RuleId::D3 => "float-reduction",
-            RuleId::C1 => "channel-protocol",
-            RuleId::C2 => "unwind-across-pool",
             RuleId::C3 => "order-sensitive-reduction",
-            RuleId::S1 => "undocumented-unsafe",
             RuleId::S2 => "library-panic",
             RuleId::S3 => "truncating-cast",
-            RuleId::G1 => "contract-root",
             RuleId::M1 => "unregistered-metric",
         }
     }
@@ -118,30 +88,14 @@ impl RuleId {
                 "float partial-order hazard: partial_cmp().unwrap()/expect() comparators \
                  (use total_cmp or handle None)"
             }
-            RuleId::C1 => {
-                "channel-protocol breach: `.send(…)` in deterministic code without a \
-                 batch-position tag tuple `((tag, …))`, or `.recv()` outside the blessed \
-                 serve pool API (crates/serve/src/pool.rs)"
-            }
-            RuleId::C2 => {
-                "panic path dispatched onto the ServePool: unwrap/expect/panic! reachable \
-                 from a worker fn (and unchecked indexing in the worker body itself) with no \
-                 catch_unwind — a worker panic poisons determinism silently"
-            }
             RuleId::C3 => {
-                "order-sensitive reduction in contract-reachable code: float sum/fold or \
-                 reduce/min_by/max_by — use the sequential helpers (sum_seq) or the blessed \
-                 fixed-order combining loop (shard::combine_winners)"
+                "order-sensitive reduction (float sum/fold, reduce/min_by/max_by and their \
+                 _key forms) in the library code of a crate whose bytes a contract pins"
             }
-            RuleId::S1 => "`unsafe` without a `// SAFETY:` comment in the preceding three lines",
             RuleId::S2 => "unwrap()/expect()/panic! in deterministic-crate library code",
             RuleId::S3 => {
                 "truncating `as u32` cast in borg-query library code; use cast::code32 / \
                  u32::try_from"
-            }
-            RuleId::G1 => {
-                "a graph::CONTRACT_ROOTS entry names a function its file no longer defines; \
-                 update the root table so the contract scope cannot silently shrink"
             }
             RuleId::M1 => {
                 "a latency/duration/timing declaration typed as a raw Vec/VecDeque sample \
@@ -223,9 +177,7 @@ const ITER_METHODS: &[&str] = &[
 ];
 
 /// Iterator reductions whose winner depends on visit order when scores
-/// tie (or on float associativity): in contract-reachable code,
-/// per-shard results must flow through the blessed fixed-order
-/// combining loop (`shard::combine_winners`) instead.
+/// tie (or on float associativity).
 const ORDER_SENSITIVE_REDUCERS: &[&str] =
     &["reduce", "min_by", "max_by", "min_by_key", "max_by_key"];
 
@@ -237,11 +189,6 @@ const ORDER_SENSITIVE_REDUCERS: &[&str] =
 /// excluded from every determinism contract.
 const D2_BLESSED_FILES: &[&str] = &["crates/telemetry/src/clock.rs"];
 
-/// The only files allowed to call `.recv()`/`.try_recv()` on a
-/// channel: the serve pool restores result attribution behind this
-/// boundary (C1) with id-tagged streaming results.
-const BLESSED_POOL_FILES: &[&str] = &["crates/serve/src/pool.rs"];
-
 /// Everything the workspace pipeline hands a per-file rule run.
 pub(crate) struct FileInput<'a> {
     pub rel: &'a str,
@@ -249,7 +196,6 @@ pub(crate) struct FileInput<'a> {
     pub comments: &'a [(u32, String)],
     pub in_test: &'a [bool],
     pub fc: &'a FileClass,
-    pub scope: &'a FileScope,
 }
 
 /// Per-file rule output: findings plus rotted suppressions.
@@ -267,7 +213,6 @@ pub(crate) fn lint_tokens(input: &FileInput, timings: &mut Timings) -> FileOutco
         toks: input.toks,
         comments: input.comments,
         in_test: input.in_test,
-        scope: input.scope,
         out: Vec::new(),
         used: Vec::new(),
     };
@@ -291,20 +236,12 @@ pub(crate) fn lint_tokens(input: &FileInput, timings: &mut Timings) -> FileOutco
         rule_d2,
     );
     run(RuleId::D3, deterministic_lib, &mut ctx, rule_d3);
-    run(RuleId::C1, deterministic_lib, &mut ctx, rule_c1);
-    run(
-        RuleId::C2,
-        !input.scope.pool.is_empty() || !input.scope.opaque_pool_workers.is_empty(),
-        &mut ctx,
-        rule_c2,
-    );
     run(
         RuleId::C3,
-        deterministic_lib && !input.scope.contract.is_empty(),
+        fc.target == Target::Lib && C3_CRATES.contains(&fc.krate.as_str()),
         &mut ctx,
         rule_c3,
     );
-    run(RuleId::S1, true, &mut ctx, rule_s1);
     run(RuleId::S2, deterministic_lib, &mut ctx, rule_s2);
     run(
         RuleId::S3,
@@ -335,7 +272,6 @@ struct Ctx<'a> {
     toks: &'a [Tok],
     comments: &'a [(u32, String)],
     in_test: &'a [bool],
-    scope: &'a FileScope,
     out: Vec<Diagnostic>,
     /// `(comment_line, rule)` pairs whose suppression absorbed a
     /// finding — everything else carrying a marker is *unused*.
@@ -365,15 +301,6 @@ impl Ctx<'_> {
             .filter(|(l, _)| *l == line || *l + 1 == line)
             .find(|(_, text)| has_suppression(text, rule))
             .map(|(l, _)| *l)
-    }
-
-    /// True when a `// SAFETY:` comment sits on `line` or within the
-    /// three lines above it.
-    fn has_safety_comment(&self, line: u32) -> bool {
-        self.comments
-            .iter()
-            .filter(|(l, _)| *l <= line && *l + 3 >= line)
-            .any(|(_, text)| text.contains("SAFETY:"))
     }
 }
 
@@ -786,8 +713,7 @@ fn rule_d2(ctx: &mut Ctx) {
 }
 
 /// D3: `partial_cmp(…).unwrap()/.expect(…)` — a partial order treated
-/// as total. (Re-associable float reductions are C3's job, scoped by
-/// contract reachability rather than a file list.)
+/// as total. (Re-associable float reductions are C3's job.)
 fn rule_d3(ctx: &mut Ctx) {
     let toks = ctx.toks;
     for i in 0..toks.len() {
@@ -831,255 +757,64 @@ fn rule_d3(ctx: &mut Ctx) {
     }
 }
 
-/// C1: channel protocol. Every `.send(…)` in deterministic library
-/// code must carry a batch-position tag tuple (`send((tag, payload))`)
-/// so the receiving side can restore submission order; `.recv()` and
-/// friends belong behind the blessed pool API only.
-fn rule_c1(ctx: &mut Ctx) {
+/// C3: order-sensitive reductions — re-associable float accumulation
+/// (`.sum::<f64>()`, float `fold`) and tie-unstable winners
+/// (`reduce`/`min_by`/`max_by`/…) — in the library code of
+/// [`crate::C3_CRATES`].
+fn rule_c3(ctx: &mut Ctx) {
+    const ESCAPE: &str =
+        "annotate `// lint: order-sensitive-reduction-ok (reason)` with what fixes its order";
     let toks = ctx.toks;
     for i in 0..toks.len() {
         if ctx.in_test[i] || toks[i].kind != TokKind::Ident {
             continue;
         }
         let t = &toks[i];
-        let method_call = i >= 1
-            && toks[i - 1].text == "."
-            && toks.get(i + 1).map(|t| t.text.as_str()) == Some("(");
-        if !method_call {
-            continue;
-        }
-        if t.text == "send" && toks.get(i + 2).map(|t| t.text.as_str()) != Some("(") {
-            ctx.emit(
-                t.line,
-                RuleId::C1,
-                "`.send(…)` without a batch-position tag: the pool protocol sends \
-                 `((tag, payload))` tuples so the receiver can restore submission order; \
-                 tag the message or annotate `// lint: channel-protocol-ok (reason)`"
-                    .to_string(),
-            );
-        }
-        if matches!(t.text.as_str(), "recv" | "try_recv" | "recv_timeout")
-            && !BLESSED_POOL_FILES.contains(&ctx.rel)
+        let after_dot = toks.get(i.wrapping_sub(1)).map(|t| t.text.as_str()) == Some(".");
+        let next = |k: usize| toks.get(i + k).map(|t| t.text.as_str());
+        if t.text == "sum"
+            && after_dot
+            && next(1) == Some("::")
+            && next(2) == Some("<")
+            && matches!(next(3), Some("f64") | Some("f32"))
         {
-            let what = t.text.clone();
             ctx.emit(
                 t.line,
-                RuleId::C1,
+                RuleId::C3,
                 format!(
-                    "bare `.{what}()` outside the blessed pool APIs \
-                     ({}): consume results through the pool API so result attribution \
-                     is restored, or annotate `// lint: channel-protocol-ok (reason)`",
-                    BLESSED_POOL_FILES.join(", ")
+                    "float `.sum()` in a contract crate: re-associating this reduction \
+                     changes results; {ESCAPE}"
                 ),
             );
         }
-    }
-}
-
-/// Identifier-like tokens that precede `[` without forming an index
-/// expression (`for x in [..]`, `match x { .. }` arms, casts).
-const NON_INDEX_PRECEDERS: &[&str] = &[
-    "in", "return", "break", "as", "else", "match", "loop", "move", "mut", "ref", "static",
-    "const", "let", "if", "while",
-];
-
-/// C2: panic paths dispatched onto the `ServePool`. In any function
-/// transitively reachable from a pool worker fn: no `unwrap`/`expect`/
-/// `panic!` (the unwind crosses the pool boundary and poisons the
-/// result protocol silently). In the worker fn's own body,
-/// unchecked indexing is flagged too — it is the direct dispatch
-/// surface. A reachable span containing `catch_unwind` is exempt: the
-/// unwind is contained.
-fn rule_c2(ctx: &mut Ctx) {
-    // The pool implementation is the boundary itself: its panic sites
-    // are the protocol's own (each already S2 reason-suppressed), not
-    // payload code dispatched onto workers.
-    if BLESSED_POOL_FILES.contains(&ctx.rel) {
-        return;
-    }
-    let toks = ctx.toks;
-    let catch_lines: Vec<u32> = toks
-        .iter()
-        .filter(|t| t.kind == TokKind::Ident && t.text == "catch_unwind")
-        .map(|t| t.line)
-        .collect();
-    let guarded = |line: u32| {
-        ctx.scope
-            .pool
-            .iter()
-            .filter(|&&(s, e)| s <= line && line <= e)
-            .any(|&(s, e)| catch_lines.iter().any(|&cl| s <= cl && cl <= e))
-    };
-    for i in 0..toks.len() {
-        if ctx.in_test[i] {
-            continue;
-        }
-        let t = &toks[i];
-        let line = t.line;
-        if t.kind == TokKind::Ident && ctx.scope.in_pool(line) && !guarded(line) {
-            let method_call = |name: &str| {
-                t.text == name
-                    && i >= 1
-                    && toks[i - 1].text == "."
-                    && toks.get(i + 1).map(|t| t.text.as_str()) == Some("(")
-            };
-            if method_call("unwrap") || method_call("expect") {
-                let what = t.text.clone();
+        if t.text == "fold" && next(1) == Some("(") {
+            let is_float = toks.get(i + 2).is_some_and(|seed| {
+                seed.kind == TokKind::Num
+                    && (seed.text.contains('.')
+                        || seed.text.ends_with("f32")
+                        || seed.text.ends_with("f64"))
+            });
+            if is_float {
                 ctx.emit(
-                    line,
-                    RuleId::C2,
+                    t.line,
+                    RuleId::C3,
                     format!(
-                        "`.{what}()` in code dispatched onto the ServePool \
-                         (borg-lint --explain shows the chain): a worker panic unwinds across \
-                         the pool and poisons determinism silently; return an error, contain \
-                         it with catch_unwind, or annotate \
-                         `// lint: unwind-across-pool-ok (reason)`"
+                        "float `fold` in a contract crate: re-associating this reduction \
+                         changes results; {ESCAPE}"
                     ),
                 );
             }
-            if t.text == "panic" && toks.get(i + 1).map(|t| t.text.as_str()) == Some("!") {
-                ctx.emit(
-                    line,
-                    RuleId::C2,
-                    "`panic!` in code dispatched onto the ServePool (borg-lint --explain \
-                     shows the chain): the unwind crosses the pool boundary; return an error, \
-                     contain it with catch_unwind, or annotate \
-                     `// lint: unwind-across-pool-ok (reason)`"
-                        .to_string(),
-                );
-            }
         }
-        // Unchecked indexing, worker bodies only (the direct dispatch
-        // surface): `recv[`, `f()[`, `xs][`-chains.
-        if t.kind == TokKind::Punct
-            && t.text == "["
-            && ctx.scope.in_pool_direct(line)
-            && !guarded(line)
-            && i >= 1
-        {
-            let prev = &toks[i - 1];
-            let indexes = match prev.kind {
-                TokKind::Ident => !NON_INDEX_PRECEDERS.contains(&prev.text.as_str()),
-                TokKind::Punct => matches!(prev.text.as_str(), ")" | "]"),
-                _ => false,
-            };
-            if indexes {
-                ctx.emit(
-                    line,
-                    RuleId::C2,
-                    "unchecked indexing in a ServePool worker body panics across the pool \
-                     on a bad index; use .get() and handle None, or annotate \
-                     `// lint: unwind-across-pool-ok (reason)`"
-                        .to_string(),
-                );
-            }
-        }
-    }
-    for &line in &ctx.scope.opaque_pool_workers {
-        ctx.emit(
-            line,
-            RuleId::C2,
-            "ServePool::new with a worker that is not a named `fn` (closure or unresolved \
-             path): the lint cannot police what runs on the pool; dispatch a named function \
-             (`name as fn(J) -> R`) or annotate `// lint: unwind-across-pool-ok (reason)`"
-                .to_string(),
-        );
-    }
-}
-
-/// C3: order-sensitive reductions in contract-reachable code —
-/// re-associable float accumulation (`.sum::<f64>()`, float `fold`)
-/// and tie-unstable winners (`reduce`/`min_by`/`max_by`/…). This is
-/// the graph-scoped generalization of the old `BIT_IDENTITY_FILES`
-/// list: scope is computed from [`crate::graph::CONTRACT_ROOTS`].
-fn rule_c3(ctx: &mut Ctx) {
-    let toks = ctx.toks;
-    for i in 0..toks.len() {
-        if ctx.in_test[i] || toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let t = &toks[i];
-        if !ctx.scope.in_contract(t.line) {
-            continue;
-        }
-        if t.text == "sum"
-            && toks.get(i.wrapping_sub(1)).map(|t| t.text.as_str()) == Some(".")
-            && toks.get(i + 1).map(|t| t.text.as_str()) == Some("::")
-            && toks.get(i + 2).map(|t| t.text.as_str()) == Some("<")
-            && matches!(
-                toks.get(i + 3).map(|t| t.text.as_str()),
-                Some("f64") | Some("f32")
-            )
-        {
-            ctx.emit(
-                t.line,
-                RuleId::C3,
-                "float `.sum()` in contract-reachable code (borg-lint --explain shows the \
-                 chain): re-associating this reduction changes results; use the blessed \
-                 sequential helper (sum_seq) or annotate \
-                 `// lint: order-sensitive-reduction-ok (reason)`"
-                    .to_string(),
-            );
-        }
-        if t.text == "fold" && toks.get(i + 1).map(|t| t.text.as_str()) == Some("(") {
-            if let Some(seed) = toks.get(i + 2) {
-                let is_float = seed.kind == TokKind::Num
-                    && (seed.text.contains('.')
-                        || seed.text.ends_with("f32")
-                        || seed.text.ends_with("f64"));
-                if is_float {
-                    ctx.emit(
-                        t.line,
-                        RuleId::C3,
-                        "float `fold` in contract-reachable code (borg-lint --explain shows \
-                         the chain): re-associating this reduction changes results; use the \
-                         blessed sequential helper (sum_seq) or annotate \
-                         `// lint: order-sensitive-reduction-ok (reason)`"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-        if ORDER_SENSITIVE_REDUCERS.contains(&t.text.as_str())
-            && toks.get(i.wrapping_sub(1)).map(|t| t.text.as_str()) == Some(".")
-            && toks.get(i + 1).map(|t| t.text.as_str()) == Some("(")
+        if ORDER_SENSITIVE_REDUCERS.contains(&t.text.as_str()) && after_dot && next(1) == Some("(")
         {
             ctx.emit(
                 t.line,
                 RuleId::C3,
                 format!(
-                    "`.{}()` in contract-reachable code (borg-lint --explain shows the \
-                     chain): an unordered reduction breaks the winner when scores tie; \
-                     combine per-shard results through the blessed fixed-order loop \
-                     (shard::combine_winners) or annotate \
-                     `// lint: order-sensitive-reduction-ok (reason)`",
+                    "`.{}()` in a contract crate: an unordered reduction breaks the winner \
+                     when scores tie; {ESCAPE}",
                     t.text
                 ),
-            );
-        }
-    }
-}
-
-/// S1: every `unsafe` needs a `// SAFETY:` comment within three lines.
-fn rule_s1(ctx: &mut Ctx) {
-    let toks = ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        // `unsafe` inside an attr (`#[allow(unsafe_code)]`) is not a
-        // block; require the next meaningful token to open something.
-        let next = toks.get(i + 1).map(|t| t.text.as_str());
-        if !matches!(next, Some("{") | Some("fn") | Some("impl") | Some("trait")) {
-            continue;
-        }
-        if !ctx.has_safety_comment(t.line) {
-            ctx.emit(
-                t.line,
-                RuleId::S1,
-                "`unsafe` without a `// SAFETY:` comment in the preceding three lines; \
-                 document the invariant that makes this sound"
-                    .to_string(),
             );
         }
     }

@@ -1,12 +1,11 @@
-//! C3 failing fixture (linted as `crates/query/src/parallel.rs`): the
-//! `map_blocks` contract root reaches helpers that re-associate float
-//! reductions and pick winners with order-sensitive reducers. The
-//! `unreached` helper carries the same hazard but is NOT called from
-//! the root — it must stay out of scope, proving C3 is graph-scoped
-//! rather than file-scoped.
+//! C3 failing fixture (linted as library code of a crate in
+//! `C3_CRATES`): helpers that re-associate float reductions and pick
+//! winners with order-sensitive reducers. The `unreached` helper
+//! carries the same hazard and is called from nowhere: C3 polices the
+//! whole library of a contract crate, so it fires too.
 
-pub fn map_blocks(xs: &[f64]) -> f64 {
-    total(xs) + total_fold(xs) + best(xs).unwrap_or(0.0)
+pub fn combine(xs: &[f64]) -> f64 {
+    total(xs) + total_fold(xs) + best(xs).unwrap_or(0.0) + lowest(xs).unwrap_or(0.0)
 }
 
 fn total(xs: &[f64]) -> f64 {
@@ -19,6 +18,18 @@ fn total_fold(xs: &[f64]) -> f64 {
 
 fn best(xs: &[f64]) -> Option<f64> {
     xs.iter().copied().min_by(|a, b| a.total_cmp(b))
+}
+
+fn lowest(xs: &[f64]) -> Option<f64> {
+    xs.iter().copied().reduce(f64::min)
+}
+
+pub fn latest(xs: &[f64]) -> Option<f64> {
+    xs.iter()
+        .copied()
+        .enumerate()
+        .max_by_key(|(i, _)| *i)
+        .map(|(_, x)| x)
 }
 
 pub fn unreached(xs: &[f64]) -> f64 {

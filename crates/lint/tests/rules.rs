@@ -1,22 +1,17 @@
 //! Per-rule fixture tests: every rule ID has a failing and a passing
 //! fixture, and mutating a passing fixture (deleting the blessed
-//! helper route, the suppression annotation, a contract root, or a
-//! blessed call edge) flips its verdict — proving the rules fire for
-//! real rather than vacuously passing.
+//! helper route or the suppression annotation) flips its verdict —
+//! proving the rules fire for real rather than vacuously passing. The
+//! suppression-rot and timing tests at the end cover the report itself.
 
-use borg_lint::{lint_source, RuleId};
+use borg_lint::{lint_source, lint_sources, Allowlist, RuleId, C3_CRATES};
 
 /// Paths that put fixtures in the scope each rule polices.
 const SIM_LIB: &str = "crates/sim/src/fixture.rs";
 const QUERY_LIB: &str = "crates/query/src/fixture.rs";
-/// Anchor file of the `map_blocks` contract root (graph::CONTRACT_ROOTS).
-const CONTRACT: &str = "crates/query/src/parallel.rs";
-/// Anchor file of the two `ShardedPlacement` contract roots.
-const SHARD_CONTRACT: &str = "crates/sim/src/shard.rs";
-const TRACE_LIB: &str = "crates/trace/src/fixture.rs";
+/// Library code of a crate in `C3_CRATES`.
+const C3_LIB: &str = "crates/trace/src/fixture.rs";
 const ANALYSIS_LIB: &str = "crates/analysis/src/fixture.rs";
-/// The blessed pool boundary: C1 allows `.recv()` here, C2 skips it.
-const POOL_FILE: &str = "crates/serve/src/pool.rs";
 
 fn rules_hit(rel: &str, src: &str) -> Vec<RuleId> {
     let mut rules: Vec<RuleId> = lint_source(rel, src).into_iter().map(|d| d.rule).collect();
@@ -179,9 +174,8 @@ fn d2_real_clock_source_passes_the_linter() {
 
 // ---------------------------------------------------------------- D3
 //
-// Since the call-graph rework, D3 is the *comparator* rule only:
-// `partial_cmp().unwrap()` anywhere in deterministic library code.
-// The old reduction arm is rule C3, scoped by contract reachability.
+// D3 is the *comparator* rule only: `partial_cmp().unwrap()` anywhere
+// in deterministic library code. Reductions are rule C3.
 
 #[test]
 fn d3_fail_fixture_fires() {
@@ -207,250 +201,64 @@ fn d3_unhandling_the_none_arm_flips_verdict() {
 }
 
 #[test]
-fn d3_fires_outside_contract_files_too() {
-    // The comparator hazard is not contract-scoped: it panics wherever
-    // it runs. Plain deterministic lib files are policed the same.
+fn d3_fires_in_every_deterministic_crate() {
+    // The comparator hazard panics wherever it runs: a contract crate
+    // is policed the same as analysis.
     let d3 = count_rule(SIM_LIB, include_str!("fixtures/d3_fail.rs"), RuleId::D3);
     assert_eq!(d3, 2);
 }
 
-// ---------------------------------------------------------------- C1
-
-#[test]
-fn c1_untagged_send_fires() {
-    let src = "pub fn ship(tx: &std::sync::mpsc::Sender<u64>, x: u64) {\n    \
-               let _ = tx.send(x);\n}\n";
-    assert_eq!(rules_hit(SIM_LIB, src), vec![RuleId::C1]);
-}
-
-#[test]
-fn c1_tagged_send_is_clean() {
-    let src = "pub fn ship(tx: &std::sync::mpsc::Sender<(usize, u64)>, i: usize, x: u64) {\n    \
-               let _ = tx.send((i, x));\n}\n";
-    assert_clean(SIM_LIB, src);
-}
-
-#[test]
-fn c1_bare_recv_outside_pool_boundary_fires() {
-    let src = "pub fn drain(rx: &std::sync::mpsc::Receiver<u64>) -> Option<u64> {\n    \
-               rx.recv().ok()\n}\n";
-    assert_eq!(rules_hit(SIM_LIB, src), vec![RuleId::C1]);
-}
-
-#[test]
-fn c1_recv_inside_pool_boundary_is_blessed() {
-    let src = "pub fn drain(rx: &std::sync::mpsc::Receiver<u64>) -> Option<u64> {\n    \
-               rx.recv().ok()\n}\n";
-    assert_clean(POOL_FILE, src);
-}
-
-#[test]
-fn c1_annotation_suppresses() {
-    let src = "pub fn ship(tx: &std::sync::mpsc::Sender<u64>, x: u64) {\n    \
-               // lint: channel-protocol-ok (single-producer side channel, order-free)\n    \
-               let _ = tx.send(x);\n}\n";
-    assert_clean(SIM_LIB, src);
-}
-
-// ---------------------------------------------------------------- C2
-
-#[test]
-fn c2_fail_fixture_fires() {
-    // Worker-body indexing plus a reachable helper's unwrap; the
-    // `unreached` helper's unwrap is NOT pool-reachable and must not
-    // count (C2 is graph-scoped, not file-scoped).
-    let c2 = count_rule(SIM_LIB, include_str!("fixtures/c2_fail.rs"), RuleId::C2);
-    assert_eq!(c2, 2, "worker indexing + reachable unwrap, nothing else");
-}
-
-#[test]
-fn c2_pass_fixture_is_clean() {
-    assert_clean(SIM_LIB, include_str!("fixtures/c2_pass.rs"));
-}
-
-#[test]
-fn c2_deleting_annotation_flips_verdict() {
-    let mutated = strip_suppressions(include_str!("fixtures/c2_pass.rs"));
-    assert!(rules_hit(SIM_LIB, &mutated).contains(&RuleId::C2));
-}
-
-#[test]
-fn c2_closure_worker_is_opaque_and_flagged() {
-    // Swapping the named worker fn for a closure hides the dispatch
-    // target from the graph — the pool site itself is flagged.
-    let mutated =
-        include_str!("fixtures/c2_pass.rs").replace("work as fn(u64) -> u64", "|j| j + 1");
-    let c2 = count_rule(SIM_LIB, &mutated, RuleId::C2);
-    assert_eq!(c2, 1, "exactly the opaque ServePool::new site");
-}
-
-#[test]
-fn c2_skips_the_pool_boundary_file() {
-    // The pool implementation's own re-raise sites are the protocol,
-    // not payload code; C2 never fires inside it.
-    let c2 = count_rule(POOL_FILE, include_str!("fixtures/c2_fail.rs"), RuleId::C2);
-    assert_eq!(c2, 0);
-}
-
 // ---------------------------------------------------------------- C3
 //
-// The graph-scoped successor of the old `BIT_IDENTITY_FILES` list:
-// order-sensitive reductions are policed exactly in code transitively
-// reachable from a contract root, and nowhere else.
+// Order-sensitive reductions are policed in every function of the
+// library code of the crates in `C3_CRATES`, and nowhere else.
 
 #[test]
-fn c3_fail_fixture_fires() {
-    let c3 = count_rule(CONTRACT, include_str!("fixtures/c3_fail.rs"), RuleId::C3);
-    assert_eq!(
-        c3, 3,
-        "sum::<f64>, float fold, min_by — but NOT the unreached helper"
-    );
+fn c3_fires_in_every_contract_crate() {
+    for krate in C3_CRATES {
+        let rel = format!("crates/{krate}/src/fixture.rs");
+        let c3 = count_rule(&rel, include_str!("fixtures/c3_fail.rs"), RuleId::C3);
+        assert_eq!(
+            c3, 6,
+            "{rel}: sum::<f64>, float fold, min_by, reduce, max_by_key, \
+             and the sum in `unreached`, a helper nothing calls"
+        );
+    }
+}
+
+#[test]
+fn c3_is_silent_outside_contract_crates_and_test_code() {
+    for rel in [
+        ANALYSIS_LIB,
+        "crates/core/src/fixture.rs",
+        "crates/experiments/src/bin/fixture.rs",
+        "crates/sim/tests/fixture.rs",
+        "crates/query/benches/fixture.rs",
+    ] {
+        let c3 = count_rule(rel, include_str!("fixtures/c3_fail.rs"), RuleId::C3);
+        assert_eq!(c3, 0, "{rel}");
+    }
+    let in_test_module = "#[cfg(test)]\nmod tests {\n    fn total(xs: &[f64]) -> f64 {\n        \
+                          xs.iter().sum::<f64>()\n    }\n}\n";
+    assert_clean(C3_LIB, in_test_module);
 }
 
 #[test]
 fn c3_pass_fixture_is_clean() {
-    assert_clean(CONTRACT, include_str!("fixtures/c3_pass.rs"));
+    assert_clean(C3_LIB, include_str!("fixtures/c3_pass.rs"));
 }
 
 #[test]
 fn c3_deleting_blessed_helper_flips_verdict() {
     let mutated = include_str!("fixtures/c3_pass.rs")
         .replace("sum_seq(xs.iter().copied())", "xs.iter().sum::<f64>()");
-    assert!(rules_hit(CONTRACT, &mutated).contains(&RuleId::C3));
+    assert!(rules_hit(C3_LIB, &mutated).contains(&RuleId::C3));
 }
 
 #[test]
 fn c3_deleting_annotation_flips_verdict() {
     let mutated = strip_suppressions(include_str!("fixtures/c3_pass.rs"));
-    assert!(rules_hit(CONTRACT, &mutated).contains(&RuleId::C3));
-}
-
-#[test]
-fn c3_calling_an_unpoliced_helper_flips_verdict() {
-    // `off_contract` carries a hazard but is unreached, so c3_pass is
-    // clean. The moment the root grows a call to it, its body enters
-    // contract scope and the hazard surfaces.
-    let mutated = include_str!("fixtures/c3_pass.rs").replace(
-        "sum_seq(xs.iter().copied()) + fast_total(xs)",
-        "sum_seq(xs.iter().copied()) + fast_total(xs) + off_contract(xs)",
-    );
-    assert!(rules_hit(CONTRACT, &mutated).contains(&RuleId::C3));
-}
-
-#[test]
-fn c3_outside_contract_anchor_files_is_silent() {
-    // The same source in a plain deterministic lib file has no contract
-    // root, hence no contract scope, hence no C3.
-    let c3 = count_rule(
-        ANALYSIS_LIB,
-        include_str!("fixtures/c3_fail.rs"),
-        RuleId::C3,
-    );
-    assert_eq!(c3, 0);
-}
-
-#[test]
-fn c3_shard_fail_fixture_fires() {
-    // Unordered reductions over per-shard winners: min_by, reduce, and
-    // max_by_key, all reachable from the ShardedPlacement roots.
-    let c3 = count_rule(
-        SHARD_CONTRACT,
-        include_str!("fixtures/c3_shard_fail.rs"),
-        RuleId::C3,
-    );
-    assert_eq!(c3, 3, "min_by, reduce, max_by_key");
-}
-
-#[test]
-fn c3_shard_pass_fixture_is_clean() {
-    assert_clean(SHARD_CONTRACT, include_str!("fixtures/c3_shard_pass.rs"));
-}
-
-#[test]
-fn c3_shard_replacing_blessed_loop_flips_verdict() {
-    // Swapping the fixed-order combining loop for an unordered
-    // reduction must be caught.
-    let mutated = include_str!("fixtures/c3_shard_pass.rs").replace(
-        "combine_winners(shards)",
-        "shards.iter().filter_map(|s| s.first().copied()).reduce(f64::min)",
-    );
-    assert!(rules_hit(SHARD_CONTRACT, &mutated).contains(&RuleId::C3));
-}
-
-#[test]
-fn c3_shard_deleting_annotation_flips_verdict() {
-    let mutated = strip_suppressions(include_str!("fixtures/c3_shard_pass.rs"));
-    assert!(rules_hit(SHARD_CONTRACT, &mutated).contains(&RuleId::C3));
-}
-
-// ---------------------------------------------------------------- G1
-
-#[test]
-fn g1_renamed_contract_root_fires_and_silences_c3() {
-    // Renaming the root away is the failure mode the old hand-named
-    // file list couldn't see: the anchor file is still present, so G1
-    // fires at line 1 — and C3 must go silent (no root, no scope)
-    // rather than silently policing nothing.
-    let mutated =
-        include_str!("fixtures/c3_fail.rs").replace("pub fn map_blocks", "pub fn map_blocks_v2");
-    let diags = lint_source(CONTRACT, &mutated);
-    let g1: Vec<_> = diags.iter().filter(|d| d.rule == RuleId::G1).collect();
-    assert_eq!(g1.len(), 1, "missing `map_blocks` root must surface");
-    assert_eq!(g1[0].line, 1);
-    assert!(g1[0].message.contains("map_blocks"));
-    assert_eq!(
-        diags.iter().filter(|d| d.rule == RuleId::C3).count(),
-        0,
-        "no contract root resolved, so no contract scope"
-    );
-}
-
-#[test]
-fn g1_each_root_is_required_independently() {
-    // shard.rs anchors TWO roots; deleting one fires exactly one G1.
-    let mutated = include_str!("fixtures/c3_shard_pass.rs")
-        .replace("pub fn first_preemptible", "pub fn later_preemptible");
-    let diags = lint_source(SHARD_CONTRACT, &mutated);
-    let g1: Vec<_> = diags.iter().filter(|d| d.rule == RuleId::G1).collect();
-    assert_eq!(g1.len(), 1);
-    assert!(g1[0].message.contains("first_preemptible"));
-}
-
-#[test]
-fn g1_non_anchor_files_owe_no_roots() {
-    assert_clean(SIM_LIB, "pub fn quiet() {}\n");
-}
-
-// ---------------------------------------------------------------- S1
-
-#[test]
-fn s1_fail_fixture_fires() {
-    let hits = rules_hit(TRACE_LIB, include_str!("fixtures/s1_fail.rs"));
-    assert_eq!(hits, vec![RuleId::S1]);
-}
-
-#[test]
-fn s1_pass_fixture_is_clean() {
-    assert_clean(TRACE_LIB, include_str!("fixtures/s1_pass.rs"));
-}
-
-#[test]
-fn s1_deleting_safety_comment_flips_verdict() {
-    let mutated: String = include_str!("fixtures/s1_pass.rs")
-        .lines()
-        .filter(|l| !l.contains("SAFETY:"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(rules_hit(TRACE_LIB, &mutated).contains(&RuleId::S1));
-}
-
-#[test]
-fn s1_applies_even_in_tests_and_benches() {
-    let hits = rules_hit(
-        "crates/sim/tests/fixture.rs",
-        include_str!("fixtures/s1_fail.rs"),
-    );
-    assert_eq!(hits, vec![RuleId::S1]);
+    assert!(rules_hit(C3_LIB, &mutated).contains(&RuleId::C3));
 }
 
 // ---------------------------------------------------------------- S2
@@ -579,12 +387,105 @@ fn suppression_for_one_rule_does_not_cover_another() {
 
 #[test]
 fn one_comment_line_can_suppress_two_rules() {
-    // The committed idiom for dual-rule sites (e.g. S2 + C2 in the sim
-    // crate): both markers ride one `// lint:` comment, each with its
+    // The idiom for dual-rule sites (e.g. S2 + D3): both markers ride one `// lint:` comment, each with its
     // own reason — stacking two comment lines would push the first out
     // of the one-line suppression window.
     let src = "pub fn f(xs: &mut [f64]) {\n    \
                // lint: library-panic-ok (inputs NaN-free) float-reduction-ok (same invariant)\n    \
                xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
     assert_clean(ANALYSIS_LIB, src);
+}
+
+// ------------------------------------------------ unused suppressions
+
+fn ws(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    files
+        .iter()
+        .map(|(rel, src)| (rel.to_string(), src.to_string()))
+        .collect()
+}
+
+#[test]
+fn rotted_suppression_is_reported_workspace_wide() {
+    let src = "\
+pub fn safe(xs: &[f64]) -> f64 {
+    // lint: library-panic-ok (nothing here panics anymore)
+    xs.first().copied().unwrap_or(0.0)
+}
+";
+    let report = lint_sources(&ws(&[(ANALYSIS_LIB, src)]), &Allowlist::empty());
+    assert!(report.diags.is_empty());
+    assert_eq!(report.unused.len(), 1, "unused: {:?}", report.unused);
+    let u = &report.unused[0];
+    assert_eq!(u.file, ANALYSIS_LIB);
+    assert_eq!(u.marker, "library-panic");
+    assert!(u.known, "library-panic is a real rule slug");
+}
+
+#[test]
+fn unknown_marker_is_reported_as_unknown() {
+    let src = "\
+pub fn f() -> u64 {
+    // lint: totally-bogus-rule-ok (typo'd slug)
+    7
+}
+";
+    let report = lint_sources(&ws(&[(ANALYSIS_LIB, src)]), &Allowlist::empty());
+    assert_eq!(report.unused.len(), 1);
+    assert!(!report.unused[0].known);
+}
+
+#[test]
+fn consumed_suppression_is_not_reported() {
+    let src = "\
+pub fn f(xs: &[u64]) -> u64 {
+    // lint: library-panic-ok (caller guarantees non-empty)
+    *xs.first().unwrap()
+}
+";
+    let report = lint_sources(&ws(&[(ANALYSIS_LIB, src)]), &Allowlist::empty());
+    assert!(report.diags.is_empty());
+    assert!(report.unused.is_empty(), "unused: {:?}", report.unused);
+}
+
+#[test]
+fn one_rotted_marker_on_a_dual_comment_is_still_caught() {
+    // Only the S2 half of a dual suppression fires; the S3 half is
+    // rotted (S3 polices borg-query only) and must be reported.
+    let src = "\
+pub fn f(xs: &[u64]) -> u64 {
+    // lint: library-panic-ok (caller guarantees non-empty) truncating-cast-ok (stale)
+    *xs.first().unwrap()
+}
+";
+    let report = lint_sources(&ws(&[(ANALYSIS_LIB, src)]), &Allowlist::empty());
+    assert!(report.diags.is_empty());
+    assert_eq!(report.unused.len(), 1, "unused: {:?}", report.unused);
+    assert_eq!(report.unused[0].marker, "truncating-cast");
+}
+
+// --------------------------------------------------- report plumbing
+
+#[test]
+fn timings_cover_every_stage_and_fired_rule() {
+    let hazard = "pub fn weigh(xs: &[f64]) -> f64 {\n    xs.iter().sum::<f64>()\n}\n";
+    let report = lint_sources(
+        &ws(&[
+            ("crates/sim/src/cell.rs", "pub fn run() {}\n"),
+            ("crates/workload/src/dist.rs", hazard),
+        ]),
+        &Allowlist::empty(),
+    );
+    let keys: Vec<&str> = report
+        .timings
+        .entries()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    for want in ["lex", "C3"] {
+        assert!(keys.contains(&want), "missing timing key {want}: {keys:?}");
+    }
+    assert!(report.total_ms > 0.0);
+    assert_eq!(report.n_files, 2);
+    assert_eq!(report.diags.len(), 1, "diags: {:?}", report.diags);
 }

@@ -5,18 +5,7 @@
 
 use std::path::Path;
 
-use borg_lint::{lint_workspace, Allowlist};
-
-/// The files the old hand-maintained `BIT_IDENTITY_FILES` list named
-/// that still exist. The computed contract-reachable set must stay a
-/// *strict* superset: everything the list policed, plus everything it
-/// silently missed.
-const OLD_BIT_IDENTITY_FILES: &[&str] = &[
-    "crates/query/src/parallel.rs",
-    "crates/query/src/groupby.rs",
-    "crates/sim/src/index.rs",
-    "crates/sim/src/shard.rs",
-];
+use borg_lint::{lint_workspace, Allowlist, C3_CRATES};
 
 #[test]
 fn workspace_has_zero_unsuppressed_diagnostics() {
@@ -25,7 +14,7 @@ fn workspace_has_zero_unsuppressed_diagnostics() {
     assert!(
         report.diags.is_empty(),
         "borg-lint found {} diagnostic(s):\n{}\nfix them or annotate with \
-         `// lint: <rule>-ok (reason)` — see DESIGN.md §10/§15",
+         `// lint: <rule>-ok (reason)` — see DESIGN.md §10",
         report.diags.len(),
         report
             .diags
@@ -53,33 +42,15 @@ fn workspace_has_zero_unused_suppressions() {
 }
 
 #[test]
-fn contract_reach_strictly_covers_the_old_file_list() {
+fn every_c3_crate_exists() {
+    // A renamed or deleted crate would silently drop out of C3's scope.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = lint_workspace(&root, &Allowlist::empty()).expect("workspace scan");
-    let files = report.contract_files();
-    for old in OLD_BIT_IDENTITY_FILES {
+    for krate in C3_CRATES {
+        let lib = root.join("crates").join(krate).join("src/lib.rs");
         assert!(
-            files.contains(old),
-            "{old} fell out of the computed contract scope; the graph lost coverage \
-             the old BIT_IDENTITY_FILES list had"
+            lib.is_file(),
+            "C3_CRATES names `{krate}`, but {} does not exist",
+            lib.display()
         );
     }
-    assert!(
-        files.len() > OLD_BIT_IDENTITY_FILES.len(),
-        "the computed contract scope ({} files) must be a STRICT superset of the old \
-         file list — the whole point of the call graph is covering what the list missed",
-        files.len()
-    );
-    // Every contract root resolved (missing roots would have surfaced
-    // as G1 diagnostics above; this pins the invariant directly too).
-    assert!(
-        report.graph.missing_roots.is_empty(),
-        "unresolved contract roots: {:?}",
-        report.graph.missing_roots
-    );
-    // The ServePool dispatch boundary was discovered, so C2 has scope.
-    assert!(
-        !report.graph.pool_roots.is_empty(),
-        "no ServePool worker functions found — pool-root discovery broke"
-    );
 }

@@ -26,7 +26,7 @@ fn strs<'a, T>(rows: &'a [T], cell: impl Fn(&'a T) -> &'a str) -> Column {
 /// Names the columns; each was built from the same slice, so the
 /// lengths agree.
 fn table(columns: Vec<(&str, Column)>) -> Table {
-    // lint: library-panic-ok (distinct literal names, equal lengths by construction) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
+    // lint: library-panic-ok (distinct literal names, equal lengths by construction)
     Table::from_columns(columns).expect("bridge columns line up")
 }
 

@@ -18,7 +18,7 @@
 pub fn code32(n: usize) -> u32 {
     match u32::try_from(n) {
         Ok(code) => code,
-        // lint: library-panic-ok (engine capacity limit, documented above) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
+        // lint: library-panic-ok (engine capacity limit, documented above)
         Err(_) => panic!("borg-query capacity exceeded: {n} does not fit the u32 row/code space"),
     }
 }

@@ -52,7 +52,10 @@ pub enum JobResult {
 }
 
 /// Executes one job: injected stall, injected panic, then the real
-/// query with the cancellation token threaded into the engine.
+/// query with the cancellation token threaded into the engine. A panic
+/// anywhere in the job is caught here and comes back as
+/// [`JobResult::Panicked`], so no unwind crosses the pool boundary and
+/// the worker lives on; `chaos_panic_comes_back_as_a_result` holds this.
 pub fn run_serve_job(job: ServeJob) -> JobResult {
     if job.fault.stall_us > 0 {
         std::thread::sleep(std::time::Duration::from_micros(job.fault.stall_us));
@@ -181,6 +184,7 @@ mod tests {
     use crate::epoch::TableId;
     use borg_core::pipeline::{simulate_cell, SimScale};
     use borg_workload::cells::CellProfile;
+    use std::sync::{Condvar, Mutex};
 
     fn tiny_epoch() -> Arc<Epoch> {
         let outcome = simulate_cell(&CellProfile::cell_2019('a'), SimScale::Tiny, 1);
@@ -210,23 +214,61 @@ mod tests {
         got
     }
 
+    /// Holds every machine-events job until the gate opens, so a test
+    /// can make the first-submitted job finish second.
+    static GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+
+    fn gated_job(job: ServeJob) -> JobResult {
+        if job.plan.table == TableId::MachineEvents {
+            let (open, opened) = &GATE;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = opened.wait(open).unwrap();
+            }
+        }
+        run_serve_job(job)
+    }
+
+    /// Opens [`GATE`] when dropped. Declared after the pool, it drops
+    /// first, so a failed assert unwinds into a join of workers that are
+    /// free to finish rather than hanging on a parked one.
+    struct OpenGateOnDrop;
+
+    impl Drop for OpenGateOnDrop {
+        fn drop(&mut self) {
+            *GATE.0.lock().unwrap_or_else(|e| e.into_inner()) = true;
+            GATE.1.notify_all();
+        }
+    }
+
     #[test]
     fn executes_and_reports_per_id() {
+        // Two plans with different result bytes, and the first job held
+        // until the second is collected: a pool that attributed results
+        // by submission order rather than by tag would swap them.
         let epoch = tiny_epoch();
-        let mut pool = ServePool::new(2, run_serve_job);
-        assert!(pool.submit(7, job(&epoch, Fault::none())));
-        assert!(pool.submit(8, job(&epoch, Fault::none())));
-        assert_eq!(pool.in_flight(), 2);
-        let got = drain(&mut pool, 2);
-        let expected = table_bytes(
-            &PlanSpec::scan(TableId::MachineEvents)
-                .execute(epoch.table(TableId::MachineEvents).clone(), None)
-                .unwrap(),
-        );
-        for (id, r) in got {
-            assert!(id == 7 || id == 8);
-            assert_eq!(r, JobResult::Done(expected.clone()));
+        let expected = |table: TableId| {
+            JobResult::Done(table_bytes(
+                &PlanSpec::scan(table)
+                    .execute(epoch.table(table).clone(), None)
+                    .unwrap(),
+            ))
+        };
+        let (first, second) = (TableId::MachineEvents, TableId::CollectionEvents);
+        assert_ne!(expected(first), expected(second));
+
+        let mut pool = ServePool::new(2, gated_job);
+        let gate = OpenGateOnDrop;
+        for (id, table) in [(7, first), (8, second)] {
+            let mut j = job(&epoch, Fault::none());
+            j.plan = PlanSpec::scan(table);
+            assert!(pool.submit(id, j));
         }
+        assert_eq!(pool.in_flight(), 2);
+        let mut got = drain(&mut pool, 1);
+        drop(gate);
+        got.extend(drain(&mut pool, 1));
+        assert_eq!(got, vec![(8, expected(second)), (7, expected(first))]);
         assert_eq!(pool.in_flight(), 0);
     }
 

@@ -569,7 +569,7 @@ impl Service {
             if *at > now_us {
                 break;
             }
-            // lint: library-panic-ok (peek above proved non-empty) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
+            // lint: library-panic-ok (peek above proved non-empty)
             let Reverse((_, _, id)) = self.timers.pop().expect("peeked timer");
             if self.queries.contains_key(&id) {
                 self.admit(now_us, id);

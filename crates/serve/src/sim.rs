@@ -334,7 +334,7 @@ impl ServeSim {
                     .is_some_and(|Reverse((at, _, _, _))| *at <= now)
                 {
                     progressed = true;
-                    // lint: library-panic-ok (peek above proved non-empty) unwind-across-pool-ok (serve pool worker contains unwinds via catch_unwind)
+                    // lint: library-panic-ok (peek above proved non-empty)
                     let Reverse((_, _, id, end)) = completions.pop().expect("peeked completion");
                     if end == ModelEnd::Ok {
                         if let Some((epoch, plan)) = pending_exec.remove(&id) {

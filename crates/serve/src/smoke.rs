@@ -122,7 +122,7 @@ pub fn run_smoke(epoch: Arc<Epoch>, seed: u64) -> SmokeReport {
     };
     let arrivals = generate_arrivals(&spec);
     let total_workers: usize = cfg.admission.tiers.iter().map(|t| t.workers).sum();
-    let mut pool = ServePool::new(total_workers, run_serve_job as fn(ServeJob) -> JobResult);
+    let mut pool = ServePool::new(total_workers, run_serve_job);
     let mut service = Service::new(cfg);
     let mut results_returned = 0usize;
     let mut drained = false;

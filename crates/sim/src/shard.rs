@@ -41,10 +41,10 @@ use borg_trace::resources::Resources;
 /// machine indices) to the fleet winner.
 ///
 /// **The blessed combining helper**: an explicit loop in fixed shard
-/// order under the lexicographic `(score, machine_index)` order — the
-/// only reduction shape borg-lint permits over per-shard float results
-/// in a bit-identity file (D3 flags `.reduce(` / `.min_by(` here; see
-/// `crates/lint`). Every shard reports its own lexicographic minimum
+/// order under the lexicographic `(score, machine_index)` order. C3
+/// flags `.reduce(` / `.min_by(` anywhere in borg-sim's library code
+/// (see `crates/lint`); this fixed-order loop is the shape that needs
+/// no annotation. Every shard reports its own lexicographic minimum
 /// and shards partition the fleet, so the minimum over per-shard
 /// winners equals the flat sequential scan's winner, bit for bit.
 // IEEE equality (not total_cmp) is load-bearing: the sequential scan

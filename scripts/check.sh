@@ -15,8 +15,7 @@ usage: scripts/check.sh [MODE]
 Default (no flag): lint, fmt, clippy, build, doc links, tests, paper and profile smoke.
 
 Modes (at most one):
-  --lint        borg-lint only (fast pre-commit loop; honors $LINT_BASELINE)
-  --lint-graph  dump the computed contract/pool reachability set and exit
+  --lint     borg-lint only (fast pre-commit loop; honors $LINT_BASELINE)
   --chaos    chaos roundtrip + trace-kernel differential/fuzz suites, then the
              f32 bucket writer against Display on all 2^32 bit patterns
              (release build; 5.5 min of the mode's 6.5 on two cores)
@@ -34,7 +33,7 @@ EOF
 mode=
 for arg in "$@"; do
     case "$arg" in
-    --bench | --lint | --lint-graph | --chaos | --shards | --serve | --profile | --pipeline)
+    --bench | --lint | --chaos | --shards | --serve | --profile | --pipeline)
         if [ -n "$mode" ]; then
             echo "more than one mode: $mode $arg" >&2
             usage >&2
@@ -126,8 +125,8 @@ if [ "$mode" = --chaos ]; then
     exit 0
 fi
 
-# borg-lint: workspace determinism & soundness rules (DESIGN.md §10,
-# §15). Runs first — it needs only `cargo build -p borg-lint`, so it
+# borg-lint: workspace determinism & soundness rules (DESIGN.md §10).
+# Runs first — it needs only `cargo build -p borg-lint`, so it
 # reports before the full workspace compiles. Honors $LINT_BASELINE if
 # set. Always leaves target/lint-findings.json behind as the CI
 # artifact, and budgets the analysis at 5 s of wall time — the linter
@@ -152,12 +151,6 @@ run_lint() {
     fi
     echo "lint budget: ${total_ms} ms of ${LINT_BUDGET_MS} ms; findings artifact at $LINT_JSON"
 }
-
-if [ "$mode" = --lint-graph ]; then
-    echo "==> borg-lint --dump-graph (contract/pool reachability set)"
-    cargo run -q --release -p borg-lint --offline -- --root . --dump-graph
-    exit 0
-fi
 
 if [ "$mode" = --lint ]; then
     run_lint
