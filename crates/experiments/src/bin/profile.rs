@@ -23,6 +23,7 @@
 //! cargo run --release -p borg-experiments --bin profile -- --seed 7 --full
 //! ```
 
+use borg_experiments::exit_usage;
 use borg_query::{bridge, col, lit, Agg, Query, SortOrder};
 use borg_serve::{
     generate_arrivals, open_loop_gap_us, overload_admission, ChaosConfig, Epoch, ModelCost,
@@ -47,6 +48,7 @@ struct Opts {
     full: bool,
 }
 
+/// Parses the command line; a bad one is reported on stderr and exits 2.
 fn parse_opts() -> Opts {
     let mut opts = Opts {
         seed: 1,
@@ -58,25 +60,35 @@ fn parse_opts() -> Opts {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| panic!("{what}\n{USAGE}"));
+        // The value after `arg`, an integer of at least `min`.
+        let mut int = |min: u64| {
+            args.next()
+                .and_then(|v| v.parse::<u64>().ok())
+                .filter(|&n| n >= min)
+                .unwrap_or_else(|| {
+                    let what = if min == 0 {
+                        "an integer"
+                    } else {
+                        "a positive integer"
+                    };
+                    exit_usage(&format!("{arg} needs {what}; {USAGE}"))
+                })
+        };
         match arg.as_str() {
-            "--seed" => opts.seed = value("--seed needs a number").parse().expect("seed"),
-            "--machines" => {
-                opts.machines = value("--machines needs a number")
-                    .parse()
-                    .expect("machines");
-            }
-            "--shards" => {
-                opts.shards = Some(value("--shards needs a number").parse().expect("shards"));
-            }
-            "--trace-out" => opts.trace_out = Some(value("--trace-out needs a path").into()),
+            "--seed" => opts.seed = int(0),
+            "--machines" => opts.machines = int(1),
+            "--shards" => opts.shards = Some(int(1) as usize),
+            "--trace-out" => match args.next() {
+                Some(path) => opts.trace_out = Some(path.into()),
+                None => exit_usage(&format!("--trace-out needs a path; {USAGE}")),
+            },
             "--serve" => opts.serve = true,
             "--full" => opts.full = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => panic!("unknown argument {other:?}\n{USAGE}"),
+            other => exit_usage(&format!("unknown argument {other:?}; {USAGE}")),
         }
     }
     opts
@@ -213,7 +225,8 @@ fn main() {
         Err(pos) => println!("\nchrome trace: INVALID JSON at byte {pos}"),
     }
     if let Some(path) = &opts.trace_out {
-        std::fs::write(path, &json).expect("trace written");
+        std::fs::write(path, &json)
+            .unwrap_or_else(|e| exit_usage(&format!("--trace-out {}: {e}", path.display())));
         println!("  written to {} (load at chrome://tracing)", path.display());
     }
 

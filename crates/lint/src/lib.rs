@@ -17,9 +17,8 @@
 //!   (order-sensitive reductions) on their library code: the crates
 //!   whose output the golden digests, parallel == sequential and the
 //!   serve log digests pin.
-//! - `bench` and `criterion` are exempt from D2 (timing is their job),
-//!   as is the one *blessed* wall-clock helper
-//!   (`crates/telemetry/src/clock.rs`).
+//! - D2 covers the library and binary code of every crate except the
+//!   one *blessed* wall-clock helper (`crates/telemetry/src/clock.rs`).
 //! - Tests, benches and examples are exempt from every rule: they may
 //!   iterate maps and unwrap freely. `#[cfg(test)]` modules inside
 //!   library files are recognised and skipped the same way.

@@ -82,7 +82,7 @@ impl RuleId {
             }
             RuleId::D2 => {
                 "wall-clock/entropy/thread-identity source (SystemTime::now, Instant::now, \
-                 thread::current, thread_rng, from_entropy) outside bench/criterion"
+                 thread::current, thread_rng, from_entropy) in library or binary code"
             }
             RuleId::D3 => {
                 "float partial-order hazard: partial_cmp().unwrap()/expect() comparators \
@@ -181,12 +181,12 @@ const ITER_METHODS: &[&str] = &[
 const ORDER_SENSITIVE_REDUCERS: &[&str] =
     &["reduce", "min_by", "max_by", "min_by_key", "max_by_key"];
 
-/// Blessed wall-clock helpers: the only non-bench library files allowed
-/// the D2 time/entropy sources. Telemetry's timing plane routes every
-/// duration through `telemetry::clock::now_ns`, which keeps wall-clock
-/// reads auditable at one site instead of suppressed ad hoc (DESIGN.md
-/// §12); the values it yields are confined to the timing plane and
-/// excluded from every determinism contract.
+/// Blessed wall-clock helpers: the only library files allowed the D2
+/// time/entropy sources without a suppression. Telemetry's timing plane
+/// routes every duration through `telemetry::clock::now_ns`, which keeps
+/// wall-clock reads auditable at one site instead of suppressed ad hoc
+/// (DESIGN.md §12); the values it yields are confined to the timing plane
+/// and excluded from every determinism contract.
 const D2_BLESSED_FILES: &[&str] = &["crates/telemetry/src/clock.rs"];
 
 /// Everything the workspace pipeline hands a per-file rule run.
@@ -229,9 +229,7 @@ pub(crate) fn lint_tokens(input: &FileInput, timings: &mut Timings) -> FileOutco
     run(RuleId::D1, deterministic_lib, &mut ctx, rule_d1);
     run(
         RuleId::D2,
-        !matches!(fc.krate.as_str(), "criterion" | "bench")
-            && matches!(fc.target, Target::Lib | Target::Bin)
-            && !D2_BLESSED_FILES.contains(&input.rel),
+        matches!(fc.target, Target::Lib | Target::Bin) && !D2_BLESSED_FILES.contains(&input.rel),
         &mut ctx,
         rule_d2,
     );

@@ -123,18 +123,6 @@ fn d2_deleting_annotation_flips_verdict() {
 }
 
 #[test]
-fn d2_bench_and_criterion_are_exempt() {
-    assert_clean(
-        "crates/criterion/src/lib.rs",
-        include_str!("fixtures/d2_fail.rs"),
-    );
-    assert_clean(
-        "crates/bench/src/lib.rs",
-        include_str!("fixtures/d2_fail.rs"),
-    );
-}
-
-#[test]
 fn d2_blessed_telemetry_clock_is_exempt() {
     // The sanctioned wall-clock source: telemetry's timing plane reads
     // `Instant::now()` inside the one blessed file (DESIGN.md §12).

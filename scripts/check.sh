@@ -25,7 +25,6 @@ Modes (at most one):
   --profile  telemetry profile report only (512-machine cell-day breakdown); fails if the
              placement index answered nothing or walks more log per revalidation than its cutoff
   --pipeline pipeline-bench self-check only (benchmark/run.sh --check: unit tests + 5 tiny workloads)
-  --bench    default path plus a one-pass smoke of every criterion bench
   --help     this text
 EOF
 }
@@ -33,7 +32,7 @@ EOF
 mode=
 for arg in "$@"; do
     case "$arg" in
-    --bench | --lint | --chaos | --shards | --serve | --profile | --pipeline)
+    --lint | --chaos | --shards | --serve | --profile | --pipeline)
         if [ -n "$mode" ]; then
             echo "more than one mode: $mode $arg" >&2
             usage >&2
@@ -181,10 +180,5 @@ cargo run -q --release -p borg-experiments --offline --bin paper -- --scale tiny
 echo "==> telemetry profile smoke (64-machine cell-day)"
 cargo run -q --release -p borg-experiments --offline --bin profile -- --machines 64 >/dev/null
 cargo run -q --release -p borg-experiments --offline --bin profile -- --machines 64 --shards 4 >/dev/null
-
-if [ "$mode" = --bench ]; then
-    echo "==> cargo bench (smoke: one pass per benchmark)"
-    CRITERION_SMOKE=1 cargo bench --workspace --offline
-fi
 
 echo "All checks passed."
