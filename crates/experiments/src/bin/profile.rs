@@ -37,12 +37,11 @@ use borg_trace::time::Micros;
 use borg_workload::cells::CellProfile;
 
 const USAGE: &str =
-    "usage: profile [--seed N] [--machines N] [--shards K] [--trace-out PATH] [--serve] [--full]";
+    "usage: profile [--seed N] [--machines N] [--trace-out PATH] [--serve] [--full]";
 
 struct Opts {
     seed: u64,
     machines: u64,
-    shards: Option<usize>,
     trace_out: Option<std::path::PathBuf>,
     serve: bool,
     full: bool,
@@ -53,7 +52,6 @@ fn parse_opts() -> Opts {
     let mut opts = Opts {
         seed: 1,
         machines: 512,
-        shards: None,
         trace_out: None,
         serve: false,
         full: false,
@@ -77,7 +75,6 @@ fn parse_opts() -> Opts {
         match arg.as_str() {
             "--seed" => opts.seed = int(0),
             "--machines" => opts.machines = int(1),
-            "--shards" => opts.shards = Some(int(1) as usize),
             "--trace-out" => match args.next() {
                 Some(path) => opts.trace_out = Some(path.into()),
                 None => exit_usage(&format!("--trace-out needs a path; {USAGE}")),
@@ -115,14 +112,12 @@ fn main() {
     cfg.horizon = Micros::from_days(1);
     cfg.snapshot_at = Micros::from_hours(12);
     cfg.telemetry = true;
-    cfg.placement_shards = opts.shards;
     cfg.validate();
 
     println!(
-        "=== profile: {}-machine cell-day (cell d, seed {}, {} placement shard(s)) ===\n",
+        "=== profile: {}-machine cell-day (cell d, seed {}) ===\n",
         cfg.machine_count(&profile),
         opts.seed,
-        cfg.effective_shards(cfg.machine_count(&profile)),
     );
     let outcome = CellSim::run_cell(&profile, &cfg);
     let snap = &outcome.telemetry;
@@ -148,8 +143,8 @@ fn main() {
     }
     // What an answer from the score cache cost: log records walked and
     // machines re-scored per revalidation, against the longest tail a
-    // shard of this size walks (`scripts/check.sh --profile` reads the
-    // two lines below).
+    // fleet of this size walks (`crates/sim/tests/golden.rs` asserts the
+    // same bound on every golden row).
     let index = |name: &str| {
         let name = format!("sim.index.{name}");
         snap.counters
@@ -158,9 +153,6 @@ fn main() {
             .map_or(0, |c| c.value)
     };
     let revalidations = index("cache_hits") + index("negative_hits");
-    let shard_fleet = cfg
-        .machine_count(&profile)
-        .div_ceil(index("shards").max(1) as usize);
     println!(
         "  answered: {} (hits + negative hits + misses)",
         revalidations + index("cache_misses")
@@ -169,7 +161,7 @@ fn main() {
         "  per revalidation: {:.1} records walked, {:.1} machines re-scored (tail cutoff {})",
         index("tail_records") as f64 / revalidations.max(1) as f64,
         index("rescored") as f64 / revalidations.max(1) as f64,
-        borg_sim::index::max_tail(shard_fleet),
+        borg_sim::index::max_tail(cfg.machine_count(&profile)),
     );
 
     // 4. Round-trip through the query engine: analyze the snapshot with

@@ -11,7 +11,7 @@ fn bad_command_lines_exit_2_with_one_line() {
         (&["--seed"], "--seed needs an integer"),
         (&["--seed", "x"], "--seed needs an integer"),
         (&["--machines", "0"], "--machines needs a positive integer"),
-        (&["--shards", "0"], "--shards needs a positive integer"),
+        (&["--shards", "0"], "unknown argument \"--shards\""),
         (&["--trace-out"], "--trace-out needs a path"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_profile"))

@@ -19,7 +19,7 @@
 //!   serve log digests pin.
 //! - D2 covers the library and binary code of every crate except the
 //!   one *blessed* wall-clock helper (`crates/telemetry/src/clock.rs`).
-//! - Tests, benches and examples are exempt from every rule: they may
+//! - Tests and examples are exempt from every rule: they may
 //!   iterate maps and unwrap freely. `#[cfg(test)]` modules inside
 //!   library files are recognised and skipped the same way.
 //! - `unsafe` is rustc's job: `[workspace.lints.rust] unsafe_code =
@@ -27,7 +27,6 @@
 //! - `borg-lint` itself is not scanned — its sources quote the very
 //!   patterns it hunts.
 
-pub mod json;
 pub mod lexer;
 pub mod rules;
 
@@ -71,7 +70,6 @@ pub enum Target {
     Lib,
     Bin,
     Test,
-    Bench,
     Example,
 }
 
@@ -106,8 +104,6 @@ pub fn classify(rel: &str) -> Option<FileClass> {
         Target::Lib
     } else if rest.starts_with("tests/") {
         Target::Test
-    } else if rest.starts_with("benches/") {
-        Target::Bench
     } else if rest.starts_with("examples/") {
         Target::Example
     } else {
@@ -121,36 +117,12 @@ pub fn classify(rel: &str) -> Option<FileClass> {
     })
 }
 
-/// Accumulated wall time per rule/stage, in milliseconds, in first-seen
-/// order. CI budgets the total; the per-entry split tells you which
-/// rule to fix when the budget trips.
-#[derive(Debug, Default)]
-pub struct Timings {
-    entries: Vec<(String, f64)>,
-}
-
-impl Timings {
-    pub fn add(&mut self, key: &str, ms: f64) {
-        match self.entries.iter_mut().find(|(k, _)| k == key) {
-            Some(e) => e.1 += ms,
-            None => self.entries.push((key.to_string(), ms)),
-        }
-    }
-
-    pub fn entries(&self) -> &[(String, f64)] {
-        &self.entries
-    }
-}
-
 /// Everything one workspace lint run produced.
 pub struct WorkspaceReport {
-    /// Findings, baseline-filtered, sorted by (file, line, rule).
+    /// Findings, sorted by (file, line, rule).
     pub diags: Vec<Diagnostic>,
     /// Site suppressions no finding consumed (and unknown markers).
     pub unused: Vec<UnusedSuppression>,
-    /// Baseline entries no finding matched, in `path:line:RULE` form.
-    pub unused_baseline: Vec<String>,
-    pub timings: Timings,
     pub total_ms: f64,
     pub n_files: usize,
 }
@@ -158,16 +130,14 @@ pub struct WorkspaceReport {
 /// Lints a set of in-memory sources, one file at a time: lex → test
 /// regions → rules. `files` holds `(rel_path, src)` pairs; out-of-scope
 /// paths are skipped.
-pub fn lint_sources(files: &[(String, String)], allow: &Allowlist) -> WorkspaceReport {
+pub fn lint_sources(files: &[(String, String)]) -> WorkspaceReport {
     let t_total = Instant::now();
-    let mut timings = Timings::default();
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut unused: Vec<UnusedSuppression> = Vec::new();
     let mut n_files = 0;
     for (rel, src) in files {
         let Some(fc) = classify(rel) else { continue };
         n_files += 1;
-        let t0 = Instant::now();
         let mut comments: Vec<(u32, String)> = Vec::new();
         let mut toks: Vec<Tok> = Vec::new();
         for t in lex(src) {
@@ -180,43 +150,21 @@ pub fn lint_sources(files: &[(String, String)], allow: &Allowlist) -> WorkspaceR
             }
         }
         let in_test = rules::test_regions(&toks);
-        timings.add("lex", t0.elapsed().as_secs_f64() * 1e3);
-        let outcome = rules::lint_tokens(
-            &rules::FileInput {
-                rel,
-                toks: &toks,
-                comments: &comments,
-                in_test: &in_test,
-                fc: &fc,
-            },
-            &mut timings,
-        );
+        let outcome = rules::lint_tokens(&rules::FileInput {
+            rel,
+            toks: &toks,
+            comments: &comments,
+            in_test: &in_test,
+            fc: &fc,
+        });
         diags.extend(outcome.diags);
         unused.extend(outcome.unused);
     }
     diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
-    // Baseline filtering, tracking which entries still earn their keep.
-    let mut entry_used = vec![false; allow.len()];
-    diags.retain(|d| match allow.matching(d) {
-        Some(i) => {
-            entry_used[i] = true;
-            false
-        }
-        None => true,
-    });
-    let unused_baseline: Vec<String> = entry_used
-        .iter()
-        .enumerate()
-        .filter(|(_, used)| !**used)
-        .map(|(i, _)| allow.render_entry(i))
-        .collect();
-
     WorkspaceReport {
         diags,
         unused,
-        unused_baseline,
-        timings,
         total_ms: t_total.elapsed().as_secs_f64() * 1e3,
         n_files,
     }
@@ -225,99 +173,12 @@ pub fn lint_sources(files: &[(String, String)], allow: &Allowlist) -> WorkspaceR
 /// Lints one source text under its repo-relative path (see
 /// [`lint_sources`]). Out-of-scope paths return no diagnostics.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
-    lint_sources(&[(rel.to_string(), src.to_string())], &Allowlist::empty()).diags
-}
-
-/// An allowlist/baseline: `path:line:RULE` or `path:*:RULE` entries,
-/// one per line, `#` comments and blank lines ignored. Paths are
-/// repo-relative with `/` separators.
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<(String, Option<u32>, String)>,
-}
-
-impl Allowlist {
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Parses the allowlist format; returns a line-numbered error for
-    /// malformed entries.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        for (no, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            // Split from the right: paths contain no ':', but be strict.
-            let mut parts = line.rsplitn(3, ':');
-            let (rule, lineno, path) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(r), Some(l), Some(p)) => (r.trim(), l.trim(), p.trim()),
-                _ => {
-                    return Err(format!(
-                        "allowlist line {}: expected `path:line:RULE`, got `{line}`",
-                        no + 1
-                    ))
-                }
-            };
-            let lineno = if lineno == "*" {
-                None
-            } else {
-                Some(lineno.parse::<u32>().map_err(|_| {
-                    format!("allowlist line {}: bad line number `{lineno}`", no + 1)
-                })?)
-            };
-            entries.push((path.to_string(), lineno, rule.to_string()));
-        }
-        Ok(Self { entries })
-    }
-
-    /// True when `d` is covered by an entry.
-    pub fn allows(&self, d: &Diagnostic) -> bool {
-        self.matching(d).is_some()
-    }
-
-    /// Index of the first entry covering `d`, for used-entry tracking.
-    pub fn matching(&self, d: &Diagnostic) -> Option<usize> {
-        self.entries.iter().position(|(path, line, rule)| {
-            path == &d.file && rule == d.rule.id() && line.map(|l| l == d.line).unwrap_or(true)
-        })
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Renders entry `i` back to its `path:line:RULE` form.
-    pub fn render_entry(&self, i: usize) -> String {
-        let (path, line, rule) = &self.entries[i];
-        match line {
-            Some(l) => format!("{path}:{l}:{rule}"),
-            None => format!("{path}:*:{rule}"),
-        }
-    }
-}
-
-/// Renders diagnostics in allowlist format, for `--write-baseline`.
-pub fn render_baseline(diags: &[Diagnostic]) -> String {
-    let mut out = String::from(
-        "# borg-lint baseline: pre-existing diagnostics tolerated during incremental\n\
-         # adoption. Format: path:line:RULE (line may be `*`). Shrink me over time.\n",
-    );
-    for d in diags {
-        out.push_str(&format!("{}:{}:{}\n", d.file, d.line, d.rule.id()));
-    }
-    out
+    lint_sources(&[(rel.to_string(), src.to_string())]).diags
 }
 
 /// Collects every in-scope `.rs` file under `root` (sorted, so runs
 /// are deterministic) and lints the set as one workspace.
-pub fn lint_workspace(root: &Path, allow: &Allowlist) -> io::Result<WorkspaceReport> {
+pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let mut rels = Vec::new();
     collect_rs_files(root, root, &mut rels)?;
     rels.sort();
@@ -326,7 +187,7 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> io::Result<WorkspaceRep
         let src = fs::read_to_string(root.join(&rel))?;
         files.push((rel, src));
     }
-    Ok(lint_sources(&files, allow))
+    Ok(lint_sources(&files))
 }
 
 /// Recursive walk gathering `.rs` paths relative to `root`, skipping
@@ -387,40 +248,5 @@ mod tests {
         assert!(classify("crates/lint/src/lib.rs").is_none());
         assert!(classify("target/debug/build/foo.rs").is_none());
         assert!(classify("README.md").is_none());
-    }
-
-    #[test]
-    fn allowlist_round_trip() {
-        let d = Diagnostic {
-            file: "crates/sim/src/cell.rs".into(),
-            line: 42,
-            rule: RuleId::D1,
-            message: String::new(),
-        };
-        let text = render_baseline(std::slice::from_ref(&d));
-        let allow = Allowlist::parse(&text).unwrap();
-        assert!(allow.allows(&d));
-
-        let wildcard = Allowlist::parse("crates/sim/src/cell.rs:*:D1\n").unwrap();
-        assert!(wildcard.allows(&d));
-        let other = Allowlist::parse("crates/sim/src/cell.rs:41:D1\n").unwrap();
-        assert!(!other.allows(&d));
-        assert!(Allowlist::parse("nonsense").is_err());
-    }
-
-    #[test]
-    fn unused_baseline_entries_are_reported() {
-        let allow = Allowlist::parse("crates/sim/src/cell.rs:999:D1\n# comment\n").unwrap();
-        let report = lint_sources(
-            &[(
-                "crates/sim/src/other.rs".to_string(),
-                "pub fn f() {}\n".to_string(),
-            )],
-            &allow,
-        );
-        assert_eq!(
-            report.unused_baseline,
-            vec!["crates/sim/src/cell.rs:999:D1"]
-        );
     }
 }

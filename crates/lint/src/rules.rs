@@ -20,8 +20,7 @@
 //! honest lives in [`crate::FileClass`] and [`crate::C3_CRATES`].
 
 use crate::lexer::{Tok, TokKind};
-use crate::{FileClass, Target, Timings, C3_CRATES};
-use std::time::Instant;
+use crate::{FileClass, Target, C3_CRATES};
 
 /// Stable identifiers for the rule catalogue (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,7 +46,7 @@ impl RuleId {
         RuleId::M1,
     ];
 
-    /// Short ID as printed in diagnostics and allowlists.
+    /// Short ID as printed in diagnostics and accepted in site markers.
     pub fn id(self) -> &'static str {
         match self {
             RuleId::D1 => "D1",
@@ -116,7 +115,7 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Renders in the `file:line: ID slug: message` shape check.sh greps.
+    /// Renders in the `file:line: ID slug: message` shape of the report.
     pub fn render(&self) -> String {
         format!(
             "{}:{}: {} {}: {}",
@@ -204,9 +203,8 @@ pub(crate) struct FileOutcome {
     pub unused: Vec<UnusedSuppression>,
 }
 
-/// Runs every applicable rule over one prepared file, accumulating
-/// per-rule wall time into `timings`.
-pub(crate) fn lint_tokens(input: &FileInput, timings: &mut Timings) -> FileOutcome {
+/// Runs every applicable rule over one prepared file.
+pub(crate) fn lint_tokens(input: &FileInput) -> FileOutcome {
     let fc = input.fc;
     let mut ctx = Ctx {
         rel: input.rel,
@@ -218,43 +216,29 @@ pub(crate) fn lint_tokens(input: &FileInput, timings: &mut Timings) -> FileOutco
     };
 
     let deterministic_lib = fc.deterministic && fc.target == Target::Lib;
-    let mut run = |id: RuleId, on: bool, ctx: &mut Ctx, f: fn(&mut Ctx)| {
-        if !on {
-            return;
-        }
-        let t0 = Instant::now();
-        f(ctx);
-        timings.add(id.id(), t0.elapsed().as_secs_f64() * 1e3);
-    };
-    run(RuleId::D1, deterministic_lib, &mut ctx, rule_d1);
-    run(
-        RuleId::D2,
-        matches!(fc.target, Target::Lib | Target::Bin) && !D2_BLESSED_FILES.contains(&input.rel),
-        &mut ctx,
-        rule_d2,
-    );
-    run(RuleId::D3, deterministic_lib, &mut ctx, rule_d3);
-    run(
-        RuleId::C3,
-        fc.target == Target::Lib && C3_CRATES.contains(&fc.krate.as_str()),
-        &mut ctx,
-        rule_c3,
-    );
-    run(RuleId::S2, deterministic_lib, &mut ctx, rule_s2);
-    run(
-        RuleId::S3,
-        fc.krate == "query" && fc.target == Target::Lib,
-        &mut ctx,
-        rule_s3,
-    );
+    if deterministic_lib {
+        rule_d1(&mut ctx);
+    }
+    if matches!(fc.target, Target::Lib | Target::Bin) && !D2_BLESSED_FILES.contains(&input.rel) {
+        rule_d2(&mut ctx);
+    }
+    if deterministic_lib {
+        rule_d3(&mut ctx);
+    }
+    if fc.target == Target::Lib && C3_CRATES.contains(&fc.krate.as_str()) {
+        rule_c3(&mut ctx);
+    }
+    if deterministic_lib {
+        rule_s2(&mut ctx);
+    }
+    if fc.krate == "query" && fc.target == Target::Lib {
+        rule_s3(&mut ctx);
+    }
     // telemetry is exempt: it *implements* the registry the rule
     // routes everyone else toward.
-    run(
-        RuleId::M1,
-        deterministic_lib && fc.krate != "telemetry",
-        &mut ctx,
-        rule_m1,
-    );
+    if deterministic_lib && fc.krate != "telemetry" {
+        rule_m1(&mut ctx);
+    }
 
     ctx.out.sort_by_key(|d| (d.line, d.rule));
     let unused = unused_suppressions(&ctx);

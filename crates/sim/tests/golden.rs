@@ -35,8 +35,11 @@
 //!
 //! On top of the digests, every row's trace passes
 //! `borg_trace::validate::validate` with zero violations and a
-//! task-conservation check (see [`assert_tasks_conserved`]).
+//! task-conservation check (see [`assert_tasks_conserved`]), and its
+//! placement index answered queries without walking past its tail
+//! cutoff.
 
+use borg_sim::index::max_tail;
 use borg_sim::{CellOutcome, CellSim, FaultConfig, SimConfig};
 use borg_trace::collection::{CollectionId, CollectionType};
 use borg_trace::csv;
@@ -351,6 +354,17 @@ fn run_row(row: &Row) -> Pinned {
     assert!(
         ix.cache_hits + ix.negative_hits + ix.cache_misses > 0,
         "{label}: index never consulted"
+    );
+    // Each cache answer walks at most the mutation log, which keeps
+    // `max_tail` records of its shard's fleet.
+    let machines = row.cfg.machine_count(&row.profile);
+    let shard_fleet = machines.div_ceil(row.cfg.effective_shards(machines));
+    assert!(
+        ix.tail_records <= (ix.cache_hits + ix.negative_hits) * max_tail(shard_fleet) as u64,
+        "{label}: {} log records walked by {} cache answers, tail cutoff {}",
+        ix.tail_records,
+        ix.cache_hits + ix.negative_hits,
+        max_tail(shard_fleet)
     );
     let on = CellSim::run_cell(
         &row.profile,

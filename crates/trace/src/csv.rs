@@ -762,12 +762,6 @@ pub fn write_machine_events(w: &mut impl Write, events: &[MachineEvent]) -> io::
     write_table::<MachineCodec>(w, events, &mut |_| {})
 }
 
-/// Parses one data row of the machine-events table (`n` is its 1-based
-/// line number, used in error messages only).
-pub fn parse_machine_line(line: &str, n: usize) -> Result<MachineEvent, CsvError> {
-    MachineCodec.parse(line, n)
-}
-
 /// Reads the machine-events table.
 pub fn read_machine_events(r: impl BufRead) -> Result<Vec<MachineEvent>, CsvError> {
     read_table::<MachineCodec>(r)
@@ -876,11 +870,6 @@ pub fn write_collection_events(w: &mut impl Write, events: &[CollectionEvent]) -
     write_table::<CollectionCodec>(w, events, &mut |_| {})
 }
 
-/// Parses one data row of the collection-events table.
-pub fn parse_collection_line(line: &str, n: usize) -> Result<CollectionEvent, CsvError> {
-    CollectionCodec.parse(line, n)
-}
-
 /// Reads the collection-events table.
 pub fn read_collection_events(r: impl BufRead) -> Result<Vec<CollectionEvent>, CsvError> {
     read_table::<CollectionCodec>(r)
@@ -975,11 +964,6 @@ impl Codec for InstanceCodec {
 /// Writes the instance-events table.
 pub fn write_instance_events(w: &mut impl Write, events: &[InstanceEvent]) -> io::Result<()> {
     write_table::<InstanceCodec>(w, events, &mut |_| {})
-}
-
-/// Parses one data row of the instance-events table.
-pub fn parse_instance_line(line: &str, n: usize) -> Result<InstanceEvent, CsvError> {
-    InstanceCodec::default().parse(line, n)
 }
 
 /// Reads the instance-events table.
@@ -1078,11 +1062,6 @@ impl Codec for UsageCodec {
 /// Writes the usage table (histogram inlined as 21 extra columns).
 pub fn write_usage(w: &mut impl Write, records: &[UsageRecord]) -> io::Result<()> {
     write_table::<UsageCodec>(w, records, &mut |_| {})
-}
-
-/// Parses one data row of the usage table.
-pub fn parse_usage_line(line: &str, n: usize) -> Result<UsageRecord, CsvError> {
-    UsageCodec::default().parse(line, n)
 }
 
 /// Reads the usage table.
@@ -1581,7 +1560,7 @@ mod tests {
         for back in [
             read_usage(&written[..]).unwrap(),
             read_table_lenient::<UsageCodec>(&written[..], 0, &mut q),
-            vec![parse_usage_line(line, 2).unwrap()],
+            vec![UsageCodec::default().parse(line, 2).unwrap()],
         ] {
             assert_eq!(back[0].cpu_histogram.0[20].to_bits(), odd.to_bits());
             let mut again = Vec::new();
@@ -1633,10 +1612,10 @@ mod tests {
         ];
         let parse = |file: &str, line: &str| -> Result<(), String> {
             match file {
-                FILE_MACHINE => parse_machine_line(line, 2).map(|_| ()),
-                FILE_COLLECTION => parse_collection_line(line, 2).map(|_| ()),
-                FILE_INSTANCE => parse_instance_line(line, 2).map(|_| ()),
-                _ => parse_usage_line(line, 2).map(|_| ()),
+                FILE_MACHINE => MachineCodec.parse(line, 2).map(|_| ()),
+                FILE_COLLECTION => CollectionCodec.parse(line, 2).map(|_| ()),
+                FILE_INSTANCE => InstanceCodec::default().parse(line, 2).map(|_| ()),
+                _ => UsageCodec::default().parse(line, 2).map(|_| ()),
             }
             .map_err(|e| e.to_string())
         };
@@ -2333,19 +2312,19 @@ mod tests {
             match file {
                 FILE_MACHINE => (
                     MachineCodec.recognise(bytes).is_some(),
-                    parse_machine_line(line, 2).is_ok(),
+                    MachineCodec.parse(line, 2).is_ok(),
                 ),
                 FILE_COLLECTION => (
                     CollectionCodec.recognise(bytes).is_some(),
-                    parse_collection_line(line, 2).is_ok(),
+                    CollectionCodec.parse(line, 2).is_ok(),
                 ),
                 FILE_INSTANCE => (
                     InstanceCodec::default().recognise(bytes).is_some(),
-                    parse_instance_line(line, 2).is_ok(),
+                    InstanceCodec::default().parse(line, 2).is_ok(),
                 ),
                 _ => (
                     UsageCodec::default().recognise(bytes).is_some(),
-                    parse_usage_line(line, 2).is_ok(),
+                    UsageCodec::default().parse(line, 2).is_ok(),
                 ),
             }
         }
