@@ -35,7 +35,7 @@ use borg_workload::jobgen::{GenParams, JobGenerator, JobSpec, Workload};
 use borg_workload::usage_model::splitmix64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Everything a simulated cell-month produces.
 #[derive(Debug)]
@@ -124,6 +124,10 @@ struct AllocRt {
     /// placements; torn down once the members finish.
     draining: bool,
     sm: StateMachine,
+    /// The running tasks placed inside this set, `(job, task)`: exactly
+    /// the running set filtered by `in_alloc`, in its order, so teardown
+    /// does not scan every running task.
+    members: BTreeSet<(usize, usize)>,
 }
 
 /// The cell simulator.
@@ -373,6 +377,7 @@ impl<'a> CellSim<'a> {
                     .collect(),
                 active: false,
                 sm: StateMachine::new(),
+                members: BTreeSet::new(),
                 spec,
             })
             .collect();

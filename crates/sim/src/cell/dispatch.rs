@@ -281,6 +281,9 @@ impl CellSim<'_> {
         }
         self.jobs[job].pending_count -= 1;
         self.running.insert(job, task);
+        if let Some((alloc_idx, _)) = in_alloc {
+            self.allocs[alloc_idx].members.insert((job, task));
+        }
         self.emit_task(job, task, EventType::Schedule, Some(machine));
 
         // First running task starts the job's clock (Figure 10 measures
@@ -331,7 +334,9 @@ impl CellSim<'_> {
         let limit = self.jobs[job].tasks[task].limit;
         let in_alloc = self.jobs[job].tasks[task].in_alloc.take();
         if let Some((alloc_idx, inst)) = in_alloc {
-            let used = &mut self.allocs[alloc_idx].instances[inst].used;
+            let alloc = &mut self.allocs[alloc_idx];
+            alloc.members.remove(&(job, task));
+            let used = &mut alloc.instances[inst].used;
             *used = (*used - limit).clamp_non_negative();
         } else {
             self.release_occupant(machine, job, task);

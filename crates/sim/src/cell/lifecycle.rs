@@ -229,18 +229,21 @@ impl CellSim<'_> {
         // Reservations are torn down gracefully: while production members
         // are still running inside, the teardown is deferred (Borg's
         // eviction SLOs protect production work, §5.2).
-        // `running` iterates sorted, so teardown order (and thus the
+        // The member index iterates in ascending `(job, task)`, the order
+        // of the running set it mirrors, so teardown order (and thus the
         // trace) is deterministic; collected because evictions mutate it.
-        let members: Vec<(usize, usize)> = self
-            .running
-            .to_vec()
-            .into_iter()
-            .filter(|&(j, t)| {
-                self.jobs[j].tasks[t]
+        let members: Vec<(usize, usize)> = self.allocs[alloc].members.iter().copied().collect();
+        debug_assert_eq!(
+            members,
+            self.running
+                .to_vec()
+                .into_iter()
+                .filter(|&(j, t)| self.jobs[j].tasks[t]
                     .in_alloc
-                    .is_some_and(|(a, _)| a == alloc)
-            })
-            .collect();
+                    .is_some_and(|(a, _)| a == alloc))
+                .collect::<Vec<_>>(),
+            "alloc {alloc}: member index out of step with the running set"
+        );
         let prod_members = members
             .iter()
             .any(|&(j, _)| matches!(self.jobs[j].spec.tier, Tier::Production | Tier::Monitoring));

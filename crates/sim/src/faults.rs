@@ -478,6 +478,11 @@ pub fn corrupt_trace(trace: &Trace, cfg: &CorruptionConfig, seed: u64) -> (Trace
 /// `cfg.garble_fraction` of data lines per table are garbled so they can
 /// never parse (the first field becomes non-numeric), each counted in
 /// `ledger`. Combine with [`corrupt_trace`] for row-level faults first.
+///
+/// The decisions are drawn before anything is written, one per data row
+/// in file order (machine, collection, instance, usage), none when the
+/// fraction is 0, because the tables are written on two threads. A cell
+/// name the directory cannot hold is refused before the first draw.
 pub fn write_trace_dir_lossy(
     trace: &Trace,
     dir: &std::path::Path,
@@ -487,18 +492,30 @@ pub fn write_trace_dir_lossy(
 ) -> std::io::Result<()> {
     use borg_trace::csv::{FILE_COLLECTION, FILE_INSTANCE, FILE_MACHINE};
     cfg.validate();
+    borg_trace::csv::check_cell_name(&trace.cell_name)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let frac = cfg.garble_fraction;
-    borg_trace::csv::write_trace_dir_with(trace, dir, &mut |file, line| {
-        if frac > 0.0 && rng.random_bool(frac) {
+    let mut draw = |rows: usize, table: &mut TableFaults| -> Vec<bool> {
+        if frac <= 0.0 {
+            return Vec::new();
+        }
+        let garbled: Vec<bool> = (0..rows).map(|_| rng.random_bool(frac)).collect();
+        table.garbled += garbled.iter().filter(|&&g| g).count() as u64;
+        garbled
+    };
+    let machine = draw(trace.machine_events.len(), &mut ledger.machine_events);
+    let collection = draw(trace.collection_events.len(), &mut ledger.collection_events);
+    let instance = draw(trace.instance_events.len(), &mut ledger.instance_events);
+    let usage = draw(trace.usage.len(), &mut ledger.usage);
+    borg_trace::csv::write_trace_dir_with(trace, dir, &|file, row, line| {
+        let garbled = match file {
+            FILE_MACHINE => &machine,
+            FILE_COLLECTION => &collection,
+            FILE_INSTANCE => &instance,
+            _ => &usage,
+        };
+        if garbled.get(row) == Some(&true) {
             line.extend_from_slice(b"##corrupt##");
-            let table = match file {
-                FILE_MACHINE => &mut ledger.machine_events,
-                FILE_COLLECTION => &mut ledger.collection_events,
-                FILE_INSTANCE => &mut ledger.instance_events,
-                _ => &mut ledger.usage,
-            };
-            table.garbled += 1;
         }
     })
 }
@@ -625,10 +642,15 @@ mod tests {
 
     #[test]
     fn lossy_writer_refuses_a_cell_name_no_reader_takes_back() {
-        let mut t = toy_trace(10);
-        t.cell_name = "cell,v3-2019".to_string();
+        let mut t = toy_trace(200);
         let dir = std::env::temp_dir().join(format!("borg_faults_name_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        // Under a name the directory can hold, the same seed garbles
+        // lines, so a draw made before the refusal would show below.
+        let mut ledger = FaultLedger::default();
+        write_trace_dir_lossy(&t, &dir, &CorruptionConfig::harsh(), 5, &mut ledger).unwrap();
+        assert!(ledger.garbled() > 0, "{ledger:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        t.cell_name = "cell,v3-2019".to_string();
         let mut ledger = FaultLedger::default();
         let err = write_trace_dir_lossy(&t, &dir, &CorruptionConfig::harsh(), 5, &mut ledger)
             .unwrap_err();

@@ -441,19 +441,19 @@ const WRITE_CHUNK: usize = 64 * 1024;
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Renders a table into one reused buffer, flushed to `w` a chunk at a
-/// time. `before_row` runs before each data row is rendered and may
-/// append a prefix to its line.
+/// time. `before_row(i, line)` runs before data row `i` (from 0) is
+/// rendered and may append a prefix to its line.
 fn write_table<C: Codec>(
     w: &mut impl Write,
     rows: &[C::Row],
-    before_row: &mut dyn FnMut(&mut Vec<u8>),
+    before_row: impl Fn(usize, &mut Vec<u8>),
 ) -> io::Result<()> {
     let mut codec = C::default();
     let mut buf = Vec::with_capacity(WRITE_CHUNK + 1024);
     C::header(&mut buf);
     buf.push(b'\n');
-    for row in rows {
-        before_row(&mut buf);
+    for (i, row) in rows.iter().enumerate() {
+        before_row(i, &mut buf);
         codec.render(&mut buf, row);
         if let Some(last) = buf.last_mut() {
             *last = b'\n';
@@ -759,7 +759,7 @@ impl Codec for MachineCodec {
 
 /// Writes the machine-events table.
 pub fn write_machine_events(w: &mut impl Write, events: &[MachineEvent]) -> io::Result<()> {
-    write_table::<MachineCodec>(w, events, &mut |_| {})
+    write_table::<MachineCodec>(w, events, |_, _| {})
 }
 
 /// Reads the machine-events table.
@@ -867,7 +867,7 @@ impl Codec for CollectionCodec {
 
 /// Writes the collection-events table.
 pub fn write_collection_events(w: &mut impl Write, events: &[CollectionEvent]) -> io::Result<()> {
-    write_table::<CollectionCodec>(w, events, &mut |_| {})
+    write_table::<CollectionCodec>(w, events, |_, _| {})
 }
 
 /// Reads the collection-events table.
@@ -963,7 +963,7 @@ impl Codec for InstanceCodec {
 
 /// Writes the instance-events table.
 pub fn write_instance_events(w: &mut impl Write, events: &[InstanceEvent]) -> io::Result<()> {
-    write_table::<InstanceCodec>(w, events, &mut |_| {})
+    write_table::<InstanceCodec>(w, events, |_, _| {})
 }
 
 /// Reads the instance-events table.
@@ -1061,7 +1061,7 @@ impl Codec for UsageCodec {
 
 /// Writes the usage table (histogram inlined as 21 extra columns).
 pub fn write_usage(w: &mut impl Write, records: &[UsageRecord]) -> io::Result<()> {
-    write_table::<UsageCodec>(w, records, &mut |_| {})
+    write_table::<UsageCodec>(w, records, |_, _| {})
 }
 
 /// Reads the usage table.
@@ -1071,17 +1071,23 @@ pub fn read_usage(r: impl BufRead) -> Result<Vec<UsageRecord>, CsvError> {
 
 /// Writes every table of a trace into a directory, one file per table.
 pub fn write_trace_dir(trace: &Trace, dir: &std::path::Path) -> io::Result<()> {
-    write_trace_dir_with(trace, dir, &mut |_, _| {})
+    write_trace_dir_with(trace, dir, &|_, _, _| {})
 }
 
-/// [`write_trace_dir`] with a hook on every data row: `before_row(file,
-/// line)` runs before the row is rendered and may append a prefix to its
-/// line. This is the seam `borg-sim`'s lossy writer garbles lines through,
-/// so the file list and the metadata row exist once.
+/// A hook on every data row of a trace directory: `(file, row, line)`,
+/// with `row` the row's index in its table from 0. It runs before the row
+/// is rendered and may append a prefix to its line. Tables are written
+/// on two threads, so calls for different files interleave in no fixed
+/// order; a hook that decides by chance draws its decisions beforehand.
+pub type RowHook<'a> = dyn Fn(&'static str, usize, &mut Vec<u8>) + Sync + 'a;
+
+/// [`write_trace_dir`] with a [`RowHook`] on every data row. This is the
+/// seam `borg-sim`'s lossy writer garbles lines through, so the file list
+/// and the metadata row exist once.
 pub fn write_trace_dir_with(
     trace: &Trace,
     dir: &std::path::Path,
-    before_row: &mut dyn FnMut(&'static str, &mut Vec<u8>),
+    before_row: &RowHook<'_>,
 ) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     write_tables(
@@ -1091,41 +1097,57 @@ pub fn write_trace_dir_with(
     )
 }
 
-/// The five files of a trace directory, each created through `create`,
-/// written, and flushed before the next: a sink that buffers must not be
-/// dropped with bytes (and their write error) still inside.
-fn write_tables<W: Write>(
-    trace: &Trace,
-    mut create: impl FnMut(&'static str) -> io::Result<W>,
-    before_row: &mut dyn FnMut(&'static str, &mut Vec<u8>),
-) -> io::Result<()> {
-    fn table<C: Codec, W: Write>(
-        mut w: W,
-        rows: &[C::Row],
-        before_row: &mut dyn FnMut(&'static str, &mut Vec<u8>),
-    ) -> io::Result<()> {
-        write_table::<C>(&mut w, rows, &mut |line| before_row(C::FILE, line))?;
-        w.flush()
-    }
-    // Fields are not quoted: such a name would shift the metadata row,
-    // and no reader would take the directory back.
-    if trace.cell_name.contains([',', '\n', '\r']) {
+/// Refuses a cell name the metadata row cannot hold. Fields are not
+/// quoted: a comma or a line break would shift the row, and no reader
+/// would take the directory back.
+pub fn check_cell_name(name: &str) -> io::Result<()> {
+    if name.contains([',', '\n', '\r']) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!(
-                "cell name {:?} holds a comma or a line break, which {FILE_METADATA} cannot",
-                trace.cell_name
+                "cell name {name:?} holds a comma or a line break, which {FILE_METADATA} cannot"
             ),
         ));
     }
-    table::<MachineCodec, W>(create(FILE_MACHINE)?, &trace.machine_events, before_row)?;
-    table::<CollectionCodec, W>(
-        create(FILE_COLLECTION)?,
-        &trace.collection_events,
-        before_row,
-    )?;
-    table::<InstanceCodec, W>(create(FILE_INSTANCE)?, &trace.instance_events, before_row)?;
-    table::<UsageCodec, W>(create(FILE_USAGE)?, &trace.usage, before_row)?;
+    Ok(())
+}
+
+/// The five files of a trace directory, each created through `create`,
+/// written, and flushed: a sink that buffers must not be dropped with
+/// bytes (and their write error) still inside. The instance table is
+/// written on a scoped thread while this one writes the machine,
+/// collection and usage tables (the two sides take about as long);
+/// `metadata.csv` is created only once both have succeeded. When both
+/// sides fail, this thread's error is returned; a panic on the other is
+/// raised again here.
+fn write_tables<W: Write>(
+    trace: &Trace,
+    create: impl Fn(&'static str) -> io::Result<W> + Sync,
+    before_row: &RowHook<'_>,
+) -> io::Result<()> {
+    fn table<C: Codec, W: Write>(
+        create: &impl Fn(&'static str) -> io::Result<W>,
+        rows: &[C::Row],
+        before_row: &RowHook<'_>,
+    ) -> io::Result<()> {
+        let mut w = create(C::FILE)?;
+        write_table::<C>(&mut w, rows, |i, line| before_row(C::FILE, i, line))?;
+        w.flush()
+    }
+    check_cell_name(&trace.cell_name)?;
+    let create = &create;
+    let (mine, instance) = std::thread::scope(|scope| {
+        let instance =
+            scope.spawn(|| table::<InstanceCodec, W>(create, &trace.instance_events, before_row));
+        let mine = table::<MachineCodec, W>(create, &trace.machine_events, before_row)
+            .and_then(|()| {
+                table::<CollectionCodec, W>(create, &trace.collection_events, before_row)
+            })
+            .and_then(|()| table::<UsageCodec, W>(create, &trace.usage, before_row));
+        (mine, instance.join())
+    });
+    let instance = instance.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    mine.and(instance)?;
     let mut w = create(FILE_METADATA)?;
     w.write_all(
         format!(
@@ -1663,66 +1685,120 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Accepts writes into a buffer and fails when flushed, like a
-    /// buffered file on a full disk.
-    struct FailsOnFlush(Vec<u8>);
+    /// Accepts writes and, when it names its file, fails when flushed,
+    /// like a buffered file on a full disk.
+    struct FailsOnFlush(Option<&'static str>);
 
     impl Write for FailsOnFlush {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.extend_from_slice(buf);
             Ok(buf.len())
         }
 
         fn flush(&mut self) -> io::Result<()> {
-            Err(io::Error::other("no space left on device"))
+            match self.0 {
+                Some(file) => Err(io::Error::other(format!("no space left for {file}"))),
+                None => Ok(()),
+            }
         }
+    }
+
+    /// Writes `sample_trace` through sinks whose flush fails for the
+    /// files in `failing`; returns the error and the files created.
+    fn write_failing(failing: &[&str]) -> (String, Vec<&'static str>) {
+        let created = std::sync::Mutex::new(Vec::new());
+        let err = write_tables(
+            &sample_trace(),
+            |file| {
+                created.lock().unwrap().push(file);
+                Ok(FailsOnFlush(failing.contains(&file).then_some(file)))
+            },
+            &|_, _, _| {},
+        )
+        .unwrap_err();
+        (err.to_string(), created.into_inner().unwrap())
     }
 
     #[test]
     fn a_failed_flush_fails_the_directory_write() {
-        let t = sample_trace();
-        let mut created = Vec::new();
-        let err = write_tables(
-            &t,
-            |file| {
-                created.push(file);
-                Ok(FailsOnFlush(Vec::new()))
-            },
-            &mut |_, _| {},
-        )
-        .unwrap_err();
-        assert_eq!(err.to_string(), "no space left on device");
-        assert_eq!(created, [FILE_MACHINE], "the first failure stops the write");
+        // Both sides fail: the calling thread's first error wins, a
+        // failure stops its side, and `metadata.csv` is never created.
+        let (err, created) =
+            write_failing(&[FILE_MACHINE, FILE_COLLECTION, FILE_INSTANCE, FILE_USAGE]);
+        assert_eq!(err, format!("no space left for {FILE_MACHINE}"));
+        assert!(!created.contains(&FILE_COLLECTION), "{created:?}");
+        assert!(!created.contains(&FILE_METADATA), "{created:?}");
+        // Only the other thread's sink fails: its error comes back.
+        let (err, created) = write_failing(&[FILE_INSTANCE]);
+        assert_eq!(err, format!("no space left for {FILE_INSTANCE}"));
+        assert!(created.contains(&FILE_USAGE), "{created:?}");
+        assert!(!created.contains(&FILE_METADATA), "{created:?}");
         // The same writer behind std's buffering: the rows sit in the
         // `BufWriter` until the flush, whose error must surface too.
         let err = write_tables(
-            &t,
-            |_| Ok(io::BufWriter::new(FailsOnFlush(Vec::new()))),
-            &mut |_, _| {},
+            &sample_trace(),
+            |file| Ok(io::BufWriter::new(FailsOnFlush(Some(file)))),
+            &|_, _, _| {},
         )
         .unwrap_err();
-        assert_eq!(err.to_string(), "no space left on device");
+        assert_eq!(err.to_string(), format!("no space left for {FILE_MACHINE}"));
+    }
+
+    #[test]
+    fn a_panic_writing_the_instance_table_reaches_the_caller() {
+        let payload = std::panic::catch_unwind(|| {
+            write_tables(
+                &sample_trace(),
+                |file| {
+                    if file == FILE_INSTANCE {
+                        panic!("no sink for {file}");
+                    }
+                    Ok(Vec::new())
+                },
+                &|_, _, _| {},
+            )
+        })
+        .unwrap_err();
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("no sink for instance_events.csv"));
     }
 
     #[test]
     fn before_row_hook_prefixes_data_rows_only() {
+        let mut t = sample_trace();
+        t.machine_events = t.machine_events.repeat(2);
+        t.collection_events = t.collection_events.repeat(3);
+        t.instance_events = t.instance_events.repeat(5);
+        t.usage = t.usage.repeat(4);
         let dir = std::env::temp_dir().join(format!("borg_csv_hook_{}", std::process::id()));
-        let mut seen = Vec::new();
-        write_trace_dir_with(&sample_trace(), &dir, &mut |file, line| {
-            seen.push(file);
-            line.extend_from_slice(b"#");
+        let seen = std::sync::Mutex::new(Vec::new());
+        write_trace_dir_with(&t, &dir, &|file, row, line| {
+            seen.lock().unwrap().push((file, row));
+            line.extend_from_slice(format!("#{row}#").as_bytes());
         })
         .unwrap();
-        assert_eq!(
-            seen,
-            [FILE_MACHINE, FILE_COLLECTION, FILE_INSTANCE, FILE_USAGE]
-        );
-        for file in seen {
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        let mut want = Vec::new();
+        for (file, n) in [
+            (FILE_MACHINE, 2),
+            (FILE_COLLECTION, 3),
+            (FILE_INSTANCE, 5),
+            (FILE_USAGE, 4),
+        ] {
+            want.extend((0..n).map(|row| (file, row)));
             let text = std::fs::read_to_string(dir.join(file)).unwrap();
             let lines: Vec<&str> = text.lines().collect();
-            assert_eq!(lines.len(), 2);
-            assert!(!lines[0].starts_with('#') && lines[1].starts_with('#'));
+            assert_eq!(lines.len(), n + 1, "{file}");
+            assert!(
+                !lines[0].starts_with('#'),
+                "{file}: the header is untouched"
+            );
+            for (row, line) in lines[1..].iter().enumerate() {
+                assert!(line.starts_with(&format!("#{row}#")), "{file}: {line}");
+            }
         }
+        want.sort_unstable();
+        assert_eq!(seen, want, "every data row is visited exactly once");
         let meta = std::fs::read_to_string(dir.join(FILE_METADATA)).unwrap();
         assert_eq!(meta, "cell_name,schema,horizon\nx,v3-2019,172800000000\n");
         std::fs::remove_dir_all(&dir).ok();
@@ -2251,7 +2327,7 @@ mod tests {
         C::Row: Bits,
     {
         let mut table = Vec::new();
-        write_table::<C>(&mut table, rows, &mut |_| {}).unwrap();
+        write_table::<C>(&mut table, rows, |_, _| {}).unwrap();
         let lines: Vec<&[u8]> = table.split(|&b| b == b'\n').skip(1).collect();
         let lines = &lines[..rows.len()];
         let (mut recogniser, mut parser) = (C::default(), C::default());

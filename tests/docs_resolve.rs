@@ -1,12 +1,22 @@
-//! Commands quoted in the docs name things that exist: every
+//! Commands and paths quoted in the docs name things that exist: every
 //! `check.sh --<mode>` in README.md, DESIGN.md and the verify skill is a
-//! mode `scripts/check.sh` accepts, and every `-p <package>` names a
-//! package of this workspace.
+//! mode `scripts/check.sh` accepts, every `-p <package>` names a package
+//! of this workspace, and every backticked `crates/…` path in those docs
+//! and EXPERIMENTS.md is in the tree. ROADMAP.md is left out: it cites
+//! deleted paths as history.
 
 use std::fs;
 use std::path::Path;
 
 const DOCS: &[&str] = &["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+
+/// The docs whose `crates/…` paths must resolve.
+const PATH_DOCS: &[&str] = &[
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
 
 fn read(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
@@ -89,6 +99,45 @@ fn check_modes_and_packages_in_the_docs_exist() {
         unresolved.is_empty(),
         "docs name modes or packages that do not exist (modes {modes:?}, packages \
          {packages:?}):\n{}",
+        unresolved.join("\n")
+    );
+}
+
+/// Every word starting `crates/` inside a backticked span of `text`, with
+/// a `:line` or `::item` suffix stripped. Code fences are dropped first,
+/// so their lines read as prose and only inline spans count.
+fn cited_paths(text: &str) -> Vec<String> {
+    let text = text.replace("```", "");
+    text.split('`')
+        .skip(1)
+        .step_by(2)
+        .flat_map(str::split_whitespace)
+        .filter(|word| word.starts_with("crates/"))
+        .map(|word| word.split(':').next().unwrap_or(word).to_string())
+        .collect()
+}
+
+#[test]
+fn cited_crate_paths_in_the_docs_exist() {
+    assert_eq!(
+        cited_paths("see `crates/a.rs:12`, `crates/b.rs::item` and `cargo x crates/c/`"),
+        ["crates/a.rs", "crates/b.rs", "crates/c/"]
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut cited = 0;
+    let mut unresolved = Vec::new();
+    for doc in PATH_DOCS {
+        for path in cited_paths(&read(doc)) {
+            cited += 1;
+            if !root.join(&path).exists() {
+                unresolved.push(format!("{doc}: {path}"));
+            }
+        }
+    }
+    assert!(cited > 0, "no doc cites a crates/ path");
+    assert!(
+        unresolved.is_empty(),
+        "docs cite paths that do not exist:\n{}",
         unresolved.join("\n")
     );
 }
