@@ -12,6 +12,7 @@ use borg_analysis::moments::Moments;
 use borg_analysis::pareto::{ParetoFit, TailShare};
 use borg_query::parallel;
 use borg_workload::integral::IntegralModel;
+use borg_workload::usage_model::splitmix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, PoisonError};
@@ -111,10 +112,7 @@ const CHUNK: usize = 1 << 16;
 /// with SplitMix64 steps from its seed, so seeds one golden-ratio step
 /// apart would share three of four words).
 fn chunk_seed(seed: u64, chunk: u64) -> u64 {
-    let mut z = seed.wrapping_add(chunk.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(seed.wrapping_add(chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Samples `(cpu, mem)` integrals for one era: `samples` jobs from

@@ -24,7 +24,7 @@ pub enum TriggerKind {
     ProdDeadlineMiss,
     /// An epoch's circuit breaker opened.
     BreakerOpen,
-    /// Sheds clustered faster than the configured spike threshold.
+    /// Sheds clustered faster than the spike threshold.
     ShedSpike,
     /// The SLO engine fired a burn-rate alert.
     BurnRate,
@@ -60,47 +60,34 @@ impl TriggerKind {
     }
 }
 
-/// Recorder tuning.
+/// Event lines the ring holds.
+const RING_CAPACITY: usize = 64;
+/// Window of the shed-spike trigger, µs.
+const SHED_WINDOW_US: u64 = 100_000;
+/// Sheds within the window that count as a spike.
+const SHED_SPIKE_THRESHOLD: usize = 8;
+/// Snapshot budget per trigger kind.
+const PER_TRIGGER_CAP: usize = 2;
+/// Snapshot budget across all kinds.
+const TOTAL_CAP: usize = 6;
+
+/// Whether the recorder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Whether anything is recorded (off = all no-ops).
     pub enabled: bool,
-    /// Ring capacity in event lines.
-    pub ring_capacity: usize,
-    /// Window for the shed-spike trigger, µs.
-    pub shed_window_us: u64,
-    /// Sheds within the window that count as a spike.
-    pub shed_spike_threshold: usize,
-    /// Snapshot budget per trigger kind.
-    pub per_trigger_cap: usize,
-    /// Snapshot budget across all kinds.
-    pub total_cap: usize,
 }
 
 impl RecorderConfig {
     /// A disabled recorder.
     pub fn off() -> RecorderConfig {
-        RecorderConfig {
-            enabled: false,
-            ring_capacity: 0,
-            shed_window_us: 1,
-            shed_spike_threshold: usize::MAX,
-            per_trigger_cap: 0,
-            total_cap: 0,
-        }
+        RecorderConfig { enabled: false }
     }
 
-    /// The standard profile: a 64-line ring, shed spike at 8 sheds in
-    /// 100 ms, at most 2 snapshots per trigger kind and 6 overall.
+    /// A recorder with a 64-line ring, shed spike at 8 sheds in 100 ms,
+    /// at most 2 snapshots per trigger kind and 6 overall.
     pub fn standard() -> RecorderConfig {
-        RecorderConfig {
-            enabled: true,
-            ring_capacity: 64,
-            shed_window_us: 100_000,
-            shed_spike_threshold: 8,
-            per_trigger_cap: 2,
-            total_cap: 6,
-        }
+        RecorderConfig { enabled: true }
     }
 }
 
@@ -145,7 +132,7 @@ impl FlightRecorder {
         if !self.cfg.enabled {
             return;
         }
-        if self.ring.len() >= self.cfg.ring_capacity.max(1) {
+        if self.ring.len() >= RING_CAPACITY {
             // Reuse the evicted entry's buffer: once the ring is warm,
             // pushing a line allocates nothing.
             if let Some(mut s) = self.ring.pop_front() {
@@ -166,11 +153,11 @@ impl FlightRecorder {
             return;
         }
         self.sheds.push_back(now_us);
-        let from = now_us.saturating_sub(self.cfg.shed_window_us);
+        let from = now_us.saturating_sub(SHED_WINDOW_US);
         while self.sheds.front().is_some_and(|&at| at < from) {
             self.sheds.pop_front();
         }
-        if self.sheds.len() >= self.cfg.shed_spike_threshold {
+        if self.sheds.len() >= SHED_SPIKE_THRESHOLD {
             self.sheds.clear();
             self.trigger(now_us, TriggerKind::ShedSpike);
         }
@@ -184,7 +171,7 @@ impl FlightRecorder {
         }
         self.observed[kind.index()] += 1;
         let taken = self.snapshots.iter().filter(|s| s.trigger == kind).count();
-        if taken >= self.cfg.per_trigger_cap || self.snapshots.len() >= self.cfg.total_cap {
+        if taken >= PER_TRIGGER_CAP || self.snapshots.len() >= TOTAL_CAP {
             return false;
         }
         self.snapshots.push(RecorderSnapshot {
@@ -241,65 +228,64 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_fifo() {
-        let mut r = FlightRecorder::new(RecorderConfig {
-            ring_capacity: 3,
-            ..RecorderConfig::standard()
-        });
-        for k in 0..5 {
+        let mut r = FlightRecorder::new(RecorderConfig::standard());
+        for k in 0..RING_CAPACITY + 2 {
             r.push(&format!("line {k}"));
         }
         r.trigger(100, TriggerKind::BreakerOpen);
         let snap = &r.snapshots()[0];
-        assert_eq!(snap.lines, vec!["line 2", "line 3", "line 4"]);
+        let want: Vec<String> = (2..RING_CAPACITY + 2)
+            .map(|k| format!("line {k}"))
+            .collect();
+        assert_eq!(snap.lines, want);
     }
 
     #[test]
     fn budgets_cap_snapshots_but_not_observation_counts() {
-        let mut r = FlightRecorder::new(RecorderConfig {
-            per_trigger_cap: 2,
-            total_cap: 3,
-            ..RecorderConfig::standard()
-        });
+        assert_eq!((PER_TRIGGER_CAP, TOTAL_CAP), (2, 6));
+        let mut r = FlightRecorder::new(RecorderConfig::standard());
         r.push("x");
         assert!(r.trigger(1, TriggerKind::ProdDeadlineMiss));
         assert!(r.trigger(2, TriggerKind::ProdDeadlineMiss));
         assert!(!r.trigger(3, TriggerKind::ProdDeadlineMiss), "per-kind cap");
-        assert!(r.trigger(4, TriggerKind::BreakerOpen));
-        assert!(!r.trigger(5, TriggerKind::BurnRate), "total cap");
+        for at in 4..8 {
+            assert!(r.trigger(at, TriggerKind::BreakerOpen) == (at < 6));
+        }
+        assert!(r.trigger(8, TriggerKind::BurnRate));
+        assert!(r.trigger(9, TriggerKind::BurnRate));
+        assert!(!r.trigger(10, TriggerKind::ShedSpike), "total cap");
         assert_eq!(r.observed(TriggerKind::ProdDeadlineMiss), 3);
-        assert_eq!(r.observed(TriggerKind::BurnRate), 1);
-        assert_eq!(r.snapshots().len(), 3);
+        assert_eq!(r.observed(TriggerKind::BreakerOpen), 4);
+        assert_eq!(r.observed(TriggerKind::ShedSpike), 1);
+        assert_eq!(r.snapshots().len(), TOTAL_CAP);
     }
 
     #[test]
     fn shed_spike_fires_at_threshold_then_rearms() {
-        let mut r = FlightRecorder::new(RecorderConfig {
-            shed_window_us: 1_000,
-            shed_spike_threshold: 3,
-            ..RecorderConfig::standard()
-        });
-        r.note_shed(10);
-        r.note_shed(20);
+        let mut r = FlightRecorder::new(RecorderConfig::standard());
+        for at in 1..SHED_SPIKE_THRESHOLD as u64 {
+            r.note_shed(at * 10);
+        }
         assert_eq!(r.observed(TriggerKind::ShedSpike), 0);
-        r.note_shed(30);
+        r.note_shed(SHED_SPIKE_THRESHOLD as u64 * 10);
         assert_eq!(r.observed(TriggerKind::ShedSpike), 1);
-        // The window cleared: two more sheds stay quiet, the third fires.
-        r.note_shed(40);
-        r.note_shed(50);
+        // The window cleared: one shed short of the threshold stays
+        // quiet, the next fires.
+        for at in 1..SHED_SPIKE_THRESHOLD as u64 {
+            r.note_shed(1_000 + at * 10);
+        }
         assert_eq!(r.observed(TriggerKind::ShedSpike), 1);
-        r.note_shed(60);
+        r.note_shed(2_000);
         assert_eq!(r.observed(TriggerKind::ShedSpike), 2);
     }
 
     #[test]
     fn spread_out_sheds_never_spike() {
-        let mut r = FlightRecorder::new(RecorderConfig {
-            shed_window_us: 100,
-            shed_spike_threshold: 3,
-            ..RecorderConfig::standard()
-        });
-        for k in 0..20u64 {
-            r.note_shed(k * 1_000);
+        let mut r = FlightRecorder::new(RecorderConfig::standard());
+        // One shed short of the threshold in every window.
+        let gap = SHED_WINDOW_US / (SHED_SPIKE_THRESHOLD as u64 - 2);
+        for k in 0..200u64 {
+            r.note_shed(k * gap);
         }
         assert_eq!(r.observed(TriggerKind::ShedSpike), 0);
     }

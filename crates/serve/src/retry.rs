@@ -14,29 +14,25 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hash::{Hash, Hasher};
 
-/// Backoff parameters for failed-attempt retries.
+/// Delay before the first retry, in µs.
+const BASE_US: u64 = 1_000;
+/// Cap on the (pre-jitter) delay, in µs.
+const MAX_US: u64 = 64_000;
+/// Jitter fraction `j`: the delay is multiplied by a value drawn
+/// uniformly from `[1, 1 + j)`.
+const JITTER: f64 = 0.5;
+
+/// Backoff for failed-attempt retries: 1 ms base, 64 ms cap, 50% jitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Delay before the first retry, in µs.
-    pub base_us: u64,
-    /// Cap on the (pre-jitter) delay, in µs.
-    pub max_us: u64,
-    /// Jitter fraction `j`: the delay is multiplied by a value drawn
-    /// uniformly from `[1, 1 + j)`.
-    pub jitter: f64,
     /// Seed for the jitter draws.
     pub seed: u64,
 }
 
 impl RetryPolicy {
-    /// 1 ms base, 64 ms cap, 50% jitter.
+    /// The policy with jitter drawn from `seed`.
     pub fn default_with_seed(seed: u64) -> RetryPolicy {
-        RetryPolicy {
-            base_us: 1_000,
-            max_us: 64_000,
-            jitter: 0.5,
-            seed,
-        }
+        RetryPolicy { seed }
     }
 
     /// Backoff before retrying `query_id` after its `attempt`-th
@@ -44,14 +40,11 @@ impl RetryPolicy {
     /// capped, times the seeded jitter factor. Pure in
     /// `(seed, query_id, attempt)`.
     pub fn backoff_us(&self, query_id: u64, attempt: u32) -> u64 {
-        let exp = self
-            .base_us
-            .saturating_mul(1u64 << attempt.min(20))
-            .min(self.max_us);
+        let exp = BASE_US.saturating_mul(1u64 << attempt.min(20)).min(MAX_US);
         let mut h = FxHasher::default();
         (self.seed, query_id, attempt).hash(&mut h);
         let mut rng = StdRng::seed_from_u64(h.finish());
-        let factor = 1.0 + self.jitter.max(0.0) * rng.random::<f64>();
+        let factor = 1.0 + JITTER * rng.random::<f64>();
         (exp as f64 * factor) as u64
     }
 }
@@ -62,14 +55,18 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default_with_seed(1)
-        };
-        assert_eq!(p.backoff_us(9, 0), 1_000);
-        assert_eq!(p.backoff_us(9, 1), 2_000);
-        assert_eq!(p.backoff_us(9, 2), 4_000);
-        assert_eq!(p.backoff_us(9, 10), 64_000, "capped");
+        let p = RetryPolicy::default_with_seed(1);
+        for attempt in 0..12u32 {
+            // 1, 2, 4, ... 64 ms, then capped.
+            let exp = (1_000u64 << attempt.min(6)).min(64_000);
+            for id in 0..50u64 {
+                let b = p.backoff_us(id, attempt);
+                assert!(
+                    (exp..exp * 3 / 2).contains(&b),
+                    "attempt {attempt}: {b} outside [base·2^k, 1.5·base·2^k)"
+                );
+            }
+        }
     }
 
     #[test]
@@ -84,5 +81,7 @@ mod tests {
         let distinct: std::collections::BTreeSet<u64> =
             (0..100u64).map(|id| p.backoff_us(id, 0)).collect();
         assert!(distinct.len() > 50);
+        // The draws spread over the whole of [base, base·1.5).
+        assert!(distinct.first() < Some(&1_100) && distinct.last() > Some(&1_400));
     }
 }

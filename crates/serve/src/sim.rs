@@ -230,14 +230,15 @@ impl SimReport {
     }
 }
 
+/// Entries the result cache holds in inline mode.
+const CACHE_CAPACITY: usize = 64;
+
 /// The virtual-time driver. See the module docs.
 pub struct ServeSim {
     /// Execution mode.
     pub exec: ExecMode,
     /// Cost model.
     pub cost: ModelCost,
-    /// Result-cache capacity (inline mode).
-    pub cache_capacity: usize,
 }
 
 impl Default for ServeSim {
@@ -245,7 +246,6 @@ impl Default for ServeSim {
         ServeSim {
             exec: ExecMode::Model,
             cost: ModelCost::default(),
-            cache_capacity: 64,
         }
     }
 }
@@ -272,7 +272,7 @@ impl ServeSim {
         for e in epochs {
             service.register_epoch(0, Arc::clone(e));
         }
-        let cache = ResultCache::new(self.cache_capacity.max(1));
+        let cache = ResultCache::new(CACHE_CAPACITY);
         let mut results: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         // (finish_at, seq, id, kind, attempt's epoch+plan for inline).
         let mut completions: BinaryHeap<Reverse<(u64, u64, u64, ModelEnd)>> = BinaryHeap::new();

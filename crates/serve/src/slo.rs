@@ -38,6 +38,12 @@ pub struct TierSlo {
     pub target: f64,
 }
 
+/// Burn rate both windows must reach for an alert to fire.
+const BURN_THRESHOLD: f64 = 2.0;
+/// Events the long window must hold before its burn counts (guards
+/// against one bad request firing an alert at startup).
+const MIN_EVENTS: u64 = 10;
+
 /// Full SLO-engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
@@ -45,15 +51,6 @@ pub struct SloConfig {
     pub enabled: bool,
     /// Per-tier objectives, indexed by [`Tier::index`].
     pub tiers: [TierSlo; 3],
-    /// Short evaluation window ("is it still happening"), µs.
-    pub short_window_us: u64,
-    /// Long evaluation window ("is it real"), µs.
-    pub long_window_us: u64,
-    /// Burn rate both windows must exceed for an alert to fire.
-    pub burn_threshold: f64,
-    /// Minimum events in the long window before burn is meaningful
-    /// (guards against one bad request firing an alert at startup).
-    pub min_events: u64,
 }
 
 impl SloConfig {
@@ -65,26 +62,13 @@ impl SloConfig {
                 latency_us: u64::MAX,
                 target: 0.0,
             }; 3],
-            short_window_us: 1,
-            long_window_us: 1,
-            burn_threshold: f64::MAX,
-            min_events: u64::MAX,
         }
     }
 
     /// Objectives derived from an admission profile: each tier's
-    /// latency objective is its deadline, targets come from
-    /// [`Tier::default_slo_target`], and the windows scale with the
-    /// slowest deadline (long = 8×, short = long/8) so the engine works
-    /// unchanged across the virtual-time and wall-clock harnesses.
+    /// latency objective is its deadline, and targets come from
+    /// [`Tier::default_slo_target`].
     pub fn for_admission(adm: &AdmissionConfig) -> SloConfig {
-        let max_deadline = adm
-            .tiers
-            .iter()
-            .map(|t| t.deadline_us)
-            .max()
-            .unwrap_or(1_000_000);
-        let long_window_us = max_deadline.saturating_mul(8).max(8);
         SloConfig {
             enabled: true,
             tiers: [
@@ -101,10 +85,6 @@ impl SloConfig {
                     target: Tier::BestEffort.default_slo_target(),
                 },
             ],
-            short_window_us: long_window_us / 8,
-            long_window_us,
-            burn_threshold: 2.0,
-            min_events: 10,
         }
     }
 }
@@ -143,6 +123,10 @@ impl SloBudget {
 #[derive(Debug, Clone)]
 pub struct SloEngine {
     cfg: SloConfig,
+    /// Long evaluation window ("is it real"), µs.
+    long_window_us: u64,
+    /// Short evaluation window ("is it still happening"), µs.
+    short_window_us: u64,
     /// Long-window events per tier: (time µs, good), pruned to the
     /// long window on every feed.
     events: [VecDeque<(u64, bool)>; 3],
@@ -164,10 +148,20 @@ pub struct SloEngine {
 }
 
 impl SloEngine {
-    /// A fresh engine.
+    /// A fresh engine. The windows scale with the slowest tier
+    /// objective (long = 8×, at least 8 µs; short = long/8), so the
+    /// engine works unchanged across the virtual-time and wall-clock
+    /// harnesses.
     pub fn new(cfg: SloConfig) -> SloEngine {
+        let long_window_us = cfg
+            .tiers
+            .iter()
+            .map(|t| t.latency_us.saturating_mul(8))
+            .fold(8, u64::max);
         SloEngine {
             cfg,
+            long_window_us,
+            short_window_us: long_window_us / 8,
             events: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             short_events: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             long_counts: [(0, 0); 3],
@@ -178,11 +172,6 @@ impl SloEngine {
             alerts: Vec::new(),
             fired: 0,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
     }
 
     /// Classifies a completion latency against the tier's objective.
@@ -242,18 +231,14 @@ impl SloEngine {
                 counts.1 += 1;
             }
         }
-        let lfrom = now_us.saturating_sub(self.cfg.long_window_us);
+        let lfrom = now_us.saturating_sub(self.long_window_us);
         Self::prune(&mut self.events[i], &mut self.long_counts[i], lfrom);
-        let sfrom = now_us.saturating_sub(self.cfg.short_window_us);
+        let sfrom = now_us.saturating_sub(self.short_window_us);
         Self::prune(&mut self.short_events[i], &mut self.short_counts[i], sfrom);
         let long = self.burn_of(i, self.long_counts[i]);
         let short = self.burn_of(i, self.short_counts[i]);
-        let enough = self.long_counts[i].0 >= self.cfg.min_events;
-        if !self.active[i]
-            && enough
-            && long >= self.cfg.burn_threshold
-            && short >= self.cfg.burn_threshold
-        {
+        let enough = self.long_counts[i].0 >= MIN_EVENTS;
+        if !self.active[i] && enough && long >= BURN_THRESHOLD && short >= BURN_THRESHOLD {
             self.active[i] = true;
             self.fired += 1;
             self.alerts.push(format!(
@@ -262,7 +247,7 @@ impl SloEngine {
             ));
             return true;
         }
-        if self.active[i] && long < self.cfg.burn_threshold {
+        if self.active[i] && long < BURN_THRESHOLD {
             self.active[i] = false;
             self.alerts
                 .push(format!("{now_us} resolve {} burn_long {long:.2}", t.name()));
@@ -330,10 +315,6 @@ mod tests {
                     target: 0.80,
                 },
             ],
-            short_window_us: 100_000,
-            long_window_us: 800_000,
-            burn_threshold: 2.0,
-            min_events: 10,
         }
     }
 
@@ -353,16 +334,14 @@ mod tests {
     #[test]
     fn sustained_badness_fires_once_then_resolves() {
         let mut e = SloEngine::new(test_cfg());
-        let mut fired = 0;
         // A solid run of failures: burn = (1.0)/(0.05) = 20 ≫ 2.
-        for k in 0..50u64 {
-            if e.on_event(k * 1_000, Tier::Batch, false) {
-                fired += 1;
-            }
-        }
-        assert_eq!(fired, 1, "hysteresis: one fire per incident");
+        let fired: Vec<u64> = (0..50u64)
+            .filter(|k| e.on_event(k * 1_000, Tier::Batch, false))
+            .collect();
+        // Once, on the event that makes up the minimum.
+        assert_eq!(fired, [MIN_EVENTS - 1], "hysteresis: one fire per incident");
         assert!(e.is_alerting(Tier::Batch));
-        // Recovery: long window drains of bad events.
+        // Recovery: good events dilute the long window's burn.
         for k in 0..2_000u64 {
             e.on_event(50_000 + k * 1_000, Tier::Batch, true);
         }
@@ -376,7 +355,7 @@ mod tests {
     #[test]
     fn single_blip_does_not_fire() {
         let mut e = SloEngine::new(test_cfg());
-        // One bad event among few: min_events keeps the alarm quiet.
+        // One bad event among few: MIN_EVENTS keeps the alarm quiet.
         assert!(!e.on_event(1_000, Tier::BestEffort, false));
         for k in 0..5u64 {
             assert!(!e.on_event(2_000 + k, Tier::BestEffort, true));
@@ -387,15 +366,17 @@ mod tests {
     #[test]
     fn old_badness_outside_short_window_does_not_fire() {
         let mut e = SloEngine::new(test_cfg());
-        // Burst of bad events early, then only good ones well past the
-        // short window: the long window still burns but "is it still
+        // Burst of bad events early, then only good ones past the short
+        // window: the long window still burns but "is it still
         // happening" says no. Use batch (5% budget): 8 bad of 20 in the
         // long window burns 8 ≫ 2, but the short window is clean.
         for k in 0..8u64 {
             e.on_event(k * 1_000, Tier::Batch, false);
         }
+        let clean = e.short_window_us + 10_000;
+        assert!(clean + 12_000 < e.long_window_us);
         for k in 0..12u64 {
-            let fired = e.on_event(300_000 + k * 1_000, Tier::Batch, true);
+            let fired = e.on_event(clean + k * 1_000, Tier::Batch, true);
             assert!(!fired, "event {k} fired despite clean short window");
         }
         assert!(e.alert_lines().is_empty());
@@ -429,8 +410,9 @@ mod tests {
         let cfg = SloConfig::for_admission(&AdmissionConfig::small());
         assert!(cfg.enabled);
         assert_eq!(cfg.tiers[0].latency_us, 50_000);
-        assert_eq!(cfg.long_window_us, 3_200_000);
-        assert_eq!(cfg.short_window_us, 400_000);
         assert!(cfg.tiers[0].target > cfg.tiers[2].target);
+        let e = SloEngine::new(cfg);
+        assert_eq!(e.long_window_us, 3_200_000);
+        assert_eq!(e.short_window_us, 400_000);
     }
 }

@@ -7,12 +7,14 @@
 //!
 //! Each table has one `Codec`: how a row is rendered, how a line is
 //! parsed, and how a line the writer could have written is recognised.
-//! `Lines` hands out every line as a slice of its read buffer; the
-//! codec's recogniser walks those bytes once and answers with the row for
-//! any line `render` emits; every other line goes to `parse`, which is
-//! the definition of what the readers accept, of the order a line's bad
-//! fields are reported in, and of every error message. The file-format
-//! rules the codecs, `write_table` and `Lines` must keep
+//! There is one reader, [`read_trace_dir_lenient`]: each table goes
+//! through `read_table_lenient`, where `Lines` hands out every line as a
+//! slice of its read buffer; the codec's recogniser walks those bytes
+//! once and answers with the row for any line `render` emits; every other
+//! line goes to `parse`, which is the definition of what the reader
+//! accepts, of the order a line's bad fields are reported in, and of
+//! every message a quarantined line carries. The file-format rules the
+//! codecs, `write_table` and `Lines` must keep
 //! (shortest-round-trip floats, std's parse acceptance set, the
 //! line-numbering rules) are listed in DESIGN.md §11.
 
@@ -30,13 +32,11 @@ use crate::usage::{CpuHistogram, UsageRecord};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 
 /// Errors arising while parsing a CSV trace table.
 #[derive(Debug)]
 pub enum CsvError {
-    /// Underlying I/O failure.
-    Io(io::Error),
     /// A malformed line, with its 1-based line number and a description.
     Parse {
         /// 1-based line number.
@@ -49,19 +49,12 @@ pub enum CsvError {
 impl fmt::Display for CsvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CsvError::Io(e) => write!(f, "io error: {e}"),
             CsvError::Parse { line, message } => write!(f, "line {line}: {message}"),
         }
     }
 }
 
 impl std::error::Error for CsvError {}
-
-impl From<io::Error> for CsvError {
-    fn from(e: io::Error) -> Self {
-        CsvError::Io(e)
-    }
-}
 
 fn parse_err(line: usize, message: impl Into<String>) -> CsvError {
     CsvError::Parse {
@@ -620,76 +613,46 @@ fn invalid_utf8() -> io::Error {
     )
 }
 
-/// A table being read: its lines and the codec that turns them into rows.
-struct Rows<C, R> {
-    codec: C,
-    lines: Lines<R>,
-}
-
-impl<C: Codec, R: Read> Rows<C, R> {
-    /// The rows of `reader`, expected to yield `bytes` bytes (0: no idea).
-    fn new(reader: R, bytes: u64) -> Self {
-        Rows {
-            codec: C::default(),
-            lines: Lines::new(reader, bytes),
-        }
-    }
-
-    /// Appends a row of this table to `out`, which, when full, first
-    /// grows by the number of lines still ahead: the seventeen doublings
-    /// on the way to 374k instance rows touch twice the memory.
-    fn keep(&self, out: &mut Vec<C::Row>, row: C::Row) {
+/// Reads one table, quarantining instead of aborting: a line that is
+/// neither recognised nor parsed is rejected with `parse`'s message, and
+/// an I/O failure or a line that is not UTF-8 ends the table with a table
+/// error, keeping what was read so far. `bytes` is how many bytes `r` is
+/// expected to yield (0: no idea).
+fn read_table_lenient<C: Codec>(r: impl Read, bytes: u64, q: &mut Quarantine) -> Vec<C::Row> {
+    let mut codec = C::default();
+    let mut lines = Lines::new(r, bytes);
+    let mut out = Vec::new();
+    let (n, e) = loop {
+        let (line, n) = match lines.next_row() {
+            Ok(Some(line)) => line,
+            Ok(None) => return out,
+            Err(e) => break e,
+        };
+        let row = match codec.recognise(line) {
+            Some(row) => row,
+            None => {
+                let Ok(line) = std::str::from_utf8(line) else {
+                    break (n, invalid_utf8());
+                };
+                match codec.parse(line, n) {
+                    Ok(row) => row,
+                    Err(e) => {
+                        q.reject_line(C::FILE, n, e.to_string());
+                        continue;
+                    }
+                }
+            }
+        };
+        // When full, grow by the number of lines still ahead: the
+        // seventeen doublings on the way to 374k instance rows touch
+        // twice the memory. Only a hint: refused, `push` grows the
+        // vector as ever.
         if out.len() == out.capacity() {
-            // Only a hint: refused, `push` grows the vector as ever.
-            let _ = out.try_reserve(self.lines.lines_ahead());
+            let _ = out.try_reserve(lines.lines_ahead());
         }
         out.push(row);
-    }
-
-    /// The next data line's row, or what is wrong with the line (its
-    /// number is `self.lines.number`); `None` at the end.
-    fn next(&mut self) -> Result<Option<Result<C::Row, CsvError>>, LineError> {
-        let Some((line, n)) = self.lines.next_row()? else {
-            return Ok(None);
-        };
-        if let Some(row) = self.codec.recognise(line) {
-            return Ok(Some(Ok(row)));
-        }
-        match std::str::from_utf8(line) {
-            Ok(line) => Ok(Some(self.codec.parse(line, n))),
-            Err(_) => Err((n, invalid_utf8())),
-        }
-    }
-}
-
-/// Strict table read of an in-memory source: the first malformed line
-/// aborts it.
-fn read_table<C: Codec>(r: impl Read) -> Result<Vec<C::Row>, CsvError> {
-    let mut rows = Rows::<C, _>::new(r, 0);
-    let mut out = Vec::new();
-    while let Some(row) = rows.next().map_err(|(_, e)| CsvError::Io(e))? {
-        rows.keep(&mut out, row?);
-    }
-    Ok(out)
-}
-
-/// Lenient table read: malformed lines are quarantined instead of
-/// aborting; a mid-file I/O failure records a table error and keeps
-/// what was read so far.
-fn read_table_lenient<C: Codec>(r: impl Read, bytes: u64, q: &mut Quarantine) -> Vec<C::Row> {
-    let mut rows = Rows::<C, _>::new(r, bytes);
-    let mut out = Vec::new();
-    loop {
-        match rows.next() {
-            Ok(Some(Ok(row))) => rows.keep(&mut out, row),
-            Ok(Some(Err(e))) => q.reject_line(C::FILE, rows.lines.number, e.to_string()),
-            Ok(None) => break,
-            Err((n, e)) => {
-                q.table_error(C::FILE, format!("io error near line {n}: {e}"));
-                break;
-            }
-        }
-    }
+    };
+    q.table_error(C::FILE, format!("io error near line {n}: {e}"));
     out
 }
 
@@ -760,11 +723,6 @@ impl Codec for MachineCodec {
 /// Writes the machine-events table.
 pub fn write_machine_events(w: &mut impl Write, events: &[MachineEvent]) -> io::Result<()> {
     write_table::<MachineCodec>(w, events, |_, _| {})
-}
-
-/// Reads the machine-events table.
-pub fn read_machine_events(r: impl BufRead) -> Result<Vec<MachineEvent>, CsvError> {
-    read_table::<MachineCodec>(r)
 }
 
 fn scheduler_name(s: SchedulerKind) -> &'static str {
@@ -870,11 +828,6 @@ pub fn write_collection_events(w: &mut impl Write, events: &[CollectionEvent]) -
     write_table::<CollectionCodec>(w, events, |_, _| {})
 }
 
-/// Reads the collection-events table.
-pub fn read_collection_events(r: impl BufRead) -> Result<Vec<CollectionEvent>, CsvError> {
-    read_table::<CollectionCodec>(r)
-}
-
 /// The instance-events table; an instance's request repeats from event to
 /// event and the tasks of a job share one.
 #[derive(Default)]
@@ -964,11 +917,6 @@ impl Codec for InstanceCodec {
 /// Writes the instance-events table.
 pub fn write_instance_events(w: &mut impl Write, events: &[InstanceEvent]) -> io::Result<()> {
     write_table::<InstanceCodec>(w, events, |_, _| {})
-}
-
-/// Reads the instance-events table.
-pub fn read_instance_events(r: impl BufRead) -> Result<Vec<InstanceEvent>, CsvError> {
-    read_table::<InstanceCodec>(r)
 }
 
 /// The usage table (histogram inlined as 21 extra columns). Measured
@@ -1062,11 +1010,6 @@ impl Codec for UsageCodec {
 /// Writes the usage table (histogram inlined as 21 extra columns).
 pub fn write_usage(w: &mut impl Write, records: &[UsageRecord]) -> io::Result<()> {
     write_table::<UsageCodec>(w, records, |_, _| {})
-}
-
-/// Reads the usage table.
-pub fn read_usage(r: impl BufRead) -> Result<Vec<UsageRecord>, CsvError> {
-    read_table::<UsageCodec>(r)
 }
 
 /// Writes every table of a trace into a directory, one file per table.
@@ -1390,47 +1333,52 @@ mod tests {
         t
     }
 
-    fn round_trip<T, W, R>(items: &[T], write: W, read: R) -> Vec<T>
-    where
-        W: Fn(&mut Vec<u8>, &[T]) -> io::Result<()>,
-        R: Fn(&[u8]) -> Result<Vec<T>, CsvError>,
-    {
+    /// A table's rows as the directory reader reads them, and what it
+    /// quarantined.
+    fn lenient<C: Codec>(r: impl Read) -> (Vec<C::Row>, Quarantine) {
+        let mut q = Quarantine::default();
+        let rows = read_table_lenient::<C>(r, 0, &mut q);
+        (rows, q)
+    }
+
+    /// [`lenient`] of a table that must come back whole.
+    fn read_clean<C: Codec>(bytes: &[u8]) -> Vec<C::Row> {
+        let (rows, q) = lenient::<C>(bytes);
+        assert!(q.is_clean(), "{}", q.summary());
+        rows
+    }
+
+    fn round_trip<C: Codec>(rows: &[C::Row]) -> Vec<C::Row> {
         let mut buf = Vec::new();
-        write(&mut buf, items).unwrap();
-        read(&buf).unwrap()
+        write_table::<C>(&mut buf, rows, |_, _| {}).unwrap();
+        read_clean::<C>(&buf)
     }
 
     #[test]
     fn machine_events_round_trip() {
         let t = sample_trace();
-        let back = round_trip(&t.machine_events, write_machine_events, |b| {
-            read_machine_events(b)
-        });
+        let back = round_trip::<MachineCodec>(&t.machine_events);
         assert_eq!(back, t.machine_events);
     }
 
     #[test]
     fn collection_events_round_trip() {
         let t = sample_trace();
-        let back = round_trip(&t.collection_events, write_collection_events, |b| {
-            read_collection_events(b)
-        });
+        let back = round_trip::<CollectionCodec>(&t.collection_events);
         assert_eq!(back, t.collection_events);
     }
 
     #[test]
     fn instance_events_round_trip() {
         let t = sample_trace();
-        let back = round_trip(&t.instance_events, write_instance_events, |b| {
-            read_instance_events(b)
-        });
+        let back = round_trip::<InstanceCodec>(&t.instance_events);
         assert_eq!(back, t.instance_events);
     }
 
     #[test]
     fn usage_round_trip() {
         let t = sample_trace();
-        let back = round_trip(&t.usage, write_usage, |b| read_usage(b));
+        let back = round_trip::<UsageCodec>(&t.usage);
         assert_eq!(back.len(), 1);
         let (got, want) = (&back[0], &t.usage[0]);
         assert_eq!(
@@ -1487,7 +1435,8 @@ mod tests {
             let field = line.split(',').nth(5).unwrap();
             assert_eq!(field, cpu.to_string(), "the field is what Display writes");
         }
-        let back = read_instance_events(&buf[..]).unwrap();
+        let back = read_clean::<InstanceCodec>(&buf);
+        assert_eq!(back.len(), events.len());
         for (b, e) in back.iter().zip(&events) {
             assert_eq!(b.request.cpu.to_bits(), e.request.cpu.to_bits());
             assert_eq!(b.request.mem.to_bits(), e.request.mem.to_bits());
@@ -1578,10 +1527,8 @@ mod tests {
             "{text}"
         );
         let line = text.lines().nth(1).unwrap();
-        let mut q = Quarantine::default();
         for back in [
-            read_usage(&written[..]).unwrap(),
-            read_table_lenient::<UsageCodec>(&written[..], 0, &mut q),
+            read_clean::<UsageCodec>(&written),
             vec![UsageCodec::default().parse(line, 2).unwrap()],
         ] {
             assert_eq!(back[0].cpu_histogram.0[20].to_bits(), odd.to_bits());
@@ -1589,7 +1536,6 @@ mod tests {
             write_usage(&mut again, &back).unwrap();
             assert_eq!(again, written);
         }
-        assert!(q.is_clean());
     }
 
     #[test]
@@ -1598,21 +1544,19 @@ mod tests {
         // lines are skipped but counted, CRLF ends a line, and a final
         // line needs no newline.
         let text = b"not,a,header\r\n\r\n5,3,add,0.5,0.25,1\r\n\n7,4,remove,0,0,2";
-        let rows = read_machine_events(&text[..]).unwrap();
+        let rows = read_clean::<MachineCodec>(text);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].machine_id, MachineId(3));
         assert_eq!(rows[1].time, Micros(7));
-        let bad = b"h\n\n\n1,2,add,x,0,0\n";
-        match read_machine_events(&bad[..]).unwrap_err() {
-            CsvError::Parse { line, message } => {
-                assert_eq!(line, 4);
-                assert_eq!(message, "bad float \"x\"");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        let (rows, q) = lenient::<MachineCodec>(&b"h\n\n\n1,2,add,x,0,0\n"[..]);
+        assert!(rows.is_empty());
+        assert_eq!(q.count_for(FILE_MACHINE), 1);
+        assert_eq!(q.lines[0].line, 4);
+        assert_eq!(q.lines[0].message, "line 4: bad float \"x\"");
         // A lone carriage return is data, not a line end.
-        let cr = b"h\n1,2,add,0,0,0\r";
-        assert!(read_machine_events(&cr[..]).is_err());
+        let (rows, q) = lenient::<MachineCodec>(&b"h\n1,2,add,0,0,0\r"[..]);
+        assert!(rows.is_empty());
+        assert_eq!(q.count_for(FILE_MACHINE), 1);
     }
 
     #[test]
@@ -1823,17 +1767,19 @@ mod tests {
     #[test]
     fn parse_errors_reported_with_line() {
         let bad = b"header\n1,2,notanevent,job,0,default,off,,,0\n";
-        let err = read_collection_events(&bad[..]).unwrap_err();
-        match err {
-            CsvError::Parse { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other:?}"),
-        }
+        let (rows, q) = lenient::<CollectionCodec>(&bad[..]);
+        assert!(rows.is_empty());
+        assert_eq!(q.count_for(FILE_COLLECTION), 1);
+        assert_eq!(q.lines[0].line, 2);
+        assert_eq!(q.lines[0].message, "line 2: bad event \"notanevent\"");
     }
 
     #[test]
     fn half_specified_alloc_rejected() {
         let bad = b"header\n1,2,submit,,0.1,0.1,200,5,\n";
-        assert!(read_instance_events(&bad[..]).is_err());
+        let (rows, q) = lenient::<InstanceCodec>(&bad[..]);
+        assert!(rows.is_empty());
+        assert_eq!(q.count_for(FILE_INSTANCE), 1);
     }
 
     #[test]
@@ -1955,12 +1901,6 @@ mod tests {
         bytes
     }
 
-    fn lenient(r: impl Read) -> (Vec<MachineEvent>, Quarantine) {
-        let mut q = Quarantine::default();
-        let rows = read_table_lenient::<MachineCodec>(r, 0, &mut q);
-        (rows, q)
-    }
-
     fn assert_same_ingest(
         got: (Vec<MachineEvent>, Quarantine),
         want: &(Vec<MachineEvent>, Quarantine),
@@ -1989,7 +1929,7 @@ mod tests {
             Vec::new(),
         ];
         for (t, bytes) in tables.iter().enumerate() {
-            let want = lenient(&bytes[..]);
+            let want = lenient::<MachineCodec>(&bytes[..]);
             if t < 2 {
                 assert!(
                     want.0.len() > 3000 && want.1.total_lines() >= 3,
@@ -2008,7 +1948,11 @@ mod tests {
                     fail_at: None,
                     at: 0,
                 };
-                assert_same_ingest(lenient(trickle), &want, &format!("table {t} step {step}"));
+                assert_same_ingest(
+                    lenient::<MachineCodec>(trickle),
+                    &want,
+                    &format!("table {t} step {step}"),
+                );
             }
         }
         // A failing source: the lines complete by then, and the number of
@@ -2019,7 +1963,7 @@ mod tests {
                 .iter()
                 .rposition(|&b| b == b'\n')
                 .map_or(0, |p| p + 1);
-            let mut want = lenient(&bytes[..complete]);
+            let mut want = lenient::<MachineCodec>(&bytes[..complete]);
             let line = bytes[..complete].iter().filter(|&&b| b == b'\n').count() + 1;
             want.1.table_errors.push((
                 FILE_MACHINE.to_string(),
@@ -2033,7 +1977,7 @@ mod tests {
                     at: 0,
                 };
                 assert_same_ingest(
-                    lenient(trickle),
+                    lenient::<MachineCodec>(trickle),
                     &want,
                     &format!("fail at {fail_at} step {step}"),
                 );
@@ -2044,7 +1988,7 @@ mod tests {
     #[test]
     fn a_source_length_is_only_a_hint() {
         let bytes = boundary_table(false);
-        let want = lenient(&bytes[..]);
+        let want = lenient::<MachineCodec>(&bytes[..]);
         let len = bytes.len() as u64;
         for expected in [len, 1, len / 10, len * 10, u64::MAX] {
             let mut q = Quarantine::default();

@@ -5,10 +5,9 @@
 //! faults on and off) and what `CorruptionConfig::lossy()` / `harsh()`
 //! make of them for several seeds. Asserted equal: every byte written,
 //! every row and every `Quarantine` entry read back, the repaired trace
-//! and its `RepairReport`, and `validate`'s violations in order. The
-//! strict table readers are also fed the same bytes a few at a time, so
-//! that every kind of line end, long line and broken byte sequence gets
-//! torn by a refill of the reader's buffer.
+//! and its `RepairReport`, and `validate`'s violations in order. Each
+//! table is also rewritten with every kind of line end, a long line and
+//! broken byte sequences inside an otherwise clean directory.
 
 mod reference;
 
@@ -23,7 +22,6 @@ use borg_trace::repair::{repair, RepairReport};
 use borg_trace::trace::Trace;
 use borg_trace::validate::{validate, validate_with, ValidateConfig};
 use borg_workload::cells::CellProfile;
-use std::io::{self, BufRead, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -275,75 +273,11 @@ fn validate_reports_the_same_violations_in_order() {
     assert!(violations > 0, "the damaged inputs violate invariants");
 }
 
-/// A source that yields `bytes` at most `step` at a time, whichever way it
-/// is read, and fails once `fail_at` bytes (if any) were taken.
-struct Trickle<'a> {
-    bytes: &'a [u8],
-    step: usize,
-    fail_at: Option<usize>,
-    at: usize,
-}
-
-impl BufRead for Trickle<'_> {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        if self.fail_at == Some(self.at) {
-            return Err(io::Error::other("disk on fire"));
-        }
-        let end = (self.at + self.step)
-            .min(self.fail_at.unwrap_or(usize::MAX))
-            .min(self.bytes.len());
-        Ok(&self.bytes[self.at..end])
-    }
-
-    fn consume(&mut self, amount: usize) {
-        self.at += amount;
-    }
-}
-
-impl Read for Trickle<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let chunk = self.fill_buf()?;
-        let len = chunk.len().min(buf.len());
-        buf[..len].copy_from_slice(&chunk[..len]);
-        self.consume(len);
-        Ok(len)
-    }
-}
-
-/// Bytes per refill: every phase of a short byte sequence, and one byte
-/// either side of the readers' own 64 KiB buffer.
-const STEPS: [usize; 7] = [1, 2, 3, 7, 4095, 64 * 1024 - 1, 64 * 1024 + 1];
-
-/// A strict table reader, of the library or of the reference.
-type StrictReader<'a, T> = &'a dyn Fn(&mut dyn BufRead) -> Result<Vec<T>, csv::CsvError>;
-
-/// What a strict reader made of a table, comparable.
-fn outcome<T>(read: Result<Vec<T>, csv::CsvError>) -> Result<Vec<T>, String> {
-    read.map_err(|e| e.to_string())
-}
-
-/// One table as written (`valid`), and the same bytes with, in turn:
-/// `\r\n` line ends, no final newline, blank lines, a line longer than
-/// the readers' buffer, a multi-byte character and an invalid byte
-/// sequence in the middle, only the header, and nothing. Every variant is
-/// read through [`Trickle`] at every step size and must come out as it
-/// does from the slice, and as the reference reader has it; so must a
-/// source that fails part of the way through.
-fn assert_refill_proof<T: PartialEq + std::fmt::Debug>(
-    what: &str,
-    valid: &[u8],
-    ours: StrictReader<T>,
-    theirs: StrictReader<T>,
-) {
-    // Three buffers' worth is as good as the whole table, and one byte at
-    // a time is slow.
-    let cut = valid.len().min(3 * 64 * 1024);
-    let valid = &valid[..cut
-        - valid[..cut]
-            .iter()
-            .rev()
-            .take_while(|&&b| b != b'\n')
-            .count()];
+/// The bytes of a table as written (`valid`) with, in turn: `\r\n` line
+/// ends, no final newline, blank lines, a line longer than the reader's
+/// buffer, a multi-byte character and an invalid byte sequence in the
+/// middle, only the header, and nothing.
+fn line_variants(valid: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
     let text = std::str::from_utf8(valid).expect("tables are written as UTF-8");
     let lines: Vec<&str> = text.lines().collect();
     let middle = lines.len() / 2;
@@ -357,8 +291,7 @@ fn assert_refill_proof<T: PartialEq + std::fmt::Debug>(
     };
     // A valid row whose first field has 70 000 leading zeros.
     let long = format!("{}{}", "0".repeat(70_000), lines[middle]);
-    let variants: Vec<(&str, Vec<u8>)> = vec![
-        ("as written", valid.to_vec()),
+    vec![
         ("crlf", text.replace('\n', "\r\n").into_bytes()),
         ("no final newline", valid[..valid.len() - 1].to_vec()),
         ("blank lines", with_line(middle, b"\r\n")),
@@ -367,84 +300,55 @@ fn assert_refill_proof<T: PartialEq + std::fmt::Debug>(
         ("invalid bytes", with_line(middle, b"1,2,\xE2\x82,3")),
         ("header only", format!("{}\n", lines[0]).into_bytes()),
         ("empty", Vec::new()),
-    ];
-    for (variant, bytes) in &variants {
-        let want = outcome(ours(&mut &bytes[..]));
-        assert_eq!(
-            want,
-            outcome(theirs(&mut &bytes[..])),
-            "{what}/{variant}: reference"
-        );
-        assert_eq!(
-            want.is_ok(),
-            !matches!(*variant, "multi-byte" | "invalid bytes"),
-            "{what}/{variant}: {:?}",
-            want.as_ref().err()
-        );
-        for step in STEPS {
-            let mut source = Trickle {
-                bytes,
-                step,
-                fail_at: None,
-                at: 0,
-            };
-            assert!(
-                outcome(ours(&mut source)) == want,
-                "{what}/{variant}: {step} bytes at a time"
-            );
-        }
-    }
-    for fail_at in [0, 1, valid.len() / 3, valid.len() - 1, valid.len()] {
-        for step in STEPS {
-            let source = |at| Trickle {
-                bytes: valid,
-                step,
-                fail_at: Some(fail_at),
-                at,
-            };
-            assert_eq!(
-                outcome(ours(&mut source(0))),
-                outcome(theirs(&mut source(0))),
-                "{what}: failing after {fail_at} bytes, {step} at a time"
-            );
-        }
-    }
+    ]
 }
 
+/// Each table of a clean directory replaced, in turn, by each of its
+/// [`line_variants`]: the directory reads the same rows and `Quarantine`
+/// as the reference has them. Only the two broken lines are quarantined,
+/// the invalid bytes ending their table.
 #[test]
-fn strict_readers_read_the_same_across_any_refill_boundary() {
+fn lenient_readers_read_the_same_line_variants() {
     let (cell, t) = &cells()[0];
-    let mut table = Vec::new();
-    csv::write_machine_events(&mut table, &t.machine_events).unwrap();
-    assert_refill_proof(
-        &format!("{cell}/{FILE_MACHINE}"),
-        &table,
-        &|r| csv::read_machine_events(r),
-        &|r| reference::read_machine_events(r),
-    );
-    table.clear();
-    csv::write_collection_events(&mut table, &t.collection_events).unwrap();
-    assert_refill_proof(
-        &format!("{cell}/{FILE_COLLECTION}"),
-        &table,
-        &|r| csv::read_collection_events(r),
-        &|r| reference::read_collection_events(r),
-    );
-    table.clear();
-    csv::write_instance_events(&mut table, &t.instance_events).unwrap();
-    assert!(table.len() > 2 * 64 * 1024, "several buffers of instances");
-    assert_refill_proof(
-        &format!("{cell}/{FILE_INSTANCE}"),
-        &table,
-        &|r| csv::read_instance_events(r),
-        &|r| reference::read_instance_events(r),
-    );
-    table.clear();
-    csv::write_usage(&mut table, &t.usage).unwrap();
-    assert_refill_proof(
-        &format!("{cell}/{FILE_USAGE}"),
-        &table,
-        &|r| csv::read_usage(r),
-        &|r| reference::read_usage(r),
-    );
+    let dir = scratch("variants");
+    write_trace_dir(t, &dir).unwrap();
+    // Three buffers' worth of each table is as good as the whole of it.
+    let tables = [FILE_MACHINE, FILE_COLLECTION, FILE_INSTANCE, FILE_USAGE];
+    for file in tables {
+        let path = dir.join(file);
+        let mut written = std::fs::read(&path).unwrap();
+        if written.len() > 3 * 64 * 1024 {
+            written.truncate(3 * 64 * 1024);
+            while written.pop().is_some_and(|b| b != b'\n') {}
+            written.push(b'\n');
+            std::fs::write(&path, &written).unwrap();
+        }
+    }
+    for file in tables {
+        let path = dir.join(file);
+        let written = std::fs::read(&path).unwrap();
+        if file == FILE_INSTANCE {
+            assert!(
+                written.len() > 2 * 64 * 1024,
+                "several buffers of instances"
+            );
+        }
+        for (variant, bytes) in line_variants(&written) {
+            let what = format!("{cell}/{file}/{variant}");
+            std::fs::write(&path, bytes).unwrap();
+            let (ours, q) = read_trace_dir_lenient(&dir);
+            let (theirs, rq) = reference::read_trace_dir_lenient(&dir);
+            assert_traces_equal(&ours, &theirs, &what);
+            assert_quarantines_equal(&q, &rq, &what);
+            let (lines, table_errors) = match variant {
+                "multi-byte" => (1, 0),
+                "invalid bytes" => (0, 1),
+                _ => (0, 0),
+            };
+            assert_eq!(q.total_lines(), lines, "{what}: {}", q.summary());
+            assert_eq!(q.table_errors.len(), table_errors, "{what}");
+        }
+        std::fs::write(&path, &written).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -134,11 +134,6 @@ pub fn parse_machine_line(line: &str, n: usize) -> Result<MachineEvent, CsvError
     })
 }
 
-/// Reads the machine-events table.
-pub fn read_machine_events(r: impl BufRead) -> Result<Vec<MachineEvent>, CsvError> {
-    read_table_strict(r, parse_machine_line)
-}
-
 fn scheduler_name(s: SchedulerKind) -> &'static str {
     match s {
         SchedulerKind::Default => "default",
@@ -205,11 +200,6 @@ pub fn parse_collection_line(line: &str, n: usize) -> Result<CollectionEvent, Cs
     })
 }
 
-/// Reads the collection-events table.
-pub fn read_collection_events(r: impl BufRead) -> Result<Vec<CollectionEvent>, CsvError> {
-    read_table_strict(r, parse_collection_line)
-}
-
 /// Writes the instance-events table.
 pub fn write_instance_events(w: &mut impl Write, events: &[InstanceEvent]) -> io::Result<()> {
     writeln!(
@@ -268,11 +258,6 @@ pub fn parse_instance_line(line: &str, n: usize) -> Result<InstanceEvent, CsvErr
         priority: Priority::new(narrow(parse_u64(field(&parts, 7, n)?, n)?, "priority", n)?),
         alloc_instance,
     })
-}
-
-/// Reads the instance-events table.
-pub fn read_instance_events(r: impl BufRead) -> Result<Vec<InstanceEvent>, CsvError> {
-    read_table_strict(r, parse_instance_line)
 }
 
 /// Writes the usage table (histogram inlined as 21 extra columns).
@@ -342,28 +327,6 @@ pub fn parse_usage_line(line: &str, n: usize) -> Result<UsageRecord, CsvError> {
         ),
         cpu_histogram: CpuHistogram(hist),
     })
-}
-
-/// Reads the usage table.
-pub fn read_usage(r: impl BufRead) -> Result<Vec<UsageRecord>, CsvError> {
-    read_table_strict(r, parse_usage_line)
-}
-
-/// Shared strict table loop: header skipped, blank lines skipped, the
-/// first malformed line aborts the read.
-fn read_table_strict<T>(
-    r: impl BufRead,
-    parse: impl Fn(&str, usize) -> Result<T, CsvError>,
-) -> Result<Vec<T>, CsvError> {
-    let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if i == 0 || line.is_empty() {
-            continue;
-        }
-        out.push(parse(&line, i + 1)?);
-    }
-    Ok(out)
 }
 
 // ---- dir ----

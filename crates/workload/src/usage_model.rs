@@ -138,30 +138,12 @@ impl UsageProcess {
 
     /// Synthetic fine-grained CPU samples within a window, for building
     /// the 21-element histogram: values spread between a floor and the
-    /// window peak, deterministic in the seed.
-    pub fn window_cpu_samples(&self, start: Micros, end: Micros, count: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(count);
-        self.window_cpu_samples_into(start, end, count, &mut out);
-        out
-    }
-
-    /// [`UsageProcess::window_cpu_samples`] into a caller-owned buffer
-    /// (cleared first), so periodic samplers reuse one allocation.
-    pub fn window_cpu_samples_into(
-        &self,
-        start: Micros,
-        end: Micros,
-        count: usize,
-        out: &mut Vec<f64>,
-    ) {
-        self.window_cpu_samples_with_avg(self.average_over(start, end).cpu, start, count, out);
-    }
-
-    /// [`UsageProcess::window_cpu_samples_into`] with the window-average
-    /// CPU supplied by the caller: bit-identical when `avg_cpu` is
-    /// `average_over(start, end).cpu`. The usage tick already holds that
-    /// value (its pass-1 raw demand), so the sampler skips the two
-    /// diurnal cosines and the window-noise re-evaluation per record.
+    /// window peak, deterministic in the seed, written into `out`
+    /// (cleared first) so periodic samplers reuse one allocation.
+    /// `avg_cpu` is the window's average CPU, `average_over(start,
+    /// end).cpu`; the usage tick already holds that value (its pass-1 raw
+    /// demand), so the sampler skips the two diurnal cosines and the
+    /// window-noise re-evaluation per record.
     pub fn window_cpu_samples_with_avg(
         &self,
         avg_cpu: f64,
@@ -259,22 +241,15 @@ mod tests {
     }
 
     #[test]
-    fn samples_into_matches_allocating_variant() {
-        let p = process();
-        let s = Micros::from_hours(7);
-        let e = s + Micros::from_minutes(5);
-        let mut buf = vec![999.0; 3]; // stale contents must be cleared
-        p.window_cpu_samples_into(s, e, 24, &mut buf);
-        assert_eq!(buf, p.window_cpu_samples(s, e, 24));
-    }
-
-    #[test]
     fn histogram_samples_bounded_by_peak() {
         let p = process();
         let s = Micros::from_hours(1);
         let e = s + Micros::from_minutes(5);
         let peak = p.peak_cpu_over(s, e);
-        for x in p.window_cpu_samples(s, e, 100) {
+        let mut buf = vec![999.0; 3]; // stale contents must be cleared
+        p.window_cpu_samples_with_avg(p.average_over(s, e).cpu, s, 100, &mut buf);
+        assert_eq!(buf.len(), 100);
+        for x in buf {
             assert!(x >= 0.0 && x <= peak + 1e-12);
         }
     }

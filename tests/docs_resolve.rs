@@ -1,12 +1,13 @@
 //! Commands and paths quoted in the docs name things that exist: every
 //! `check.sh --<mode>` in README.md, DESIGN.md and the verify skill is a
 //! mode `scripts/check.sh` accepts, every `-p <package>` names a package
-//! of this workspace, and every backticked `crates/…` path in those docs
-//! and EXPERIMENTS.md is in the tree. ROADMAP.md is left out: it cites
-//! deleted paths as history.
+//! of this workspace, every backticked `crates/…` path in those docs and
+//! EXPERIMENTS.md is in the tree, and so is every backticked
+//! `file.rs::item` they cite. ROADMAP.md is left out: it cites deleted
+//! paths as history.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const DOCS: &[&str] = &["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
 
@@ -103,15 +104,23 @@ fn check_modes_and_packages_in_the_docs_exist() {
     );
 }
 
-/// Every word starting `crates/` inside a backticked span of `text`, with
-/// a `:line` or `::item` suffix stripped. Code fences are dropped first,
-/// so their lines read as prose and only inline spans count.
-fn cited_paths(text: &str) -> Vec<String> {
+/// The words inside backticked spans of `text`. Code fences are dropped
+/// first, so their lines read as prose and only inline spans count.
+fn backticked_words(text: &str) -> Vec<String> {
     let text = text.replace("```", "");
     text.split('`')
         .skip(1)
         .step_by(2)
         .flat_map(str::split_whitespace)
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every backticked word of `text` starting `crates/`, with a `:line` or
+/// `::item` suffix stripped.
+fn cited_paths(text: &str) -> Vec<String> {
+    backticked_words(text)
+        .iter()
         .filter(|word| word.starts_with("crates/"))
         .map(|word| word.split(':').next().unwrap_or(word).to_string())
         .collect()
@@ -138,6 +147,95 @@ fn cited_crate_paths_in_the_docs_exist() {
     assert!(
         unresolved.is_empty(),
         "docs cite paths that do not exist:\n{}",
+        unresolved.join("\n")
+    );
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Every backticked `file.rs::item` of `text`, as the file and the
+/// item's leading identifier.
+fn cited_items(text: &str) -> Vec<(String, String)> {
+    backticked_words(text)
+        .iter()
+        .filter_map(|word| {
+            let (file, item) = word.split_once(".rs::")?;
+            let end = item.find(|c| !is_ident_char(c)).unwrap_or(item.len());
+            Some((format!("{file}.rs"), item[..end].to_string()))
+        })
+        .collect()
+}
+
+/// Whether `source` declares `item` as a `fn`, `struct`, `enum`, `trait`,
+/// `const`, `type` or `mod`.
+fn defines(source: &str, item: &str) -> bool {
+    ["fn", "struct", "enum", "trait", "const", "type", "mod"]
+        .iter()
+        .any(|kw| {
+            let decl = format!("{kw} {item}");
+            source.match_indices(&decl).any(|(at, _)| {
+                let before = source[..at].chars().next_back();
+                let after = source[at + decl.len()..].chars().next();
+                !before.is_some_and(is_ident_char) && !after.is_some_and(is_ident_char)
+            })
+        })
+}
+
+/// Every `.rs` file of the tree, by its path from the root, with its
+/// source; build output and hidden directories are skipped.
+fn rust_sources() -> Vec<(PathBuf, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.to_path_buf()];
+    let mut out = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in fs::read_dir(&dir).expect("directory lists") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if path.is_dir() && !name.starts_with('.') && name != "target" {
+                dirs.push(path);
+            } else if name.ends_with(".rs") {
+                let source = fs::read_to_string(&path).expect("source reads");
+                out.push((
+                    path.strip_prefix(root).expect("under root").to_path_buf(),
+                    source,
+                ));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn cited_items_in_the_docs_exist() {
+    assert_eq!(
+        cited_items("see `a/b.rs::f_1()`, (`c.rs::T`), `d.rs:12` and `e.rs`"),
+        [
+            ("a/b.rs".to_string(), "f_1".to_string()),
+            ("c.rs".to_string(), "T".to_string())
+        ]
+    );
+    assert!(defines("pub(crate) fn f_1<T>(", "f_1"));
+    assert!(!defines("fn f_12() {}\nlet x = f_1;", "f_1"));
+    let sources = rust_sources();
+    let mut cited = 0;
+    let mut unresolved = Vec::new();
+    for doc in PATH_DOCS {
+        for (file, item) in cited_items(&read(doc)) {
+            cited += 1;
+            let found = sources
+                .iter()
+                .any(|(path, source)| path.ends_with(&file) && defines(source, &item));
+            if !found {
+                unresolved.push(format!("{doc}: {file}::{item}"));
+            }
+        }
+    }
+    assert!(cited > 0, "no doc cites a file.rs::item");
+    assert!(
+        unresolved.is_empty(),
+        "docs cite items no file of that name defines:\n{}",
         unresolved.join("\n")
     );
 }

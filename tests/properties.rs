@@ -215,19 +215,23 @@ proptest! {
     fn machine_events_csv_round_trip(
         rows in prop::collection::vec((0u32..100, 0.01f64..1.0, 0.01f64..1.0, 0u8..7), 0..40)
     ) {
-        use borg2019::trace::csv::{read_machine_events, write_machine_events};
+        use borg2019::trace::csv::{read_trace_dir_lenient, write_trace_dir};
         use borg2019::trace::machine::{MachineEvent, MachineId, Platform};
         use borg2019::trace::resources::Resources;
         use borg2019::trace::time::Micros;
-        let events: Vec<MachineEvent> = rows
+        use borg2019::trace::trace::{SchemaVersion, Trace};
+        let mut trace = Trace::new("p", SchemaVersion::V3Trace2019, Micros::from_days(1));
+        trace.machine_events = rows
             .iter()
             .map(|&(id, cpu, mem, plat)| {
                 MachineEvent::add(Micros::ZERO, MachineId(id), Resources::new(cpu, mem), Platform(plat))
             })
             .collect();
-        let mut buf = Vec::new();
-        write_machine_events(&mut buf, &events).unwrap();
-        let back = read_machine_events(&buf[..]).unwrap();
-        prop_assert_eq!(back, events);
+        let dir = std::env::temp_dir().join(format!("borg_prop_csv_{}", std::process::id()));
+        write_trace_dir(&trace, &dir).unwrap();
+        let (back, q) = read_trace_dir_lenient(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert!(q.is_clean(), "{}", q.summary());
+        prop_assert_eq!(back.machine_events, trace.machine_events);
     }
 }
