@@ -38,7 +38,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Everything a simulated cell-month produces.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CellOutcome {
     /// The trace tables (v3 schema).
     pub trace: Trace,
@@ -295,11 +295,20 @@ impl<'a> CellSim<'a> {
         sim.tel.span_exit(fin_span);
         sim.tel.span_exit(root_span);
         let telemetry = sim.tel.snapshot();
-        CellOutcome {
+        let outcome = CellOutcome {
             trace: sim.trace,
             metrics: sim.metrics,
             telemetry,
+        };
+        if cfg!(debug_assertions) {
+            let findings = crate::check::check(&outcome, &sim.machines).findings;
+            assert!(
+                findings.is_empty(),
+                "cell {}: the end-of-run check found {findings:#?}",
+                outcome.trace.cell_name
+            );
         }
+        outcome
     }
 
     fn load_workload(&mut self, workload: Workload) {

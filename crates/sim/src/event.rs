@@ -148,6 +148,8 @@ pub struct EventQueue {
     primed: Vec<Scheduled>,
     cursor: usize,
     seq: u64,
+    /// The `(time, seq)` key of the last pop.
+    popped: Option<(Micros, u64)>,
 }
 
 impl EventQueue {
@@ -196,17 +198,22 @@ impl EventQueue {
         self.seq += 1;
     }
 
-    /// Pops the earliest event.
+    /// Pops the earliest event. Debug builds assert that popped
+    /// `(time, seq)` keys strictly increase (DESIGN.md §13).
     pub fn pop(&mut self) -> Option<(Micros, Ev)> {
-        if let Some(p) = self.primed.get(self.cursor) {
+        let next = match self.primed.get(self.cursor) {
             // Primed seqs are smaller than every runtime seq, so the
             // calendar wins equal-time ties against the heap.
-            if self.heap.peek().is_none_or(|h| p.time <= h.time) {
+            Some(&p) if self.heap.peek().is_none_or(|h| p.time <= h.time) => {
                 self.cursor += 1;
-                return Some((p.time, p.ev));
+                p
             }
-        }
-        self.heap.pop().map(|s| (s.time, s.ev))
+            _ => self.heap.pop()?,
+        };
+        let key = Some((next.time, next.seq));
+        debug_assert!(self.popped < key, "event queue popped {key:?} out of order");
+        self.popped = key;
+        Some((next.time, next.ev))
     }
 
     /// The earliest scheduled time, without popping.
@@ -319,6 +326,17 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Micros::from_secs(3)));
         q.pop();
         assert_eq!(q.peek_time(), Some(Micros::from_secs(5)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "event queue popped")]
+    fn a_pop_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.prime([(Micros::from_secs(5), Ev::UsageTick)]);
+        q.pop();
+        q.push(Micros::from_secs(3), Ev::Dispatch);
+        q.pop();
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 pub mod autopilot;
 pub mod cell;
+pub mod check;
 pub mod config;
 pub mod event;
 pub mod faults;

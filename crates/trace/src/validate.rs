@@ -4,11 +4,11 @@
 //! as *the total resource usage of all instances on a machine should be
 //! smaller than the machine's capacity* and *a submit event should happen
 //! before any termination event*. [`validate`] runs those checks over a
-//! trace and returns every violation, so generators can assert their
-//! output is internally consistent and analysts can quantify collection
-//! noise in external traces.
+//! trace and returns the violations (at most [`MAX_VIOLATIONS`]), so
+//! generators can assert their output is internally consistent and
+//! analysts can quantify collection noise in external traces.
 
-use crate::group::entity_order;
+use crate::group::{entity_order, Entity};
 use crate::machine::{MachineEventType, MachineId};
 use crate::resources::Resources;
 use crate::state::{EventType, StateMachine};
@@ -128,107 +128,90 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Validation configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ValidateConfig {
-    /// Allowed over-capacity factor before flagging a machine window
-    /// (CPU is work-conserving, so small excursions above capacity are
-    /// legitimate; default 1.05).
-    pub capacity_tolerance: f64,
-    /// Upper bound on reported violations (traces are huge; default 10k).
-    pub max_violations: usize,
-}
+/// Allowed over-capacity factor before a machine window is flagged: CPU
+/// is work-conserving, so small excursions above capacity are legitimate.
+pub const CAPACITY_TOLERANCE: f64 = 1.05;
 
-impl Default for ValidateConfig {
-    fn default() -> Self {
-        ValidateConfig {
-            capacity_tolerance: 1.05,
-            max_violations: 10_000,
-        }
-    }
-}
+/// Upper bound on reported violations (traces are huge).
+pub const MAX_VIOLATIONS: usize = 10_000;
 
-/// Runs all invariant checks and returns the violations found.
+/// Runs all invariant checks and returns the first [`MAX_VIOLATIONS`]
+/// violations found.
 pub fn validate(trace: &Trace) -> Vec<Violation> {
-    validate_with(trace, &ValidateConfig::default())
-}
-
-/// Runs all invariant checks with explicit configuration.
-pub fn validate_with(trace: &Trace, cfg: &ValidateConfig) -> Vec<Violation> {
     let mut violations = Vec::new();
-
-    check_collection_lifecycles(trace, &mut violations, cfg);
-    check_instance_lifecycles(trace, &mut violations, cfg);
-    check_usage(trace, &mut violations, cfg);
-
-    violations.truncate(cfg.max_violations);
+    let collections = &trace.collection_events;
+    check_lifecycles(
+        collections,
+        |e| (e.collection_id, e.time, e.event_type),
+        |collection, event, time| Violation::IllegalCollectionTransition {
+            collection,
+            event,
+            time,
+        },
+        |collection, group| {
+            let lifecycle = || group.iter().map(|&pos| &collections[pos]);
+            let terminal = lifecycle().find(|e| e.event_type.is_terminal())?;
+            let submit = lifecycle().find(|e| e.event_type == EventType::Submit)?;
+            (terminal.time < submit.time)
+                .then_some(Violation::TerminationBeforeSubmit { collection })
+        },
+        &mut violations,
+    );
+    let mut known: Vec<_> = collections.iter().map(|e| e.collection_id).collect();
+    known.sort_unstable();
+    known.dedup();
+    check_lifecycles(
+        &trace.instance_events,
+        |e| (e.instance_id, e.time, e.event_type),
+        |instance, event, time| Violation::IllegalInstanceTransition {
+            instance,
+            event,
+            time,
+        },
+        |instance, _| {
+            (!known.is_empty() && known.binary_search(&instance.collection).is_err())
+                .then_some(Violation::OrphanInstance { instance })
+        },
+        &mut violations,
+    );
+    check_usage(trace, &mut violations);
+    violations.truncate(MAX_VIOLATIONS);
     violations
 }
 
-fn check_collection_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
-    let events = &trace.collection_events;
-    let order = entity_order(events, &|e| (e.collection_id, e.time));
-    for group in order.chunk_by(|&a, &b| events[a].collection_id == events[b].collection_id) {
-        let id = events[group[0]].collection_id;
-        let lifecycle = || group.iter().map(|&pos| &events[pos]);
-        if let Some(first_terminal) = lifecycle().find(|e| e.event_type.is_terminal()) {
-            if let Some(first_submit) = lifecycle().find(|e| e.event_type == EventType::Submit) {
-                if first_terminal.time < first_submit.time {
-                    out.push(Violation::TerminationBeforeSubmit { collection: id });
-                }
-            }
-        }
-        let mut sm = StateMachine::new();
-        for ev in lifecycle() {
-            if sm.apply(ev.event_type).is_err() {
-                out.push(Violation::IllegalCollectionTransition {
-                    collection: id,
-                    event: ev.event_type,
-                    time: ev.time,
-                });
-                break;
-            }
-            if out.len() >= cfg.max_violations {
-                return;
-            }
-        }
-    }
-}
-
-fn check_instance_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
-    let mut known_collections: Vec<_> = trace
-        .collection_events
-        .iter()
-        .map(|e| e.collection_id)
-        .collect();
-    known_collections.sort_unstable();
-    known_collections.dedup();
-    let events = &trace.instance_events;
-    let order = entity_order(events, &|e| (e.instance_id, e.time));
-    for group in order.chunk_by(|&a, &b| events[a].instance_id == events[b].instance_id) {
-        let id = events[group[0]].instance_id;
-        if !known_collections.is_empty() && known_collections.binary_search(&id.collection).is_err()
-        {
-            out.push(Violation::OrphanInstance { instance: id });
-        }
-        let mut sm = StateMachine::new();
-        for ev in group.iter().map(|&pos| &events[pos]) {
-            if sm.apply(ev.event_type).is_err() {
-                out.push(Violation::IllegalInstanceTransition {
-                    instance: id,
-                    event: ev.event_type,
-                    time: ev.time,
-                });
-                break;
-            }
-        }
-        if out.len() >= cfg.max_violations {
+/// Walks each entity's rows of one event table, in time order: `hook`
+/// sees the entity's row positions first (a table's own rule), then the
+/// lifecycle state machine replays them and `illegal` names the first
+/// event it rejects.
+fn check_lifecycles<T, K: Entity + PartialEq>(
+    rows: &[T],
+    row: impl Fn(&T) -> (K, Micros, EventType),
+    illegal: impl Fn(K, EventType, Micros) -> Violation,
+    hook: impl Fn(K, &[usize]) -> Option<Violation>,
+    out: &mut Vec<Violation>,
+) {
+    let order = entity_order(rows, &|r| {
+        let (id, time, _) = row(r);
+        (id, time)
+    });
+    for group in order.chunk_by(|&a, &b| row(&rows[a]).0 == row(&rows[b]).0) {
+        if out.len() >= MAX_VIOLATIONS {
             return;
         }
+        let id = row(&rows[group[0]]).0;
+        out.extend(hook(id, group));
+        let mut sm = StateMachine::new();
+        for &pos in group {
+            let (_, time, event) = row(&rows[pos]);
+            if sm.apply(event).is_err() {
+                out.push(illegal(id, event, time));
+                break;
+            }
+        }
     }
 }
 
-fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
+fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
     // Machine capacities (latest add/update wins; removal handled
     // approximately — validation is a noise detector, not a re-simulation).
     let mut capacity: BTreeMap<MachineId, Resources> = BTreeMap::new();
@@ -262,7 +245,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
             continue;
         }
         windowed.push(rec);
-        if out.len() >= cfg.max_violations {
+        if out.len() >= MAX_VIOLATIONS {
             return;
         }
     }
@@ -278,7 +261,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
             used += windowed[pos].avg_usage;
         }
         if let Some(cap) = capacity.get(&machine) {
-            if used.cpu > cap.cpu * cfg.capacity_tolerance {
+            if used.cpu > cap.cpu * CAPACITY_TOLERANCE {
                 out.push(Violation::MachineOverCapacity {
                     machine,
                     window: start,
@@ -286,7 +269,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
                     cpu_capacity: cap.cpu,
                 });
             }
-            if out.len() >= cfg.max_violations {
+            if out.len() >= MAX_VIOLATIONS {
                 return;
             }
         }
@@ -296,170 +279,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collection::{
-        CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
-    };
-    use crate::instance::{InstanceEvent, InstanceId};
-    use crate::machine::{MachineEvent, Platform};
-    use crate::priority::Priority;
-    use crate::trace::SchemaVersion;
-    use crate::usage::{CpuHistogram, UsageRecord};
-
-    fn base_trace() -> Trace {
-        let mut t = Trace::new("t", SchemaVersion::V3Trace2019, Micros::from_days(1));
-        t.machine_events.push(MachineEvent::add(
-            Micros::ZERO,
-            MachineId(0),
-            Resources::new(1.0, 1.0),
-            Platform(0),
-        ));
-        t
-    }
-
-    fn cev(id: u64, time_s: u64, ty: EventType) -> CollectionEvent {
-        CollectionEvent {
-            time: Micros::from_secs(time_s),
-            collection_id: CollectionId(id),
-            event_type: ty,
-            collection_type: CollectionType::Job,
-            priority: Priority::new(200),
-            scheduler: SchedulerKind::Default,
-            vertical_scaling: VerticalScalingMode::Off,
-            parent_id: None,
-            alloc_collection_id: None,
-            user_id: UserId(0),
-        }
-    }
-
-    fn iev(id: u64, idx: u32, time_s: u64, ty: EventType) -> InstanceEvent {
-        InstanceEvent {
-            time: Micros::from_secs(time_s),
-            instance_id: InstanceId::new(CollectionId(id), idx),
-            event_type: ty,
-            machine_id: Some(MachineId(0)),
-            request: Resources::new(0.1, 0.1),
-            priority: Priority::new(200),
-            alloc_instance: None,
-        }
-    }
-
-    fn usage(id: u64, avg_cpu: f64) -> UsageRecord {
-        UsageRecord {
-            start: Micros::ZERO,
-            end: Micros::from_minutes(5),
-            instance_id: InstanceId::new(CollectionId(id), 0),
-            machine_id: MachineId(0),
-            avg_usage: Resources::new(avg_cpu, 0.1),
-            max_usage: Resources::new(avg_cpu, 0.1),
-            limit: Resources::new(0.5, 0.2),
-            cpu_histogram: CpuHistogram([0.1; 21]),
-        }
-    }
-
-    #[test]
-    fn clean_trace_validates() {
-        let mut t = base_trace();
-        t.collection_events.push(cev(1, 0, EventType::Submit));
-        t.collection_events.push(cev(1, 1, EventType::Schedule));
-        t.collection_events.push(cev(1, 100, EventType::Finish));
-        t.instance_events.push(iev(1, 0, 0, EventType::Submit));
-        t.instance_events.push(iev(1, 0, 1, EventType::Schedule));
-        t.instance_events.push(iev(1, 0, 100, EventType::Finish));
-        t.usage.push(usage(1, 0.3));
-        assert!(validate(&t).is_empty());
-    }
-
-    #[test]
-    fn detects_illegal_instance_sequence() {
-        let mut t = base_trace();
-        t.collection_events.push(cev(1, 0, EventType::Submit));
-        t.instance_events.push(iev(1, 0, 0, EventType::Schedule)); // no submit
-        let v = validate(&t);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::IllegalInstanceTransition { .. })));
-    }
-
-    #[test]
-    fn detects_illegal_collection_sequence() {
-        let mut t = base_trace();
-        t.collection_events.push(cev(1, 0, EventType::Submit));
-        t.collection_events.push(cev(1, 2, EventType::Schedule));
-        t.collection_events.push(cev(1, 5, EventType::Finish));
-        t.collection_events.push(cev(1, 9, EventType::Schedule)); // after death
-        let v = validate(&t);
-        assert!(v.iter().any(|x| matches!(
-            x,
-            Violation::IllegalCollectionTransition {
-                event: EventType::Schedule,
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn detects_termination_before_submit() {
-        let mut t = base_trace();
-        // A kill recorded before the submit (clock skew in collection).
-        t.collection_events.push(cev(1, 5, EventType::Submit));
-        t.collection_events.push(cev(1, 2, EventType::Kill));
-        let v = validate(&t);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::TerminationBeforeSubmit { .. })));
-    }
-
-    #[test]
-    fn detects_over_capacity() {
-        let mut t = base_trace();
-        t.collection_events.push(cev(1, 0, EventType::Submit));
-        t.collection_events.push(cev(2, 0, EventType::Submit));
-        t.usage.push(usage(1, 0.7));
-        t.usage.push(usage(2, 0.7)); // 1.4 NCU used on a 1.0 NCU machine
-        let v = validate(&t);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::MachineOverCapacity { .. })));
-    }
-
-    #[test]
-    fn detects_unknown_machine_and_orphan() {
-        let mut t = base_trace();
-        t.collection_events.push(cev(1, 0, EventType::Submit));
-        let mut rec = usage(1, 0.1);
-        rec.machine_id = MachineId(99);
-        t.usage.push(rec);
-        t.instance_events.push(iev(42, 0, 0, EventType::Submit));
-        let v = validate(&t);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::UsageOnUnknownMachine { .. })));
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::OrphanInstance { .. })));
-    }
-
-    #[test]
-    fn detects_bad_window_and_histogram() {
-        let mut t = base_trace();
-        t.collection_events.push(cev(1, 0, EventType::Submit));
-        let mut rec = usage(1, 0.1);
-        rec.end = Micros::ZERO;
-        rec.start = Micros::from_minutes(5);
-        t.usage.push(rec);
-        let mut rec2 = usage(1, 0.1);
-        let mut h = [0.1f32; 21];
-        h[20] = 0.0; // max below min
-        rec2.cpu_histogram = CpuHistogram(h);
-        t.usage.push(rec2);
-        let v = validate(&t);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::BadUsageWindow { .. })));
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, Violation::NonMonotoneHistogram { .. })));
-    }
+    use crate::collection::CollectionId;
 
     #[test]
     fn violation_display() {

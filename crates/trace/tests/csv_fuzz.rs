@@ -180,6 +180,7 @@ fn lenient_reader_and_repair_survive_mutated_tables() {
     std::fs::create_dir_all(&dir).unwrap();
     let mut rng = StdRng::seed_from_u64(SEED);
     let (mut quarantined, mut table_errors, mut repaired_rows, mut fully_clean) = (0, 0, 0, 0);
+    let mut over_capacity = 0;
     for round in 0..ROUNDS {
         let what = format!("round {round}");
         for (file, valid) in TABLES.iter().zip(&tables) {
@@ -239,6 +240,10 @@ fn lenient_reader_and_repair_survive_mutated_tables() {
             assert!(excused, "{what}: repair left {v}");
         }
         fully_clean += usize::from(left.is_empty());
+        over_capacity += left
+            .iter()
+            .filter(|v| matches!(v, Violation::MachineOverCapacity { .. }))
+            .count();
     }
     std::fs::remove_dir_all(&dir).ok();
     // The mutations must reach every layer, and the excuses stay rare.
@@ -248,6 +253,7 @@ fn lenient_reader_and_repair_survive_mutated_tables() {
     );
     assert!(table_errors > 0, "no table error provoked");
     assert!(repaired_rows > 0, "nothing to repair");
+    assert!(over_capacity > 0, "no window over capacity");
     assert!(
         fully_clean * 10 >= ROUNDS * 9,
         "only {fully_clean}/{ROUNDS} rounds validate clean"

@@ -14,13 +14,15 @@ mod reference;
 use borg_sim::{
     corrupt_trace, write_trace_dir_lossy, CellSim, CorruptionConfig, FaultConfig, SimConfig,
 };
+use borg_trace::collection::CollectionId;
 use borg_trace::csv::{
     self, read_trace_dir_lenient, write_trace_dir, Quarantine, FILE_COLLECTION, FILE_INSTANCE,
     FILE_MACHINE, FILE_METADATA, FILE_USAGE,
 };
+use borg_trace::instance::{InstanceEvent, InstanceId};
 use borg_trace::repair::{repair, RepairReport};
 use borg_trace::trace::Trace;
-use borg_trace::validate::{validate, validate_with, ValidateConfig};
+use borg_trace::validate::{validate, MAX_VIOLATIONS};
 use borg_workload::cells::CellProfile;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -246,19 +248,8 @@ fn validate_reports_the_same_violations_in_order() {
     let mut violations = 0;
     let mut check = |what: &str, t: &Trace| {
         let ours = validate(t);
-        assert_eq!(ours, reference::validate(t), "{what}: default config");
+        assert_eq!(ours, reference::validate(t), "{what}");
         violations += ours.len();
-        for max_violations in [1, 7, 100] {
-            let cfg = ValidateConfig {
-                capacity_tolerance: 0.5,
-                max_violations,
-            };
-            assert_eq!(
-                validate_with(t, &cfg),
-                reference::validate_with(t, &cfg),
-                "{what}: capped at {max_violations}"
-            );
-        }
     };
     for (cell, t) in cells() {
         check(cell, t);
@@ -271,6 +262,23 @@ fn validate_reports_the_same_violations_in_order() {
         assert!(validate(&t).is_empty(), "{what}: repair leaves violations");
     });
     assert!(violations > 0, "the damaged inputs violate invariants");
+}
+
+#[test]
+fn validate_stops_at_the_cap_like_the_reference() {
+    // A clean cell plus one orphan instance more than the cap holds.
+    let mut t = cells()[0].1.clone();
+    let event = t.instance_events[0];
+    for id in 0..=MAX_VIOLATIONS as u64 {
+        let instance_id = InstanceId::new(CollectionId(u64::MAX - id), 0);
+        t.instance_events.push(InstanceEvent {
+            instance_id,
+            ..event
+        });
+    }
+    let ours = validate(&t);
+    assert_eq!(ours.len(), MAX_VIOLATIONS);
+    assert_eq!(ours, reference::validate(&t));
 }
 
 /// The bytes of a table as written (`valid`) with, in turn: `\r\n` line

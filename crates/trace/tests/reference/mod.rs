@@ -28,7 +28,7 @@ use borg_trace::state::{InstanceState, StateMachine, TerminationKind};
 use borg_trace::time::Micros;
 use borg_trace::trace::{SchemaVersion, Trace};
 use borg_trace::usage::{CpuHistogram, UsageRecord};
-use borg_trace::validate::{ValidateConfig, Violation};
+use borg_trace::validate::{Violation, CAPACITY_TOLERANCE, MAX_VIOLATIONS};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -833,22 +833,17 @@ fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
 // ---- validate ----
 /// Runs all invariant checks and returns the violations found.
 pub fn validate(trace: &Trace) -> Vec<Violation> {
-    validate_with(trace, &ValidateConfig::default())
-}
-
-/// Runs all invariant checks with explicit configuration.
-pub fn validate_with(trace: &Trace, cfg: &ValidateConfig) -> Vec<Violation> {
     let mut violations = Vec::new();
 
-    check_collection_lifecycles(trace, &mut violations, cfg);
-    check_instance_lifecycles(trace, &mut violations, cfg);
-    check_usage(trace, &mut violations, cfg);
+    check_collection_lifecycles(trace, &mut violations);
+    check_instance_lifecycles(trace, &mut violations);
+    check_usage(trace, &mut violations);
 
-    violations.truncate(cfg.max_violations);
+    violations.truncate(MAX_VIOLATIONS);
     violations
 }
 
-fn check_collection_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
+fn check_collection_lifecycles(trace: &Trace, out: &mut Vec<Violation>) {
     let mut events: BTreeMap<borg_trace::collection::CollectionId, Vec<(Micros, EventType)>> =
         BTreeMap::new();
     for ev in &trace.collection_events {
@@ -876,14 +871,14 @@ fn check_collection_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &Va
                 });
                 break;
             }
-            if out.len() >= cfg.max_violations {
+            if out.len() >= MAX_VIOLATIONS {
                 return;
             }
         }
     }
 }
 
-fn check_instance_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
+fn check_instance_lifecycles(trace: &Trace, out: &mut Vec<Violation>) {
     let known_collections: BTreeSet<_> = trace
         .collection_events
         .iter()
@@ -911,13 +906,13 @@ fn check_instance_lifecycles(trace: &Trace, out: &mut Vec<Violation>, cfg: &Vali
                 break;
             }
         }
-        if out.len() >= cfg.max_violations {
+        if out.len() >= MAX_VIOLATIONS {
             return;
         }
     }
 }
 
-fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
+fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
     // Machine capacities (latest add/update wins; removal handled
     // approximately — validation is a noise detector, not a re-simulation).
     let mut capacity: BTreeMap<MachineId, Resources> = BTreeMap::new();
@@ -953,14 +948,14 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
         *window_usage
             .entry((rec.machine_id, rec.start))
             .or_insert(Resources::ZERO) += rec.avg_usage;
-        if out.len() >= cfg.max_violations {
+        if out.len() >= MAX_VIOLATIONS {
             return;
         }
     }
 
     for ((machine, window), used) in window_usage {
         if let Some(cap) = capacity.get(&machine) {
-            if used.cpu > cap.cpu * cfg.capacity_tolerance {
+            if used.cpu > cap.cpu * CAPACITY_TOLERANCE {
                 out.push(Violation::MachineOverCapacity {
                     machine,
                     window,
@@ -968,7 +963,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>, cfg: &ValidateConfig) {
                     cpu_capacity: cap.cpu,
                 });
             }
-            if out.len() >= cfg.max_violations {
+            if out.len() >= MAX_VIOLATIONS {
                 return;
             }
         }

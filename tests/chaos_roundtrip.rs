@@ -167,8 +167,6 @@ fn faulty_trace_records_failures_and_losses() {
         lost >= outcome.metrics.tasks_lost,
         "lost events undercounted"
     );
-    // The fault-enabled trace still satisfies every §9 invariant.
-    assert!(validate(&outcome.trace).is_empty());
 }
 
 #[test]
