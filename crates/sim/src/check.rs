@@ -1,14 +1,13 @@
 //! The end-of-run checker. [`CellSim::run_cell`](crate::CellSim::run_cell)
 //! calls [`check`] after `finalize` in debug builds and panics listing
 //! every finding; release builds run none of it. Three invariants: the
-//! trace passes [`borg_trace::validate::validate`]; tasks are conserved
-//! (each job task is submitted only while not live, scheduled or
-//! terminated only while live, and not live at the horizon once its job
-//! has ended; the trace's tasks and `Submit`s match the metrics'
-//! counters); and each machine's `committed` is its occupants'
-//! discounted sum and fits its capacity. One gap is counted, not
-//! reported: a job that ends before making its tasks ready leaves each
-//! with a lone `Submit` (DESIGN.md §9).
+//! trace passes [`borg_trace::validate::validate`], whose lifecycle
+//! walk already rejects a task event out of order; tasks are conserved
+//! (no job task is live at the horizon once its job has ended, and the
+//! trace's tasks and `Submit`s match the metrics' counters); and each
+//! machine's `committed` is its occupants' discounted sum and fits its
+//! capacity. One gap is counted, not reported: a job that ends before
+//! making its tasks ready leaves each with a lone `Submit` (DESIGN.md §9).
 
 use crate::cell::CellOutcome;
 use crate::machine::Machine;
@@ -30,10 +29,6 @@ const COMMIT_TOLERANCE: f64 = 1e-6;
 pub enum Finding {
     /// `validate` reports a §9 violation in the trace.
     Trace(Violation),
-    /// A job task's event other than `Submit` while it was not live.
-    NotLive(InstanceId, EventType),
-    /// A job task submitted again while live.
-    SubmittedWhileLive(InstanceId),
     /// A task of an ended job still live at the horizon.
     OutlivesJob(InstanceId),
     /// The trace's count, then the named metrics counter's, which differ.
@@ -93,18 +88,10 @@ fn check_tasks_conserved(o: &CellOutcome, report: &mut Report) {
         *events += 1;
         match e.event_type {
             EventType::Submit => {
-                if *live {
-                    out.push(Finding::SubmittedWhileLive(task));
-                }
                 *live = true;
                 submits += 1;
             }
-            event => {
-                if !*live {
-                    out.push(Finding::NotLive(task, event));
-                }
-                *live &= !event.is_terminal();
-            }
+            event => *live &= !event.is_terminal(),
         }
     }
     let mut unreadied_jobs = BTreeSet::new();
@@ -195,23 +182,24 @@ mod tests {
         assert_eq!((report.unreadied_tasks, report.unreadied_jobs), (728, 75));
     }
 
+    /// An event before any `Submit`, and a second `Submit` while live:
+    /// `validate`'s lifecycle walk rejects both.
     #[test]
-    fn an_event_before_any_submit() {
-        let (mut o, task, events) = tiny();
-        o.trace.instance_events.remove(events[0]);
-        let next = o.trace.instance_events[events[1] - 1];
-        let found = findings(&o);
-        assert!(found.contains(&Finding::NotLive(task, next.event_type)));
-        // `validate` sees it too, and its findings come first.
-        assert!(matches!(found[0], Finding::Trace(_)), "{found:?}");
-    }
-
-    #[test]
-    fn a_second_submit_while_live() {
-        let (mut o, task, events) = tiny();
-        let submit = o.trace.instance_events[events[0]];
-        o.trace.instance_events.insert(events[0], submit);
-        assert!(findings(&o).contains(&Finding::SubmittedWhileLive(task)));
+    fn an_event_out_of_lifecycle_order() {
+        let (o, task, events) = tiny();
+        let (mut early, mut twice) = (o.clone(), o);
+        early.trace.instance_events.remove(events[0]);
+        let submit = twice.trace.instance_events[events[0]];
+        twice.trace.instance_events.insert(events[0], submit);
+        for broken in [early, twice] {
+            let found = findings(&broken);
+            assert!(
+                found.iter().any(|f| matches!(f,
+                    Finding::Trace(Violation::IllegalInstanceTransition { instance, .. })
+                        if *instance == task)),
+                "{found:?}"
+            );
+        }
     }
 
     #[test]

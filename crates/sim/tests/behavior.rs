@@ -232,6 +232,21 @@ fn dependency_cascades_kill_children() {
 }
 
 #[test]
+fn deterministic_given_seed() {
+    let profile = CellProfile::cell_2019('a');
+    let cfg = SimConfig::tiny_for_tests(33);
+    let a = CellSim::run_cell(&profile, &cfg);
+    let b = CellSim::run_cell(&profile, &cfg);
+    assert_eq!(
+        a.trace.collection_events.len(),
+        b.trace.collection_events.len()
+    );
+    assert_eq!(a.trace.instance_events.len(), b.trace.instance_events.len());
+    assert_eq!(a.trace.usage.len(), b.trace.usage.len());
+    assert_eq!(a.metrics.preemptions, b.metrics.preemptions);
+}
+
+#[test]
 fn scheduling_explanation_renders() {
     let outcome = week_outcome(23);
     let report = outcome.metrics.explain_scheduling();

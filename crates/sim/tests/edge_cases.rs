@@ -42,6 +42,7 @@ fn five_minute_usage_interval_supported() {
     assert!(!o.trace.usage.is_empty());
     for u in &o.trace.usage {
         assert_eq!(u.duration(), Micros::from_minutes(5));
+        assert!(u.cpu_histogram.is_monotone());
     }
 }
 

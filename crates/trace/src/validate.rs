@@ -279,7 +279,170 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collection::CollectionId;
+    use crate::collection::{
+        CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
+    };
+    use crate::instance::{InstanceEvent, InstanceId};
+    use crate::machine::{MachineEvent, Platform};
+    use crate::priority::Priority;
+    use crate::trace::SchemaVersion;
+    use crate::usage::{CpuHistogram, UsageRecord};
+
+    fn base_trace() -> Trace {
+        let mut t = Trace::new("t", SchemaVersion::V3Trace2019, Micros::from_days(1));
+        t.machine_events.push(MachineEvent::add(
+            Micros::ZERO,
+            MachineId(0),
+            Resources::new(1.0, 1.0),
+            Platform(0),
+        ));
+        t
+    }
+
+    fn cev(id: u64, time_s: u64, ty: EventType) -> CollectionEvent {
+        CollectionEvent {
+            time: Micros::from_secs(time_s),
+            collection_id: CollectionId(id),
+            event_type: ty,
+            collection_type: CollectionType::Job,
+            priority: Priority::new(200),
+            scheduler: SchedulerKind::Default,
+            vertical_scaling: VerticalScalingMode::Off,
+            parent_id: None,
+            alloc_collection_id: None,
+            user_id: UserId(0),
+        }
+    }
+
+    fn iev(id: u64, idx: u32, time_s: u64, ty: EventType) -> InstanceEvent {
+        InstanceEvent {
+            time: Micros::from_secs(time_s),
+            instance_id: InstanceId::new(CollectionId(id), idx),
+            event_type: ty,
+            machine_id: Some(MachineId(0)),
+            request: Resources::new(0.1, 0.1),
+            priority: Priority::new(200),
+            alloc_instance: None,
+        }
+    }
+
+    fn usage(id: u64, avg_cpu: f64) -> UsageRecord {
+        UsageRecord {
+            start: Micros::ZERO,
+            end: Micros::from_minutes(5),
+            instance_id: InstanceId::new(CollectionId(id), 0),
+            machine_id: MachineId(0),
+            avg_usage: Resources::new(avg_cpu, 0.1),
+            max_usage: Resources::new(avg_cpu, 0.1),
+            limit: Resources::new(0.5, 0.2),
+            cpu_histogram: CpuHistogram([0.1; 21]),
+        }
+    }
+
+    #[test]
+    fn clean_trace_validates() {
+        let mut t = base_trace();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        t.collection_events.push(cev(1, 1, EventType::Schedule));
+        t.collection_events.push(cev(1, 100, EventType::Finish));
+        t.instance_events.push(iev(1, 0, 0, EventType::Submit));
+        t.instance_events.push(iev(1, 0, 1, EventType::Schedule));
+        t.instance_events.push(iev(1, 0, 100, EventType::Finish));
+        t.usage.push(usage(1, 0.3));
+        assert!(validate(&t).is_empty());
+    }
+
+    #[test]
+    fn detects_illegal_instance_sequence() {
+        let mut t = base_trace();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        t.instance_events.push(iev(1, 0, 0, EventType::Schedule)); // no submit
+        let v = validate(&t);
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::IllegalInstanceTransition { .. })));
+    }
+
+    #[test]
+    fn detects_illegal_collection_sequence() {
+        let mut t = base_trace();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        t.collection_events.push(cev(1, 2, EventType::Schedule));
+        t.collection_events.push(cev(1, 5, EventType::Finish));
+        t.collection_events.push(cev(1, 9, EventType::Schedule)); // after death
+        let v = validate(&t);
+        assert!(v.iter().any(|x| matches!(
+            x,
+            Violation::IllegalCollectionTransition {
+                event: EventType::Schedule,
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn detects_termination_before_submit() {
+        let mut t = base_trace();
+        // A kill recorded before the submit (clock skew in collection).
+        t.collection_events.push(cev(1, 5, EventType::Submit));
+        t.collection_events.push(cev(1, 2, EventType::Kill));
+        let v = validate(&t);
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::TerminationBeforeSubmit { .. })));
+    }
+
+    #[test]
+    fn detects_over_capacity() {
+        let mut t = base_trace();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        t.collection_events.push(cev(2, 0, EventType::Submit));
+        t.usage.push(usage(1, 0.7));
+        t.usage.push(usage(2, 0.7)); // 1.4 NCU used on a 1.0 NCU machine
+        let v = validate(&t);
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::MachineOverCapacity { .. })));
+    }
+
+    #[test]
+    fn detects_unknown_machine_and_orphan() {
+        let mut t = base_trace();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        let mut rec = usage(1, 0.1);
+        rec.machine_id = MachineId(99);
+        t.usage.push(rec);
+        t.instance_events.push(iev(42, 0, 0, EventType::Submit));
+        let v = validate(&t);
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::UsageOnUnknownMachine { .. })));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::OrphanInstance { .. })));
+    }
+
+    #[test]
+    fn detects_bad_window_and_histogram() {
+        let mut t = base_trace();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        let mut rec = usage(1, 0.1);
+        rec.end = Micros::ZERO;
+        rec.start = Micros::from_minutes(5);
+        t.usage.push(rec);
+        let mut rec2 = usage(1, 0.1);
+        let mut h = [0.1f32; 21];
+        h[20] = 0.0; // max below min
+        rec2.cpu_histogram = CpuHistogram(h);
+        t.usage.push(rec2);
+        let v = validate(&t);
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::BadUsageWindow { .. })));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::NonMonotoneHistogram { .. })));
+    }
 
     #[test]
     fn violation_display() {
