@@ -3,17 +3,19 @@
 //! every finding; release builds run none of it. Three invariants: the
 //! trace passes [`borg_trace::validate::validate`], whose lifecycle
 //! walk already rejects a task event out of order; tasks are conserved
-//! (no job task is live at the horizon once its job has ended, and the
-//! trace's tasks and `Submit`s match the metrics' counters); and each
-//! machine's `committed` is its occupants' discounted sum and fits its
-//! capacity. One gap is counted, not reported: a job that ends before
-//! making its tasks ready leaves each with a lone `Submit` (DESIGN.md §9).
+//! over the same walk, [`for_each_lifecycle`] (no job task is live at the
+//! horizon once its job has ended, and the trace's tasks and `Submit`s
+//! match the metrics' counters); and each machine's `committed` is its
+//! occupants' discounted sum and fits its capacity. One gap is counted,
+//! not reported: a job that ends before making its tasks ready leaves
+//! each with a lone `Submit` (DESIGN.md §9).
 
 use crate::cell::CellOutcome;
 use crate::machine::Machine;
 use borg_analysis::timeseries::HourBuckets;
 use borg_trace::collection::{CollectionId, CollectionType};
-use borg_trace::instance::InstanceId;
+use borg_trace::for_each_lifecycle;
+use borg_trace::instance::{InstanceEvent, InstanceId};
 use borg_trace::machine::MachineId;
 use borg_trace::resources::Resources;
 use borg_trace::state::EventType;
@@ -76,36 +78,33 @@ fn check_tasks_conserved(o: &CellOutcome, report: &mut Report) {
             *jobs.entry(e.collection_id).or_default() |= e.event_type.is_terminal();
         }
     }
-    // Task → (live after its last event, events seen).
-    let mut tasks: BTreeMap<InstanceId, (bool, u32)> = BTreeMap::new();
-    let mut submits = 0;
-    for e in &o.trace.instance_events {
-        let task = e.instance_id;
-        if !jobs.contains_key(&task.collection) {
-            continue; // alloc instance
-        }
-        let (live, events) = tasks.entry(task).or_insert((false, 0));
-        *events += 1;
-        match e.event_type {
-            EventType::Submit => {
-                *live = true;
-                submits += 1;
-            }
-            event => *live &= !event.is_terminal(),
-        }
-    }
+    let events = &o.trace.instance_events;
+    let (mut tasks, mut submits) = (0, 0);
     let mut unreadied_jobs = BTreeSet::new();
-    for (&task, &(live, events)) in &tasks {
-        if !live || !jobs[&task.collection] {
-            continue;
+    let key = |e: &InstanceEvent| (e.instance_id, e.time);
+    for_each_lifecycle(events, key, |mut task| {
+        let Some(&ended) = jobs.get(&task.id.collection) else {
+            return; // alloc instance
+        };
+        tasks += 1;
+        let mut legal = true;
+        for &pos in task.positions {
+            let event = events[pos].event_type;
+            submits += u64::from(event == EventType::Submit);
+            legal = legal && task.sm.apply(event).is_ok();
         }
-        if events == 1 {
+        // An illegal lifecycle is `validate`'s finding.
+        let live = legal && task.sm.state().is_some_and(|s| !s.is_dead());
+        if !live || !ended {
+            return;
+        }
+        if task.positions.len() == 1 {
             report.unreadied_tasks += 1;
-            unreadied_jobs.insert(task.collection);
+            unreadied_jobs.insert(task.id.collection);
         } else {
-            out.push(Finding::OutlivesJob(task));
+            out.push(Finding::OutlivesJob(task.id));
         }
-    }
+    });
     report.unreadied_jobs = unreadied_jobs.len() as u64;
     let mut compare = |counter, trace, buckets| {
         let counted = total(buckets);
@@ -113,8 +112,8 @@ fn check_tasks_conserved(o: &CellOutcome, report: &mut Report) {
             out.push(Finding::Miscounted(counter, trace, counted));
         }
     };
-    let (m, n) = (&o.metrics, tasks.len() as u64);
-    compare("new_task_submissions", n, &m.new_task_submissions);
+    let m = &o.metrics;
+    compare("new_task_submissions", tasks, &m.new_task_submissions);
     compare("all_task_submissions", submits, &m.all_task_submissions);
 }
 

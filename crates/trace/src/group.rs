@@ -1,12 +1,11 @@
-//! Grouping rows by entity without a map: one sort of packed integers.
+//! The lifecycle walk: a table grouped by entity with one integer sort.
 //!
-//! `repair` and `validate` both need every entity's rows together and in
-//! time order. Collecting them into a `BTreeMap<Id, Vec<Row>>` costs a
-//! heap vector per entity and copies every row; sorting the rows'
-//! positions by `(entity, time, input position)` gives the same grouping —
-//! consecutive positions whose rows have equal entities are exactly "that
-//! entity's rows, stably sorted by time" — and the rows themselves stay
-//! where they are.
+//! [`for_each_lifecycle`] is the walk `validate`, `repair` and the
+//! simulator's end-of-run checker share. It sorts the rows' positions
+//! once by `(entity, time, input position)` and hands over each entity's
+//! positions with a fresh [`StateMachine`]; what is done with each row —
+//! replay it, drop it as a duplicate first, count it — is the caller's.
+//! The rows themselves stay where they are.
 //!
 //! The sort key is one integer per row. A first pass over the rows finds
 //! the range of every component of the entity id and of the time, and
@@ -23,12 +22,13 @@
 use crate::collection::CollectionId;
 use crate::instance::InstanceId;
 use crate::machine::MachineId;
+use crate::state::StateMachine;
 use crate::time::Micros;
 use std::ops::{BitOr, Shl};
 
 /// An entity id as up to three integers, most significant first, ordered
 /// as the id's `Ord` orders it; unused ones are 0.
-pub(crate) trait Entity: Copy {
+pub trait Entity: Copy + PartialEq {
     fn parts(self) -> [u64; 3];
 }
 
@@ -54,6 +54,33 @@ impl Entity for (InstanceId, MachineId) {
     fn parts(self) -> [u64; 3] {
         [self.0.collection.0, self.0.index.into(), self.1 .0.into()]
     }
+}
+
+/// One entity's rows, as [`for_each_lifecycle`] hands them over.
+pub struct Lifecycle<'a, K> {
+    /// The entity.
+    pub id: K,
+    /// Its rows' positions, in `(time, input position)` order.
+    pub positions: &'a [usize],
+    /// A state machine that has seen none of them.
+    pub sm: StateMachine,
+}
+
+/// Hands `visit` every entity of `rows`, in id order, where `key` gives a
+/// row's entity and time; returns the order walked, every row's position
+/// entity by entity.
+pub fn for_each_lifecycle<T, K: Entity>(
+    rows: &[T],
+    key: impl Fn(&T) -> (K, Micros),
+    mut visit: impl FnMut(Lifecycle<'_, K>),
+) -> Vec<usize> {
+    let order = entity_order(rows, &key);
+    let id = |pos: &usize| key(&rows[*pos]).0;
+    for positions in order.chunk_by(|a, b| id(a) == id(b)) {
+        let (id, sm) = (id(&positions[0]), StateMachine::new());
+        visit(Lifecycle { id, positions, sm });
+    }
+    order
 }
 
 /// Where one input row falls in entity-major order, when only comparing

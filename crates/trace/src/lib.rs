@@ -43,6 +43,7 @@ pub use collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, VerticalScalingMode,
 };
 pub use csv::{Quarantine, QuarantinedLine};
+pub use group::{for_each_lifecycle, Lifecycle};
 pub use instance::{InstanceEvent, InstanceId};
 pub use machine::{MachineEvent, MachineEventType, MachineId, Platform};
 pub use priority::{Priority, PriorityBand2011, Tier};

@@ -19,17 +19,17 @@
 //! the same trace on every run.
 
 use crate::collection::{
-    CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
+    CollectionEvent, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
 };
-use crate::group::{entity_order, Entity};
+use crate::group::{for_each_lifecycle, Entity};
 use crate::instance::InstanceEvent;
 use crate::machine::{MachineEvent, MachineEventType, MachineId, Platform};
-use crate::priority::Priority;
 use crate::resources::Resources;
 use crate::state::{EventType, InstanceState, StateMachine, TerminationKind};
 use crate::time::Micros;
 use crate::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::validate::{capacities, known_collections, window_usage};
+use std::collections::BTreeMap;
 
 /// Repair counts for one table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,9 +139,25 @@ pub fn repair(trace: &mut Trace) -> RepairReport {
         |_, _| Walk::Legal,
         |e, _| *e,
     );
-    repair_collection_events(trace, &mut report);
-    let walked = repair_instance_events(trace, &mut report);
-    insert_lost(trace, &walked.running, &mut report);
+    rewrite_by_entity(
+        &mut trace.collection_events,
+        &mut report.collection_events,
+        |e| (e.collection_id, e.time),
+        |ev, sm| walk(sm, ev.event_type),
+        |ev, step| CollectionEvent {
+            event_type: step,
+            ..*ev
+        },
+    );
+    let mut walked = InstanceWalk::default();
+    rewrite_by_entity(
+        &mut trace.instance_events,
+        &mut report.instance_events,
+        |e| (e.instance_id, e.time),
+        |ev, sm| walked.visit(ev, sm),
+        synth_instance,
+    );
+    insert_lost(trace, &walked.tails, &mut report);
     backfill_collections(trace, &walked.first_seen, &mut report);
     repair_usage(trace, &mut report);
     backfill_machines(trace, &mut report);
@@ -237,61 +253,60 @@ fn slot_of(time: Micros, rank: usize) -> u128 {
 /// The slot of a row that does not survive (no table has this many rows).
 const REMOVED: u128 = u128::MAX;
 
-/// The per-table kernel: dedupes, walks and reorders `rows` in one pass
-/// over them in [`entity_order`].
+/// The per-table kernel: dedupes, walks and reorders `rows` in one
+/// [`for_each_lifecycle`] walk.
 ///
 /// Entity by entity, in `(time, input position)` order: a row equal to an
-/// earlier row of the same entity and timestamp is a duplicate and is
-/// removed (clean generated traces never contain two identical rows for
-/// one entity at one timestamp, so every removal is a real duplicate);
-/// every other row goes to `visit` — told whether it starts a new entity —
-/// whose verdict keeps it, drops it, or has `synth` make bridge rows to go
-/// in front of it. The survivors are then laid out by `(time, entity,
-/// input position)`. When nothing was removed or made and the table is in
-/// that order already, it is left untouched.
-fn rewrite_by_entity<T: Copy + PartialEq, K: Entity + PartialEq>(
+/// earlier row of the same entity and timestamp is removed as a duplicate
+/// before the state machine sees it, even where the lifecycle is legal
+/// with it (DESIGN.md §11, "The duplicate rule"); `visit` gets every other
+/// row and the entity's state machine, and its verdict keeps the row,
+/// drops it, or has `synth` make bridge rows to go in front of it. The
+/// survivors are then laid out by `(time, entity, input position)`; a
+/// table in that order with nothing removed or made is left untouched.
+fn rewrite_by_entity<T: Copy + PartialEq, K: Entity>(
     rows: &mut Vec<T>,
     counts: &mut TableRepair,
     key: impl Fn(&T) -> (K, Micros),
-    mut visit: impl FnMut(&T, bool) -> Walk,
+    mut visit: impl FnMut(&T, &mut StateMachine) -> Walk,
     synth: impl Fn(&T, EventType) -> T,
 ) {
-    let by_entity = entity_order(rows, &key);
     // Filled by input position during the entity-major walk.
     let mut order = vec![REMOVED; rows.len()];
     // The few rows that need bridge rows in front, and which.
     let mut bridged: Vec<(u128, &'static [EventType])> = Vec::new();
     let before = counts.total();
-    // The previous row's entity and time, and where its run of rows that
-    // share both starts.
-    let mut previous = None;
-    let mut run_start = 0;
-    for (rank, &pos) in by_entity.iter().enumerate() {
-        let row = &rows[pos];
-        let (entity, time) = key(row);
-        let new_entity = previous.is_none_or(|(e, _)| e != entity);
-        if previous != Some((entity, time)) {
-            run_start = rank;
-        }
-        previous = Some((entity, time));
-        if by_entity[run_start..rank].iter().any(|&e| rows[e] == *row) {
-            counts.deduped += 1;
-            continue;
-        }
-        let slot = slot_of(time, rank);
-        match visit(row, new_entity) {
-            Walk::Legal => {}
-            Walk::Bridged(steps) => {
-                counts.synthesized += steps.len() as u64;
-                bridged.push((slot, steps));
+    // Where the entity's first row falls in entity-major order.
+    let mut first_rank = 0;
+    let by_entity = for_each_lifecycle(rows, &key, |mut life| {
+        // The entity's rows at the current time start at `run`.
+        let (mut run, mut run_time) = (0, None);
+        for (i, &pos) in life.positions.iter().enumerate() {
+            let row = &rows[pos];
+            let time = key(row).1;
+            if run_time != Some(time) {
+                (run, run_time) = (i, Some(time));
             }
-            Walk::Dropped => {
-                counts.dropped += 1;
+            if life.positions[run..i].iter().any(|&e| rows[e] == *row) {
+                counts.deduped += 1;
                 continue;
             }
+            let slot = slot_of(time, first_rank + i);
+            match visit(row, &mut life.sm) {
+                Walk::Legal => {}
+                Walk::Bridged(steps) => {
+                    counts.synthesized += steps.len() as u64;
+                    bridged.push((slot, steps));
+                }
+                Walk::Dropped => {
+                    counts.dropped += 1;
+                    continue;
+                }
+            }
+            order[pos] = slot;
         }
-        order[pos] = slot;
-    }
+        first_rank += life.positions.len();
+    });
 
     let changed = counts.total() != before;
     if changed {
@@ -317,93 +332,52 @@ fn rewrite_by_entity<T: Copy + PartialEq, K: Entity + PartialEq>(
     *rows = out;
 }
 
-fn repair_collection_events(trace: &mut Trace, report: &mut RepairReport) {
-    let mut sm = StateMachine::new();
-    rewrite_by_entity(
-        &mut trace.collection_events,
-        &mut report.collection_events,
-        |e| (e.collection_id, e.time),
-        |ev, new_entity| {
-            if new_entity {
-                sm = StateMachine::new();
-            }
-            walk(&mut sm, ev.event_type)
-        },
-        |ev, step| CollectionEvent {
-            event_type: step,
-            ..*ev
-        },
-    );
-}
-
-/// An instance left in `Running` state at the end of its event stream:
-/// the template for a possible `Lost` insertion.
-struct RunningTail {
-    last_event: InstanceEvent,
-    last_machine: Option<MachineId>,
-}
-
-/// The earliest surviving instance event of one collection (the first in
-/// instance order among equals): the template for a back-filled `Submit`.
-struct FirstSeen {
-    collection: CollectionId,
-    time: Micros,
-    priority: Priority,
+/// An instance's last surviving row, the last machine its rows name and
+/// whether it is running after that row: a possible `Lost` insertion.
+struct Tail {
+    event: InstanceEvent,
+    machine: Option<MachineId>,
+    running: bool,
 }
 
 /// What the instance walk learned besides the repaired table.
 #[derive(Default)]
 struct InstanceWalk {
-    sm: StateMachine,
-    last_machine: Option<MachineId>,
-    last_event: Option<InstanceEvent>,
-    /// Instances still running at the end of their stream, in id order.
-    running: Vec<RunningTail>,
-    /// One entry per collection with instance events, in id order.
-    first_seen: Vec<FirstSeen>,
+    /// In id order, the tail of each instance that ends running, and of the last.
+    tails: Vec<Tail>,
+    /// Per collection with instance events, in id order, its earliest
+    /// surviving event (the first in instance order among equals).
+    first_seen: Vec<InstanceEvent>,
 }
 
 impl InstanceWalk {
-    fn visit(&mut self, ev: &InstanceEvent, new_entity: bool) -> Walk {
-        if new_entity {
-            self.close_instance();
-        }
-        let verdict = walk(&mut self.sm, ev.event_type);
+    fn visit(&mut self, ev: &InstanceEvent, sm: &mut StateMachine) -> Walk {
+        let verdict = walk(sm, ev.event_type);
         if matches!(verdict, Walk::Dropped) {
             return verdict;
         }
-        self.last_machine = ev.machine_id.or(self.last_machine);
-        self.last_event = Some(*ev);
-        let collection = ev.instance_id.collection;
+        let tail = Tail {
+            event: *ev,
+            machine: ev.machine_id,
+            running: sm.state() == Some(InstanceState::Running),
+        };
+        match self.tails.last_mut() {
+            Some(last) if last.event.instance_id == ev.instance_id => {
+                let machine = tail.machine.or(last.machine);
+                *last = Tail { machine, ..tail };
+            }
+            Some(last) if !last.running => *last = tail,
+            _ => self.tails.push(tail),
+        }
         match self.first_seen.last_mut() {
-            Some(first) if first.collection == collection => {
+            Some(first) if first.instance_id.collection == ev.instance_id.collection => {
                 if ev.time < first.time {
-                    first.time = ev.time;
-                    first.priority = ev.priority;
+                    *first = *ev;
                 }
             }
-            _ => self.first_seen.push(FirstSeen {
-                collection,
-                time: ev.time,
-                priority: ev.priority,
-            }),
+            _ => self.first_seen.push(*ev),
         }
         verdict
-    }
-
-    /// Ends the current instance's stream and resets for the next one.
-    fn close_instance(&mut self) {
-        if self.sm.state() == Some(InstanceState::Running) {
-            if let Some(last_event) = self.last_event {
-                self.running.push(RunningTail {
-                    last_event,
-                    last_machine: self.last_machine,
-                });
-            }
-        }
-        self.sm = StateMachine::new();
-        self.last_machine = None;
-        self.last_event = None;
     }
 }
 
@@ -416,24 +390,11 @@ fn synth_instance(ev: &InstanceEvent, ty: EventType) -> InstanceEvent {
     s
 }
 
-fn repair_instance_events(trace: &mut Trace, report: &mut RepairReport) -> InstanceWalk {
-    let mut walked = InstanceWalk::default();
-    rewrite_by_entity(
-        &mut trace.instance_events,
-        &mut report.instance_events,
-        |e| (e.instance_id, e.time),
-        |ev, new_entity| walked.visit(ev, new_entity),
-        synth_instance,
-    );
-    walked.close_instance();
-    walked
-}
-
 /// Inserts a `Lost` termination for every instance still running at the
 /// end of its stream whose machine's final event is a `Remove` at or
 /// after the instance's last record — the paper-§9 "vanished instance"
 /// artifact: the machine went away and monitoring never saw the end.
-fn insert_lost(trace: &mut Trace, running: &[RunningTail], report: &mut RepairReport) {
+fn insert_lost(trace: &mut Trace, tails: &[Tail], report: &mut RepairReport) {
     let mut fate: BTreeMap<MachineId, (Micros, MachineEventType)> = BTreeMap::new();
     for ev in &trace.machine_events {
         let slot = fate
@@ -444,17 +405,17 @@ fn insert_lost(trace: &mut Trace, running: &[RunningTail], report: &mut RepairRe
         }
     }
     let before = report.lost_inserted;
-    for tail in running {
-        let Some(machine) = tail.last_machine else {
+    for tail in tails.iter().filter(|tail| tail.running) {
+        let Some(machine) = tail.machine else {
             continue;
         };
         let Some(&(removed_at, MachineEventType::Remove)) = fate.get(&machine) else {
             continue;
         };
-        if removed_at < tail.last_event.time {
+        if removed_at < tail.event.time {
             continue;
         }
-        let mut lost = tail.last_event;
+        let mut lost = tail.event;
         lost.event_type = EventType::Lost;
         lost.time = removed_at;
         lost.machine_id = Some(machine);
@@ -471,22 +432,16 @@ fn insert_lost(trace: &mut Trace, running: &[RunningTail], report: &mut RepairRe
 /// Back-fills a `Submit` for every collection referenced by instance
 /// events but absent from the collection table, so instances are not
 /// orphans and downstream collection maps see their owners.
-fn backfill_collections(trace: &mut Trace, first_seen: &[FirstSeen], report: &mut RepairReport) {
-    let mut known: Vec<CollectionId> = trace
-        .collection_events
-        .iter()
-        .map(|e| e.collection_id)
-        .collect();
-    known.sort_unstable();
-    known.dedup();
+fn backfill_collections(trace: &mut Trace, firsts: &[InstanceEvent], report: &mut RepairReport) {
+    let known = known_collections(&trace.collection_events);
     let before = report.submits_backfilled;
-    for first in first_seen {
-        if known.binary_search(&first.collection).is_ok() {
+    for first in firsts {
+        if known.binary_search(&first.instance_id.collection).is_ok() {
             continue;
         }
         trace.collection_events.push(CollectionEvent {
             time: first.time,
-            collection_id: first.collection,
+            collection_id: first.instance_id.collection,
             event_type: EventType::Submit,
             collection_type: CollectionType::Job,
             priority: first.priority,
@@ -528,41 +483,21 @@ fn repair_usage(trace: &mut Trace, report: &mut RepairReport) {
 /// never added, sized to the peak summed window usage seen on them so
 /// the capacity check cannot flag the reconstruction.
 fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
-    if trace.usage.is_empty() {
-        return;
-    }
-    let known: BTreeSet<MachineId> = trace
-        .machine_events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.event_type,
-                MachineEventType::Add | MachineEventType::Update
-            )
-        })
-        .map(|e| e.machine_id)
-        .collect();
+    let known = capacities(&trace.machine_events);
     if known.is_empty() {
         // No capacity map at all: the capacity checks are vacuous and
         // there is nothing trustworthy to size a reconstruction from.
         return;
     }
-    // Only records on unknown machines get this far, so the map stays
-    // small; each window sums in (instance, input position) order.
-    let mut windows: BTreeMap<(MachineId, Micros), Resources> = BTreeMap::new();
-    for rec in &trace.usage {
-        if known.contains(&rec.machine_id) {
-            continue;
-        }
-        *windows
-            .entry((rec.machine_id, rec.start))
-            .or_insert(Resources::ZERO) += rec.avg_usage;
-    }
+    let unknown: Vec<_> = trace
+        .usage
+        .iter()
+        .filter(|rec| !known.contains_key(&rec.machine_id))
+        .collect();
     let mut caps: BTreeMap<MachineId, Resources> = BTreeMap::new();
-    for ((machine, _), used) in windows {
+    for ((machine, _), used) in window_usage(&unknown) {
         let cap = caps.entry(machine).or_insert(Resources::ZERO);
-        cap.cpu = cap.cpu.max(used.cpu);
-        cap.mem = cap.mem.max(used.mem);
+        *cap = cap.max(&used);
     }
     if caps.is_empty() {
         return;
@@ -580,7 +515,9 @@ fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collection::CollectionId;
     use crate::instance::InstanceId;
+    use crate::priority::Priority;
     use crate::trace::SchemaVersion;
     use crate::usage::{CpuHistogram, UsageRecord};
     use crate::validate::validate;
@@ -746,6 +683,36 @@ mod tests {
     }
 
     #[test]
+    fn a_legal_duplicate_is_deduped_before_the_state_machine_sees_it() {
+        // Both lifecycles are legal as they stand, so `validate` replays
+        // every row; `repair` drops the second `UpdateRunning` and the
+        // same-microsecond resubmit as exact duplicates.
+        use EventType::*;
+        let mut t = base();
+        t.collection_events.push(cev(1, 0, Submit));
+        let c1_0 = [Submit, Schedule, UpdateRunning, UpdateRunning, Finish];
+        let c1_0 = c1_0.into_iter().zip([0, 1, 5, 5, 9]);
+        t.instance_events = c1_0.map(|(ty, time)| iev(1, 0, time, ty)).collect();
+        let c1_1 = [Submit, Schedule, Evict, Submit];
+        t.instance_events.extend(c1_1.map(|ty| iev(1, 1, 3, ty)));
+        assert_eq!(validate(&t), []);
+        let report = repair(&mut t);
+        assert_eq!(report.instance_events.deduped, 2);
+        assert_eq!(report.total_actions(), 2);
+        assert_eq!(validate(&t), []);
+        let want = [
+            iev(1, 0, 0, Submit),
+            iev(1, 0, 1, Schedule),
+            iev(1, 1, 3, Submit),
+            iev(1, 1, 3, Schedule),
+            iev(1, 1, 3, Evict),
+            iev(1, 0, 5, UpdateRunning),
+            iev(1, 0, 9, Finish),
+        ];
+        assert_eq!(t.instance_events, want);
+    }
+
+    #[test]
     fn output_is_ordered_by_time_then_entity_then_position() {
         let mut t = base();
         t.collection_events.push(cev(1, 0, EventType::Submit));
@@ -816,7 +783,10 @@ mod tests {
         t.collection_events.push(cev(1, 0, EventType::Submit));
         t.instance_events.push(iev(1, 0, 0, EventType::Submit));
         t.instance_events.push(iev(1, 0, 10, EventType::Schedule));
-        // No terminal: the instance vanished with its machine.
+        // No terminal: 1/0 vanished with its machine; 1/1 finished first.
+        let finished = [EventType::Submit, EventType::Schedule, EventType::Finish];
+        t.instance_events
+            .extend(finished.map(|ty| iev(1, 1, 20, ty)));
         let report = repair(&mut t);
         assert_eq!(report.lost_inserted, 1);
         let lost = t

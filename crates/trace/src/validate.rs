@@ -8,10 +8,11 @@
 //! generators can assert their output is internally consistent and
 //! analysts can quantify collection noise in external traces.
 
-use crate::group::{entity_order, Entity};
-use crate::machine::{MachineEventType, MachineId};
+use crate::collection::{CollectionEvent, CollectionId};
+use crate::group::{entity_order, for_each_lifecycle, Entity};
+use crate::machine::{MachineEvent, MachineEventType, MachineId};
 use crate::resources::Resources;
-use crate::state::{EventType, StateMachine};
+use crate::state::EventType;
 use crate::time::Micros;
 use crate::trace::Trace;
 use crate::usage::UsageRecord;
@@ -157,9 +158,7 @@ pub fn validate(trace: &Trace) -> Vec<Violation> {
         },
         &mut violations,
     );
-    let mut known: Vec<_> = collections.iter().map(|e| e.collection_id).collect();
-    known.sort_unstable();
-    known.dedup();
+    let known = known_collections(collections);
     check_lifecycles(
         &trace.instance_events,
         |e| (e.instance_id, e.time, e.event_type),
@@ -181,49 +180,60 @@ pub fn validate(trace: &Trace) -> Vec<Violation> {
 
 /// Walks each entity's rows of one event table, in time order: `hook`
 /// sees the entity's row positions first (a table's own rule), then the
-/// lifecycle state machine replays them and `illegal` names the first
-/// event it rejects.
-fn check_lifecycles<T, K: Entity + PartialEq>(
+/// lifecycle state machine replays every row and `illegal` names the
+/// first event it rejects.
+fn check_lifecycles<T, K: Entity>(
     rows: &[T],
     row: impl Fn(&T) -> (K, Micros, EventType),
     illegal: impl Fn(K, EventType, Micros) -> Violation,
     hook: impl Fn(K, &[usize]) -> Option<Violation>,
     out: &mut Vec<Violation>,
 ) {
-    let order = entity_order(rows, &|r| {
-        let (id, time, _) = row(r);
-        (id, time)
-    });
-    for group in order.chunk_by(|&a, &b| row(&rows[a]).0 == row(&rows[b]).0) {
+    let key = |r: &T| (row(r).0, row(r).1);
+    for_each_lifecycle(rows, key, |mut life| {
         if out.len() >= MAX_VIOLATIONS {
             return;
         }
-        let id = row(&rows[group[0]]).0;
-        out.extend(hook(id, group));
-        let mut sm = StateMachine::new();
-        for &pos in group {
-            let (_, time, event) = row(&rows[pos]);
-            if sm.apply(event).is_err() {
-                out.push(illegal(id, event, time));
-                break;
-            }
+        out.extend(hook(life.id, life.positions));
+        let mut replayed = life.positions.iter().map(|&pos| row(&rows[pos]));
+        let rejected = replayed.find(|&(.., event)| life.sm.apply(event).is_err());
+        out.extend(rejected.map(|(id, time, event)| illegal(id, event, time)));
+    });
+}
+
+/// Every collection id with an event, sorted, each once.
+pub(crate) fn known_collections(events: &[CollectionEvent]) -> Vec<CollectionId> {
+    let mut known: Vec<_> = events.iter().map(|e| e.collection_id).collect();
+    known.sort_unstable();
+    known.dedup();
+    known
+}
+
+/// Each machine's capacity: the latest `Add` or `Update` wins; a removal
+/// leaves it (validation is a noise detector, not a re-simulation).
+pub(crate) fn capacities(events: &[MachineEvent]) -> BTreeMap<MachineId, Resources> {
+    let mut capacity = BTreeMap::new();
+    for e in events {
+        if e.event_type != MachineEventType::Remove {
+            capacity.insert(e.machine_id, e.capacity);
         }
     }
+    capacity
+}
+
+/// The summed `avg_usage` of each `(machine, window start)` in `records`,
+/// in that order; a window's records are summed in the order given.
+pub(crate) fn window_usage(records: &[&UsageRecord]) -> Vec<((MachineId, Micros), Resources)> {
+    let window_of = |rec: &&UsageRecord| (rec.machine_id, rec.start);
+    let order = entity_order(records, &window_of);
+    let windows = order.chunk_by(|&a, &b| window_of(&records[a]) == window_of(&records[b]));
+    let used = |window: &[usize]| window.iter().map(|&pos| records[pos].avg_usage).sum();
+    let sums = windows.map(|w| (window_of(&records[w[0]]), used(w)));
+    sums.collect()
 }
 
 fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
-    // Machine capacities (latest add/update wins; removal handled
-    // approximately — validation is a noise detector, not a re-simulation).
-    let mut capacity: BTreeMap<MachineId, Resources> = BTreeMap::new();
-    for ev in &trace.machine_events {
-        match ev.event_type {
-            MachineEventType::Add | MachineEventType::Update => {
-                capacity.insert(ev.machine_id, ev.capacity);
-            }
-            MachineEventType::Remove => {}
-        }
-    }
-
+    let capacity = capacities(&trace.machine_events);
     // The records that count towards a (machine, window-start) sum.
     let mut windowed: Vec<&UsageRecord> = Vec::with_capacity(trace.usage.len());
     for rec in &trace.usage {
@@ -249,17 +259,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
             return;
         }
     }
-
-    // One sort groups each window's records, still in table order, which
-    // is the order their usage is summed in.
-    let window_of = |rec: &&UsageRecord| (rec.machine_id, rec.start);
-    let order = entity_order(&windowed, &window_of);
-    for window in order.chunk_by(|&a, &b| window_of(&windowed[a]) == window_of(&windowed[b])) {
-        let (machine, start) = window_of(&windowed[window[0]]);
-        let mut used = Resources::ZERO;
-        for &pos in window {
-            used += windowed[pos].avg_usage;
-        }
+    for ((machine, start), used) in window_usage(&windowed) {
         if let Some(cap) = capacity.get(&machine) {
             if used.cpu > cap.cpu * CAPACITY_TOLERANCE {
                 out.push(Violation::MachineOverCapacity {

@@ -16,9 +16,11 @@ Default (no flag): lint, fmt, clippy, build, doc links, tests, paper and profile
 
 Modes (at most one):
   --lint     borg-lint only, held to its 5 s budget (fast pre-commit loop)
-  --chaos    chaos roundtrip + trace-kernel differential/fuzz suites, then the
-             f32 bucket writer against Display on all 2^32 bit patterns
-             (release build; 5.5 min of the mode's 6.5 on two cores)
+  --chaos    chaos roundtrip, corruption detection, trace-kernel
+             differential/fuzz suites, borg-trace unit tests and borg-sim's
+             end-of-run checker tests, then the f32 bucket writer against
+             Display on all 2^32 bit patterns (release build; 5.5 min of
+             the mode's 6.5 on two cores)
   --pipeline pipeline-bench self-check only (benchmark/run.sh --check: unit tests + 5 tiny workloads)
   --help     this text
 EOF
@@ -57,8 +59,11 @@ fi
 if [ "$mode" = --chaos ]; then
     echo "==> chaos roundtrip (fault injection & trace repair)"
     cargo test -p borg2019 --test chaos_roundtrip --offline -q
-    echo "==> trace kernels vs reference implementations (differential + fuzz)"
-    cargo test -p borg-trace --test differential --test csv_fuzz --offline -q
+    echo "==> trace kernels vs reference implementations (differential + fuzz), corruption detection"
+    cargo test -p borg-trace --test differential --test csv_fuzz --test corruption_detection --offline -q
+    echo "==> the lifecycle walk's unit tests (borg-trace lib, borg-sim end-of-run checker)"
+    cargo test -p borg-trace --lib --offline -q
+    cargo test -p borg-sim --lib --offline -q check::
     echo "==> f32 bucket writer vs Display, every bit pattern (release)"
     cargo test --release -p borg-trace --lib --offline -- --ignored --nocapture
     echo "Chaos check passed."
