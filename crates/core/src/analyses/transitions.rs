@@ -1,13 +1,27 @@
 //! Figure 7: the state-transition diagram with occurrence counts.
 
 use borg_sim::CellOutcome;
-use borg_trace::state::{EventType, InstanceState, TransitionCounts};
+use borg_trace::state::{count_transitions, EventType, InstanceState, TransitionCounts};
+use borg_trace::trace::Trace;
+
+/// The transition counts of a trace's collection table, then of its
+/// instance table, replayed from the rows.
+pub fn table_transitions(trace: &Trace) -> [TransitionCounts; 2] {
+    [
+        count_transitions(&trace.collection_events, |e| {
+            (e.collection_id, e.time, e.event_type)
+        }),
+        count_transitions(&trace.instance_events, |e| {
+            (e.instance_id, e.time, e.event_type)
+        }),
+    ]
+}
 
 /// Combined collection + instance transition counts for a cell (the
 /// paper's Figure 7 shows cell g).
 pub fn combined_transitions(outcome: &CellOutcome) -> TransitionCounts {
-    let mut t = outcome.metrics.collection_transitions.clone();
-    t.merge(&outcome.metrics.instance_transitions);
+    let [mut t, instances] = table_transitions(&outcome.trace);
+    t.merge(&instances);
     t
 }
 

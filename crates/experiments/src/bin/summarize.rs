@@ -15,6 +15,7 @@
 //! ```
 
 use borg_analysis::ccdf::Ccdf;
+use borg_core::analyses::transitions::table_transitions;
 use borg_core::pipeline::{load_trace_dir, DataQuality};
 use borg_trace::collection::CollectionType;
 use borg_trace::csv::write_trace_dir;
@@ -24,9 +25,9 @@ use borg_trace::trace::Trace;
 use borg_trace::validate::validate;
 
 fn main() {
-    // Demo mode keeps the simulator's end-of-run metrics so the sim run
-    // and the ingested trace print comparable summaries side by side.
-    let (dir, sim_metrics) = match std::env::args().nth(1) {
+    // Demo mode keeps the simulated cell so the sim run and the ingested
+    // trace print comparable summaries side by side.
+    let (dir, sim) = match std::env::args().nth(1) {
         Some(d) => (std::path::PathBuf::from(d), None),
         None => {
             // Demo mode: export a simulated trace, then summarize it.
@@ -41,7 +42,7 @@ fn main() {
                 1,
             );
             write_trace_dir(&outcome.trace, &dir).expect("demo trace written");
-            (dir, Some(outcome.metrics))
+            (dir, Some(outcome))
         }
     };
 
@@ -55,27 +56,23 @@ fn main() {
         std::process::exit(1);
     }
     summarize(&trace, &quality);
-    if let Some(metrics) = &sim_metrics {
-        print_sim_metrics(metrics);
+    if let Some(outcome) = &sim {
+        print_sim_metrics(outcome);
     }
 }
 
 /// The simulator-side account of the same cell: what the trace above
 /// was distilled from (only available when this binary also ran the
 /// simulation).
-fn print_sim_metrics(m: &borg_sim::SimMetrics) {
+fn print_sim_metrics(outcome: &borg_sim::CellOutcome) {
     println!("\n=== sim-end metrics (simulator side of the same run) ===");
-    print!("{}", m.explain_scheduling());
+    print!("{}", outcome.explain_scheduling());
+    let m = &outcome.metrics;
     println!(
         "  samples kept: {} scheduling delays, {} slack, {} machine snapshots",
         m.delays.len(),
         m.slack.len(),
         m.machine_snapshots.len()
-    );
-    println!(
-        "  transitions: {} collection, {} instance",
-        m.collection_transitions.total(),
-        m.instance_transitions.total()
     );
 }
 
@@ -136,6 +133,12 @@ fn summarize(trace: &Trace, quality: &DataQuality) {
     println!(
         "\ninstances: {instances}, task submissions: {submits} (churn {:.2} resubmits/instance)",
         (submits as f64 - instances as f64) / instances.max(1) as f64
+    );
+    let [collection, instance] = table_transitions(trace);
+    println!(
+        "transitions (Figure 7): {} collection, {} instance",
+        collection.total(),
+        instance.total()
     );
 
     // Job sizes.

@@ -27,7 +27,7 @@ use borg_trace::instance::{InstanceEvent, InstanceId};
 use borg_trace::machine::{MachineEvent, MachineId, Platform};
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
-use borg_trace::state::{EventType, StateMachine};
+use borg_trace::state::EventType;
 use borg_trace::time::Micros;
 use borg_trace::trace::{SchemaVersion, Trace};
 use borg_workload::cells::{CellProfile, Era};
@@ -66,7 +66,6 @@ struct TaskRt {
     autopilot: Autopilot,
     /// Set when placed inside an alloc instance `(alloc_idx, inst_idx)`.
     in_alloc: Option<(usize, usize)>,
-    sm: StateMachine,
     stalled: bool,
     /// Usage has been charged to the metrics up to this time; the
     /// remainder is charged when the task frees or at the next tick, so
@@ -99,7 +98,6 @@ struct JobRt {
     /// Terminal override (parent cascade forces a kill).
     forced_kill: bool,
     children: Vec<usize>,
-    sm: StateMachine,
     flaky: bool,
     /// Number of tasks currently in `TaskState::Pending` (stalled or
     /// not), so gang dispatch collects them without scanning every task.
@@ -112,7 +110,6 @@ struct AllocInstRt {
     machine: Option<usize>,
     used: Resources,
     placed_at: Micros,
-    sm: StateMachine,
 }
 
 #[derive(Debug)]
@@ -123,7 +120,9 @@ struct AllocRt {
     /// Past expiry but still hosting production members: no new
     /// placements; torn down once the members finish.
     draining: bool,
-    sm: StateMachine,
+    /// The set's `Schedule` was emitted: at least one instance was placed
+    /// at submission, so teardown is a `Finish`, not a `Kill`.
+    scheduled: bool,
     /// The running tasks placed inside this set, `(job, task)`: exactly
     /// the running set filtered by `in_alloc`, in its order, so teardown
     /// does not scan every running task.
@@ -333,7 +332,6 @@ impl<'a> CellSim<'a> {
                         limit: t.request,
                         autopilot: Autopilot::new(vs_mode, t.request),
                         in_alloc: None,
-                        sm: StateMachine::new(),
                         stalled: false,
                         accounted_until: Micros::ZERO,
                         gen: 0,
@@ -346,7 +344,6 @@ impl<'a> CellSim<'a> {
                     end_scheduled: false,
                     forced_kill: false,
                     children: Vec::new(),
-                    sm: StateMachine::new(),
                     flaky,
                     pending_count: 0,
                     tasks,
@@ -381,11 +378,10 @@ impl<'a> CellSim<'a> {
                         machine: None,
                         used: Resources::ZERO,
                         placed_at: Micros::ZERO,
-                        sm: StateMachine::new(),
                     })
                     .collect(),
                 active: false,
-                sm: StateMachine::new(),
+                scheduled: false,
                 members: BTreeSet::new(),
                 spec,
             })
@@ -512,7 +508,7 @@ impl<'a> CellSim<'a> {
 
     fn emit_collection(&mut self, job: usize, ev: EventType) {
         let spec = &self.jobs[job].spec;
-        let event = CollectionEvent {
+        self.trace.collection_events.push(CollectionEvent {
             time: self.now,
             collection_id: CollectionId(spec.id),
             event_type: ev,
@@ -523,19 +519,12 @@ impl<'a> CellSim<'a> {
             parent_id: spec.parent.map(CollectionId),
             alloc_collection_id: spec.alloc_set.map(CollectionId),
             user_id: UserId(spec.user_id),
-        };
-        let from = self.jobs[job].sm.state();
-        if self.jobs[job].sm.apply(ev).is_ok() {
-            self.metrics.collection_transitions.record(from, ev);
-            self.trace.collection_events.push(event);
-        } else {
-            debug_assert!(false, "illegal collection transition: {ev} from {from:?}");
-        }
+        });
     }
 
     fn emit_alloc_collection(&mut self, alloc: usize, ev: EventType) {
         let spec = &self.allocs[alloc].spec;
-        let event = CollectionEvent {
+        self.trace.collection_events.push(CollectionEvent {
             time: self.now,
             collection_id: CollectionId(spec.id),
             event_type: ev,
@@ -546,14 +535,7 @@ impl<'a> CellSim<'a> {
             parent_id: None,
             alloc_collection_id: None,
             user_id: UserId(spec.user_id),
-        };
-        let from = self.allocs[alloc].sm.state();
-        if self.allocs[alloc].sm.apply(ev).is_ok() {
-            self.metrics.collection_transitions.record(from, ev);
-            self.trace.collection_events.push(event);
-        } else {
-            debug_assert!(false, "illegal alloc transition: {ev} from {from:?}");
-        }
+        });
     }
 
     fn emit_task(&mut self, job: usize, task: usize, ev: EventType, machine: Option<usize>) {
@@ -564,7 +546,7 @@ impl<'a> CellSim<'a> {
                 .map(|(a, i)| InstanceId::new(CollectionId(self.allocs[a].spec.id), i as u32));
             (j.spec.priority, j.tasks[task].limit, inst, j.spec.id)
         };
-        let event = InstanceEvent {
+        self.trace.instance_events.push(InstanceEvent {
             time: self.now,
             instance_id: InstanceId::new(CollectionId(collection_id), task as u32),
             event_type: ev,
@@ -572,14 +554,7 @@ impl<'a> CellSim<'a> {
             request,
             priority,
             alloc_instance: alloc_ref,
-        };
-        let from = self.jobs[job].tasks_sm_state(task);
-        if self.jobs[job].apply_task_sm(task, ev) {
-            self.metrics.instance_transitions.record(from, ev);
-            self.trace.instance_events.push(event);
-        } else {
-            debug_assert!(false, "illegal instance transition: {ev} from {from:?}");
-        }
+        });
     }
 
     fn emit_alloc_instance(&mut self, alloc: usize, inst: usize, ev: EventType) {
@@ -587,7 +562,7 @@ impl<'a> CellSim<'a> {
         let machine = self.allocs[alloc].instances[inst]
             .machine
             .map(|m| self.machines[m].id);
-        let event = InstanceEvent {
+        self.trace.instance_events.push(InstanceEvent {
             time: self.now,
             instance_id: InstanceId::new(CollectionId(spec.id), inst as u32),
             event_type: ev,
@@ -595,17 +570,7 @@ impl<'a> CellSim<'a> {
             request: spec.instance_size,
             priority: spec.priority,
             alloc_instance: None,
-        };
-        let from = self.allocs[alloc].instances[inst].sm.state();
-        if self.allocs[alloc].instances[inst].sm.apply(ev).is_ok() {
-            self.metrics.instance_transitions.record(from, ev);
-            self.trace.instance_events.push(event);
-        } else {
-            debug_assert!(
-                false,
-                "illegal alloc-instance transition: {ev} from {from:?}"
-            );
-        }
+        });
     }
 
     fn finalize(&mut self) {
@@ -658,18 +623,20 @@ impl<'a> CellSim<'a> {
         }
         let det = Plane::Deterministic;
         let m = &self.metrics;
+        let t = &self.trace;
         let scalars: [(&str, u64); 10] = [
             ("sim.metrics.preemptions", m.preemptions),
             ("sim.metrics.machine_failures", m.machine_failures),
             ("sim.metrics.machine_repairs", m.machine_repairs),
             ("sim.metrics.tasks_lost", m.tasks_lost),
+            // Every row is one Figure 7 transition of a legal trace.
             (
                 "sim.metrics.transitions.collection",
-                m.collection_transitions.total(),
+                t.collection_events.len() as u64,
             ),
             (
                 "sim.metrics.transitions.instance",
-                m.instance_transitions.total(),
+                t.instance_events.len() as u64,
             ),
             ("sim.metrics.delay_samples", m.delays.len() as u64),
             ("sim.metrics.slack_samples", m.slack.len() as u64),
@@ -741,16 +708,6 @@ impl<'a> CellSim<'a> {
                 );
             }
         }
-    }
-}
-
-impl JobRt {
-    fn tasks_sm_state(&self, task: usize) -> Option<borg_trace::state::InstanceState> {
-        self.tasks[task].sm.state()
-    }
-
-    fn apply_task_sm(&mut self, task: usize, ev: EventType) -> bool {
-        self.tasks[task].sm.apply(ev).is_ok()
     }
 }
 

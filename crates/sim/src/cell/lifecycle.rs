@@ -216,6 +216,7 @@ impl CellSim<'_> {
             .iter()
             .any(|i| i.machine.is_some())
         {
+            self.allocs[alloc].scheduled = true;
             self.emit_alloc_collection(alloc, EventType::Schedule);
         }
         let expire = self.allocs[alloc].spec.submit_time + self.allocs[alloc].spec.duration;
@@ -276,7 +277,7 @@ impl CellSim<'_> {
         }
         // A reservation that never placed any instance is torn down as a
         // kill rather than a normal completion.
-        if self.allocs[alloc].sm.state() == Some(borg_trace::state::InstanceState::Running) {
+        if self.allocs[alloc].scheduled {
             self.emit_alloc_collection(alloc, EventType::Finish);
         } else {
             self.emit_alloc_collection(alloc, EventType::Kill);

@@ -1,8 +1,11 @@
 //! The end-of-run checker. [`CellSim::run_cell`](crate::CellSim::run_cell)
 //! calls [`check`] after `finalize` in debug builds and panics listing
-//! every finding; release builds run none of it. Three invariants: the
-//! trace passes [`borg_trace::validate::validate`], whose lifecycle
-//! walk already rejects a task event out of order; tasks are conserved
+//! every finding; release builds run none of it unless built with debug
+//! assertions, as `scripts/check.sh --checked` does. It is the one judge
+//! of lifecycle legality: the simulator emits every row it builds.
+//! Three invariants: the trace passes
+//! [`borg_trace::validate::validate`], whose lifecycle walk already
+//! rejects a task event out of order; tasks are conserved
 //! over the same walk, [`for_each_lifecycle`] (no job task is live at the
 //! horizon once its job has ended, and the trace's tasks and `Submit`s
 //! match the metrics' counters); and each machine's `committed` is its

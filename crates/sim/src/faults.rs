@@ -479,10 +479,12 @@ pub fn corrupt_trace(trace: &Trace, cfg: &CorruptionConfig, seed: u64) -> (Trace
 /// never parse (the first field becomes non-numeric), each counted in
 /// `ledger`. Combine with [`corrupt_trace`] for row-level faults first.
 ///
-/// The decisions are drawn before anything is written, one per data row
-/// in file order (machine, collection, instance, usage), none when the
-/// fraction is 0, because the tables are written on two threads. A cell
-/// name the directory cannot hold is refused before the first draw.
+/// The decisions are drawn first, one per data row in file order
+/// (machine, collection, instance, usage), none when the fraction is 0.
+/// The directory is then written clean, and each file with a drawn line
+/// is rewritten with `##corrupt##` ahead of those lines; no other file is
+/// touched. A cell name the directory cannot hold is refused before the
+/// first draw.
 pub fn write_trace_dir_lossy(
     trace: &Trace,
     dir: &std::path::Path,
@@ -490,7 +492,7 @@ pub fn write_trace_dir_lossy(
     seed: u64,
     ledger: &mut FaultLedger,
 ) -> std::io::Result<()> {
-    use borg_trace::csv::{FILE_COLLECTION, FILE_INSTANCE, FILE_MACHINE};
+    use borg_trace::csv::{FILE_COLLECTION, FILE_INSTANCE, FILE_MACHINE, FILE_USAGE};
     cfg.validate();
     borg_trace::csv::check_cell_name(&trace.cell_name)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -507,17 +509,31 @@ pub fn write_trace_dir_lossy(
     let collection = draw(trace.collection_events.len(), &mut ledger.collection_events);
     let instance = draw(trace.instance_events.len(), &mut ledger.instance_events);
     let usage = draw(trace.usage.len(), &mut ledger.usage);
-    borg_trace::csv::write_trace_dir_with(trace, dir, &|file, row, line| {
-        let garbled = match file {
-            FILE_MACHINE => &machine,
-            FILE_COLLECTION => &collection,
-            FILE_INSTANCE => &instance,
-            _ => &usage,
-        };
-        if garbled.get(row) == Some(&true) {
-            line.extend_from_slice(b"##corrupt##");
+    borg_trace::csv::write_trace_dir(trace, dir)?;
+    let files = [
+        (FILE_MACHINE, machine),
+        (FILE_COLLECTION, collection),
+        (FILE_INSTANCE, instance),
+        (FILE_USAGE, usage),
+    ];
+    for (file, garbled) in files {
+        if !garbled.contains(&true) {
+            continue;
         }
-    })
+        let path = dir.join(file);
+        let clean = std::fs::read(&path)?;
+        let mark = b"##corrupt##";
+        let mut lossy = Vec::with_capacity(clean.len() + mark.len() * garbled.len());
+        // Line 0 is the header; data row `i` is line `i + 1`.
+        for (n, line) in clean.split_inclusive(|&b| b == b'\n').enumerate() {
+            if n > 0 && garbled.get(n - 1) == Some(&true) {
+                lossy.extend_from_slice(mark);
+            }
+            lossy.extend_from_slice(line);
+        }
+        std::fs::write(&path, lossy)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,16 +3,16 @@
 //! A month of a real cell produces billions of usage samples; the paper's
 //! analyses reduce them to hourly tier aggregates (Figures 2–5), one
 //! machine-utilization snapshot (Figure 6), slack samples (Figure 14),
-//! submission-rate series (Figures 8–9), scheduling delays (Figure 10),
-//! and transition counts (Figure 7). [`SimMetrics`] accumulates exactly
-//! those reductions online, so the simulator never has to materialize the
-//! full usage table.
+//! submission-rate series (Figures 8–9) and scheduling delays (Figure
+//! 10). [`SimMetrics`] accumulates exactly those reductions online, so the
+//! simulator never has to materialize the full usage table. Figure 7's
+//! transition counts are not among them: they are counted from the trace
+//! (`borg_trace::count_transitions`).
 
 use borg_analysis::timeseries::HourBuckets;
 use borg_trace::collection::VerticalScalingMode;
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
-use borg_trace::state::TransitionCounts;
 use borg_trace::time::{Micros, MICROS_PER_HOUR};
 use std::collections::BTreeMap;
 
@@ -119,10 +119,6 @@ pub struct SimMetrics {
     pub delays: Vec<DelaySample>,
     /// Peak-slack samples (Figure 14), bounded reservoir.
     pub slack: Vec<SlackSample>,
-    /// Collection state transitions (Figure 7).
-    pub collection_transitions: TransitionCounts,
-    /// Instance state transitions (Figure 7).
-    pub instance_transitions: TransitionCounts,
     /// Per-machine utilization at the snapshot window (Figure 6).
     pub machine_snapshots: Vec<MachineSnapshot>,
     /// Memory fill of tasks inside alloc sets (§5.1).
@@ -178,8 +174,6 @@ impl SimMetrics {
             all_task_submissions: HourBuckets::new(MICROS_PER_HOUR, horizon.as_micros()),
             delays: Vec::new(),
             slack: Vec::new(),
-            collection_transitions: TransitionCounts::new(),
-            instance_transitions: TransitionCounts::new(),
             machine_snapshots: Vec::new(),
             fill_in_alloc: FillStats::default(),
             fill_outside_alloc: FillStats::default(),
@@ -260,27 +254,22 @@ impl SimMetrics {
     }
 }
 
-impl SimMetrics {
+impl crate::CellOutcome {
     /// An "explainable scheduling" report (research direction #1 of §10):
     /// a human-readable account of what the scheduler did and why work
-    /// waited — placements, stalls per tier, evictions per cause, and
-    /// preemptions.
+    /// waited — placements (the trace's `Schedule` rows), stalls per tier,
+    /// evictions per cause, and preemptions.
     pub fn explain_scheduling(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let placements = self.instance_transitions.get(
-            Some(crate::metrics::schedule_from()),
-            borg_trace::state::EventType::Schedule,
-        );
-        writeln!(out, "scheduling report for cell {}", self.cell_name).ok();
+        let schedule = borg_trace::state::EventType::Schedule;
+        let events = &self.trace.instance_events;
+        let placements = events.iter().filter(|e| e.event_type == schedule).count();
+        let m = &self.metrics;
+        writeln!(out, "scheduling report for cell {}", m.cell_name).ok();
         writeln!(out, "  placements: {placements}").ok();
-        writeln!(
-            out,
-            "  preemptions by production work: {}",
-            self.preemptions
-        )
-        .ok();
-        if self.stalls_by_tier.is_empty() {
+        writeln!(out, "  preemptions by production work: {}", m.preemptions).ok();
+        if m.stalls_by_tier.is_empty() {
             writeln!(out, "  no placement attempt ever failed").ok();
         } else {
             writeln!(
@@ -288,29 +277,29 @@ impl SimMetrics {
                 "  failed placement attempts (cell full for that request):"
             )
             .ok();
-            for (tier, n) in &self.stalls_by_tier {
+            for (tier, n) in &m.stalls_by_tier {
                 writeln!(out, "    {tier:>5}: {n}").ok();
             }
         }
-        if self.evictions_by_cause.is_empty() {
+        if m.evictions_by_cause.is_empty() {
             writeln!(out, "  no evictions").ok();
         } else {
             writeln!(out, "  evictions by cause:").ok();
-            for (cause, n) in &self.evictions_by_cause {
+            for (cause, n) in &m.evictions_by_cause {
                 writeln!(out, "    {cause:>14}: {n}").ok();
             }
         }
-        let affected = self.evictions_by_collection.len();
+        let affected = m.evictions_by_collection.len();
         writeln!(out, "  collections touched by eviction: {affected}").ok();
-        if self.machine_failures > 0 {
+        if m.machine_failures > 0 {
             writeln!(
                 out,
                 "  machine failures: {} ({} repaired in-window, {} tasks lost)",
-                self.machine_failures, self.machine_repairs, self.tasks_lost
+                m.machine_failures, m.machine_repairs, m.tasks_lost
             )
             .ok();
         }
-        let ix = &self.index;
+        let ix = &m.index;
         let answered = ix.cache_hits + ix.negative_hits + ix.cache_misses;
         if answered > 0 {
             writeln!(
@@ -327,11 +316,6 @@ impl SimMetrics {
         }
         out
     }
-}
-
-/// The pending state (placements originate from it).
-fn schedule_from() -> borg_trace::state::InstanceState {
-    borg_trace::state::InstanceState::Pending
 }
 
 /// Monitoring folds into production for reporting (§2).

@@ -188,7 +188,9 @@ fn machine_snapshot_recorded() {
 fn transitions_cover_common_paths() {
     use borg_trace::state::InstanceState as S;
     let outcome = week_outcome(21);
-    let t = &outcome.metrics.instance_transitions;
+    let t = borg_trace::count_transitions(&outcome.trace.instance_events, |e| {
+        (e.instance_id, e.time, e.event_type)
+    });
     assert!(t.get(None, EventType::Submit) > 0);
     assert!(t.get(Some(S::Pending), EventType::Schedule) > 0);
     assert!(t.get(Some(S::Running), EventType::Finish) > 0);
@@ -249,7 +251,7 @@ fn deterministic_given_seed() {
 #[test]
 fn scheduling_explanation_renders() {
     let outcome = week_outcome(23);
-    let report = outcome.metrics.explain_scheduling();
+    let report = outcome.explain_scheduling();
     assert!(report.contains("placements:"));
     assert!(report.contains("evictions by cause"));
     assert!(report.contains("cell d"));

@@ -434,19 +434,13 @@ const WRITE_CHUNK: usize = 64 * 1024;
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Renders a table into one reused buffer, flushed to `w` a chunk at a
-/// time. `before_row(i, line)` runs before data row `i` (from 0) is
-/// rendered and may append a prefix to its line.
-fn write_table<C: Codec>(
-    w: &mut impl Write,
-    rows: &[C::Row],
-    before_row: impl Fn(usize, &mut Vec<u8>),
-) -> io::Result<()> {
+/// time.
+fn write_table<C: Codec>(w: &mut impl Write, rows: &[C::Row]) -> io::Result<()> {
     let mut codec = C::default();
     let mut buf = Vec::with_capacity(WRITE_CHUNK + 1024);
     C::header(&mut buf);
     buf.push(b'\n');
-    for (i, row) in rows.iter().enumerate() {
-        before_row(i, &mut buf);
+    for row in rows {
         codec.render(&mut buf, row);
         if let Some(last) = buf.last_mut() {
             *last = b'\n';
@@ -722,7 +716,7 @@ impl Codec for MachineCodec {
 
 /// Writes the machine-events table.
 pub fn write_machine_events(w: &mut impl Write, events: &[MachineEvent]) -> io::Result<()> {
-    write_table::<MachineCodec>(w, events, |_, _| {})
+    write_table::<MachineCodec>(w, events)
 }
 
 fn scheduler_name(s: SchedulerKind) -> &'static str {
@@ -825,7 +819,7 @@ impl Codec for CollectionCodec {
 
 /// Writes the collection-events table.
 pub fn write_collection_events(w: &mut impl Write, events: &[CollectionEvent]) -> io::Result<()> {
-    write_table::<CollectionCodec>(w, events, |_, _| {})
+    write_table::<CollectionCodec>(w, events)
 }
 
 /// The instance-events table; an instance's request repeats from event to
@@ -916,7 +910,7 @@ impl Codec for InstanceCodec {
 
 /// Writes the instance-events table.
 pub fn write_instance_events(w: &mut impl Write, events: &[InstanceEvent]) -> io::Result<()> {
-    write_table::<InstanceCodec>(w, events, |_, _| {})
+    write_table::<InstanceCodec>(w, events)
 }
 
 /// The usage table (histogram inlined as 21 extra columns). Measured
@@ -1009,35 +1003,13 @@ impl Codec for UsageCodec {
 
 /// Writes the usage table (histogram inlined as 21 extra columns).
 pub fn write_usage(w: &mut impl Write, records: &[UsageRecord]) -> io::Result<()> {
-    write_table::<UsageCodec>(w, records, |_, _| {})
+    write_table::<UsageCodec>(w, records)
 }
 
 /// Writes every table of a trace into a directory, one file per table.
 pub fn write_trace_dir(trace: &Trace, dir: &std::path::Path) -> io::Result<()> {
-    write_trace_dir_with(trace, dir, &|_, _, _| {})
-}
-
-/// A hook on every data row of a trace directory: `(file, row, line)`,
-/// with `row` the row's index in its table from 0. It runs before the row
-/// is rendered and may append a prefix to its line. Tables are written
-/// on two threads, so calls for different files interleave in no fixed
-/// order; a hook that decides by chance draws its decisions beforehand.
-pub type RowHook<'a> = dyn Fn(&'static str, usize, &mut Vec<u8>) + Sync + 'a;
-
-/// [`write_trace_dir`] with a [`RowHook`] on every data row. This is the
-/// seam `borg-sim`'s lossy writer garbles lines through, so the file list
-/// and the metadata row exist once.
-pub fn write_trace_dir_with(
-    trace: &Trace,
-    dir: &std::path::Path,
-    before_row: &RowHook<'_>,
-) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    write_tables(
-        trace,
-        |file| std::fs::File::create(dir.join(file)),
-        before_row,
-    )
+    write_tables(trace, |file| std::fs::File::create(dir.join(file)))
 }
 
 /// Refuses a cell name the metadata row cannot hold. Fields are not
@@ -1066,27 +1038,22 @@ pub fn check_cell_name(name: &str) -> io::Result<()> {
 fn write_tables<W: Write>(
     trace: &Trace,
     create: impl Fn(&'static str) -> io::Result<W> + Sync,
-    before_row: &RowHook<'_>,
 ) -> io::Result<()> {
     fn table<C: Codec, W: Write>(
         create: &impl Fn(&'static str) -> io::Result<W>,
         rows: &[C::Row],
-        before_row: &RowHook<'_>,
     ) -> io::Result<()> {
         let mut w = create(C::FILE)?;
-        write_table::<C>(&mut w, rows, |i, line| before_row(C::FILE, i, line))?;
+        write_table::<C>(&mut w, rows)?;
         w.flush()
     }
     check_cell_name(&trace.cell_name)?;
     let create = &create;
     let (mine, instance) = std::thread::scope(|scope| {
-        let instance =
-            scope.spawn(|| table::<InstanceCodec, W>(create, &trace.instance_events, before_row));
-        let mine = table::<MachineCodec, W>(create, &trace.machine_events, before_row)
-            .and_then(|()| {
-                table::<CollectionCodec, W>(create, &trace.collection_events, before_row)
-            })
-            .and_then(|()| table::<UsageCodec, W>(create, &trace.usage, before_row));
+        let instance = scope.spawn(|| table::<InstanceCodec, W>(create, &trace.instance_events));
+        let mine = table::<MachineCodec, W>(create, &trace.machine_events)
+            .and_then(|()| table::<CollectionCodec, W>(create, &trace.collection_events))
+            .and_then(|()| table::<UsageCodec, W>(create, &trace.usage));
         (mine, instance.join())
     });
     let instance = instance.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
@@ -1350,7 +1317,7 @@ mod tests {
 
     fn round_trip<C: Codec>(rows: &[C::Row]) -> Vec<C::Row> {
         let mut buf = Vec::new();
-        write_table::<C>(&mut buf, rows, |_, _| {}).unwrap();
+        write_table::<C>(&mut buf, rows).unwrap();
         read_clean::<C>(&buf)
     }
 
@@ -1650,14 +1617,10 @@ mod tests {
     /// files in `failing`; returns the error and the files created.
     fn write_failing(failing: &[&str]) -> (String, Vec<&'static str>) {
         let created = std::sync::Mutex::new(Vec::new());
-        let err = write_tables(
-            &sample_trace(),
-            |file| {
-                created.lock().unwrap().push(file);
-                Ok(FailsOnFlush(failing.contains(&file).then_some(file)))
-            },
-            &|_, _, _| {},
-        )
+        let err = write_tables(&sample_trace(), |file| {
+            created.lock().unwrap().push(file);
+            Ok(FailsOnFlush(failing.contains(&file).then_some(file)))
+        })
         .unwrap_err();
         (err.to_string(), created.into_inner().unwrap())
     }
@@ -1678,11 +1641,9 @@ mod tests {
         assert!(!created.contains(&FILE_METADATA), "{created:?}");
         // The same writer behind std's buffering: the rows sit in the
         // `BufWriter` until the flush, whose error must surface too.
-        let err = write_tables(
-            &sample_trace(),
-            |file| Ok(io::BufWriter::new(FailsOnFlush(Some(file)))),
-            &|_, _, _| {},
-        )
+        let err = write_tables(&sample_trace(), |file| {
+            Ok(io::BufWriter::new(FailsOnFlush(Some(file))))
+        })
         .unwrap_err();
         assert_eq!(err.to_string(), format!("no space left for {FILE_MACHINE}"));
     }
@@ -1690,62 +1651,16 @@ mod tests {
     #[test]
     fn a_panic_writing_the_instance_table_reaches_the_caller() {
         let payload = std::panic::catch_unwind(|| {
-            write_tables(
-                &sample_trace(),
-                |file| {
-                    if file == FILE_INSTANCE {
-                        panic!("no sink for {file}");
-                    }
-                    Ok(Vec::new())
-                },
-                &|_, _, _| {},
-            )
+            write_tables(&sample_trace(), |file| {
+                if file == FILE_INSTANCE {
+                    panic!("no sink for {file}");
+                }
+                Ok(Vec::new())
+            })
         })
         .unwrap_err();
         let message = payload.downcast_ref::<String>().map(String::as_str);
         assert_eq!(message, Some("no sink for instance_events.csv"));
-    }
-
-    #[test]
-    fn before_row_hook_prefixes_data_rows_only() {
-        let mut t = sample_trace();
-        t.machine_events = t.machine_events.repeat(2);
-        t.collection_events = t.collection_events.repeat(3);
-        t.instance_events = t.instance_events.repeat(5);
-        t.usage = t.usage.repeat(4);
-        let dir = std::env::temp_dir().join(format!("borg_csv_hook_{}", std::process::id()));
-        let seen = std::sync::Mutex::new(Vec::new());
-        write_trace_dir_with(&t, &dir, &|file, row, line| {
-            seen.lock().unwrap().push((file, row));
-            line.extend_from_slice(format!("#{row}#").as_bytes());
-        })
-        .unwrap();
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        let mut want = Vec::new();
-        for (file, n) in [
-            (FILE_MACHINE, 2),
-            (FILE_COLLECTION, 3),
-            (FILE_INSTANCE, 5),
-            (FILE_USAGE, 4),
-        ] {
-            want.extend((0..n).map(|row| (file, row)));
-            let text = std::fs::read_to_string(dir.join(file)).unwrap();
-            let lines: Vec<&str> = text.lines().collect();
-            assert_eq!(lines.len(), n + 1, "{file}");
-            assert!(
-                !lines[0].starts_with('#'),
-                "{file}: the header is untouched"
-            );
-            for (row, line) in lines[1..].iter().enumerate() {
-                assert!(line.starts_with(&format!("#{row}#")), "{file}: {line}");
-            }
-        }
-        want.sort_unstable();
-        assert_eq!(seen, want, "every data row is visited exactly once");
-        let meta = std::fs::read_to_string(dir.join(FILE_METADATA)).unwrap();
-        assert_eq!(meta, "cell_name,schema,horizon\nx,v3-2019,172800000000\n");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2271,7 +2186,7 @@ mod tests {
         C::Row: Bits,
     {
         let mut table = Vec::new();
-        write_table::<C>(&mut table, rows, |_, _| {}).unwrap();
+        write_table::<C>(&mut table, rows).unwrap();
         let lines: Vec<&[u8]> = table.split(|&b| b == b'\n').skip(1).collect();
         let lines = &lines[..rows.len()];
         let (mut recogniser, mut parser) = (C::default(), C::default());

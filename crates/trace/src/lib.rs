@@ -49,7 +49,7 @@ pub use machine::{MachineEvent, MachineEventType, MachineId, Platform};
 pub use priority::{Priority, PriorityBand2011, Tier};
 pub use repair::{repair, RepairReport, TableRepair};
 pub use resources::Resources;
-pub use state::{EventType, InstanceState, StateMachine, TransitionCounts};
+pub use state::{count_transitions, EventType, InstanceState, StateMachine, TransitionCounts};
 pub use time::{Micros, MICROS_PER_HOUR};
 pub use trace::{SchemaVersion, Trace};
 pub use usage::{CpuHistogram, UsageRecord, CPU_HISTOGRAM_PERCENTILES};

@@ -6,6 +6,8 @@
 //! (infrastructure-initiated), kill (user- or parent-initiated), and fail
 //! (the program's own problem).
 
+use crate::group::{for_each_lifecycle, Entity};
+use crate::time::Micros;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -245,7 +247,7 @@ impl StateMachine {
 }
 
 /// Counts of `(from-state, event)` transitions across many entities — the
-/// data behind Figure 7.
+/// data behind Figure 7; [`count_transitions`] takes them from a table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransitionCounts {
     counts: BTreeMap<(Option<InstanceState>, EventType), u64>,
@@ -289,6 +291,28 @@ impl TransitionCounts {
             *self.counts.entry(k).or_insert(0) += v;
         }
     }
+}
+
+/// Figure 7's counts over one event table, where `row` gives a row's
+/// entity, time and event: each entity's rows are replayed in time order
+/// and every legal `(from, event)` is recorded. An illegal row is skipped
+/// and leaves the state as it was.
+pub fn count_transitions<T, K: Entity>(
+    rows: &[T],
+    row: impl Fn(&T) -> (K, Micros, EventType),
+) -> TransitionCounts {
+    let mut counts = TransitionCounts::new();
+    let key = |r: &T| (row(r).0, row(r).1);
+    for_each_lifecycle(rows, key, |mut life| {
+        for &pos in life.positions {
+            let (.., event) = row(&rows[pos]);
+            let from = life.sm.state();
+            if life.sm.apply(event).is_ok() {
+                counts.record(from, event);
+            }
+        }
+    });
+    counts
 }
 
 #[cfg(test)]
@@ -409,5 +433,68 @@ mod tests {
         other.record(None, EventType::Submit);
         tc.merge(&other);
         assert_eq!(tc.get(None, EventType::Submit), 3);
+    }
+
+    /// Counts `rows`, each `(task index, seconds, event)` of collection 1,
+    /// and returns every recorded pair with its count.
+    fn counted(rows: &[(u32, u64, EventType)]) -> Vec<(Option<InstanceState>, EventType, u64)> {
+        use crate::collection::CollectionId;
+        use crate::instance::InstanceId;
+        let row = |&(task, secs, event): &(u32, u64, EventType)| {
+            (
+                InstanceId::new(CollectionId(1), task),
+                Micros::from_secs(secs),
+                event,
+            )
+        };
+        let mut pairs = count_transitions(rows, row).sorted();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn a_resubmit_after_evict_is_counted_from_evicted() {
+        use EventType as E;
+        use InstanceState as S;
+        // Task 0's rows out of time order and between task 1's.
+        let rows = [
+            (0, 20, E::Evict),
+            (1, 0, E::Submit),
+            (0, 0, E::Submit),
+            (0, 10, E::Schedule),
+            (0, 20, E::Submit),
+            (1, 5, E::Kill),
+            (0, 30, E::Schedule),
+            (0, 40, E::Finish),
+        ];
+        let want = vec![
+            (None, E::Submit, 2),
+            (Some(S::Pending), E::Schedule, 2),
+            (Some(S::Pending), E::Kill, 1),
+            (Some(S::Running), E::Evict, 1),
+            (Some(S::Running), E::Finish, 1),
+            (Some(S::Dead(TerminationKind::Evict)), E::Submit, 1),
+        ];
+        assert_eq!(counted(&rows), want);
+    }
+
+    #[test]
+    fn an_illegal_row_is_skipped_and_leaves_the_state() {
+        use EventType as E;
+        use InstanceState as S;
+        // The early `Finish` is illegal from pending: the `Schedule` after
+        // it still counts from pending, and the last `Finish` from running.
+        let rows = [
+            (0, 0, E::Submit),
+            (0, 5, E::Finish),
+            (0, 10, E::Schedule),
+            (0, 20, E::Finish),
+        ];
+        let want = vec![
+            (None, E::Submit, 1),
+            (Some(S::Pending), E::Schedule, 1),
+            (Some(S::Running), E::Finish, 1),
+        ];
+        assert_eq!(counted(&rows), want);
     }
 }

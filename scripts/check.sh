@@ -22,6 +22,11 @@ Modes (at most one):
              Display on all 2^32 bit patterns (release build; 5.5 min of
              the mode's 6.5 on two cores)
   --pipeline pipeline-bench self-check only (benchmark/run.sh --check: unit tests + 5 tiny workloads)
+  --checked  release build with debug assertions, so every simulated cell
+             ends in the end-of-run checker at release scales: paper
+             --scale small, paper --scale month --seed 2019 (stdout equal
+             to experiments_month.txt), then benchmark/run.sh --check
+             (under 2 min on two cores, cold builds included)
   --help     this text
 EOF
 }
@@ -29,7 +34,7 @@ EOF
 mode=
 for arg in "$@"; do
     case "$arg" in
-    --lint | --chaos | --pipeline)
+    --lint | --chaos | --pipeline | --checked)
         if [ -n "$mode" ]; then
             echo "more than one mode: $mode $arg" >&2
             usage >&2
@@ -53,6 +58,25 @@ if [ "$mode" = --pipeline ]; then
     echo "==> pipeline-bench self-check (unit tests + five workloads, tiny inputs, both modes)"
     bash benchmark/run.sh --check
     echo "Pipeline check passed."
+    exit 0
+fi
+
+if [ "$mode" = --checked ]; then
+    # A cargo profile setting, not a program option: debug assertions
+    # switch on the checker that `run_cell` ends in (DESIGN.md §9). Its own
+    # target directories keep the plain release builds untouched.
+    export CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true
+    export CARGO_TARGET_DIR=target/checked
+    echo "==> release build with debug assertions"
+    cargo build --release --offline -q -p borg-experiments --bin paper
+    echo "==> paper --scale small, every cell checked"
+    target/checked/release/paper --scale small >/dev/null
+    echo "==> paper --scale month --seed 2019, stdout against experiments_month.txt"
+    target/checked/release/paper --scale month --seed 2019 >target/checked/month.txt
+    cmp target/checked/month.txt experiments_month.txt
+    echo "==> pipeline-bench self-check with debug assertions"
+    CARGO_TARGET_DIR=target/checked/benchmark bash benchmark/run.sh --check
+    echo "Checked run passed."
     exit 0
 fi
 

@@ -2,7 +2,7 @@
 //! analyses, across crates.
 
 use borg2019::core::analyses::{allocs, delay, submission, summary, terminations, transitions};
-use borg2019::core::pipeline::{simulate_2011, simulate_cell, SimScale};
+use borg2019::core::pipeline::{load_trace_dir, simulate_2011, simulate_cell, SimScale};
 use borg2019::core::tables;
 use borg2019::query::prelude::*;
 use borg2019::query::Agg;
@@ -124,6 +124,34 @@ fn delay_and_transition_metrics_populated() {
     assert!(ccdf.median().unwrap() < 120.0, "median delay in seconds");
     let t = transitions::combined_transitions(cell_b());
     assert!(t.total() > 1000);
+}
+
+#[test]
+fn figure7_counts_survive_a_trace_directory_round_trip() {
+    // Repair only reorders rows of different entities within one
+    // timestamp, so each lifecycle replays the same: Figure 7 counted from
+    // a loaded directory is Figure 7 of the simulated cell.
+    for (name, outcome) in [("b", cell_b()), ("2011", cell_2011())] {
+        let dir = std::env::temp_dir().join(format!("borg_e2e_fig7_{name}_{}", std::process::id()));
+        borg2019::trace::csv::write_trace_dir(&outcome.trace, &dir).expect("write");
+        let (back, quality) = load_trace_dir(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            quality.quarantine.is_clean(),
+            "{}",
+            quality.quarantine.summary()
+        );
+        let [collections, instances] = transitions::table_transitions(&outcome.trace);
+        assert!(
+            collections.total() > 100 && instances.total() > 1000,
+            "cell {name}"
+        );
+        assert_eq!(
+            transitions::table_transitions(&back),
+            [collections, instances],
+            "cell {name}"
+        );
+    }
 }
 
 #[test]
