@@ -13,8 +13,12 @@
 //! once and answers with the row for any line `render` emits; every other
 //! line goes to `parse`, which is the definition of what the reader
 //! accepts, of the order a line's bad fields are reported in, and of
-//! every message a quarantined line carries. The file-format rules the
-//! codecs, `write_table` and `Lines` must keep
+//! every message a quarantined line carries. A directory is read and
+//! written on two threads (`read_tables`, `write_tables`, sharing
+//! `on_two_threads`): the instance table on one, the other three tables
+//! on the other; the reader merges the tables' quarantines in file order,
+//! so the result is the same as reading one file after another. The
+//! file-format rules the codecs, `write_table` and `Lines` must keep
 //! (shortest-round-trip floats, std's parse acceptance set, the
 //! line-numbering rules) are listed in DESIGN.md §11.
 
@@ -1027,6 +1031,23 @@ pub fn check_cell_name(name: &str) -> io::Result<()> {
     Ok(())
 }
 
+/// Runs `spawned` on a scoped thread while this thread runs `mine`, and
+/// returns both results once the two are done; a panic on the spawned
+/// side is raised again here, with its payload.
+fn on_two_threads<S: Send, M>(
+    spawned: impl FnOnce() -> S + Send,
+    mine: impl FnOnce() -> M,
+) -> (S, M) {
+    std::thread::scope(|scope| {
+        let spawned = scope.spawn(spawned);
+        let mine = mine();
+        let spawned = spawned
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (spawned, mine)
+    })
+}
+
 /// The five files of a trace directory, each created through `create`,
 /// written, and flushed: a sink that buffers must not be dropped with
 /// bytes (and their write error) still inside. The instance table is
@@ -1049,14 +1070,14 @@ fn write_tables<W: Write>(
     }
     check_cell_name(&trace.cell_name)?;
     let create = &create;
-    let (mine, instance) = std::thread::scope(|scope| {
-        let instance = scope.spawn(|| table::<InstanceCodec, W>(create, &trace.instance_events));
-        let mine = table::<MachineCodec, W>(create, &trace.machine_events)
-            .and_then(|()| table::<CollectionCodec, W>(create, &trace.collection_events))
-            .and_then(|()| table::<UsageCodec, W>(create, &trace.usage));
-        (mine, instance.join())
-    });
-    let instance = instance.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    let (instance, mine) = on_two_threads(
+        || table::<InstanceCodec, W>(create, &trace.instance_events),
+        || {
+            table::<MachineCodec, W>(create, &trace.machine_events)
+                .and_then(|()| table::<CollectionCodec, W>(create, &trace.collection_events))
+                .and_then(|()| table::<UsageCodec, W>(create, &trace.usage))
+        },
+    );
     mine.and(instance)?;
     let mut w = create(FILE_METADATA)?;
     w.write_all(
@@ -1189,6 +1210,19 @@ impl Quarantine {
     fn table_error(&mut self, file: &str, message: String) {
         self.table_errors.push((file.to_string(), message));
     }
+
+    /// Appends a table's own quarantine, read after everything already
+    /// here, and hands back the table's rows. Details stay capped at
+    /// [`QUARANTINE_DETAIL_CAP`] across the two.
+    fn merge<T>(&mut self, (rows, table): (Vec<T>, Quarantine)) -> Vec<T> {
+        let room = QUARANTINE_DETAIL_CAP.saturating_sub(self.lines.len());
+        self.lines.extend(table.lines.into_iter().take(room));
+        for (file, n) in table.line_counts {
+            *self.line_counts.entry(file).or_insert(0) += n;
+        }
+        self.table_errors.extend(table.table_errors);
+        rows
+    }
 }
 
 /// Reads a trace directory, quarantining damage instead of failing
@@ -1197,8 +1231,46 @@ impl Quarantine {
 /// missing horizon is inferred from the data. Always returns a trace;
 /// callers inspect the [`Quarantine`] to learn what was lost.
 pub fn read_trace_dir_lenient(dir: &std::path::Path) -> (Trace, Quarantine) {
+    read_tables(|file| {
+        let f = std::fs::File::open(dir.join(file))?;
+        let len = file_len(&f);
+        Ok((f, len))
+    })
+}
+
+/// The five files of a trace directory, each opened through `open`,
+/// which gives a source and how many bytes it should yield (0: no
+/// idea). `metadata.csv` is read first; then this thread reads the
+/// instance table while a scoped thread reads the machine, collection
+/// and usage tables (the two sides take about as long). The spawned
+/// side is the small one: a thread's malloc arena keeps what was freed
+/// in it, and the instance table's growing vector would leave its old
+/// copies there. Each table fills its own [`Quarantine`]; they are
+/// merged in file order under one detail cap, so the result is what
+/// reading the five files one after the other gives. A panic on the
+/// spawned side is raised again here.
+fn read_tables<R: Read>(
+    open: impl Fn(&'static str) -> io::Result<(R, u64)> + Sync,
+) -> (Trace, Quarantine) {
+    fn table<C: Codec, R: Read>(
+        open: &impl Fn(&'static str) -> io::Result<(R, u64)>,
+    ) -> (Vec<C::Row>, Quarantine) {
+        let mut q = Quarantine::default();
+        let rows = match open(C::FILE) {
+            Ok((r, bytes)) => read_table_lenient::<C>(r, bytes, &mut q),
+            Err(e) => {
+                q.table_error(C::FILE, format!("io error: {e}"));
+                Vec::new()
+            }
+        };
+        (rows, q)
+    }
     let mut q = Quarantine::default();
-    let (cell_name, schema, horizon) = match std::fs::read_to_string(dir.join(FILE_METADATA)) {
+    let meta = open(FILE_METADATA).and_then(|(mut r, _)| {
+        let mut meta = String::new();
+        r.read_to_string(&mut meta).map(|_| meta)
+    });
+    let (cell_name, schema, horizon) = match meta {
         Ok(meta) => match parse_metadata(&meta) {
             Ok(m) => m,
             Err(e) => {
@@ -1211,23 +1283,26 @@ pub fn read_trace_dir_lenient(dir: &std::path::Path) -> (Trace, Quarantine) {
             ("unknown".to_string(), None, Micros::ZERO)
         }
     };
-    fn load<C: Codec>(dir: &std::path::Path, q: &mut Quarantine) -> Vec<C::Row> {
-        match std::fs::File::open(dir.join(C::FILE)) {
-            Ok(f) => read_table_lenient::<C>(&f, file_len(&f), q),
-            Err(e) => {
-                q.table_error(C::FILE, format!("io error: {e}"));
-                Vec::new()
-            }
-        }
-    }
+    let open = &open;
+    let ((machines, collections, usage), instances) = on_two_threads(
+        || {
+            (
+                table::<MachineCodec, R>(open),
+                table::<CollectionCodec, R>(open),
+                table::<UsageCodec, R>(open),
+            )
+        },
+        || table::<InstanceCodec, R>(open),
+    );
+    // Fields are evaluated as written: the merge runs in file order.
     let mut trace = Trace {
         cell_name,
         schema,
         horizon,
-        machine_events: load::<MachineCodec>(dir, &mut q),
-        collection_events: load::<CollectionCodec>(dir, &mut q),
-        instance_events: load::<InstanceCodec>(dir, &mut q),
-        usage: load::<UsageCodec>(dir, &mut q),
+        machine_events: q.merge(machines),
+        collection_events: q.merge(collections),
+        instance_events: q.merge(instances),
+        usage: q.merge(usage),
     };
     if trace.horizon == Micros::ZERO {
         trace.horizon = observed_horizon(&trace);
@@ -1315,10 +1390,14 @@ mod tests {
         rows
     }
 
-    fn round_trip<C: Codec>(rows: &[C::Row]) -> Vec<C::Row> {
+    fn rendered<C: Codec>(rows: &[C::Row]) -> Vec<u8> {
         let mut buf = Vec::new();
         write_table::<C>(&mut buf, rows).unwrap();
-        read_clean::<C>(&buf)
+        buf
+    }
+
+    fn round_trip<C: Codec>(rows: &[C::Row]) -> Vec<C::Row> {
+        read_clean::<C>(&rendered::<C>(rows))
     }
 
     #[test]
@@ -1914,6 +1993,97 @@ mod tests {
             }
             assert_same_ingest((rows, q), &want, &format!("expecting {expected} bytes"));
         }
+    }
+
+    /// Reads the directory `files` through [`read_tables`], the source of
+    /// each file in `failing` failing half way through its bytes.
+    fn read_failing(files: &[(&'static str, Vec<u8>)], failing: &[&str]) -> (Trace, Quarantine) {
+        read_tables(|file| {
+            let (_, bytes) = files.iter().find(|(f, _)| *f == file).unwrap();
+            let source = Trickle {
+                bytes,
+                step: 4096,
+                fail_at: failing.contains(&file).then_some(bytes.len() / 2),
+                at: 0,
+            };
+            Ok((source, bytes.len() as u64))
+        })
+    }
+
+    #[test]
+    fn a_failing_source_on_either_thread_keeps_file_order() {
+        let tables = |t: &Trace| {
+            [
+                (FILE_MACHINE, rendered::<MachineCodec>(&t.machine_events)),
+                (
+                    FILE_COLLECTION,
+                    rendered::<CollectionCodec>(&t.collection_events),
+                ),
+                (FILE_INSTANCE, rendered::<InstanceCodec>(&t.instance_events)),
+                (FILE_USAGE, rendered::<UsageCodec>(&t.usage)),
+            ]
+        };
+        let mut files = vec![(
+            FILE_METADATA,
+            b"cell_name,schema,horizon\nseeded,v3-2019,9\n".to_vec(),
+        )];
+        files.extend(tables(&seeded_trace(2000)));
+        assert!(files[3].1.len() > 2 * READ_CHUNK, "several buffers");
+        let (whole, q) = read_failing(&files, &[]);
+        assert!(q.is_clean(), "{}", q.summary());
+        let whole = tables(&whole);
+        // Failing on the spawned side, on the calling one, and on both.
+        let sides: [&[&str]; 3] = [
+            &[FILE_USAGE, FILE_MACHINE],
+            &[FILE_INSTANCE],
+            &[FILE_USAGE, FILE_INSTANCE, FILE_COLLECTION, FILE_METADATA],
+        ];
+        for failing in sides {
+            let (got, q) = read_failing(&files, failing);
+            let in_file_order: Vec<&str> = files
+                .iter()
+                .map(|&(file, _)| file)
+                .filter(|file| failing.contains(file))
+                .collect();
+            let errors: Vec<&str> = q.table_errors.iter().map(|(f, _)| f.as_str()).collect();
+            assert_eq!(errors, in_file_order);
+            assert!(
+                q.table_errors
+                    .iter()
+                    .all(|(_, e)| e.contains("disk on fire")),
+                "{:?}",
+                q.table_errors
+            );
+            assert_eq!(q.total_lines(), 0);
+            let named = got.cell_name == "seeded" && got.horizon == Micros(9);
+            assert_eq!(named, !failing.contains(&FILE_METADATA));
+            // A table whose source did not fail is read whole; one whose
+            // source failed keeps the rows before the failure.
+            for ((file, whole), (_, read)) in whole.iter().zip(tables(&got)) {
+                if failing.contains(file) {
+                    assert!(whole.starts_with(&read), "{file}");
+                    assert!(read.len() > whole.len() / 3, "{file}");
+                    assert!(read.len() <= whole.len() / 2 + 4096, "{file}");
+                } else {
+                    assert!(read == *whole, "{file} read whole");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_reading_a_spawned_table_reaches_the_caller() {
+        let payload = std::panic::catch_unwind(|| {
+            read_tables(|file| {
+                if file == FILE_USAGE {
+                    panic!("no source for {file}");
+                }
+                Ok((&b""[..], 0))
+            })
+        })
+        .unwrap_err();
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("no source for instance_usage.csv"));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! every row and every `Quarantine` entry read back, the repaired trace
 //! and its `RepairReport`, and `validate`'s violations in order. Each
 //! table is also rewritten with every kind of line end, a long line and
-//! broken byte sequences inside an otherwise clean directory.
+//! broken byte sequences inside an otherwise clean directory, and a
+//! directory with rejected lines in every table past the detail cap
+//! holds the merge of the tables' quarantines to one sequential read.
 
 mod reference;
 
@@ -17,7 +19,7 @@ use borg_sim::{
 use borg_trace::collection::CollectionId;
 use borg_trace::csv::{
     self, read_trace_dir_lenient, write_trace_dir, Quarantine, FILE_COLLECTION, FILE_INSTANCE,
-    FILE_MACHINE, FILE_METADATA, FILE_USAGE,
+    FILE_MACHINE, FILE_METADATA, FILE_USAGE, QUARANTINE_DETAIL_CAP,
 };
 use borg_trace::instance::{InstanceEvent, InstanceId};
 use borg_trace::repair::{repair, RepairReport};
@@ -199,6 +201,60 @@ fn readers_ingest_the_same_rows_and_quarantine() {
         quarantined += q.total_lines();
     });
     assert!(quarantined > 0, "the harsh profile garbles lines");
+}
+
+/// A directory without `metadata.csv` whose every table has rejected
+/// lines, more than `QUARANTINE_DETAIL_CAP` in all with the cap falling
+/// inside the instance table, and two tables ending in broken bytes. The
+/// library reads the tables on two threads and merges their quarantines;
+/// the reference reads one file after another. Rows, details, counts and
+/// table errors must come out the same, in the same order.
+#[test]
+fn lenient_readers_quarantine_the_same_across_tables() {
+    let (cell, t) = &cells()[0];
+    let dir = scratch("merge");
+    write_trace_dir(t, &dir).unwrap();
+    std::fs::remove_file(dir.join(FILE_METADATA)).unwrap();
+    // Per table: rejected lines, and whether the table ends in bytes
+    // that are not UTF-8.
+    let damage = [
+        (FILE_MACHINE, 40, true),
+        (FILE_COLLECTION, 70, false),
+        (FILE_INSTANCE, 300, false),
+        (FILE_USAGE, 30, true),
+    ];
+    for (file, bad, broken_end) in damage {
+        let path = dir.join(file);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let mut bytes = Vec::new();
+        let mut next = 0;
+        for (i, line) in lines.iter().enumerate() {
+            // The bad lines spread evenly after the header.
+            while next < bad && next * (lines.len() - 1) / bad < i {
+                bytes.extend_from_slice(format!("{next},x,garbled\n").as_bytes());
+                next += 1;
+            }
+            bytes.extend_from_slice(line.as_bytes());
+            bytes.push(b'\n');
+        }
+        if broken_end {
+            bytes.extend_from_slice(b"1,2,\xE2\x82,3\n");
+        }
+        std::fs::write(&path, bytes).unwrap();
+    }
+    let (ours, q) = read_trace_dir_lenient(&dir);
+    let (theirs, rq) = reference::read_trace_dir_lenient(&dir);
+    assert_traces_equal(&ours, &theirs, cell);
+    assert_quarantines_equal(&q, &rq, cell);
+    for (file, bad, _) in damage {
+        assert_eq!(q.count_for(file), bad as u64, "{file}");
+    }
+    assert_eq!(q.lines.len(), QUARANTINE_DETAIL_CAP);
+    assert_eq!(q.lines.last().unwrap().file, FILE_INSTANCE);
+    let errors: Vec<&str> = q.table_errors.iter().map(|(f, _)| f.as_str()).collect();
+    assert_eq!(errors, [FILE_METADATA, FILE_MACHINE, FILE_USAGE]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

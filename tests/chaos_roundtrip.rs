@@ -11,7 +11,9 @@ use borg2019::core::pipeline::{load_trace_dir, simulate_cell, simulate_cell_faul
 use borg2019::sim::{
     corrupt_trace, write_trace_dir_lossy, CellSim, CorruptionConfig, SimConfig, TableFaults,
 };
-use borg2019::trace::csv::{FILE_COLLECTION, FILE_INSTANCE, FILE_MACHINE, FILE_USAGE};
+use borg2019::trace::csv::{
+    FILE_COLLECTION, FILE_INSTANCE, FILE_MACHINE, FILE_USAGE, QUARANTINE_DETAIL_CAP,
+};
 use borg2019::trace::machine::MachineEventType;
 use borg2019::trace::state::EventType;
 use borg2019::trace::time::Micros;
@@ -120,6 +122,23 @@ fn chaos_roundtrip_repairs_to_zero_violations() {
                     "seed {seed} profile {name}: {file} quarantine vs garbled"
                 );
             }
+            // The tables are read on two threads; their details come out
+            // as one read after another gives them, capped across tables.
+            let order = [FILE_MACHINE, FILE_COLLECTION, FILE_INSTANCE, FILE_USAGE];
+            let keys: Vec<(usize, usize)> = quarantine
+                .lines
+                .iter()
+                .map(|l| (order.iter().position(|&f| f == l.file).unwrap(), l.line))
+                .collect();
+            assert!(
+                keys.is_sorted(),
+                "seed {seed} profile {name}: details out of file order"
+            );
+            assert_eq!(
+                quarantine.lines.len() as u64,
+                quarantine.total_lines().min(QUARANTINE_DETAIL_CAP as u64),
+                "seed {seed} profile {name}: detail count"
+            );
 
             if name == "lossy" {
                 // No jitter and no garbling in this profile, so the
