@@ -5,11 +5,11 @@ use crate::collection::{
 };
 use crate::instance::InstanceEvent;
 use crate::machine::{MachineEvent, MachineEventType};
-use crate::priority::Priority;
+use crate::priority::{Priority, Tier};
 use crate::resources::Resources;
 use crate::state::EventType;
-use crate::time::Micros;
-use std::collections::BTreeMap;
+use crate::time::{Micros, MICROS_PER_HOUR};
+use std::collections::{BTreeMap, HashMap};
 
 /// Which public trace format the bundle follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,6 +167,103 @@ impl Trace {
         out
     }
 
+    /// Figure 8: the jobs' collection `Submit` rows per hour, one count
+    /// per started hour of `[0, horizon)`. A row counts in the hour its
+    /// time falls in — the later one when it is on the boundary — and not
+    /// at all past the last hour.
+    pub fn job_submits_per_hour(&self) -> Vec<u64> {
+        let mut hours = self.hours();
+        for e in &self.collection_events {
+            if e.collection_type == CollectionType::Job && e.event_type == EventType::Submit {
+                count_in_hour(&mut hours, e.time);
+            }
+        }
+        hours
+    }
+
+    /// Figure 9: the job tasks' `Submit` rows per hour, binned as in
+    /// [`Trace::job_submits_per_hour`], as `(new, all)`:
+    /// "new" counts each task's first `Submit`, "all" its resubmissions
+    /// too. Alloc instances are not tasks and are not counted.
+    pub fn task_submits_per_hour(&self) -> (Vec<u64>, Vec<u64>) {
+        // Job → which of its tasks have been submitted; looked up, never
+        // iterated.
+        let mut submitted: HashMap<CollectionId, Vec<bool>> = self
+            .collection_events
+            .iter()
+            .filter(|e| e.collection_type == CollectionType::Job)
+            .map(|e| (e.collection_id, Vec::new()))
+            .collect();
+        let (mut new, mut all) = (self.hours(), self.hours());
+        for e in &self.instance_events {
+            if e.event_type != EventType::Submit {
+                continue;
+            }
+            let Some(seen) = submitted.get_mut(&e.instance_id.collection) else {
+                continue; // an alloc instance
+            };
+            let task = e.instance_id.index as usize;
+            if seen.len() <= task {
+                seen.resize(task + 1, false);
+            }
+            if !std::mem::replace(&mut seen[task], true) {
+                count_in_hour(&mut new, e.time);
+            }
+            count_in_hour(&mut all, e.time);
+        }
+        (new, all)
+    }
+
+    /// Figure 10: each job's scheduling delay and the reporting tier of
+    /// its `Schedule` row, in the order of those rows. The delay runs from
+    /// the row that made the job ready — its `Submit`, or its `Enable`
+    /// when the batch queue held it: the latest of either — to the job's
+    /// first collection `Schedule`. A job never scheduled gives none.
+    pub fn scheduling_delays(&self) -> Vec<(Tier, Micros)> {
+        // Job → when it was made ready, `None` once scheduled; looked up,
+        // never iterated.
+        let mut ready: HashMap<CollectionId, Option<Micros>> = HashMap::new();
+        let mut delays = Vec::new();
+        for e in &self.collection_events {
+            if e.collection_type != CollectionType::Job {
+                continue;
+            }
+            match e.event_type {
+                EventType::Submit | EventType::Enable => {
+                    let since = ready.entry(e.collection_id).or_insert(Some(e.time));
+                    if since.is_some() {
+                        *since = Some(e.time);
+                    }
+                }
+                EventType::Schedule => {
+                    if let Some(since) = ready.get_mut(&e.collection_id).and_then(Option::take) {
+                        let delay = e.time.saturating_sub(since);
+                        delays.push((e.priority.reporting_tier(), delay));
+                    }
+                }
+                _ => {}
+            }
+        }
+        delays
+    }
+
+    /// §5.2: the instance `Evict` rows of each collection that has any.
+    /// An instance that vanishes with its machine is `Lost`, not evicted.
+    pub fn evictions_by_collection(&self) -> BTreeMap<CollectionId, u64> {
+        let mut out = BTreeMap::new();
+        for e in &self.instance_events {
+            if e.event_type == EventType::Evict {
+                *out.entry(e.instance_id.collection).or_insert(0) += 1;
+            }
+        }
+        out
+    }
+
+    /// One zero per started hour of `[0, horizon)`.
+    fn hours(&self) -> Vec<u64> {
+        vec![0; self.horizon.as_micros().div_ceil(MICROS_PER_HOUR) as usize]
+    }
+
     /// Number of distinct instances with at least one event.
     pub fn instance_count(&self) -> usize {
         let mut ids: Vec<_> = self.instance_events.iter().map(|e| e.instance_id).collect();
@@ -184,10 +281,18 @@ impl Trace {
     }
 }
 
+/// Counts a row at `t` in its hour of `hours`, if the window has it.
+fn count_in_hour(hours: &mut [u64], t: Micros) {
+    if let Some(n) = hours.get_mut((t.as_micros() / MICROS_PER_HOUR) as usize) {
+        *n += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collection::UserId;
+    use crate::instance::InstanceId;
     use crate::machine::{MachineId, Platform};
 
     fn add_machine(trace: &mut Trace, id: u32, cpu: f64, t: Micros) {
@@ -289,6 +394,116 @@ mod tests {
         ));
         trace.sort();
         assert!(trace.collection_events[0].time <= trace.collection_events[1].time);
+    }
+
+    /// Job rows `(id, seconds, event, priority)` and task rows
+    /// `(job, task, seconds, event)` over a two-hour window.
+    fn trace_of(
+        jobs: &[(u64, u64, EventType, u16)],
+        tasks: &[(u64, u32, u64, EventType)],
+    ) -> Trace {
+        let mut trace = Trace::new("t", SchemaVersion::V3Trace2019, Micros::from_hours(2));
+        for &(id, secs, ty, priority) in jobs {
+            let mut e = collection_event(id, Micros::from_secs(secs), ty, None);
+            e.priority = Priority::new(priority);
+            trace.collection_events.push(e);
+        }
+        for &(job, task, secs, ty) in tasks {
+            trace.instance_events.push(InstanceEvent {
+                time: Micros::from_secs(secs),
+                instance_id: InstanceId::new(CollectionId(job), task),
+                event_type: ty,
+                machine_id: None,
+                request: Resources::ZERO,
+                priority: Priority::new(200),
+                alloc_instance: None,
+            });
+        }
+        trace
+    }
+
+    #[test]
+    fn a_queued_job_waits_from_enable_and_an_unqueued_one_from_submit() {
+        use EventType as E;
+        let trace = trace_of(
+            &[
+                (1, 10, E::Submit, 110),
+                (1, 10, E::Queue, 110),
+                (2, 20, E::Submit, 200),
+                (2, 25, E::Schedule, 200),
+                (1, 100, E::Enable, 110),
+                (1, 130, E::Schedule, 110),
+            ],
+            &[],
+        );
+        assert_eq!(
+            trace.scheduling_delays(),
+            [
+                (Tier::Production, Micros::from_secs(5)),
+                (Tier::BestEffortBatch, Micros::from_secs(30)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_job_killed_before_any_schedule_gives_no_delay() {
+        use EventType as E;
+        let jobs = [
+            (1, 10, E::Submit, 110),
+            (1, 10, E::Queue, 110),
+            (1, 50, E::Kill, 110),
+        ];
+        assert_eq!(trace_of(&jobs, &[]).scheduling_delays(), []);
+    }
+
+    #[test]
+    fn an_evicted_and_resubmitted_task_is_new_once_and_in_all_twice() {
+        use EventType as E;
+        let trace = trace_of(
+            &[(1, 0, E::Submit, 200)],
+            &[
+                (1, 0, 10, E::Submit),
+                (1, 0, 20, E::Schedule),
+                (1, 0, 3700, E::Evict),
+                (1, 0, 3700, E::Submit),
+                (1, 0, 3710, E::Schedule),
+            ],
+        );
+        assert_eq!(trace.task_submits_per_hour(), (vec![1, 0], vec![1, 1]));
+        assert_eq!(
+            trace.evictions_by_collection(),
+            BTreeMap::from([(CollectionId(1), 1)])
+        );
+    }
+
+    #[test]
+    fn alloc_instance_submits_and_lost_rows_are_not_counted() {
+        use EventType as E;
+        let mut trace = trace_of(
+            &[(1, 0, E::Submit, 200), (9, 0, E::Submit, 200)],
+            &[
+                (1, 0, 10, E::Submit),
+                (9, 0, 10, E::Submit),
+                (9, 0, 10, E::Schedule),
+                (9, 0, 60, E::Lost),
+            ],
+        );
+        trace.collection_events[1].collection_type = CollectionType::AllocSet;
+        assert_eq!(trace.task_submits_per_hour(), (vec![1, 0], vec![1, 0]));
+        assert_eq!(trace.job_submits_per_hour(), [1, 0]);
+        assert_eq!(trace.evictions_by_collection(), BTreeMap::new());
+    }
+
+    #[test]
+    fn a_submit_on_an_hour_boundary_counts_in_the_later_hour() {
+        use EventType as E;
+        let trace = trace_of(
+            &[(1, 3600, E::Submit, 200), (2, 7200, E::Submit, 200)],
+            &[(1, 0, 3600, E::Submit), (2, 0, 7200, E::Submit)],
+        );
+        // The second job lands on the window's end, past its last hour.
+        assert_eq!(trace.job_submits_per_hour(), [0, 1]);
+        assert_eq!(trace.task_submits_per_hour(), (vec![0, 1], vec![0, 1]));
     }
 
     #[test]
