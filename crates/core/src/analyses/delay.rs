@@ -2,7 +2,8 @@
 //!
 //! The delay is measured from a job entering the *ready* state (after any
 //! batch-queue wait) until its first task is running — deliberately
-//! excluding batch queueing (§6.3). The paper finds medians of a few
+//! excluding batch queueing (§6.3); the trace's collection rows give both
+//! ends (`Trace::scheduling_delays`). The paper finds medians of a few
 //! seconds, improved for production since 2011, with a longer tail for
 //! best-effort batch and mid-tier jobs because they have more tasks.
 
@@ -11,27 +12,27 @@ use borg_sim::CellOutcome;
 use borg_trace::priority::Tier;
 use std::collections::BTreeMap;
 
+/// One cell's delays in seconds, with their tiers.
+fn delays(outcome: &CellOutcome) -> impl Iterator<Item = (Tier, f64)> {
+    let delays = outcome.trace.scheduling_delays();
+    delays.into_iter().map(|(tier, d)| (tier, d.as_secs_f64()))
+}
+
 /// CCDF of per-job scheduling delays (seconds) for one cell.
 pub fn delay_ccdf(outcome: &CellOutcome) -> Ccdf {
-    Ccdf::from_samples(outcome.metrics.delays.iter().map(|d| d.delay_secs))
+    Ccdf::from_samples(delays(outcome).map(|(_, d)| d))
 }
 
 /// CCDF of delays pooled across cells.
 pub fn pooled_delay_ccdf(outcomes: &[&CellOutcome]) -> Ccdf {
-    Ccdf::from_samples(
-        outcomes
-            .iter()
-            .flat_map(|o| o.metrics.delays.iter().map(|d| d.delay_secs)),
-    )
+    Ccdf::from_samples(outcomes.iter().flat_map(|o| delays(o).map(|(_, d)| d)))
 }
 
 /// Per-tier delay CCDFs pooled across cells (Figure 10b).
 pub fn delay_ccdfs_by_tier(outcomes: &[&CellOutcome]) -> BTreeMap<Tier, Ccdf> {
     let mut by_tier: BTreeMap<Tier, Vec<f64>> = BTreeMap::new();
-    for o in outcomes {
-        for d in &o.metrics.delays {
-            by_tier.entry(d.tier).or_default().push(d.delay_secs);
-        }
+    for (tier, d) in outcomes.iter().flat_map(|o| delays(o)) {
+        by_tier.entry(tier).or_default().push(d);
     }
     by_tier
         .into_iter()

@@ -4,36 +4,34 @@
 //! 885/hour in 2011 vs 3309 in 2019, a 3.7× growth). Figure 9 is the
 //! CCDF of task submissions per hour, for new tasks and for all tasks
 //! including rescheduled ones; the reschedule:new ratio grew from 0.66:1
-//! to 2.26:1.
+//! to 2.26:1. Both count the trace's `Submit` rows
+//! (`Trace::job_submits_per_hour`, `Trace::task_submits_per_hour`).
 
 use borg_analysis::ccdf::Ccdf;
 use borg_sim::CellOutcome;
+
+/// Hourly counts rescaled to full-cell rates (counts ÷ scale).
+fn rates(hours: &[u64], scale: f64) -> Ccdf {
+    Ccdf::from_samples(hours.iter().map(|&c| c as f64 / scale))
+}
 
 /// CCDF of hourly job-submission counts for one cell, rescaled to
 /// full-cell rates (counts ÷ scale) so eras with different simulation
 /// scales compare directly.
 pub fn job_rate_ccdf(outcome: &CellOutcome, scale: f64) -> Ccdf {
-    Ccdf::from_samples(
-        outcome
-            .metrics
-            .job_submissions
-            .totals()
-            .iter()
-            .map(|&c| c / scale),
-    )
+    rates(&outcome.trace.job_submits_per_hour(), scale)
 }
 
 /// CCDF of hourly job submissions aggregated across cells (each hour's
 /// counts from all cells averaged, as the paper's "2019 - aggregate").
 pub fn aggregate_job_rate_ccdf(outcomes: &[CellOutcome], scale: f64) -> Ccdf {
-    if outcomes.is_empty() {
+    let Some(first) = outcomes.first() else {
         return Ccdf::from_samples(std::iter::empty());
-    }
-    let hours = outcomes[0].metrics.job_submissions.totals().len();
-    let mut avg = vec![0.0; hours];
+    };
+    let mut avg = vec![0.0; first.trace.job_submits_per_hour().len()];
     for o in outcomes {
-        for (a, &c) in avg.iter_mut().zip(o.metrics.job_submissions.totals()) {
-            *a += c / (scale * outcomes.len() as f64);
+        for (a, c) in avg.iter_mut().zip(o.trace.job_submits_per_hour()) {
+            *a += c as f64 / (scale * outcomes.len() as f64);
         }
     }
     Ccdf::from_samples(avg)
@@ -41,30 +39,16 @@ pub fn aggregate_job_rate_ccdf(outcomes: &[CellOutcome], scale: f64) -> Ccdf {
 
 /// Task-rate CCDFs `(new, all)` for one cell, rescaled by `scale`.
 pub fn task_rate_ccdfs(outcome: &CellOutcome, scale: f64) -> (Ccdf, Ccdf) {
-    let new = Ccdf::from_samples(
-        outcome
-            .metrics
-            .new_task_submissions
-            .totals()
-            .iter()
-            .map(|&c| c / scale),
-    );
-    let all = Ccdf::from_samples(
-        outcome
-            .metrics
-            .all_task_submissions
-            .totals()
-            .iter()
-            .map(|&c| c / scale),
-    );
-    (new, all)
+    let (new, all) = outcome.trace.task_submits_per_hour();
+    (rates(&new, scale), rates(&all, scale))
 }
 
 /// The reschedule churn ratio: `(all − new) / new` over the whole trace
 /// (paper: 0.66 in 2011, 2.26 in 2019).
 pub fn churn_ratio(outcome: &CellOutcome) -> f64 {
-    let new: f64 = outcome.metrics.new_task_submissions.totals().iter().sum();
-    let all: f64 = outcome.metrics.all_task_submissions.totals().iter().sum();
+    let (new, all) = outcome.trace.task_submits_per_hour();
+    let new = new.iter().sum::<u64>() as f64;
+    let all = all.iter().sum::<u64>() as f64;
     if new == 0.0 {
         0.0
     } else {
@@ -128,7 +112,7 @@ mod tests {
     fn aggregate_ccdf_smooths() {
         let (_, y2019) = outcomes();
         let agg = aggregate_job_rate_ccdf(std::slice::from_ref(y2019), 1.0);
-        assert_eq!(agg.len(), y2019.metrics.job_submissions.totals().len());
+        assert_eq!(agg.len(), y2019.trace.job_submits_per_hour().len());
         assert!(aggregate_job_rate_ccdf(&[], 1.0).is_empty());
     }
 }

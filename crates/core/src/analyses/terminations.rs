@@ -6,6 +6,8 @@
 //! any instance eviction; 96.6% of those are non-production; <0.2% of
 //! production collections see an eviction; 52% of evicted collections see
 //! exactly one; and 87% of jobs with parents end in a kill vs 41% without.
+//! Evictions are the trace's instance `Evict` rows
+//! (`Trace::evictions_by_collection`).
 
 use borg_sim::CellOutcome;
 use borg_trace::collection::CollectionType;
@@ -47,18 +49,14 @@ pub fn termination_stats(outcomes: &[&CellOutcome]) -> TerminationStats {
 
     for outcome in outcomes {
         let infos = outcome.trace.collections();
+        let evictions = outcome.trace.evictions_by_collection();
         collections += infos.len() as u64;
         for info in infos.values() {
             let is_prod = info.priority.reporting_tier() == Tier::Production;
             if is_prod {
                 prod_collections += 1;
             }
-            let ev_count = outcome
-                .metrics
-                .evictions_by_collection
-                .get(&info.id.0)
-                .copied()
-                .unwrap_or(0);
+            let ev_count = evictions.get(&info.id).copied().unwrap_or(0);
             if ev_count > 0 {
                 evicted += 1;
                 if !is_prod {

@@ -5,8 +5,9 @@
 //! layout) through the repairing ingestion pipeline — malformed lines
 //! are quarantined and lifecycle gaps repaired, not fatal — validates
 //! the result against the §9 invariants, and prints a Table-1-style
-//! summary plus headline workload statistics, annotated with the data
-//! quality of the load. No simulation involved.
+//! summary plus headline workload statistics — Figures 7–10 and §5.2
+//! among them, counted from the tables — annotated with the data quality
+//! of the load. No simulation involved.
 //!
 //! ```sh
 //! cargo run --release -p borg-experiments --bin summarize -- <trace-dir>
@@ -20,9 +21,11 @@ use borg_core::pipeline::{load_trace_dir, DataQuality};
 use borg_trace::collection::CollectionType;
 use borg_trace::csv::write_trace_dir;
 use borg_trace::machine::shape_census;
+use borg_trace::priority::Tier;
 use borg_trace::state::EventType;
 use borg_trace::trace::Trace;
 use borg_trace::validate::validate;
+use std::collections::BTreeMap;
 
 fn main() {
     // Demo mode keeps the simulated cell so the sim run and the ingested
@@ -69,8 +72,7 @@ fn print_sim_metrics(outcome: &borg_sim::CellOutcome) {
     print!("{}", outcome.explain_scheduling());
     let m = &outcome.metrics;
     println!(
-        "  samples kept: {} scheduling delays, {} slack, {} machine snapshots",
-        m.delays.len(),
+        "  samples kept: {} slack, {} machine snapshots",
         m.slack.len(),
         m.machine_snapshots.len()
     );
@@ -113,7 +115,7 @@ fn summarize(trace: &Trace, quality: &DataQuality) {
         "collections: {} ({jobs} jobs, {allocs} alloc sets)",
         infos.len()
     );
-    let mut by_final: std::collections::BTreeMap<&str, usize> = Default::default();
+    let mut by_final: BTreeMap<&str, usize> = Default::default();
     for info in infos.values() {
         let key = info.final_event.map_or("(alive at end)", |e| e.name());
         *by_final.entry(key).or_default() += 1;
@@ -123,16 +125,28 @@ fn summarize(trace: &Trace, quality: &DataQuality) {
         println!("  {k:>15}: {n}");
     }
 
-    // Events and churn.
-    let submits = trace
-        .instance_events
-        .iter()
-        .filter(|e| e.event_type == EventType::Submit)
-        .count();
-    let instances = trace.instance_count();
+    // Events, and Figures 8 and 9: hourly submissions, churn.
     println!(
-        "\ninstances: {instances}, task submissions: {submits} (churn {:.2} resubmits/instance)",
-        (submits as f64 - instances as f64) / instances.max(1) as f64
+        "\ninstances: {}, instance events: {}",
+        trace.instance_count(),
+        trace.instance_events.len()
+    );
+    let median = |hours: &[u64]| {
+        let ccdf = Ccdf::from_samples(hours.iter().map(|&n| n as f64));
+        ccdf.median().unwrap_or(f64::NAN)
+    };
+    println!(
+        "job submissions per hour (Figure 8): median {:.1}",
+        median(&trace.job_submits_per_hour())
+    );
+    let (new, all) = trace.task_submits_per_hour();
+    let (new_total, all_total) = (new.iter().sum::<u64>(), all.iter().sum::<u64>());
+    println!(
+        "task submissions per hour (Figure 9): median {:.1} new, {:.1} all; \
+         {new_total} new tasks, {all_total} submissions (churn {:.4})",
+        median(&new),
+        median(&all),
+        (all_total as f64 - new_total as f64) / new_total.max(1) as f64
     );
     let [collection, instance] = table_transitions(trace);
     println!(
@@ -141,8 +155,31 @@ fn summarize(trace: &Trace, quality: &DataQuality) {
         instance.total()
     );
 
+    // Figure 10 and §5.2.
+    let mut delays: BTreeMap<Tier, Vec<f64>> = BTreeMap::new();
+    for (tier, d) in trace.scheduling_delays() {
+        delays.entry(tier).or_default().push(d.as_secs_f64());
+    }
+    let medians: Vec<String> = delays
+        .into_iter()
+        .map(|(tier, xs)| {
+            let m = Ccdf::from_samples(xs).median().unwrap_or(f64::NAN);
+            format!("{tier} {m:.2}s")
+        })
+        .collect();
+    println!(
+        "median scheduling delay (Figure 10): {}",
+        medians.join(", ")
+    );
+    let evicted = trace.evictions_by_collection().len();
+    println!(
+        "collections with an eviction (§5.2): {evicted} of {} ({:.4})",
+        infos.len(),
+        evicted as f64 / infos.len().max(1) as f64
+    );
+
     // Job sizes.
-    let mut tasks_per_job: std::collections::BTreeMap<_, u32> = Default::default();
+    let mut tasks_per_job: BTreeMap<_, u32> = Default::default();
     for ev in &trace.instance_events {
         if ev.event_type == EventType::Submit {
             let e = tasks_per_job.entry(ev.instance_id.collection).or_insert(0);

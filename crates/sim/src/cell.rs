@@ -638,7 +638,10 @@ impl<'a> CellSim<'a> {
                 "sim.metrics.transitions.instance",
                 t.instance_events.len() as u64,
             ),
-            ("sim.metrics.delay_samples", m.delays.len() as u64),
+            (
+                "sim.metrics.delay_samples",
+                t.scheduling_delays().len() as u64,
+            ),
             ("sim.metrics.slack_samples", m.slack.len() as u64),
             (
                 "sim.metrics.machine_snapshots",
@@ -646,7 +649,7 @@ impl<'a> CellSim<'a> {
             ),
             (
                 "sim.metrics.evicted_collections",
-                m.evictions_by_collection.len() as u64,
+                t.evictions_by_collection().len() as u64,
             ),
         ];
         let stalls: Vec<(String, u64)> = m

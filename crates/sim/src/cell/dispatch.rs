@@ -291,11 +291,6 @@ impl CellSim<'_> {
         if self.jobs[job].first_running.is_none() {
             self.jobs[job].first_running = Some(self.now);
             self.emit_collection(job, EventType::Schedule);
-            let delay = (self.now - self.jobs[job].ready_at).as_secs_f64();
-            self.metrics.delays.push(crate::metrics::DelaySample {
-                tier: tier_key(self.jobs[job].spec.tier),
-                delay_secs: delay,
-            });
             if !self.jobs[job].end_scheduled {
                 self.jobs[job].end_scheduled = true;
                 let end = self.now + self.jobs[job].spec.realized_duration();

@@ -19,12 +19,6 @@ impl CellSim<'_> {
         let n_tasks = self.jobs[job].spec.tasks.len();
         for t in 0..n_tasks {
             self.emit_task(job, t, EventType::Submit, None);
-            self.metrics
-                .new_task_submissions
-                .add_point(self.now.as_micros(), 1.0);
-            self.metrics
-                .all_task_submissions
-                .add_point(self.now.as_micros(), 1.0);
         }
 
         // A child whose parent already terminated is killed immediately
@@ -74,11 +68,6 @@ impl CellSim<'_> {
         }
         self.free_task(job, task);
         self.emit_task(job, task, EventType::Evict, None);
-        *self
-            .metrics
-            .evictions_by_collection
-            .entry(self.jobs[job].spec.id)
-            .or_insert(0) += 1;
         // Almost all evicted instances are resubmitted and rescheduled in
         // the same cell (§5.2).
         self.resubmit_task(job, task);
@@ -93,9 +82,6 @@ impl CellSim<'_> {
         self.jobs[job].tasks[task].state = TaskState::Pending;
         self.jobs[job].pending_count += 1;
         self.emit_task(job, task, EventType::Submit, None);
-        self.metrics
-            .all_task_submissions
-            .add_point(self.now.as_micros(), 1.0);
         let priority = self.jobs[job].spec.priority;
         let gen = self.jobs[job].tasks[task].gen;
         self.pending.push(priority, self.now, job, task, gen);

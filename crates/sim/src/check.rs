@@ -5,23 +5,20 @@
 //! of lifecycle legality: the simulator emits every row it builds.
 //! Three invariants: the trace passes
 //! [`borg_trace::validate::validate`], whose lifecycle walk already
-//! rejects a task event out of order; tasks are conserved
-//! over the same walk, [`for_each_lifecycle`] (no job task is live at the
-//! horizon once its job has ended, and the trace's tasks and `Submit`s
-//! match the metrics' counters); and each machine's `committed` is its
-//! occupants' discounted sum and fits its capacity. One gap is counted,
-//! not reported: a job that ends before making its tasks ready leaves
-//! each with a lone `Submit` (DESIGN.md §9).
+//! rejects a task event out of order; tasks are conserved over the same
+//! walk, [`for_each_lifecycle`] (no job task is live at the horizon once
+//! its job has ended); and each machine's `committed` is its occupants'
+//! discounted sum and fits its capacity. One gap is counted, not
+//! reported: a job that ends before making its tasks ready leaves each
+//! with a lone `Submit` (DESIGN.md §9).
 
 use crate::cell::CellOutcome;
 use crate::machine::Machine;
-use borg_analysis::timeseries::HourBuckets;
 use borg_trace::collection::{CollectionId, CollectionType};
 use borg_trace::for_each_lifecycle;
 use borg_trace::instance::{InstanceEvent, InstanceId};
 use borg_trace::machine::MachineId;
 use borg_trace::resources::Resources;
-use borg_trace::state::EventType;
 use borg_trace::validate::{validate, Violation};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,8 +33,6 @@ pub enum Finding {
     Trace(Violation),
     /// A task of an ended job still live at the horizon.
     OutlivesJob(InstanceId),
-    /// The trace's count, then the named metrics counter's, which differ.
-    Miscounted(&'static str, u64, u64),
     /// A machine's `committed`, then its occupants' sum, which differ.
     CommitDrift(MachineId, Resources, Resources),
     /// A machine's `committed`, then the capacity it exceeds.
@@ -73,7 +68,6 @@ pub fn check(outcome: &CellOutcome, machines: &[Machine]) -> Report {
 }
 
 fn check_tasks_conserved(o: &CellOutcome, report: &mut Report) {
-    let out = &mut report.findings;
     // Job → has ended.
     let mut jobs: BTreeMap<CollectionId, bool> = BTreeMap::new();
     for e in &o.trace.collection_events {
@@ -82,20 +76,16 @@ fn check_tasks_conserved(o: &CellOutcome, report: &mut Report) {
         }
     }
     let events = &o.trace.instance_events;
-    let (mut tasks, mut submits) = (0, 0);
     let mut unreadied_jobs = BTreeSet::new();
     let key = |e: &InstanceEvent| (e.instance_id, e.time);
     for_each_lifecycle(events, key, |mut task| {
         let Some(&ended) = jobs.get(&task.id.collection) else {
             return; // alloc instance
         };
-        tasks += 1;
-        let mut legal = true;
-        for &pos in task.positions {
-            let event = events[pos].event_type;
-            submits += u64::from(event == EventType::Submit);
-            legal = legal && task.sm.apply(event).is_ok();
-        }
+        let legal = task
+            .positions
+            .iter()
+            .all(|&pos| task.sm.apply(events[pos].event_type).is_ok());
         // An illegal lifecycle is `validate`'s finding.
         let live = legal && task.sm.state().is_some_and(|s| !s.is_dead());
         if !live || !ended {
@@ -105,29 +95,10 @@ fn check_tasks_conserved(o: &CellOutcome, report: &mut Report) {
             report.unreadied_tasks += 1;
             unreadied_jobs.insert(task.id.collection);
         } else {
-            out.push(Finding::OutlivesJob(task.id));
+            report.findings.push(Finding::OutlivesJob(task.id));
         }
     });
     report.unreadied_jobs = unreadied_jobs.len() as u64;
-    let mut compare = |counter, trace, buckets| {
-        let counted = total(buckets);
-        if trace != counted {
-            out.push(Finding::Miscounted(counter, trace, counted));
-        }
-    };
-    let m = &o.metrics;
-    compare("new_task_submissions", tasks, &m.new_task_submissions);
-    compare("all_task_submissions", submits, &m.all_task_submissions);
-}
-
-/// A counter's hour buckets, summed: each holds whole counts, so the
-/// float sum is exact.
-fn total(counter: &HourBuckets) -> u64 {
-    let mut total = 0.0;
-    for &b in counter.totals() {
-        total += b;
-    }
-    total as u64
 }
 
 fn check_commitment(m: &Machine, out: &mut Vec<Finding>) {
@@ -151,6 +122,7 @@ mod tests {
     use crate::machine::Occupant;
     use crate::{CellSim, SimConfig};
     use borg_trace::priority::Tier;
+    use borg_trace::state::EventType;
     use borg_workload::cells::CellProfile;
     use std::sync::OnceLock;
 
@@ -180,7 +152,8 @@ mod tests {
         let (o, _, _) = tiny();
         let report = check(&o, &[]);
         assert_eq!(report.findings, []);
-        assert_eq!(total(&o.metrics.new_task_submissions), 4713);
+        let (new_tasks, _) = o.trace.task_submits_per_hour();
+        assert_eq!(new_tasks.iter().sum::<u64>(), 4713);
         assert_eq!((report.unreadied_tasks, report.unreadied_jobs), (728, 75));
     }
 
@@ -211,14 +184,6 @@ mod tests {
         o.trace.instance_events.remove(events[events.len() - 1]);
         // A lifecycle that stops while running is legal to `validate`.
         assert_eq!(findings(&o), [Finding::OutlivesJob(task)]);
-    }
-
-    #[test]
-    fn new_task_submissions_off_by_one() {
-        let (mut o, _, _) = tiny();
-        o.metrics.new_task_submissions.add_point(0, 1.0);
-        let miscounted = Finding::Miscounted("new_task_submissions", 4713, 4714);
-        assert_eq!(findings(&o), [miscounted]);
     }
 
     /// Machine 3 with production tasks of `cpus` NCU, one per owner, and

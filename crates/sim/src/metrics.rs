@@ -2,12 +2,15 @@
 //!
 //! A month of a real cell produces billions of usage samples; the paper's
 //! analyses reduce them to hourly tier aggregates (Figures 2–5), one
-//! machine-utilization snapshot (Figure 6), slack samples (Figure 14),
-//! submission-rate series (Figures 8–9) and scheduling delays (Figure
-//! 10). [`SimMetrics`] accumulates exactly those reductions online, so the
-//! simulator never has to materialize the full usage table. Figure 7's
-//! transition counts are not among them: they are counted from the trace
-//! (`borg_trace::count_transitions`).
+//! machine-utilization snapshot (Figure 6), slack samples (Figure 14) and
+//! the §5.1 fill. [`SimMetrics`] accumulates exactly those reductions
+//! online, because the trace's usage table is thinned
+//! (`SimConfig::keep_usage_every`), and it keeps the scheduler internals
+//! the trace does not carry: preemptions, stalls, eviction causes and
+//! index stats. Everything the event tables determine is counted from
+//! them instead: Figure 7 (`borg_trace::count_transitions`), Figures 8–10
+//! and §5.2 (`Trace::job_submits_per_hour`, `task_submits_per_hour`,
+//! `scheduling_delays`, `evictions_by_collection`).
 
 use borg_analysis::timeseries::HourBuckets;
 use borg_trace::collection::VerticalScalingMode;
@@ -15,15 +18,6 @@ use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
 use borg_trace::time::{Micros, MICROS_PER_HOUR};
 use std::collections::BTreeMap;
-
-/// One scheduling-delay observation (Figure 10).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelaySample {
-    /// The job's reporting tier.
-    pub tier: Tier,
-    /// Seconds from ready (post-batch-queue) to first task running.
-    pub delay_secs: f64,
-}
 
 /// One peak-slack observation (Figure 14).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,15 +102,10 @@ pub struct SimMetrics {
     pub capacity: Resources,
     /// Per-tier hourly usage/allocation (Figures 2–5).
     pub tiers: BTreeMap<Tier, TierSeries>,
-    /// Job submissions per hour (Figure 8).
+    /// Job submissions per hour. Figure 8 counts the trace's rows
+    /// (`Trace::job_submits_per_hour`); this counter stays only because
+    /// the benchmark's SQL battery compares against it.
     pub job_submissions: HourBuckets,
-    /// First-time task submissions per hour (Figure 9, "new tasks").
-    pub new_task_submissions: HourBuckets,
-    /// All task submissions per hour including resubmissions (Figure 9,
-    /// "all tasks").
-    pub all_task_submissions: HourBuckets,
-    /// Scheduling delays (Figure 10).
-    pub delays: Vec<DelaySample>,
     /// Peak-slack samples (Figure 14), bounded reservoir.
     pub slack: Vec<SlackSample>,
     /// Per-machine utilization at the snapshot window (Figure 6).
@@ -125,8 +114,6 @@ pub struct SimMetrics {
     pub fill_in_alloc: FillStats,
     /// Memory fill of tasks outside alloc sets (§5.1).
     pub fill_outside_alloc: FillStats,
-    /// Count of evictions per collection index (for §5.2 statistics).
-    pub evictions_by_collection: BTreeMap<u64, u64>,
     /// Total task-placement attempts that required preemption.
     pub preemptions: u64,
     /// Placement attempts that found no machine (stalled), by tier.
@@ -170,14 +157,10 @@ impl SimMetrics {
                 .map(|&t| (t, TierSeries::new(horizon)))
                 .collect(),
             job_submissions: HourBuckets::new(MICROS_PER_HOUR, horizon.as_micros()),
-            new_task_submissions: HourBuckets::new(MICROS_PER_HOUR, horizon.as_micros()),
-            all_task_submissions: HourBuckets::new(MICROS_PER_HOUR, horizon.as_micros()),
-            delays: Vec::new(),
             slack: Vec::new(),
             machine_snapshots: Vec::new(),
             fill_in_alloc: FillStats::default(),
             fill_outside_alloc: FillStats::default(),
-            evictions_by_collection: BTreeMap::new(),
             preemptions: 0,
             stalls_by_tier: BTreeMap::new(),
             evictions_by_cause: BTreeMap::new(),
@@ -289,7 +272,7 @@ impl crate::CellOutcome {
                 writeln!(out, "    {cause:>14}: {n}").ok();
             }
         }
-        let affected = m.evictions_by_collection.len();
+        let affected = self.trace.evictions_by_collection().len();
         writeln!(out, "  collections touched by eviction: {affected}").ok();
         if m.machine_failures > 0 {
             writeln!(

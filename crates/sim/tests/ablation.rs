@@ -69,7 +69,8 @@ fn disabling_autopilot_leaves_slack_unreclaimed() {
 fn equivalence_class_caching_speeds_up_wide_jobs() {
     let profile = CellProfile::cell_2019('b'); // beb-heavy: wide jobs
     let p90 = |o: &borg_sim::CellOutcome| {
-        let mut xs: Vec<f64> = o.metrics.delays.iter().map(|d| d.delay_secs).collect();
+        let delays = o.trace.scheduling_delays();
+        let mut xs: Vec<f64> = delays.iter().map(|(_, d)| d.as_secs_f64()).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         xs[(xs.len() as f64 * 0.9) as usize]
     };

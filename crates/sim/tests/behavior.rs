@@ -50,13 +50,13 @@ fn allocation_exceeds_usage_overcommit() {
 #[test]
 fn scheduling_delays_are_seconds_not_hours() {
     let outcome = week_outcome(14);
-    assert!(outcome.metrics.delays.len() > 100);
     let mut delays: Vec<f64> = outcome
-        .metrics
-        .delays
+        .trace
+        .scheduling_delays()
         .iter()
-        .map(|d| d.delay_secs)
+        .map(|(_, d)| d.as_secs_f64())
         .collect();
+    assert!(delays.len() > 100);
     delays.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = delays[delays.len() / 2];
     assert!(
@@ -87,10 +87,10 @@ fn batch_jobs_queue_and_enable() {
 #[test]
 fn rescheduling_churn_exists() {
     let outcome = week_outcome(16);
-    let new: f64 = outcome.metrics.new_task_submissions.totals().iter().sum();
-    let all: f64 = outcome.metrics.all_task_submissions.totals().iter().sum();
+    let (new, all) = outcome.trace.task_submits_per_hour();
+    let (new, all) = (new.iter().sum::<u64>(), all.iter().sum::<u64>());
     assert!(
-        all > new * 1.2,
+        all as f64 > new as f64 * 1.2,
         "resubmissions expected: new {new}, all {all}"
     );
 }
@@ -99,15 +99,13 @@ fn rescheduling_churn_exists() {
 fn production_collections_rarely_evicted() {
     let outcome = week_outcome(17);
     let collections = outcome.trace.collections();
+    let evictions = outcome.trace.evictions_by_collection();
     let mut prod_total = 0u64;
     let mut prod_evicted = 0u64;
     let mut nonprod_evicted = 0u64;
     for info in collections.values() {
         let is_prod = info.priority.reporting_tier() == Tier::Production;
-        let evicted = outcome
-            .metrics
-            .evictions_by_collection
-            .contains_key(&info.id.0);
+        let evicted = evictions.contains_key(&info.id);
         if is_prod {
             prod_total += 1;
             prod_evicted += evicted as u64;

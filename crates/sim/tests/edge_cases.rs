@@ -56,7 +56,7 @@ fn all_ablations_combined_still_valid() {
     cfg.gang_scheduling = true;
     cfg.equivalence_class_speedup = 1.0;
     let o = CellSim::run_cell(&profile, &cfg);
-    assert!(o.metrics.delays.len() > 10);
+    assert!(o.trace.scheduling_delays().len() > 10);
 }
 
 #[test]
@@ -66,7 +66,7 @@ fn aggressive_maintenance_does_not_break_invariants() {
     cfg.horizon = Micros::from_hours(24);
     cfg.maintenance_per_month = 60.0; // a sweep every ~12 hours per machine
     let o = CellSim::run_cell(&profile, &cfg);
-    let evictions: u64 = o.metrics.evictions_by_collection.values().sum();
+    let evictions: u64 = o.trace.evictions_by_collection().values().sum();
     assert!(evictions > 0, "aggressive maintenance must evict something");
 }
 

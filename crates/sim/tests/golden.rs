@@ -366,72 +366,6 @@ fn model_fault_row_actually_fails_machines() {
     );
 }
 
-/// Figs 8–10 and §5.2 counted from the trace equal the simulator's
-/// counters on every row, and on a cell without the batch queue: the
-/// hour buckets to the bit, the delays as a multiset per tier (and in
-/// the same order), the eviction map exactly.
-#[test]
-fn trace_counts_equal_the_counters() {
-    let mut rows = matrix();
-    rows.push(Row {
-        label: "no batch queue, cell b, seed 11".into(),
-        profile: cell('b'),
-        cfg: SimConfig {
-            disable_batch_queue: true,
-            ..SimConfig::tiny_for_tests(11)
-        },
-    });
-    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let counts = |xs: Vec<u64>| {
-        xs.into_iter()
-            .map(|n| (n as f64).to_bits())
-            .collect::<Vec<_>>()
-    };
-    for row in &rows {
-        let label = &row.label;
-        let o = CellSim::run_cell(&row.profile, &row.cfg);
-        let (m, t) = (&o.metrics, &o.trace);
-        assert_eq!(
-            counts(t.job_submits_per_hour()),
-            bits(m.job_submissions.totals()),
-            "{label}: Fig 8"
-        );
-        let (new, all) = t.task_submits_per_hour();
-        assert_eq!(
-            counts(new),
-            bits(m.new_task_submissions.totals()),
-            "{label}: Fig 9 new"
-        );
-        assert_eq!(
-            counts(all),
-            bits(m.all_task_submissions.totals()),
-            "{label}: Fig 9 all"
-        );
-        let from_trace: Vec<_> = t
-            .scheduling_delays()
-            .into_iter()
-            .map(|(tier, d)| (tier, d.as_secs_f64().to_bits()))
-            .collect();
-        let counted: Vec<_> = m
-            .delays
-            .iter()
-            .map(|d| (d.tier, d.delay_secs.to_bits()))
-            .collect();
-        assert_eq!(from_trace, counted, "{label}: Fig 10 order");
-        let multiset = |mut v: Vec<(borg_trace::priority::Tier, u64)>| {
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(multiset(from_trace), multiset(counted), "{label}: Fig 10");
-        let evictions: std::collections::BTreeMap<u64, u64> = t
-            .evictions_by_collection()
-            .into_iter()
-            .map(|(c, n)| (c.0, n))
-            .collect();
-        assert_eq!(evictions, m.evictions_by_collection, "{label}: §5.2");
-    }
-}
-
 /// Prints a fresh `GOLDEN` body from the code as it stands. Run with
 /// `cargo test -p borg-sim --test golden -- --ignored --nocapture` and
 /// paste over the table below — only for a deliberate behaviour change.

@@ -40,10 +40,10 @@ fn main() {
         let util: f64 = outcome.metrics.average_cpu_util_by_tier().values().sum();
         let alloc: f64 = outcome.metrics.average_cpu_alloc_by_tier().values().sum();
         let mut delays: Vec<f64> = outcome
-            .metrics
-            .delays
+            .trace
+            .scheduling_delays()
             .iter()
-            .map(|d| d.delay_secs)
+            .map(|(_, d)| d.as_secs_f64())
             .collect();
         delays.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let med = delays.get(delays.len() / 2).copied().unwrap_or(f64::NAN);
@@ -51,7 +51,7 @@ fn main() {
             .get((delays.len() as f64 * 0.9) as usize)
             .copied()
             .unwrap_or(f64::NAN);
-        let evictions: u64 = outcome.metrics.evictions_by_collection.values().sum();
+        let evictions: u64 = outcome.trace.evictions_by_collection().values().sum();
         println!(
             "{:>9.1}x {:>10.3} {:>12.3} {:>11.1}s {:>11.0}s {:>10}",
             mult, util, alloc, med, p90, evictions

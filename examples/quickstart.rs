@@ -37,11 +37,11 @@ fn main() {
         println!("  {tier:>5}: {alloc:.3}");
     }
 
-    let delays: Vec<f64> = outcome
-        .metrics
-        .delays
+    // Figure 10 is counted from the trace's collection rows.
+    let delays: Vec<f64> = trace
+        .scheduling_delays()
         .iter()
-        .map(|d| d.delay_secs)
+        .map(|(_, d)| d.as_secs_f64())
         .collect();
     let ccdf = borg2019::analysis::Ccdf::from_samples(delays);
     println!(

@@ -36,14 +36,9 @@ fn figure8_as_sql_matches_metrics() {
     let sql_total: i64 = (0..per_hour.num_rows())
         .map(|r| per_hour.value(r, "jobs").unwrap().as_i64().unwrap())
         .sum();
-    // The metrics count alloc-set submissions too; jobs alone must be
-    // within the metrics' total.
-    let metrics_total: f64 = outcome().metrics.job_submissions.totals().iter().sum();
-    assert!(sql_total as f64 <= metrics_total + 0.5);
-    assert!(
-        sql_total as f64 > metrics_total * 0.9,
-        "{sql_total} vs {metrics_total}"
-    );
+    // Figure 8 counts the same rows.
+    let trace_total: u64 = outcome().trace.job_submits_per_hour().iter().sum();
+    assert_eq!(sql_total as u64, trace_total);
 }
 
 #[test]
