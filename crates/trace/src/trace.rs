@@ -230,9 +230,8 @@ impl Trace {
             }
             match e.event_type {
                 EventType::Submit | EventType::Enable => {
-                    let since = ready.entry(e.collection_id).or_insert(Some(e.time));
-                    if since.is_some() {
-                        *since = Some(e.time);
+                    if let Some(since) = ready.entry(e.collection_id).or_insert(Some(e.time)) {
+                        *since = e.time;
                     }
                 }
                 EventType::Schedule => {
