@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 
 /// One cell's delays in seconds, with their tiers.
 fn delays(outcome: &CellOutcome) -> impl Iterator<Item = (Tier, f64)> {
-    let delays = outcome.trace.scheduling_delays();
-    delays.into_iter().map(|(tier, d)| (tier, d.as_secs_f64()))
+    let delays = outcome.trace.scheduling_delays().into_iter();
+    delays.map(|(tier, d)| (tier, d.as_secs_f64()))
 }
 
 /// CCDF of per-job scheduling delays (seconds) for one cell.
