@@ -76,28 +76,36 @@ fn check_tasks_conserved(o: &CellOutcome, report: &mut Report) {
         }
     }
     let events = &o.trace.instance_events;
-    let mut unreadied_jobs = BTreeSet::new();
     let key = |e: &InstanceEvent| (e.instance_id, e.time);
-    for_each_lifecycle(events, key, |mut task| {
-        let Some(&ended) = jobs.get(&task.id.collection) else {
-            return; // alloc instance
-        };
-        let legal = task
-            .positions
-            .iter()
-            .all(|&pos| task.sm.apply(events[pos].event_type).is_ok());
-        // An illegal lifecycle is `validate`'s finding.
-        let live = legal && task.sm.state().is_some_and(|s| !s.is_dead());
-        if !live || !ended {
-            return;
-        }
-        if task.positions.len() == 1 {
-            report.unreadied_tasks += 1;
-            unreadied_jobs.insert(task.id.collection);
-        } else {
-            report.findings.push(Finding::OutlivesJob(task.id));
-        }
+    let walked = for_each_lifecycle(events, key, &mut [(); 0], |mut side| {
+        let (mut outlive, mut unreadied) = (Vec::new(), Vec::new());
+        side.walk(|mut task| {
+            let Some(&ended) = jobs.get(&task.id.collection) else {
+                return; // alloc instance
+            };
+            let legal = task
+                .positions
+                .iter()
+                .all(|&pos| task.sm.apply(events[pos].event_type).is_ok());
+            // An illegal lifecycle is `validate`'s finding.
+            let live = legal && task.sm.state().is_some_and(|s| !s.is_dead());
+            if !live || !ended {
+                return;
+            }
+            if task.positions.len() == 1 {
+                unreadied.push(task.id.collection);
+            } else {
+                outlive.push(Finding::OutlivesJob(task.id));
+            }
+        });
+        (outlive, unreadied)
     });
+    let mut unreadied_jobs = BTreeSet::new();
+    for (outlive, unreadied) in walked.sides {
+        report.findings.extend(outlive);
+        report.unreadied_tasks += unreadied.len() as u64;
+        unreadied_jobs.extend(unreadied);
+    }
     report.unreadied_jobs = unreadied_jobs.len() as u64;
 }
 

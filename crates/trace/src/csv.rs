@@ -27,6 +27,7 @@ use crate::collection::{
 };
 use crate::instance::{InstanceEvent, InstanceId};
 use crate::machine::{MachineEvent, MachineEventType, MachineId, Platform};
+use crate::on_two_threads;
 use crate::priority::Priority;
 use crate::resources::Resources;
 use crate::state::EventType;
@@ -1029,23 +1030,6 @@ pub fn check_cell_name(name: &str) -> io::Result<()> {
         ));
     }
     Ok(())
-}
-
-/// Runs `spawned` on a scoped thread while this thread runs `mine`, and
-/// returns both results once the two are done; a panic on the spawned
-/// side is raised again here, with its payload.
-fn on_two_threads<S: Send, M>(
-    spawned: impl FnOnce() -> S + Send,
-    mine: impl FnOnce() -> M,
-) -> (S, M) {
-    std::thread::scope(|scope| {
-        let spawned = scope.spawn(spawned);
-        let mine = mine();
-        let spawned = spawned
-            .join()
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        (spawned, mine)
-    })
 }
 
 /// The five files of a trace directory, each created through `create`,

@@ -43,7 +43,7 @@ pub use collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, VerticalScalingMode,
 };
 pub use csv::{Quarantine, QuarantinedLine};
-pub use group::{for_each_lifecycle, Lifecycle};
+pub use group::{for_each_lifecycle, Lifecycle, Side, Walked};
 pub use instance::{InstanceEvent, InstanceId};
 pub use machine::{MachineEvent, MachineEventType, MachineId, Platform};
 pub use priority::{Priority, PriorityBand2011, Tier};
@@ -53,3 +53,22 @@ pub use state::{count_transitions, EventType, InstanceState, StateMachine, Trans
 pub use time::{Micros, MICROS_PER_HOUR};
 pub use trace::{SchemaVersion, Trace};
 pub use usage::{CpuHistogram, UsageRecord, CPU_HISTOGRAM_PERCENTILES};
+
+/// Runs `spawned` on a scoped thread while this thread runs `mine`, and
+/// returns both results once the two are done; a panic on the spawned
+/// side is raised again here, with its payload. The directory reader and
+/// writer and the lifecycle walk share it, so the crate holds one
+/// `thread::scope`.
+pub(crate) fn on_two_threads<S: Send, M>(
+    spawned: impl FnOnce() -> S + Send,
+    mine: impl FnOnce() -> M,
+) -> (S, M) {
+    std::thread::scope(|scope| {
+        let spawned = scope.spawn(spawned);
+        let mine = mine();
+        let spawned = spawned
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (spawned, mine)
+    })
+}

@@ -19,15 +19,18 @@
 //! the same trace on every run.
 
 use crate::collection::{
-    CollectionEvent, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
+    CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
 };
 use crate::group::{for_each_lifecycle, Entity};
-use crate::instance::InstanceEvent;
+use crate::instance::{InstanceEvent, InstanceId};
 use crate::machine::{MachineEvent, MachineEventType, MachineId, Platform};
+use crate::on_two_threads;
+use crate::priority::Priority;
 use crate::resources::Resources;
 use crate::state::{EventType, InstanceState, StateMachine, TerminationKind};
 use crate::time::Micros;
 use crate::trace::Trace;
+use crate::usage::UsageRecord;
 use crate::validate::{capacities, known_collections, window_usage};
 use std::collections::BTreeMap;
 
@@ -43,6 +46,11 @@ pub struct TableRepair {
 }
 
 impl TableRepair {
+    /// Rows taken out of the table: deduped or dropped.
+    fn removed(&self) -> usize {
+        (self.deduped + self.dropped) as usize
+    }
+
     /// Total actions taken on the table.
     pub fn total(&self) -> u64 {
         self.deduped + self.synthesized + self.dropped
@@ -136,27 +144,27 @@ pub fn repair(trace: &mut Trace) -> RepairReport {
         &mut trace.machine_events,
         &mut report.machine_events,
         |e| (e.machine_id, e.time),
-        |_, _| Walk::Legal,
+        |_: &mut (), _, _| Walk::Legal,
         |e, _| *e,
     );
     rewrite_by_entity(
         &mut trace.collection_events,
         &mut report.collection_events,
         |e| (e.collection_id, e.time),
-        |ev, sm| walk(sm, ev.event_type),
+        |_: &mut (), ev, sm| walk(sm, ev.event_type),
         |ev, step| CollectionEvent {
             event_type: step,
             ..*ev
         },
     );
-    let mut walked = InstanceWalk::default();
-    rewrite_by_entity(
+    let [low, high] = rewrite_by_entity(
         &mut trace.instance_events,
         &mut report.instance_events,
         |e| (e.instance_id, e.time),
-        |ev, sm| walked.visit(ev, sm),
+        InstanceWalk::visit,
         synth_instance,
     );
+    let walked = low.then(high);
     insert_lost(trace, &walked.tails, &mut report);
     backfill_collections(trace, &walked.first_seen, &mut report);
     repair_usage(trace, &mut report);
@@ -253,83 +261,366 @@ fn slot_of(time: Micros, rank: usize) -> u128 {
 /// The slot of a row that does not survive (no table has this many rows).
 const REMOVED: u128 = u128::MAX;
 
+/// What one side of the walk did to its rows.
+struct Rewritten<V> {
+    counts: TableRepair,
+    /// The few rows that need bridge rows in front, and which.
+    bridged: Vec<(u128, &'static [EventType])>,
+    /// The side's own `visit` state.
+    visitor: V,
+}
+
 /// The per-table kernel: dedupes, walks and reorders `rows` in one
-/// [`for_each_lifecycle`] walk.
+/// [`for_each_lifecycle`] walk, returning each side's `visit` state, the
+/// low side's first.
 ///
 /// Entity by entity, in `(time, input position)` order: a row equal to an
 /// earlier row of the same entity and timestamp is removed as a duplicate
 /// before the state machine sees it, even where the lifecycle is legal
 /// with it (DESIGN.md §11, "The duplicate rule"); `visit` gets every other
 /// row and the entity's state machine, and its verdict keeps the row,
-/// drops it, or has `synth` make bridge rows to go in front of it. The
-/// survivors are then laid out by `(time, entity, input position)`; a
-/// table in that order with nothing removed or made is left untouched.
-fn rewrite_by_entity<T: Copy + PartialEq, K: Entity>(
+/// drops it, or has `synth` make bridge rows to go in front of it. Each
+/// survivor gets a slot, its time above its rank, and each side sorts its
+/// own slots; the survivors are then laid out by merging the two sorted
+/// runs, which is `(time, entity, input position)` order. A table in that
+/// order with nothing removed or made is left untouched.
+fn rewrite_by_entity<T, K, V>(
     rows: &mut Vec<T>,
     counts: &mut TableRepair,
-    key: impl Fn(&T) -> (K, Micros),
-    mut visit: impl FnMut(&T, &mut StateMachine) -> Walk,
-    synth: impl Fn(&T, EventType) -> T,
-) {
-    // Filled by input position during the entity-major walk.
-    let mut order = vec![REMOVED; rows.len()];
-    // The few rows that need bridge rows in front, and which.
-    let mut bridged: Vec<(u128, &'static [EventType])> = Vec::new();
-    let before = counts.total();
-    // Where the entity's first row falls in entity-major order.
-    let mut first_rank = 0;
-    let by_entity = for_each_lifecycle(rows, &key, |mut life| {
-        // The entity's rows at the current time start at `run`.
-        let (mut run, mut run_time) = (0, None);
-        for (i, &pos) in life.positions.iter().enumerate() {
-            let row = &rows[pos];
-            let time = key(row).1;
-            if run_time != Some(time) {
-                (run, run_time) = (i, Some(time));
-            }
-            if life.positions[run..i].iter().any(|&e| rows[e] == *row) {
-                counts.deduped += 1;
-                continue;
-            }
-            let slot = slot_of(time, first_rank + i);
-            match visit(row, &mut life.sm) {
-                Walk::Legal => {}
-                Walk::Bridged(steps) => {
-                    counts.synthesized += steps.len() as u64;
-                    bridged.push((slot, steps));
+    key: impl Fn(&T) -> (K, Micros) + Sync,
+    visit: impl Fn(&mut V, &T, &mut StateMachine) -> Walk + Sync,
+    synth: impl Fn(&T, EventType) -> T + Sync,
+) -> [V; 2]
+where
+    T: Fields + Send + Sync,
+    K: Entity,
+    V: Default + Send,
+{
+    let table = &rows[..];
+    let mut slots = vec![REMOVED; table.len()];
+    let walked = for_each_lifecycle(table, &key, &mut slots, |mut side| {
+        let mut done = Rewritten {
+            counts: TableRepair::default(),
+            bridged: Vec::new(),
+            visitor: V::default(),
+        };
+        let (mut sorted, mut dup) = (Vec::new(), Vec::new());
+        side.walk(|mut life| {
+            let time = |pos: &usize| key(&table[*pos]).1;
+            let mut start = 0;
+            for run in life.positions.chunk_by(|a, b| time(a) == time(b)) {
+                mark_duplicates(table, run, &mut sorted, &mut dup);
+                let slots = &mut life.slots[start..start + run.len()];
+                let rows = run.iter().zip(&dup).zip(slots);
+                for (rank, ((&pos, &dup), slot)) in (life.rank + start..).zip(rows) {
+                    if dup {
+                        done.counts.deduped += 1;
+                        continue;
+                    }
+                    let at = slot_of(time(&pos), rank);
+                    match visit(&mut done.visitor, &table[pos], &mut life.sm) {
+                        Walk::Legal => {}
+                        Walk::Bridged(steps) => {
+                            done.counts.synthesized += steps.len() as u64;
+                            done.bridged.push((at, steps));
+                        }
+                        Walk::Dropped => {
+                            done.counts.dropped += 1;
+                            continue;
+                        }
+                    }
+                    *slot = at;
                 }
-                Walk::Dropped => {
-                    counts.dropped += 1;
-                    continue;
-                }
+                start += run.len();
             }
-            order[pos] = slot;
-        }
-        first_rank += life.positions.len();
+        });
+        // Ranks are distinct, so no two survivors' slots are equal.
+        side.slots.sort_unstable();
+        done
     });
 
-    let changed = counts.total() != before;
-    if changed {
-        order.retain(|&slot| slot != REMOVED);
+    let [low, high] = walked.sides;
+    let changed = low.counts.total() + high.counts.total() > 0;
+    for side in [low.counts, high.counts] {
+        counts.deduped += side.deduped;
+        counts.synthesized += side.synthesized;
+        counts.dropped += side.dropped;
     }
-    if !changed && order.is_sorted() {
-        return;
+    // Each side's survivors: its sorted slots before the removed ones.
+    let (low_slots, high_slots) = slots.split_at(walked.cut);
+    let low_kept = &low_slots[..low_slots.len() - low.counts.removed()];
+    let high_kept = &high_slots[..high_slots.len() - high.counts.removed()];
+    let by_rank = &walked.order;
+    let rank = |slot: u128| by_rank[slot as u64 as usize];
+    let mut laid_out = merged(low_kept, high_kept).map(rank);
+    if !changed && laid_out.by_ref().enumerate().all(|(i, pos)| pos == i) {
+        return [low.visitor, high.visitor];
     }
-    // Ranks are distinct, so no two slots are equal.
-    order.sort_unstable();
+    let mut bridged = low.bridged;
+    bridged.extend(high.bridged);
     bridged.sort_unstable_by_key(|&(slot, _)| slot);
-    let made: usize = bridged.iter().map(|(_, steps)| steps.len()).sum();
-    let mut bridged = bridged.into_iter().peekable();
-    let mut out = Vec::with_capacity(order.len() + made);
-    for slot in order {
-        // The low half is the rank.
-        let row = rows[by_entity[slot as u64 as usize]];
-        if let Some((_, steps)) = bridged.next_if(|&(at, _)| at == slot) {
-            out.extend(steps.iter().map(|&step| synth(&row, step)));
+    let made = |bridged: &[(u128, &[EventType])]| -> usize {
+        bridged.iter().map(|(_, steps)| steps.len()).sum()
+    };
+
+    // The merge cut at its middle survivor, each part gathered on a thread
+    // of its own into its share of `out`.
+    let half = (low_kept.len() + high_kept.len()) / 2;
+    let from_low = split(low_kept, high_kept, half);
+    let (low_first, low_second) = low_kept.split_at(from_low);
+    let (high_first, high_second) = high_kept.split_at(half - from_low);
+    let second_from = [low_second.first(), high_second.first()]
+        .into_iter()
+        .flatten()
+        .min();
+    let bridged_first = second_from.map_or(bridged.len(), |&second| {
+        bridged.partition_point(|&(slot, _)| slot < second)
+    });
+    let (bridged_first, bridged_second) = bridged.split_at(bridged_first);
+    let total = low_kept.len() + high_kept.len() + made(&bridged);
+    // Room for every row: any row will do as the filler.
+    let mut out = Vec::new();
+    if let Some(&fill) = rows.first() {
+        out.resize(total, fill);
+    }
+    let (out_first, out_second) = out.split_at_mut(half + made(bridged_first));
+    let table = &rows[..];
+    let gather = |low: &[u128], high: &[u128], bridged: &[(u128, &[EventType])], out: &mut [T]| {
+        let mut bridged = bridged.iter().peekable();
+        let mut next = 0;
+        let mut put = |row| {
+            out[next] = row;
+            next += 1;
+        };
+        for slot in merged(low, high) {
+            let row = table[rank(slot)];
+            if let Some((_, steps)) = bridged.next_if(|&&(at, _)| at == slot) {
+                steps.iter().for_each(|&step| put(synth(&row, step)));
+            }
+            put(row);
         }
-        out.push(row);
+    };
+    if walked.cut == table.len() {
+        gather(low_first, high_first, bridged_first, out_first);
+        gather(low_second, high_second, bridged_second, out_second);
+    } else {
+        on_two_threads(
+            || gather(low_second, high_second, bridged_second, out_second),
+            || gather(low_first, high_first, bridged_first, out_first),
+        );
     }
     *rows = out;
+    [low.visitor, high.visitor]
+}
+
+/// The slots of two sorted runs, in order.
+fn merged<'a>(mut low: &'a [u128], mut high: &'a [u128]) -> impl Iterator<Item = u128> + 'a {
+    std::iter::from_fn(move || {
+        let from_low = match (low.first(), high.first()) {
+            (Some(a), Some(b)) => a < b,
+            (a, _) => a.is_some(),
+        };
+        let run = if from_low { &mut low } else { &mut high };
+        let (&slot, rest) = run.split_first()?;
+        *run = rest;
+        Some(slot)
+    })
+}
+
+/// How many of the first `k` slots of the merge of sorted runs `a` and `b`
+/// come from `a` (no slot is in both).
+fn split(a: &[u128], b: &[u128], k: usize) -> usize {
+    let (mut lo, mut hi) = (k.saturating_sub(b.len()), k.min(a.len()));
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        // Taking `i` from `a` leaves `k - i` from `b`: too few from `a` when
+        // `a[i]` comes before the last of those.
+        if a[i] < b[k - i - 1] {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    lo
+}
+
+/// Sets `dup[i]` when row `run[i]` equals an earlier row of `run`, one
+/// entity's rows at one time in input order: sorts the rows' [`Fields`]
+/// keys with their indices, so rows that are `==` lie together, the
+/// earliest first. `sorted` is scratch space.
+fn mark_duplicates<T: Fields>(
+    rows: &[T],
+    run: &[usize],
+    sorted: &mut Vec<(Option<T::Key>, usize)>,
+    dup: &mut Vec<bool>,
+) {
+    dup.clear();
+    dup.resize(run.len(), false);
+    if run.len() < 2 {
+        return; // a lone row has no earlier one
+    }
+    sorted.clear();
+    sorted.extend(run.iter().enumerate().map(|(i, &pos)| (rows[pos].key(), i)));
+    sorted.sort_unstable();
+    for pair in sorted.windows(2) {
+        if pair[0].0.is_some() && pair[0].0 == pair[1].0 {
+            dup[pair[1].1] = true;
+        }
+    }
+}
+
+/// A row as a key that equals another row's exactly when `==` holds
+/// between the two rows: each float is its bits, with one word for both
+/// zeros; a row with a NaN field, which `==` holds to no row, has none.
+/// Each `key` names every field, so a new field cannot be left out.
+pub(crate) trait Fields: Copy + PartialEq {
+    type Key: Ord + Send;
+    fn key(&self) -> Option<Self::Key>;
+}
+
+/// A float's bits, `0` for both zeros; `None` for NaN.
+fn word(x: f64) -> Option<u64> {
+    match x {
+        _ if x.is_nan() => None,
+        0.0 => Some(0),
+        _ => Some(x.to_bits()),
+    }
+}
+
+fn words(r: Resources) -> Option<[u64; 2]> {
+    let Resources { cpu, mem } = r;
+    Some([word(cpu)?, word(mem)?])
+}
+
+impl Fields for MachineEvent {
+    type Key = (Micros, MachineId, u8, [u64; 2], Platform);
+
+    fn key(&self) -> Option<Self::Key> {
+        let MachineEvent {
+            time,
+            machine_id,
+            event_type,
+            capacity,
+            platform,
+        } = *self;
+        Some((
+            time,
+            machine_id,
+            event_type as u8,
+            words(capacity)?,
+            platform,
+        ))
+    }
+}
+
+impl Fields for CollectionEvent {
+    #[allow(clippy::type_complexity)]
+    type Key = (
+        Micros,
+        CollectionId,
+        EventType,
+        u8,
+        Priority,
+        u8,
+        VerticalScalingMode,
+        Option<CollectionId>,
+        Option<CollectionId>,
+        UserId,
+    );
+
+    fn key(&self) -> Option<Self::Key> {
+        let CollectionEvent {
+            time,
+            collection_id,
+            event_type,
+            collection_type,
+            priority,
+            scheduler,
+            vertical_scaling,
+            parent_id,
+            alloc_collection_id,
+            user_id,
+        } = *self;
+        Some((
+            time,
+            collection_id,
+            event_type,
+            collection_type as u8,
+            priority,
+            scheduler as u8,
+            vertical_scaling,
+            parent_id,
+            alloc_collection_id,
+            user_id,
+        ))
+    }
+}
+
+impl Fields for InstanceEvent {
+    #[allow(clippy::type_complexity)]
+    type Key = (
+        Micros,
+        InstanceId,
+        EventType,
+        Option<MachineId>,
+        [u64; 2],
+        Priority,
+        Option<InstanceId>,
+    );
+
+    fn key(&self) -> Option<Self::Key> {
+        let InstanceEvent {
+            time,
+            instance_id,
+            event_type,
+            machine_id,
+            request,
+            priority,
+            alloc_instance,
+        } = *self;
+        let request = words(request)?;
+        Some((
+            time,
+            instance_id,
+            event_type,
+            machine_id,
+            request,
+            priority,
+            alloc_instance,
+        ))
+    }
+}
+
+impl Fields for UsageRecord {
+    type Key = (Micros, Micros, InstanceId, MachineId, [u64; 6], [u64; 21]);
+
+    fn key(&self) -> Option<Self::Key> {
+        let UsageRecord {
+            start,
+            end,
+            instance_id,
+            machine_id,
+            avg_usage,
+            max_usage,
+            limit,
+            cpu_histogram,
+        } = *self;
+        let [a, b] = words(avg_usage)?;
+        let [c, d] = words(max_usage)?;
+        let [e, f] = words(limit)?;
+        let mut histogram = [0; 21];
+        for (w, x) in histogram.iter_mut().zip(cpu_histogram.0) {
+            *w = word(x.into())?;
+        }
+        Some((
+            start,
+            end,
+            instance_id,
+            machine_id,
+            [a, b, c, d, e, f],
+            histogram,
+        ))
+    }
 }
 
 /// An instance's last surviving row, the last machine its rows name and
@@ -340,10 +631,12 @@ struct Tail {
     running: bool,
 }
 
-/// What the instance walk learned besides the repaired table.
+/// What the instance walk learned besides the repaired table, on one side
+/// of the walk or, after [`InstanceWalk::then`], on both.
 #[derive(Default)]
 struct InstanceWalk {
-    /// In id order, the tail of each instance that ends running, and of the last.
+    /// In id order, the tail of each instance that ends running, and of
+    /// the last instance of each side.
     tails: Vec<Tail>,
     /// Per collection with instance events, in id order, its earliest
     /// surviving event (the first in instance order among equals).
@@ -378,6 +671,24 @@ impl InstanceWalk {
             _ => self.first_seen.push(*ev),
         }
         verdict
+    }
+
+    /// This side's walk followed by the high side's. The cut falls between
+    /// instances, so a collection may have instances on both sides: its
+    /// earliest event is then the high side's only when strictly earlier.
+    fn then(mut self, high: InstanceWalk) -> InstanceWalk {
+        self.tails.extend(high.tails);
+        let mut firsts = high.first_seen.into_iter().peekable();
+        if let (Some(last), Some(first)) = (self.first_seen.last_mut(), firsts.peek()) {
+            if last.instance_id.collection == first.instance_id.collection {
+                if first.time < last.time {
+                    *last = *first;
+                }
+                firsts.next();
+            }
+        }
+        self.first_seen.extend(firsts);
+        self
     }
 }
 
@@ -474,7 +785,7 @@ fn repair_usage(trace: &mut Trace, report: &mut RepairReport) {
         &mut trace.usage,
         &mut report.usage,
         |r| ((r.instance_id, r.machine_id), r.start),
-        |_, _| Walk::Legal,
+        |_: &mut (), _, _| Walk::Legal,
         |r, _| *r,
     );
 }
@@ -519,8 +830,10 @@ mod tests {
     use crate::instance::InstanceId;
     use crate::priority::Priority;
     use crate::trace::SchemaVersion;
-    use crate::usage::{CpuHistogram, UsageRecord};
+    use crate::usage::CpuHistogram;
     use crate::validate::validate;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn base() -> Trace {
         let mut t = Trace::new("r", SchemaVersion::V3Trace2019, Micros::from_days(1));
@@ -757,6 +1070,104 @@ mod tests {
         assert_eq!(t.instance_events, before);
     }
 
+    /// The rule the duplicate verdicts are held to: a row of a run is a
+    /// duplicate when it `==` an earlier row of the run.
+    fn scanned<T: PartialEq>(rows: &[T], run: &[usize]) -> Vec<bool> {
+        let earlier = |i: usize| run[..i].iter().any(|&e| rows[e] == rows[run[i]]);
+        (0..run.len()).map(earlier).collect()
+    }
+
+    /// `mark_duplicates` on runs of 0 to 500 rows drawn from `variants`,
+    /// in a shuffled position order, against the scan.
+    fn assert_verdicts_are_scanned<T: Fields>(variants: &[T], what: &str) {
+        let rng = &mut StdRng::seed_from_u64(0xD0B);
+        let (mut sorted, mut dup) = (Vec::new(), Vec::new());
+        let mut any = 0;
+        for len in [0, 1, 2, 3, 10, 500] {
+            let pick = |rng: &mut StdRng| variants[rng.random::<u64>() as usize % variants.len()];
+            let rows: Vec<T> = (0..len).map(|_| pick(rng)).collect();
+            let mut run: Vec<usize> = (0..len).collect();
+            for i in (1..len).rev() {
+                run.swap(i, rng.random::<u64>() as usize % (i + 1));
+            }
+            mark_duplicates(&rows, &run, &mut sorted, &mut dup);
+            assert_eq!(dup, scanned(&rows, &run), "{what}: {len} rows");
+            any += dup.iter().filter(|&&d| d).count();
+        }
+        assert!(any > 0, "{what}: the runs hold duplicates");
+    }
+
+    #[test]
+    fn duplicate_verdicts_are_the_scans() {
+        use EventType::*;
+        // Fields of 0.0 and -0.0 (equal), NaN (equal to nothing, itself
+        // included) and 1.0, with other fields that differ or not.
+        let floats = [0.0, -0.0, f64::NAN, 1.0];
+        let mut instances = Vec::new();
+        for (ty, machine) in [
+            (Submit, None),
+            (Submit, Some(MachineId(0))),
+            (Schedule, None),
+        ] {
+            for cpu in floats {
+                for mem in floats {
+                    let mut e = iev(1, 0, 7, ty);
+                    (e.machine_id, e.request) = (machine, Resources::new(cpu, mem));
+                    instances.push(e);
+                }
+            }
+        }
+        assert_verdicts_are_scanned(&instances, "instance events");
+        let mut usage = Vec::new();
+        for avg in floats {
+            for bucket in [0.0f32, -0.0, f32::NAN, 0.5] {
+                let mut rec = usage_record();
+                rec.avg_usage.cpu = avg;
+                rec.cpu_histogram.0[3] = bucket;
+                usage.push(rec);
+            }
+        }
+        assert_verdicts_are_scanned(&usage, "usage");
+        let machines: Vec<MachineEvent> = floats
+            .iter()
+            .map(|&cpu| {
+                MachineEvent::add(
+                    Micros::ZERO,
+                    MachineId(0),
+                    Resources::new(cpu, 1.0),
+                    Platform(0),
+                )
+            })
+            .collect();
+        assert_verdicts_are_scanned(&machines, "machine events");
+        let collections = [cev(1, 0, Submit), cev(1, 0, Kill), cev(2, 0, Submit)];
+        assert_verdicts_are_scanned(&collections, "collection events");
+    }
+
+    #[test]
+    fn a_run_of_100k_rows_at_one_time_repairs_in_a_moment() {
+        // One instance, one timestamp: 75 000 rows that differ in their
+        // request, each third followed by a copy of itself. A scan of the
+        // earlier rows for each row is quadratic in the run.
+        let mut t = base();
+        t.collection_events.push(cev(1, 0, EventType::Submit));
+        for i in 0..75_000 {
+            let mut e = iev(1, 0, 5, EventType::Submit);
+            e.request = Resources::new(f64::from(i), 0.1);
+            t.instance_events.push(e);
+            if i % 3 == 0 {
+                t.instance_events.push(e);
+            }
+        }
+        assert_eq!(t.instance_events.len(), 100_000);
+        let report = repair(&mut t);
+        // The first `Submit` stays; every other is a resubmit while pending.
+        assert_eq!(report.instance_events.deduped, 25_000);
+        assert_eq!(report.instance_events.dropped, 74_999);
+        assert_eq!(t.instance_events.len(), 1);
+        assert!(validate(&t).is_empty());
+    }
+
     #[test]
     fn events_after_final_death_dropped() {
         let mut t = base();
@@ -821,6 +1232,19 @@ mod tests {
             .collection_events
             .iter()
             .any(|e| e.collection_id == CollectionId(1) && e.event_type == EventType::Submit));
+    }
+
+    fn usage_record() -> UsageRecord {
+        UsageRecord {
+            start: Micros::ZERO,
+            end: Micros::from_minutes(5),
+            instance_id: InstanceId::new(CollectionId(1), 0),
+            machine_id: MachineId(0),
+            avg_usage: Resources::new(0.1, 0.1),
+            max_usage: Resources::new(0.2, 0.1),
+            limit: Resources::new(0.5, 0.2),
+            cpu_histogram: CpuHistogram([0.1; 21]),
+        }
     }
 
     #[test]

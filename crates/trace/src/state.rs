@@ -296,22 +296,28 @@ impl TransitionCounts {
 /// Figure 7's counts over one event table, where `row` gives a row's
 /// entity, time and event: each entity's rows are replayed in time order
 /// and every legal `(from, event)` is recorded. An illegal row is skipped
-/// and leaves the state as it was.
-pub fn count_transitions<T, K: Entity>(
+/// and leaves the state as it was. Each side of the walk counts its own
+/// entities; the sums are merged.
+pub fn count_transitions<T: Sync, K: Entity>(
     rows: &[T],
-    row: impl Fn(&T) -> (K, Micros, EventType),
+    row: impl Fn(&T) -> (K, Micros, EventType) + Sync,
 ) -> TransitionCounts {
-    let mut counts = TransitionCounts::new();
     let key = |r: &T| (row(r).0, row(r).1);
-    for_each_lifecycle(rows, key, |mut life| {
-        for &pos in life.positions {
-            let (.., event) = row(&rows[pos]);
-            let from = life.sm.state();
-            if life.sm.apply(event).is_ok() {
-                counts.record(from, event);
+    let walked = for_each_lifecycle(rows, key, &mut [(); 0], |mut side| {
+        let mut counts = TransitionCounts::new();
+        side.walk(|mut life| {
+            for &pos in life.positions {
+                let (.., event) = row(&rows[pos]);
+                let from = life.sm.state();
+                if life.sm.apply(event).is_ok() {
+                    counts.record(from, event);
+                }
             }
-        }
+        });
+        counts
     });
+    let [mut counts, high] = walked.sides;
+    counts.merge(&high);
     counts
 }
 

@@ -9,7 +9,7 @@
 //! analysts can quantify collection noise in external traces.
 
 use crate::collection::{CollectionEvent, CollectionId};
-use crate::group::{entity_order, for_each_lifecycle, Entity};
+use crate::group::{for_each_lifecycle, Entity};
 use crate::machine::{MachineEvent, MachineEventType, MachineId};
 use crate::resources::Resources;
 use crate::state::EventType;
@@ -181,24 +181,33 @@ pub fn validate(trace: &Trace) -> Vec<Violation> {
 /// Walks each entity's rows of one event table, in time order: `hook`
 /// sees the entity's row positions first (a table's own rule), then the
 /// lifecycle state machine replays every row and `illegal` names the
-/// first event it rejects.
-fn check_lifecycles<T, K: Entity>(
+/// first event it rejects. Each side of the walk stops once it has found
+/// what `out` still has room for; the low side's findings go first, and
+/// `out` is cut to [`MAX_VIOLATIONS`].
+fn check_lifecycles<T: Sync, K: Entity>(
     rows: &[T],
-    row: impl Fn(&T) -> (K, Micros, EventType),
-    illegal: impl Fn(K, EventType, Micros) -> Violation,
-    hook: impl Fn(K, &[usize]) -> Option<Violation>,
+    row: impl Fn(&T) -> (K, Micros, EventType) + Sync,
+    illegal: impl Fn(K, EventType, Micros) -> Violation + Sync,
+    hook: impl Fn(K, &[usize]) -> Option<Violation> + Sync,
     out: &mut Vec<Violation>,
 ) {
+    let room = MAX_VIOLATIONS.saturating_sub(out.len());
     let key = |r: &T| (row(r).0, row(r).1);
-    for_each_lifecycle(rows, key, |mut life| {
-        if out.len() >= MAX_VIOLATIONS {
-            return;
-        }
-        out.extend(hook(life.id, life.positions));
-        let mut replayed = life.positions.iter().map(|&pos| row(&rows[pos]));
-        let rejected = replayed.find(|&(.., event)| life.sm.apply(event).is_err());
-        out.extend(rejected.map(|(id, time, event)| illegal(id, event, time)));
+    let walked = for_each_lifecycle(rows, key, &mut [(); 0], |mut side| {
+        let mut found = Vec::new();
+        side.walk(|mut life| {
+            if found.len() >= room {
+                return;
+            }
+            found.extend(hook(life.id, life.positions));
+            let mut replayed = life.positions.iter().map(|&pos| row(&rows[pos]));
+            let rejected = replayed.find(|&(.., event)| life.sm.apply(event).is_err());
+            found.extend(rejected.map(|(id, time, event)| illegal(id, event, time)));
+        });
+        found
     });
+    out.extend(walked.sides.into_iter().flatten());
+    out.truncate(MAX_VIOLATIONS);
 }
 
 /// Every collection id with an event, sorted, each once.
@@ -224,12 +233,16 @@ pub(crate) fn capacities(events: &[MachineEvent]) -> BTreeMap<MachineId, Resourc
 /// The summed `avg_usage` of each `(machine, window start)` in `records`,
 /// in that order; a window's records are summed in the order given.
 pub(crate) fn window_usage(records: &[&UsageRecord]) -> Vec<((MachineId, Micros), Resources)> {
-    let window_of = |rec: &&UsageRecord| (rec.machine_id, rec.start);
-    let order = entity_order(records, &window_of);
-    let windows = order.chunk_by(|&a, &b| window_of(&records[a]) == window_of(&records[b]));
-    let used = |window: &[usize]| window.iter().map(|&pos| records[pos].avg_usage).sum();
-    let sums = windows.map(|w| (window_of(&records[w[0]]), used(w)));
-    sums.collect()
+    let window_of = |rec: &&UsageRecord| ((rec.machine_id, rec.start), Micros::ZERO);
+    let walked = for_each_lifecycle(records, window_of, &mut [(); 0], |mut side| {
+        let mut sums = Vec::new();
+        side.walk(|window| {
+            let used = window.positions.iter().map(|&pos| records[pos].avg_usage);
+            sums.push((window.id, used.sum()));
+        });
+        sums
+    });
+    walked.sides.concat()
 }
 
 fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {

@@ -24,7 +24,7 @@ use borg_trace::csv::{
 use borg_trace::instance::{InstanceEvent, InstanceId};
 use borg_trace::repair::{repair, RepairReport};
 use borg_trace::trace::Trace;
-use borg_trace::validate::{validate, MAX_VIOLATIONS};
+use borg_trace::validate::{validate, Violation, MAX_VIOLATIONS};
 use borg_workload::cells::CellProfile;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -335,6 +335,61 @@ fn validate_stops_at_the_cap_like_the_reference() {
     let ours = validate(&t);
     assert_eq!(ours.len(), MAX_VIOLATIONS);
     assert_eq!(ours, reference::validate(&t));
+}
+
+#[test]
+fn validate_stops_at_the_cap_across_the_walks_two_sides() {
+    // 20 000 one-row instances of collection 1, the walk cut between
+    // instances 9 999 and 10 000: three in five below the cut and all
+    // above it begin with a `Schedule`, 16 000 violations in all. With a
+    // collection's two violations first, the cap leaves room for 9 998:
+    // the low side's 6 000 and the high side's first 3 998.
+    let mut t = cells()[0].1.clone();
+    t.instance_events.clear();
+    t.usage.clear();
+    let collection = t.collection_events[0];
+    let event = |ty| borg_trace::CollectionEvent {
+        event_type: ty,
+        collection_id: CollectionId(u64::MAX),
+        ..collection
+    };
+    use borg_trace::state::EventType::{Kill, Schedule, Submit};
+    // A `Kill` before the `Submit`: illegal, and a termination before it.
+    let at = |ty, secs| borg_trace::CollectionEvent {
+        time: borg_trace::Micros::from_secs(secs),
+        ..event(ty)
+    };
+    t.collection_events.extend([at(Submit, 5), at(Kill, 2)]);
+    let cell = t.collection_events[0].collection_id;
+    let row = InstanceEvent {
+        instance_id: InstanceId::new(cell, 0),
+        event_type: Submit,
+        ..cells()[0].1.instance_events[0]
+    };
+    for index in (0..20_000).rev() {
+        let illegal = index >= 10_000 || index % 5 < 3;
+        t.instance_events.push(InstanceEvent {
+            instance_id: InstanceId::new(cell, index),
+            event_type: if illegal { Schedule } else { Submit },
+            ..row
+        });
+    }
+    let ours = validate(&t);
+    assert_eq!(ours.len(), MAX_VIOLATIONS);
+    assert_eq!(ours, reference::validate(&t));
+    let index = |v: &Violation| match v {
+        Violation::IllegalInstanceTransition { instance, .. } => Some(instance.index),
+        _ => None,
+    };
+    let low = ours
+        .iter()
+        .filter(|v| index(v).is_some_and(|i| i < 10_000))
+        .count();
+    let high = ours
+        .iter()
+        .filter(|v| index(v).is_some_and(|i| i >= 10_000))
+        .count();
+    assert_eq!((low, high), (6_000, 3_998));
 }
 
 /// The bytes of a table as written (`valid`) with, in turn: `\r\n` line

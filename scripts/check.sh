@@ -18,29 +18,68 @@ Modes (at most one):
   --lint     borg-lint only, held to its 5 s budget (fast pre-commit loop)
   --chaos    chaos roundtrip, corruption detection, trace-kernel
              differential/fuzz suites, borg-trace unit tests and borg-sim's
-             end-of-run checker tests, then the f32 bucket writer against
-             Display on all 2^32 bit patterns (release build; 5.5 min of
-             the mode's 6.5 on two cores)
+             end-of-run checker tests, then (release builds) the lifecycle
+             laws over longer event sequences and the f32 bucket writer
+             against Display on all 2^32 bit patterns (5.5 min of the
+             mode's 7 on two cores)
   --pipeline pipeline-bench self-check only (benchmark/run.sh --check: unit tests + 5 tiny workloads)
   --checked  release build with debug assertions, so every simulated cell
              ends in the end-of-run checker at release scales: paper
              --scale small, paper --scale month --seed 2019 (stdout equal
              to experiments_month.txt), then benchmark/run.sh --check
              (under 2 min on two cores, cold builds included)
+  --compare REV [--pairs N] [--workloads W,W...] [--seconds S] [--seed N]
+             the benchmark of this checkout against commit REV: REV's
+             files are exported under target/compare/, each side builds
+             the benchmark into a target directory of its own, and the
+             sides alternate over N pairs (default 10) of untraced runs
+             of S seconds (default 10), each pair on a seed of its own
+             (the first is drawn from the clock unless given, and
+             printed). Per workload (default: all five) it prints the
+             wall_s and setup_s medians with quartiles, the pairs this
+             checkout wins, the median gap against REV's interquartile
+             range, digest equality and failed checks; it fails on a
+             digest mismatch, a failed check, or a median more than
+             0.25 worse than REV's
   --help     this text
 EOF
 }
 
 mode=
-for arg in "$@"; do
+compare_rev=
+pairs=10
+workloads="cell_day_512 paper_small trace_roundtrip sql_battery serve_closed"
+seconds=10
+seed=
+while [ $# -gt 0 ]; do
+    arg=$1
+    shift
     case "$arg" in
-    --lint | --chaos | --pipeline | --checked)
+    --lint | --chaos | --pipeline | --checked | --compare)
         if [ -n "$mode" ]; then
             echo "more than one mode: $mode $arg" >&2
             usage >&2
             exit 2
         fi
         mode=$arg
+        if [ "$arg" = --compare ]; then
+            if [ $# -eq 0 ]; then
+                echo "--compare needs a revision" >&2
+                exit 2
+            fi
+            compare_rev=$1
+            shift
+        fi
+        ;;
+    --pairs | --workloads | --seconds | --seed)
+        if [ "$mode" != --compare ] || [ $# -eq 0 ]; then
+            echo "$arg takes a value and goes after --compare REV" >&2
+            usage >&2
+            exit 2
+        fi
+        # The flag names its variable: pairs, workloads, seconds or seed.
+        eval "${arg#--}=\$1"
+        shift
         ;;
     --help | -h)
         usage
@@ -53,6 +92,97 @@ for arg in "$@"; do
         ;;
     esac
 done
+
+if [ "$mode" = --compare ]; then
+    workloads=$(printf '%s' "$workloads" | tr ',' ' ')
+    case "$pairs.$seconds.${seed:-0}" in
+    *[!0-9.]* | *..* | .* | *.)
+        echo "--pairs, --seconds and --seed take whole numbers" >&2
+        exit 2
+        ;;
+    esac
+    if [ "$pairs" -lt 1 ]; then
+        echo "--pairs must be at least 1" >&2
+        exit 2
+    fi
+    parent=$(git rev-parse --verify -q "$compare_rev^{commit}") || {
+        echo "not a commit: $compare_rev" >&2
+        exit 2
+    }
+    base=$(pwd)/target/compare
+    parent_root=$base/$parent
+    # A plain export of the commit's files; nothing is registered in .git.
+    if [ ! -f "$parent_root/benchmark/run.sh" ]; then
+        rm -rf "$parent_root"
+        mkdir -p "$parent_root"
+        git archive "$parent" | tar -x -C "$parent_root"
+    fi
+    parent_target=$base/$parent-target
+    change_target=$base/checkout-target
+    echo "==> building the benchmark of $parent and of this checkout"
+    CARGO_TARGET_DIR=$parent_target cargo build --release --offline -q \
+        --manifest-path "$parent_root/benchmark/Cargo.toml"
+    CARGO_TARGET_DIR=$change_target cargo build --release --offline -q \
+        --manifest-path benchmark/Cargo.toml
+    if [ -z "$seed" ]; then
+        seed=$(($(date +%s) % 900000 + 100000))
+    fi
+    echo "==> $pairs pair(s) per workload, --seconds $seconds, first seed $seed"
+    log=$base/compare-$(date +%Y%m%d-%H%M%S).txt
+    : >"$log"
+    # One untraced run of one side: "side seed wall_s setup_s fail_share digests".
+    run_side() {
+        if [ "$1" = parent ]; then
+            dir=$parent_root target=$parent_target
+        else
+            dir=. target=$change_target
+        fi
+        if ! out=$(CARGO_TARGET_DIR=$target bash "$dir/benchmark/run.sh" --workload "$2" \
+            --seed "$3" --seconds "$seconds" --trace 0 2>/dev/null); then
+            echo "$1 $3 run-failed"
+            return
+        fi
+        wall=$(printf '%s\n' "$out" | sed -n 's/^  wall_s  *\([0-9.eE+-]*\) s$/\1/p')
+        setup=$(printf '%s\n' "$out" | sed -n 's/^  setup_s  *\([0-9.eE+-]*\) s$/\1/p')
+        fail=$(printf '%s\n' "$out" | sed -n 's/^checks: .* fail_share \([0-9.eE+-]*\)$/\1/p')
+        digests=$(printf '%s\n' "$out" | sed -n 's/^.*\(digest .*\)$/\1/p' | tr ' \n' '_;')
+        echo "$1 $3 ${wall:-nan} ${setup:-nan} ${fail:-nan} ${digests:-none}"
+    }
+    status=0
+    for w in $workloads; do
+        echo "==> $w, seeds $seed-$((seed + pairs - 1))"
+        runs=$base/runs-$w.txt
+        : >"$runs"
+        i=0
+        while [ "$i" -lt "$pairs" ]; do
+            # The side that runs first alternates from pair to pair.
+            if [ $((i % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
+            for side in $order; do
+                run_side "$side" "$w" $((seed + i)) >>"$runs"
+            done
+            i=$((i + 1))
+        done
+        sed "s/^/$w /" "$runs" >>"$log"
+        awk -f scripts/compare.awk "$runs" || status=1
+        seed=$((seed + pairs))
+    done
+    cat <<'EOF'
+Known traps in these numbers:
+  - the host-speed calibration runs one thread, so it cannot see a busy
+    second core: a neighbour there slows two-thread code uncorrected;
+  - traced runs do pool work about 2x slower than untraced ones: compare
+    a traced span only with the same span traced;
+  - serve_closed times wall-clock replays: a missed deadline or a slow
+    neighbour moves it more than the code does.
+EOF
+    echo "every run: $log"
+    if [ "$status" -ne 0 ]; then
+        echo "Compare found a digest mismatch, a failed check or a metric over its bound." >&2
+        exit 1
+    fi
+    echo "Compare passed."
+    exit 0
+fi
 
 if [ "$mode" = --pipeline ]; then
     echo "==> pipeline-bench self-check (unit tests + five workloads, tiny inputs, both modes)"
@@ -88,6 +218,8 @@ if [ "$mode" = --chaos ]; then
     echo "==> the lifecycle walk's unit tests (borg-trace lib, borg-sim end-of-run checker)"
     cargo test -p borg-trace --lib --offline -q
     cargo test -p borg-sim --lib --offline -q check::
+    echo "==> lifecycle laws over every sequence of up to 5 events, and of 3 over two instances (release)"
+    cargo test --release -p borg-trace --test lifecycle_laws --offline -q -- --ignored
     echo "==> f32 bucket writer vs Display, every bit pattern (release)"
     cargo test --release -p borg-trace --lib --offline -- --ignored --nocapture
     echo "Chaos check passed."
