@@ -12,9 +12,10 @@
 //! the range of every component of the entity id, and whether the table
 //! is in time order already; a second pass packs, most significant first,
 //! each component's offset from its minimum and the row's position, each
-//! in as many bits as its range needs, into a `u64` when they fit and a
-//! `u128` otherwise. Only ids spread so wide that 128 bits cannot hold
-//! them (a foreign or fuzzed trace) are sorted by comparing `RowKey`s. The
+//! in as many bits as its range needs, into a `usize` when they fit (the
+//! sorted keys then become the walk's order in place) and a `u128`
+//! otherwise. Only ids spread so wide that 128 bits cannot hold them (a
+//! foreign or fuzzed trace) are sorted by comparing `RowKey`s. The
 //! sort leaves each entity's rows in position order; in a table that is in
 //! time order — a freshly read clean trace, every repaired table — that
 //! *is* time order, and otherwise each entity's few rows are sorted by
@@ -184,8 +185,8 @@ where
         "one slot per row, or none"
     );
     let layout = Layout::of(rows, &key);
-    if layout.width <= u64::BITS {
-        let keys = pack::<u64, _, _>(rows, &key, &layout);
+    if layout.width <= usize::BITS {
+        let keys = pack::<usize, _, _>(rows, &key, &layout);
         walk_keys(keys, &layout, rows, &key, slots, &side)
     } else if layout.width <= u128::BITS {
         let keys = pack::<u128, _, _>(rows, &key, &layout);
@@ -211,16 +212,19 @@ fn walk_keys<P: SortKey, T: Sync, F: Sync, S: Send, R: Send>(
 ) -> Walked<R> {
     let rows_n = keys.len();
     let cut = cut(&mut keys, layout);
-    let mut order = vec![0; rows_n];
+    let mut spare = if P::SPARE {
+        vec![0; rows_n]
+    } else {
+        Vec::new()
+    };
     let (low_keys, high_keys) = keys.split_at_mut(cut);
-    let (low_order, high_order) = order.split_at_mut(cut);
+    let spare_cut = cut.min(spare.len());
+    let (low_spare, high_spare) = spare.split_at_mut(spare_cut);
     let (low_slots, high_slots) = slots.split_at_mut(cut.min(slots.len()));
-    let walk = |keys: &mut [P], order: &mut [usize], slots, first_rank| {
+    let walk = |keys: &mut [P], spare, slots, first_rank| {
         // Positions are distinct, so no two keys are equal.
         keys.sort_unstable();
-        for (pos, &k) in order.iter_mut().zip(&*keys) {
-            *pos = k.pos(layout);
-        }
+        let order = P::positions(keys, spare, layout);
         side(Side {
             rows,
             key,
@@ -232,16 +236,17 @@ fn walk_keys<P: SortKey, T: Sync, F: Sync, S: Send, R: Send>(
     };
     let sides = if cut == rows_n {
         [
-            walk(low_keys, low_order, low_slots, 0),
-            walk(high_keys, high_order, high_slots, cut),
+            walk(low_keys, low_spare, low_slots, 0),
+            walk(high_keys, high_spare, high_slots, cut),
         ]
     } else {
         let (high, low) = on_two_threads(
-            || walk(high_keys, high_order, high_slots, cut),
-            || walk(low_keys, low_order, low_slots, 0),
+            || walk(high_keys, high_spare, high_slots, cut),
+            || walk(low_keys, low_spare, low_slots, 0),
         );
         [low, high]
     };
+    let order = P::order(keys, spare);
     Walked { order, cut, sides }
 }
 
@@ -292,40 +297,121 @@ struct RowKey {
 trait SortKey: Copy + Ord + Send {
     /// The entity's part of the key, ordered as the entities are.
     type Entity: Copy + Ord;
+    /// Whether [`SortKey::positions`] needs a buffer besides the keys.
+    const SPARE: bool;
     fn entity(self, layout: &Layout) -> Self::Entity;
-    fn pos(self, layout: &Layout) -> usize;
+    /// The positions of a sorted run of keys: the keys themselves,
+    /// overwritten, when a key is a `usize`, else written to `spare`.
+    fn positions<'a>(
+        keys: &'a mut [Self],
+        spare: &'a mut [usize],
+        layout: &Layout,
+    ) -> &'a mut [usize];
+    /// The walk's order: the keys' buffer or the spare one.
+    fn order(keys: Vec<Self>, spare: Vec<usize>) -> Vec<usize>;
 }
 
 impl SortKey for RowKey {
     type Entity = [u64; 3];
+    const SPARE: bool = true;
 
     fn entity(self, _: &Layout) -> [u64; 3] {
         self.entity
     }
 
-    fn pos(self, _: &Layout) -> usize {
-        self.pos
+    fn positions<'a>(keys: &'a mut [Self], spare: &'a mut [usize], _: &Layout) -> &'a mut [usize] {
+        for (pos, k) in spare.iter_mut().zip(keys) {
+            *pos = k.pos;
+        }
+        spare
+    }
+
+    fn order(_: Vec<Self>, spare: Vec<usize>) -> Vec<usize> {
+        spare
     }
 }
 
 /// The integer the key of a row is packed into.
-trait Packed:
-    Copy + Ord + Send + From<u64> + Into<u128> + Shl<u32, Output = Self> + BitOr<Output = Self>
-{
+trait Packed: Copy + Ord + Send + Shl<u32, Output = Self> + BitOr<Output = Self> {
+    /// `x`, which the layout has checked fits.
+    fn of(x: u64) -> Self;
+    fn wide(self) -> u128;
 }
 
-impl Packed for u64 {}
-impl Packed for u128 {}
-
-impl<P: Packed> SortKey for P {
-    type Entity = u128;
-
-    fn entity(self, layout: &Layout) -> u128 {
-        self.into() >> layout.pos_bits
+impl Packed for usize {
+    fn of(x: u64) -> usize {
+        x as usize
     }
 
-    fn pos(self, layout: &Layout) -> usize {
-        (self.into() & ((1u128 << layout.pos_bits) - 1)) as usize
+    fn wide(self) -> u128 {
+        self as u128
+    }
+}
+
+impl Packed for u128 {
+    fn of(x: u64) -> u128 {
+        x.into()
+    }
+
+    fn wide(self) -> u128 {
+        self
+    }
+}
+
+/// The entity part of a packed key.
+fn packed_entity(key: impl Packed, layout: &Layout) -> u128 {
+    key.wide() >> layout.pos_bits
+}
+
+/// Keeps a packed key's position, its low `pos_bits`.
+fn pos_mask(layout: &Layout) -> u128 {
+    (1 << layout.pos_bits) - 1
+}
+
+impl SortKey for usize {
+    type Entity = u128;
+    const SPARE: bool = false;
+
+    fn entity(self, layout: &Layout) -> u128 {
+        packed_entity(self, layout)
+    }
+
+    fn positions<'a>(
+        keys: &'a mut [usize],
+        _: &'a mut [usize],
+        layout: &Layout,
+    ) -> &'a mut [usize] {
+        let mask = pos_mask(layout) as usize;
+        keys.iter_mut().for_each(|k| *k &= mask);
+        keys
+    }
+
+    fn order(keys: Vec<usize>, _: Vec<usize>) -> Vec<usize> {
+        keys
+    }
+}
+
+impl SortKey for u128 {
+    type Entity = u128;
+    const SPARE: bool = true;
+
+    fn entity(self, layout: &Layout) -> u128 {
+        packed_entity(self, layout)
+    }
+
+    fn positions<'a>(
+        keys: &'a mut [u128],
+        spare: &'a mut [usize],
+        layout: &Layout,
+    ) -> &'a mut [usize] {
+        for (pos, &k) in spare.iter_mut().zip(&*keys) {
+            *pos = (k & pos_mask(layout)) as usize;
+        }
+        spare
+    }
+
+    fn order(_: Vec<u128>, spare: Vec<usize>) -> Vec<usize> {
+        spare
     }
 }
 
@@ -460,12 +546,12 @@ fn pack<P: Packed, T: Sync, K: Entity>(
             let parts = key(row).0.parts().into_iter().zip(layout.lo);
             *packed = parts
                 .zip(layout.shift)
-                .fold(P::from(pos as u64), |p, ((part, lo), shift)| {
-                    p | (P::from(part - lo) << shift)
+                .fold(P::of(pos as u64), |p, ((part, lo), shift)| {
+                    p | (P::of(part - lo) << shift)
                 });
         }
     };
-    let mut keys = vec![P::from(0); rows.len()];
+    let mut keys = vec![P::of(0); rows.len()];
     if layout.width == layout.pos_bits {
         pack(rows, &mut keys, 0);
     } else {
@@ -567,7 +653,7 @@ mod tests {
         // would spill out of the part's bits.
         let odd = u64::MAX - (1 << 20) - 12_345;
         let none = (0, 0);
-        // (id type, shape, the arm 70 000 rows take: 0 = u64, 1 = u128,
+        // (id type, shape, the arm 70 000 rows take: 0 = usize, 1 = u128,
         // 2 = comparator). Narrow times repeat; wide ids reach 0 and MAX.
         let cases = [
             ("machine", [(0, 9), none, none], (0, 37), false, 0),

@@ -297,7 +297,8 @@ where
     V: Default + Send,
 {
     let table = &rows[..];
-    let mut slots = vec![REMOVED; table.len()];
+    // Zeroed pages are touched first by the side that fills them.
+    let mut slots = vec![0; table.len()];
     let walked = for_each_lifecycle(table, &key, &mut slots, |mut side| {
         let mut done = Rewritten {
             counts: TableRepair::default(),
@@ -313,6 +314,7 @@ where
                 let slots = &mut life.slots[start..start + run.len()];
                 let rows = run.iter().zip(&dup).zip(slots);
                 for (rank, ((&pos, &dup), slot)) in (life.rank + start..).zip(rows) {
+                    *slot = REMOVED; // unless it survives
                     if dup {
                         done.counts.deduped += 1;
                         continue;
@@ -384,7 +386,6 @@ where
         out.resize(total, fill);
     }
     let (out_first, out_second) = out.split_at_mut(half + made(bridged_first));
-    let table = &rows[..];
     let gather = |low: &[u128], high: &[u128], bridged: &[(u128, &[EventType])], out: &mut [T]| {
         let mut bridged = bridged.iter().peekable();
         let mut next = 0;
@@ -480,11 +481,8 @@ pub(crate) trait Fields: Copy + PartialEq {
 
 /// A float's bits, `0` for both zeros; `None` for NaN.
 fn word(x: f64) -> Option<u64> {
-    match x {
-        _ if x.is_nan() => None,
-        0.0 => Some(0),
-        _ => Some(x.to_bits()),
-    }
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    (!x.is_nan()).then_some(bits)
 }
 
 fn words(r: Resources) -> Option<[u64; 2]> {
@@ -514,7 +512,6 @@ impl Fields for MachineEvent {
 }
 
 impl Fields for CollectionEvent {
-    #[allow(clippy::type_complexity)]
     type Key = (
         Micros,
         CollectionId,
@@ -557,7 +554,6 @@ impl Fields for CollectionEvent {
 }
 
 impl Fields for InstanceEvent {
-    #[allow(clippy::type_complexity)]
     type Key = (
         Micros,
         InstanceId,

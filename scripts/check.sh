@@ -19,9 +19,9 @@ Modes (at most one):
   --chaos    chaos roundtrip, corruption detection, trace-kernel
              differential/fuzz suites, borg-trace unit tests and borg-sim's
              end-of-run checker tests, then (release builds) the lifecycle
-             laws over longer event sequences and the f32 bucket writer
-             against Display on all 2^32 bit patterns (5.5 min of the
-             mode's 7 on two cores)
+             laws over longer event sequences (1 min) and the f32 bucket
+             writer against Display on all 2^32 bit patterns (5.5-8.5 min
+             of the mode's 7-11 on two cores)
   --pipeline pipeline-bench self-check only (benchmark/run.sh --check: unit tests + 5 tiny workloads)
   --checked  release build with debug assertions, so every simulated cell
              ends in the end-of-run checker at release scales: paper
