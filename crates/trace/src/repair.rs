@@ -14,9 +14,14 @@
 //! (and the chaos round-trip tests) can reconcile repairs against
 //! ground-truth fault ledgers.
 //!
+//! Each table goes through the lifecycle walk's two sides on two threads
+//! (`group.rs`): each side dedupes and walks its own entities and sorts
+//! its survivors' slots, and the table is laid out from the merge of the
+//! two sorted runs, gathered in two halves.
+//!
 //! The pass is fully deterministic: ordered containers only, no RNG, and
 //! sorts on keys no two rows share, so `repair` of the same bytes yields
-//! the same trace on every run.
+//! the same trace on every run, whichever thread finishes first.
 
 use crate::collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
