@@ -77,8 +77,15 @@ while [ $# -gt 0 ]; do
             usage >&2
             exit 2
         fi
-        # The flag names its variable: pairs, workloads, seconds or seed.
-        eval "${arg#--}=\$1"
+        if [ "$arg" = --pairs ]; then
+            pairs=$1
+        elif [ "$arg" = --workloads ]; then
+            workloads=$1
+        elif [ "$arg" = --seconds ]; then
+            seconds=$1
+        else
+            seed=$1
+        fi
         shift
         ;;
     --help | -h)
