@@ -1253,6 +1253,91 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_in_a_valid_row_errors_for_every_operand_pair() {
+        // Row 1 holds the NaN (or meets the NaN literal) with both sides
+        // valid; row 0 is fine, so the error names row 1's cells.
+        let t = Table::from_columns(vec![
+            ("f", Column::Float(vec![1.0, f64::NAN].into())),
+            ("g", Column::Float(vec![2.0, 3.0].into())),
+            ("i", Column::Int(vec![1, 2].into())),
+        ])
+        .unwrap();
+        let nan = || lit(f64::NAN);
+        for (e, detail) in [
+            (col("f").lt(lit(1.0)), "Float(NaN) vs Float(1.0)"),
+            (lit(1.0).lt(col("f")), "Float(1.0) vs Float(NaN)"),
+            (col("f").lt(col("g")), "Float(NaN) vs Float(3.0)"),
+            (col("f").ge(lit(1i64)), "Float(NaN) vs Int(1)"),
+            (lit(1i64).ge(col("f")), "Int(1) vs Float(NaN)"),
+            (col("i").eq(col("f")), "Int(2) vs Float(NaN)"),
+            (col("g").ne(nan()), "Float(2.0) vs Float(NaN)"),
+            (nan().gt(col("i")), "Float(NaN) vs Int(1)"),
+        ] {
+            let want = QueryError::IncompatibleOperands {
+                op: "comparison",
+                detail: detail.to_string(),
+            };
+            assert_eq!(e.eval_mask(&t).unwrap_err(), want, "{e:?}");
+            let first_error = (0..t.num_rows()).find_map(|r| e.eval_row(&t, r).err());
+            assert_eq!(first_error, Some(want), "{e:?} row at a time");
+        }
+    }
+
+    #[test]
+    fn a_null_row_never_errors() {
+        // The NaN in `f` meets only null rows, and the NaN literal only
+        // all-null columns.
+        let t = Table::from_columns(vec![
+            ("f", Column::Float(vec![f64::NAN, 1.0].into())),
+            ("h", Column::Float([None, Some(2.0)].into_iter().collect())),
+            ("j", Column::Int([None, Some(3)].into_iter().collect())),
+            ("n", Column::Float(PrimVec::nulls(2))),
+            ("m", Column::Int(PrimVec::nulls(2))),
+        ])
+        .unwrap();
+        for (e, want) in [
+            (col("f").lt(col("h")), [None, Some(true)]),
+            (col("j").le(col("f")), [None, Some(false)]),
+            (col("n").eq(lit(f64::NAN)), [None, None]),
+            (lit(f64::NAN).gt(col("m")), [None, None]),
+            (col("m").ne(col("f")), [None, None]),
+        ] {
+            let got = e.eval_column(&t).unwrap();
+            let want: Vec<Value> = want
+                .iter()
+                .map(|&b| b.map_or(Value::Null, Value::Bool))
+                .collect();
+            assert_eq!(got.iter_values().collect::<Vec<_>>(), want, "{e:?}");
+            for (r, w) in want.iter().enumerate() {
+                assert_eq!(&e.eval_row(&t, r).unwrap(), w, "{e:?} row {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_equals_zero_in_every_operand_pair() {
+        let t = Table::from_columns(vec![
+            ("z", Column::Float(vec![-0.0, 0.0].into())),
+            ("i", Column::Int(vec![0, 0].into())),
+        ])
+        .unwrap();
+        for e in [
+            col("z").eq(lit(0.0)),
+            lit(-0.0).eq(col("z")),
+            col("z").eq(col("i")),
+            col("i").eq(lit(-0.0)),
+            col("z").le(lit(0i64)),
+            col("z").ge(col("z")),
+            col("z").ne(lit(0.0)).not(),
+        ] {
+            assert_eq!(e.eval_mask(&t).unwrap(), [true, true], "{e:?}");
+            for r in 0..2 {
+                assert_eq!(e.eval_row(&t, r).unwrap(), Value::Bool(true), "{e:?}");
+            }
+        }
+    }
+
+    #[test]
     fn mask_parallel_matches_sequential() {
         let mut t = Table::new(vec![("v", DataType::Int)]);
         let rows = crate::parallel::BLOCK_ROWS + 1000;

@@ -199,6 +199,107 @@ fn same_bits(a: &Table, b: &Table) -> bool {
         })
 }
 
+/// Every aggregate kind over the float input `v` and the int input `w`:
+/// what the label-key group-by tests check.
+fn every_aggregate() -> Vec<Agg> {
+    vec![
+        Agg::count_all("n"),
+        Agg::count("v", "nv"),
+        Agg::sum("v", "s"),
+        Agg::mean("v", "m"),
+        Agg::min("v", "lo"),
+        Agg::max("v", "hi"),
+        Agg::variance("v", "var"),
+        Agg::percentile("v", 50.0, "p50"),
+        Agg::count_distinct("w", "d"),
+        Agg::count_distinct("v", "dv"),
+    ]
+}
+
+/// [`every_aggregate`] grouped by `keys`, row at a time: the key cells of
+/// each [`naive_groups`] group's first row, then every aggregate folded
+/// over the group's rows in row order with the engine's operations. On a
+/// table whose float sums are exact in any order this is the engine's
+/// output bit for bit, however many blocks it spans.
+fn naive_aggregates(t: &Table, keys: &[&str]) -> Table {
+    use borg_query::Column;
+    let (first_rows, members) = naive_groups(t, keys);
+    let mut cols: Vec<(String, Column)> = Vec::new();
+    for k in keys {
+        let mut c = Column::empty(t.column(k).unwrap().data_type());
+        for &r in &first_rows {
+            c.push(t.value(r, k).unwrap(), k).unwrap();
+        }
+        cols.push((k.to_string(), c));
+    }
+    let mut counts: [Vec<Option<i64>>; 4] = Default::default();
+    let mut floats: [Vec<Option<f64>>; 6] = Default::default();
+    for rows in &members {
+        let present: Vec<f64> = group_values(t, rows, "v").into_iter().flatten().collect();
+        let distinct = |col: &str| {
+            let set: HashSet<GroupKey> = rows
+                .iter()
+                .map(|&r| t.value(r, col).unwrap())
+                .filter(|v| !v.is_null())
+                .map(|v| v.group_key())
+                .collect();
+            set.len() as i64
+        };
+        let nf = present.len() as f64;
+        let seen = !present.is_empty();
+        let sum = present.iter().fold(0.0, |s, &x| s + x);
+        let sum_sq = present.iter().fold(0.0, |s, &x| s + x * x);
+        let mut sorted = present.clone();
+        sorted.sort_by(f64::total_cmp);
+        let p50 = seen.then(|| {
+            let rank = 0.5 * (sorted.len() - 1) as f64;
+            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+            let frac = rank - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        });
+        let group_counts = [
+            rows.len() as i64,
+            present.len() as i64,
+            distinct("w"),
+            distinct("v"),
+        ];
+        let group_floats = [
+            seen.then_some(sum),
+            seen.then(|| sum / nf),
+            present.iter().copied().reduce(f64::min),
+            present.iter().copied().reduce(f64::max),
+            (present.len() >= 2).then(|| {
+                let mean = sum / nf;
+                (sum_sq - nf * mean * mean) / (nf - 1.0)
+            }),
+            p50,
+        ];
+        for (out, x) in counts.iter_mut().zip(group_counts) {
+            out.push(Some(x));
+        }
+        for (out, x) in floats.iter_mut().zip(group_floats) {
+            out.push(x);
+        }
+    }
+    let [n, nv, d, dv] = counts.map(|c| Column::Int(c.into_iter().collect()));
+    let [s, m, lo, hi, var, p50] = floats.map(|c| Column::Float(c.into_iter().collect()));
+    for (name, c) in [
+        ("n", n),
+        ("nv", nv),
+        ("s", s),
+        ("m", m),
+        ("lo", lo),
+        ("hi", hi),
+        ("var", var),
+        ("p50", p50),
+        ("d", d),
+        ("dv", dv),
+    ] {
+        cols.push((name.to_string(), c));
+    }
+    Table::from_columns(cols).unwrap()
+}
+
 proptest! {
     #[test]
     fn inner_join_matches_nested_loop(
@@ -497,6 +598,28 @@ proptest! {
             .map(|r| pred.eval_row(&t, r).unwrap() == Value::Bool(true))
             .collect();
         prop_assert_eq!(out, t.filter_rows(&mask));
+    }
+
+    #[test]
+    fn label_and_bool_keys_match_naive_aggregates(
+        rows in prop::collection::vec(
+            ((0u8..6, 0u8..5, 0u8..4, -4.0f64..4.0, 0i64..4), 0u8..3),
+            0..100,
+        ),
+    ) {
+        let (cells, flags): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+        let flag = flags
+            .iter()
+            .map(|&f| [None, Some(false), Some(true)][f as usize])
+            .collect();
+        let t = mixed_table(&cells)
+            .with_column("flag", borg_query::Column::Bool(flag))
+            .unwrap();
+        for keys in [&[][..], &["k_s"], &["flag"], &["k_s", "flag"], &["flag", "k_s"]] {
+            let out = borg_query::groupby::group_by(&t, keys, &every_aggregate()).unwrap();
+            let want = naive_aggregates(&t, keys);
+            prop_assert!(same_bits(&out, &want), "keys {:?}\n{}\nvs\n{}", keys, out, want);
+        }
     }
 }
 
@@ -843,6 +966,142 @@ fn high_cardinality_numeric_keys_match_naive() {
             out.value(g, "d_f").unwrap(),
             Value::Int(distinct(rows, "w_f"))
         );
+    }
+}
+
+/// Label and bool keys over more than two blocks, with a label that first
+/// appears in the last block: the blocks' partials merge into the naive
+/// reference's groups, in its order, with every aggregate equal bit for
+/// bit (the float inputs are multiples of 0.25, so every sum is exact in
+/// any order), on one thread and on eight.
+#[test]
+fn label_keys_over_several_blocks_match_naive() {
+    use borg_query::parallel::{override_threads, BLOCK_ROWS};
+    let n = BLOCK_ROWS * 2 + 777;
+    let tiers = ["prod", "batch", "free", "mid", "beb"];
+    let events = [
+        "submit", "queue", "enable", "schedule", "evict", "fail", "finish", "kill", "lost",
+        "update",
+    ];
+    let mut t = Table::new(vec![
+        ("tier", DataType::Str),
+        ("event", DataType::Str),
+        ("flag", DataType::Bool),
+        ("v", DataType::Float),
+        ("w", DataType::Int),
+    ]);
+    t.reserve_rows(n);
+    let or_null = |null: bool, v: Value| if null { Value::Null } else { v };
+    for i in 0..n {
+        let event = if i >= BLOCK_ROWS * 2 && i % 3 == 0 {
+            "late"
+        } else {
+            events[(i / 3) % events.len()]
+        };
+        t.push_row(vec![
+            or_null(i % 13 == 0, Value::str(tiers[i % tiers.len()])),
+            or_null(i % 101 == 0, Value::str(event)),
+            or_null(i % 11 == 0, Value::Bool(i % 4 == 0)),
+            or_null(i % 17 == 0, Value::Float((i % 64) as f64 * 0.25 - 4.0)),
+            or_null(i % 19 == 0, Value::Int((i % 23) as i64)),
+        ])
+        .unwrap();
+    }
+    for keys in [&["tier", "event", "flag"][..], &["flag", "event"]] {
+        let want = naive_aggregates(&t, keys);
+        assert!(want.num_rows() > 30, "{} groups", want.num_rows());
+        for threads in [1, 8] {
+            override_threads(threads);
+            let out = borg_query::groupby::group_by(&t, keys, &every_aggregate()).unwrap();
+            override_threads(0);
+            assert!(same_bits(&out, &want), "keys {keys:?}, {threads} thread(s)");
+        }
+    }
+}
+
+/// A filter keeps its input's dictionary, so the label column of a
+/// filtered table holds codes that no row uses any more: here 3 of 40.
+/// Grouping it must still give the naive reference's groups, in order.
+#[test]
+fn label_keys_of_a_filtered_table_match_naive() {
+    let labels: Vec<String> = (0..40).map(|i| format!("l{i:02}")).collect();
+    let mut t = Table::new(vec![
+        ("k", DataType::Str),
+        ("flag", DataType::Bool),
+        ("v", DataType::Float),
+        ("w", DataType::Int),
+        ("slot", DataType::Int),
+    ]);
+    for i in 0..5000usize {
+        let k = if i % 29 == 0 {
+            Value::Null
+        } else {
+            Value::str(labels[(i * 7) % labels.len()].as_str())
+        };
+        let flag = if i % 7 == 0 {
+            Value::Null
+        } else {
+            Value::Bool(i % 3 == 0)
+        };
+        let v = if i % 5 == 0 {
+            Value::Null
+        } else {
+            Value::Float((i % 32) as f64 * 0.5 - 8.0)
+        };
+        t.push_row(vec![
+            k,
+            flag,
+            v,
+            Value::Int((i % 9) as i64),
+            Value::Int((i % 40) as i64),
+        ])
+        .unwrap();
+    }
+    let filtered = Query::from(t)
+        .filter(col("slot").lt(lit(3i64)))
+        .run()
+        .unwrap();
+    let k = filtered.column("k").unwrap().str_vec().unwrap();
+    let used: HashSet<u32> = k.codes().iter().copied().collect();
+    assert_eq!(k.dict_len(), 40);
+    assert_eq!(used.len(), 4, "three labels and null");
+    for keys in [&["k"][..], &["k", "flag"], &["flag", "k"]] {
+        let out = borg_query::groupby::group_by(&filtered, keys, &every_aggregate()).unwrap();
+        assert!(
+            same_bits(&out, &naive_aggregates(&filtered, keys)),
+            "keys {keys:?}"
+        );
+    }
+}
+
+/// One label key whose domain (its strings plus null) is 4096 slots, then
+/// 4097: the largest key set that indexes its groups directly and the
+/// smallest that hashes them. Both group like the naive reference.
+#[test]
+fn label_key_at_and_over_the_direct_bound_match_naive() {
+    for strings in [4095usize, 4096] {
+        let mut t = Table::new(vec![
+            ("k", DataType::Str),
+            ("v", DataType::Float),
+            ("w", DataType::Int),
+        ]);
+        for i in 0..strings * 3 {
+            let k = if i % 97 == 0 {
+                Value::Null
+            } else {
+                Value::str(format!("s{}", (i * 31) % strings))
+            };
+            let v = Value::Float((i % 16) as f64 * 0.25);
+            t.push_row(vec![k, v, Value::Int((i % 5) as i64)]).unwrap();
+        }
+        assert_eq!(
+            t.column("k").unwrap().str_vec().unwrap().dict_len(),
+            strings
+        );
+        let out = borg_query::groupby::group_by(&t, &["k"], &every_aggregate()).unwrap();
+        let want = naive_aggregates(&t, &["k"]);
+        assert_eq!(want.num_rows(), strings + 1);
+        assert!(same_bits(&out, &want), "{strings} strings");
     }
 }
 
