@@ -486,33 +486,112 @@ fn both_valid(l: Option<&[bool]>, r: Option<&[bool]>) -> Option<Vec<bool>> {
     }
 }
 
-/// Marks null every row `i` for which `null(i)` holds, creating the mask
-/// on the first.
-fn null_where(valid: &mut Option<Vec<bool>>, len: usize, null: impl Fn(usize) -> bool) {
-    if (0..len).any(&null) {
-        let mask = valid.get_or_insert_with(|| vec![true; len]);
-        for (i, ok) in mask.iter_mut().enumerate() {
-            *ok &= !null(i);
+/// Nulls every row whose divisor is zero (`nonzero` false), creating the
+/// mask on the first.
+fn null_where_zero(valid: &mut Option<Vec<bool>>, nonzero: Vec<bool>) {
+    if nonzero.contains(&false) {
+        match valid {
+            Some(mask) => mask.iter_mut().zip(nonzero).for_each(|(ok, nz)| *ok &= nz),
+            None => *valid = Some(nonzero),
         }
     }
 }
 
-/// Numeric per-row view of every value slot: ints widen to `f64`.
+/// One operand of a row kernel: a block's value slots, or a literal in
+/// every row. The kernels are generic over it and the `with_*` macros
+/// below match an operand's kind once per block, so each kernel's row
+/// loop is straight-line code.
+trait Operand<T>: Copy {
+    /// The first `len` rows' values.
+    fn rows(self, len: usize) -> impl Iterator<Item = T>;
+}
+
+impl<T: Copy> Operand<T> for &[T] {
+    fn rows(self, len: usize) -> impl Iterator<Item = T> {
+        self[..len].iter().copied()
+    }
+}
+
+/// A literal: the same value in every row.
+#[derive(Clone, Copy)]
+struct Splat<T>(T);
+
+impl<T: Copy> Operand<T> for Splat<T> {
+    fn rows(self, len: usize) -> impl Iterator<Item = T> {
+        std::iter::repeat_n(self.0, len)
+    }
+}
+
+/// An int block read as floats.
+#[derive(Clone, Copy)]
+struct Widened<'a>(&'a [i64]);
+
+impl Operand<f64> for Widened<'_> {
+    fn rows(self, len: usize) -> impl Iterator<Item = f64> {
+        self.0[..len].iter().map(|&x| x as f64)
+    }
+}
+
+/// A bool block and its validity mask, read as `(value, valid)`.
+#[derive(Clone, Copy)]
+struct Masked<'a>(&'a [bool], &'a [bool]);
+
+impl Operand<(bool, bool)> for Masked<'_> {
+    fn rows(self, len: usize) -> impl Iterator<Item = (bool, bool)> {
+        self.0[..len]
+            .iter()
+            .copied()
+            .zip(self.1[..len].iter().copied())
+    }
+}
+
+/// A bool block with no null, read as `(value, true)`.
+#[derive(Clone, Copy)]
+struct AllValid<'a>(&'a [bool]);
+
+impl Operand<(bool, bool)> for AllValid<'_> {
+    fn rows(self, len: usize) -> impl Iterator<Item = (bool, bool)> {
+        self.0[..len].iter().map(|&b| (b, true))
+    }
+}
+
+/// `f` over the two operands' rows, collected.
+#[inline]
+fn zip_rows<T, U, R, C: FromIterator<R>>(
+    len: usize,
+    a: impl Operand<T>,
+    b: impl Operand<U>,
+    mut f: impl FnMut(T, U) -> R,
+) -> C {
+    a.rows(len).zip(b.rows(len)).map(|(x, y)| f(x, y)).collect()
+}
+
+/// Numeric view of every value slot: ints widen to `f64`.
 enum NumView<'a> {
     Int(&'a [i64]),
     Float(&'a [f64]),
     Const(f64),
 }
 
-impl NumView<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            NumView::Int(v) => v[i] as f64,
-            NumView::Float(v) => v[i],
-            NumView::Const(x) => *x,
+/// Evaluates `$body` with `$x` bound to a [`NumView`] as an
+/// `Operand<f64>` of its kind; the body is compiled once per kind.
+macro_rules! with_num {
+    ($view:expr, |$x:ident| $body:expr) => {
+        match $view {
+            NumView::Int(v) => {
+                let $x = Widened(v);
+                $body
+            }
+            NumView::Float(v) => {
+                let $x = v;
+                $body
+            }
+            NumView::Const(c) => {
+                let $x = Splat(c);
+                $body
+            }
         }
-    }
+    };
 }
 
 /// Numeric view when the operand is statically numeric; `None` otherwise
@@ -527,21 +606,26 @@ fn num_view<'v>(v: &'v EvalVec<'_>) -> Option<NumView<'v>> {
     }
 }
 
-/// Integer per-row view of every value slot (for int-preserving
-/// arithmetic).
+/// Integer view of every value slot (for int-preserving arithmetic).
 enum IntView<'a> {
     Vec(&'a [i64]),
     Const(i64),
 }
 
-impl IntView<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> i64 {
-        match self {
-            IntView::Vec(v) => v[i],
-            IntView::Const(x) => *x,
+/// [`with_num`] for an [`IntView`], as an `Operand<i64>`.
+macro_rules! with_int {
+    ($view:expr, |$x:ident| $body:expr) => {
+        match $view {
+            IntView::Vec(v) => {
+                let $x = v;
+                $body
+            }
+            IntView::Const(c) => {
+                let $x = Splat(c);
+                $body
+            }
         }
-    }
+    };
 }
 
 fn int_view<'v>(v: &'v EvalVec<'_>) -> Option<IntView<'v>> {
@@ -552,24 +636,34 @@ fn int_view<'v>(v: &'v EvalVec<'_>) -> Option<IntView<'v>> {
     }
 }
 
-/// Boolean per-row view for `AND`/`OR`/`NOT` operands. Errors when the
-/// operand can produce a non-null non-boolean (matching the row-at-a-time
-/// semantics, where such a row errors regardless of the other operand).
+/// Boolean view for `AND`/`OR` operands. Errors when the operand can
+/// produce a non-null non-boolean (matching the row-at-a-time semantics,
+/// where such a row errors regardless of the other operand).
 enum BoolView<'a> {
     /// Values and validity.
     Vec(&'a [bool], Option<&'a [bool]>),
     Const(Option<bool>),
 }
 
-impl BoolView<'_> {
-    /// The row's value slot (`false` for a null) and whether it is valid.
-    #[inline]
-    fn get(&self, i: usize) -> (bool, bool) {
-        match self {
-            BoolView::Vec(v, valid) => (v[i], valid.is_none_or(|mask| mask[i])),
-            BoolView::Const(b) => (b.unwrap_or(false), b.is_some()),
+/// [`with_num`] for a [`BoolView`], as an `Operand<(bool, bool)>` of each
+/// row's value slot (`false` for a null) and validity.
+macro_rules! with_bool {
+    ($view:expr, |$x:ident| $body:expr) => {
+        match $view {
+            BoolView::Vec(v, Some(mask)) => {
+                let $x = Masked(v, mask);
+                $body
+            }
+            BoolView::Vec(v, None) => {
+                let $x = AllValid(v);
+                $body
+            }
+            BoolView::Const(b) => {
+                let $x = Splat((b.unwrap_or(false), b.is_some()));
+                $body
+            }
         }
-    }
+    };
 }
 
 fn bool_view<'v>(
@@ -778,27 +872,6 @@ fn generic_cmp<'a>(
     Ok(EvalVec::Bool(Cells::new(out)))
 }
 
-#[inline]
-fn int_arith(op: BinOp, x: i64, y: i64) -> i64 {
-    match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        _ => unreachable!("int arithmetic op"),
-    }
-}
-
-#[inline]
-fn float_arith(op: BinOp, x: f64, y: f64) -> f64 {
-    match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        BinOp::Div => x / y,
-        _ => unreachable!("arithmetic op"),
-    }
-}
-
 fn eval_binop_vec<'a>(
     op: BinOp,
     l: EvalVec<'a>,
@@ -816,17 +889,19 @@ fn eval_binop_vec<'a>(
             let rv = bool_view(&r, len, "and/or")?;
             // SQL three-valued logic, without a branch: a null's value
             // slot is `false`, so a value alone means "known true".
-            let mut values = Vec::with_capacity(len);
-            let mut valid = Vec::with_capacity(len);
-            for i in 0..len {
-                let ((a, a_ok), (b, b_ok)) = (lv.get(i), rv.get(i));
-                let (known_true, known_false) = match op {
-                    And => (a & b, (a_ok & !a) | (b_ok & !b)),
-                    _ => (a | b, a_ok & !a & b_ok & !b),
-                };
-                values.push(known_true);
-                valid.push(known_true | known_false);
-            }
+            let (values, valid): (Vec<bool>, Vec<bool>) = with_bool!(lv, |a| {
+                with_bool!(rv, |b| if op == And {
+                    zip_rows(len, a, b, |(x, x_ok), (y, y_ok): (bool, bool)| {
+                        let known_true = x & y;
+                        (known_true, known_true | (x_ok & !x) | (y_ok & !y))
+                    })
+                } else {
+                    zip_rows(len, a, b, |(x, x_ok), (y, y_ok): (bool, bool)| {
+                        let known_true = x | y;
+                        (known_true, known_true | (x_ok & !x & y_ok & !y))
+                    })
+                })
+            });
             Ok(EvalVec::Bool(Cells::computed(values, Some(valid))))
         }
         Add | Sub | Mul | Div => {
@@ -838,32 +913,39 @@ fn eval_binop_vec<'a>(
             if let (Some(a), Some(b)) = (int_view(&l), int_view(&r)) {
                 // Integer arithmetic stays integral except for division.
                 return Ok(if op == Div {
-                    null_where(&mut valid, len, |i| b.get(i) == 0);
-                    EvalVec::Float(Cells::computed(
-                        (0..len)
-                            .map(|i| a.get(i) as f64 / b.get(i) as f64)
-                            .collect(),
-                        valid,
-                    ))
+                    let (values, nonzero) = with_int!(a, |x| {
+                        with_int!(b, |y| zip_rows(len, x, y, |x: i64, y: i64| {
+                            (x as f64 / y as f64, y != 0)
+                        }))
+                    });
+                    null_where_zero(&mut valid, nonzero);
+                    EvalVec::Float(Cells::computed(values, valid))
                 } else {
-                    EvalVec::Int(Cells::computed(
-                        (0..len)
-                            .map(|i| int_arith(op, a.get(i), b.get(i)))
-                            .collect(),
-                        valid,
-                    ))
+                    let values = with_int!(a, |x| {
+                        with_int!(b, |y| match op {
+                            Add => zip_rows(len, x, y, i64::wrapping_add),
+                            Sub => zip_rows(len, x, y, i64::wrapping_sub),
+                            _ => zip_rows(len, x, y, i64::wrapping_mul),
+                        })
+                    });
+                    EvalVec::Int(Cells::computed(values, valid))
                 });
             }
             if let (Some(a), Some(b)) = (num_view(&l), num_view(&r)) {
-                if op == Div {
-                    null_where(&mut valid, len, |i| b.get(i) == 0.0);
-                }
-                return Ok(EvalVec::Float(Cells::computed(
-                    (0..len)
-                        .map(|i| float_arith(op, a.get(i), b.get(i)))
-                        .collect(),
-                    valid,
-                )));
+                let values = with_num!(a, |x| {
+                    with_num!(b, |y| match op {
+                        Add => zip_rows(len, x, y, |x: f64, y| x + y),
+                        Sub => zip_rows(len, x, y, |x: f64, y| x - y),
+                        Mul => zip_rows(len, x, y, |x: f64, y| x * y),
+                        _ => {
+                            let (values, nonzero) =
+                                zip_rows(len, x, y, |x: f64, y: f64| (x / y, y != 0.0));
+                            null_where_zero(&mut valid, nonzero);
+                            values
+                        }
+                    })
+                });
+                return Ok(EvalVec::Float(Cells::computed(values, valid)));
             }
             generic_arith(&l, &r, len)
         }
@@ -880,17 +962,31 @@ fn eval_binop_vec<'a>(
             }
             if let (Some(a), Some(b)) = (num_view(&l), num_view(&r)) {
                 let valid = both_valid(l.validity(), r.validity());
-                let mut out = Vec::with_capacity(len);
-                for i in 0..len {
-                    out.push(match a.get(i).partial_cmp(&b.get(i)) {
-                        Some(ord) => ord_matches(op, ord),
-                        // NaN comparisons error, as in the scalar path; a
-                        // null row compares nothing.
-                        None if valid.as_ref().is_none_or(|mask| mask[i]) => {
-                            return Err(incompatible("comparison", l.cell(i), r.cell(i)))
-                        }
-                        None => false,
-                    });
+                // The orderings `op` accepts; a NaN has none of them.
+                let [lt, eq, gt] = [Ordering::Less, Ordering::Equal, Ordering::Greater]
+                    .map(|o| ord_matches(op, o));
+                let mut any_nan = false;
+                // Exact `==` is what `partial_cmp` answering `Equal` means.
+                #[allow(clippy::float_cmp)]
+                let out = with_num!(a, |x| {
+                    with_num!(b, |y| zip_rows(len, x, y, |x: f64, y: f64| {
+                        any_nan |= x.is_nan() | y.is_nan();
+                        (lt & (x < y)) | (eq & (x == y)) | (gt & (x > y))
+                    }))
+                });
+                // NaN comparisons error, as in the scalar path; a null row
+                // compares nothing.
+                let is_nan = |c: Cell<'_>| c.as_f64().is_some_and(f64::is_nan);
+                let nan_row = any_nan
+                    .then(|| {
+                        (0..len).find(|&i| {
+                            valid.as_ref().is_none_or(|mask| mask[i])
+                                && (is_nan(l.cell(i)) || is_nan(r.cell(i)))
+                        })
+                    })
+                    .flatten();
+                if let Some(i) = nan_row {
+                    return Err(incompatible("comparison", l.cell(i), r.cell(i)));
                 }
                 return Ok(EvalVec::Bool(Cells::computed(out, valid)));
             }

@@ -2,10 +2,15 @@
 //!
 //! The implementation is columnar and partitioned:
 //!
-//! 1. Key columns are encoded once into flat `u64` vectors
+//! 1. Label keys (string and bool columns) whose combinations, null
+//!    included, number at most [`DIRECT_SLOTS`] index their groups
+//!    directly: a row's mixed-radix slot is read from its codes and
+//!    bools, and a per-block slot → group table numbers the groups. Any
+//!    other key set is encoded once into flat `u64` vectors
 //!    ([`crate::keys`]), so the per-row work is filling a fixed-width
 //!    `[u64]` buffer and one probe of a flat [`GroupTable`] — no
 //!    `Value`s, no `String` clones, no per-row or per-group allocation.
+//!    Both give a block the same groups, first rows and [`GroupTable`].
 //! 2. Aggregate state is columnar too: one dense vector per aggregate,
 //!    indexed by group, updated by one typed loop per aggregate over
 //!    the block's row → group ids.
@@ -20,9 +25,17 @@
 use crate::cast::code32;
 use crate::column::{Column, PrimVec};
 use crate::error::QueryError;
-use crate::keys::{encode_column, hash_key, EncodedCol, GroupTable};
+use crate::keys::{encode_column, hash_key, EncodedCol, GroupTable, LabelKey};
 use crate::parallel;
 use crate::table::Table;
+use std::ops::Range;
+
+/// The most key combinations a group-by indexes directly. Each block
+/// fills a `u32` slot → group table of this many entries: 16 KiB, which
+/// stays in the L1 cache beside the row loop and costs a block of
+/// [`parallel::BLOCK_ROWS`] rows well under 1% to reset. Every paper
+/// label set fits (tier × event type × a bool is under 300).
+pub const DIRECT_SLOTS: usize = 1 << 12;
 
 /// Aggregate function kinds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -525,19 +538,57 @@ impl Partial {
     }
 }
 
-fn aggregate_block(
-    rows: std::ops::Range<usize>,
+/// How pass 1 finds each row's group: chosen once per call from the key
+/// columns' types and dictionary sizes.
+enum GroupKeys<'a> {
+    /// Label keys whose combinations number `slots`, at most
+    /// [`DIRECT_SLOTS`].
+    Direct {
+        labels: Vec<LabelKey<'a>>,
+        slots: usize,
+    },
+    /// Every other key set, encoded once for hashing.
+    Hashed(Vec<EncodedCol>),
+}
+
+impl<'a> GroupKeys<'a> {
+    fn select(key_cols: &[&'a Column]) -> GroupKeys<'a> {
+        let mut slots = 1usize;
+        let labels = key_cols
+            .iter()
+            .map(|c| {
+                let label = LabelKey::of(c)?;
+                slots = slots
+                    .checked_mul(label.domain())
+                    .filter(|&s| s <= DIRECT_SLOTS)?;
+                Some(label)
+            })
+            .collect();
+        match labels {
+            Some(labels) => GroupKeys::Direct { labels, slots },
+            None => GroupKeys::Hashed(key_cols.iter().map(|c| encode_column(c)).collect()),
+        }
+    }
+
+    /// The counter name's path: `dense` or `hashed`.
+    fn path(&self) -> &'static str {
+        match self {
+            GroupKeys::Direct { .. } => "dense",
+            GroupKeys::Hashed(_) => "hashed",
+        }
+    }
+}
+
+/// Pass 1 over encoded keys: each row's key hashed and probed.
+fn hashed_groups(
+    rows: Range<usize>,
     encoded_keys: &[EncodedCol],
-    inputs: &[AggInput<'_>],
-    aggs: &[Agg],
-) -> Partial {
-    // Pass 1: the group of every row. Pass 2: one tight typed loop per
-    // aggregate over those group ids.
+) -> (GroupTable, Vec<u32>, Vec<u32>) {
     let mut groups = GroupTable::new(encoded_keys.len());
     let mut first_rows = Vec::new();
     let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
     let mut key_buf = vec![0u64; encoded_keys.len()];
-    for row in rows.clone() {
+    for row in rows {
         for (slot, e) in key_buf.iter_mut().zip(encoded_keys) {
             *slot = e.keys[row];
         }
@@ -547,6 +598,56 @@ fn aggregate_block(
         }
         gids.push(g);
     }
+    (groups, first_rows, gids)
+}
+
+/// Pass 1 over label keys: each row's mixed-radix slot, numbered by first
+/// appearance through a slot → group table. The groups' first rows alone
+/// fill the block's [`GroupTable`], with the keys the hashed pass gives
+/// them, so partials of either pass merge alike.
+fn direct_groups(
+    rows: Range<usize>,
+    labels: &[LabelKey<'_>],
+    slots: usize,
+) -> (GroupTable, Vec<u32>, Vec<u32>) {
+    const NONE: u32 = u32::MAX;
+    let mut gids = vec![0u32; rows.len()];
+    for label in labels {
+        label.push_digits(&mut gids, rows.start);
+    }
+    let mut group_of = vec![NONE; slots];
+    let mut first_rows = Vec::new();
+    for (row, g) in rows.zip(&mut gids) {
+        let group = &mut group_of[*g as usize];
+        if *group == NONE {
+            *group = code32(first_rows.len());
+            first_rows.push(code32(row));
+        }
+        *g = *group;
+    }
+    let mut groups = GroupTable::new(labels.len());
+    let mut key = vec![0u64; labels.len()];
+    for &row in &first_rows {
+        for (k, label) in key.iter_mut().zip(labels) {
+            *k = label.key(row as usize);
+        }
+        groups.find_or_insert(&key, hash_key(&key));
+    }
+    (groups, first_rows, gids)
+}
+
+fn aggregate_block(
+    rows: Range<usize>,
+    keys: &GroupKeys<'_>,
+    inputs: &[AggInput<'_>],
+    aggs: &[Agg],
+) -> Partial {
+    // Pass 1: the group of every row. Pass 2: one tight typed loop per
+    // aggregate over those group ids.
+    let (groups, first_rows, gids) = match keys {
+        GroupKeys::Direct { labels, slots } => direct_groups(rows.clone(), labels, *slots),
+        GroupKeys::Hashed(encoded_keys) => hashed_groups(rows.clone(), encoded_keys),
+    };
     let cols = aggs
         .iter()
         .zip(inputs)
@@ -570,20 +671,20 @@ fn aggregate_block(
 /// aggregate. Group order follows first appearance in the input. The
 /// result is deterministic and independent of the worker-thread count.
 pub fn group_by(table: &Table, keys: &[&str], aggs: &[Agg]) -> Result<Table, QueryError> {
-    group_by_cancel(table, keys, aggs, None)
+    group_by_cancel(table, keys, aggs, None).map(|(out, _)| out)
 }
 
 /// [`group_by`] with cooperative cancellation: the per-block partial
 /// aggregation re-checks `cancel` at every block boundary and the whole
 /// call returns [`QueryError::Cancelled`] once the token is set. An
 /// unset (or absent) token leaves the computation bit-identical to
-/// [`group_by`].
-pub fn group_by_cancel(
+/// [`group_by`]. Also returns pass 1's path, `dense` or `hashed`.
+pub(crate) fn group_by_cancel(
     table: &Table,
     keys: &[&str],
     aggs: &[Agg],
     cancel: Option<&crate::cancel::CancelToken>,
-) -> Result<Table, QueryError> {
+) -> Result<(Table, &'static str), QueryError> {
     // Resolve and validate columns up front.
     let key_cols: Vec<&Column> = keys
         .iter()
@@ -612,7 +713,7 @@ pub fn group_by_cancel(
         }
         inputs.push(input);
     }
-    let encoded_keys: Vec<EncodedCol> = key_cols.iter().map(|c| encode_column(c)).collect();
+    let group_keys = GroupKeys::select(&key_cols);
 
     // Per-block partial aggregation (parallel), merged in block order so
     // the result is bit-identical to the single-threaded run.
@@ -620,7 +721,7 @@ pub fn group_by_cancel(
         table.num_rows(),
         parallel::num_threads(),
         cancel,
-        |_, rows| aggregate_block(rows, &encoded_keys, &inputs, aggs),
+        |_, rows| aggregate_block(rows, &group_keys, &inputs, aggs),
     )?
     .into_iter();
     let mut merged = partials.next().unwrap_or_else(|| Partial {
@@ -646,7 +747,7 @@ pub fn group_by_cancel(
         debug_assert_eq!(col.len(), n_groups);
         out_cols.push((agg.output.clone(), col));
     }
-    Table::from_columns(out_cols)
+    Ok((Table::from_columns(out_cols)?, group_keys.path()))
 }
 
 #[cfg(test)]

@@ -18,6 +18,10 @@
 //! [`GroupTable`] is the one hash table those keys go into: group-by
 //! partials, the block-order merge, `COUNT(DISTINCT)` and the join build
 //! side all use it.
+//!
+//! A label key ([`LabelKey`]: a string or bool column) is also read
+//! straight from storage as a small digit, so a group-by on few labels
+//! can number its key combinations without encoding or hashing them.
 
 use crate::cast::code32;
 use crate::column::{Column, PrimVec};
@@ -85,6 +89,74 @@ pub fn encode_column(col: &Column) -> EncodedCol {
             null_key: STR_NULL,
         },
         Column::Bool(v) => encode(v, BOOL_NULL, u64::from),
+    }
+}
+
+/// A key column whose cells read as small digits straight from storage:
+/// a string column's dictionary codes (null is the digit `dict_len`) or a
+/// bool column (`false`, `true`, then null as 2).
+#[derive(Clone, Copy)]
+pub enum LabelKey<'a> {
+    /// The codes and the dictionary length, which is null's digit.
+    Str(&'a [u32], u32),
+    /// The bools.
+    Bool(&'a PrimVec<bool>),
+}
+
+impl<'a> LabelKey<'a> {
+    /// The column as a label key; `None` for a numeric column.
+    pub fn of(col: &'a Column) -> Option<LabelKey<'a>> {
+        match col {
+            Column::Str(v) => Some(LabelKey::Str(v.codes(), code32(v.dict_len()))),
+            Column::Bool(v) => Some(LabelKey::Bool(v)),
+            Column::Int(_) | Column::Float(_) => None,
+        }
+    }
+
+    /// How many digits a cell can read as, null's included.
+    pub fn domain(self) -> usize {
+        match self {
+            LabelKey::Str(_, null) => null as usize + 1,
+            LabelKey::Bool(_) => 3,
+        }
+    }
+
+    /// Appends the digit of row `start + i` to `slots[i]` in mixed radix:
+    /// `slots[i] * domain + digit`. The caller keeps the product of the
+    /// domains within `u32`.
+    pub fn push_digits(self, slots: &mut [u32], start: usize) {
+        match self {
+            LabelKey::Str(codes, null) => {
+                let radix = null + 1;
+                for (s, &c) in slots.iter_mut().zip(&codes[start..]) {
+                    *s = *s * radix + c.min(null);
+                }
+            }
+            LabelKey::Bool(v) => {
+                let values = &v.values()[start..];
+                match v.validity() {
+                    None => {
+                        for (s, &b) in slots.iter_mut().zip(values) {
+                            *s = *s * 3 + u32::from(b);
+                        }
+                    }
+                    Some(valid) => {
+                        for ((s, &b), &ok) in slots.iter_mut().zip(values).zip(&valid[start..]) {
+                            *s = *s * 3 + if ok { u32::from(b) } else { 2 };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The row's grouping key, as [`encode_column`] encodes it.
+    #[inline]
+    pub fn key(self, row: usize) -> u64 {
+        match self {
+            LabelKey::Str(codes, _) => u64::from(codes[row]),
+            LabelKey::Bool(v) => v.get(row).map_or(BOOL_NULL, u64::from),
+        }
     }
 }
 

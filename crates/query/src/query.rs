@@ -267,7 +267,16 @@ impl Query {
                 Step::Derive(name, expr) => crate::ops::derive(t, &name, &expr)?,
                 Step::GroupBy(keys, aggs) => {
                     let names: Vec<&str> = keys.iter().map(String::as_str).collect();
-                    crate::groupby::group_by_cancel(&t, &names, &aggs, cancel)?
+                    let (out, path) = crate::groupby::group_by_cancel(&t, &names, &aggs, cancel)?;
+                    if tel.is_enabled() {
+                        let blocks = rows_in.div_ceil(crate::parallel::BLOCK_ROWS as u64);
+                        tel.count(
+                            &format!("query.op.{name}.{path}_blocks"),
+                            Plane::Engine,
+                            blocks,
+                        );
+                    }
+                    out
                 }
                 Step::Sort(keys) => {
                     let pairs: Vec<(&str, SortOrder)> =

@@ -1074,12 +1074,15 @@ fn label_keys_of_a_filtered_table_match_naive() {
     }
 }
 
-/// One label key whose domain (its strings plus null) is 4096 slots, then
-/// 4097: the largest key set that indexes its groups directly and the
-/// smallest that hashes them. Both group like the naive reference.
+/// One label key whose domain (its strings plus null) is
+/// `DIRECT_SLOTS`, then one slot more: the largest key set that indexes
+/// its groups directly and the smallest that hashes them. Both group like
+/// the naive reference, and the plan's counters name the path each took.
 #[test]
 fn label_key_at_and_over_the_direct_bound_match_naive() {
-    for strings in [4095usize, 4096] {
+    use borg_query::groupby::DIRECT_SLOTS;
+    use borg_telemetry::Telemetry;
+    for (strings, path) in [(DIRECT_SLOTS - 1, "dense"), (DIRECT_SLOTS, "hashed")] {
         let mut t = Table::new(vec![
             ("k", DataType::Str),
             ("v", DataType::Float),
@@ -1098,10 +1101,23 @@ fn label_key_at_and_over_the_direct_bound_match_naive() {
             t.column("k").unwrap().str_vec().unwrap().dict_len(),
             strings
         );
-        let out = borg_query::groupby::group_by(&t, &["k"], &every_aggregate()).unwrap();
+        let mut tel = Telemetry::enabled();
+        let out = Query::from(t.clone())
+            .group_by(&["k"], every_aggregate())
+            .run_with(&mut tel)
+            .unwrap();
         let want = naive_aggregates(&t, &["k"]);
         assert_eq!(want.num_rows(), strings + 1);
         assert!(same_bits(&out, &want), "{strings} strings");
+        let blocks: Vec<(String, u64)> = tel
+            .snapshot()
+            .counters
+            .iter()
+            .filter(|c| c.name.ends_with("_blocks"))
+            .map(|c| (c.name.clone(), c.value))
+            .collect();
+        let want_blocks = vec![(format!("query.op.group_by.{path}_blocks"), 1)];
+        assert_eq!(blocks, want_blocks, "{strings} strings");
     }
 }
 
