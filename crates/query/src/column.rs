@@ -49,13 +49,6 @@ pub struct PrimVec<T> {
     valid: Option<Vec<bool>>,
 }
 
-/// The entries of `xs` whose `mask` entry is `true`; `kept` of them.
-fn keep<X: Copy>(xs: &[X], mask: &[bool], kept: usize) -> Vec<X> {
-    let mut out = Vec::with_capacity(kept);
-    out.extend(xs.iter().zip(mask).filter(|(_, &m)| m).map(|(&x, _)| x));
-    out
-}
-
 impl<T: Copy + Default> PrimVec<T> {
     /// An empty vector.
     pub fn new() -> PrimVec<T> {
@@ -172,16 +165,6 @@ impl<T: Copy + Default> PrimVec<T> {
     /// Iterates the rows as `Option<T>`.
     pub fn iter(&self) -> impl Iterator<Item = Option<T>> + '_ {
         (0..self.len()).map(move |row| self.get(row))
-    }
-
-    /// Rows selected by `mask` (same length; `true` keeps). Allocation is
-    /// sized exactly from the mask's population count.
-    pub(crate) fn filter(&self, mask: &[bool]) -> PrimVec<T> {
-        let kept = mask.iter().filter(|&&m| m).count();
-        PrimVec::from_zeroed(
-            keep(&self.values, mask, kept),
-            self.valid.as_ref().map(|v| keep(v, mask, kept)),
-        )
     }
 
     /// Rows rearranged to `indices` order; an out-of-range index (a left
@@ -382,17 +365,6 @@ impl Column {
         Ok(())
     }
 
-    /// A new column containing only the rows selected by `mask` (same
-    /// length as the column; `true` keeps).
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        match self {
-            Column::Int(v) => Column::Int(v.filter(mask)),
-            Column::Float(v) => Column::Float(v.filter(mask)),
-            Column::Str(v) => Column::Str(v.filter(mask)),
-            Column::Bool(v) => Column::Bool(v.filter(mask)),
-        }
-    }
-
     /// A new column with rows rearranged to `indices` order
     /// (out-of-range indices become null).
     pub fn take(&self, indices: &[u32]) -> Column {
@@ -456,14 +428,11 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_take() {
+    fn take_rearranges_rows() {
         let mut c = Column::empty(DataType::Int);
         for i in 0..5 {
             c.push(Value::Int(i), "x").unwrap();
         }
-        let f = c.filter(&[true, false, true, false, true]);
-        assert_eq!(f.len(), 3);
-        assert_eq!(f.get(2), Value::Int(4));
         let t = c.take(&[4, 0]);
         assert_eq!(t.get(0), Value::Int(4));
         assert_eq!(t.get(1), Value::Int(0));
@@ -481,8 +450,8 @@ mod tests {
         assert_eq!(sv.code(0), sv.code(2));
         assert_eq!(c.get(0), Value::str("prod"));
         assert_eq!(c.get(4), Value::Null);
-        // Filter shares the pool instead of cloning strings.
-        let f = c.filter(&[true, true, false, false, true]);
+        // A gather shares the pool instead of cloning strings.
+        let f = c.take(&[0, 1, 4]);
         assert_eq!(f.str_vec().unwrap().get(0), Some("prod"));
         assert!(f.str_vec().unwrap().same_dict(sv));
     }
@@ -566,20 +535,16 @@ mod tests {
     fn operators_that_leave_no_null_drop_the_mask() {
         let v = with_nulls();
         let plain = PrimVec::from(vec![7i64, 9]);
-        let filtered = v.filter(&[true, false, true, false]);
         let taken = v.take(&[0, 2]);
         let head = v.slice(0..1);
-        for (got, want) in [(&filtered, &plain), (&taken, &plain)] {
-            assert_eq!(got.validity(), None);
-            assert_eq!(got, want, "same cells, same bytes");
-        }
+        assert_eq!(taken.validity(), None);
+        assert_eq!(taken, plain, "same cells, same bytes");
         assert_eq!(head, PrimVec::from(vec![7i64]));
         let c = Column::Int(v);
         assert_eq!(c.head(1), Column::Int(PrimVec::from(vec![7])));
-        assert_eq!(
-            c.filter(&[true, false, true, false]),
-            Column::Int(plain.clone())
-        );
+        let t = crate::table::Table::from_columns(vec![("v", c.clone())]).unwrap();
+        let filtered = t.filter_rows(&[true, false, true, false]);
+        assert_eq!(filtered.column("v").unwrap(), &Column::Int(plain.clone()));
         assert_eq!(c.take(&[0, 2]), Column::Int(plain));
         // A kept null keeps the mask.
         assert_eq!(c.take(&[1]).get(0), Value::Null);

@@ -7,8 +7,8 @@
 //! stores one dense `u32` code per row, so:
 //!
 //! * group-by, join, and sort key comparisons operate on integer codes;
-//! * `filter`/`take` copy 4-byte codes and share the pool (no string
-//!   clones at all);
+//! * `take` copies 4-byte codes and shares the pool (no string clones
+//!   at all);
 //! * equality against a literal is one pool lookup plus a code scan.
 //!
 //! Null is represented by the reserved [`NULL_CODE`]: a code vector is
@@ -162,23 +162,6 @@ impl StrVec {
         })
     }
 
-    /// Rows selected by `mask`, sharing this pool (no string clones).
-    pub fn filter(&self, mask: &[bool]) -> StrVec {
-        let kept = mask.iter().filter(|&&m| m).count();
-        let mut codes = Vec::with_capacity(kept);
-        codes.extend(
-            self.codes
-                .iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(&c, _)| c),
-        );
-        StrVec {
-            dict: Arc::clone(&self.dict),
-            codes,
-        }
-    }
-
     /// The contiguous sub-range of rows, sharing this pool.
     pub fn slice(&self, range: std::ops::Range<usize>) -> StrVec {
         StrVec {
@@ -293,18 +276,13 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_take_share_pool() {
+    fn take_shares_pool() {
         let mut v = StrVec::new();
         for s in [Some("a"), Some("b"), None, Some("a")] {
             v.push(s);
         }
-        let f = v.filter(&[true, false, true, true]);
-        assert_eq!(f.len(), 3);
-        assert_eq!(f.get(0), Some("a"));
-        assert_eq!(f.get(1), None);
-        assert!(f.same_dict(&v));
-
         let t = v.take(&[3, 99, 1]);
+        assert!(t.same_dict(&v));
         assert_eq!(t.get(0), Some("a"));
         assert_eq!(t.get(1), None); // out of range → null
         assert_eq!(t.get(2), Some("b"));
