@@ -36,7 +36,7 @@ use crate::state::{EventType, InstanceState, StateMachine, TerminationKind};
 use crate::time::Micros;
 use crate::trace::Trace;
 use crate::usage::UsageRecord;
-use crate::validate::{capacities, known_collections, window_usage};
+use crate::validate::{known_collections, window_usage, Capacities};
 use std::collections::BTreeMap;
 
 /// Repair counts for one table.
@@ -795,7 +795,7 @@ fn repair_usage(trace: &mut Trace, report: &mut RepairReport) {
 /// never added, sized to the peak summed window usage seen on them so
 /// the capacity check cannot flag the reconstruction.
 fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
-    let known = capacities(&trace.machine_events);
+    let known = Capacities::of(&trace.machine_events);
     if known.is_empty() {
         // No capacity map at all: the capacity checks are vacuous and
         // there is nothing trustworthy to size a reconstruction from.
@@ -804,7 +804,7 @@ fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
     let unknown: Vec<_> = trace
         .usage
         .iter()
-        .filter(|rec| !known.contains_key(&rec.machine_id))
+        .filter(|rec| !known.contains(rec.machine_id))
         .collect();
     let mut caps: BTreeMap<MachineId, Resources> = BTreeMap::new();
     for ((machine, _), used) in window_usage(&unknown) {

@@ -16,7 +16,6 @@ use crate::state::EventType;
 use crate::time::Micros;
 use crate::trace::Trace;
 use crate::usage::UsageRecord;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One invariant violation found in a trace.
@@ -218,16 +217,38 @@ pub(crate) fn known_collections(events: &[CollectionEvent]) -> Vec<CollectionId>
     known
 }
 
-/// Each machine's capacity: the latest `Add` or `Update` wins; a removal
-/// leaves it (validation is a noise detector, not a re-simulation).
-pub(crate) fn capacities(events: &[MachineEvent]) -> BTreeMap<MachineId, Resources> {
-    let mut capacity = BTreeMap::new();
-    for e in events {
-        if e.event_type != MachineEventType::Remove {
-            capacity.insert(e.machine_id, e.capacity);
-        }
+/// Each machine's capacity, sorted by machine for binary search: the
+/// latest `Add` or `Update` wins; a removal leaves it (validation is a
+/// noise detector, not a re-simulation).
+pub(crate) struct Capacities(Vec<(MachineId, Resources)>);
+
+impl Capacities {
+    pub(crate) fn of(events: &[MachineEvent]) -> Capacities {
+        let mut caps: Vec<_> = events
+            .iter()
+            .filter(|e| e.event_type != MachineEventType::Remove)
+            .map(|e| (e.machine_id, e.capacity))
+            .collect();
+        // Reversed, the stable sort leaves each machine's latest event
+        // first in its run, and the dedup keeps the first.
+        caps.reverse();
+        caps.sort_by_key(|&(machine, _)| machine);
+        caps.dedup_by_key(|&mut (machine, _)| machine);
+        Capacities(caps)
     }
-    capacity
+
+    pub(crate) fn get(&self, machine: MachineId) -> Option<&Resources> {
+        let at = self.0.binary_search_by_key(&machine, |&(m, _)| m).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    pub(crate) fn contains(&self, machine: MachineId) -> bool {
+        self.get(machine).is_some()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// The summed `avg_usage` of each `(machine, window start)` in `records`,
@@ -246,7 +267,7 @@ pub(crate) fn window_usage(records: &[&UsageRecord]) -> Vec<((MachineId, Micros)
 }
 
 fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
-    let capacity = capacities(&trace.machine_events);
+    let capacity = Capacities::of(&trace.machine_events);
     // The records that count towards a (machine, window-start) sum.
     let mut windowed: Vec<&UsageRecord> = Vec::with_capacity(trace.usage.len());
     for rec in &trace.usage {
@@ -261,7 +282,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
                 instance: rec.instance_id,
             });
         }
-        if !capacity.contains_key(&rec.machine_id) && !capacity.is_empty() {
+        if !capacity.contains(rec.machine_id) && !capacity.is_empty() {
             out.push(Violation::UsageOnUnknownMachine {
                 machine: rec.machine_id,
             });
@@ -273,7 +294,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
         }
     }
     for ((machine, start), used) in window_usage(&windowed) {
-        if let Some(cap) = capacity.get(&machine) {
+        if let Some(cap) = capacity.get(machine) {
             if used.cpu > cap.cpu * CAPACITY_TOLERANCE {
                 out.push(Violation::MachineOverCapacity {
                     machine,
