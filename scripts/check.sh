@@ -37,10 +37,14 @@ Modes (at most one):
              (the first is drawn from the clock unless given, and
              printed). Per workload (default: all five) it prints the
              wall_s and setup_s medians with quartiles, the pairs this
-             checkout wins, the median gap against REV's interquartile
-             range, digest equality and failed checks; it fails on a
-             digest mismatch, a failed check, or a median more than
-             0.25 worse than REV's
+             checkout wins (ties count for neither), the median gap
+             against REV's interquartile range (IQR) and one verdict per
+             metric: gain (9 of 10 pairs won and the gap over REV's
+             IQR), worse (median more than 0.25 worse), unresolved
+             (either side's IQR over 0.25 of REV's median and not every
+             run of this checkout beating every run of REV) or no
+             change; then digest equality and failed checks. It fails
+             on a digest mismatch, a failed check or a worse metric
   --help     this text
 EOF
 }

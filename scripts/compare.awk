@@ -2,9 +2,16 @@
 # Input lines: side (parent|change), seed, wall_s, setup_s, fail_share,
 # digests; or side, seed, run-failed. Prints per metric the medians with
 # quartiles (linear between order statistics), the pairs the change wins
-# and the median gap against the parent's interquartile range, then the
-# digest and check tallies. Exits 1 on a failed run, a digest mismatch, a
-# failed check or a median more than 0.25 worse than the parent's.
+# (a tie counts for neither side) and the median gap against the
+# parent's interquartile range, then one verdict:
+#   gain        the change wins at least 9 of 10 pairs and the median gap
+#               exceeds the parent's IQR;
+#   worse       the change's median is more than 0.25 worse;
+#   unresolved  either side's IQR is wider than 0.25 of the parent's
+#               median, and not every change run beats every parent run;
+#   no change   otherwise.
+# Then the digest and check tallies. Exits 1 on a failed run, a digest
+# mismatch, a failed check or a worse metric.
 
 function sort_values(a, n,    i, j, t) {
     for (i = 2; i <= n; i++) {
@@ -62,10 +69,20 @@ END {
         printf "   %-8s parent %.4f [%.4f-%.4f]  change %.4f [%.4f-%.4f]  %+.1f%%  ahead %d of %d  gap %.4f, parent IQR %.4f\n", \
             metric, pm, quantile(p, n, 0.25), quantile(p, n, 0.75), \
             cm, quantile(c, n, 0.25), quantile(c, n, 0.75), 100 * worse, wins, n, pm - cm, iqr
+        spread = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+        if (quantile(c, n, 0.75) - quantile(c, n, 0.25) > spread)
+            spread = quantile(c, n, 0.75) - quantile(c, n, 0.25)
         if (worse > 0.25) {
-            printf "   %s is more than 0.25 worse than the parent's\n", metric
+            verdict = "worse"
             status = 1
+        } else if (wins >= 0.9 * n && pm - cm > iqr) {
+            verdict = "gain"
+        } else if (spread > 0.25 * pm && c[n] >= p[1]) {
+            verdict = "unresolved"
+        } else {
+            verdict = "no change"
         }
+        printf "   %-8s verdict: %s\n", metric, verdict
         delete p
         delete c
     }
