@@ -10,7 +10,7 @@
 //!    ([`crate::keys`]), so the per-row work is filling a fixed-width
 //!    `[u64]` buffer and one probe of a flat [`GroupTable`] — no
 //!    `Value`s, no `String` clones, no per-row or per-group allocation.
-//!    Both give a block the same groups, first rows and [`GroupTable`].
+//!    Both give a block the same groups, first rows and group table.
 //! 2. Aggregate state is columnar too: one dense vector per aggregate,
 //!    indexed by group, updated by one typed loop per aggregate over
 //!    the block's row → group ids.
@@ -31,10 +31,10 @@ use crate::table::Table;
 use std::ops::Range;
 
 /// The most key combinations a group-by indexes directly. Each block
-/// fills a `u32` slot → group table of this many entries: 16 KiB, which
-/// stays in the L1 cache beside the row loop and costs a block of
-/// [`parallel::BLOCK_ROWS`] rows well under 1% to reset. Every paper
-/// label set fits (tier × event type × a bool is under 300).
+/// resets a `u32` slot → group table of this many entries: 16 KiB, which
+/// stays in the L1 cache beside the row loop, one entry per 16 of a
+/// block's [`parallel::BLOCK_ROWS`] rows. Every paper label set fits
+/// (tier × event type × a bool is under 300 slots).
 pub const DIRECT_SLOTS: usize = 1 << 12;
 
 /// Aggregate function kinds.

@@ -804,7 +804,7 @@ fn backfill_machines(trace: &mut Trace, report: &mut RepairReport) {
     let unknown: Vec<_> = trace
         .usage
         .iter()
-        .filter(|rec| !known.contains(rec.machine_id))
+        .filter(|rec| known.get(rec.machine_id).is_none())
         .collect();
     let mut caps: BTreeMap<MachineId, Resources> = BTreeMap::new();
     for ((machine, _), used) in window_usage(&unknown) {

@@ -242,10 +242,6 @@ impl Capacities {
         Some(&self.0[at].1)
     }
 
-    pub(crate) fn contains(&self, machine: MachineId) -> bool {
-        self.get(machine).is_some()
-    }
-
     pub(crate) fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
@@ -282,7 +278,7 @@ fn check_usage(trace: &Trace, out: &mut Vec<Violation>) {
                 instance: rec.instance_id,
             });
         }
-        if !capacity.contains(rec.machine_id) && !capacity.is_empty() {
+        if capacity.get(rec.machine_id).is_none() && !capacity.is_empty() {
             out.push(Violation::UsageOnUnknownMachine {
                 machine: rec.machine_id,
             });
