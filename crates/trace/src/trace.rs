@@ -3,13 +3,13 @@
 use crate::collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, VerticalScalingMode,
 };
-use crate::instance::InstanceEvent;
+use crate::instance::{InstanceEvent, InstanceId};
 use crate::machine::{MachineEvent, MachineEventType};
 use crate::priority::{Priority, Tier};
 use crate::resources::Resources;
 use crate::state::EventType;
 use crate::time::{Micros, MICROS_PER_HOUR};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Which public trace format the bundle follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -258,6 +258,77 @@ impl Trace {
         out
     }
 
+    /// Machine failures: the machine `Remove` rows.
+    pub fn machine_failures(&self) -> u64 {
+        self.machine_events
+            .iter()
+            .filter(|e| e.event_type == MachineEventType::Remove)
+            .count() as u64
+    }
+
+    /// Machine repairs within the window: the machine `Add` rows after
+    /// time zero. The rows at zero are the initial fleet.
+    pub fn machine_repairs(&self) -> u64 {
+        self.machine_events
+            .iter()
+            .filter(|e| e.event_type == MachineEventType::Add && e.time > Micros::ZERO)
+            .count() as u64
+    }
+
+    /// Tasks that vanished with their machine: the job tasks' `Lost`
+    /// rows. An alloc instance is not a task, so its `Lost` row does not
+    /// count.
+    pub fn tasks_lost(&self) -> u64 {
+        let allocs = self.alloc_set_ids();
+        self.instance_events
+            .iter()
+            .filter(|e| {
+                e.event_type == EventType::Lost && !allocs.contains(&e.instance_id.collection)
+            })
+            .count() as u64
+    }
+
+    /// §5.1: what the alloc sets reserved, as (CPU, memory) · hours.
+    /// Each alloc instance is charged its request from its `Schedule`
+    /// row to its next terminal row, or to the horizon when it has none.
+    /// The sum runs in row order, the instances open at the horizon last
+    /// in id order.
+    pub fn alloc_set_hours(&self) -> Resources {
+        let allocs = self.alloc_set_ids();
+        // Each open instance's `Schedule` time and request.
+        let mut open: BTreeMap<InstanceId, (Micros, Resources)> = BTreeMap::new();
+        let mut hours = Resources::ZERO;
+        let mut charge = |from: Micros, to: Micros, request: Resources| {
+            hours += request * to.saturating_sub(from).as_hours_f64();
+        };
+        for e in &self.instance_events {
+            let scheduled = e.event_type == EventType::Schedule;
+            if !(scheduled || e.event_type.is_terminal())
+                || !allocs.contains(&e.instance_id.collection)
+            {
+                continue;
+            }
+            if scheduled {
+                open.insert(e.instance_id, (e.time, e.request));
+            } else if let Some((from, request)) = open.remove(&e.instance_id) {
+                charge(from, e.time, request);
+            }
+        }
+        for (from, request) in open.into_values() {
+            charge(from, self.horizon, request);
+        }
+        hours
+    }
+
+    /// The ids of the alloc-set collections.
+    fn alloc_set_ids(&self) -> HashSet<CollectionId> {
+        self.collection_events
+            .iter()
+            .filter(|e| e.collection_type == CollectionType::AllocSet)
+            .map(|e| e.collection_id)
+            .collect()
+    }
+
     /// One zero per started hour of `[0, horizon)`.
     fn hours(&self) -> Vec<u64> {
         vec![0; self.horizon.as_micros().div_ceil(MICROS_PER_HOUR) as usize]
@@ -491,6 +562,72 @@ mod tests {
         assert_eq!(trace.task_submits_per_hour(), (vec![1, 0], vec![1, 0]));
         assert_eq!(trace.job_submits_per_hour(), [1, 0]);
         assert_eq!(trace.evictions_by_collection(), BTreeMap::new());
+    }
+
+    fn remove_machine(trace: &mut Trace, id: u32, t: Micros) {
+        trace.machine_events.push(MachineEvent {
+            time: t,
+            machine_id: MachineId(id),
+            event_type: MachineEventType::Remove,
+            capacity: Resources::ZERO,
+            platform: Platform(0),
+        });
+    }
+
+    #[test]
+    fn initial_adds_at_time_zero_are_not_repairs() {
+        let mut trace = Trace::new("t", SchemaVersion::V3Trace2019, Micros::from_days(1));
+        add_machine(&mut trace, 0, 1.0, Micros::ZERO);
+        add_machine(&mut trace, 1, 1.0, Micros::ZERO);
+        remove_machine(&mut trace, 0, Micros::from_hours(2));
+        add_machine(&mut trace, 0, 1.0, Micros::from_hours(3));
+        assert_eq!(trace.machine_repairs(), 1);
+    }
+
+    #[test]
+    fn a_remove_with_no_later_add_is_a_failure_but_not_a_repair() {
+        let mut trace = Trace::new("t", SchemaVersion::V3Trace2019, Micros::from_days(1));
+        add_machine(&mut trace, 0, 1.0, Micros::ZERO);
+        remove_machine(&mut trace, 0, Micros::from_hours(2));
+        assert_eq!((trace.machine_failures(), trace.machine_repairs()), (1, 0));
+    }
+
+    #[test]
+    fn an_alloc_instance_lost_is_not_a_lost_task() {
+        use EventType as E;
+        let mut trace = trace_of(
+            &[(1, 0, E::Submit, 200), (9, 0, E::Submit, 200)],
+            &[
+                (1, 0, 10, E::Schedule),
+                (9, 0, 10, E::Schedule),
+                (1, 0, 60, E::Lost),
+                (9, 0, 60, E::Lost),
+            ],
+        );
+        trace.collection_events[1].collection_type = CollectionType::AllocSet;
+        assert_eq!(trace.tasks_lost(), 1);
+    }
+
+    #[test]
+    fn an_alloc_instance_placed_at_the_horizon_is_charged_up_to_the_horizon() {
+        use EventType as E;
+        // Alloc set 9 over a two-hour window: instance 0 reserves from
+        // 0:00 to its `Finish` at 0:30, instance 1 from 1:00 to the end.
+        let mut trace = trace_of(
+            &[(1, 0, E::Submit, 200), (9, 0, E::Submit, 200)],
+            &[
+                (9, 0, 0, E::Schedule),
+                (1, 0, 0, E::Schedule),
+                (9, 0, 1800, E::Finish),
+                (9, 1, 3600, E::Schedule),
+                (1, 0, 3600, E::Finish),
+            ],
+        );
+        trace.collection_events[1].collection_type = CollectionType::AllocSet;
+        for e in &mut trace.instance_events {
+            e.request = Resources::new(0.5, 0.25);
+        }
+        assert_eq!(trace.alloc_set_hours(), Resources::new(0.75, 0.375));
     }
 
     #[test]
