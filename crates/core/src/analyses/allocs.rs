@@ -60,8 +60,9 @@ pub fn alloc_stats(outcomes: &[&CellOutcome]) -> AllocStats {
                 }
             }
         }
-        alloc_cpu_hours += outcome.metrics.alloc_set_cpu_hours;
-        alloc_mem_hours += outcome.metrics.alloc_set_mem_hours;
+        let reserved = outcome.trace.alloc_set_hours();
+        alloc_cpu_hours += reserved.cpu;
+        alloc_mem_hours += reserved.mem;
         for series in outcome.metrics.tiers.values() {
             // Bucket totals are resource·µs; convert to resource·hours.
             let us_per_hour = borg_trace::time::MICROS_PER_HOUR as f64;

@@ -34,9 +34,10 @@ pub fn hourly_fractions(
     q: Quantity,
     d: Dimension,
 ) -> BTreeMap<Tier, Vec<f64>> {
+    let capacity = outcome.trace.nominal_capacity();
     let capacity = match d {
-        Dimension::Cpu => outcome.metrics.capacity.cpu,
-        Dimension::Memory => outcome.metrics.capacity.mem,
+        Dimension::Cpu => capacity.cpu,
+        Dimension::Memory => capacity.mem,
     };
     outcome
         .metrics

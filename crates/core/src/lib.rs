@@ -16,7 +16,7 @@
 //! use borg_workload::cells::CellProfile;
 //!
 //! let outcome = simulate_cell(&CellProfile::cell_2019('a'), SimScale::tiny(), 7);
-//! let util = outcome.metrics.average_cpu_util_by_tier();
+//! let util = outcome.average_cpu_util_by_tier();
 //! assert!(!util.is_empty());
 //! ```
 

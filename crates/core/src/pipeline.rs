@@ -250,17 +250,37 @@ mod tests {
         assert_eq!(outcome.metrics.cell_name, "2011");
     }
 
+    /// Failures leave `Remove` rows that alternate with each machine's
+    /// `Add` rows, and a job task is lost only when a machine goes.
     #[test]
     fn faulty_simulation_emits_machine_removes() {
+        use borg_trace::collection::CollectionType;
+        use borg_trace::machine::MachineEventType as M;
+        use borg_trace::state::EventType;
         let outcome = simulate_cell_faulty(&CellProfile::cell_2019('a'), SimScale::Tiny, 13);
-        assert!(outcome.metrics.machine_failures > 0, "no failures injected");
-        let removes = outcome
-            .trace
-            .machine_events
-            .iter()
-            .filter(|e| e.event_type == borg_trace::machine::MachineEventType::Remove)
-            .count();
-        assert!(removes > 0, "failures left no Remove events in the trace");
+        let trace = &outcome.trace;
+        assert!(trace.machine_failures() > 0, "no failures injected");
+        let mut up = std::collections::BTreeMap::new();
+        let mut removed_at = std::collections::BTreeSet::new();
+        for e in &trace.machine_events {
+            let out_of_turn = match e.event_type {
+                M::Add => up.insert(e.machine_id, true) == Some(true),
+                M::Remove => up.insert(e.machine_id, false) != Some(true),
+                M::Update => continue,
+            };
+            assert!(!out_of_turn, "{e:?} does not alternate");
+            if e.event_type == M::Remove {
+                removed_at.insert(e.time);
+            }
+        }
+        let collections = trace.collections();
+        let lost = trace.instance_events.iter().filter(|e| {
+            e.event_type == EventType::Lost
+                && collections[&e.instance_id.collection].collection_type == CollectionType::Job
+        });
+        for e in lost {
+            assert!(removed_at.contains(&e.time), "{e:?}: no machine went then");
+        }
     }
 
     #[test]

@@ -55,9 +55,9 @@ fn main() {
         println!(
             "  {:>10.1} {:>9} {:>9} {:>6} {:>22}",
             rate,
-            o.metrics.machine_failures,
-            o.metrics.machine_repairs,
-            o.metrics.tasks_lost,
+            o.trace.machine_failures(),
+            o.trace.machine_repairs(),
+            o.trace.tasks_lost(),
             causes.join(" ")
         );
         let v = validate(&o.trace);

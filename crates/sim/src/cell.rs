@@ -169,6 +169,8 @@ pub struct CellSim<'a> {
     /// Requested resources of admitted-but-unfinished best-effort batch
     /// jobs: the batch scheduler's admission-control state.
     beb_outstanding: Resources,
+    /// The fleet's nominal capacity, the batch admission bound's scale.
+    capacity: Resources,
     trace: Trace,
     metrics: SimMetrics,
     rng: StdRng,
@@ -238,7 +240,7 @@ impl<'a> CellSim<'a> {
         trace.machine_events = machine_events;
 
         let reporting_tiers: Vec<Tier> = profile.tiers.iter().map(|t| tier_key(t.tier)).collect();
-        let metrics = SimMetrics::new(&profile.name, cfg.horizon, capacity, &reporting_tiers);
+        let metrics = SimMetrics::new(&profile.name, cfg.horizon, &reporting_tiers);
 
         let index = ShardedPlacement::new(&machines, cfg.effective_shards(machines.len()));
         // The injector owns an independent RNG stream: enabling faults
@@ -271,6 +273,7 @@ impl<'a> CellSim<'a> {
             last_dispatched_job: None,
             scratch: TickScratch::default(),
             beb_outstanding: Resources::ZERO,
+            capacity,
             trace,
             metrics,
             rng,
@@ -593,26 +596,19 @@ impl<'a> CellSim<'a> {
                 }
             }
         }
-        for a in 0..self.allocs.len() {
-            if self.allocs[a].active {
-                let size = self.allocs[a].spec.instance_size;
-                for i in 0..self.allocs[a].instances.len() {
-                    if let Some(_mi) = self.allocs[a].instances[i].machine {
-                        let placed = self.allocs[a].instances[i].placed_at;
-                        let hours = (self.now - placed).as_hours_f64();
-                        self.metrics.alloc_set_cpu_hours += size.cpu * hours;
-                        self.metrics.alloc_set_mem_hours += size.mem * hours;
-                        self.metrics
-                            .add_allocation(Tier::Production, placed, self.now, size);
-                    }
-                }
+        for alloc in self.allocs.iter().filter(|a| a.active) {
+            let size = alloc.spec.instance_size;
+            for inst in alloc.instances.iter().filter(|i| i.machine.is_some()) {
+                self.metrics
+                    .add_allocation(Tier::Production, inst.placed_at, self.now, size);
             }
         }
         self.trace.sort();
     }
 
-    /// Re-exports the end-of-run [`SimMetrics`] tallies and the
-    /// placement-index counters as telemetry counters, so a single
+    /// Re-exports the end-of-run [`SimMetrics`] tallies, the counts of
+    /// the trace's rows and the placement-index counters as telemetry
+    /// counters, so a single
     /// snapshot answers both "where did the time go" and "what did the
     /// scheduler do". Simulation-state tallies are deterministic-plane;
     /// index internals are engine-plane (legitimately different between
@@ -626,9 +622,9 @@ impl<'a> CellSim<'a> {
         let t = &self.trace;
         let scalars: [(&str, u64); 10] = [
             ("sim.metrics.preemptions", m.preemptions),
-            ("sim.metrics.machine_failures", m.machine_failures),
-            ("sim.metrics.machine_repairs", m.machine_repairs),
-            ("sim.metrics.tasks_lost", m.tasks_lost),
+            ("sim.metrics.machine_failures", t.machine_failures()),
+            ("sim.metrics.machine_repairs", t.machine_repairs()),
+            ("sim.metrics.tasks_lost", t.tasks_lost()),
             // Every row is one Figure 7 transition of a legal trace.
             (
                 "sim.metrics.transitions.collection",

@@ -70,7 +70,6 @@ impl CellSim<'_> {
     /// can place onto it), a `Remove` is recorded, and the repair is
     /// scheduled.
     fn fail_machine(&mut self, m: usize, inj: &mut FaultInjector) {
-        self.metrics.machine_failures += 1;
         inj.begin_failure(m, self.machines[m].capacity);
 
         // Resident tasks: a configured fraction vanish (`Lost` — the
@@ -92,7 +91,6 @@ impl CellSim<'_> {
                 self.free_task(j, t);
                 self.emit_task(j, t, EventType::Lost, None);
                 self.jobs[j].tasks[t].state = TaskState::Dead;
-                self.metrics.tasks_lost += 1;
             } else {
                 self.evict_task_cause(j, t, "machine-failure");
             }
@@ -110,9 +108,6 @@ impl CellSim<'_> {
                 self.release_occupant(m, usize::MAX - a, i);
                 let placed = self.allocs[a].instances[i].placed_at;
                 let size = self.allocs[a].spec.instance_size;
-                let hours = (self.now - placed).as_hours_f64();
-                self.metrics.alloc_set_cpu_hours += size.cpu * hours;
-                self.metrics.alloc_set_mem_hours += size.mem * hours;
                 self.metrics
                     .add_allocation(Tier::Production, placed, self.now, size);
                 self.emit_alloc_instance(a, i, EventType::Lost);
@@ -149,7 +144,6 @@ impl CellSim<'_> {
                 cap,
                 inj.platform(machine),
             ));
-            self.metrics.machine_repairs += 1;
             let next = self.now + inj.sample_failure_gap();
             let epoch = inj.epoch(machine);
             self.queue.push(next, Ev::MachineFail { machine, epoch });

@@ -251,10 +251,7 @@ impl CellSim<'_> {
             if let Some(mi) = self.allocs[alloc].instances[i].machine.take() {
                 self.release_occupant(mi, usize::MAX - alloc, i);
                 let placed = self.allocs[alloc].instances[i].placed_at;
-                let hours = (self.now - placed).as_hours_f64();
                 let size = self.allocs[alloc].spec.instance_size;
-                self.metrics.alloc_set_cpu_hours += size.cpu * hours;
-                self.metrics.alloc_set_mem_hours += size.mem * hours;
                 // Alloc reservations count as production-tier allocation.
                 self.metrics
                     .add_allocation(Tier::Production, placed, self.now, size);
@@ -282,8 +279,8 @@ impl CellSim<'_> {
             .tier(Tier::BestEffortBatch)
             .map(|t| {
                 (
-                    t.target_cpu_util / t.cpu_fill * self.metrics.capacity.cpu * 1.15,
-                    t.target_mem_util / t.mem_fill * self.metrics.capacity.mem * 1.15,
+                    t.target_cpu_util / t.cpu_fill * self.capacity.cpu * 1.15,
+                    t.target_mem_util / t.mem_fill * self.capacity.mem * 1.15,
                 )
             })
             .unwrap_or((f64::INFINITY, f64::INFINITY));

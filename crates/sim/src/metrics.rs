@@ -10,7 +10,10 @@
 //! index stats. Everything the event tables determine is counted from
 //! them instead: Figure 7 (`borg_trace::count_transitions`), Figures 8–10
 //! and §5.2 (`Trace::job_submits_per_hour`, `task_submits_per_hour`,
-//! `scheduling_delays`, `evictions_by_collection`).
+//! `scheduling_delays`, `evictions_by_collection`), machine failures,
+//! repairs and lost tasks (`Trace::machine_failures`, `machine_repairs`,
+//! `tasks_lost`), the §5.1 alloc-set hours (`Trace::alloc_set_hours`) and
+//! the capacity every fraction is taken of (`Trace::nominal_capacity`).
 
 use borg_analysis::timeseries::HourBuckets;
 use borg_trace::collection::VerticalScalingMode;
@@ -94,12 +97,9 @@ impl FillStats {
 /// All metric accumulators for one simulated cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimMetrics {
-    /// Cell name.
+    /// Cell name. Stays only because the benchmark's paper workload
+    /// names it; the trace carries it as `Trace::cell_name`.
     pub cell_name: String,
-    /// Observation window.
-    pub horizon: Micros,
-    /// Total cell capacity.
-    pub capacity: Resources,
     /// Per-tier hourly usage/allocation (Figures 2–5).
     pub tiers: BTreeMap<Tier, TierSeries>,
     /// Job submissions per hour. Figure 8 counts the trace's rows
@@ -121,17 +121,6 @@ pub struct SimMetrics {
     /// Evictions by cause ("maintenance", "overcommit", "preemption",
     /// "alloc_teardown").
     pub evictions_by_cause: BTreeMap<&'static str, u64>,
-    /// Alloc-set reserved CPU·hours (for the §5.1 20%-of-allocation stat).
-    pub alloc_set_cpu_hours: f64,
-    /// Alloc-set reserved memory·hours.
-    pub alloc_set_mem_hours: f64,
-    /// Injected machine failures (zero unless fault injection is on).
-    pub machine_failures: u64,
-    /// Machine repairs completed within the horizon.
-    pub machine_repairs: u64,
-    /// Tasks that vanished (`Lost`) with their machine and were never
-    /// resubmitted.
-    pub tasks_lost: u64,
     /// Placement-index hit/miss/scan counters (zero when the index is
     /// disabled).
     pub index: crate::index::IndexStats,
@@ -142,16 +131,9 @@ const MAX_SLACK_SAMPLES: usize = 400_000;
 
 impl SimMetrics {
     /// Fresh accumulators for a cell.
-    pub fn new(
-        cell_name: &str,
-        horizon: Micros,
-        capacity: Resources,
-        tiers: &[Tier],
-    ) -> SimMetrics {
+    pub fn new(cell_name: &str, horizon: Micros, tiers: &[Tier]) -> SimMetrics {
         SimMetrics {
             cell_name: cell_name.to_string(),
-            horizon,
-            capacity,
             tiers: tiers
                 .iter()
                 .map(|&t| (t, TierSeries::new(horizon)))
@@ -164,11 +146,6 @@ impl SimMetrics {
             preemptions: 0,
             stalls_by_tier: BTreeMap::new(),
             evictions_by_cause: BTreeMap::new(),
-            alloc_set_cpu_hours: 0.0,
-            alloc_set_mem_hours: 0.0,
-            machine_failures: 0,
-            machine_repairs: 0,
-            tasks_lost: 0,
             index: crate::index::IndexStats::default(),
         }
     }
@@ -217,27 +194,31 @@ impl SimMetrics {
             self.slack.push(SlackSample { mode, slack });
         }
     }
-
-    /// The average utilization (fraction of capacity) per tier for CPU —
-    /// the Figure 3 bars.
-    pub fn average_cpu_util_by_tier(&self) -> BTreeMap<Tier, f64> {
-        self.tiers
-            .iter()
-            .map(|(&t, s)| (t, s.usage_cpu.overall_average_rate() / self.capacity.cpu))
-            .collect()
-    }
-
-    /// The average allocation (fraction of capacity) per tier for CPU —
-    /// the Figure 5 bars.
-    pub fn average_cpu_alloc_by_tier(&self) -> BTreeMap<Tier, f64> {
-        self.tiers
-            .iter()
-            .map(|(&t, s)| (t, s.alloc_cpu.overall_average_rate() / self.capacity.cpu))
-            .collect()
-    }
 }
 
 impl crate::CellOutcome {
+    /// The average utilization (fraction of the trace's nominal CPU
+    /// capacity) per tier — the Figure 3 bars.
+    pub fn average_cpu_util_by_tier(&self) -> BTreeMap<Tier, f64> {
+        let cpu = self.trace.nominal_capacity().cpu;
+        self.metrics
+            .tiers
+            .iter()
+            .map(|(&t, s)| (t, s.usage_cpu.overall_average_rate() / cpu))
+            .collect()
+    }
+
+    /// The average allocation (fraction of the trace's nominal CPU
+    /// capacity) per tier — the Figure 5 bars.
+    pub fn average_cpu_alloc_by_tier(&self) -> BTreeMap<Tier, f64> {
+        let cpu = self.trace.nominal_capacity().cpu;
+        self.metrics
+            .tiers
+            .iter()
+            .map(|(&t, s)| (t, s.alloc_cpu.overall_average_rate() / cpu))
+            .collect()
+    }
+
     /// An "explainable scheduling" report (research direction #1 of §10):
     /// a human-readable account of what the scheduler did and why work
     /// waited — placements (the trace's `Schedule` rows), stalls per tier,
@@ -245,10 +226,10 @@ impl crate::CellOutcome {
     pub fn explain_scheduling(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let (m, t) = (&self.metrics, &self.trace);
         let schedule = borg_trace::state::EventType::Schedule;
-        let events = &self.trace.instance_events;
+        let events = &t.instance_events;
         let placements = events.iter().filter(|e| e.event_type == schedule).count();
-        let m = &self.metrics;
         writeln!(out, "scheduling report for cell {}", m.cell_name).ok();
         writeln!(out, "  placements: {placements}").ok();
         writeln!(out, "  preemptions by production work: {}", m.preemptions).ok();
@@ -272,13 +253,15 @@ impl crate::CellOutcome {
                 writeln!(out, "    {cause:>14}: {n}").ok();
             }
         }
-        let affected = self.trace.evictions_by_collection().len();
+        let affected = t.evictions_by_collection().len();
         writeln!(out, "  collections touched by eviction: {affected}").ok();
-        if m.machine_failures > 0 {
+        let failures = t.machine_failures();
+        if failures > 0 {
             writeln!(
                 out,
-                "  machine failures: {} ({} repaired in-window, {} tasks lost)",
-                m.machine_failures, m.machine_repairs, m.tasks_lost
+                "  machine failures: {failures} ({} repaired in-window, {} tasks lost)",
+                t.machine_repairs(),
+                t.tasks_lost()
             )
             .ok();
         }
@@ -318,12 +301,25 @@ mod tests {
     use super::*;
 
     fn metrics() -> SimMetrics {
-        SimMetrics::new(
-            "t",
-            Micros::from_hours(2),
+        SimMetrics::new("t", Micros::from_hours(2), &Tier::REPORTING)
+    }
+
+    /// `m` with a trace of one machine of capacity 10 from time zero.
+    fn outcome(metrics: SimMetrics) -> crate::CellOutcome {
+        use borg_trace::machine::{MachineEvent, MachineId, Platform};
+        use borg_trace::trace::{SchemaVersion, Trace};
+        let mut trace = Trace::new("t", SchemaVersion::V3Trace2019, Micros::from_hours(2));
+        trace.machine_events.push(MachineEvent::add(
+            Micros::ZERO,
+            MachineId(0),
             Resources::new(10.0, 10.0),
-            &Tier::REPORTING,
-        )
+            Platform(0),
+        ));
+        crate::CellOutcome {
+            trace,
+            metrics,
+            telemetry: Default::default(),
+        }
     }
 
     #[test]
@@ -335,7 +331,7 @@ mod tests {
             Micros::from_hours(2),
             Resources::new(5.0, 2.0),
         );
-        let util = m.average_cpu_util_by_tier();
+        let util = outcome(m).average_cpu_util_by_tier();
         assert!((util[&Tier::Production] - 0.5).abs() < 1e-12);
         assert_eq!(util[&Tier::Free], 0.0);
     }
@@ -349,7 +345,7 @@ mod tests {
             Micros::from_hours(2),
             Resources::new(1.0, 1.0),
         );
-        assert!(m.average_cpu_util_by_tier()[&Tier::Production] > 0.0);
+        assert!(outcome(m).average_cpu_util_by_tier()[&Tier::Production] > 0.0);
     }
 
     #[test]
@@ -361,10 +357,11 @@ mod tests {
             Micros::from_hours(1),
             Resources::new(4.0, 4.0),
         );
-        let alloc = m.average_cpu_alloc_by_tier();
+        let o = outcome(m);
+        let alloc = o.average_cpu_alloc_by_tier();
         // 4 NCU for 1 of 2 hours = 2 NCU average = 0.2 of capacity.
         assert!((alloc[&Tier::BestEffortBatch] - 0.2).abs() < 1e-12);
-        assert_eq!(m.average_cpu_util_by_tier()[&Tier::BestEffortBatch], 0.0);
+        assert_eq!(o.average_cpu_util_by_tier()[&Tier::BestEffortBatch], 0.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn week_outcome(_seed: u64) -> &'static borg_sim::CellOutcome {
 fn utilization_emerges_near_profile_targets() {
     let outcome = week_outcome(12);
     let profile = CellProfile::cell_2019('d');
-    let util = outcome.metrics.average_cpu_util_by_tier();
+    let util = outcome.average_cpu_util_by_tier();
     let total: f64 = util.values().sum();
     let target: f64 = profile.tiers.iter().map(|t| t.target_cpu_util).sum();
     assert!(
@@ -39,8 +39,8 @@ fn utilization_emerges_near_profile_targets() {
 #[test]
 fn allocation_exceeds_usage_overcommit() {
     let outcome = week_outcome(13);
-    let util: f64 = outcome.metrics.average_cpu_util_by_tier().values().sum();
-    let alloc: f64 = outcome.metrics.average_cpu_alloc_by_tier().values().sum();
+    let util: f64 = outcome.average_cpu_util_by_tier().values().sum();
+    let alloc: f64 = outcome.average_cpu_alloc_by_tier().values().sum();
     assert!(
         alloc > util * 1.5,
         "allocation {alloc:.3} should far exceed usage {util:.3}"

@@ -87,7 +87,7 @@ fn usage_conservation_against_trace_integral() {
         .sum::<f64>()
         / borg_trace::time::MICROS_PER_HOUR as f64;
     // Usage must be positive and below the physical ceiling.
-    let ceiling = o.metrics.capacity.cpu * 24.0;
+    let ceiling = o.trace.nominal_capacity().cpu * 24.0;
     assert!(metrics_total > 0.0);
     assert!(
         metrics_total < ceiling,

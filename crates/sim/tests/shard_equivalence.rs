@@ -65,14 +65,6 @@ fn check_shard_sweep(profile: &CellProfile, cfg: &SimConfig, label: &str) {
             baseline.metrics.evictions_by_cause, sharded.metrics.evictions_by_cause,
             "{label}: eviction causes diverge"
         );
-        assert_eq!(
-            baseline.metrics.machine_failures, sharded.metrics.machine_failures,
-            "{label}: machine failures diverge"
-        );
-        assert_eq!(
-            baseline.metrics.tasks_lost, sharded.metrics.tasks_lost,
-            "{label}: lost tasks diverge"
-        );
         // The sharded run must actually have consulted its index.
         let ix = sharded.metrics.index;
         assert!(

@@ -288,19 +288,14 @@ impl Trace {
             .count() as u64
     }
 
-    /// §5.1: what the alloc sets reserved, as (CPU, memory) · hours.
-    /// Each alloc instance is charged its request from its `Schedule`
-    /// row to its next terminal row, or to the horizon when it has none.
-    /// The sum runs in row order, the instances open at the horizon last
-    /// in id order.
+    /// §5.1: what the alloc sets reserved, as (CPU, memory) · hours: each
+    /// alloc instance's request from its `Schedule` row to its next
+    /// terminal row, or to the horizon. Summed in row order, the
+    /// instances open at the horizon last, in id order.
     pub fn alloc_set_hours(&self) -> Resources {
         let allocs = self.alloc_set_ids();
-        // Each open instance's `Schedule` time and request.
         let mut open: BTreeMap<InstanceId, (Micros, Resources)> = BTreeMap::new();
         let mut hours = Resources::ZERO;
-        let mut charge = |from: Micros, to: Micros, request: Resources| {
-            hours += request * to.saturating_sub(from).as_hours_f64();
-        };
         for e in &self.instance_events {
             let scheduled = e.event_type == EventType::Schedule;
             if !(scheduled || e.event_type.is_terminal())
@@ -311,11 +306,11 @@ impl Trace {
             if scheduled {
                 open.insert(e.instance_id, (e.time, e.request));
             } else if let Some((from, request)) = open.remove(&e.instance_id) {
-                charge(from, e.time, request);
+                hours += request * e.time.saturating_sub(from).as_hours_f64();
             }
         }
         for (from, request) in open.into_values() {
-            charge(from, self.horizon, request);
+            hours += request * self.horizon.saturating_sub(from).as_hours_f64();
         }
         hours
     }

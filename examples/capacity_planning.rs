@@ -37,8 +37,8 @@ fn main() {
         cfg.snapshot_at = Micros::from_days(1);
         let outcome = CellSim::run_cell(&profile, &cfg);
 
-        let util: f64 = outcome.metrics.average_cpu_util_by_tier().values().sum();
-        let alloc: f64 = outcome.metrics.average_cpu_alloc_by_tier().values().sum();
+        let util: f64 = outcome.average_cpu_util_by_tier().values().sum();
+        let alloc: f64 = outcome.average_cpu_alloc_by_tier().values().sum();
         let mut delays: Vec<f64> = outcome
             .trace
             .scheduling_delays()

@@ -29,11 +29,11 @@ fn main() {
 
     // 4. Pre-aggregated metrics answer the paper's questions directly.
     println!("\naverage CPU utilization by tier (fraction of cell capacity):");
-    for (tier, util) in outcome.metrics.average_cpu_util_by_tier() {
+    for (tier, util) in outcome.average_cpu_util_by_tier() {
         println!("  {tier:>5}: {util:.3}");
     }
     println!("\naverage CPU allocation by tier (over-commitment!):");
-    for (tier, alloc) in outcome.metrics.average_cpu_alloc_by_tier() {
+    for (tier, alloc) in outcome.average_cpu_alloc_by_tier() {
         println!("  {tier:>5}: {alloc:.3}");
     }
 

@@ -44,7 +44,10 @@ Modes (at most one):
              (either side's IQR over 0.25 of REV's median and not every
              run of this checkout beating every run of REV) or no
              change; then digest equality and failed checks. It fails
-             on a digest mismatch, a failed check or a worse metric
+             on a digest mismatch, a failed check or a worse metric.
+             First it prints the non-test lines of crates/*/src (each
+             file up to its first #[cfg(test)]) for REV and for this
+             checkout, and the difference
   --help     this text
 EOF
 }
@@ -128,6 +131,19 @@ if [ "$mode" = --compare ]; then
         mkdir -p "$parent_root"
         git archive "$parent" | tar -x -C "$parent_root"
     fi
+    # Non-test lines of crates/*/src under $1: each file up to its first
+    # `#[cfg(test)]`.
+    src_lines() {
+        find "$1"/crates/*/src -name '*.rs' -exec awk '
+            FNR == 1 { test = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+            !test { n++ }
+            END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }'
+    }
+    parent_lines=$(src_lines "$parent_root")
+    change_lines=$(src_lines .)
+    printf '==> non-test lines in crates/*/src: %s %s, this checkout %s, difference %+d\n' \
+        "$parent" "$parent_lines" "$change_lines" $((change_lines - parent_lines))
     parent_target=$base/$parent-target
     change_target=$base/checkout-target
     echo "==> building the benchmark of $parent and of this checkout"

@@ -11,6 +11,7 @@ use borg2019::core::pipeline::{load_trace_dir, simulate_cell, simulate_cell_faul
 use borg2019::sim::{
     corrupt_trace, write_trace_dir_lossy, CellSim, CorruptionConfig, SimConfig, TableFaults,
 };
+use borg2019::trace::collection::CollectionType;
 use borg2019::trace::csv::{
     FILE_COLLECTION, FILE_INSTANCE, FILE_MACHINE, FILE_USAGE, QUARANTINE_DETAIL_CAP,
 };
@@ -20,6 +21,7 @@ use borg2019::trace::time::Micros;
 use borg2019::trace::trace::Trace;
 use borg2019::trace::validate::validate;
 use borg2019::workload::cells::CellProfile;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Seeds whose tiny fault-enabled simulations actually fire machine
 /// failures (the tiny window is short relative to the MTBF, so most
@@ -76,7 +78,7 @@ fn chaos_roundtrip_repairs_to_zero_violations() {
     for &seed in &ACTIVE_SEEDS {
         let outcome = simulate_cell_faulty(&profile, SimScale::Tiny, seed);
         assert!(
-            outcome.metrics.machine_failures > 0,
+            outcome.trace.machine_failures() > 0,
             "seed {seed} fired no machine failures; pick an active seed"
         );
         for (name, cc) in [
@@ -159,33 +161,48 @@ fn chaos_roundtrip_repairs_to_zero_violations() {
     }
 }
 
+/// A faulty trace records each failure as it happened: every job task's
+/// `Lost` row shares its time with a machine `Remove` row, and each
+/// machine's rows alternate `Add` / `Remove`, starting with an `Add`.
 #[test]
 fn faulty_trace_records_failures_and_losses() {
     let outcome = simulate_cell_faulty(&CellProfile::cell_2019('a'), SimScale::Tiny, 13);
-    let removes = outcome
-        .trace
+    let trace = &outcome.trace;
+    assert!(
+        trace.tasks_lost() > 0,
+        "seed 13 lost no task; pick an active seed"
+    );
+    let removes: BTreeSet<Micros> = trace
         .machine_events
         .iter()
         .filter(|e| e.event_type == MachineEventType::Remove)
-        .count() as u64;
-    let adds_after_start = outcome
-        .trace
-        .machine_events
-        .iter()
-        .filter(|e| e.event_type == MachineEventType::Add && e.time > Micros::ZERO)
-        .count() as u64;
-    assert_eq!(removes, outcome.metrics.machine_failures);
-    assert_eq!(adds_after_start, outcome.metrics.machine_repairs);
-    let lost = outcome
-        .trace
-        .instance_events
-        .iter()
-        .filter(|e| e.event_type == EventType::Lost)
-        .count() as u64;
-    assert!(
-        lost >= outcome.metrics.tasks_lost,
-        "lost events undercounted"
-    );
+        .map(|e| e.time)
+        .collect();
+    let collections = trace.collections();
+    for e in &trace.instance_events {
+        let job = collections[&e.instance_id.collection].collection_type == CollectionType::Job;
+        if job && e.event_type == EventType::Lost {
+            assert!(
+                removes.contains(&e.time),
+                "{:?} lost at {:?} with no machine removed then",
+                e.instance_id,
+                e.time
+            );
+        }
+    }
+    let mut up = BTreeMap::new();
+    for e in &trace.machine_events {
+        let out_of_turn = match e.event_type {
+            MachineEventType::Add => up.insert(e.machine_id, true) == Some(true),
+            MachineEventType::Remove => up.insert(e.machine_id, false) != Some(true),
+            MachineEventType::Update => continue,
+        };
+        assert!(
+            !out_of_turn,
+            "machine {:?}: {:?} at {:?} does not alternate",
+            e.machine_id, e.event_type, e.time
+        );
+    }
 }
 
 #[test]
@@ -279,7 +296,7 @@ fn faults_disabled_is_deterministic_and_fault_free() {
     assert!(cfg.faults.is_none(), "presets must default to no faults");
     let a = CellSim::run_cell(&CellProfile::cell_2019('a'), &cfg);
     let b = CellSim::run_cell(&CellProfile::cell_2019('a'), &cfg);
-    assert_eq!(a.metrics.machine_failures, 0);
+    assert_eq!(a.trace.machine_failures(), 0);
     assert_eq!(a.trace.machine_events, b.trace.machine_events);
     assert_eq!(a.trace.instance_events, b.trace.instance_events);
     assert!(a

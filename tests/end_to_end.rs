@@ -89,7 +89,7 @@ fn longitudinal_rates_grow() {
     // §4's tier migration: work moves into best-effort batch and out of
     // the free tier.
     let share = |o: &CellOutcome, tier| {
-        let by_tier = o.metrics.average_cpu_util_by_tier();
+        let by_tier = o.average_cpu_util_by_tier();
         by_tier.get(&tier).copied().unwrap_or(0.0)
     };
     let beb = |o| share(o, Tier::BestEffortBatch);
@@ -169,7 +169,7 @@ fn alloc_statistics_consistent_between_views() {
 
 #[test]
 fn tier_usage_sums_to_total() {
-    let per_tier = cell_b().metrics.average_cpu_util_by_tier();
+    let per_tier = cell_b().average_cpu_util_by_tier();
     let total: f64 = per_tier.values().sum();
     assert!(total > 0.1 && total < 1.0, "total utilization {total}");
     assert!(per_tier.contains_key(&Tier::BestEffortBatch));
