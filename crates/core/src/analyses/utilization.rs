@@ -3,7 +3,8 @@
 //! Figure 2 plots the fraction of cell capacity *used* per hour per tier;
 //! Figure 4 plots the fraction *allocated* (requested limits); Figures 3
 //! and 5 are the whole-trace averages per cell. All four come straight
-//! from the simulator's per-tier hour buckets, normalized by capacity.
+//! from the simulator's per-tier hour buckets, normalized by the trace's
+//! nominal capacity.
 
 use borg_sim::CellOutcome;
 use borg_trace::priority::Tier;
@@ -34,10 +35,10 @@ pub fn hourly_fractions(
     q: Quantity,
     d: Dimension,
 ) -> BTreeMap<Tier, Vec<f64>> {
-    let capacity = outcome.trace.nominal_capacity();
+    let nominal = outcome.trace.nominal_capacity();
     let capacity = match d {
-        Dimension::Cpu => capacity.cpu,
-        Dimension::Memory => capacity.mem,
+        Dimension::Cpu => nominal.cpu,
+        Dimension::Memory => nominal.mem,
     };
     outcome
         .metrics

@@ -606,13 +606,13 @@ impl<'a> CellSim<'a> {
         self.trace.sort();
     }
 
-    /// Re-exports the end-of-run [`SimMetrics`] tallies, the counts of
-    /// the trace's rows and the placement-index counters as telemetry
-    /// counters, so a single
-    /// snapshot answers both "where did the time go" and "what did the
-    /// scheduler do". Simulation-state tallies are deterministic-plane;
-    /// index internals are engine-plane (legitimately different between
-    /// shard counts, even though the traces are bit-identical).
+    /// Re-exports the end-of-run [`SimMetrics`] tallies, counts of the
+    /// trace's rows and the placement-index counters as telemetry
+    /// counters, so a single snapshot answers both "where did the time
+    /// go" and "what did the scheduler do". Simulation-state tallies are
+    /// deterministic-plane; index internals are engine-plane
+    /// (legitimately different between shard counts, even though the
+    /// traces are bit-identical).
     fn export_metrics_telemetry(&mut self) {
         if !self.tel.is_enabled() {
             return;
