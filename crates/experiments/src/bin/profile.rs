@@ -15,8 +15,10 @@
 //!  6. ingestion-pipeline stage timings: the simulated trace is written
 //!     to a temp dir and re-read through the repairing loader with
 //!     telemetry enabled,
-//!  7. per-operator query-engine stats for a sample analysis query over
-//!     the reloaded trace.
+//!  7. per-operator query-engine stats for two sample analysis queries
+//!     over the reloaded trace — a filtered group-by and the SQL battery's
+//!     instance ⋈ collection-submits join — with the path each group-by
+//!     and join took (`query.op.group_by.*_blocks`, `query.op.join.*_builds`).
 //!
 //! ```sh
 //! cargo run --release -p borg-experiments --bin profile
@@ -24,7 +26,7 @@
 //! ```
 
 use borg_experiments::exit_usage;
-use borg_query::{bridge, col, lit, Agg, Query, SortOrder};
+use borg_query::{bridge, col, lit, Agg, Query, SortOrder, Value};
 use borg_serve::{
     generate_arrivals, open_loop_gap_us, overload_admission, ChaosConfig, Epoch, ModelCost,
     ServeConfig, ServeSim, Tier, WorkloadSpec,
@@ -237,39 +239,61 @@ fn main() {
     );
     print_spans(&core_snap, "  ");
 
-    // 7. Per-operator query stats for a sample analysis query.
+    // 7. Per-operator query stats for two sample analysis queries: one
+    // group-by, and the SQL battery's instance ⋈ collection-submits join.
     let events = borg_core::tables::instance_events_table(&trace).expect("events table");
-    let mut query_tel = Telemetry::enabled();
-    let by_event = Query::from(events)
-        .filter(col("cpu_request").gt(lit(0.0)))
-        .group_by(&["event"], vec![Agg::count("event", "n")])
-        .sort_by("n", SortOrder::Descending)
-        .run_with(&mut query_tel)
-        .expect("sample query");
-    let query_snap = query_tel.snapshot();
-    println!(
-        "\nquery-engine operator stats (sample: instance events with cpu_request > 0, by type):"
-    );
-    for r in 0..by_event.num_rows().min(4) {
-        println!(
-            "  {:<12} {:>8}",
-            by_event
-                .value(r, "event")
-                .expect("event")
-                .as_str()
-                .expect("str"),
-            by_event.value(r, "n").expect("n").as_i64().expect("int")
-        );
+    let collections = borg_core::tables::collection_events_table(&trace).expect("collection table");
+    let submits = Query::from(collections)
+        .filter(col("event").eq(lit("submit")))
+        .select(&["collection_id", "scheduler", "vertical_scaling"])
+        .run()
+        .expect("submits");
+    let samples = [
+        (
+            "instance events with cpu_request > 0, by type",
+            Query::from(events.clone())
+                .filter(col("cpu_request").gt(lit(0.0)))
+                .group_by(&["event"], vec![Agg::count("event", "n")])
+                .sort_by("n", SortOrder::Descending),
+        ),
+        (
+            "instance events ⋈ collection submits, by scheduler and vertical scaling",
+            Query::from(events)
+                .join(submits, &["collection_id"], &["collection_id"])
+                .group_by(
+                    &["scheduler", "vertical_scaling"],
+                    vec![Agg::count_all("n"), Agg::sum("cpu_request", "cpu")],
+                )
+                .sort_by("n", SortOrder::Descending),
+        ),
+    ];
+    for (title, query) in samples {
+        let mut query_tel = Telemetry::enabled();
+        let out = query.run_with(&mut query_tel).expect("sample query");
+        let query_snap = query_tel.snapshot();
+        println!("\nquery-engine operator stats (sample: {title}):");
+        for r in 0..out.num_rows().min(4) {
+            let cells: Vec<String> = out
+                .row(r)
+                .iter()
+                .map(|v| match v {
+                    Value::Int(n) => format!("{n:>12}"),
+                    Value::Float(x) => format!("{x:>12.1}"),
+                    v => format!("{:<12}", v.to_string()),
+                })
+                .collect();
+            println!("  {}", cells.join(" ").trim_end());
+        }
+        println!("  per-operator telemetry:");
+        for c in query_snap
+            .counters
+            .iter()
+            .filter(|c| c.name.starts_with("query.op."))
+        {
+            println!("    {:<36} {:>10}", c.name, c.value);
+        }
+        print_spans(&query_snap, "    ");
     }
-    println!("  per-operator telemetry:");
-    for c in query_snap
-        .counters
-        .iter()
-        .filter(|c| c.name.starts_with("query.op."))
-    {
-        println!("    {:<36} {:>10}", c.name, c.value);
-    }
-    print_spans(&query_snap, "    ");
 
     // 8. Serve-side observability (--serve): a short chaotic serve run
     // over the same trace; the witness's per-segment aggregates flow

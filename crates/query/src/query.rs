@@ -219,9 +219,9 @@ impl Query {
     /// Executes the plan, recording per-operator telemetry into `tel`:
     /// one span per step (timing plane) nested under the caller's open
     /// span, rows in/out and step counts (deterministic plane), and
-    /// scan-block / parallel-fan-out / dictionary-size counters
-    /// (engine plane — implementation detail, excluded from the
-    /// cross-strategy byte contract). [`Query::run`] is this with a
+    /// scan-block / parallel-fan-out / dictionary-size counters and the
+    /// path group-by and join took (engine plane — implementation detail,
+    /// excluded from the cross-strategy byte contract). [`Query::run`] is this with a
     /// disabled instance.
     pub fn run_with(self, tel: &mut Telemetry) -> Result<Table, QueryError> {
         // Backward pass: `live[i]` is what is observable after step `i`,
@@ -292,7 +292,12 @@ impl Query {
                 } => {
                     let lk: Vec<&str> = left_keys.iter().map(String::as_str).collect();
                     let rk: Vec<&str> = right_keys.iter().map(String::as_str).collect();
-                    crate::join::join_live(&t, &right, &lk, &rk, kind, live, cancel)?
+                    let (out, path) =
+                        crate::join::join_live(&t, &right, &lk, &rk, kind, live, cancel)?;
+                    if tel.is_enabled() {
+                        tel.count(&format!("query.op.{name}.{path}_builds"), Plane::Engine, 1);
+                    }
+                    out
                 }
                 Step::Limit(n) => t.keep(live).head(n),
             };
@@ -319,7 +324,7 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::DataType;
+    use crate::column::{Column, DataType};
     use crate::expr::{col, lit};
     use crate::value::Value;
 
@@ -426,6 +431,31 @@ mod tests {
             .hists
             .iter()
             .any(|h| h.name == "query.op.rows_out" && h.hist.count == 2));
+    }
+
+    #[test]
+    fn run_with_counts_each_joins_build_path() {
+        let ids = |xs: &[i64]| {
+            Table::from_columns(vec![(
+                "id",
+                Column::Int(xs.iter().map(|&x| Some(x)).collect()),
+            )])
+            .unwrap()
+        };
+        let mut tel = Telemetry::enabled();
+        // A key past 2^53 sends the second build down the hashed path.
+        let out = Query::from(ids(&[1, 2, 3, 3]))
+            .join(ids(&[2, 3, 4]), &["id"], &["id"])
+            .left_join(ids(&[3, 1 << 60]), &["id"], &["id"])
+            .run_with(&mut tel)
+            .unwrap();
+        assert_eq!(out.num_rows(), 3);
+        let snap = tel.snapshot();
+        let get = |name: &str| snap.counters.iter().find(|c| c.name == name);
+        let dense = get("query.op.join.dense_builds").unwrap();
+        let hashed = get("query.op.join.hashed_builds").unwrap();
+        assert_eq!((dense.value, hashed.value), (1, 1));
+        assert_eq!(dense.plane, Plane::Engine);
     }
 
     #[test]

@@ -1179,6 +1179,269 @@ fn mixed_numeric_join_keys_match_naive_at_high_cardinality() {
     }
 }
 
+/// Joins through `Query::run_with` and returns the output with the
+/// build's path, as its `query.op.join.*_builds` counter names it.
+fn join_with_path(lt: &Table, rt: &Table, keys: &[&str], kind: JoinKind) -> (Table, String) {
+    use borg_telemetry::Telemetry;
+    let mut tel = Telemetry::enabled();
+    let q = Query::from(lt.clone());
+    let q = match kind {
+        JoinKind::Inner => q.join(rt.clone(), keys, keys),
+        JoinKind::LeftOuter => q.left_join(rt.clone(), keys, keys),
+    };
+    let out = q.run_with(&mut tel).unwrap();
+    let paths: Vec<String> = tel
+        .snapshot()
+        .counters
+        .iter()
+        .filter_map(|c| {
+            c.name
+                .strip_prefix("query.op.join.")?
+                .strip_suffix("_builds")
+        })
+        .map(str::to_string)
+        .collect();
+    assert_eq!(paths.len(), 1, "{paths:?}");
+    (out, paths[0].clone())
+}
+
+/// The nested-loop reference: (left row, right row) pairs in left then
+/// right row order, keys compared by `group_eq` with nulls never
+/// matching; an unmatched left row of a left outer join pairs with `None`.
+fn nested_loop_pairs(
+    lt: &Table,
+    rt: &Table,
+    keys: &[&str],
+    kind: JoinKind,
+) -> Vec<(usize, Option<usize>)> {
+    let mut out = Vec::new();
+    for lr in 0..lt.num_rows() {
+        let before = out.len();
+        for rr in 0..rt.num_rows() {
+            let ok = keys.iter().all(|k| {
+                let (lv, rv) = (lt.value(lr, k).unwrap(), rt.value(rr, k).unwrap());
+                !lv.is_null() && !rv.is_null() && lv.group_eq(&rv)
+            });
+            if ok {
+                out.push((lr, Some(rr)));
+            }
+        }
+        if out.len() == before && kind == JoinKind::LeftOuter {
+            out.push((lr, None));
+        }
+    }
+    out
+}
+
+/// The join's (`lid`, `rid`) columns against the expected row pairs.
+fn assert_pairs(out: &Table, expected: &[(usize, Option<usize>)], what: &str) {
+    let want_lid: Vec<Option<i64>> = expected.iter().map(|&(l, _)| Some(l as i64)).collect();
+    let want_rid: Vec<Option<i64>> = expected.iter().map(|&(_, r)| r.map(|r| r as i64)).collect();
+    assert_eq!(ints(out, "lid"), want_lid, "{what}");
+    assert_eq!(ints(out, "rid"), want_rid, "{what}");
+}
+
+/// A join-key table: `k0` and `k1` from codes (0 = null, else
+/// `base + (code - 3) * spread`), then the row number as `id_col`.
+fn coded_keys(rows: &[(u8, u8)], base: i64, spread: i64, k0_float: bool, id_col: &str) -> Table {
+    let value = |code: u8| (code != 0).then(|| base + (i64::from(code) - 3) * spread);
+    let k0 = if k0_float {
+        borg_query::Column::Float(
+            rows.iter()
+                .map(|&(c, _)| value(c).map(|x| x as f64))
+                .collect(),
+        )
+    } else {
+        borg_query::Column::Int(rows.iter().map(|&(c, _)| value(c)).collect())
+    };
+    Table::from_columns(vec![
+        ("k0", k0),
+        (
+            "k1",
+            borg_query::Column::Int(rows.iter().map(|&(_, c)| value(c)).collect()),
+        ),
+        (
+            id_col,
+            borg_query::Column::Int((0..rows.len() as i64).map(Some).collect()),
+        ),
+    ])
+    .unwrap()
+}
+
+proptest! {
+    /// Int key columns on both sides of the dense bound (spread 1 packs
+    /// them, spread 700 spreads them past 4 slots per row + 1024), around
+    /// zero with negatives, at both edges of ±2^53 and past 2^54 (where
+    /// distinct ints share an `f64`), with nulls on either side, duplicate
+    /// build keys, one or two keys, an Int–Float pair and both join kinds,
+    /// against the nested loop.
+    #[test]
+    fn join_matches_naive_nested_loop_on_int_keys(
+        left in prop::collection::vec((0u8..6, 0u8..6), 0..30),
+        right in prop::collection::vec((0u8..6, 0u8..6), 0..30),
+        arity in 1usize..3,
+    ) {
+        const EDGE: i64 = 1 << 53;
+        let keys = &["k0", "k1"][..arity];
+        let mut paths = HashSet::new();
+        for base in [0, 2 - EDGE, EDGE - 3, 2 * EDGE] {
+            for spread in [1, 700] {
+                for k0_float in [false, true] {
+                    let lt = coded_keys(&left, base, spread, false, "lid");
+                    let rt = coded_keys(&right, base, spread, k0_float, "rid");
+                    for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+                        let (out, path) = join_with_path(&lt, &rt, keys, kind);
+                        let what = format!("{base} {spread} {k0_float} {kind:?} {path}");
+                        assert_pairs(&out, &nested_loop_pairs(&lt, &rt, keys, kind), &what);
+                        prop_assert_eq!(out.column("k0").unwrap().len(), out.num_rows());
+                        paths.insert(path);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(paths.len(), 2);
+    }
+
+    /// A left outer join on unique build keys keeps every left row once,
+    /// in order, so its left columns are the input's, nulls included.
+    #[test]
+    fn left_join_keeps_every_left_row_on_unique_int_keys(
+        left in prop::collection::vec((0u8..8, 0u8..1), 0..40),
+        present in 0u16..256,
+    ) {
+        let right: Vec<(u8, u8)> = (1..8).filter(|b| present >> b & 1 == 1).map(|b| (b, 0)).collect();
+        let lt = coded_keys(&left, -1, 1, false, "lid");
+        let rt = coded_keys(&right, -1, 1, false, "rid");
+        let (out, path) = join_with_path(&lt, &rt, &["k0"], JoinKind::LeftOuter);
+        prop_assert_eq!(path, "dense");
+        prop_assert_eq!(out.num_rows(), lt.num_rows());
+        for name in ["k0", "k1", "lid"] {
+            prop_assert_eq!(out.column(name).unwrap(), lt.column(name).unwrap());
+        }
+        assert_pairs(&out, &nested_loop_pairs(&lt, &rt, &["k0"], JoinKind::LeftOuter), "unique");
+    }
+}
+
+/// Int keys joined to Int keys at high cardinality over several blocks,
+/// with nulls on both sides and duplicate build keys: packed closely they
+/// take the slot table, spread a million apart the hash table, and both
+/// match a hash-of-`GroupKey` reference.
+#[test]
+fn int_join_keys_match_naive_at_high_cardinality_on_both_paths() {
+    let (n_left, n_right) = (40_000usize, 25_000usize);
+    for (scale, want_path) in [(1i64, "dense"), (1_000_003, "hashed")] {
+        let mut lt = Table::new(vec![("k", DataType::Int), ("lid", DataType::Int)]);
+        for i in 0..n_left {
+            let k = if i % 211 == 0 {
+                Value::Null
+            } else {
+                Value::Int((((i * 7919) % 18_000) as i64 - 3000) * scale)
+            };
+            lt.push_row(vec![k, Value::Int(i as i64)]).unwrap();
+        }
+        let mut rt = Table::new(vec![("k", DataType::Int), ("rid", DataType::Int)]);
+        for i in 0..n_right {
+            let k = if i % 9 == 0 {
+                Value::Null
+            } else {
+                Value::Int((((i * 104_729) % 12_000) as i64 - 2000) * scale)
+            };
+            rt.push_row(vec![k, Value::Int(i as i64)]).unwrap();
+        }
+        let mut by_key: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+        for r in 0..n_right {
+            let v = rt.value(r, "k").unwrap();
+            if !v.is_null() {
+                by_key.entry(v.group_key()).or_default().push(r);
+            }
+        }
+        assert!(
+            by_key.len() >= 10_000,
+            "{} distinct right keys",
+            by_key.len()
+        );
+        assert!(by_key.values().any(|rows| rows.len() > 1));
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+            let mut expected: Vec<(usize, Option<usize>)> = Vec::new();
+            for l in 0..n_left {
+                let v = lt.value(l, "k").unwrap();
+                match by_key.get(&v.group_key()).filter(|_| !v.is_null()) {
+                    Some(rows) => expected.extend(rows.iter().map(|&r| (l, Some(r)))),
+                    None if kind == JoinKind::LeftOuter => expected.push((l, None)),
+                    None => {}
+                }
+            }
+            assert!(expected.iter().any(|(_, r)| r.is_some()));
+            let (out, path) = join_with_path(&lt, &rt, &["k"], kind);
+            assert_eq!(path, want_path);
+            assert_pairs(&out, &expected, &format!("{scale} {kind:?}"));
+        }
+    }
+}
+
+/// Past ±2^53 distinct ints share an `f64`, and the engine matches keys
+/// by their `f64` value: 2^54 + 1 and 2^54 + 2 both round to 2^54, and
+/// 2^53 + 1 ties to 2^53. A build key inside ±2^53 converts exactly, so
+/// the slot table's integer equality agrees there; one at or past the
+/// edge sends the build to the hash table.
+#[test]
+fn int_keys_past_2_53_join_by_their_f64_value() {
+    const EDGE: i64 = 1 << 53;
+    let table = |keys: &[i64], id: &str| {
+        Table::from_columns(vec![
+            (
+                "k",
+                borg_query::Column::Int(keys.iter().map(|&k| Some(k)).collect()),
+            ),
+            (
+                id,
+                borg_query::Column::Int((0..keys.len() as i64).map(Some).collect()),
+            ),
+        ])
+        .unwrap()
+    };
+    /// Left keys, right keys, the build's path, the left rows that match.
+    type Case = (
+        &'static [i64],
+        &'static [i64],
+        &'static str,
+        &'static [usize],
+    );
+    let cases: [Case; 6] = [
+        (
+            &[2 * EDGE + 1, 2 * EDGE, 2 * EDGE + 3],
+            &[2 * EDGE + 2],
+            "hashed",
+            &[0, 1],
+        ),
+        (
+            &[-2 * EDGE - 1, -2 * EDGE, -2 * EDGE - 3],
+            &[-2 * EDGE - 2],
+            "hashed",
+            &[0, 1],
+        ),
+        (&[EDGE + 1, EDGE - 1], &[EDGE], "hashed", &[0]),
+        (&[-EDGE - 1, -EDGE + 1], &[-EDGE], "hashed", &[0]),
+        (&[EDGE - 1, EDGE, EDGE + 1], &[EDGE - 1], "dense", &[0]),
+        (&[-EDGE + 1, -EDGE, -EDGE - 1], &[-EDGE + 1], "dense", &[0]),
+    ];
+    for (left, right, want_path, matched) in cases {
+        let (lt, rt) = (table(left, "lid"), table(right, "rid"));
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+            let (out, path) = join_with_path(&lt, &rt, &["k"], kind);
+            let expected = nested_loop_pairs(&lt, &rt, &["k"], kind);
+            let hits: Vec<usize> = expected
+                .iter()
+                .filter(|(_, r)| r.is_some())
+                .map(|&(l, _)| l)
+                .collect();
+            assert_eq!(hits, matched, "{left:?} ⋈ {right:?}");
+            assert_eq!(path, want_path, "{left:?} ⋈ {right:?}");
+            assert_pairs(&out, &expected, &format!("{left:?} ⋈ {right:?} {kind:?}"));
+        }
+    }
+}
+
 /// One plan step, interpreted two ways by the pruning-equivalence test.
 #[derive(Clone)]
 enum Op {
