@@ -117,7 +117,9 @@ pub struct AllocSetSpec {
 /// A complete generated workload for one cell.
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
-    /// Alloc sets, sorted by submit time.
+    /// Alloc sets in id order, their ids consecutive and above every
+    /// job's. Their submit times are drawn independently, so they are not
+    /// sorted by time; the simulator's event calendar orders them.
     pub alloc_sets: Vec<AllocSetSpec>,
     /// Jobs, sorted by submit time.
     pub jobs: Vec<JobSpec>,
@@ -765,6 +767,19 @@ mod tests {
             .all(|p| p[0].submit_time <= p[1].submit_time));
         assert!(w.jobs.iter().all(|j| j.submit_time < Micros::from_days(4)));
         assert!(!w.jobs.is_empty());
+    }
+
+    #[test]
+    fn alloc_sets_come_in_id_order_not_submit_order() {
+        let (_, w) = workload(2);
+        let first = w.jobs.iter().map(|j| j.id).max().unwrap() + 1;
+        let ids: Vec<u64> = w.alloc_sets.iter().map(|a| a.id).collect();
+        let want: Vec<u64> = (first..first + ids.len() as u64).collect();
+        assert_eq!(ids, want);
+        assert!(w
+            .alloc_sets
+            .windows(2)
+            .any(|p| p[0].submit_time > p[1].submit_time));
     }
 
     #[test]
