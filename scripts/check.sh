@@ -47,7 +47,10 @@ Modes (at most one):
              on a digest mismatch, a failed check or a worse metric.
              First it prints the non-test lines of crates/*/src (each
              file up to its first #[cfg(test)]) for REV and for this
-             checkout, and the difference
+             checkout, and the difference. Before the first pair and
+             after the last it prints the host's two-thread regime: the
+             time of one CPU-bound kernel alone against two copies of it
+             at once (median of three; ratio 1 = two free cores, 2 = one)
   --help     this text
 EOF
 }
@@ -157,6 +160,42 @@ if [ "$mode" = --compare ]; then
     echo "==> $pairs pair(s) per workload, --seconds $seconds, first seed $seed"
     log=$base/compare-$(date +%Y%m%d-%H%M%S).txt
     : >"$log"
+    # The host's two-thread regime: the median of three timings of one
+    # CPU-bound awk kernel alone, and of two copies of it at once. A ratio
+    # near 1 is two free cores; near 2 is one core's worth of CPU, where
+    # no two-thread path can show a gain.
+    regime() {
+        kernel='BEGIN { s = 0; for (i = 0; i < 1000000; i++) s += i % 7; print s }'
+        times=
+        for _ in 1 2 3; do
+            t0=$(date +%s.%N)
+            awk "$kernel" >/dev/null
+            t1=$(date +%s.%N)
+            awk "$kernel" >/dev/null &
+            p1=$!
+            awk "$kernel" >/dev/null &
+            p2=$!
+            wait "$p1" "$p2"
+            t2=$(date +%s.%N)
+            times="$times $t0 $t1 $t2"
+        done
+        echo "$times" | awk -v when="$1" '{
+            for (i = 0; i < 3; i++) {
+                one[i] = $(3 * i + 2) - $(3 * i + 1)
+                two[i] = $(3 * i + 3) - $(3 * i + 2)
+            }
+            n = median3(one); m = median3(two)
+            printf "==> two-thread regime %s: one thread %.3f s, two concurrent %.3f s, ratio %.2f\n",
+                when, n, m, m / n
+        }
+        # The median of a[0..2].
+        function median3(a,   lo, hi) {
+            lo = a[0] < a[1] ? a[0] : a[1]
+            hi = a[0] < a[1] ? a[1] : a[0]
+            return a[2] < lo ? lo : (a[2] > hi ? hi : a[2])
+        }' | tee -a "$log"
+    }
+    regime "before the first pair"
     # One untraced run of one side: "side seed wall_s setup_s fail_share digests".
     run_side() {
         if [ "$1" = parent ]; then
@@ -193,10 +232,12 @@ if [ "$mode" = --compare ]; then
         awk -f scripts/compare.awk "$runs" || status=1
         seed=$((seed + pairs))
     done
+    regime "after the last pair"
     cat <<'EOF'
 Known traps in these numbers:
   - the host-speed calibration runs one thread, so it cannot see a busy
-    second core: a neighbour there slows two-thread code uncorrected;
+    second core: a neighbour there slows two-thread code uncorrected (the
+    regime lines say how much CPU a second thread found);
   - traced runs do pool work about 2x slower than untraced ones: compare
     a traced span only with the same span traced;
   - serve_closed times wall-clock replays: a missed deadline or a slow
