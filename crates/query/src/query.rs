@@ -221,8 +221,8 @@ impl Query {
     /// span, rows in/out and step counts (deterministic plane), and
     /// scan-block / parallel-fan-out / dictionary-size counters and the
     /// path group-by and join took (engine plane — implementation detail,
-    /// excluded from the cross-strategy byte contract). [`Query::run`] is this with a
-    /// disabled instance.
+    /// excluded from the cross-strategy byte contract). [`Query::run`] is
+    /// this with a disabled instance.
     pub fn run_with(self, tel: &mut Telemetry) -> Result<Table, QueryError> {
         // Backward pass: `live[i]` is what is observable after step `i`,
         // i.e. what step `i + 1` must be given.

@@ -166,34 +166,28 @@ if [ "$mode" = --compare ]; then
     # no two-thread path can show a gain.
     regime() {
         kernel='BEGIN { s = 0; for (i = 0; i < 1000000; i++) s += i % 7; print s }'
-        times=
         for _ in 1 2 3; do
             t0=$(date +%s.%N)
             awk "$kernel" >/dev/null
             t1=$(date +%s.%N)
             awk "$kernel" >/dev/null &
-            p1=$!
-            awk "$kernel" >/dev/null &
-            p2=$!
-            wait "$p1" "$p2"
+            awk "$kernel" >/dev/null
+            wait "$!"
             t2=$(date +%s.%N)
-            times="$times $t0 $t1 $t2"
-        done
-        echo "$times" | awk -v when="$1" '{
-            for (i = 0; i < 3; i++) {
-                one[i] = $(3 * i + 2) - $(3 * i + 1)
-                two[i] = $(3 * i + 3) - $(3 * i + 2)
+            echo "$t0 $t1 $t2"
+        done | awk -v when="$1" '
+            { one[NR] = $2 - $1; two[NR] = $3 - $2 }
+            END {
+                n = median3(one); m = median3(two)
+                printf "==> two-thread regime %s: one thread %.3f s, two concurrent %.3f s, ratio %.2f\n",
+                    when, n, m, m / n
             }
-            n = median3(one); m = median3(two)
-            printf "==> two-thread regime %s: one thread %.3f s, two concurrent %.3f s, ratio %.2f\n",
-                when, n, m, m / n
-        }
-        # The median of a[0..2].
-        function median3(a,   lo, hi) {
-            lo = a[0] < a[1] ? a[0] : a[1]
-            hi = a[0] < a[1] ? a[1] : a[0]
-            return a[2] < lo ? lo : (a[2] > hi ? hi : a[2])
-        }' | tee -a "$log"
+            # The median of a[1..3].
+            function median3(a,   lo, hi) {
+                lo = a[1] < a[2] ? a[1] : a[2]
+                hi = a[1] < a[2] ? a[2] : a[1]
+                return a[3] < lo ? lo : (a[3] > hi ? hi : a[3])
+            }' | tee -a "$log"
     }
     regime "before the first pair"
     # One untraced run of one side: "side seed wall_s setup_s fail_share digests".
