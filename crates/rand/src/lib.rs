@@ -14,6 +14,20 @@
 //! fine: every consumer in this workspace seeds explicitly and asserts
 //! distributional (not stream-exact) properties.
 
+/// SplitMix64's increment: the odd integer nearest 2^64 / φ.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 (Steele, Lea and Flood, 2014): the word the generator puts
+/// out from state `x`, whose next state is `x + GAMMA` — equally a
+/// 64-bit hash of `x`. It seeds [`rngs::StdRng`]; the workload's usage
+/// noise and the proptest shim's generator are built on it too.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A source of random 64-bit words.
 pub trait Rng {
     /// The next 64 uniformly random bits.
@@ -99,7 +113,7 @@ pub trait SeedableRng: Sized {
 
 /// Concrete generators.
 pub mod rngs {
-    use super::{Rng, SeedableRng};
+    use super::{splitmix64, Rng, SeedableRng, GAMMA};
 
     /// The workspace's standard deterministic generator (xoshiro256++).
     #[derive(Debug, Clone)]
@@ -110,17 +124,10 @@ pub mod rngs {
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> StdRng {
             // SplitMix64 expansion, the reference seeding procedure for
-            // xoshiro: guarantees a non-zero state for every seed.
-            let mut x = seed;
-            let mut next = || {
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
+            // xoshiro: the first four outputs of a stream started at
+            // `seed`, a non-zero state for every seed.
             StdRng {
-                s: [next(), next(), next(), next()],
+                s: [0u64, 1, 2, 3].map(|k| splitmix64(seed.wrapping_add(k.wrapping_mul(GAMMA)))),
             }
         }
     }

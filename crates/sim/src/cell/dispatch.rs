@@ -4,7 +4,6 @@
 
 use super::{CellSim, TaskState};
 use crate::event::Ev;
-use crate::fxhash::FxHashMap;
 use crate::machine::{Machine, Occupant};
 use crate::metrics::tier_key;
 use borg_trace::priority::Tier;
@@ -349,15 +348,15 @@ impl CellSim<'_> {
 /// Returns the machine chosen for each request, or `None` when some
 /// member does not fit.
 ///
-/// Instead of cloning every machine's state, the run keeps an *overlay*
-/// of effective commitments for the few machines the gang touches and a
-/// per-shape min-heap of `(score, index)` keys. Keys never go stale:
-/// only the machine just committed to changes, and it is re-scored and
-/// re-pushed immediately — so each member is O(log M) instead of O(M),
-/// while choosing the exact machine the full scan
-/// (`reference::naive_gang_dry_run`) would: the overlay applies the same
-/// `+= d` accumulation to the same starting value, and the heap pops the
-/// lexicographic `(score, index)` minimum — the machine the scan keeps.
+/// Instead of cloning every machine's state, the run keeps a scratch
+/// copy of the fleet's commitments and a per-shape min-heap of
+/// `(score, index)` keys. Keys never go stale: only the machine just
+/// committed to changes, and it is re-scored and re-pushed immediately —
+/// so each member is O(log M) instead of O(M), while choosing the exact
+/// machine the full scan (`reference::naive_gang_dry_run`) would: the
+/// copy takes the same `+= d` accumulation from the same starting value,
+/// and the heap pops the lexicographic `(score, index)` minimum — the
+/// machine the scan keeps.
 fn gang_dry_run(machines: &[Machine], requests: &[Resources], tier: Tier) -> Option<Vec<usize>> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -388,8 +387,8 @@ fn gang_dry_run(machines: &[Machine], requests: &[Resources], tier: Tier) -> Opt
         }
     }
 
-    // Effective commitments for machines the gang has touched.
-    let mut overlay: FxHashMap<usize, Resources> = Default::default();
+    // The fleet's commitments, with the members placed so far.
+    let mut committed: Vec<Resources> = machines.iter().map(|m| m.committed).collect();
     let mut chosen: Vec<usize> = Vec::with_capacity(requests.len());
     let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
     let mut heap_shape: Option<(u64, u64)> = None;
@@ -402,19 +401,17 @@ fn gang_dry_run(machines: &[Machine], requests: &[Resources], tier: Tier) -> Opt
             heap_shape = Some(shape);
             heap.clear();
             for (mi, m) in machines.iter().enumerate() {
-                let committed = overlay.get(&mi).copied().unwrap_or(m.committed);
-                if let Some(score) = m.fit_score_at(committed, request, tier) {
+                if let Some(score) = m.fit_score_at(committed[mi], request, tier) {
                     heap.push(Reverse(Key { score, mi }));
                 }
             }
         }
         let Reverse(Key { mi, .. }) = heap.pop()?;
-        let slot = overlay.entry(mi).or_insert(machines[mi].committed);
-        *slot += d;
+        committed[mi] += d;
         chosen.push(mi);
         // Re-score the machine we just tightened; all other keys are
         // still exact because no other machine changed.
-        if let Some(score) = machines[mi].fit_score_at(*slot, request, tier) {
+        if let Some(score) = machines[mi].fit_score_at(committed[mi], request, tier) {
             heap.push(Reverse(Key { score, mi }));
         }
     }

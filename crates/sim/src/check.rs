@@ -3,22 +3,25 @@
 //! every finding; release builds run none of it unless built with debug
 //! assertions, as `scripts/check.sh --checked` does. It is the one judge
 //! of lifecycle legality: the simulator emits every row it builds.
-//! Three invariants: the trace passes
+//! Four invariants: the trace passes
 //! [`borg_trace::validate::validate`], whose lifecycle walk already
 //! rejects a task event out of order; tasks are conserved over the same
 //! walk, [`for_each_lifecycle`] (no job task is live at the horizon once
-//! its job has ended); and each machine's `committed` is its occupants'
-//! discounted sum and fits its capacity. One gap is counted, not
-//! reported: a job that ends before making its tasks ready leaves each
-//! with a lone `Submit` (DESIGN.md §9).
+//! its job has ended); each machine's rows, in time order, alternate
+//! `Add` and `Remove` from an `Add`, with `Update` only while it is up
+//! (`validate` has no machine rule); and each machine's `committed` is
+//! its occupants' discounted sum and fits its capacity. One gap is
+//! counted, not reported: a job that ends before making its tasks ready
+//! leaves each with a lone `Submit` (DESIGN.md §9).
 
 use crate::cell::CellOutcome;
 use crate::machine::Machine;
 use borg_trace::collection::{CollectionId, CollectionType};
 use borg_trace::for_each_lifecycle;
 use borg_trace::instance::{InstanceEvent, InstanceId};
-use borg_trace::machine::MachineId;
+use borg_trace::machine::{MachineEvent, MachineEventType, MachineId};
 use borg_trace::resources::Resources;
+use borg_trace::time::Micros;
 use borg_trace::validate::{validate, Violation};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,6 +36,9 @@ pub enum Finding {
     Trace(Violation),
     /// A task of an ended job still live at the horizon.
     OutlivesJob(InstanceId),
+    /// A machine's first row, in time order, that breaks its lifecycle:
+    /// an `Add` while up, or a `Remove` or `Update` while down.
+    MachineLifecycle(MachineId, Micros, MachineEventType),
     /// A machine's `committed`, then its occupants' sum, which differ.
     CommitDrift(MachineId, Resources, Resources),
     /// A machine's `committed`, then the capacity it exceeds.
@@ -61,6 +67,7 @@ pub fn check(outcome: &CellOutcome, machines: &[Machine]) -> Report {
         unreadied_jobs: 0,
     };
     check_tasks_conserved(outcome, &mut report);
+    check_machine_lifecycles(&outcome.trace.machine_events, &mut report.findings);
     for m in machines {
         check_commitment(m, &mut report.findings);
     }
@@ -109,6 +116,29 @@ fn check_tasks_conserved(o: &CellOutcome, report: &mut Report) {
     report.unreadied_jobs = unreadied_jobs.len() as u64;
 }
 
+fn check_machine_lifecycles(events: &[MachineEvent], out: &mut Vec<Finding>) {
+    let mut rows: Vec<&MachineEvent> = events.iter().collect();
+    rows.sort_by_key(|e| (e.machine_id, e.time));
+    for machine in rows.chunk_by(|a, b| a.machine_id == b.machine_id) {
+        let mut up = false;
+        let broken = machine.iter().find(|e| {
+            let legal = match e.event_type {
+                MachineEventType::Add => !up,
+                MachineEventType::Remove | MachineEventType::Update => up,
+            };
+            up = e.event_type != MachineEventType::Remove;
+            !legal
+        });
+        if let Some(e) = broken {
+            out.push(Finding::MachineLifecycle(
+                e.machine_id,
+                e.time,
+                e.event_type,
+            ));
+        }
+    }
+}
+
 fn check_commitment(m: &Machine, out: &mut Vec<Finding>) {
     let mut occupants = Resources::ZERO;
     for o in &m.occupants {
@@ -128,7 +158,7 @@ fn check_commitment(m: &Machine, out: &mut Vec<Finding>) {
 mod tests {
     use super::*;
     use crate::machine::Occupant;
-    use crate::{CellSim, SimConfig};
+    use crate::{CellSim, FaultConfig, SimConfig};
     use borg_trace::priority::Tier;
     use borg_trace::state::EventType;
     use borg_workload::cells::CellProfile;
@@ -192,6 +222,50 @@ mod tests {
         o.trace.instance_events.remove(events[events.len() - 1]);
         // A lifecycle that stops while running is legal to `validate`.
         assert_eq!(findings(&o), [Finding::OutlivesJob(task)]);
+    }
+
+    /// A tiny run whose machines fail and come back is clean; a second
+    /// `Add` of a machine 1 µs after its first is not, nor is an
+    /// `Update` 1 µs after a machine's `Remove` (1 µs before it, it is).
+    #[test]
+    fn a_machine_added_twice_or_updated_while_down() {
+        let profile = CellProfile::cell_2019('a');
+        let cfg = SimConfig {
+            faults: Some(FaultConfig::from_model(&profile.failure_model)),
+            ..SimConfig::tiny_for_tests(13)
+        };
+        let o = CellSim::run_cell(&profile, &cfg);
+        assert_eq!(findings(&o), []);
+        assert!(o.trace.machine_failures() > 0 && o.trace.machine_repairs() > 0);
+        let rows = &o.trace.machine_events;
+        let first_add = rows[0];
+        assert_eq!(first_add.event_type, MachineEventType::Add);
+        let remove = rows
+            .iter()
+            .find(|e| e.event_type == MachineEventType::Remove);
+        let remove = remove.expect("a machine failed");
+        // At the capacity it was added with, so `validate` sees no change.
+        let added = rows.iter().find(|e| e.machine_id == remove.machine_id);
+        let update = MachineEvent {
+            event_type: MachineEventType::Update,
+            time: remove.time,
+            ..*added.expect("added before it failed")
+        };
+        for mut row in [first_add, update] {
+            row.time += Micros(1);
+            let mut broken = o.clone();
+            broken.trace.machine_events.push(row);
+            let want = Finding::MachineLifecycle(row.machine_id, row.time, row.event_type);
+            assert_eq!(findings(&broken), [want]);
+        }
+        // The same `Update` 1 µs before the `Remove`, while up, is legal.
+        let mut fine = o.clone();
+        let before = remove.time - Micros(1);
+        fine.trace.machine_events.push(MachineEvent {
+            time: before,
+            ..update
+        });
+        assert_eq!(findings(&fine), []);
     }
 
     /// Machine 3 with production tasks of `cpus` NCU, one per owner, and

@@ -10,8 +10,10 @@
 //! staying bit-identical to the naive scan:
 //!
 //! 1. **Equivalence-class score cache** ([`ScoreCache`]): placements are
-//!    keyed by (request bits, tier). Each entry memoizes the *top-R
-//!    candidate machines* from the last full scan plus a lexicographic
+//!    keyed by (request bits, tier), one direct-mapped slot per key
+//!    ([`ShapeKey::slot`]); a store overwrites the slot, a lookup
+//!    compares the key. Each entry memoizes the *top-R candidate
+//!    machines* from the last full scan plus a lexicographic
 //!    `(score, index)` threshold that every non-candidate provably sits
 //!    above. A lookup re-scores only the candidates and the machines
 //!    mutated since the entry was written — an O(R + dirty) check that
@@ -60,20 +62,20 @@
 //!   threshold `T` such that every machine outside `C` was, at `e`,
 //!   either infeasible or lexicographically ≥ `T`. On lookup, the index
 //!   re-scores `C` plus every machine mutated since `e` ("the tail") and
-//!   takes the lex-minimum `M`. Machines outside both sets are untouched
-//!   since `e`: still infeasible (tightening never makes a machine
-//!   feasible; loosening lands it in the tail), or still ≥ `T`. So if
-//!   `M < T`, `M` is the global answer; if nothing fits and `T` covers
-//!   the whole fleet (fewer than R machines were feasible at `e`),
-//!   "nothing fits" is the global answer. Anything else is a miss and
-//!   rescans. The same argument lets the entry be refreshed in place
+//!   takes the lex-minimum `M` (a "nothing fits" entry re-scores only
+//!   the tail's loosened machines). Machines outside both sets are
+//!   untouched since `e`: still infeasible (tightening never makes a
+//!   machine feasible; loosening lands it in the tail), or still ≥ `T`.
+//!   So if `M < T`, `M` is the global answer; if nothing fits and `T`
+//!   covers the whole fleet (fewer than R machines were feasible at
+//!   `e`), "nothing fits" is the global answer. Anything else is a miss
+//!   and rescans. The same argument lets the entry be refreshed in place
 //!   with the re-scored top-R (the threshold only ever tightens).
 //! - Preemption-tree pruning only uses *inflated upper bounds* (a
 //!   relative 1e-9 margin) so float non-associativity can never prune a
 //!   machine the exact victim check would accept; over-included leaves
 //!   are rejected by the exact check and cost nothing but a visit.
 
-use crate::fxhash::FxHashMap;
 use crate::machine::{discount, Machine};
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
@@ -96,7 +98,8 @@ pub struct IndexStats {
     /// Mutation-log records walked by the lookups counted in
     /// `cache_hits` and `negative_hits`.
     pub tail_records: u64,
-    /// Machines those lookups re-scored (candidates ∪ relevant tail).
+    /// Machines those lookups re-scored (candidates ∪ tail; a negative
+    /// entry's tail counts only its loosened machines).
     pub rescored: u64,
     /// Preemption probes answered via the potential-headroom tree.
     pub preempt_probes: u64,
@@ -275,11 +278,6 @@ impl FeasTree {
 struct Mirror {
     /// `[committed.cpu, committed.mem, capacity.cpu, capacity.mem]`.
     rows: Vec<[f64; 4]>,
-    /// Smallest positive capacity ever seen per dimension (monotone
-    /// non-increasing, so bounds derived from it stay conservative).
-    min_pos_cap: [f64; 2],
-    /// Largest capacity ever seen per dimension (monotone non-decreasing).
-    max_cap: [f64; 2],
 }
 
 impl Mirror {
@@ -293,53 +291,13 @@ impl Mirror {
     }
 
     fn new(machines: &[Machine]) -> Mirror {
-        let mut mirror = Mirror {
+        Mirror {
             rows: machines.iter().map(Mirror::row).collect(),
-            min_pos_cap: [f64::INFINITY; 2],
-            max_cap: [0.0; 2],
-        };
-        for mi in 0..mirror.rows.len() {
-            mirror.track_cap_extrema(mi);
         }
-        mirror
     }
 
     fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    fn track_cap_extrema(&mut self, mi: usize) {
-        let [_, _, cap_cpu, cap_mem] = self.rows[mi];
-        for (dim, cap) in [cap_cpu, cap_mem].into_iter().enumerate() {
-            if cap > 0.0 && cap < self.min_pos_cap[dim] {
-                self.min_pos_cap[dim] = cap;
-            }
-            if cap > self.max_cap[dim] {
-                self.max_cap[dim] = cap;
-            }
-        }
-    }
-
-    fn sync(&mut self, mi: usize, m: &Machine) {
-        self.rows[mi] = Mirror::row(m);
-        self.track_cap_extrema(mi);
-    }
-
-    /// The machine's dominant committed fraction — how full it is,
-    /// independent of any request shape. Used by the mutation-log
-    /// relevance filter (see [`ScoreCache`]).
-    fn fullness(&self, mi: usize) -> f64 {
-        let [c_cpu, c_mem, cap_cpu, cap_mem] = self.rows[mi];
-        let frac = |v: f64, c: f64| {
-            if v <= 0.0 {
-                0.0
-            } else if c <= 0.0 {
-                f64::INFINITY
-            } else {
-                v / c
-            }
-        };
-        frac(c_cpu, cap_cpu).max(frac(c_mem, cap_mem))
     }
 }
 
@@ -382,7 +340,7 @@ fn score_rows(rows: &[[f64; 4]], request: Resources, d: Resources, out: &mut Vec
 
 /// An equivalence class of placement requests: identical request bits at
 /// the same tier score identically on every machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ShapeKey {
     cpu_bits: u64,
     mem_bits: u64,
@@ -397,18 +355,23 @@ impl ShapeKey {
             tier: tier as u8,
         }
     }
+
+    /// The key's cache slot: the top bits of one multiplication, which
+    /// depend on every bit of the key. Request bits vary mostly in their
+    /// exponent and top mantissa bits, so the memory word is rotated
+    /// away from the CPU word's before the two are mixed.
+    fn slot(self) -> usize {
+        let mixed = self.cpu_bits ^ self.mem_bits.rotate_left(32) ^ u64::from(self.tier);
+        (mixed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MAX_ENTRIES.trailing_zeros())) as usize
+    }
 }
 
 /// One machine mutation as the score cache remembers it: which machine,
-/// how full it was left, and whether the change could have *increased*
-/// feasibility (lower committed or higher capacity in some dimension).
+/// and whether the change could have *increased* feasibility (lower
+/// committed or higher capacity in some dimension).
 #[derive(Debug, Clone, Copy)]
 struct LogRec {
     machine: u32,
-    /// Dominant committed fraction right after the mutation (`f32` keeps
-    /// the record at 12 bytes; the lossy rounding is covered by the
-    /// filter's safety margin).
-    fullness: f32,
     loosened: bool,
 }
 
@@ -444,11 +407,12 @@ impl Lex {
 /// stays cheap.
 const R: usize = 8;
 
-/// A memoized best-fit answer: the top-R machines by `(score, index)`
-/// at `epoch`, plus the threshold every other machine provably sits
-/// at-or-above (see module docs).
+/// A memoized best-fit answer for `key`: the top-R machines by
+/// `(score, index)` at `epoch`, plus the threshold every other machine
+/// provably sits at-or-above (see module docs).
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
+    key: ShapeKey,
     cands: [u32; R],
     n_cands: u8,
     threshold: Lex,
@@ -456,14 +420,33 @@ struct CacheEntry {
     epoch: u64,
 }
 
-/// Cached shapes before the oldest is evicted (FIFO). Shapes churn with
-/// jobs, so precision beyond this is wasted memory.
+impl CacheEntry {
+    /// The entry a scan's or a refresh's top list seeds, valid at `epoch`.
+    fn from_top(key: ShapeKey, top: &TopList, threshold: Lex, epoch: u64) -> CacheEntry {
+        let n = top.len.min(R);
+        let mut cands = [0u32; R];
+        for (slot, l) in cands.iter_mut().zip(&top.arr[..n]) {
+            *slot = l.mi;
+        }
+        CacheEntry {
+            key,
+            cands,
+            n_cands: n as u8,
+            threshold,
+            epoch,
+        }
+    }
+}
+
+/// Cache slots, a power of two. A shape is cached in one slot, picked by
+/// [`ShapeKey::slot`], and a store there replaces whatever shape held
+/// it. Shapes churn with jobs, so precision beyond this is wasted memory.
 const MAX_ENTRIES: usize = 4096;
 
 /// Tail length at which a hit also rewrites the entry (advancing its
 /// epoch and re-seeding candidates). Refreshing on *every* hit wastes
-/// time on hash-table writes; never refreshing lets tails grow until
-/// they expire. This amortizes one rewrite per `REFRESH_TAIL` tail
+/// time on table writes; never refreshing lets tails grow until they
+/// expire. This amortizes one rewrite per `REFRESH_TAIL` tail
 /// records walked.
 const REFRESH_TAIL: usize = 8;
 
@@ -544,9 +527,8 @@ impl TopList {
 /// the exactness argument).
 #[derive(Debug, Clone)]
 struct ScoreCache {
-    entries: FxHashMap<ShapeKey, CacheEntry>,
-    /// Insertion order of live keys, for FIFO eviction.
-    fifo: VecDeque<ShapeKey>,
+    /// [`MAX_ENTRIES`] direct-mapped slots.
+    entries: Vec<Option<CacheEntry>>,
     /// Machines mutated recently, oldest first.
     log: VecDeque<LogRec>,
     /// Epoch of `log.front()`; `epoch_base + log.len()` is "now".
@@ -558,9 +540,9 @@ struct ScoreCache {
     /// Per-machine visit stamps for O(1) tail dedup.
     stamp: Vec<u32>,
     stamp_gen: u32,
-    /// Scratch: the machines a lookup re-scores (candidates ∪ relevant
-    /// tail, deduped; `R + log_cap` slots, filled from the front) and
-    /// their mirror rows, copied side by side.
+    /// Scratch: the machines a lookup re-scores (candidates ∪ tail,
+    /// deduped; `R + log_cap` slots, filled from the front) and their
+    /// mirror rows, copied side by side.
     ids: Vec<u32>,
     rows: Vec<[f64; 4]>,
 }
@@ -568,8 +550,7 @@ struct ScoreCache {
 impl ScoreCache {
     fn new(fleet: usize) -> ScoreCache {
         ScoreCache {
-            entries: FxHashMap::default(),
-            fifo: VecDeque::new(),
+            entries: vec![None; MAX_ENTRIES],
             log: VecDeque::new(),
             epoch_base: 0,
             log_cap: max_tail(fleet),
@@ -584,10 +565,9 @@ impl ScoreCache {
         self.epoch_base + self.log.len() as u64
     }
 
-    fn record(&mut self, machine: usize, fullness: f32, loosened: bool) {
+    fn record(&mut self, machine: usize, loosened: bool) {
         self.log.push_back(LogRec {
             machine: machine as u32,
-            fullness,
             loosened,
         });
         if self.log.len() > self.log_cap {
@@ -608,7 +588,8 @@ impl ScoreCache {
         scores: &mut Vec<f64>,
         stats: &mut IndexStats,
     ) -> Option<Option<(usize, f64)>> {
-        let entry = *self.entries.get(&key)?;
+        let slot = key.slot();
+        let entry = self.entries[slot].filter(|e| e.key == key)?;
         if entry.epoch < self.epoch_base {
             // The tail outgrew the log: longer than `max_tail`, so the
             // caller's scan is the cheaper way to the answer.
@@ -617,33 +598,10 @@ impl ScoreCache {
         let tail_start = (entry.epoch - self.epoch_base) as usize;
         let tail_len = self.log.len() - tail_start;
 
-        // Candidates ∪ the *relevant* tail, deduped by visit stamp. Most
-        // mutations provably cannot affect this entry's answer and are
-        // skipped on a single `f32` comparison:
-        //
-        // - Positive entries (threshold `T`): for any machine,
-        //   `score ≥ 1 − fullness − δ̂` where `δ̂` bounds the request's
-        //   dominant share on the smallest machine, so a mutation that
-        //   left the machine with `fullness ≤ 1 − T − δ̂ − μ` left it
-        //   scoring at-or-above `T` (or infeasible) — exactly what the
-        //   hit rule needs from non-candidates. Only nearly-full
-        //   machines — the potential best-fit winners — get re-scored.
-        // - Negative entries ("nothing fits"): only a loosening can
-        //   create feasibility, and a machine left with
-        //   `fullness > 1 − min_dim(d/max_cap) + μ` provably still
-        //   cannot fit the request.
-        //
-        // The margin `μ` absorbs `f32` rounding of the recorded fullness
-        // and the float slop in the bound derivations.
-        const MU: f64 = 1e-6;
+        // Candidates ∪ the tail, deduped by visit stamp. A "nothing
+        // fits" entry skips the tail's tightenings: they cannot make a
+        // machine feasible.
         let negative = entry.threshold == Lex::MAX;
-        let full_cut = if negative {
-            let term = |d_dim: f64, cap: f64| if d_dim > 0.0 { d_dim / cap } else { 0.0 };
-            1.0 - term(d.cpu, mirror.max_cap[0]).min(term(d.mem, mirror.max_cap[1])) + MU
-        } else {
-            let delta_hat = (d.cpu / mirror.min_pos_cap[0]).max(d.mem / mirror.min_pos_cap[1]);
-            1.0 - entry.threshold.score - delta_hat - MU
-        };
         self.stamp_gen = self.stamp_gen.wrapping_add(1);
         if self.stamp_gen == 0 {
             self.stamp.fill(0);
@@ -652,7 +610,7 @@ impl ScoreCache {
         // `ids` has a slot for every candidate and every record the log
         // can hold: each record is written to the next slot whether or
         // not it is kept, and the slot advances by the keep bit — no
-        // branch on a fullness that differs from one record to the next.
+        // branch on a record that differs from the one before.
         let mark = self.stamp_gen;
         // A scan's or a refresh's top-R never names a machine twice.
         let mut kept = entry.n_cands as usize;
@@ -661,14 +619,8 @@ impl ScoreCache {
             *slot = mi;
         }
         for rec in self.log.range(tail_start..) {
-            let fullness = f64::from(rec.fullness);
-            let relevant = if negative {
-                rec.loosened & (fullness <= full_cut)
-            } else {
-                fullness > full_cut
-            };
             let seen = &mut self.stamp[rec.machine as usize];
-            let keep = relevant & (*seen != mark);
+            let keep = (rec.loosened | !negative) & (*seen != mark);
             *seen = select_unpredictable(keep, mark, *seen);
             self.ids[kept] = rec.machine;
             kept += usize::from(keep);
@@ -691,7 +643,7 @@ impl ScoreCache {
         // "nothing fits" is global too.
         let hit = match best {
             Some(l) => l.lt(entry.threshold),
-            None => entry.threshold == Lex::MAX,
+            None => negative,
         };
         if !hit {
             return None;
@@ -708,52 +660,20 @@ impl ScoreCache {
         // first evicted feasible candidate (if any). The same unchanged-
         // machines argument as above makes the rewrite sound.
         if tail_len >= REFRESH_TAIL {
-            let n = top.len.min(R);
-            let mut cands = [0u32; R];
-            for (slot, l) in cands.iter_mut().zip(&top.arr[..n]) {
-                *slot = l.mi;
-            }
             let threshold = match (top.len > R).then(|| top.arr[R]) {
                 Some(t) if t.lt(entry.threshold) => t,
                 _ => entry.threshold,
             };
-            let epoch = self.now();
-            if let Some(slot) = self.entries.get_mut(&key) {
-                *slot = CacheEntry {
-                    cands,
-                    n_cands: n as u8,
-                    threshold,
-                    epoch,
-                };
-            }
+            self.entries[slot] = Some(CacheEntry::from_top(key, &top, threshold, self.now()));
         }
         Some(best.map(|l| (l.mi as usize, l.score)))
     }
 
-    /// Installs a freshly scanned answer, evicting the oldest entry once
-    /// the table is full.
+    /// Installs a freshly scanned answer in its key's slot, over whatever
+    /// shape held it.
     fn store(&mut self, key: ShapeKey, top: &TopList) {
-        let n = top.len.min(R);
-        let mut cands = [0u32; R];
-        for (slot, l) in cands.iter_mut().zip(&top.arr[..n]) {
-            *slot = l.mi;
-        }
         let threshold = if top.len > R { top.arr[R] } else { Lex::MAX };
-        let entry = CacheEntry {
-            cands,
-            n_cands: n as u8,
-            threshold,
-            epoch: self.now(),
-        };
-        if !self.entries.contains_key(&key) {
-            if self.entries.len() >= MAX_ENTRIES {
-                if let Some(old) = self.fifo.pop_front() {
-                    self.entries.remove(&old);
-                }
-            }
-            self.fifo.push_back(key);
-        }
-        self.entries.insert(key, entry);
+        self.entries[key.slot()] = Some(CacheEntry::from_top(key, top, threshold, self.now()));
     }
 }
 
@@ -794,7 +714,7 @@ impl PlacementIndex {
     /// appends the machine to the cache's mutation log.
     pub fn on_machine_changed(&mut self, mi: usize, m: &Machine) {
         let [old_c_cpu, old_c_mem, old_cap_cpu, old_cap_mem] = self.mirror.rows[mi];
-        self.mirror.sync(mi, m);
+        self.mirror.rows[mi] = Mirror::row(m);
         let [c_cpu, c_mem, cap_cpu, cap_mem] = self.mirror.rows[mi];
         // Loosened = feasibility could have grown somewhere: committed
         // dropped or capacity rose in at least one dimension.
@@ -806,8 +726,7 @@ impl PlacementIndex {
             self.tree_dirty[mi] = true;
             self.dirty_list.push(mi as u32);
         }
-        self.cache
-            .record(mi, self.mirror.fullness(mi) as f32, loosened);
+        self.cache.record(mi, loosened);
     }
 
     fn flush_tree(&mut self, machines: &[Machine]) {
@@ -1320,10 +1239,12 @@ mod tests {
         assert_eq!(index.stats.cache_misses, 1);
     }
 
-    /// Overflowing the entry table evicts FIFO and stays correct.
+    /// More shapes than slots overwrite each other and stay correct, and
+    /// so do two shapes sharing one slot, queried in turn while their
+    /// machines fill.
     #[test]
     fn entry_eviction_stays_correct() {
-        let machines: Vec<Machine> = (0..4)
+        let mut machines: Vec<Machine> = (0..4)
             .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
             .collect();
         let mut index = PlacementIndex::new(&machines);
@@ -1332,11 +1253,48 @@ mod tests {
             let got = index.best_fit(&machines, request, Tier::Mid);
             assert_eq!(got, naive_best_fit(&machines, request, Tier::Mid));
         }
-        // Requery the earliest (evicted) shape: still correct, via scan.
+        // Requery the earliest (overwritten) shape: still correct, via scan.
         let first = Resources::new(0.1, 0.1);
         assert_eq!(
             index.best_fit(&machines, first, Tier::Mid),
             naive_best_fit(&machines, first, Tier::Mid)
+        );
+
+        let slot = |r: Resources| ShapeKey::of(r, Tier::Mid).slot();
+        let a = Resources::new(0.05, 0.05);
+        let b = (1..)
+            .map(|k| Resources::new(0.05 + k as f64 * 1e-6, 0.05))
+            .find(|&r| slot(r) == slot(a))
+            .expect("some shape shares the slot");
+        let misses = index.stats.cache_misses;
+        for owner in 0..24 {
+            let request = if owner % 2 == 0 { a } else { b };
+            let expect = naive_best_fit(&machines, request, Tier::Mid);
+            assert_eq!(index.best_fit(&machines, request, Tier::Mid), expect);
+            let (mi, _) = expect.expect("fits");
+            machines[mi].add(occupant(owner, Tier::Mid, request));
+            index.on_machine_changed(mi, &machines[mi]);
+        }
+        // Each query found the other shape in the slot and rescanned.
+        assert_eq!(index.stats.cache_misses - misses, 24);
+    }
+
+    /// The cache slot spreads a grid of shapes that differ only in a few
+    /// high bits of each word — the keys a raw multiply-xor hash of the
+    /// two words puts in 931 of 4096 low-bit buckets.
+    #[test]
+    fn shape_keys_spread_over_the_slots() {
+        let mut used = vec![false; MAX_ENTRIES];
+        for i in 0..64 {
+            for j in 0..64 {
+                let request = Resources::new(f64::from(i) / 64.0, f64::from(j) / 64.0);
+                used[ShapeKey::of(request, Tier::Production).slot()] = true;
+            }
+        }
+        let reached = used.iter().filter(|&&u| u).count();
+        assert!(
+            reached >= MAX_ENTRIES / 2,
+            "{reached} of {MAX_ENTRIES} slots"
         );
     }
 

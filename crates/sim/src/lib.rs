@@ -34,7 +34,6 @@ pub mod check;
 pub mod config;
 pub mod event;
 pub mod faults;
-pub mod fxhash;
 pub mod index;
 pub mod machine;
 pub mod metrics;

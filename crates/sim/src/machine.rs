@@ -7,7 +7,6 @@
 //! above 100% of capacity (Figures 4/5) while usage stays below it
 //! (Figure 2).
 
-use crate::fxhash::FxHashMap;
 use borg_trace::machine::MachineId;
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
@@ -70,9 +69,6 @@ pub struct Machine {
     pub occupants: Vec<Occupant>,
     /// Sum of discounted requests (kept incrementally).
     pub committed: Resources,
-    /// Occupant slot map: `(owner, index)` → position in `occupants`,
-    /// kept in lock-step across `swap_remove` so removal is O(1).
-    slots: FxHashMap<(usize, usize), usize>,
 }
 
 impl Machine {
@@ -83,7 +79,6 @@ impl Machine {
             capacity,
             occupants: Vec::new(),
             committed: Resources::ZERO,
-            slots: FxHashMap::default(),
         }
     }
 
@@ -102,27 +97,29 @@ impl Machine {
     /// beyond capacity is allowed — that is what over-commitment means
     /// when the policy discounts requests).
     pub fn add(&mut self, occ: Occupant) {
-        self.committed += occ.discounted();
-        let prev = self
-            .slots
-            .insert((occ.owner, occ.index), self.occupants.len());
         debug_assert!(
-            prev.is_none(),
+            self.position(occ.owner, occ.index).is_none(),
             "duplicate occupant ({}, {})",
             occ.owner,
             occ.index
         );
+        self.committed += occ.discounted();
         self.occupants.push(occ);
     }
 
-    /// Removes the occupant with the given owner and index, returning it.
-    /// O(1) via the slot map.
+    /// Where the occupant with the given owner and index sits in
+    /// `occupants`.
+    fn position(&self, owner: usize, index: usize) -> Option<usize> {
+        self.occupants
+            .iter()
+            .position(|o| o.owner == owner && o.index == index)
+    }
+
+    /// Removes the occupant with the given owner and index, returning it:
+    /// a scan of the occupants, then a `swap_remove` that moves the last
+    /// occupant into the freed place.
     pub fn remove(&mut self, owner: usize, index: usize) -> Option<Occupant> {
-        let pos = self.slots.remove(&(owner, index))?;
-        let occ = self.occupants.swap_remove(pos);
-        if let Some(moved) = self.occupants.get(pos) {
-            self.slots.insert((moved.owner, moved.index), pos);
-        }
+        let occ = self.occupants.swap_remove(self.position(owner, index)?);
         self.committed -= occ.discounted();
         // Guard against float drift on empty machines.
         if self.occupants.is_empty() {
@@ -277,6 +274,20 @@ mod tests {
         assert!(m.remove(7, 0).is_none());
         assert_eq!(m.committed, Resources::ZERO);
         assert!(m.fits(Resources::new(0.9, 0.4), Tier::Production));
+    }
+
+    #[test]
+    fn remove_moves_the_last_occupant_into_the_gap() {
+        let mut m = Machine::new(MachineId(0), Resources::new(1.0, 1.0));
+        for owner in 0..4 {
+            m.add(task(owner, Tier::Mid, 0.1));
+        }
+        assert_eq!(m.remove(1, 0).map(|o| o.owner), Some(1));
+        let owners: Vec<usize> = m.occupants.iter().map(|o| o.owner).collect();
+        assert_eq!(owners, [0, 3, 2]);
+        assert_eq!(m.remove(1, 0), None);
+        assert_eq!(m.remove(3, 1), None);
+        assert_eq!(m.occupants.len(), 3);
     }
 
     #[test]

@@ -121,8 +121,8 @@ pub struct SimMetrics {
     /// Evictions by cause ("maintenance", "overcommit", "preemption",
     /// "alloc_teardown").
     pub evictions_by_cause: BTreeMap<&'static str, u64>,
-    /// Placement-index hit/miss/scan counters (zero when the index is
-    /// disabled).
+    /// Placement-index hit/miss/scan counters: how the index, the one
+    /// placement path, answered this run's queries.
     pub index: crate::index::IndexStats,
 }
 

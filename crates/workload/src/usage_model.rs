@@ -10,15 +10,8 @@
 use borg_trace::resources::Resources;
 use borg_trace::time::{Micros, MICROS_PER_HOUR};
 
-/// SplitMix64: a tiny, high-quality hash/PRNG step used to derive
-/// deterministic per-window noise.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// SplitMix64, the hash behind the deterministic per-window noise.
+pub use rand::splitmix64;
 
 /// Uniform in `[0, 1)` from a hash of `(seed, index)`.
 fn unit_noise(seed: u64, index: u64) -> f64 {

@@ -45,12 +45,14 @@ Modes (at most one):
              run of this checkout beating every run of REV) or no
              change; then digest equality and failed checks. It fails
              on a digest mismatch, a failed check or a worse metric.
-             First it prints the non-test lines of crates/*/src (each
-             file up to its first #[cfg(test)]) for REV and for this
-             checkout, and the difference. Before the first pair and
-             after the last it prints the host's two-thread regime: the
-             time of one CPU-bound kernel alone against two copies of it
-             at once (median of three; ratio 1 = two free cores, 2 = one)
+             First it prints the non-test lines of crates/*/src for REV
+             and for this checkout, the difference, and each crate whose
+             count changed (a file counts up to the #[cfg(test)] that
+             opens a test module; a file declared by #[cfg(test)] mod
+             name; counts nothing). Before the first pair and after the
+             last it prints the host's two-thread regime: the time of
+             one CPU-bound kernel alone against two copies of it at once
+             (median of three; ratio 1 = two free cores, 2 = one)
   --help     this text
 EOF
 }
@@ -134,19 +136,65 @@ if [ "$mode" = --compare ]; then
         mkdir -p "$parent_root"
         git archive "$parent" | tar -x -C "$parent_root"
     fi
-    # Non-test lines of crates/*/src under $1: each file up to its first
-    # `#[cfg(test)]`.
+    # Non-test lines of crates/*/src under $1, one `crate lines` row per
+    # crate. A file counts up to a `#[cfg(test)]` that opens a `mod … {`
+    # (comments and other attributes may stand between the two); a file
+    # that a `#[cfg(test)] mod name;` declares counts nothing.
     src_lines() {
-        find "$1"/crates/*/src -name '*.rs' -exec awk '
-            FNR == 1 { test = 0 }
-            /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
-            !test { n++ }
-            END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }'
+        (cd "$1" && find crates/*/src -name '*.rs' | sort | xargs awk '
+            function item(line, name) {
+                name = line
+                if (!sub(/^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+/, "", name)) {
+                    n += held
+                } else if (name ~ /^[A-Za-z0-9_]+[[:space:]]*\{/) {
+                    test = 1
+                } else {
+                    sub(/[[:space:]]*;.*/, "", name)
+                    print "skip", dir "/" name ".rs"
+                    print "skip", dir "/" name "/mod.rs"
+                    n += held
+                }
+                held = 0
+            }
+            function flush() { if (file != "") print "file", file, n + held }
+            FNR == 1 {
+                flush()
+                file = FILENAME; n = 0; held = 0; test = 0
+                dir = FILENAME
+                sub(/\.rs$/, "", dir)
+                if (dir ~ /\/(lib|main|mod)$/) sub(/\/[^\/]*$/, "", dir)
+            }
+            test { next }
+            held && /^[[:space:]]*(\/\/|#\[|$)/ { held++; next }
+            held { held++; item($0); next }
+            /^[[:space:]]*#\[cfg\(test\)\]/ {
+                held = 1
+                rest = $0
+                sub(/^[[:space:]]*#\[cfg\(test\)\][[:space:]]*/, "", rest)
+                if (rest != "") item(rest)
+                next
+            }
+            { n++ }
+            END { flush() }' | awk '
+            $1 == "skip" { skip[$2] = 1; next }
+            { lines[$2] = $3 }
+            END {
+                for (f in lines) if (!(f in skip)) { split(f, p, "/"); crate[p[2]] += lines[f] }
+                for (c in crate) print c, crate[c]
+            }' | sort)
     }
     parent_lines=$(src_lines "$parent_root")
     change_lines=$(src_lines .)
-    printf '==> non-test lines in crates/*/src: %s %s, this checkout %s, difference %+d\n' \
-        "$parent" "$parent_lines" "$change_lines" $((change_lines - parent_lines))
+    { printf '%s\n' "$parent_lines" | sed 's/^/parent /'
+      printf '%s\n' "$change_lines" | sed 's/^/change /'; } | awk -v rev="$parent" '
+        { n[$1, $2] = $3; total[$1] += $3; crates[$2] = 1 }
+        END {
+            printf "==> non-test lines in crates/*/src: %s %d, this checkout %d, difference %+d\n",
+                rev, total["parent"], total["change"], total["change"] - total["parent"]
+            for (c in crates) if (n["parent", c] != n["change", c])
+                printf "    %s %d -> %d (%+d)\n", c, n["parent", c], n["change", c],
+                    n["change", c] - n["parent", c] | "sort"
+        }'
     parent_target=$base/$parent-target
     change_target=$base/checkout-target
     echo "==> building the benchmark of $parent and of this checkout"
