@@ -77,7 +77,7 @@ impl RuleId {
         match self {
             RuleId::D1 => {
                 "iteration over HashMap/HashSet/FxHashMap/FxHashSet in a deterministic crate; \
-                 route through a sorted-iteration helper (fxhash::sorted_*) or annotate"
+                 collect and sort the entries first (or use a BTreeMap) or annotate"
             }
             RuleId::D2 => {
                 "wall-clock/entropy/thread-identity source (SystemTime::now, Instant::now, \
@@ -595,7 +595,7 @@ fn rule_d1(ctx: &mut Ctx) {
                     RuleId::D1,
                     format!(
                         "`{name}.{method}()` iterates a hash container in arbitrary order; \
-                         collect+sort via fxhash::sorted_* (or switch to BTreeMap) or annotate \
+                         collect and sort the entries (or switch to BTreeMap) or annotate \
                          `// lint: nondeterministic-iteration-ok (reason)`"
                     ),
                 );
@@ -642,7 +642,7 @@ fn rule_d1(ctx: &mut Ctx) {
                     RuleId::D1,
                     format!(
                         "`for … in {name}` iterates a hash container in arbitrary order; \
-                         collect+sort via fxhash::sorted_* (or switch to BTreeMap) or annotate \
+                         collect and sort the entries (or switch to BTreeMap) or annotate \
                          `// lint: nondeterministic-iteration-ok (reason)`"
                     ),
                 );

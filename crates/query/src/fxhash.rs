@@ -10,7 +10,7 @@
 //! * [`FxHasher`] is the raw hash. borg-serve feeds its `finish()` into
 //!   plan fingerprints, trace ids, retry jitter, chaos draws and log
 //!   digests, so its output is **byte-stable** and must never change.
-//! * [`FxMapHasher`] (behind [`FxHashMap`]/[`FxHashSet`]) is the raw hash
+//! * [`FxMapHasher`] (behind [`FxHashMap`]) is the raw hash
 //!   plus [`finalize`]. It only picks hash-table buckets, so it is free
 //!   to change. The finaliser exists because the raw hash ends on a
 //!   multiply: a key whose words have `z` trailing zero bits (the `f64`
@@ -18,7 +18,7 @@
 //!   `z` trailing zero bits, and tables that index by the low bits put
 //!   every such key in one bucket.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// rustc-FxHash: one multiply and rotate per word.
@@ -91,7 +91,7 @@ pub fn finalize(hash: u64) -> u64 {
 }
 
 /// [`FxHasher`] with [`finalize`] applied in `finish`: the hasher of
-/// [`FxHashMap`] and [`FxHashSet`]. Not a determinism surface.
+/// [`FxHashMap`]. Not a determinism surface.
 #[derive(Default)]
 pub struct FxMapHasher(FxHasher);
 
@@ -130,22 +130,11 @@ impl Hasher for FxMapHasher {
 /// `HashMap` keyed with [`FxMapHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxMapHasher>>;
 
-/// `HashSet` keyed with [`FxMapHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxMapHasher>>;
-
-/// Snapshot of a hash map's entries in key-sorted order — the blessed
-/// way (borg-lint rule D1) to iterate an [`FxHashMap`] when anything
-/// order-sensitive is derived from the traversal.
-pub fn sorted_entries<K: Ord + Clone, V: Clone>(map: &FxHashMap<K, V>) -> Vec<(K, V)> {
-    let mut v: Vec<(K, V)> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-    v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::keys::num_key;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     /// Distinct values of the low 12 bits (what a 4096-bucket table
@@ -202,10 +191,6 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m[&500], 1000);
-
-        let mut s: FxHashSet<Box<[u64]>> = FxHashSet::default();
-        s.insert(vec![1, 2].into_boxed_slice());
-        assert!(s.contains(&[1u64, 2][..]));
     }
 
     #[test]

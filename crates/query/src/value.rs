@@ -46,14 +46,6 @@ impl Value {
         }
     }
 
-    /// Boolean view; `None` for anything but `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String view; `None` for anything but `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -233,7 +225,6 @@ mod tests {
     fn views() {
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
         assert_eq!(Value::str("x").as_f64(), None);
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::Float(1.0).as_i64(), None);
     }

@@ -225,12 +225,6 @@ impl Telemetry {
         self.registry.add(id, delta);
     }
 
-    /// Increments a counter by one.
-    #[inline]
-    pub fn incr(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
     /// Registers (or looks up) a histogram.
     pub fn hist(&mut self, name: &str, plane: Plane) -> HistId {
         if !self.enabled {
@@ -306,7 +300,7 @@ mod tests {
         let outer = tel.span_enter("outer");
         let det = tel.counter("work.items", Plane::Deterministic);
         tel.add(det, 41);
-        tel.incr(det);
+        tel.add(det, 1);
         let eng = tel.counter("index.hits", Plane::Engine);
         tel.add(eng, 7);
         let tim = tel.counter("work.ns", Plane::Timing);

@@ -5,20 +5,20 @@
 //! inspected with standard tools, and diffed. Fields never contain commas,
 //! so no quoting is needed.
 //!
-//! Each table has one `Codec`: how a row is rendered, how a line is
-//! parsed, and how a line the writer could have written is recognised.
-//! There is one reader, [`read_trace_dir_lenient`]: each table goes
+//! Each table has one `Codec`: how a row is rendered and how a line is
+//! read. There is one reader, [`read_trace_dir_lenient`]: each table goes
 //! through `read_table_lenient`, where `Lines` hands out every line as a
-//! slice of its read buffer; the codec's recogniser walks those bytes
-//! once and answers with the row for any line `render` emits; every other
-//! line goes to `parse`, which is the definition of what the reader
-//! accepts, of the order a line's bad fields are reported in, and of
-//! every message a quarantined line carries. A directory is read and
-//! written on two threads (`read_tables`, `write_tables`, sharing
-//! `on_two_threads`): the instance table on one, the other three tables
-//! on the other; the reader merges the tables' quarantines in file order,
-//! so the result is the same as reading one file after another. The
-//! file-format rules the codecs, `write_table` and `Lines` must keep
+//! slice of its read buffer, and the codec's `read` walks those bytes
+//! once with a `Cursor`, every field in column order, then builds the row
+//! checking the fields in the table's own order. That walk is the one
+//! statement of what the reader accepts, of which bad field a line
+//! reports, and of every message a quarantined line carries; the text of
+//! a message is built only for a line that is quarantined. A directory
+//! is read and written on two threads (`read_tables`, `write_tables`,
+//! sharing `on_two_threads`): the instance table on one, the other three
+//! tables on the other; the reader merges the tables' quarantines in file
+//! order, so the result is the same as reading one file after another.
+//! The file-format rules the codecs, `write_table` and `Lines` must keep
 //! (shortest-round-trip floats, std's parse acceptance set, the
 //! line-numbering rules) are listed in DESIGN.md §11.
 
@@ -38,6 +38,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Errors arising while parsing a CSV trace table.
 #[derive(Debug)]
@@ -68,87 +69,45 @@ fn parse_err(line: usize, message: impl Into<String>) -> CsvError {
     }
 }
 
-fn parse_u64(s: &str, line: usize) -> Result<u64, CsvError> {
-    s.parse()
-        .map_err(|_| parse_err(line, format!("bad integer {s:?}")))
+/// Why a line was refused. It says where the bad field lies, not what it
+/// holds: the text is built only for a line that is quarantined
+/// ([`Bad::message`]).
+enum Bad {
+    /// The line ends before this field.
+    Missing(usize),
+    /// `bad {what} {field:?}`: the field at this span is no integer, float
+    /// or name of its column.
+    Field(&'static str, Range<usize>),
+    /// An integer too wide for its narrow column: a parse error naming the
+    /// column, never a wrapped id.
+    OutOfRange(&'static str, u64),
+    /// One half of an instance's alloc pair is empty.
+    HalfAlloc,
 }
 
-/// An integer field of a column narrower than `u64`: a value that does
-/// not fit is a parse error naming the column, never a wrapped id.
-fn parse_narrow<T: TryFrom<u64>>(s: &str, what: &str, line: usize) -> Result<T, CsvError> {
-    let v = parse_u64(s, line)?;
-    T::try_from(v).map_err(|_| parse_err(line, format!("{what} {v} out of range")))
-}
-
-/// A float field: `f64::from_str` for an `f64` column, `f32::from_str`
-/// (one grammar, each rounded once) for a histogram bucket.
-fn parse_float<T: std::str::FromStr>(s: &str, line: usize) -> Result<T, CsvError> {
-    s.parse()
-        .map_err(|_| parse_err(line, format!("bad float {s:?}")))
-}
-
-fn parse_event(s: &str, line: usize) -> Result<EventType, CsvError> {
-    EventType::parse(s).ok_or_else(|| parse_err(line, format!("bad event {s:?}")))
-}
-
-/// A field that may be empty: `None` then, else whatever `parse` makes
-/// of it.
-fn optional<T>(
-    s: &str,
-    parse: impl FnOnce(&str) -> Result<T, CsvError>,
-) -> Result<Option<T>, CsvError> {
-    if s.is_empty() {
-        Ok(None)
-    } else {
-        parse(s).map(Some)
-    }
-}
-
-/// The comma-separated fields of one line, split in place: at most `N`
-/// are kept, which is as far as the table with that many columns reads.
-struct Fields<'a, const N: usize> {
-    parts: [&'a str; N],
-    len: usize,
-}
-
-impl<'a, const N: usize> Fields<'a, N> {
-    fn split(line: &'a str) -> Self {
-        let mut parts = [""; N];
-        let mut len = 0;
-        let mut start = 0;
-        for (i, &b) in line.as_bytes().iter().enumerate() {
-            if b == b',' {
-                if len == N {
-                    return Fields { parts, len };
-                }
-                parts[len] = &line[start..i];
-                len += 1;
-                start = i + 1;
-            }
+impl Bad {
+    /// What is wrong with `line`, the line that was refused.
+    fn message(&self, line: &str) -> String {
+        match self {
+            Bad::Missing(field) => format!("missing field {field}"),
+            Bad::Field(what, span) => format!("bad {what} {:?}", &line[span.clone()]),
+            Bad::OutOfRange(what, v) => format!("{what} {v} out of range"),
+            Bad::HalfAlloc => "half-specified alloc instance".to_string(),
         }
-        if len < N {
-            parts[len] = &line[start..];
-            len += 1;
-        }
-        Fields { parts, len }
-    }
-
-    fn get(&self, idx: usize, line: usize) -> Result<&'a str, CsvError> {
-        self.parts[..self.len]
-            .get(idx)
-            .copied()
-            .ok_or_else(|| parse_err(line, format!("missing field {idx}")))
     }
 }
 
-/// A line being walked by a recogniser ([`Codec::recognise`]), left to
-/// right and once: every method reads the field at the cursor and stops
-/// at its comma, [`Cursor::next`] steps over the comma, and
-/// [`Cursor::end`] holds when nothing is left, so a line is recognised
-/// only with exactly its table's field count.
+/// A line being read by [`Codec::read`], left to right and once: every
+/// method reads the field at the cursor and steps over the comma that
+/// ends it. A bad field is stepped over all the same, so the fields after
+/// it are still read, and a field past the line's end is missing.
 struct Cursor<'a> {
     line: &'a [u8],
+    /// Where the next field starts; past `line.len()` once the field that
+    /// ends the line was read.
     at: usize,
+    /// The index of the next field.
+    field: usize,
     /// `line` as text, once a float field has asked for it: checking the
     /// line once costs less than checking 27 fields of a usage row, and a
     /// line with no float to convert is never checked at all.
@@ -160,94 +119,122 @@ impl<'a> Cursor<'a> {
         Cursor {
             line,
             at: 0,
+            field: 0,
             text: None,
         }
     }
 
-    /// Steps over the comma that ends the field just read.
-    fn next(&mut self) -> Option<&mut Self> {
-        if *self.line.get(self.at)? != b',' {
-            return None;
+    /// Whether the line ended with the last field read: `false` when it
+    /// holds fields past the table's last column, which are not read.
+    fn ended(&self) -> bool {
+        self.at > self.line.len()
+    }
+
+    /// Where the field at the cursor starts.
+    fn start(&mut self) -> Result<usize, Bad> {
+        self.field += 1;
+        if self.ended() {
+            return Err(Bad::Missing(self.field - 1));
         }
-        self.at += 1;
-        Some(self)
+        Ok(self.at)
     }
 
-    /// Holds at the end of the line.
-    fn end(&self) -> Option<()> {
-        (self.at == self.line.len()).then_some(())
+    /// Ends the field that starts at `from` at its comma (or the line's
+    /// end) and steps over it; where in `line` the field lies.
+    fn close(&mut self, from: usize) -> Range<usize> {
+        let rest = &self.line[from..];
+        let to = from + find_byte::<b','>(rest).unwrap_or(rest.len());
+        self.at = to + 1;
+        from..to
     }
 
-    /// An integer field, converted while looking for its comma: decimal
-    /// digits only, as the writer renders one. A sign, a blank or a
-    /// value over `u64::MAX` is for `parse_u64` to judge.
-    fn int(&mut self) -> Option<u64> {
+    /// Steps over the field, whatever it holds; where in `line` it lies.
+    fn span(&mut self) -> Result<Range<usize>, Bad> {
+        let from = self.start()?;
+        Ok(self.close(from))
+    }
+
+    /// An integer field, converted while looking for its comma when it is
+    /// up to 19 decimal digits, as the writer renders one. Anything else
+    /// — a sign, a blank, twenty digits — is `u64::from_str`'s to judge.
+    fn int(&mut self) -> Result<u64, Bad> {
+        let from = self.start()?;
         let mut v: u64 = 0;
-        let mut digits = 0;
-        for &b in &self.line[self.at..] {
-            let d = u64::from(b.wrapping_sub(b'0'));
+        let mut to = from;
+        for &b in &self.line[from..] {
+            let d = b.wrapping_sub(b'0');
             if d > 9 {
                 break;
             }
-            // Nineteen digits cannot overflow.
-            v = if digits < 19 {
-                v * 10 + d
-            } else {
-                v.checked_mul(10)?.checked_add(d)?
-            };
-            digits += 1;
+            // Wraps only past 19 digits, which are judged again below.
+            v = v.wrapping_mul(10).wrapping_add(u64::from(d));
+            to += 1;
         }
-        if digits == 0 {
-            return None;
+        if (1..=19).contains(&(to - from)) && matches!(self.line.get(to), None | Some(b',')) {
+            self.at = to + 1;
+            return Ok(v);
         }
-        self.at += digits;
-        Some(v)
+        self.int_by_std(from)
     }
 
-    /// An integer field of a column narrower than `u64`.
-    fn narrow<T: TryFrom<u64>>(&mut self) -> Option<T> {
-        T::try_from(self.int()?).ok()
+    /// The integer field that starts at `from`, by `u64::from_str`: out
+    /// of line, so that `int`, on every integer field, stays small.
+    #[cold]
+    fn int_by_std(&mut self, from: usize) -> Result<u64, Bad> {
+        let span = self.close(from);
+        std::str::from_utf8(&self.line[span.clone()])
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .ok_or(Bad::Field("integer", span))
     }
 
-    /// An integer field that may be empty.
-    fn optional<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
-        match self.line.get(self.at) {
-            None | Some(b',') => Some(None),
-            Some(_) => read(self).map(Some),
+    /// An integer field of a column narrower than `u64`, named `what`.
+    fn narrow<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, Bad> {
+        let v = self.int()?;
+        T::try_from(v).map_err(|_| Bad::OutOfRange(what, v))
+    }
+
+    /// A field that may be empty: `None` then, else what `read` makes of it.
+    fn optional<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, Bad>,
+    ) -> Result<Option<T>, Bad> {
+        if self.at == self.line.len() || self.line.get(self.at) == Some(&b',') {
+            self.field += 1;
+            self.at += 1;
+            return Ok(None);
         }
+        read(self).map(Some)
     }
 
-    /// Steps to the end of the field, whatever it holds; where in `line`
-    /// it lies.
-    fn span(&mut self) -> std::ops::Range<usize> {
-        let rest = &self.line[self.at..];
-        let from = self.at;
-        self.at += find_byte::<b','>(rest).unwrap_or(rest.len());
-        from..self.at
+    /// A float field: whatever `T::from_str` accepts — `f64::from_str`
+    /// for an `f64` column, `f32::from_str` (one grammar, each rounded
+    /// once) for a histogram bucket.
+    fn float<T: std::str::FromStr>(&mut self) -> Result<T, Bad> {
+        let span = self.span()?;
+        if self.text.is_none() {
+            self.text = std::str::from_utf8(self.line).ok();
+        }
+        self.text
+            .and_then(|text| text[span.clone()].parse().ok())
+            .ok_or(Bad::Field("float", span))
     }
 
-    /// The bytes of the field.
-    fn field(&mut self) -> &'a [u8] {
-        &self.line[self.span()]
-    }
-
-    /// A float field: whatever `T::from_str` accepts, as `parse_float`.
-    fn float<T: std::str::FromStr>(&mut self) -> Option<T> {
-        let span = self.span();
-        let text = match self.text {
-            Some(text) => text,
-            None => *self.text.insert(std::str::from_utf8(self.line).ok()?),
-        };
-        text.get(span)?.parse().ok()
-    }
-
-    /// A field holding the name of one of `values`.
-    fn name<T: Copy>(&mut self, values: &[T], name: impl Fn(T) -> &'static str) -> Option<T> {
-        let field = self.field();
+    /// A field holding the name of one of `values`; `what` names the
+    /// column in the message.
+    fn name<T: Copy>(
+        &mut self,
+        values: &[T],
+        name: impl Fn(T) -> &'static str,
+        what: &'static str,
+    ) -> Result<T, Bad> {
+        let span = self.span()?;
+        let field = &self.line[span.clone()];
         values
             .iter()
             .copied()
             .find(|&v| name(v).as_bytes() == field)
+            .ok_or(Bad::Field(what, span))
     }
 }
 
@@ -321,7 +308,7 @@ struct Rendered {
 /// far more than a lookup, and a request or a limit takes few distinct
 /// values that come back row after row. Rendering looks the bit pattern
 /// up (`-0.0` and NaN payloads stay distinct) in a direct-mapped table
-/// and converts only on a miss; parsing remembers the previous field
+/// and converts only on a miss; reading remembers the previous field
 /// alone, since a hit there has to compare the field's bytes. Either way
 /// a hit returns precisely what the conversion would have.
 struct FloatMemo {
@@ -382,24 +369,21 @@ impl FloatMemo {
         out.push(b',');
     }
 
-    /// The value of a field, `None` when `f64::from_str` refuses it.
-    fn recognise(&mut self, field: &[u8]) -> Option<f64> {
+    /// The float field at `c`, as `f64::from_str` reads it.
+    fn read(&mut self, c: &mut Cursor<'_>) -> Result<f64, Bad> {
+        let span = c.span()?;
+        let field = &c.line[span.clone()];
         if !field.is_empty() && field == self.text {
-            return Some(f64::from_bits(self.bits));
+            return Ok(f64::from_bits(self.bits));
         }
-        let v: f64 = std::str::from_utf8(field).ok()?.parse().ok()?;
+        let v: f64 = std::str::from_utf8(field)
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .ok_or(Bad::Field("float", span))?;
         self.bits = v.to_bits();
         self.text.clear();
         self.text.extend_from_slice(field);
-        Some(v)
-    }
-
-    fn parse(&mut self, s: &str, line: usize) -> Result<f64, CsvError> {
-        match self.recognise(s.as_bytes()) {
-            Some(v) => Ok(v),
-            // Refused again, this time with the message.
-            None => parse_float(s, line),
-        }
+        Ok(v)
     }
 }
 
@@ -410,8 +394,9 @@ fn push_float(out: &mut Vec<u8>, v: f64) {
     out.push(b',');
 }
 
-/// One table's file format. A codec value lives for one pass over one
-/// table and holds that pass's float memos.
+/// One table's file format: its header, how a row is written and how a
+/// line is read. A codec value lives for one pass over one table and
+/// holds that pass's float memos.
 trait Codec: Default {
     /// The table's row type.
     type Row;
@@ -422,15 +407,12 @@ trait Codec: Default {
     /// Appends one row, every field followed by a comma; [`write_table`]
     /// turns the last comma into the newline.
     fn render(&mut self, out: &mut Vec<u8>, row: &Self::Row);
-    /// Parses one data line (`n` is its 1-based number, for errors only).
-    /// This is the definition of the table's accepted language, of which
-    /// of a line's bad fields is reported, and of every message.
-    fn parse(&mut self, line: &str, n: usize) -> Result<Self::Row, CsvError>;
-    /// The row of a line `render` could have written, in one walk over
-    /// its bytes; `None` hands the line to [`Codec::parse`], which alone
-    /// decides whether it is an error. `Some(row)` only where `parse`
-    /// returns `Ok(row)`.
-    fn recognise(&mut self, line: &[u8]) -> Option<Self::Row>;
+    /// Reads one data line through `c`, every column in order, then
+    /// builds the row checking the fields in the table's own order, so a
+    /// line with several bad fields always reports the same one. This is
+    /// the definition of the table's accepted language and of every
+    /// message; fields past the last column are left to the caller.
+    fn read(&mut self, c: &mut Cursor<'_>) -> Result<Self::Row, Bad>;
 }
 
 /// Bytes rendered before a table writer hands them to its sink.
@@ -612,11 +594,11 @@ fn invalid_utf8() -> io::Error {
     )
 }
 
-/// Reads one table, quarantining instead of aborting: a line that is
-/// neither recognised nor parsed is rejected with `parse`'s message, and
-/// an I/O failure or a line that is not UTF-8 ends the table with a table
-/// error, keeping what was read so far. `bytes` is how many bytes `r` is
-/// expected to yield (0: no idea).
+/// Reads one table, quarantining instead of aborting: a line `read`
+/// refuses is rejected with its message, and an I/O failure or a line
+/// that is not UTF-8 ends the table with a table error, keeping what was
+/// read so far. `bytes` is how many bytes `r` is expected to yield (0: no
+/// idea).
 fn read_table_lenient<C: Codec>(r: impl Read, bytes: u64, q: &mut Quarantine) -> Vec<C::Row> {
     let mut codec = C::default();
     let mut lines = Lines::new(r, bytes);
@@ -627,16 +609,19 @@ fn read_table_lenient<C: Codec>(r: impl Read, bytes: u64, q: &mut Quarantine) ->
             Ok(None) => return out,
             Err(e) => break e,
         };
-        let row = match codec.recognise(line) {
-            Some(row) => row,
-            None => {
-                let Ok(line) = std::str::from_utf8(line) else {
+        let mut c = Cursor::new(line);
+        let row = match codec.read(&mut c) {
+            Ok(row) if c.ended() => row,
+            // Only a line with an error or fields past the last column
+            // can hold bytes that no field read as text.
+            read => {
+                let Ok(text) = std::str::from_utf8(line) else {
                     break (n, invalid_utf8());
                 };
-                match codec.parse(line, n) {
+                match read {
                     Ok(row) => row,
-                    Err(e) => {
-                        q.reject_line(C::FILE, n, e.to_string());
+                    Err(bad) => {
+                        q.reject_line(C::FILE, n, parse_err(n, bad.message(text)).to_string());
                         continue;
                     }
                 }
@@ -655,6 +640,14 @@ fn read_table_lenient<C: Codec>(r: impl Read, bytes: u64, q: &mut Quarantine) ->
     out
 }
 
+fn machine_event_name(ty: MachineEventType) -> &'static str {
+    match ty {
+        MachineEventType::Add => "add",
+        MachineEventType::Remove => "remove",
+        MachineEventType::Update => "update",
+    }
+}
+
 /// The machine-events table (a few hundred rows: no memo).
 #[derive(Default)]
 struct MachineCodec;
@@ -670,52 +663,32 @@ impl Codec for MachineCodec {
     fn render(&mut self, out: &mut Vec<u8>, e: &MachineEvent) {
         push_int(out, e.time.as_micros());
         push_int(out, e.machine_id.0);
-        push_str(
-            out,
-            match e.event_type {
-                MachineEventType::Add => "add",
-                MachineEventType::Remove => "remove",
-                MachineEventType::Update => "update",
-            },
-        );
+        push_str(out, machine_event_name(e.event_type));
         push_float(out, e.capacity.cpu);
         push_float(out, e.capacity.mem);
         push_int(out, e.platform.0);
     }
 
-    fn parse(&mut self, line: &str, n: usize) -> Result<MachineEvent, CsvError> {
-        let f = Fields::<6>::split(line);
-        let ty = match f.get(2, n)? {
-            "add" => MachineEventType::Add,
-            "remove" => MachineEventType::Remove,
-            "update" => MachineEventType::Update,
-            other => return Err(parse_err(n, format!("bad machine event {other:?}"))),
-        };
+    fn read(&mut self, c: &mut Cursor<'_>) -> Result<MachineEvent, Bad> {
+        let (time, machine_id) = (c.int(), c.narrow("machine_id"));
+        let event_type = c.name(
+            &[
+                MachineEventType::Add,
+                MachineEventType::Remove,
+                MachineEventType::Update,
+            ],
+            machine_event_name,
+            "machine event",
+        );
+        let (cpu, mem, platform) = (c.float(), c.float(), c.narrow("platform"));
+        let event_type = event_type?;
         Ok(MachineEvent {
-            time: Micros(parse_u64(f.get(0, n)?, n)?),
-            machine_id: MachineId(parse_narrow(f.get(1, n)?, "machine_id", n)?),
-            event_type: ty,
-            capacity: Resources::new(parse_float(f.get(3, n)?, n)?, parse_float(f.get(4, n)?, n)?),
-            platform: Platform(parse_narrow(f.get(5, n)?, "platform", n)?),
+            time: Micros(time?),
+            machine_id: MachineId(machine_id?),
+            event_type,
+            capacity: Resources::new(cpu?, mem?),
+            platform: Platform(platform?),
         })
-    }
-
-    fn recognise(&mut self, line: &[u8]) -> Option<MachineEvent> {
-        use MachineEventType::{Add, Remove, Update};
-        let mut c = Cursor::new(line);
-        let e = MachineEvent {
-            time: Micros(c.int()?),
-            machine_id: MachineId(c.next()?.narrow()?),
-            event_type: c.next()?.name(&[Add, Remove, Update], |ty| match ty {
-                Add => "add",
-                Remove => "remove",
-                Update => "update",
-            })?,
-            capacity: Resources::new(c.next()?.float()?, c.next()?.float()?),
-            platform: Platform(c.next()?.narrow()?),
-        };
-        c.end()?;
-        Some(e)
     }
 }
 
@@ -758,67 +731,46 @@ impl Codec for CollectionCodec {
         push_int(out, e.user_id.0);
     }
 
-    fn parse(&mut self, line: &str, n: usize) -> Result<CollectionEvent, CsvError> {
-        let f = Fields::<10>::split(line);
-        let ctype = match f.get(3, n)? {
-            "job" => CollectionType::Job,
-            "alloc_set" => CollectionType::AllocSet,
-            other => return Err(parse_err(n, format!("bad collection type {other:?}"))),
-        };
-        let sched = match f.get(5, n)? {
-            "default" => SchedulerKind::Default,
-            "batch" => SchedulerKind::Batch,
-            other => return Err(parse_err(n, format!("bad scheduler {other:?}"))),
-        };
-        let vs = match f.get(6, n)? {
-            "off" => VerticalScalingMode::Off,
-            "constrained" => VerticalScalingMode::Constrained,
-            "full" => VerticalScalingMode::Full,
-            other => return Err(parse_err(n, format!("bad scaling mode {other:?}"))),
-        };
+    fn read(&mut self, c: &mut Cursor<'_>) -> Result<CollectionEvent, Bad> {
+        let (time, collection_id) = (c.int(), c.int());
+        let event_type = c.name(&EventType::ALL, EventType::name, "event");
+        let collection_type = c.name(
+            &[CollectionType::Job, CollectionType::AllocSet],
+            CollectionType::name,
+            "collection type",
+        );
+        let priority = c.narrow("priority");
+        let scheduler = c.name(
+            &[SchedulerKind::Default, SchedulerKind::Batch],
+            scheduler_name,
+            "scheduler",
+        );
+        let vertical_scaling = c.name(
+            &[
+                VerticalScalingMode::Off,
+                VerticalScalingMode::Constrained,
+                VerticalScalingMode::Full,
+            ],
+            VerticalScalingMode::name,
+            "scaling mode",
+        );
+        let parent_id = c.optional(Cursor::int);
+        let alloc_collection_id = c.optional(Cursor::int);
+        let user_id = c.narrow("user_id");
+        let (collection_type, scheduler, vertical_scaling) =
+            (collection_type?, scheduler?, vertical_scaling?);
         Ok(CollectionEvent {
-            time: Micros(parse_u64(f.get(0, n)?, n)?),
-            collection_id: CollectionId(parse_u64(f.get(1, n)?, n)?),
-            event_type: parse_event(f.get(2, n)?, n)?,
-            collection_type: ctype,
-            priority: Priority::new(parse_narrow(f.get(4, n)?, "priority", n)?),
-            scheduler: sched,
-            vertical_scaling: vs,
-            parent_id: optional(f.get(7, n)?, |s| parse_u64(s, n))?.map(CollectionId),
-            alloc_collection_id: optional(f.get(8, n)?, |s| parse_u64(s, n))?.map(CollectionId),
-            user_id: UserId(parse_narrow(f.get(9, n)?, "user_id", n)?),
+            time: Micros(time?),
+            collection_id: CollectionId(collection_id?),
+            event_type: event_type?,
+            collection_type,
+            priority: Priority::new(priority?),
+            scheduler,
+            vertical_scaling,
+            parent_id: parent_id?.map(CollectionId),
+            alloc_collection_id: alloc_collection_id?.map(CollectionId),
+            user_id: UserId(user_id?),
         })
-    }
-
-    fn recognise(&mut self, line: &[u8]) -> Option<CollectionEvent> {
-        let mut c = Cursor::new(line);
-        let e = CollectionEvent {
-            time: Micros(c.int()?),
-            collection_id: CollectionId(c.next()?.int()?),
-            event_type: c.next()?.name(&EventType::ALL, EventType::name)?,
-            collection_type: c.next()?.name(
-                &[CollectionType::Job, CollectionType::AllocSet],
-                CollectionType::name,
-            )?,
-            priority: Priority::new(c.next()?.narrow()?),
-            scheduler: c.next()?.name(
-                &[SchedulerKind::Default, SchedulerKind::Batch],
-                scheduler_name,
-            )?,
-            vertical_scaling: c.next()?.name(
-                &[
-                    VerticalScalingMode::Off,
-                    VerticalScalingMode::Constrained,
-                    VerticalScalingMode::Full,
-                ],
-                VerticalScalingMode::name,
-            )?,
-            parent_id: c.next()?.optional(Cursor::int)?.map(CollectionId),
-            alloc_collection_id: c.next()?.optional(Cursor::int)?.map(CollectionId),
-            user_id: UserId(c.next()?.narrow()?),
-        };
-        c.end()?;
-        Some(e)
     }
 }
 
@@ -858,58 +810,31 @@ impl Codec for InstanceCodec {
         push_opt_int(out, e.alloc_instance.map(|a| a.index));
     }
 
-    fn parse(&mut self, line: &str, n: usize) -> Result<InstanceEvent, CsvError> {
-        let f = Fields::<10>::split(line);
-        let alloc_col = optional(f.get(8, n)?, |s| parse_u64(s, n))?;
-        let alloc_idx = optional(f.get(9, n)?, |s| parse_narrow(s, "alloc_instance_index", n))?;
-        let alloc_instance = match (alloc_col, alloc_idx) {
-            (Some(c), Some(x)) => Some(InstanceId::new(CollectionId(c), x)),
+    fn read(&mut self, c: &mut Cursor<'_>) -> Result<InstanceEvent, Bad> {
+        let (time, collection, index) = (c.int(), c.int(), c.narrow("instance_index"));
+        let event_type = c.name(&EventType::ALL, EventType::name, "event");
+        let machine_id = c.optional(|c| c.narrow("machine_id"));
+        let (cpu, mem) = (self.cpu.read(c), self.mem.read(c));
+        let priority = c.narrow("priority");
+        let alloc_instance = match (
+            c.optional(Cursor::int)?,
+            c.optional(|c| c.narrow("alloc_instance_index"))?,
+        ) {
+            (Some(collection), Some(index)) => {
+                Some(InstanceId::new(CollectionId(collection), index))
+            }
             (None, None) => None,
-            _ => return Err(parse_err(n, "half-specified alloc instance")),
+            _ => return Err(Bad::HalfAlloc),
         };
         Ok(InstanceEvent {
-            time: Micros(parse_u64(f.get(0, n)?, n)?),
-            instance_id: InstanceId::new(
-                CollectionId(parse_u64(f.get(1, n)?, n)?),
-                parse_narrow(f.get(2, n)?, "instance_index", n)?,
-            ),
-            event_type: parse_event(f.get(3, n)?, n)?,
-            machine_id: optional(f.get(4, n)?, |s| parse_narrow(s, "machine_id", n))?
-                .map(MachineId),
-            request: Resources::new(
-                self.cpu.parse(f.get(5, n)?, n)?,
-                self.mem.parse(f.get(6, n)?, n)?,
-            ),
-            priority: Priority::new(parse_narrow(f.get(7, n)?, "priority", n)?),
+            time: Micros(time?),
+            instance_id: InstanceId::new(CollectionId(collection?), index?),
+            event_type: event_type?,
+            machine_id: machine_id?.map(MachineId),
+            request: Resources::new(cpu?, mem?),
+            priority: Priority::new(priority?),
             alloc_instance,
         })
-    }
-
-    fn recognise(&mut self, line: &[u8]) -> Option<InstanceEvent> {
-        let mut c = Cursor::new(line);
-        let e = InstanceEvent {
-            time: Micros(c.int()?),
-            instance_id: InstanceId::new(CollectionId(c.next()?.int()?), c.next()?.narrow()?),
-            event_type: c.next()?.name(&EventType::ALL, EventType::name)?,
-            machine_id: c.next()?.optional(Cursor::narrow)?.map(MachineId),
-            request: Resources::new(
-                self.cpu.recognise(c.next()?.field())?,
-                self.mem.recognise(c.next()?.field())?,
-            ),
-            priority: Priority::new(c.next()?.narrow()?),
-            alloc_instance: match (
-                c.next()?.optional(Cursor::int)?,
-                c.next()?.optional(Cursor::narrow)?,
-            ) {
-                (Some(collection), Some(index)) => {
-                    Some(InstanceId::new(CollectionId(collection), index))
-                }
-                (None, None) => None,
-                _ => return None,
-            },
-        };
-        c.end()?;
-        Some(e)
     }
 }
 
@@ -959,50 +884,27 @@ impl Codec for UsageCodec {
         }
     }
 
-    fn parse(&mut self, line: &str, n: usize) -> Result<UsageRecord, CsvError> {
-        let f = Fields::<32>::split(line);
-        let mut hist = [0.0f32; 21];
-        for (k, h) in hist.iter_mut().enumerate() {
-            *h = parse_float(f.get(11 + k, n)?, n)?;
+    fn read(&mut self, c: &mut Cursor<'_>) -> Result<UsageRecord, Bad> {
+        let (start, end) = (c.int(), c.int());
+        let (collection, index) = (c.int(), c.narrow("instance_index"));
+        let machine_id = c.narrow("machine_id");
+        let (avg_cpu, avg_mem) = (c.float(), c.float());
+        let (max_cpu, max_mem) = (c.float(), c.float());
+        let (limit_cpu, limit_mem) = (self.limit_cpu.read(c), self.limit_mem.read(c));
+        let mut cpu_histogram = CpuHistogram([0.0; 21]);
+        for bucket in &mut cpu_histogram.0 {
+            *bucket = c.float()?;
         }
         Ok(UsageRecord {
-            start: Micros(parse_u64(f.get(0, n)?, n)?),
-            end: Micros(parse_u64(f.get(1, n)?, n)?),
-            instance_id: InstanceId::new(
-                CollectionId(parse_u64(f.get(2, n)?, n)?),
-                parse_narrow(f.get(3, n)?, "instance_index", n)?,
-            ),
-            machine_id: MachineId(parse_narrow(f.get(4, n)?, "machine_id", n)?),
-            avg_usage: Resources::new(parse_float(f.get(5, n)?, n)?, parse_float(f.get(6, n)?, n)?),
-            max_usage: Resources::new(parse_float(f.get(7, n)?, n)?, parse_float(f.get(8, n)?, n)?),
-            limit: Resources::new(
-                self.limit_cpu.parse(f.get(9, n)?, n)?,
-                self.limit_mem.parse(f.get(10, n)?, n)?,
-            ),
-            cpu_histogram: CpuHistogram(hist),
+            start: Micros(start?),
+            end: Micros(end?),
+            instance_id: InstanceId::new(CollectionId(collection?), index?),
+            machine_id: MachineId(machine_id?),
+            avg_usage: Resources::new(avg_cpu?, avg_mem?),
+            max_usage: Resources::new(max_cpu?, max_mem?),
+            limit: Resources::new(limit_cpu?, limit_mem?),
+            cpu_histogram,
         })
-    }
-
-    fn recognise(&mut self, line: &[u8]) -> Option<UsageRecord> {
-        let mut c = Cursor::new(line);
-        let mut u = UsageRecord {
-            start: Micros(c.int()?),
-            end: Micros(c.next()?.int()?),
-            instance_id: InstanceId::new(CollectionId(c.next()?.int()?), c.next()?.narrow()?),
-            machine_id: MachineId(c.next()?.narrow()?),
-            avg_usage: Resources::new(c.next()?.float()?, c.next()?.float()?),
-            max_usage: Resources::new(c.next()?.float()?, c.next()?.float()?),
-            limit: Resources::new(
-                self.limit_cpu.recognise(c.next()?.field())?,
-                self.limit_mem.recognise(c.next()?.field())?,
-            ),
-            cpu_histogram: CpuHistogram([0.0; 21]),
-        };
-        for bucket in &mut u.cpu_histogram.0 {
-            *bucket = c.next()?.float()?;
-        }
-        c.end()?;
-        Some(u)
     }
 }
 
@@ -1099,15 +1001,23 @@ fn parse_metadata(meta: &str) -> Result<Metadata, CsvError> {
         .lines()
         .nth(1)
         .ok_or_else(|| parse_err(2, "missing metadata row"))?;
-    let f = Fields::<3>::split(line);
-    let cell_name = f.get(0, 2)?.to_string();
-    let schema = match f.get(1, 2)? {
+    let mut fields = line.split(',');
+    let mut field = |i| {
+        fields
+            .next()
+            .ok_or_else(|| parse_err(2, format!("missing field {i}")))
+    };
+    let cell_name = field(0)?.to_string();
+    let schema = match field(1)? {
         "v2-2011" => Some(SchemaVersion::V2Trace2011),
         "v3-2019" => Some(SchemaVersion::V3Trace2019),
         _ => None,
     };
-    let horizon = Micros(parse_u64(f.get(2, 2)?, 2)?);
-    Ok((cell_name, schema, horizon))
+    let horizon = field(2)?;
+    let horizon = horizon
+        .parse()
+        .map_err(|_| parse_err(2, format!("bad integer {horizon:?}")))?;
+    Ok((cell_name, schema, Micros(horizon)))
 }
 
 /// Cap on per-line diagnostic details retained in a [`Quarantine`];
@@ -1384,6 +1294,28 @@ mod tests {
         read_clean::<C>(&rendered::<C>(rows))
     }
 
+    /// The reader's verdict on one data line of the table in `file`: a
+    /// row, or the message the line is quarantined with.
+    fn verdict_in(file: &str, line: &str) -> Result<(), String> {
+        fn verdict<C: Codec>(line: &str) -> Result<(), String> {
+            let (rows, q) = lenient::<C>(format!("header\n{line}\n").as_bytes());
+            assert!(q.table_errors.is_empty(), "{:?}", q.table_errors);
+            match q.lines.first() {
+                Some(rejected) => Err(rejected.message.clone()),
+                None => {
+                    assert_eq!(rows.len(), 1);
+                    Ok(())
+                }
+            }
+        }
+        match file {
+            FILE_MACHINE => verdict::<MachineCodec>(line),
+            FILE_COLLECTION => verdict::<CollectionCodec>(line),
+            FILE_INSTANCE => verdict::<InstanceCodec>(line),
+            _ => verdict::<UsageCodec>(line),
+        }
+    }
+
     #[test]
     fn machine_events_round_trip() {
         let t = sample_trace();
@@ -1556,16 +1488,11 @@ mod tests {
             text.ends_with(",0.00000000000000000000000007038531\n"),
             "{text}"
         );
-        let line = text.lines().nth(1).unwrap();
-        for back in [
-            read_clean::<UsageCodec>(&written),
-            vec![UsageCodec::default().parse(line, 2).unwrap()],
-        ] {
-            assert_eq!(back[0].cpu_histogram.0[20].to_bits(), odd.to_bits());
-            let mut again = Vec::new();
-            write_usage(&mut again, &back).unwrap();
-            assert_eq!(again, written);
-        }
+        let back = read_clean::<UsageCodec>(&written);
+        assert_eq!(back[0].cpu_histogram.0[20].to_bits(), odd.to_bits());
+        let mut again = Vec::new();
+        write_usage(&mut again, &back).unwrap();
+        assert_eq!(again, written);
     }
 
     #[test]
@@ -1587,6 +1514,20 @@ mod tests {
         let (rows, q) = lenient::<MachineCodec>(&b"h\n1,2,add,0,0,0\r"[..]);
         assert!(rows.is_empty());
         assert_eq!(q.count_for(FILE_MACHINE), 1);
+        // Fields past the last column are ignored, but they must be text:
+        // a line that is not UTF-8 ends the table there.
+        let text = b"h\n1,2,add,0.5,0.25,3,7\n1,2,add,0.5,0.25,3,\xff\n1,2,add,0,0,0\n";
+        let (rows, q) = lenient::<MachineCodec>(&text[..]);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].platform, Platform(3));
+        assert_eq!(q.total_lines(), 0);
+        assert_eq!(
+            q.table_errors,
+            [(
+                FILE_MACHINE.to_string(),
+                "io error near line 3: stream did not contain valid UTF-8".to_string()
+            )]
+        );
     }
 
     #[test]
@@ -1606,17 +1547,8 @@ mod tests {
                 "1,2,3,4294967295,4294967295,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
             ),
         ];
-        let parse = |file: &str, line: &str| -> Result<(), String> {
-            match file {
-                FILE_MACHINE => MachineCodec.parse(line, 2).map(|_| ()),
-                FILE_COLLECTION => CollectionCodec.parse(line, 2).map(|_| ()),
-                FILE_INSTANCE => InstanceCodec::default().parse(line, 2).map(|_| ()),
-                _ => UsageCodec::default().parse(line, 2).map(|_| ()),
-            }
-            .map_err(|e| e.to_string())
-        };
         for (file, line) in ok {
-            assert_eq!(parse(file, line), Ok(()), "{file}: largest values fit");
+            assert_eq!(verdict_in(file, line), Ok(()), "{file}: largest values fit");
         }
         // (table, field index, value one past the column's range, name)
         let cases = [
@@ -1635,7 +1567,7 @@ mod tests {
             let (file, line) = ok[table];
             let mut fields: Vec<&str> = line.split(',').collect();
             fields[idx] = value;
-            let err = parse(file, &fields.join(",")).unwrap_err();
+            let err = verdict_in(file, &fields.join(",")).unwrap_err();
             assert_eq!(
                 err,
                 format!("line 2: {name} {value} out of range"),
@@ -1750,6 +1682,30 @@ mod tests {
         assert_eq!(q.count_for(FILE_COLLECTION), 1);
         assert_eq!(q.lines[0].line, 2);
         assert_eq!(q.lines[0].message, "line 2: bad event \"notanevent\"");
+        // Two bad fields: each table reports the one it checks first.
+        let usage = format!("x,2,3,4,5{},bogus", ",0.5".repeat(26));
+        for (file, line, message) in [
+            (
+                FILE_MACHINE,
+                "x,2,bogus,0.5,0.25,3",
+                "bad machine event \"bogus\"",
+            ),
+            (
+                FILE_COLLECTION,
+                "1,2,bogus,job,0,default,sideways,,,0",
+                "bad scaling mode \"sideways\"",
+            ),
+            (
+                FILE_INSTANCE,
+                "x,2,3,submit,,0.1,0.1,200,5,",
+                "half-specified alloc instance",
+            ),
+            (FILE_INSTANCE, "1,2,3,submit,,x,0.1,200", "missing field 8"),
+            (FILE_USAGE, usage.as_str(), "bad float \"bogus\""),
+        ] {
+            let err = verdict_in(file, line).unwrap_err();
+            assert_eq!(err, format!("line 2: {message}"), "{file}: {line}");
+        }
     }
 
     #[test]
@@ -2093,12 +2049,14 @@ mod tests {
 
     /// Every field of a row as an integer, floats by `to_bits`: `==` on
     /// rows calls `-0.0` and `0.0` equal and a NaN unequal to itself.
+    /// Every NaN is written `NaN`, so a NaN counts as the one that reads
+    /// back.
     trait Bits {
         fn bits(&self) -> Vec<u64>;
     }
 
     fn float_bits(r: Resources) -> [u64; 2] {
-        [r.cpu.to_bits(), r.mem.to_bits()]
+        [r.cpu, r.mem].map(|v| if v.is_nan() { f64::NAN } else { v }.to_bits())
     }
 
     fn opt_bits(v: Option<u64>) -> [u64; 2] {
@@ -2165,26 +2123,14 @@ mod tests {
             for r in [self.avg_usage, self.max_usage, self.limit] {
                 out.extend(float_bits(r));
             }
-            out.extend(self.cpu_histogram.0.iter().map(|v| u64::from(v.to_bits())));
+            out.extend(
+                self.cpu_histogram
+                    .0
+                    .iter()
+                    .map(|&v| u64::from(if v.is_nan() { f32::NAN } else { v }.to_bits())),
+            );
             out
         }
-    }
-
-    /// What the recogniser promises about `line`: `Some(row)` only where
-    /// `parse` returns that row. Returns whether it recognised the line.
-    fn holds_to_parse<C: Codec>(recogniser: &mut C, parser: &mut C, line: &[u8]) -> bool
-    where
-        C::Row: Bits,
-    {
-        let Some(row) = recogniser.recognise(line) else {
-            return false;
-        };
-        let text = std::str::from_utf8(line).expect("a recognised line is UTF-8");
-        let parsed = parser
-            .parse(text, 1)
-            .unwrap_or_else(|e| panic!("recognised, but {e}: {text}"));
-        assert_eq!(row.bits(), parsed.bits(), "{text}");
-        true
     }
 
     fn below(rng: &mut StdRng, n: usize) -> usize {
@@ -2287,191 +2233,102 @@ mod tests {
         t
     }
 
-    /// `csv_fuzz.rs`'s replacement fields.
-    const FIELDS: [&str; 16] = [
-        "",
-        "+1",
-        "-1",
-        "1e3",
-        "nan",
-        "NaN",
-        "inf",
-        "-0",
-        "0x10",
-        " 1",
-        "1 ",
-        "18446744073709551615",
-        "18446744073709551616",
-        "4294967296",
-        "000000000000000000000000000000000000000007",
-        "1.7976931348623157e309",
-    ];
-
-    /// One of `csv_fuzz.rs`'s byte-level edits, within a line.
-    fn mutate_line(line: &mut Vec<u8>, rng: &mut StdRng) {
-        if line.is_empty() {
-            return;
-        }
-        let at = below(rng, line.len());
-        match below(rng, 7) {
-            0 => line[at] ^= 1 << below(rng, 8),
-            1 => {
-                let len = (1 + below(rng, 16)).min(line.len() - at);
-                line.drain(at..at + len);
-            }
-            2 => line.truncate(at),
-            3 => line.insert(at, b'\r'),
-            4 => line.insert(at, 0),
-            5 => {
-                let bad: &[u8] =
-                    [&[0xFF][..], &[0xC3], &[0xE2, 0x82], &[0xF0, 0x9F]][below(rng, 4)];
-                line.splice(at..at, bad.iter().copied());
-            }
-            _ => line.insert(at, b','),
-        }
-    }
-
-    /// Completeness: every line `render` writes for `rows` is recognised,
-    /// to the row `parse` returns. Soundness: whatever is made of those
-    /// lines by each of `FIELDS` in every column and by byte-level damage,
-    /// a recognised line is one `parse` takes to the same row.
-    fn recogniser_agrees_with_parse<C: Codec>(rows: &[C::Row], rng: &mut StdRng)
+    /// The table of `rows`, written and read back: the rows again, floats
+    /// by bits. What damaged lines read as — each of `csv_fuzz.rs`'s
+    /// replacement fields and byte-level edits — is held to the reference
+    /// reader by `csv_fuzz.rs::lenient_reader_and_repair_survive_mutated_tables`.
+    fn reads_back<C: Codec>(rows: &[C::Row])
     where
         C::Row: Bits,
     {
-        let mut table = Vec::new();
-        write_table::<C>(&mut table, rows).unwrap();
-        let lines: Vec<&[u8]> = table.split(|&b| b == b'\n').skip(1).collect();
-        let lines = &lines[..rows.len()];
-        let (mut recogniser, mut parser) = (C::default(), C::default());
-        let hits = lines
-            .iter()
-            .filter(|line| holds_to_parse(&mut recogniser, &mut parser, line))
-            .count();
-        assert_eq!(
-            hits,
-            lines.len(),
-            "{}: a rendered line was declined",
-            C::FILE
-        );
-
-        let (mut substituted, mut damaged) = (0, 0);
-        for line in lines {
-            let fields: Vec<&[u8]> = line.split(|&b| b == b',').collect();
-            for column in 0..fields.len() {
-                for field in FIELDS {
-                    let mut fields = fields.clone();
-                    fields[column] = field.as_bytes();
-                    let line = fields.join(&b","[..]);
-                    substituted += usize::from(holds_to_parse(&mut recogniser, &mut parser, &line));
-                }
-            }
-            for _ in 0..40 {
-                let mut line = line.to_vec();
-                for _ in 0..=below(rng, 3) {
-                    mutate_line(&mut line, rng);
-                }
-                damaged += usize::from(holds_to_parse(&mut recogniser, &mut parser, &line));
-            }
+        let back = round_trip::<C>(rows);
+        assert_eq!(back.len(), rows.len(), "{}", C::FILE);
+        for (got, want) in back.iter().zip(rows) {
+            assert_eq!(got.bits(), want.bits(), "{}", C::FILE);
         }
-        // The damage must land on both sides of the recogniser.
-        assert!(
-            substituted > 0 && damaged > 0,
-            "{}: nothing recognised",
-            C::FILE
-        );
     }
 
     #[test]
-    fn recognisers_take_every_rendered_line_and_nothing_parse_refuses() {
-        let t = seeded_trace(120);
-        let rng = &mut StdRng::seed_from_u64(0x5EED);
-        recogniser_agrees_with_parse::<MachineCodec>(&t.machine_events, rng);
-        recogniser_agrees_with_parse::<CollectionCodec>(&t.collection_events, rng);
-        recogniser_agrees_with_parse::<InstanceCodec>(&t.instance_events, rng);
-        recogniser_agrees_with_parse::<UsageCodec>(&t.usage, rng);
+    fn every_rendered_line_reads_back_to_its_row() {
+        let mut t = seeded_trace(120);
+        // A priority comes back as `Priority::new` keeps it: at most 450.
+        for e in &mut t.collection_events {
+            e.priority = Priority::new(e.priority.0);
+        }
+        for e in &mut t.instance_events {
+            e.priority = Priority::new(e.priority.0);
+        }
+        reads_back::<MachineCodec>(&t.machine_events);
+        reads_back::<CollectionCodec>(&t.collection_events);
+        reads_back::<InstanceCodec>(&t.instance_events);
+        reads_back::<UsageCodec>(&t.usage);
     }
 
     #[test]
-    fn recognisers_decline_what_render_does_not_write() {
-        /// Whether the table's recogniser takes the line, and whether
-        /// `parse` does.
-        fn verdicts(file: &str, line: &str) -> (bool, bool) {
-            let bytes = line.as_bytes();
-            match file {
-                FILE_MACHINE => (
-                    MachineCodec.recognise(bytes).is_some(),
-                    MachineCodec.parse(line, 2).is_ok(),
-                ),
-                FILE_COLLECTION => (
-                    CollectionCodec.recognise(bytes).is_some(),
-                    CollectionCodec.parse(line, 2).is_ok(),
-                ),
-                FILE_INSTANCE => (
-                    InstanceCodec::default().recognise(bytes).is_some(),
-                    InstanceCodec::default().parse(line, 2).is_ok(),
-                ),
-                _ => (
-                    UsageCodec::default().recognise(bytes).is_some(),
-                    UsageCodec::default().parse(line, 2).is_ok(),
-                ),
-            }
-        }
+    fn lines_render_does_not_write_read_as_std_parses_them() {
         let usage = format!("1,2,3,4,5{}", ",0.5".repeat(27));
-        let valid = [
-            (FILE_MACHINE, "1,2,add,0.5,0.25,3"),
-            (FILE_COLLECTION, "1,2,submit,job,200,default,off,3,4,5"),
-            (FILE_INSTANCE, "1,2,3,submit,4,0.5,0.25,200,5,6"),
-            (FILE_USAGE, usage.as_str()),
+        // (table, a line, the columns `4294967296` is too wide for)
+        let valid: [(&str, &str, &[usize]); 4] = [
+            (FILE_MACHINE, "1,2,add,0.5,0.25,3", &[1, 2, 5]),
+            (
+                FILE_COLLECTION,
+                "1,2,submit,job,200,default,off,3,4,5",
+                &[2, 3, 4, 5, 6, 9],
+            ),
+            (
+                FILE_INSTANCE,
+                "1,2,3,submit,4,0.5,0.25,200,5,6",
+                &[2, 3, 4, 7, 9],
+            ),
+            (FILE_USAGE, usage.as_str(), &[3, 4]),
         ];
-        for (file, line) in valid {
-            assert_eq!(verdicts(file, line), (true, true), "{file}");
-            // Extra trailing fields: `parse` ignores them, `render` does
-            // not write them.
+        let reads = |file: &str, line: &str| verdict_in(file, line).is_ok();
+        for (file, line, narrow) in valid {
+            assert!(reads(file, line), "{file}");
+            // Extra trailing fields: ignored, though `render` does not
+            // write them.
             for extra in [",", ",7", ",,"] {
                 let line = format!("{line}{extra}");
-                assert_eq!(verdicts(file, &line), (false, true), "{file}: {line}");
+                assert!(reads(file, &line), "{file}: {line}");
             }
             // A line that stops one field short, with or without the comma.
             let short = &line[..line.rfind(',').unwrap()];
-            assert_eq!(verdicts(file, short), (false, false), "{file}: {short}");
+            assert!(!reads(file, short), "{file}: {short}");
+            assert!(!reads(file, &format!("{short},")), "{file}: {short},");
             // `4294967296` in every column: too wide for the narrow ones,
-            // and then `parse` refuses it too.
+            // no name, and a `u64` or a float everywhere else.
             let fields: Vec<&str> = line.split(',').collect();
             for column in 0..fields.len() {
                 let mut fields = fields.clone();
                 fields[column] = "4294967296";
-                let (recognised, parsed) = verdicts(file, &fields.join(","));
-                assert_eq!(recognised, parsed, "{file}: column {column}");
+                let read = reads(file, &fields.join(","));
+                assert_eq!(read, !narrow.contains(&column), "{file}: column {column}");
             }
-            // A sign in the first integer column: `+1` is `parse`'s alone.
-            for (field, parsed) in [("-0", false), ("-1", false), ("+1", true)] {
+            // A sign in the first integer column: `u64::from_str` takes `+1`.
+            for (field, read) in [("-0", false), ("-1", false), ("+1", true)] {
                 let line = format!("{field}{}", &line[1..]);
-                assert_eq!(verdicts(file, &line), (false, parsed), "{file}: {line}");
+                assert_eq!(reads(file, &line), read, "{file}: {line}");
             }
         }
         // Nine fields ending in a comma: the end of the line is not a
         // second comma.
         let nine = "1,2,3,submit,4,0.5,0.25,200,";
-        assert_eq!(verdicts(FILE_INSTANCE, nine), (false, false));
+        assert!(!reads(FILE_INSTANCE, nine));
         // A half-specified alloc pair, either half.
         for line in [
             "1,2,3,submit,4,0.5,0.25,200,5,",
             "1,2,3,submit,4,0.5,0.25,200,,6",
         ] {
-            assert_eq!(verdicts(FILE_INSTANCE, line), (false, false), "{line}");
+            assert!(!reads(FILE_INSTANCE, line), "{line}");
         }
         // `,-0` and `,-1` inside a line, where the comma search sees `,-`.
         for line in [
             "1,-0,3,submit,4,0.5,0.25,200,5,6",
             "1,2,3,submit,-1,0.5,0.25,200,5,6",
         ] {
-            assert_eq!(verdicts(FILE_INSTANCE, line), (false, false), "{line}");
+            assert!(!reads(FILE_INSTANCE, line), "{line}");
         }
         // A float column takes them.
-        assert_eq!(
-            verdicts(FILE_INSTANCE, "1,2,3,submit,4,-0,-1,200,5,6"),
-            (true, true)
-        );
+        assert!(reads(FILE_INSTANCE, "1,2,3,submit,4,-0,-1,200,5,6"));
     }
 }

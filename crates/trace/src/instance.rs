@@ -58,13 +58,6 @@ pub struct InstanceEvent {
     pub alloc_instance: Option<InstanceId>,
 }
 
-impl InstanceEvent {
-    /// True when the event transfers the instance onto a machine.
-    pub fn is_placement(&self) -> bool {
-        self.event_type == EventType::Schedule
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,25 +73,5 @@ mod tests {
         let a = InstanceId::new(CollectionId(1), 9);
         let b = InstanceId::new(CollectionId(2), 0);
         assert!(a < b);
-    }
-
-    #[test]
-    fn placement_detection() {
-        let ev = InstanceEvent {
-            time: Micros::ZERO,
-            instance_id: InstanceId::new(CollectionId(1), 0),
-            event_type: EventType::Schedule,
-            machine_id: Some(MachineId(4)),
-            request: Resources::new(0.1, 0.1),
-            priority: Priority::new(200),
-            alloc_instance: None,
-        };
-        assert!(ev.is_placement());
-        let ev2 = InstanceEvent {
-            event_type: EventType::Submit,
-            machine_id: None,
-            ..ev
-        };
-        assert!(!ev2.is_placement());
     }
 }

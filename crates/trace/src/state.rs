@@ -83,24 +83,6 @@ impl EventType {
             EventType::UpdateRunning => "update_running",
         }
     }
-
-    /// Parses the lowercase name produced by [`EventType::name`].
-    pub fn parse(s: &str) -> Option<EventType> {
-        Some(match s {
-            "submit" => EventType::Submit,
-            "queue" => EventType::Queue,
-            "enable" => EventType::Enable,
-            "schedule" => EventType::Schedule,
-            "evict" => EventType::Evict,
-            "fail" => EventType::Fail,
-            "finish" => EventType::Finish,
-            "kill" => EventType::Kill,
-            "lost" => EventType::Lost,
-            "update_pending" => EventType::UpdatePending,
-            "update_running" => EventType::UpdateRunning,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for EventType {
@@ -414,14 +396,6 @@ mod tests {
         assert!(EventType::Lost.is_terminal());
         assert!(!EventType::Submit.is_terminal());
         assert!(!EventType::UpdateRunning.is_terminal());
-    }
-
-    #[test]
-    fn event_name_round_trip() {
-        for e in EventType::ALL {
-            assert_eq!(EventType::parse(e.name()), Some(e));
-        }
-        assert_eq!(EventType::parse("bogus"), None);
     }
 
     #[test]

@@ -336,14 +336,6 @@ impl Trace {
         ids.dedup();
         ids.len()
     }
-
-    /// Total number of events across all tables.
-    pub fn event_count(&self) -> usize {
-        self.machine_events.len()
-            + self.collection_events.len()
-            + self.instance_events.len()
-            + self.usage.len()
-    }
 }
 
 /// Counts a row at `t` in its hour of `hours`, if the window has it.
@@ -641,7 +633,6 @@ mod tests {
     fn counts() {
         let trace = Trace::new("t", SchemaVersion::V2Trace2011, Micros::from_days(1));
         assert_eq!(trace.instance_count(), 0);
-        assert_eq!(trace.event_count(), 0);
         assert_eq!(SchemaVersion::V2Trace2011.name(), "v2-2011");
     }
 }

@@ -125,13 +125,6 @@ pub struct Workload {
     pub jobs: Vec<JobSpec>,
 }
 
-impl Workload {
-    /// Total number of collections (jobs + alloc sets).
-    pub fn collection_count(&self) -> usize {
-        self.jobs.len() + self.alloc_sets.len()
-    }
-}
-
 /// Scaled generation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct GenParams {
@@ -785,7 +778,7 @@ mod tests {
     #[test]
     fn alloc_sets_are_two_percent_of_collections() {
         let (_, w) = workload(2);
-        let frac = w.alloc_sets.len() as f64 / w.collection_count() as f64;
+        let frac = w.alloc_sets.len() as f64 / (w.jobs.len() + w.alloc_sets.len()) as f64;
         assert!((0.01..0.03).contains(&frac), "alloc fraction = {frac}");
     }
 
