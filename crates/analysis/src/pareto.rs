@@ -5,7 +5,7 @@
 //! (integral > 1 resource-hour, below the 99.99th percentile) and
 //! regressing the empirical CCDF on log-log axes. It reports α = 0.69 (CPU)
 //! and α = 0.72 (memory) with R² > 99%. This module implements that exact
-//! procedure plus a Hill maximum-likelihood estimator for cross-checking.
+//! procedure.
 
 use crate::ccdf::{steps_of_sorted, Ccdf};
 use crate::regression::LinearFit;
@@ -57,40 +57,6 @@ impl ParetoFit {
         Some(ParetoFit {
             alpha: -fit.slope,
             r_squared: fit.r_squared,
-            x_min,
-            x_max,
-            n_tail: tail.len(),
-        })
-    }
-
-    /// Fits the tail index with the Hill maximum-likelihood estimator over
-    /// samples greater than `x_min`:
-    /// `α̂ = k / Σ ln(x_i / x_min)`.
-    ///
-    /// Returns `None` when no sample exceeds `x_min`.
-    pub fn fit_hill(samples: &[f64], x_min: f64) -> Option<Self> {
-        if x_min <= 0.0 {
-            return None;
-        }
-        let tail: Vec<f64> = samples
-            .iter()
-            .copied()
-            .filter(|&x| x.is_finite() && x > x_min)
-            .collect();
-        if tail.is_empty() {
-            return None;
-        }
-        let sum_log: f64 = tail.iter().map(|&x| (x / x_min).ln()).sum();
-        if sum_log <= 0.0 {
-            return None;
-        }
-        let alpha = tail.len() as f64 / sum_log;
-        let x_max = tail.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Some(ParetoFit {
-            alpha,
-            // The Hill estimator has no regression residual; report 1.0 and
-            // let callers rely on the regression variant for fit quality.
-            r_squared: 1.0,
             x_min,
             x_max,
             n_tail: tail.len(),
@@ -174,23 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn hill_recovers_alpha() {
-        for &alpha in &[0.7, 1.2, 2.5] {
-            let xs = pareto_samples(alpha, 1.0, 50_000);
-            let fit = ParetoFit::fit_hill(&xs, 1.0).unwrap();
-            assert!(
-                (fit.alpha - alpha).abs() < 0.05,
-                "alpha {alpha}: hill {}",
-                fit.alpha
-            );
-        }
-    }
-
-    #[test]
     fn too_few_tail_samples() {
-        let xs = vec![0.5; 1000]; // nothing above x_min = 1
-        assert!(ParetoFit::fit_hill(&xs, 1.0).is_none());
-        let xs = Ccdf::from_samples(xs);
+        let xs = Ccdf::from_samples(vec![0.5; 1000]); // nothing above x_min = 1
         assert!(ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99).is_none());
     }
 
@@ -246,10 +197,5 @@ mod tests {
         assert!(t.top_1_percent > 0.80, "top 1% = {}", t.top_1_percent);
         assert!(t.top_01_percent > 0.5, "top 0.1% = {}", t.top_01_percent);
         assert!(t.top_1_percent >= t.top_01_percent);
-    }
-
-    #[test]
-    fn hill_rejects_bad_xmin() {
-        assert!(ParetoFit::fit_hill(&[1.0, 2.0], 0.0).is_none());
     }
 }

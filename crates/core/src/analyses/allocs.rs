@@ -45,8 +45,8 @@ pub fn alloc_stats(outcomes: &[&CellOutcome]) -> AllocStats {
 
     for outcome in outcomes {
         let infos = outcome.trace.collections();
-        collections += infos.len();
-        for info in infos.values() {
+        collections += infos.by_id.len();
+        for info in infos.by_id.values() {
             match info.collection_type {
                 CollectionType::AllocSet => alloc_sets += 1,
                 CollectionType::Job => {
@@ -60,9 +60,8 @@ pub fn alloc_stats(outcomes: &[&CellOutcome]) -> AllocStats {
                 }
             }
         }
-        let reserved = outcome.trace.alloc_set_hours();
-        alloc_cpu_hours += reserved.cpu;
-        alloc_mem_hours += reserved.mem;
+        alloc_cpu_hours += infos.alloc_set_hours.cpu;
+        alloc_mem_hours += infos.alloc_set_hours.mem;
         for series in outcome.metrics.tiers.values() {
             // Bucket totals are resource·µs; convert to resource·hours.
             let us_per_hour = borg_trace::time::MICROS_PER_HOUR as f64;

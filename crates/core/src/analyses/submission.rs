@@ -25,16 +25,16 @@ pub fn job_rate_ccdf(outcome: &CellOutcome, scale: f64) -> Ccdf {
 /// CCDF of hourly job submissions aggregated across cells (each hour's
 /// counts from all cells averaged, as the paper's "2019 - aggregate").
 pub fn aggregate_job_rate_ccdf(outcomes: &[CellOutcome], scale: f64) -> Ccdf {
-    let Some(first) = outcomes.first() else {
-        return Ccdf::from_samples(std::iter::empty());
-    };
-    let mut avg = vec![0.0; first.trace.job_submits_per_hour().len()];
+    // The first cell's hours size the average.
+    let mut avg: Option<Vec<f64>> = None;
     for o in outcomes {
-        for (a, c) in avg.iter_mut().zip(o.trace.job_submits_per_hour()) {
+        let hours = o.trace.job_submits_per_hour();
+        let avg = avg.get_or_insert_with(|| vec![0.0; hours.len()]);
+        for (a, c) in avg.iter_mut().zip(hours) {
             *a += c as f64 / (scale * outcomes.len() as f64);
         }
     }
-    Ccdf::from_samples(avg)
+    Ccdf::from_samples(avg.unwrap_or_default())
 }
 
 /// Task-rate CCDFs `(new, all)` for one cell, rescaled by `scale`.

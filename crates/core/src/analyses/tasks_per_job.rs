@@ -1,12 +1,9 @@
-//! Figure 11: tasks per job by tier.
-//!
-//! Two views are provided: the calibrated model itself (exact Figure 11
-//! reproduction at any sample size, uncapped) and the distribution
-//! measured from a simulated trace (whose tail is capped by the
-//! simulation's `task_cap`; see DESIGN.md).
+//! Figure 11: tasks per job by tier, from the calibrated model itself
+//! (exact Figure 11 reproduction at any sample size, uncapped). A
+//! simulated trace gives each job's count as `CollectionInfo::tasks`,
+//! its tail capped by `SimConfig::task_cap`.
 
 use borg_analysis::ccdf::Ccdf;
-use borg_sim::CellOutcome;
 use borg_trace::priority::Tier;
 use borg_workload::jobmix::TaskCountModel;
 use rand::rngs::StdRng;
@@ -25,35 +22,6 @@ pub fn model_ccdfs(samples: usize, seed: u64) -> BTreeMap<Tier, Ccdf> {
     Tier::REPORTING
         .iter()
         .map(|&t| (t, model_ccdf(t, samples, seed ^ t as u64)))
-        .collect()
-}
-
-/// Tasks-per-job CCDFs per tier measured from a simulated trace.
-pub fn trace_ccdfs(outcome: &CellOutcome) -> BTreeMap<Tier, Ccdf> {
-    let mut instance_counts: BTreeMap<borg_trace::collection::CollectionId, u32> = BTreeMap::new();
-    for ev in &outcome.trace.instance_events {
-        if ev.event_type == borg_trace::state::EventType::Submit {
-            let c = instance_counts
-                .entry(ev.instance_id.collection)
-                .or_insert(0);
-            *c = (*c).max(ev.instance_id.index + 1);
-        }
-    }
-    let infos = outcome.trace.collections();
-    let mut by_tier: BTreeMap<Tier, Vec<f64>> = BTreeMap::new();
-    for (id, count) in instance_counts {
-        if let Some(info) = infos.get(&id) {
-            if info.collection_type == borg_trace::collection::CollectionType::Job {
-                by_tier
-                    .entry(info.priority.reporting_tier())
-                    .or_default()
-                    .push(f64::from(count));
-            }
-        }
-    }
-    by_tier
-        .into_iter()
-        .map(|(t, xs)| (t, Ccdf::from_samples(xs)))
         .collect()
 }
 
@@ -81,13 +49,20 @@ mod tests {
     #[test]
     fn trace_view_orders_tiers() {
         use crate::pipeline::{simulate_cell, SimScale};
+        use borg_trace::collection::CollectionType;
         use borg_workload::cells::CellProfile;
         let o = simulate_cell(&CellProfile::cell_2019('b'), SimScale::Tiny, 14);
-        let ccdfs = trace_ccdfs(&o);
-        let beb = ccdfs[&Tier::BestEffortBatch]
-            .quantile_exceeding(0.05)
-            .unwrap();
-        let prod = ccdfs[&Tier::Production].quantile_exceeding(0.05).unwrap();
+        let infos = o.trace.collections().by_id;
+        let p95 = |tier: Tier| {
+            let jobs = infos.values().filter(|c| {
+                c.collection_type == CollectionType::Job
+                    && c.tasks > 0
+                    && c.priority.reporting_tier() == tier
+            });
+            let tasks = Ccdf::from_samples(jobs.map(|c| f64::from(c.tasks)));
+            tasks.quantile_exceeding(0.05).unwrap()
+        };
+        let (beb, prod) = (p95(Tier::BestEffortBatch), p95(Tier::Production));
         assert!(beb > prod, "beb p95 {beb} vs prod p95 {prod}");
     }
 }

@@ -7,7 +7,7 @@
 //! production collections see an eviction; 52% of evicted collections see
 //! exactly one; and 87% of jobs with parents end in a kill vs 41% without.
 //! Evictions are the trace's instance `Evict` rows
-//! (`Trace::evictions_by_collection`).
+//! (`CollectionInfo::evictions`).
 
 use borg_sim::CellOutcome;
 use borg_trace::collection::CollectionType;
@@ -48,16 +48,14 @@ pub fn termination_stats(outcomes: &[&CellOutcome]) -> TerminationStats {
     let mut terminals = 0u64;
 
     for outcome in outcomes {
-        let infos = outcome.trace.collections();
-        let evictions = outcome.trace.evictions_by_collection();
+        let infos = outcome.trace.collections().by_id;
         collections += infos.len() as u64;
         for info in infos.values() {
             let is_prod = info.priority.reporting_tier() == Tier::Production;
             if is_prod {
                 prod_collections += 1;
             }
-            let ev_count = evictions.get(&info.id).copied().unwrap_or(0);
-            if ev_count > 0 {
+            if info.evictions > 0 {
                 evicted += 1;
                 if !is_prod {
                     evicted_nonprod += 1;
@@ -65,7 +63,7 @@ pub fn termination_stats(outcomes: &[&CellOutcome]) -> TerminationStats {
                 if is_prod {
                     prod_evicted += 1;
                 }
-                if ev_count == 1 {
+                if info.evictions == 1 {
                     evicted_once += 1;
                 }
             }

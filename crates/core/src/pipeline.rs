@@ -273,7 +273,7 @@ mod tests {
                 removed_at.insert(e.time);
             }
         }
-        let collections = trace.collections();
+        let collections = trace.collections().by_id;
         let lost = trace.instance_events.iter().filter(|e| {
             e.event_type == EventType::Lost
                 && collections[&e.instance_id.collection].collection_type == CollectionType::Job

@@ -59,7 +59,13 @@ fn main() {
         let o = run(&profile, &base, v);
         let delays = delay::delay_ccdf(&o);
         let slack = Ccdf::from_samples(o.metrics.slack.iter().map(|s| s.slack * 100.0));
-        let evictions: u64 = o.trace.evictions_by_collection().values().sum();
+        let evictions: u64 = o
+            .trace
+            .collections()
+            .by_id
+            .values()
+            .map(|c| c.evictions)
+            .sum();
         let util: f64 = o.average_cpu_util_by_tier().values().sum();
         println!(
             "{:<32} {:>9.2}s {:>9.0}s {:>12.1} {:>12} {:>12.3}",

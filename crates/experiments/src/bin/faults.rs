@@ -57,7 +57,7 @@ fn main() {
             rate,
             o.trace.machine_failures(),
             o.trace.machine_repairs(),
-            o.trace.tasks_lost(),
+            o.trace.collections().tasks_lost,
             causes.join(" ")
         );
         let v = validate(&o.trace);

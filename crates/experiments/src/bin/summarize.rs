@@ -22,7 +22,6 @@ use borg_trace::collection::CollectionType;
 use borg_trace::csv::write_trace_dir;
 use borg_trace::machine::shape_census;
 use borg_trace::priority::Tier;
-use borg_trace::state::EventType;
 use borg_trace::trace::Trace;
 use borg_trace::validate::validate;
 use std::collections::BTreeMap;
@@ -105,7 +104,7 @@ fn summarize(trace: &Trace, quality: &DataQuality) {
     }
 
     // Collections.
-    let infos = trace.collections();
+    let infos = trace.collections().by_id;
     let jobs = infos
         .values()
         .filter(|c| c.collection_type == CollectionType::Job)
@@ -171,22 +170,20 @@ fn summarize(trace: &Trace, quality: &DataQuality) {
         "median scheduling delay (Figure 10): {}",
         medians.join(", ")
     );
-    let evicted = trace.evictions_by_collection().len();
+    let evicted = infos.values().filter(|c| c.evictions > 0).count();
     println!(
         "collections with an eviction (§5.2): {evicted} of {} ({:.4})",
         infos.len(),
         evicted as f64 / infos.len().max(1) as f64
     );
 
-    // Job sizes.
-    let mut tasks_per_job: BTreeMap<_, u32> = Default::default();
-    for ev in &trace.instance_events {
-        if ev.event_type == EventType::Submit {
-            let e = tasks_per_job.entry(ev.instance_id.collection).or_insert(0);
-            *e = (*e).max(ev.instance_id.index + 1);
-        }
-    }
-    let sizes = Ccdf::from_samples(tasks_per_job.values().map(|&n| f64::from(n)));
+    // Job sizes: the jobs with a task. Alloc instances are not tasks.
+    let sizes = Ccdf::from_samples(
+        infos
+            .values()
+            .filter(|c| c.collection_type == CollectionType::Job && c.tasks > 0)
+            .map(|c| f64::from(c.tasks)),
+    );
     if let Some(m) = sizes.median() {
         println!(
             "tasks per job: median {m:.0}, p95 {:.0}, max {:.0}",

@@ -26,7 +26,7 @@ task submissions per hour (Figure 9): median 110.5 new, 180.0 all; 4838 new task
 transitions (Figure 7): 1928 collection, 27473 instance
 median scheduling delay (Figure 10): free 0.30s, beb 0.36s, mid 0.32s, prod 0.82s
 collections with an eviction (§5.2): 10 of 644 (0.0155)
-tasks per job: median 1, p95 47, max 100
+tasks per job: median 1, p95 48, max 100
 usage samples: 3542 (avg cpu 0.0137 NCU per sampled task-window)
 
 validation: all §9 invariants hold

@@ -391,16 +391,6 @@ impl Column {
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
-
-    /// All non-null values as `f64` (ints widened); `None` for non-numeric
-    /// columns.
-    pub fn numeric_values(&self) -> Option<Vec<f64>> {
-        match self {
-            Column::Int(v) => Some(v.iter().flatten().map(|x| x as f64).collect()),
-            Column::Float(v) => Some(v.iter().flatten().collect()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -467,17 +457,6 @@ mod tests {
         assert!(c.is_null_at(1));
         assert!(c.is_null_at(7));
         assert!(c.str_vec().is_none());
-    }
-
-    #[test]
-    fn numeric_values_skip_nulls() {
-        let mut c = Column::empty(DataType::Float);
-        c.push(Value::Float(1.0), "x").unwrap();
-        c.push(Value::Null, "x").unwrap();
-        c.push(Value::Float(3.0), "x").unwrap();
-        assert_eq!(c.numeric_values(), Some(vec![1.0, 3.0]));
-        let s = Column::empty(DataType::Str);
-        assert_eq!(s.numeric_values(), None);
     }
 
     #[test]
@@ -558,7 +537,6 @@ mod tests {
         let c = Column::Int([Some(0), None, Some(-1)].into_iter().collect());
         assert_eq!(c.get(1), Value::Null);
         assert_eq!(c.f64_at(1), None);
-        assert_eq!(c.numeric_values(), Some(vec![0.0, -1.0]));
         let t = crate::table::Table::from_columns(vec![("k", c)]).unwrap();
         let asc = sort_by(&t, &[("k", SortOrder::Ascending)]).unwrap();
         let order: Vec<Value> = (0..3).map(|r| asc.value(r, "k").unwrap()).collect();
@@ -572,7 +550,6 @@ mod tests {
         assert_eq!(b.get(1), Value::Null);
         let f = Column::Float([None, Some(0.0)].into_iter().collect());
         assert_eq!(f.f64_at(0), None);
-        assert_eq!(f.numeric_values(), Some(vec![0.0]));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 
 use borg_query::{QueryError, Table};
 use borg_trace::trace::Trace;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One of the four published trace tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +48,8 @@ impl TableId {
 pub struct Epoch {
     /// Caller-chosen name (e.g. cell name or directory stem).
     pub name: String,
-    /// Monotonic load sequence number, unique within an [`EpochStore`].
+    /// Load sequence number: the caller numbers its loads, and the result
+    /// cache keys on it.
     pub seq: u64,
     tables: [Table; 4],
 }
@@ -82,40 +81,6 @@ impl Epoch {
     }
 }
 
-/// Named epochs behind `Arc`s, with monotonic sequence numbering.
-#[derive(Debug, Default)]
-pub struct EpochStore {
-    epochs: BTreeMap<String, Arc<Epoch>>,
-    next_seq: u64,
-}
-
-impl EpochStore {
-    /// An empty store.
-    pub fn new() -> EpochStore {
-        EpochStore::default()
-    }
-
-    /// Freezes `trace` as the current epoch for `name` (replacing any
-    /// previous epoch of that name; in-flight queries keep their `Arc`).
-    pub fn insert_trace(&mut self, name: &str, trace: &Trace) -> Result<Arc<Epoch>, QueryError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let epoch = Arc::new(Epoch::from_trace(name, seq, trace)?);
-        self.epochs.insert(name.to_string(), Arc::clone(&epoch));
-        Ok(epoch)
-    }
-
-    /// The current epoch for `name`, if loaded.
-    pub fn get(&self, name: &str) -> Option<Arc<Epoch>> {
-        self.epochs.get(name).cloned()
-    }
-
-    /// Epoch names in sorted order.
-    pub fn names(&self) -> Vec<String> {
-        self.epochs.keys().cloned().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,13 +90,9 @@ mod tests {
     #[test]
     fn epochs_get_fresh_sequence_numbers() {
         let outcome = simulate_cell(&CellProfile::cell_2019('a'), SimScale::Tiny, 1);
-        let mut store = EpochStore::new();
-        let e1 = store.insert_trace("a", &outcome.trace).unwrap();
-        let e2 = store.insert_trace("a", &outcome.trace).unwrap();
-        assert_eq!(e1.seq, 0);
-        assert_eq!(e2.seq, 1, "reload bumps the sequence");
-        assert_eq!(store.get("a").unwrap().seq, 1);
-        assert!(store.get("b").is_none());
+        let e1 = Epoch::from_trace("a", 0, &outcome.trace).unwrap();
+        let e2 = Epoch::from_trace("a", 1, &outcome.trace).unwrap();
+        assert_eq!((e1.seq, e2.seq), (0, 1), "each load keeps its sequence");
         for id in TableId::ALL {
             assert_eq!(e1.rows(id), e2.rows(id));
         }

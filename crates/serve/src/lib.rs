@@ -63,7 +63,7 @@ pub mod witness;
 
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use chaos::{ChaosConfig, Fault};
-pub use epoch::{Epoch, EpochStore, TableId};
+pub use epoch::{Epoch, TableId};
 pub use plan::{AggSpec, CmpOp, FilterSpec, GroupSpec, PlanSpec};
 pub use pool::{run_serve_job, JobResult, ServeJob, ServePool};
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderSnapshot, TriggerKind};

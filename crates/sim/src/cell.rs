@@ -620,11 +620,12 @@ impl<'a> CellSim<'a> {
         let det = Plane::Deterministic;
         let m = &self.metrics;
         let t = &self.trace;
+        let collections = t.collections();
         let scalars: [(&str, u64); 10] = [
             ("sim.metrics.preemptions", m.preemptions),
             ("sim.metrics.machine_failures", t.machine_failures()),
             ("sim.metrics.machine_repairs", t.machine_repairs()),
-            ("sim.metrics.tasks_lost", t.tasks_lost()),
+            ("sim.metrics.tasks_lost", collections.tasks_lost),
             // Every row is one Figure 7 transition of a legal trace.
             (
                 "sim.metrics.transitions.collection",
@@ -645,7 +646,11 @@ impl<'a> CellSim<'a> {
             ),
             (
                 "sim.metrics.evicted_collections",
-                t.evictions_by_collection().len() as u64,
+                collections
+                    .by_id
+                    .values()
+                    .filter(|c| c.evictions > 0)
+                    .count() as u64,
             ),
         ];
         let stalls: Vec<(String, u64)> = m

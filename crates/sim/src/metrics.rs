@@ -9,11 +9,12 @@
 //! the trace does not carry: preemptions, stalls, eviction causes and
 //! index stats. Everything the event tables determine is counted from
 //! them instead: Figure 7 (`borg_trace::count_transitions`), Figures 8–10
-//! and §5.2 (`Trace::job_submits_per_hour`, `task_submits_per_hour`,
-//! `scheduling_delays`, `evictions_by_collection`), machine failures,
-//! repairs and lost tasks (`Trace::machine_failures`, `machine_repairs`,
-//! `tasks_lost`), the §5.1 alloc-set hours (`Trace::alloc_set_hours`) and
-//! the capacity every fraction is taken of (`Trace::nominal_capacity`).
+//! (`Trace::job_submits_per_hour`, `task_submits_per_hour`,
+//! `scheduling_delays`), machine failures and repairs
+//! (`Trace::machine_failures`, `machine_repairs`), each collection's
+//! evictions, the lost tasks and the §5.1 alloc-set hours
+//! (`Trace::collections`) and the capacity every fraction is taken of
+//! (`Trace::nominal_capacity`).
 
 use borg_analysis::timeseries::HourBuckets;
 use borg_trace::collection::VerticalScalingMode;
@@ -253,7 +254,12 @@ impl crate::CellOutcome {
                 writeln!(out, "    {cause:>14}: {n}").ok();
             }
         }
-        let affected = t.evictions_by_collection().len();
+        let collections = t.collections();
+        let affected = collections
+            .by_id
+            .values()
+            .filter(|c| c.evictions > 0)
+            .count();
         writeln!(out, "  collections touched by eviction: {affected}").ok();
         let failures = t.machine_failures();
         if failures > 0 {
@@ -261,7 +267,7 @@ impl crate::CellOutcome {
                 out,
                 "  machine failures: {failures} ({} repaired in-window, {} tasks lost)",
                 t.machine_repairs(),
-                t.tasks_lost()
+                collections.tasks_lost
             )
             .ok();
         }

@@ -98,14 +98,13 @@ fn rescheduling_churn_exists() {
 #[test]
 fn production_collections_rarely_evicted() {
     let outcome = week_outcome(17);
-    let collections = outcome.trace.collections();
-    let evictions = outcome.trace.evictions_by_collection();
+    let collections = outcome.trace.collections().by_id;
     let mut prod_total = 0u64;
     let mut prod_evicted = 0u64;
     let mut nonprod_evicted = 0u64;
     for info in collections.values() {
         let is_prod = info.priority.reporting_tier() == Tier::Production;
-        let evicted = evictions.contains_key(&info.id);
+        let evicted = info.evictions > 0;
         if is_prod {
             prod_total += 1;
             prod_evicted += evicted as u64;
@@ -155,7 +154,7 @@ fn slack_orders_by_autopilot_mode() {
 #[test]
 fn alloc_sets_present_and_hosting_production() {
     let outcome = week_outcome(19);
-    let collections = outcome.trace.collections();
+    let collections = outcome.trace.collections().by_id;
     let alloc_sets = collections
         .values()
         .filter(|c| c.collection_type == borg_trace::collection::CollectionType::AllocSet)
@@ -203,7 +202,7 @@ fn transitions_cover_common_paths() {
 #[test]
 fn dependency_cascades_kill_children() {
     let outcome = week_outcome(22);
-    let collections = outcome.trace.collections();
+    let collections = outcome.trace.collections().by_id;
     let mut with_parent_killed = 0u64;
     let mut with_parent = 0u64;
     let mut without_parent_killed = 0u64;

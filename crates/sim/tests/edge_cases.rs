@@ -66,7 +66,13 @@ fn aggressive_maintenance_does_not_break_invariants() {
     cfg.horizon = Micros::from_hours(24);
     cfg.maintenance_per_month = 60.0; // a sweep every ~12 hours per machine
     let o = CellSim::run_cell(&profile, &cfg);
-    let evictions: u64 = o.trace.evictions_by_collection().values().sum();
+    let evictions: u64 = o
+        .trace
+        .collections()
+        .by_id
+        .values()
+        .map(|c| c.evictions)
+        .sum();
     assert!(evictions > 0, "aggressive maintenance must evict something");
 }
 

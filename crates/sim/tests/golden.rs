@@ -9,7 +9,7 @@
 //! * the scheduler-visible metrics, rendered as text so a mismatch
 //!   reads as a diff: `preemptions`, `stalls_by_tier` and
 //!   `evictions_by_cause` from `SimMetrics`, `machine_failures` and
-//!   `tasks_lost` counted from the trace, and
+//!   `tasks_lost` counted from the trace (`Trace::collections`), and
 //! * the FNV-1a digest and byte count of the telemetry snapshot's
 //!   `deterministic_bytes`, from a second run with telemetry on — whose
 //!   trace must digest to the same value (telemetry is a pure observer).
@@ -118,7 +118,7 @@ fn metrics_line(o: &CellOutcome) -> String {
         stalls.join(","),
         evictions.join(","),
         o.trace.machine_failures(),
-        o.trace.tasks_lost()
+        o.trace.collections().tasks_lost
     )
 }
 

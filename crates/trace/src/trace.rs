@@ -9,7 +9,7 @@ use crate::priority::{Priority, Tier};
 use crate::resources::Resources;
 use crate::state::EventType;
 use crate::time::{Micros, MICROS_PER_HOUR};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Which public trace format the bundle follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,6 +74,28 @@ pub struct CollectionInfo {
     pub final_event: Option<EventType>,
     /// Time of the final terminal event.
     pub final_time: Option<Micros>,
+    /// Its instances (a job's tasks): the highest index of an instance
+    /// `Submit` row + 1, or 0 when it has none.
+    pub tasks: u32,
+    /// Its instances' `Evict` rows. An instance that vanishes with its
+    /// machine is `Lost`, not evicted.
+    pub evictions: u64,
+}
+
+/// What a trace's rows say about its collections: each collection's
+/// summary, and the two cell totals the same instance rows give.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Collections {
+    /// Every collection with a collection row, by id.
+    pub by_id: BTreeMap<CollectionId, CollectionInfo>,
+    /// Tasks that vanished with their machine: the `Lost` rows of every
+    /// instance outside an alloc set. An alloc instance is not a task.
+    pub tasks_lost: u64,
+    /// §5.1: what the alloc sets reserved, as (CPU, memory) · hours: each
+    /// alloc instance's request from its `Schedule` row to its next
+    /// terminal row, or to the horizon. Summed in row order, the
+    /// instances open at the horizon last, in id order.
+    pub alloc_set_hours: Resources,
 }
 
 impl Trace {
@@ -140,11 +162,13 @@ impl Trace {
         self.capacity_at(Micros::ZERO)
     }
 
-    /// Groups collection events into per-collection summaries.
-    pub fn collections(&self) -> BTreeMap<CollectionId, CollectionInfo> {
-        let mut out: BTreeMap<CollectionId, CollectionInfo> = BTreeMap::new();
+    /// Groups the collection rows into per-collection summaries, then
+    /// reads the instance rows once: for each collection's tasks and
+    /// evictions, and for the cell's lost tasks and alloc-set hours.
+    pub fn collections(&self) -> Collections {
+        let mut out = Collections::default();
         for ev in &self.collection_events {
-            let entry = out.entry(ev.collection_id).or_insert(CollectionInfo {
+            let entry = out.by_id.entry(ev.collection_id).or_insert(CollectionInfo {
                 id: ev.collection_id,
                 collection_type: ev.collection_type,
                 priority: ev.priority,
@@ -155,6 +179,8 @@ impl Trace {
                 submit_time: ev.time,
                 final_event: None,
                 final_time: None,
+                tasks: 0,
+                evictions: 0,
             });
             if ev.event_type == EventType::Submit && ev.time < entry.submit_time {
                 entry.submit_time = ev.time;
@@ -163,6 +189,29 @@ impl Trace {
                 entry.final_event = Some(ev.event_type);
                 entry.final_time = Some(ev.time);
             }
+        }
+        let mut find = finder(out.by_id.keys().copied().collect());
+        let mut infos: Vec<&mut CollectionInfo> = out.by_id.values_mut().collect();
+        let mut open: BTreeMap<InstanceId, (Micros, Resources)> = BTreeMap::new();
+        for e in &self.instance_events {
+            let info = find(e.instance_id.collection).map(|at| &mut *infos[at]);
+            let alloc = matches!(&info, Some(c) if c.collection_type == CollectionType::AllocSet);
+            match (e.event_type, info) {
+                (EventType::Submit, Some(c)) => c.tasks = c.tasks.max(e.instance_id.index + 1),
+                (EventType::Evict, Some(c)) => c.evictions += 1,
+                (EventType::Lost, _) if !alloc => out.tasks_lost += 1,
+                _ => {}
+            }
+            if alloc && e.event_type == EventType::Schedule {
+                open.insert(e.instance_id, (e.time, e.request));
+            } else if alloc && e.event_type.is_terminal() {
+                if let Some((from, request)) = open.remove(&e.instance_id) {
+                    out.alloc_set_hours += request * e.time.saturating_sub(from).as_hours_f64();
+                }
+            }
+        }
+        for (from, request) in open.into_values() {
+            out.alloc_set_hours += request * self.horizon.saturating_sub(from).as_hours_f64();
         }
         out
     }
@@ -186,20 +235,15 @@ impl Trace {
     /// "new" counts each task's first `Submit`, "all" its resubmissions
     /// too. Alloc instances are not tasks and are not counted.
     pub fn task_submits_per_hour(&self) -> (Vec<u64>, Vec<u64>) {
-        // Job → which of its tasks have been submitted; looked up, never
-        // iterated.
-        let mut submitted: HashMap<CollectionId, Vec<bool>> = self
-            .collection_events
-            .iter()
-            .filter(|e| e.collection_type == CollectionType::Job)
-            .map(|e| (e.collection_id, Vec::new()))
-            .collect();
+        let (jobs, mut find) = self.jobs();
+        // Per job, which of its tasks have been submitted.
+        let mut submitted: Vec<Vec<bool>> = vec![Vec::new(); jobs];
         let (mut new, mut all) = (self.hours(), self.hours());
         for e in &self.instance_events {
             if e.event_type != EventType::Submit {
                 continue;
             }
-            let Some(seen) = submitted.get_mut(&e.instance_id.collection) else {
+            let Some(seen) = find(e.instance_id.collection).map(|job| &mut submitted[job]) else {
                 continue; // an alloc instance
             };
             let task = e.instance_id.index as usize;
@@ -220,22 +264,22 @@ impl Trace {
     /// when the batch queue held it: the latest of either — to the job's
     /// first collection `Schedule`. A job never scheduled gives none.
     pub fn scheduling_delays(&self) -> Vec<(Tier, Micros)> {
-        // Job → when it was made ready, `None` once scheduled; looked up,
-        // never iterated.
-        let mut ready: HashMap<CollectionId, Option<Micros>> = HashMap::new();
+        let (jobs, mut find) = self.jobs();
+        // Per job: `None` until it is made ready, then since when, then
+        // `Some(None)` once it is scheduled.
+        let mut ready: Vec<Option<Option<Micros>>> = vec![None; jobs];
         let mut delays = Vec::new();
         for e in &self.collection_events {
-            if e.collection_type != CollectionType::Job {
-                continue;
-            }
+            let job = find(e.collection_id).filter(|_| e.collection_type == CollectionType::Job);
+            let Some(job) = job else { continue };
             match e.event_type {
                 EventType::Submit | EventType::Enable => {
-                    if let Some(since) = ready.entry(e.collection_id).or_insert(Some(e.time)) {
+                    if let Some(since) = ready[job].get_or_insert(Some(e.time)) {
                         *since = e.time;
                     }
                 }
                 EventType::Schedule => {
-                    if let Some(since) = ready.get_mut(&e.collection_id).and_then(Option::take) {
+                    if let Some(since) = ready[job].as_mut().and_then(Option::take) {
                         let delay = e.time.saturating_sub(since);
                         delays.push((e.priority.reporting_tier(), delay));
                     }
@@ -244,18 +288,6 @@ impl Trace {
             }
         }
         delays
-    }
-
-    /// §5.2: the instance `Evict` rows of each collection that has any.
-    /// An instance that vanishes with its machine is `Lost`, not evicted.
-    pub fn evictions_by_collection(&self) -> BTreeMap<CollectionId, u64> {
-        let mut out = BTreeMap::new();
-        for e in &self.instance_events {
-            if e.event_type == EventType::Evict {
-                *out.entry(e.instance_id.collection).or_insert(0) += 1;
-            }
-        }
-        out
     }
 
     /// Machine failures: the machine `Remove` rows.
@@ -275,53 +307,17 @@ impl Trace {
             .count() as u64
     }
 
-    /// Tasks that vanished with their machine: the job tasks' `Lost`
-    /// rows. An alloc instance is not a task, so its `Lost` row does not
-    /// count.
-    pub fn tasks_lost(&self) -> u64 {
-        let allocs = self.alloc_set_ids();
-        self.instance_events
+    /// The number of jobs, and a [`finder`] of their positions.
+    fn jobs(&self) -> (usize, impl FnMut(CollectionId) -> Option<usize>) {
+        let mut ids: Vec<CollectionId> = self
+            .collection_events
             .iter()
-            .filter(|e| {
-                e.event_type == EventType::Lost && !allocs.contains(&e.instance_id.collection)
-            })
-            .count() as u64
-    }
-
-    /// §5.1: what the alloc sets reserved, as (CPU, memory) · hours: each
-    /// alloc instance's request from its `Schedule` row to its next
-    /// terminal row, or to the horizon. Summed in row order, the
-    /// instances open at the horizon last, in id order.
-    pub fn alloc_set_hours(&self) -> Resources {
-        let allocs = self.alloc_set_ids();
-        let mut open: BTreeMap<InstanceId, (Micros, Resources)> = BTreeMap::new();
-        let mut hours = Resources::ZERO;
-        for e in &self.instance_events {
-            let scheduled = e.event_type == EventType::Schedule;
-            if !(scheduled || e.event_type.is_terminal())
-                || !allocs.contains(&e.instance_id.collection)
-            {
-                continue;
-            }
-            if scheduled {
-                open.insert(e.instance_id, (e.time, e.request));
-            } else if let Some((from, request)) = open.remove(&e.instance_id) {
-                hours += request * e.time.saturating_sub(from).as_hours_f64();
-            }
-        }
-        for (from, request) in open.into_values() {
-            hours += request * self.horizon.saturating_sub(from).as_hours_f64();
-        }
-        hours
-    }
-
-    /// The ids of the alloc-set collections.
-    fn alloc_set_ids(&self) -> HashSet<CollectionId> {
-        self.collection_events
-            .iter()
-            .filter(|e| e.collection_type == CollectionType::AllocSet)
+            .filter(|e| e.collection_type == CollectionType::Job)
             .map(|e| e.collection_id)
-            .collect()
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        (ids.len(), finder(ids))
     }
 
     /// One zero per started hour of `[0, horizon)`.
@@ -335,6 +331,19 @@ impl Trace {
         ids.sort_unstable();
         ids.dedup();
         ids.len()
+    }
+}
+
+/// Finds rows' collections among `ids`, sorted and distinct: a row's
+/// collection's position, by binary search, skipped while rows keep to the
+/// last row's collection, as a job's tasks' instance rows often do.
+fn finder(ids: Vec<CollectionId>) -> impl FnMut(CollectionId) -> Option<usize> {
+    let mut last = (CollectionId(0), ids.binary_search(&CollectionId(0)).ok());
+    move |id| {
+        if last.0 != id {
+            last = (id, ids.binary_search(&id).ok());
+        }
+        last.1
     }
 }
 
@@ -423,7 +432,7 @@ mod tests {
             EventType::Submit,
             Some(1),
         ));
-        let infos = trace.collections();
+        let infos = trace.collections().by_id;
         assert_eq!(infos.len(), 2);
         let c1 = &infos[&CollectionId(1)];
         assert_eq!(c1.submit_time, Micros::from_secs(10));
@@ -527,10 +536,8 @@ mod tests {
             ],
         );
         assert_eq!(trace.task_submits_per_hour(), (vec![1, 0], vec![1, 1]));
-        assert_eq!(
-            trace.evictions_by_collection(),
-            BTreeMap::from([(CollectionId(1), 1)])
-        );
+        let job = trace.collections().by_id[&CollectionId(1)];
+        assert_eq!((job.tasks, job.evictions), (1, 1));
     }
 
     #[test]
@@ -548,7 +555,9 @@ mod tests {
         trace.collection_events[1].collection_type = CollectionType::AllocSet;
         assert_eq!(trace.task_submits_per_hour(), (vec![1, 0], vec![1, 0]));
         assert_eq!(trace.job_submits_per_hour(), [1, 0]);
-        assert_eq!(trace.evictions_by_collection(), BTreeMap::new());
+        let collections = trace.collections();
+        assert!(collections.by_id.values().all(|c| c.evictions == 0));
+        assert_eq!(collections.tasks_lost, 0);
     }
 
     fn remove_machine(trace: &mut Trace, id: u32, t: Micros) {
@@ -592,7 +601,7 @@ mod tests {
             ],
         );
         trace.collection_events[1].collection_type = CollectionType::AllocSet;
-        assert_eq!(trace.tasks_lost(), 1);
+        assert_eq!(trace.collections().tasks_lost, 1);
     }
 
     #[test]
@@ -614,7 +623,31 @@ mod tests {
         for e in &mut trace.instance_events {
             e.request = Resources::new(0.5, 0.25);
         }
-        assert_eq!(trace.alloc_set_hours(), Resources::new(0.75, 0.375));
+        assert_eq!(
+            trace.collections().alloc_set_hours,
+            Resources::new(0.75, 0.375)
+        );
+    }
+
+    #[test]
+    fn a_collections_tasks_count_up_to_its_highest_submitted_index() {
+        use EventType as E;
+        let trace = trace_of(
+            &[(1, 0, E::Submit, 200), (2, 0, E::Submit, 200)],
+            &[
+                (1, 0, 10, E::Submit),
+                (1, 3, 10, E::Submit),
+                (2, 0, 20, E::Schedule),
+            ],
+        );
+        let tasks: Vec<u32> = trace
+            .collections()
+            .by_id
+            .values()
+            .map(|c| c.tasks)
+            .collect();
+        // Job 2 has a `Schedule` row but no `Submit`.
+        assert_eq!(tasks, [4, 0]);
     }
 
     #[test]

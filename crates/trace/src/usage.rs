@@ -101,16 +101,6 @@ pub struct UsageRecord {
 }
 
 impl UsageRecord {
-    /// The §8 *peak NCU slack*:
-    /// `max(0, limit − max usage) / limit`, or `None` when the CPU limit
-    /// is zero.
-    pub fn peak_ncu_slack(&self) -> Option<f64> {
-        if self.limit.cpu <= 0.0 {
-            return None;
-        }
-        Some(((self.limit.cpu - self.max_usage.cpu).max(0.0)) / self.limit.cpu)
-    }
-
     /// Window duration.
     pub fn duration(&self) -> Micros {
         self.end.saturating_sub(self.start)
@@ -162,14 +152,6 @@ mod tests {
         let h = CpuHistogram::from_samples(&[0.3; 50]);
         assert_eq!(h.min(), 0.3);
         assert_eq!(h.max(), 0.3);
-    }
-
-    #[test]
-    fn peak_slack() {
-        assert_eq!(record(1.0, 0.25).peak_ncu_slack(), Some(0.75));
-        // Work-conserving CPU can exceed the limit; slack clamps at zero.
-        assert_eq!(record(0.5, 0.9).peak_ncu_slack(), Some(0.0));
-        assert_eq!(record(0.0, 0.1).peak_ncu_slack(), None);
     }
 
     #[test]

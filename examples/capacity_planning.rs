@@ -51,7 +51,13 @@ fn main() {
             .get((delays.len() as f64 * 0.9) as usize)
             .copied()
             .unwrap_or(f64::NAN);
-        let evictions: u64 = outcome.trace.evictions_by_collection().values().sum();
+        let evictions: u64 = outcome
+            .trace
+            .collections()
+            .by_id
+            .values()
+            .map(|c| c.evictions)
+            .sum();
         println!(
             "{:>9.1}x {:>10.3} {:>12.3} {:>11.1}s {:>11.0}s {:>10}",
             mult, util, alloc, med, p90, evictions

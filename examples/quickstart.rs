@@ -19,7 +19,7 @@ fn main() {
     let trace = &outcome.trace;
     println!("cell {}:", trace.cell_name);
     println!("  machines:           {}", trace.machine_count());
-    println!("  collections:        {}", trace.collections().len());
+    println!("  collections:        {}", trace.collections().by_id.len());
     println!("  instance events:    {}", trace.instance_events.len());
     println!("  usage samples kept: {}", trace.usage.len());
 

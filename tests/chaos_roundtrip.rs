@@ -168,8 +168,9 @@ fn chaos_roundtrip_repairs_to_zero_violations() {
 fn faulty_trace_records_failures_and_losses() {
     let outcome = simulate_cell_faulty(&CellProfile::cell_2019('a'), SimScale::Tiny, 13);
     let trace = &outcome.trace;
+    let collections = trace.collections();
     assert!(
-        trace.tasks_lost() > 0,
+        collections.tasks_lost > 0,
         "seed 13 lost no task; pick an active seed"
     );
     let removes: BTreeSet<Micros> = trace
@@ -178,9 +179,9 @@ fn faulty_trace_records_failures_and_losses() {
         .filter(|e| e.event_type == MachineEventType::Remove)
         .map(|e| e.time)
         .collect();
-    let collections = trace.collections();
     for e in &trace.instance_events {
-        let job = collections[&e.instance_id.collection].collection_type == CollectionType::Job;
+        let job =
+            collections.by_id[&e.instance_id.collection].collection_type == CollectionType::Job;
         if job && e.event_type == EventType::Lost {
             assert!(
                 removes.contains(&e.time),
@@ -230,8 +231,7 @@ fn graceful_degradation_analyses_still_complete() {
     assert!(quality.fraction_affected() > 0.0);
 
     // The summarize-style analyses all complete without panicking.
-    let infos = trace.collections();
-    assert!(!infos.is_empty());
+    assert!(!trace.collections().by_id.is_empty());
     let census = borg2019::trace::machine::shape_census(&trace.machine_events);
     assert!(census.adds > 0);
     let _ = trace.nominal_capacity();
@@ -279,8 +279,8 @@ fn low_fault_rates_preserve_headline_statistics() {
     );
     assert!(
         rel(
-            outcome.trace.collections().len() as f64,
-            repaired.collections().len() as f64
+            outcome.trace.collections().by_id.len() as f64,
+            repaired.collections().by_id.len() as f64
         ) < 0.05,
         "collection count drifted more than 5%"
     );

@@ -24,7 +24,7 @@ fn cell_2011() -> &'static CellOutcome {
 #[test]
 fn whole_pipeline_produces_valid_traces() {
     for outcome in [cell_b(), cell_2011()] {
-        assert!(outcome.trace.collections().len() > 100);
+        assert!(outcome.trace.collections().by_id.len() > 100);
     }
 }
 
@@ -158,7 +158,7 @@ fn figure7_counts_survive_a_trace_directory_round_trip() {
 fn alloc_statistics_consistent_between_views() {
     let stats = allocs::alloc_stats(&[cell_b()]);
     // Trace-level recount of alloc sets must match the analysis.
-    let infos = cell_b().trace.collections();
+    let infos = cell_b().trace.collections().by_id;
     let alloc_sets = infos
         .values()
         .filter(|c| c.collection_type == borg2019::trace::collection::CollectionType::AllocSet)
