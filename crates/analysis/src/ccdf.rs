@@ -6,15 +6,18 @@
 //! be evaluated at arbitrary points, emitted as a step series, or resampled
 //! on linear/log grids for plotting.
 //!
-//! It is also the crate's one sorted-sample view. [`Ccdf::from_samples`]
-//! is the only place a raw sample is filtered to finite values and sorted
-//! (ascending in `total_cmp` order, as integer keys); percentiles, top-k
-//! load shares ([`Ccdf::top_share`], [`crate::pareto::TailShare`]), the
-//! Pareto regression and the Gini coefficient ([`gini`]) all read it, so
-//! a caller that wants several of them sorts once. The paper's Table 2
-//! reports medians, 90/99/99.9 percentiles and maxima of the per-job usage
-//! integrals; percentiles interpolate linearly between order statistics
-//! (the "type 7" estimator used by most statistics packages).
+//! It is the crate's one sorted-sample view. [`Ccdf::from_samples`] is
+//! the only place a raw sample is filtered to finite values and sorted
+//! (ascending in `total_cmp` order, as integer keys); the analyses that
+//! return a distribution read it, and so do those that want many of its
+//! ranks at once: top-k load shares ([`Ccdf::top_share`]), the Pareto
+//! regression and the Gini coefficient ([`gini`]). An analysis that reads
+//! a few ranks and returns no distribution takes them by selection
+//! instead ([`crate::select`]), for the same bits. Percentiles
+//! interpolate linearly between order statistics (the "type 7" estimator
+//! used by most statistics packages).
+
+use crate::select::{from_order_key, order_key, Rank};
 
 /// An empirical complementary cumulative distribution function.
 ///
@@ -111,10 +114,10 @@ impl Ccdf {
     /// assert_eq!(c.percentile(100.0), Some(4.0));
     /// ```
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.sorted.is_empty() || !(0.0..=100.0).contains(&p) {
-            return None;
-        }
-        Some(percentile_of_sorted(&self.sorted, p))
+        let rank = Rank::of(p, self.sorted.len())?;
+        rank.value(self.sorted[rank.lo], || {
+            self.sorted.get(rank.lo + 1).copied()
+        })
     }
 
     /// Several percentiles of the sample; `None` when empty or any
@@ -158,10 +161,7 @@ impl Ccdf {
         if total <= 0.0 {
             return None;
         }
-        // At least one job belongs to the top group whenever top_percent > 0.
-        let k = ((top_percent / 100.0 * n as f64).round() as usize)
-            .max(usize::from(top_percent > 0.0))
-            .min(n);
+        let k = top_count(top_percent, n);
         let top: f64 = self.sorted[n - k..].iter().rev().sum();
         Some(top / total)
     }
@@ -226,47 +226,13 @@ pub fn gini(sample: &Ccdf) -> Option<f64> {
     Some((2.0 * weighted / (n * total)) - (n + 1.0) / n)
 }
 
-/// The `u64` whose unsigned order among keys is `total_cmp`'s order among
-/// floats: a negative value's bits are all flipped (larger magnitude,
-/// smaller key), anything else only gains the top bit (above every
-/// negative, order among themselves kept).
-fn order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// Inverse of [`order_key`].
-fn from_order_key(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 {
-        key & !(1 << 63)
-    } else {
-        !key
-    })
-}
-
-/// Percentile on an already-sorted, non-empty slice.
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty.
-fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
+/// How many of `n` jobs make up the top `top_percent` percent
+/// (0 ≤ `top_percent` ≤ 100): the nearest whole count, and at least one
+/// job whenever `top_percent` is positive.
+pub fn top_count(top_percent: f64, n: usize) -> usize {
+    ((top_percent / 100.0 * n as f64).round() as usize)
+        .max(usize::from(top_percent > 0.0))
+        .min(n)
 }
 
 /// The step series of an ascending slice taken as the whole sample: a

@@ -5,6 +5,9 @@
 //! buckets and the median NMU-hours per bucket is nearly linear in the
 //! bucket index, with a Pearson coefficient of 0.97 (Figure 13).
 
+use crate::select::{order_key, percentiles_by_selection};
+use std::collections::BTreeMap;
+
 /// Pearson correlation coefficient of paired samples.
 ///
 /// Returns `None` with fewer than two finite pairs or when either variable
@@ -59,58 +62,45 @@ pub struct Bucket {
     pub count: usize,
 }
 
-/// Buckets pairs by `x` into `width`-wide bins and reports the median `y`
-/// of each non-empty bin, exactly as Figure 13 buckets jobs into
-/// 1-NCU-hour bins and plots the median NMU-hours.
+/// Buckets the pairs `(xs[i], ys[i])` by `x` into `width`-wide bins and
+/// reports the median `y` of each non-empty bin, exactly as Figure 13
+/// buckets jobs into 1-NCU-hour bins and plots the median NMU-hours.
+/// A pair with a non-finite side takes no part, and a longer column's
+/// extra values are ignored.
+///
+/// Each bin holds its `y`s as order keys and takes their median by
+/// selection ([`percentiles_by_selection`]): one bin holds most of
+/// Figure 13's jobs, and nothing needs them sorted.
 ///
 /// Returns an empty vector for empty input and for a `width` that is not
 /// strictly positive (zero, negative or NaN).
-pub fn bucketed_medians(pairs: &[(f64, f64)], width: f64) -> Vec<Bucket> {
+pub fn bucketed_medians(xs: &[f64], ys: &[f64], width: f64) -> Vec<Bucket> {
     if width.is_nan() || width <= 0.0 {
         return Vec::new();
     }
-    let mut by_bucket: std::collections::BTreeMap<i64, Vec<f64>> =
-        std::collections::BTreeMap::new();
-    for &(x, y) in pairs {
+    let mut by_bucket: BTreeMap<i64, Vec<u64>> = BTreeMap::new();
+    for (&x, &y) in xs.iter().zip(ys) {
         if !x.is_finite() || !y.is_finite() {
             continue;
         }
         // The cast saturates for a quotient beyond i64.
         let idx = (x / width).floor() as i64;
-        by_bucket.entry(idx).or_default().push(y);
+        by_bucket.entry(idx).or_default().push(order_key(y));
     }
     // Every bucket holds at least one `y`, so none is filtered out.
     by_bucket
         .into_iter()
-        .filter_map(|(idx, mut ys)| {
+        .filter_map(|(idx, mut keys)| {
+            let [median_y] = percentiles_by_selection(&mut keys, [50.0])?;
             Some(Bucket {
                 x_lo: idx as f64 * width,
                 // Added as floats: `idx + 1` overflows in the last bucket.
                 x_hi: (idx as f64 + 1.0) * width,
-                median_y: median_by_selection(&mut ys)?,
-                count: ys.len(),
+                median_y,
+                count: keys.len(),
             })
         })
         .collect()
-}
-
-/// The type-7 median of `ys` (reordering it), `None` when empty: the two
-/// order statistics a full `total_cmp` sort would put at the middle ranks,
-/// found by selection. `total_cmp` ties are equal bit patterns, so which
-/// of them selection lands on cannot show.
-fn median_by_selection(ys: &mut [f64]) -> Option<f64> {
-    let n = ys.len();
-    if n == 0 {
-        return None;
-    }
-    let (_, &mut lower, above) = ys.select_nth_unstable_by((n - 1) / 2, f64::total_cmp);
-    if n % 2 == 1 {
-        return Some(lower);
-    }
-    // An even count interpolates halfway to the next rank: the smallest
-    // of what selection left on the right.
-    let upper = above.iter().copied().min_by(f64::total_cmp)?;
-    Some(lower * 0.5 + upper * 0.5)
 }
 
 /// Pearson correlation between bucket centers and bucket medians — the
@@ -159,8 +149,9 @@ mod tests {
 
     #[test]
     fn buckets_collect_medians() {
-        let pairs = vec![(0.1, 1.0), (0.9, 3.0), (0.5, 2.0), (1.5, 10.0), (2.7, 20.0)];
-        let buckets = bucketed_medians(&pairs, 1.0);
+        let xs = [0.1, 0.9, 0.5, 1.5, 2.7];
+        let ys = [1.0, 3.0, 2.0, 10.0, 20.0];
+        let buckets = bucketed_medians(&xs, &ys, 1.0);
         assert_eq!(buckets.len(), 3);
         assert_eq!(buckets[0].median_y, 2.0);
         assert_eq!(buckets[0].count, 3);
@@ -172,21 +163,24 @@ mod tests {
     fn bucketed_correlation_linear_relation() {
         // y = 0.5 x with multiplicative noise still yields near-1 bucketed
         // median correlation.
-        let pairs: Vec<(f64, f64)> = (1..2000)
+        let (xs, ys): (Vec<f64>, Vec<f64>) = (1..2000)
             .map(|i| {
                 let x = i as f64 * 0.01;
                 let noise = 1.0 + 0.3 * ((i as f64) * 0.77).sin();
                 (x, 0.5 * x * noise)
             })
-            .collect();
-        let r = bucketed_median_correlation(&bucketed_medians(&pairs, 1.0)).unwrap();
+            .unzip();
+        let r = bucketed_median_correlation(&bucketed_medians(&xs, &ys, 1.0)).unwrap();
         assert!(r > 0.95, "r = {r}");
     }
 
     #[test]
     fn non_positive_width_gives_no_buckets() {
         for width in [0.0, -0.0, -1.0, f64::NEG_INFINITY, f64::NAN] {
-            assert!(bucketed_medians(&[(1.0, 1.0)], width).is_empty(), "{width}");
+            assert!(
+                bucketed_medians(&[1.0], &[1.0], width).is_empty(),
+                "{width}"
+            );
         }
     }
 
@@ -194,7 +188,7 @@ mod tests {
     /// edge must not wrap around below its lower one.
     #[test]
     fn huge_x_lands_in_a_saturated_bucket() {
-        let buckets = bucketed_medians(&[(1e300, 1.0), (-1e300, 2.0), (0.5, 3.0)], 1.0);
+        let buckets = bucketed_medians(&[1e300, -1e300, 0.5], &[1.0, 2.0, 3.0], 1.0);
         let edges: Vec<(f64, f64)> = buckets.iter().map(|b| (b.x_lo, b.x_hi)).collect();
         let top = i64::MAX as f64;
         assert_eq!(

@@ -9,11 +9,14 @@
 //! goodness of fit, Pearson correlation and bucketed-median curves,
 //! time-bucketed aggregation, and M/G/1 queueing formulas.
 //!
-//! One rule holds the order statistics together: a raw sample is filtered
-//! to finite values and sorted once, by [`Ccdf::from_samples`], and
-//! percentiles, tail shares, the Pareto regression and the Gini
-//! coefficient all read that [`Ccdf`]. [`Moments`] alone keeps reading
-//! the raw column, in its original order: Welford accumulation is
+//! Two views hold the order statistics together. A sample whose
+//! distribution is wanted is filtered to finite values and sorted once,
+//! by [`Ccdf::from_samples`], and percentiles, tail shares, the Pareto
+//! regression and the Gini coefficient all read that [`Ccdf`]. A sample
+//! of which only a few ranks are wanted is read by selection
+//! ([`select::percentiles_by_selection`]), which returns the sorted
+//! view's percentiles bit for bit. [`Moments`] keeps reading the raw
+//! column, in its original order: Welford accumulation is
 //! order-sensitive.
 //!
 //! Everything here is dependency-free and deterministic, so results are
@@ -37,12 +40,13 @@ pub mod moments;
 pub mod pareto;
 pub mod queueing;
 pub mod regression;
+pub mod select;
 pub mod timeseries;
 
 pub use ccdf::{gini, Ccdf};
 pub use correlation::{bucketed_medians, pearson};
 pub use moments::Moments;
-pub use pareto::{ParetoFit, TailShare};
+pub use pareto::ParetoFit;
 pub use queueing::{mg1_mean_queueing_delay, mm1_mean_queueing_delay};
 pub use regression::LinearFit;
 pub use timeseries::{periodic_component, HourBuckets};

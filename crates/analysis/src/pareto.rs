@@ -42,13 +42,21 @@ impl ParetoFit {
         let sorted = sample.samples();
         let lo = sorted.partition_point(|&x| x <= x_min);
         let hi = sorted.partition_point(|&x| x <= x_max);
-        let tail = sorted.get(lo..hi)?;
-        if tail.len() < Self::MIN_TAIL_SAMPLES {
+        Self::fit_window(sorted.get(lo..hi)?, x_min, x_max)
+    }
+
+    /// Fits a Pareto tail to `window`, the samples in `(x_min, x_max]` in
+    /// ascending `total_cmp` order, by the regression of
+    /// [`fit_ccdf_regression`](Self::fit_ccdf_regression): its steps are
+    /// the window's own CCDF. `None` below
+    /// [`MIN_TAIL_SAMPLES`](Self::MIN_TAIL_SAMPLES) samples.
+    pub fn fit_window(window: &[f64], x_min: f64, x_max: f64) -> Option<Self> {
+        if window.len() < Self::MIN_TAIL_SAMPLES {
             return None;
         }
         // Regress log P(X > x) on log x at each distinct sample value,
         // skipping the final step where the CCDF reaches exactly zero.
-        let points: Vec<(f64, f64)> = steps_of_sorted(tail)
+        let points: Vec<(f64, f64)> = steps_of_sorted(window)
             .into_iter()
             .filter(|&(x, p)| x > 0.0 && p > 0.0)
             .map(|(x, p)| (x.ln(), p.ln()))
@@ -59,7 +67,7 @@ impl ParetoFit {
             r_squared: fit.r_squared,
             x_min,
             x_max,
-            n_tail: tail.len(),
+            n_tail: window.len(),
         })
     }
 
@@ -73,37 +81,6 @@ impl ParetoFit {
         } else {
             (self.x_min / x).powf(self.alpha)
         }
-    }
-}
-
-/// Load concentration in the largest jobs: the "hogs vs mice" statistic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TailShare {
-    /// Fraction of total load contributed by the largest 1% of jobs.
-    pub top_1_percent: f64,
-    /// Fraction of total load contributed by the largest 0.1% of jobs.
-    pub top_01_percent: f64,
-}
-
-impl TailShare {
-    /// Computes both tail shares; `None` on empty/degenerate input.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use borg_analysis::ccdf::Ccdf;
-    /// use borg_analysis::pareto::TailShare;
-    ///
-    /// let mut xs = vec![0.001; 990];
-    /// xs.extend(vec![100.0; 10]);
-    /// let t = TailShare::compute(&Ccdf::from_samples(xs)).unwrap();
-    /// assert!(t.top_1_percent > 0.99);
-    /// ```
-    pub fn compute(sample: &Ccdf) -> Option<Self> {
-        Some(TailShare {
-            top_1_percent: sample.top_share(1.0)?,
-            top_01_percent: sample.top_share(0.1)?,
-        })
     }
 }
 
@@ -150,15 +127,9 @@ mod tests {
         for xs in [vec![], vec![f64::NAN, f64::INFINITY]] {
             let xs = Ccdf::from_samples(xs);
             assert_eq!(ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99), None);
-            assert_eq!(TailShare::compute(&xs), None);
         }
         let one = Ccdf::from_samples([5.0]);
         assert_eq!(ParetoFit::fit_ccdf_regression(&one, 1.0, 99.99), None);
-        let whole = TailShare {
-            top_1_percent: 1.0,
-            top_01_percent: 1.0,
-        };
-        assert_eq!(TailShare::compute(&one), Some(whole));
         let xs = Ccdf::from_samples(pareto_samples(0.7, 1.0, 1000));
         // An empty window (x_min above the cut) and a percentile out of range.
         assert_eq!(ParetoFit::fit_ccdf_regression(&xs, 1e12, 99.99), None);
@@ -172,7 +143,6 @@ mod tests {
             ParetoFit::fit_ccdf_regression(&noisy, 1.0, 99.99),
             ParetoFit::fit_ccdf_regression(&xs, 1.0, 99.99)
         );
-        assert_eq!(TailShare::compute(&noisy), TailShare::compute(&xs));
     }
 
     #[test]
@@ -193,9 +163,10 @@ mod tests {
         // α < 1 means the top 1% carries most of the mass, the paper's
         // headline "hogs" observation.
         let xs = Ccdf::from_samples(pareto_samples(0.7, 0.001, 100_000));
-        let t = TailShare::compute(&xs).unwrap();
-        assert!(t.top_1_percent > 0.80, "top 1% = {}", t.top_1_percent);
-        assert!(t.top_01_percent > 0.5, "top 0.1% = {}", t.top_01_percent);
-        assert!(t.top_1_percent >= t.top_01_percent);
+        let top_1 = xs.top_share(1.0).unwrap();
+        let top_01 = xs.top_share(0.1).unwrap();
+        assert!(top_1 > 0.80, "top 1% = {top_1}");
+        assert!(top_01 > 0.5, "top 0.1% = {top_01}");
+        assert!(top_1 >= top_01);
     }
 }

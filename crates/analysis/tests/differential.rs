@@ -1,8 +1,8 @@
 //! Differential suite: every order statistic read off a [`Ccdf`]
 //! against the slice routine it replaced (kept in `reference/`), bit for
 //! bit; the integer-key sort behind the `Ccdf` against the comparator
-//! sort, and the bucket medians taken by selection against a full sort of
-//! each bucket.
+//! sort, the percentiles taken by selection against that sort, and the
+//! bucket medians taken by selection against a full sort of each bucket.
 //!
 //! Inputs are seeded random samples built to hit what the one
 //! filter-and-sort must get right: NaN and ±inf (dropped), `-0.0` beside
@@ -17,7 +17,8 @@ mod reference;
 
 use borg_analysis::ccdf::{gini, linear_grid, log_grid, Ccdf};
 use borg_analysis::correlation::{bucketed_medians, Bucket};
-use borg_analysis::pareto::{ParetoFit, TailShare};
+use borg_analysis::pareto::ParetoFit;
+use borg_analysis::select::{order_key, percentiles_by_selection};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -174,6 +175,45 @@ fn percentiles_match_reference() {
     }
 }
 
+/// The selection kernel against the percentiles of the comparator sort,
+/// over the raw samples and over the whole of `f64`: each probe alone,
+/// all of them in one call (out of order, so ranks repeat and descend),
+/// and `None` for an empty sample or a probe out of range.
+#[test]
+fn percentiles_by_selection_match_the_sorted_sample() {
+    let probes = [0.0, 0.5, 50.0, 90.0, 99.0, 99.9, 99.99, 100.0];
+    let shuffled = [99.9, 0.0, 100.0, 50.0, 0.5, 99.99, 90.0, 99.0, 50.0];
+    for (label, xs) in samples().into_iter().chain(extreme_samples()) {
+        let sorted = reference::sorted(&xs);
+        let keys: Vec<u64> = xs
+            .iter()
+            .copied()
+            .filter(|x| x.is_finite())
+            .map(order_key)
+            .collect();
+        let want =
+            |p: f64| (!sorted.is_empty()).then(|| reference::percentile_of_sorted(&sorted, p));
+        for p in probes {
+            let got = percentiles_by_selection(&mut keys.clone(), [p]).map(|[v]| v);
+            assert_eq!(bits(got), bits(want(p)), "{label} p {p}");
+        }
+        let got = percentiles_by_selection(&mut keys.clone(), shuffled);
+        let want_all = shuffled.map(|p| bits(want(p)));
+        assert_eq!(
+            got.map(|v| v.map(|x| Some(x.to_bits()))),
+            sorted.first().map(|_| want_all),
+            "{label}"
+        );
+        for p in [-1.0, 100.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                percentiles_by_selection(&mut keys.clone(), [50.0, p]),
+                None,
+                "{label} p {p}"
+            );
+        }
+    }
+}
+
 #[test]
 fn top_share_and_tail_share_match_reference() {
     for (label, xs) in samples() {
@@ -196,10 +236,11 @@ fn top_share_and_tail_share_match_reference() {
                 "{label} top {pct}%"
             );
         }
-        let got =
-            TailShare::compute(&c).map(|t| (t.top_1_percent.to_bits(), t.top_01_percent.to_bits()));
-        let want = reference::tail_share(&xs)
-            .map(|t| (t.top_1_percent.to_bits(), t.top_01_percent.to_bits()));
+        let got = c
+            .top_share(1.0)
+            .zip(c.top_share(0.1))
+            .map(|(a, b)| (a.to_bits(), b.to_bits()));
+        let want = reference::tail_share(&xs).map(|(a, b)| (a.to_bits(), b.to_bits()));
         assert_eq!(got, want, "{label}");
     }
 }
@@ -332,9 +373,10 @@ fn bucketed_medians_match_the_full_sort() {
                 pairs.push((x, y));
             }
         }
+        let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
         for width in [1.0, 0.25, 3.0] {
             assert_eq!(
-                bucket_bits(bucketed_medians(&pairs, width)),
+                bucket_bits(bucketed_medians(&xs, &ys, width)),
                 bucket_bits(reference::bucketed_medians(&pairs, width)),
                 "style {style} width {width}"
             );
@@ -343,9 +385,10 @@ fn bucketed_medians_match_the_full_sort() {
     // The raw samples paired up: non-finite on either side dropped,
     // negative `x`, bucket sizes as they fall.
     for (label, xs) in samples() {
-        let pairs: Vec<(f64, f64)> = xs.iter().copied().zip(xs.iter().rev().copied()).collect();
+        let ys: Vec<f64> = xs.iter().copied().rev().collect();
+        let pairs: Vec<(f64, f64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
         assert_eq!(
-            bucket_bits(bucketed_medians(&pairs, 1.0)),
+            bucket_bits(bucketed_medians(&xs, &ys, 1.0)),
             bucket_bits(reference::bucketed_medians(&pairs, 1.0)),
             "{label}"
         );

@@ -3,8 +3,8 @@
 //! [`borg_analysis::Ccdf`]. Each copies its input, filters it and sorts
 //! it on its own, exactly as retired. The bodies are verbatim except
 //! that `TailShare::compute` and `ParetoFit::fit_ccdf_regression` are
-//! free functions here (the types
-//! stay the library's), and the regression's
+//! free functions here (`ParetoFit` stays the library's type; the retired
+//! `TailShare` is a pair), and the regression's
 //! `Ccdf::from_samples(tail).steps()` is spelled out as [`steps`] so the
 //! reference shares no sorting code with the library. One difference in
 //! behaviour: an `x_max_percentile` outside `[0, 100]` is not rejected
@@ -19,7 +19,7 @@
 //! the differential cases stay clear of both.
 
 use borg_analysis::correlation::Bucket;
-use borg_analysis::pareto::{ParetoFit, TailShare};
+use borg_analysis::pareto::ParetoFit;
 use borg_analysis::regression::LinearFit;
 
 // ---- percentile.rs ----
@@ -178,12 +178,10 @@ pub fn fit_ccdf_regression(
     })
 }
 
-/// `TailShare::compute` over a raw slice.
-pub fn tail_share(samples: &[f64]) -> Option<TailShare> {
-    Some(TailShare {
-        top_1_percent: top_share(samples, 1.0)?,
-        top_01_percent: top_share(samples, 0.1)?,
-    })
+/// The retired `TailShare::compute` over a raw slice: the top 1% and top
+/// 0.1% load shares.
+pub fn tail_share(samples: &[f64]) -> Option<(f64, f64)> {
+    Some((top_share(samples, 1.0)?, top_share(samples, 0.1)?))
 }
 
 // ---- ccdf.rs: gini ----

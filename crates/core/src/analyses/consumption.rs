@@ -7,9 +7,10 @@
 //! constrained by the mini-cell's physical capacity the way a bin-packed
 //! simulation is.
 
-use borg_analysis::ccdf::Ccdf;
+use borg_analysis::ccdf::{top_count, Ccdf};
 use borg_analysis::moments::Moments;
-use borg_analysis::pareto::{ParetoFit, TailShare};
+use borg_analysis::pareto::ParetoFit;
+use borg_analysis::select::{from_order_key, into_finite_keys, percentiles_by_selection, Rank};
 use borg_query::parallel;
 use borg_workload::integral::IntegralModel;
 use borg_workload::usage_model::splitmix64;
@@ -49,53 +50,128 @@ pub struct Table2Column {
 
 /// Computes a Table 2 column from raw per-job integrals.
 ///
-/// The column is sorted once, into the [`Ccdf`] every order statistic
-/// reads; the moments accumulate over `xs` as given, because Welford's
-/// update rounds differently in a different order.
-pub fn column_from_samples(xs: &[f64]) -> Option<Table2Column> {
-    let sample = Ccdf::from_samples(xs.iter().copied());
-    let ps = sample.percentiles(&[50.0, 90.0, 99.0, 99.9])?;
+/// The moments accumulate over `xs` in its order, because Welford's
+/// update rounds differently in a different order; the ranks are read
+/// by [`column_with_moments`], in `xs`'s own buffer.
+pub fn column_from_samples(xs: Vec<f64>) -> Option<Table2Column> {
     let m: Moments = xs.iter().copied().collect();
-    let tail = TailShare::compute(&sample)?;
-    let fit = ParetoFit::fit_ccdf_regression(&sample, 1.0, 99.99)?;
+    column_with_moments(xs, &m)
+}
+
+/// The lower edge of the Pareto window: jobs above one resource-hour.
+const PARETO_X_MIN: f64 = 1.0;
+
+/// A Table 2 column from `xs` and its moments `m`, with no full sort:
+/// `xs` becomes its finite values' order keys in place, p50 and p90 are
+/// selected, then the top — from the lowest rank that p99 or the top 1%
+/// reads, about 1% of the sample — is selected above p90 and sorted, and
+/// only the Pareto window `(1, p99.99]` is sorted besides. The top-k
+/// loads are summed largest first over the sorted top and divided by the
+/// sample-order sum `m` kept.
+fn column_with_moments(xs: Vec<f64>, m: &Moments) -> Option<Table2Column> {
+    let total = m.sum();
+    let mut keys = into_finite_keys(xs);
+    let n = keys.len();
+    if n == 0 || total <= 0.0 {
+        return None;
+    }
+    let [median, p90] = percentiles_by_selection(&mut keys, [50.0, 90.0])?;
+    // The kernel left the keys above p90's rank to its right, and the top
+    // starts at or above that rank: p90's rank is at most 0.9·(n − 1),
+    // p99's is no lower, and `k1` is at most 0.01·n + 1.
+    let settled = Rank::of(90.0, n)?.lo + 1;
+    let (k1, k01) = (top_count(1.0, n), top_count(0.1, n));
+    let cut = Rank::of(99.0, n)?.lo.min(n - k1);
+    debug_assert!(cut + 1 >= settled, "the top starts above p90");
+    if cut > settled {
+        keys[settled..].select_nth_unstable(cut - settled);
+    }
+    let (lower, top) = keys.split_at_mut(cut);
+    top.sort_unstable();
+    let top: Vec<f64> = top.iter().map(|&k| from_order_key(k)).collect();
+    let at = |p: f64| {
+        let rank = Rank::of(p, n)?;
+        let i = rank.lo - cut;
+        rank.value(top[i], || top.get(i + 1).copied())
+    };
+    let x_max = at(99.99)?;
+    let load = |k: usize| top[top.len() - k..].iter().rev().sum::<f64>() / total;
+    // The window: what lies in it below the top, sorted, then the top's
+    // own contiguous run.
+    let in_window = |x: f64| x > PARETO_X_MIN && x <= x_max;
+    let mut below: Vec<u64> = lower
+        .iter()
+        .copied()
+        .filter(|&k| in_window(from_order_key(k)))
+        .collect();
+    below.sort_unstable();
+    let mut window: Vec<f64> = below.into_iter().map(from_order_key).collect();
+    let from = top.partition_point(|&x| x <= PARETO_X_MIN);
+    let to = top.partition_point(|&x| x <= x_max);
+    window.extend_from_slice(top.get(from..to)?);
+    let fit = ParetoFit::fit_window(&window, PARETO_X_MIN, x_max)?;
     Some(Table2Column {
-        median: ps[0],
+        median,
         mean: m.mean(),
         variance: m.sample_variance(),
-        p90: ps[1],
-        p99: ps[2],
-        p999: ps[3],
+        p90,
+        p99: at(99.0)?,
+        p999: at(99.9)?,
         maximum: m.max(),
-        top_1_percent_load: tail.top_1_percent,
-        top_01_percent_load: tail.top_01_percent,
+        top_1_percent_load: load(k1),
+        top_01_percent_load: load(k01),
         c_squared: m.c_squared(),
         pareto_alpha: fit.alpha,
         r_squared: fit.r_squared,
     })
 }
 
+/// One era's `(cpu, mem)` columns. The two Welford chains run
+/// interleaved in one loop, each one's division hiding the other's.
+fn era_columns(cpu: Vec<f64>, mem: Vec<f64>) -> [Option<Table2Column>; 2] {
+    let (mut m_cpu, mut m_mem) = (Moments::new(), Moments::new());
+    for (&c, &m) in cpu.iter().zip(&mem) {
+        m_cpu.push(c);
+        m_mem.push(m);
+    }
+    [
+        column_with_moments(cpu, &m_cpu),
+        column_with_moments(mem, &m_mem),
+    ]
+}
+
 /// The full Table 2: `(2011 cpu, 2011 mem, 2019 cpu, 2019 mem)`.
 ///
 /// Each era's sample is drawn chunk by chunk on every core
-/// ([`era_samples`]), then the four columns are four items of the same
-/// loop. Neither step's bits depend on the thread count.
+/// ([`era_samples`]), then the two eras' columns are two items of the
+/// same loop. Neither step's bits depend on the thread count.
 pub fn table2(samples: usize, seed: u64) -> Option<[Table2Column; 4]> {
     table2_on(parallel::num_threads(), samples, seed)
 }
 
 /// [`table2`] on `threads` threads (one: everything on the caller).
 fn table2_on(threads: usize, samples: usize, seed: u64) -> Option<[Table2Column; 4]> {
-    let (cpu11, mem11) = era_samples_on(threads, &IntegralModel::model_2011(), samples, seed);
-    let (cpu19, mem19) = era_samples_on(
-        threads,
-        &IntegralModel::model_2019(),
-        samples,
-        seed ^ 0x5eed,
-    );
-    let sets = [&cpu11, &mem11, &cpu19, &mem19];
-    let cols = parallel::map_items(sets.len(), threads, |i| column_from_samples(sets[i]));
+    let eras = [
+        era_samples_on(threads, &IntegralModel::model_2011(), samples, seed),
+        era_samples_on(
+            threads,
+            &IntegralModel::model_2019(),
+            samples,
+            seed ^ 0x5eed,
+        ),
+    ]
+    .map(Mutex::new);
+    // Each era is claimed by exactly one worker, which moves its columns
+    // out (see `era_samples_on` for why the guard is recovered).
+    let cols = parallel::map_items(eras.len(), threads, |i| {
+        let mut era = eras[i].lock().unwrap_or_else(PoisonError::into_inner);
+        let (cpu, mem) = std::mem::take(&mut *era);
+        era_columns(cpu, mem)
+    });
     match cols[..] {
-        [Some(cpu11), Some(mem11), Some(cpu19), Some(mem19)] => Some([cpu11, mem11, cpu19, mem19]),
+        [[Some(cpu11), Some(mem11)], [Some(cpu19), Some(mem19)]] => {
+            Some([cpu11, mem11, cpu19, mem19])
+        }
         _ => None,
     }
 }
@@ -295,11 +371,11 @@ mod tests {
 
     #[test]
     fn column_needs_a_fittable_tail() {
-        assert_eq!(column_from_samples(&[]), None);
-        assert_eq!(column_from_samples(&[3.0]), None);
-        assert_eq!(column_from_samples(&[f64::NAN; 8]), None);
+        assert_eq!(column_from_samples(vec![]), None);
+        assert_eq!(column_from_samples(vec![3.0]), None);
+        assert_eq!(column_from_samples(vec![f64::NAN; 8]), None);
         assert_eq!(
-            column_from_samples(&[f64::INFINITY, f64::NEG_INFINITY, -0.0]),
+            column_from_samples(vec![f64::INFINITY, f64::NEG_INFINITY, -0.0]),
             None
         );
     }
@@ -311,8 +387,8 @@ mod tests {
         noisy.insert(5, f64::NAN);
         noisy.insert(1_000, f64::INFINITY);
         noisy.push(f64::NEG_INFINITY);
-        let col = column_from_samples(&clean).expect("20k samples fit");
-        assert_eq!(column_from_samples(&noisy), Some(col));
+        let col = column_from_samples(clean).expect("20k samples fit");
+        assert_eq!(column_from_samples(noisy), Some(col));
     }
 
     /// Every field of a column as bits, so a `-0.0` or NaN payload that
@@ -344,7 +420,7 @@ mod tests {
         for (samples, seed) in [(30_000, 11), (150_000, 12)] {
             let (cpu11, mem11) = era_samples(&IntegralModel::model_2011(), samples, seed);
             let (cpu19, mem19) = era_samples(&IntegralModel::model_2019(), samples, seed ^ 0x5eed);
-            let want = [&cpu11, &mem11, &cpu19, &mem19]
+            let want = [cpu11, mem11, cpu19, mem19]
                 .map(|xs| column_bits(&column_from_samples(xs).expect("samples fit")));
             for threads in [1, 2, 5] {
                 let got = table2_on(threads, samples, seed).expect("table 2 computes");
@@ -354,6 +430,97 @@ mod tests {
             let public = table2(samples, seed).expect("table 2 computes");
             assert_eq!(public.each_ref().map(column_bits), want);
         }
+    }
+
+    /// The sort-based column this file computed before the ranks were
+    /// taken by selection: one `Ccdf` read for every order statistic,
+    /// the top shares over the largest-first sum of the whole sample.
+    fn sorted_column(xs: &[f64]) -> Option<Table2Column> {
+        let sample = Ccdf::from_samples(xs.iter().copied());
+        let ps = sample.percentiles(&[50.0, 90.0, 99.0, 99.9])?;
+        let m: Moments = xs.iter().copied().collect();
+        let top_1 = sample.top_share(1.0)?;
+        let top_01 = sample.top_share(0.1)?;
+        let fit = ParetoFit::fit_ccdf_regression(&sample, 1.0, 99.99)?;
+        Some(Table2Column {
+            median: ps[0],
+            mean: m.mean(),
+            variance: m.sample_variance(),
+            p90: ps[1],
+            p99: ps[2],
+            p999: ps[3],
+            maximum: m.max(),
+            top_1_percent_load: top_1,
+            top_01_percent_load: top_01,
+            c_squared: m.c_squared(),
+            pareto_alpha: fit.alpha,
+            r_squared: fit.r_squared,
+        })
+    }
+
+    /// Every field is the sorted column's, bit for bit, but the two top
+    /// shares, whose denominator is now the sample-order sum: within
+    /// 1e-12 relative. Both eras and resources at four sizes of each
+    /// parity, a column with non-finite values in it, ties on the
+    /// window's edges and on the cut, and the small samples where the
+    /// top is most of the sample.
+    #[test]
+    fn selection_column_matches_the_sorted_column() {
+        let mut cases: Vec<(String, Vec<f64>)> = Vec::new();
+        for (era, model) in [
+            ("2011", IntegralModel::model_2011()),
+            ("2019", IntegralModel::model_2019()),
+        ] {
+            for samples in [40_000, 40_001, 150_050, 200_000] {
+                let (cpu, mem) = era_samples(&model, samples, 31);
+                cases.push((format!("{era} cpu {samples}"), cpu));
+                cases.push((format!("{era} mem {samples}"), mem));
+            }
+        }
+        let (mut noisy, _) = era_samples(&IntegralModel::model_2019(), 30_000, 32);
+        noisy[7] = f64::NAN;
+        noisy[900] = f64::NEG_INFINITY;
+        noisy.push(f64::INFINITY);
+        cases.push(("non-finite".into(), noisy));
+        // Snapped to a grid: runs of equal values at 1.0, across the cut
+        // and at the window's top.
+        let grid = (0..5_000).map(|i| f64::from((i * 7919) % 4_000) / 8.0);
+        cases.push(("grid".into(), grid.collect()));
+        let pareto = |n: usize| {
+            (1..=n)
+                .map(|i| ((i as f64 - 0.5) / n as f64).powf(-1.0 / 0.7))
+                .collect::<Vec<f64>>()
+        };
+        for n in [10, 11, 12, 19, 50, 101, 999] {
+            cases.push((format!("pareto {n}"), pareto(n)));
+        }
+        let mut fitted = 0;
+        for (label, xs) in cases {
+            let want = sorted_column(&xs);
+            let got = column_from_samples(xs);
+            let (Some(got), Some(want)) = (got, want) else {
+                assert_eq!(got, want, "{label}");
+                continue;
+            };
+            fitted += 1;
+            let (mut got_bits, mut want_bits) = (column_bits(&got), column_bits(&want));
+            for (g, w) in [
+                (got.top_1_percent_load, want.top_1_percent_load),
+                (got.top_01_percent_load, want.top_01_percent_load),
+            ] {
+                assert!(
+                    (g - w).abs() <= 1e-12 * w.abs(),
+                    "{label}: share {g} vs {w}"
+                );
+            }
+            // The shares are fields 7 and 8.
+            for bits in [&mut got_bits, &mut want_bits] {
+                bits[7] = 0;
+                bits[8] = 0;
+            }
+            assert_eq!(got_bits, want_bits, "{label}");
+        }
+        assert!(fitted >= 20, "only {fitted} columns fitted");
     }
 
     fn bits(xs: &[f64]) -> Vec<u64> {

@@ -21,8 +21,7 @@ pub struct Figure13 {
 /// [`era_samples`] makes for `(samples, seed)`.
 pub fn figure13(samples: usize, seed: u64) -> Option<Figure13> {
     let (cpu, mem) = era_samples(&IntegralModel::model_2019(), samples, seed);
-    let pairs: Vec<(f64, f64)> = cpu.into_iter().zip(mem).collect();
-    let buckets = bucketed_medians(&pairs, 1.0);
+    let buckets = bucketed_medians(&cpu, &mem, 1.0);
     let pearson = bucketed_median_correlation(&buckets)?;
     Some(Figure13 { buckets, pearson })
 }

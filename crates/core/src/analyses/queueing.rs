@@ -5,7 +5,8 @@
 //! eras and for the "mice-only" workload with the hogs isolated.
 
 use borg_analysis::queueing::{isolation_benefit, mg1_mean_queueing_delay};
-use borg_analysis::{Ccdf, Moments};
+use borg_analysis::select::{from_order_key, into_finite_keys};
+use borg_analysis::Moments;
 
 /// One row of the §7.3 analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,17 +24,23 @@ pub struct QueueingRow {
 /// Computes the §7.3 rows from per-job usage integrals: the full-workload
 /// C² versus the C² of the bottom 99% ("mice") at the given loads.
 ///
+/// The mice are the `⌊0.99·n⌋` smallest of the `n` finite samples (at
+/// least one), found by one selection; their moments run over them in
+/// the order selection leaves them.
+///
 /// Non-finite samples take no part. Returns `None` when no sample is left
 /// or a load is outside `[0, 1)`.
 pub fn queueing_rows(samples: &[f64], loads: &[f64]) -> Option<Vec<QueueingRow>> {
     let full: Moments = samples.iter().copied().collect();
-    let sorted = Ccdf::from_samples(samples.iter().copied());
-    let cut = (sorted.len() as f64 * 0.99) as usize;
-    let mice: Moments = sorted
-        .samples()
-        .get(..cut.max(1))?
+    let mut keys = into_finite_keys(samples.to_vec());
+    let cut = ((keys.len() as f64 * 0.99) as usize).max(1);
+    if cut < keys.len() {
+        keys.select_nth_unstable(cut);
+    }
+    let mice: Moments = keys
+        .get(..cut)?
         .iter()
-        .copied()
+        .map(|&k| from_order_key(k))
         .collect();
     let c2_full = full.c_squared();
     let c2_mice = mice.c_squared();

@@ -97,7 +97,7 @@ impl IntegralModel {
 mod tests {
     use super::*;
     use borg_analysis::moments::Moments;
-    use borg_analysis::pareto::{ParetoFit, TailShare};
+    use borg_analysis::pareto::ParetoFit;
     use borg_analysis::Ccdf;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -149,17 +149,10 @@ mod tests {
     #[test]
     fn cpu_2019_hogs_carry_the_load() {
         let xs = Ccdf::from_samples(cpu_samples(&IntegralModel::model_2019(), 3));
-        let t = TailShare::compute(&xs).unwrap();
-        assert!(
-            t.top_1_percent > 0.97,
-            "top 1% share = {} (paper: 0.992)",
-            t.top_1_percent
-        );
-        assert!(
-            t.top_01_percent > 0.80,
-            "top 0.1% share = {} (paper: 0.931)",
-            t.top_01_percent
-        );
+        let top_1 = xs.top_share(1.0).unwrap();
+        let top_01 = xs.top_share(0.1).unwrap();
+        assert!(top_1 > 0.97, "top 1% share = {top_1} (paper: 0.992)");
+        assert!(top_01 > 0.80, "top 0.1% share = {top_01} (paper: 0.931)");
     }
 
     #[test]
@@ -199,9 +192,9 @@ mod tests {
             .map(|seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let jobs = IntegralModel::model_2019().sample_many(N, &mut rng);
-                let pairs: Vec<(f64, f64)> =
-                    jobs.iter().map(|j| (j.ncu_hours, j.nmu_hours)).collect();
-                let buckets = borg_analysis::correlation::bucketed_medians(&pairs, 1.0);
+                let (ncu, nmu): (Vec<f64>, Vec<f64>) =
+                    jobs.iter().map(|j| (j.ncu_hours, j.nmu_hours)).unzip();
+                let buckets = borg_analysis::correlation::bucketed_medians(&ncu, &nmu, 1.0);
                 borg_analysis::correlation::bucketed_median_correlation(&buckets).unwrap()
             })
             .collect();

@@ -12,7 +12,7 @@
 
 use borg2019::analysis::ccdf::Ccdf;
 use borg2019::analysis::moments::Moments;
-use borg2019::analysis::pareto::{ParetoFit, TailShare};
+use borg2019::analysis::pareto::ParetoFit;
 use borg2019::analysis::queueing::{isolation_benefit, mg1_mean_queueing_delay};
 use borg2019::workload::integral::IntegralModel;
 use rand::rngs::StdRng;
@@ -27,14 +27,15 @@ fn main() {
 
     // 1. How heavy is the tail? One sort serves every order statistic.
     let sorted = Ccdf::from_samples(cpu.iter().copied());
-    let tail = TailShare::compute(&sorted).expect("non-degenerate sample");
+    let top_1 = sorted.top_share(1.0).expect("non-degenerate sample");
+    let top_01 = sorted.top_share(0.1).expect("non-degenerate sample");
     let fit = ParetoFit::fit_ccdf_regression(&sorted, 1.0, 99.99).expect("tail fits");
     println!("workload characterization (1M jobs):");
     println!(
         "  top 1% of jobs carry {:.1}% of the CPU load",
-        tail.top_1_percent * 100.0
+        top_1 * 100.0
     );
-    println!("  top 0.1% carry {:.1}%", tail.top_01_percent * 100.0);
+    println!("  top 0.1% carry {:.1}%", top_01 * 100.0);
     println!(
         "  Pareto alpha = {:.2} (R² = {:.3})",
         fit.alpha, fit.r_squared
