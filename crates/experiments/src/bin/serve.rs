@@ -16,7 +16,7 @@ use borg_serve::{
     generate_arrivals, open_loop_gap_us, overload_admission, ChaosConfig, Epoch, ModelCost,
     RecorderConfig, ServeConfig, ServeSim, SimReport, SloConfig, Tier, WitnessConfig, WorkloadSpec,
 };
-use borg_telemetry::{trace_events_json, Histogram};
+use borg_telemetry::{breakdown_report, trace_events_json, Histogram, Telemetry};
 use borg_workload::cells::CellProfile;
 use std::sync::Arc;
 
@@ -173,6 +173,20 @@ fn main() {
             }
         }
     }
+
+    // Where the incident's traced time went, by span segment. Segment
+    // times are virtual µs, so this table is a function of the seed too.
+    let mut tel = Telemetry::enabled();
+    r.witness.export_telemetry(&mut tel);
+    println!(
+        "\n{}",
+        breakdown_report(
+            &tel.snapshot(),
+            "serve.seg",
+            "incident span-segment breakdown, virtual time"
+        )
+        .trim_end()
+    );
 
     // The same traces export as a chrome-tracing file.
     let events = r.witness.chrome_events();

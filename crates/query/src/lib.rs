@@ -31,7 +31,6 @@
 //! assert_eq!(result.value(0, "total").unwrap(), Value::Float(15.0));
 //! ```
 
-pub mod bridge;
 pub mod cache;
 pub mod cancel;
 pub mod cast;

@@ -3,12 +3,13 @@
 use super::{CellSim, TaskState};
 use crate::event::Ev;
 use crate::metrics::MachineSnapshot;
+use borg_analysis::select::Rank;
 use borg_trace::collection::CollectionId;
 use borg_trace::instance::InstanceId;
 use borg_trace::priority::Tier;
 use borg_trace::resources::Resources;
 use borg_trace::state::EventType;
-use borg_trace::usage::{CpuHistogram, UsageRecord};
+use borg_trace::usage::{CpuHistogram, UsageRecord, CPU_HISTOGRAM_PERCENTILES};
 use borg_workload::usage_model::splitmix64;
 
 /// Reusable event-loop scratch buffers, owned by the cell so the hot
@@ -212,10 +213,7 @@ impl CellSim<'_> {
                     avg_usage: avg,
                     max_usage: Resources::new(peak_cpu, avg.mem),
                     limit: self.jobs[j].tasks[t].limit,
-                    cpu_histogram: CpuHistogram::from_samples_with(
-                        &scratch.samples,
-                        &mut scratch.hist,
-                    ),
+                    cpu_histogram: cpu_histogram(&scratch.samples, &mut scratch.hist),
                 });
             }
         }
@@ -283,5 +281,62 @@ impl CellSim<'_> {
 
         scratch.reset_machines();
         self.scratch = scratch;
+    }
+}
+
+/// A window's CPU histogram: the type-7 percentile of its finite
+/// `samples` at each of [`CPU_HISTOGRAM_PERCENTILES`], all zero when none
+/// is finite. The samples are sorted into `sorted` (cleared first), so a
+/// tick builds one histogram per usage record without allocating.
+fn cpu_histogram(samples: &[f64], sorted: &mut Vec<f64>) -> CpuHistogram {
+    sorted.clear();
+    sorted.extend(samples.iter().copied().filter(|x| x.is_finite()));
+    sorted.sort_by(f64::total_cmp);
+    let percentile = |p| {
+        let rank = Rank::of(p, sorted.len())?;
+        rank.value(sorted[rank.lo], || sorted.get(rank.lo + 1).copied())
+    };
+    CpuHistogram(CPU_HISTOGRAM_PERCENTILES.map(|p| percentile(p).unwrap_or(0.0) as f32))
+}
+
+#[cfg(test)]
+// Exact equality below asserts deterministically-computed values reproduce
+// bit-for-bit; approximate comparison would mask a determinism regression.
+#[allow(clippy::float_cmp)]
+mod tests {
+    use super::*;
+
+    fn histogram(samples: &[f64]) -> CpuHistogram {
+        cpu_histogram(samples, &mut Vec::new())
+    }
+
+    #[test]
+    fn histogram_from_samples_monotone() {
+        let samples: Vec<f64> = (0..1000)
+            .map(|i| ((i * 7919) % 997) as f64 / 997.0)
+            .collect();
+        let h = histogram(&samples);
+        assert!(h.is_monotone());
+        assert!(h.min() < 0.02);
+        assert!(h.max() > 0.98);
+        assert!((h.median() - 0.5).abs() < 0.05);
+    }
+
+    #[test]
+    fn histogram_empty() {
+        let h = histogram(&[]);
+        assert_eq!(h.max(), 0.0);
+        assert!(h.is_monotone());
+        assert_eq!(
+            histogram(&[f64::NAN, f64::INFINITY]),
+            CpuHistogram([0.0; 21])
+        );
+    }
+
+    #[test]
+    fn histogram_constant() {
+        let h = histogram(&[0.3; 50]);
+        assert_eq!(h.min(), 0.3);
+        assert_eq!(h.max(), 0.3);
     }
 }

@@ -1,9 +1,9 @@
-//! Snapshot sinks: chrome://tracing JSON, a human-readable profile
-//! report, and a dependency-free JSON well-formedness checker used by
-//! tests to prove the exporter's output actually parses.
+//! Snapshot sinks: chrome://tracing JSON for real-timestamped events, a
+//! per-kind breakdown report of grid counters, and a dependency-free JSON
+//! well-formedness checker used by tests to prove the exporter's output
+//! actually parses.
 
-use crate::registry::CounterRow;
-use crate::{Plane, Snapshot};
+use crate::Snapshot;
 
 /// Escapes a string for embedding in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -22,54 +22,8 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders the snapshot's span tree as a chrome://tracing /
-/// Perfetto-loadable JSON object (`{"traceEvents": [...]}`).
-///
-/// Aggregated spans have no real begin/end timestamps, so each node is
-/// emitted as one complete ("X") event whose duration is its total
-/// accumulated time, laid out depth-first with synthetic cumulative
-/// start times: a child starts where its parent started, siblings pack
-/// left to right. The picture reads as "share of parent time", which is
-/// the question a profile answers. Counts ride along in `args`.
-pub fn chrome_trace_json(snap: &Snapshot) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(snap.spans.len());
-    // Cursor per depth: where the next sibling at that depth begins.
-    let mut cursors: Vec<u64> = Vec::new();
-    for row in &snap.spans {
-        let depth = row.depth as usize;
-        cursors.truncate(depth + 1);
-        while cursors.len() <= depth {
-            // A new level opens at its parent's current start.
-            let start = if depth == 0 {
-                0
-            } else {
-                cursors.get(depth - 1).copied().unwrap_or(0)
-            };
-            cursors.push(start);
-        }
-        let ts_us = cursors[depth] / 1_000;
-        let dur_us = (row.total_ns / 1_000).max(1);
-        events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"count\":{},\"total_ns\":{}}}}}",
-            json_escape(&row.name),
-            ts_us,
-            dur_us,
-            depth + 1,
-            row.count,
-            row.total_ns
-        ));
-        // Next sibling at this depth starts after this span...
-        cursors[depth] += row.total_ns.max(1_000);
-        // ...and children (if any) will open at this span's start,
-        // handled by the truncate+extend above.
-    }
-    format!("{{\"traceEvents\":[{}]}}", events.join(","))
-}
-
 /// One real-timestamped complete event for the chrome-tracing sink —
-/// the shape request-scoped tracers (borg-witness) emit, as opposed to
-/// the synthetic cumulative layout [`chrome_trace_json`] builds for
-/// aggregated spans.
+/// the shape request-scoped tracers (borg-witness) emit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Event name (span segment kind, etc.).
@@ -170,51 +124,6 @@ pub fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns}ns")
     }
-}
-
-/// Human-readable profile report: span tree with times and counts,
-/// then counters grouped by plane, then histograms.
-pub fn human_report(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    if !snap.spans.is_empty() {
-        out.push_str("spans (count, total time):\n");
-        for row in &snap.spans {
-            let indent = "  ".repeat(row.depth as usize + 1);
-            out.push_str(&format!(
-                "{indent}{:<40} x{:<10} {}\n",
-                row.name,
-                row.count,
-                fmt_ns(row.total_ns)
-            ));
-        }
-    }
-    for (plane, label) in [
-        (Plane::Deterministic, "counters (deterministic plane):"),
-        (Plane::Engine, "counters (engine plane):"),
-        (Plane::Timing, "counters (timing plane):"),
-    ] {
-        let rows: Vec<&CounterRow> = snap.counters.iter().filter(|c| c.plane == plane).collect();
-        if rows.is_empty() {
-            continue;
-        }
-        out.push_str(label);
-        out.push('\n');
-        for c in rows {
-            let val = if plane == Plane::Timing {
-                fmt_ns(c.value)
-            } else {
-                c.value.to_string()
-            };
-            out.push_str(&format!("  {:<48} {}\n", c.name, val));
-        }
-    }
-    if !snap.hists.is_empty() {
-        out.push_str("histograms:\n");
-        for h in &snap.hists {
-            out.push_str(&format!("  {:<48} {}\n", h.name, h.hist.render()));
-        }
-    }
-    out
 }
 
 /// Renders a percentage-annotated breakdown table for one grid prefix
@@ -406,33 +315,17 @@ pub fn validate_json(s: &str) -> Result<(), usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Telemetry;
+    use crate::{Plane, Telemetry};
 
     fn sample_snapshot() -> Snapshot {
         let mut tel = Telemetry::enabled();
-        let root = tel.span_enter("run_cell");
-        let inner = tel.span_enter("run_loop");
-        tel.span_aggregate("ev.dispatch", 100, 5_000_000);
-        tel.span_aggregate("ev.usage_tick", 50, 2_000_000);
-        tel.span_exit(inner);
-        tel.span_exit(root);
         let c = tel.counter("sim.ev.dispatch.d00.count", Plane::Deterministic);
         tel.add(c, 100);
         let n = tel.counter("sim.ev.dispatch.d00.ns", Plane::Timing);
         tel.add(n, 5_000_000);
         let c2 = tel.counter("sim.ev.usage_tick.d01.count", Plane::Deterministic);
         tel.add(c2, 50);
-        let h = tel.hist("sim.queue.depth", Plane::Deterministic);
-        tel.record(h, 7);
         tel.snapshot()
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json() {
-        let json = chrome_trace_json(&sample_snapshot());
-        assert!(json.starts_with("{\"traceEvents\":["));
-        validate_json(&json).unwrap();
-        assert!(json.contains("\"name\":\"ev.dispatch\""));
     }
 
     #[test]
@@ -476,12 +369,7 @@ mod tests {
 
     #[test]
     fn reports_render() {
-        let snap = sample_snapshot();
-        let report = human_report(&snap);
-        assert!(report.contains("run_cell"));
-        assert!(report.contains("deterministic plane"));
-        assert!(report.contains("sim.queue.depth"));
-        let bd = breakdown_report(&snap, "sim.ev", "event loop");
+        let bd = breakdown_report(&sample_snapshot(), "sim.ev", "event loop");
         assert!(bd.contains("dispatch"));
         assert!(bd.contains('%'));
     }

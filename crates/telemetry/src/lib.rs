@@ -30,8 +30,8 @@ mod registry;
 mod span;
 
 pub use export::{
-    breakdown_report, chrome_trace_json, fmt_ns, grid_breakdown, human_report, trace_events_json,
-    validate_json, KindBreakdown, TraceEvent,
+    breakdown_report, fmt_ns, grid_breakdown, trace_events_json, validate_json, KindBreakdown,
+    TraceEvent,
 };
 pub use grid::PhaseGrid;
 pub use registry::{CounterId, CounterRow, HistId, HistRow, Histogram};

@@ -1264,7 +1264,11 @@ mod tests {
             avg_usage: Resources::new(0.1, 0.05),
             max_usage: Resources::new(0.2, 0.06),
             limit: Resources::new(0.25, 0.125),
-            cpu_histogram: CpuHistogram::from_samples(&[0.05, 0.1, 0.15, 0.2]),
+            // The type-7 percentiles of the window samples [0.05, 0.1, 0.15, 0.2].
+            cpu_histogram: CpuHistogram([
+                0.05, 0.065, 0.08, 0.095, 0.11, 0.125, 0.14, 0.155, 0.17, 0.1775, 0.185, 0.1865,
+                0.188, 0.1895, 0.191, 0.1925, 0.194, 0.1955, 0.197, 0.1985, 0.2,
+            ]),
         });
         t
     }

@@ -25,37 +25,6 @@ pub const CPU_HISTOGRAM_PERCENTILES: [f64; 21] = [
 pub struct CpuHistogram(pub [f32; 21]);
 
 impl CpuHistogram {
-    /// Builds the histogram from fine-grained within-window samples.
-    ///
-    /// Returns an all-zero histogram for empty input.
-    pub fn from_samples(samples: &[f64]) -> CpuHistogram {
-        CpuHistogram::from_samples_with(samples, &mut Vec::new())
-    }
-
-    /// [`CpuHistogram::from_samples`] sorting into a caller-owned
-    /// scratch buffer (cleared first), so periodic samplers build one
-    /// histogram per window without allocating. Identical output.
-    pub fn from_samples_with(samples: &[f64], scratch: &mut Vec<f64>) -> CpuHistogram {
-        if samples.is_empty() {
-            return CpuHistogram([0.0; 21]);
-        }
-        scratch.clear();
-        scratch.extend(samples.iter().copied().filter(|x| x.is_finite()));
-        if scratch.is_empty() {
-            return CpuHistogram([0.0; 21]);
-        }
-        scratch.sort_by(|a, b| a.total_cmp(b));
-        let mut out = [0.0f32; 21];
-        for (i, &p) in CPU_HISTOGRAM_PERCENTILES.iter().enumerate() {
-            let rank = p / 100.0 * (scratch.len() - 1) as f64;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            let frac = rank - lo as f64;
-            out[i] = (scratch[lo] * (1.0 - frac) + scratch[hi] * frac) as f32;
-        }
-        CpuHistogram(out)
-    }
-
     /// The p0 value (minimum within the window).
     pub fn min(&self) -> f32 {
         self.0[0]
@@ -126,32 +95,6 @@ mod tests {
             limit: Resources::new(limit_cpu, 0.2),
             cpu_histogram: CpuHistogram([0.0; 21]),
         }
-    }
-
-    #[test]
-    fn histogram_from_samples_monotone() {
-        let samples: Vec<f64> = (0..1000)
-            .map(|i| ((i * 7919) % 997) as f64 / 997.0)
-            .collect();
-        let h = CpuHistogram::from_samples(&samples);
-        assert!(h.is_monotone());
-        assert!(h.min() < 0.02);
-        assert!(h.max() > 0.98);
-        assert!((h.median() - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = CpuHistogram::from_samples(&[]);
-        assert_eq!(h.max(), 0.0);
-        assert!(h.is_monotone());
-    }
-
-    #[test]
-    fn histogram_constant() {
-        let h = CpuHistogram::from_samples(&[0.3; 50]);
-        assert_eq!(h.min(), 0.3);
-        assert_eq!(h.max(), 0.3);
     }
 
     #[test]
