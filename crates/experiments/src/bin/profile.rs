@@ -155,9 +155,9 @@ fn main() {
         .expect("submits");
     let samples = [
         (
-            "instance events with cpu_request > 0, by type",
+            "instance events at priority >= 120 (prod and monitoring), by type",
             Query::from(events.clone())
-                .filter(col("cpu_request").gt(lit(0.0)))
+                .filter(col("priority").ge(lit(120i64)))
                 .group_by(&["event"], vec![Agg::count("event", "n")])
                 .sort_by("n", SortOrder::Descending),
         ),

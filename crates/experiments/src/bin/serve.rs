@@ -91,7 +91,7 @@ fn main() {
 
     // What the observability layer costs in wall-clock time on the base
     // seed: the same run with the witness, SLO engine and recorder off,
-    // then on (DESIGN.md §17 records the measured delta).
+    // then on (DESIGN.md §16 records the measured delta).
     let on = ServeConfig::new(admission, ChaosConfig::moderate(opts.seed), opts.seed);
     let off = ServeConfig {
         slo: SloConfig::off(),
@@ -174,8 +174,9 @@ fn main() {
         }
     }
 
-    // Where the incident's traced time went, by span segment. Segment
-    // times are virtual µs, so this table is a function of the seed too.
+    // Where the incident's traced time went, by span segment's self
+    // time. Segment times are virtual µs, so this table is a function
+    // of the seed too.
     let mut tel = Telemetry::enabled();
     r.witness.export_telemetry(&mut tel);
     println!(
@@ -183,7 +184,7 @@ fn main() {
         breakdown_report(
             &tel.snapshot(),
             "serve.seg",
-            "incident span-segment breakdown, virtual time"
+            "incident span-segment breakdown, self time, virtual time"
         )
         .trim_end()
     );

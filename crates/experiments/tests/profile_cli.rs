@@ -17,7 +17,7 @@ fn small_run_prints_the_four_sections() {
         "event-loop breakdown by event kind",
         "phase spans:",
         "scheduler index (engine plane):",
-        "query-engine operator stats (sample: instance events with cpu_request > 0",
+        "query-engine operator stats (sample: instance events at priority >= 120",
         "query-engine operator stats (sample: instance events ⋈ collection submits",
     ] {
         assert!(report.contains(header), "no {header:?}:\n{report}");
@@ -37,6 +37,27 @@ fn small_run_prints_the_four_sections() {
     assert!(
         row("query.op.join.", "_builds"),
         "no query.op.join.*_builds row:\n{report}"
+    );
+    // The first sample's filter drops rows: fewer out than in.
+    let counter = |name: &str| -> u64 {
+        report
+            .lines()
+            .find_map(|l| {
+                let mut words = l.split_whitespace();
+                if words.next() != Some(name) {
+                    return None;
+                }
+                words.next()?.parse().ok()
+            })
+            .unwrap_or_else(|| panic!("no {name} row:\n{report}"))
+    };
+    let (rows_in, rows_out) = (
+        counter("query.op.filter.rows_in"),
+        counter("query.op.filter.rows_out"),
+    );
+    assert!(
+        rows_out < rows_in,
+        "filter kept {rows_out} of {rows_in} rows"
     );
 }
 

@@ -39,7 +39,7 @@
 //!   block-scan / cancel), an SLO engine evaluates per-tier
 //!   multi-window burn rates over the same time values, and a flight
 //!   recorder snapshots recent events on anomalies — all byte-
-//!   replayable under the same seed (DESIGN.md §17).
+//!   replayable under the same seed (DESIGN.md §16).
 //!
 //! Results are rendered through a plan-and-epoch-keyed single-flight
 //! cache ([`borg_query::cache`]), so identical plans against the same

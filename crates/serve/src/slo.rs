@@ -1,7 +1,7 @@
 //! Per-tier SLO objectives, multi-window burn-rate alerting, and
 //! error-budget accounting.
 //!
-//! The observability question DESIGN.md §17 answers is "did the
+//! The observability question DESIGN.md §16 answers is "did the
 //! service keep its promises over this run" — not per query, but per
 //! tier. Each tier carries an objective ("`target` of requests
 //! complete within `latency_us`") and the engine classifies every

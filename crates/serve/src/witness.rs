@@ -1,6 +1,6 @@
 //! borg-witness: request-scoped tracing for the serve path.
 //!
-//! Aggregate tallies (DESIGN.md §16) prove overload behavior in bulk;
+//! Aggregate tallies (DESIGN.md §15) prove overload behavior in bulk;
 //! the witness explains *one query*. Every submission mints a causal
 //! **trace id** — a pure hash of (query id, tier, epoch, plan
 //! fingerprint) — and the service reports lifecycle edges back here,
@@ -68,6 +68,16 @@ impl SegKind {
             SegKind::Execute => "execute",
             SegKind::BlockScan => "block_scan",
             SegKind::Cancel => "cancel",
+        }
+    }
+
+    /// The kind whose segments enclose this kind's: `None` for the
+    /// root's direct children.
+    pub fn parent(self) -> Option<SegKind> {
+        match self {
+            SegKind::Queue | SegKind::Attempt => None,
+            SegKind::Execute | SegKind::Cancel => Some(SegKind::Attempt),
+            SegKind::BlockScan => Some(SegKind::Execute),
         }
     }
 
@@ -452,37 +462,39 @@ impl Witness {
     /// Exports per-segment-kind aggregates onto the telemetry engine
     /// plane — grid-style counters (`serve.seg.{kind}.d00.{count,ns}`)
     /// plus span aggregates — so serve-side time breaks down through
-    /// the same registry/export path as the sim event loop.
+    /// the same registry/export path as the sim event loop. Each kind's
+    /// ns is its *self* time: its segments' duration minus that of the
+    /// segments nested directly inside them, so the kinds partition the
+    /// traces' queue + attempt time instead of counting nested time twice.
     pub fn export_telemetry(&self, tel: &mut Telemetry) {
         if !self.enabled || !tel.is_enabled() {
             return;
         }
-        let mut totals: [(u64, u64); 5] = [(0, 0); 5];
-        for tr in self.traces.values() {
-            for s in &tr.segments {
-                let k = match s.kind {
-                    SegKind::Queue => 0,
-                    SegKind::Attempt => 1,
-                    SegKind::Execute => 2,
-                    SegKind::BlockScan => 3,
-                    SegKind::Cancel => 4,
-                };
-                totals[k].0 += 1;
-                totals[k].1 += (s.end_us - s.start_us) * 1_000;
+        let mut counts = [0u64; 5];
+        let mut total_us = [0u64; 5];
+        for s in self.traces.values().flat_map(|tr| &tr.segments) {
+            counts[s.kind as usize] += 1;
+            total_us[s.kind as usize] += s.end_us - s.start_us;
+        }
+        let mut self_us = total_us;
+        for kind in SegKind::ALL {
+            if let Some(parent) = kind.parent() {
+                self_us[parent as usize] -= total_us[kind as usize];
             }
         }
-        for (kind, (count, ns)) in SegKind::ALL.iter().zip(totals.iter()) {
+        for kind in SegKind::ALL {
+            let (count, ns) = (counts[kind as usize], self_us[kind as usize] * 1_000);
             tel.count(
                 &format!("serve.seg.{}.d00.count", kind.name()),
                 Plane::Engine,
-                *count,
+                count,
             );
             tel.count(
                 &format!("serve.seg.{}.d00.ns", kind.name()),
                 Plane::Engine,
-                *ns,
+                ns,
             );
-            tel.span_aggregate(&format!("serve.{}", kind.name()), *count, *ns);
+            tel.span_aggregate(&format!("serve.{}", kind.name()), count, ns);
         }
     }
 }
@@ -628,8 +640,17 @@ mod tests {
         w.export_telemetry(&mut tel);
         let snap = tel.snapshot();
         let rows = borg_telemetry::grid_breakdown(&snap, "serve.seg");
+        let ns = |kind: &str| rows.iter().find(|r| r.kind == kind).unwrap().total_ns;
         let queue = rows.iter().find(|r| r.kind == "queue").unwrap();
         assert_eq!(queue.count, 1);
-        assert_eq!(queue.total_ns, 50_000);
+        // Self time: attempt 150..400 less execute 170..400; execute
+        // less the block scan that covers all of it.
+        assert_eq!(ns("queue"), 50_000);
+        assert_eq!(ns("attempt"), 20_000);
+        assert_eq!(ns("execute"), 0);
+        assert_eq!(ns("block_scan"), 230_000);
+        // The kinds partition the root span, submission 100 to terminal 400.
+        let total: u64 = rows.iter().map(|r| r.total_ns).sum();
+        assert_eq!(total, 300_000);
     }
 }

@@ -14,11 +14,11 @@ use crate::autopilot::Autopilot;
 use crate::config::SimConfig;
 use crate::event::{Ev, EventQueue, KIND_NAMES};
 use crate::faults::FaultInjector;
+use crate::index::PlacementIndex;
 use crate::machine::Machine;
 use crate::metrics::{tier_key, SimMetrics};
 use crate::pending::PendingQueue;
 use crate::runset::RunningSet;
-use crate::shard::ShardedPlacement;
 use borg_telemetry::{clock, PhaseGrid, Plane, Snapshot, Telemetry};
 use borg_trace::collection::{
     CollectionEvent, CollectionId, CollectionType, SchedulerKind, UserId, VerticalScalingMode,
@@ -134,10 +134,8 @@ pub struct CellSim<'a> {
     profile: &'a CellProfile,
     cfg: &'a SimConfig,
     machines: Vec<Machine>,
-    /// Sharded placement index kept in lock-step with every machine
-    /// mutation (one shard unless the config asks for more — see
-    /// `SimConfig::effective_shards`).
-    index: ShardedPlacement,
+    /// Placement index kept in lock-step with every machine mutation.
+    index: PlacementIndex,
     jobs: Vec<JobRt>,
     allocs: Vec<AllocRt>,
     job_by_id: std::collections::BTreeMap<u64, usize>,
@@ -242,7 +240,7 @@ impl<'a> CellSim<'a> {
         let reporting_tiers: Vec<Tier> = profile.tiers.iter().map(|t| tier_key(t.tier)).collect();
         let metrics = SimMetrics::new(&profile.name, cfg.horizon, &reporting_tiers);
 
-        let index = ShardedPlacement::new(&machines, cfg.effective_shards(machines.len()));
+        let index = PlacementIndex::new(&machines);
         // The injector owns an independent RNG stream: enabling faults
         // never perturbs the fleet, workload, or placement draws.
         let faults = cfg.faults.as_ref().map(|fc| {
@@ -578,7 +576,7 @@ impl<'a> CellSim<'a> {
 
     fn finalize(&mut self) {
         self.now = self.cfg.horizon;
-        self.metrics.index = self.index.stats();
+        self.metrics.index = self.index.stats;
         // Close allocation intervals for still-running tasks (alive at
         // trace end, like real long-running services).
         let still_running: Vec<(usize, usize)> = self.running.to_vec();
@@ -610,9 +608,8 @@ impl<'a> CellSim<'a> {
     /// trace's rows and the placement-index counters as telemetry
     /// counters, so a single snapshot answers both "where did the time
     /// go" and "what did the scheduler do". Simulation-state tallies are
-    /// deterministic-plane; index internals are engine-plane
-    /// (legitimately different between shard counts, even though the
-    /// traces are bit-identical).
+    /// deterministic-plane; index internals are engine-plane (how a
+    /// placement was answered, never part of what the scheduler decided).
     fn export_metrics_telemetry(&mut self) {
         if !self.tel.is_enabled() {
             return;
@@ -669,7 +666,7 @@ impl<'a> CellSim<'a> {
         for (name, value) in stalls.into_iter().chain(evictions) {
             self.tel.count(&name, det, value);
         }
-        let ix = self.index.stats();
+        let ix = self.index.stats;
         let eng = Plane::Engine;
         self.tel.count("sim.index.cache_hits", eng, ix.cache_hits);
         self.tel
@@ -683,35 +680,6 @@ impl<'a> CellSim<'a> {
         self.tel.count("sim.index.rescored", eng, ix.rescored);
         self.tel
             .count("sim.index.preempt_probes", eng, ix.preempt_probes);
-        self.tel
-            .count("sim.index.shards", eng, self.index.shard_count() as u64);
-        if self.index.shard_count() > 1 {
-            // Per-shard probe counters expose load skew across the
-            // contiguous ranges (engine plane: observability only,
-            // never part of the deterministic contract).
-            for (s, st) in self.index.per_shard_stats().into_iter().enumerate() {
-                self.tel.count(
-                    &format!("sim.index.shard{s}.cache_hits"),
-                    eng,
-                    st.cache_hits,
-                );
-                self.tel.count(
-                    &format!("sim.index.shard{s}.cache_misses"),
-                    eng,
-                    st.cache_misses,
-                );
-                self.tel.count(
-                    &format!("sim.index.shard{s}.leaves_scanned"),
-                    eng,
-                    st.leaves_scanned,
-                );
-                self.tel.count(
-                    &format!("sim.index.shard{s}.preempt_probes"),
-                    eng,
-                    st.preempt_probes,
-                );
-            }
-        }
     }
 }
 

@@ -54,12 +54,9 @@ pub struct SimConfig {
     /// empty snapshot. Telemetry never influences simulation results —
     /// traces are bit-identical either way (see DESIGN.md §12).
     pub telemetry: bool,
-    /// Number of placement-index shards (`crate::shard`): the fleet is
-    /// split into this many contiguous ranges, probed one after another
-    /// and combined deterministically — bit-identical to one index for
-    /// any value (DESIGN.md §14). `None` (the default) is one shard, on
-    /// every host: splitting never pays back (DESIGN.md §14 measures K=2
-    /// against K=1 on a 1024-machine cell-day).
+    /// Ignored: the cell always runs one placement index, and the field
+    /// is kept only because `benchmark/` names it until ROADMAP item 1
+    /// deletes it.
     pub placement_shards: Option<usize>,
     /// RNG seed.
     pub seed: u64,
@@ -109,11 +106,10 @@ impl SimConfig {
         }
     }
 
-    /// The shard count the cell will actually use for a fleet of
-    /// `machines`: the explicit `placement_shards` clamped to the fleet,
-    /// or 1 when unset.
-    pub fn effective_shards(&self, machines: usize) -> usize {
-        self.placement_shards.unwrap_or(1).clamp(1, machines.max(1))
+    /// Always 1, whatever `placement_shards` holds: kept only because
+    /// `benchmark/` names it until ROADMAP item 1 deletes it.
+    pub fn effective_shards(&self, _machines: usize) -> usize {
+        1
     }
 
     /// Number of machines to simulate for a profile.
@@ -158,9 +154,6 @@ impl SimConfig {
             self.equivalence_class_speedup >= 1.0,
             "equivalence-class speedup must be >= 1"
         );
-        if let Some(k) = self.placement_shards {
-            assert!(k >= 1, "placement_shards must be >= 1");
-        }
         if let Some(f) = &self.faults {
             f.validate();
         }
@@ -209,24 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn effective_shards_honors_mode_and_clamps() {
+    fn placement_shards_is_ignored() {
         let mut cfg = SimConfig::tiny_for_tests(1);
-        // Explicit K wins, clamped to the fleet.
-        cfg.placement_shards = Some(4);
-        assert_eq!(cfg.effective_shards(10_000), 4);
-        assert_eq!(cfg.effective_shards(3), 3);
-        assert_eq!(cfg.effective_shards(0), 1);
-        // Unset is one shard, whatever the fleet or the host.
-        cfg.placement_shards = None;
-        assert_eq!(cfg.effective_shards(1 << 20), 1);
-        assert_eq!(cfg.effective_shards(0), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "placement_shards")]
-    fn zero_shards_panics() {
-        let mut cfg = SimConfig::month(1);
-        cfg.placement_shards = Some(0);
-        cfg.validate();
+        for k in [None, Some(1), Some(16)] {
+            cfg.placement_shards = k;
+            assert_eq!(cfg.effective_shards(1024), 1, "{k:?}");
+        }
     }
 }

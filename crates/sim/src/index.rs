@@ -1,5 +1,7 @@
 //! The scheduler's placement index: sub-linear best-fit and preemption
-//! probes over the machine fleet.
+//! probes over the machine fleet. Each cell owns exactly one, over its
+//! whole fleet; parallelism lives across cells (`multi`), never inside
+//! a placement.
 //!
 //! The naive Borgmaster loop scans every machine per placement — an
 //! O(machines · tasks) wall that caps cell sizes at toys. Borg's
@@ -48,8 +50,8 @@
 //! # Determinism contract
 //!
 //! Every query returns the same machine the naive scan
-//! (`crate::reference`, the test-only model the unit tests here and in
-//! `shard.rs` compare against) would pick, with the same score bits:
+//! (`crate::reference`, the test-only model the unit tests here compare
+//! against) would pick, with the same score bits:
 //!
 //! - Scores come from the identical float expression as
 //!   [`Machine::fit_score`] — same adds, same divides, same `max` — so
@@ -248,26 +250,6 @@ impl FeasTree {
         }
         self.walk_preempt(2 * node, needed, tier, check)
             .or_else(|| self.walk_preempt(2 * node + 1, needed, tier, check))
-    }
-
-    /// Every real leaf whose inflated bound admits `needed`, in
-    /// ascending machine order — the same pruning as
-    /// [`FeasTree::walk_preempt`], but without the exact victim check,
-    /// which the sharded layer runs itself in global machine order (see
-    /// [`crate::shard`]).
-    fn collect_preemptible(&self, node: usize, needed: Resources, tier: Tier, out: &mut Vec<u32>) {
-        if !self.nodes[node].may_preempt(needed, tier) {
-            return;
-        }
-        if node >= self.size {
-            let mi = node - self.size;
-            if mi < self.machines {
-                out.push(mi as u32);
-            }
-            return;
-        }
-        self.collect_preemptible(2 * node, needed, tier, out);
-        self.collect_preemptible(2 * node + 1, needed, tier, out);
     }
 }
 
@@ -746,39 +728,20 @@ impl PlacementIndex {
         tier: Tier,
     ) -> Option<(usize, f64)> {
         debug_assert_eq!(machines.len(), self.mirror.len());
-        if let Some(answer) = self.cached_best_fit(request, tier) {
-            return answer;
-        }
-        self.scan_best_fit(request, tier)
-    }
-
-    /// The score-cache half of [`PlacementIndex::best_fit`]: `Some` with
-    /// the exact answer on a hit (including cached "nothing fits"),
-    /// `None` on a miss. The sharded layer probes each shard's cache and
-    /// scans only the shards that miss.
-    pub(crate) fn cached_best_fit(
-        &mut self,
-        request: Resources,
-        tier: Tier,
-    ) -> Option<Option<(usize, f64)>> {
         let key = ShapeKey::of(request, tier);
         let d = discount(request, tier);
-        self.cache.lookup(
+        if let Some(answer) = self.cache.lookup(
             key,
             &self.mirror,
             request,
             d,
             &mut self.scores,
             &mut self.stats,
-        )
-    }
-
-    /// The miss half of [`PlacementIndex::best_fit`]: a full mirror scan
-    /// plus a cache store. Touches only the mirror columns, never the
-    /// `Machine` structs.
-    pub(crate) fn scan_best_fit(&mut self, request: Resources, tier: Tier) -> Option<(usize, f64)> {
-        let key = ShapeKey::of(request, tier);
-        let d = discount(request, tier);
+        ) {
+            return answer;
+        }
+        // Miss: one flat pass over the mirror columns (never the
+        // `Machine` structs), then a cache store.
         self.stats.cache_misses += 1;
         let n = self.mirror.len();
         score_rows(&self.mirror.rows, request, d, &mut self.scores);
@@ -805,31 +768,6 @@ impl PlacementIndex {
         self.tree.first_preemptible(needed, tier, &mut |mi| {
             machines[mi].preemption_victims(request, tier)
         })
-    }
-
-    /// Flushes dirty preemption-tree leaves. The sharded layer calls
-    /// this on every shard before enumerating candidates.
-    pub(crate) fn flush_for_preempt(&mut self, machines: &[Machine]) {
-        self.flush_tree(machines);
-    }
-
-    /// Preemption candidates for the sharded layer: the shard-local
-    /// indices of every machine whose inflated tree bound admits
-    /// `needed`, ascending. Requires [`PlacementIndex::flush_for_preempt`]
-    /// first. The caller runs the exact `preemption_victims` checks in
-    /// global machine order with early exit, so the first passing
-    /// machine is exactly the one the naive walk returns; bound-passing
-    /// leaves the naive walk never visited (because it exited earlier)
-    /// are rejected by the same exact check and cost only the visit.
-    pub(crate) fn preempt_candidates(&mut self, needed: Resources, tier: Tier) -> Vec<u32> {
-        self.stats.preempt_probes += 1;
-        debug_assert!(
-            self.dirty_list.is_empty(),
-            "flush_for_preempt must run first"
-        );
-        let mut out = Vec::new();
-        self.tree.collect_preemptible(1, needed, tier, &mut out);
-        out
     }
 }
 

@@ -42,7 +42,6 @@ pub mod pending;
 #[cfg(test)]
 mod reference;
 pub mod runset;
-pub mod shard;
 
 pub use cell::{CellOutcome, CellSim};
 pub use config::SimConfig;
@@ -53,4 +52,3 @@ pub use faults::{
 pub use index::PlacementIndex;
 pub use metrics::SimMetrics;
 pub use multi::run_cells_parallel;
-pub use shard::ShardedPlacement;

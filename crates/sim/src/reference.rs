@@ -1,6 +1,6 @@
 //! The test-only reference model of placement: the O(machines) scans
 //! the scheduler ran before the placement index existed, kept once as
-//! the live oracle the `index`, `shard` and `cell::dispatch` unit tests
+//! the live oracle the `index` and `cell::dispatch` unit tests
 //! compare the production structures against (the frozen oracle is
 //! `tests/golden.rs`). Each function is the plainest possible statement
 //! of the policy: best fit keeps the first machine among equal scores,

@@ -49,7 +49,9 @@ Modes (at most one):
              and for this checkout, the difference, and each crate whose
              count changed (a file counts up to the #[cfg(test)] that
              opens a test module; a file declared by #[cfg(test)] mod
-             name; counts nothing). Before the first pair and after the
+             name; counts nothing), then one line of test lines: the
+             rest of those files plus crates/*/tests and tests/. Before
+             the first pair and after the
              last it prints the host's two-thread regime: the time of
              one CPU-bound kernel alone against two copies of it at once
              (median of three; ratio 1 = two free cores, 2 = one)
@@ -139,7 +141,9 @@ if [ "$mode" = --compare ]; then
     # Non-test lines of crates/*/src under $1, one `crate lines` row per
     # crate. A file counts up to a `#[cfg(test)]` that opens a `mod … {`
     # (comments and other attributes may stand between the two); a file
-    # that a `#[cfg(test)] mod name;` declares counts nothing.
+    # that a `#[cfg(test)] mod name;` declares counts nothing. One more
+    # row, `~tests lines`, holds the test lines: the rest of those files
+    # and every .rs file under crates/*/tests and tests/.
     src_lines() {
         (cd "$1" && find crates/*/src -name '*.rs' | sort | xargs awk '
             function item(line, name) {
@@ -156,7 +160,7 @@ if [ "$mode" = --compare ]; then
                 }
                 held = 0
             }
-            function flush() { if (file != "") print "file", file, n + held }
+            function flush() { if (file != "") print "file", file, n + held, total }
             FNR == 1 {
                 flush()
                 file = FILENAME; n = 0; held = 0; test = 0
@@ -164,6 +168,7 @@ if [ "$mode" = --compare ]; then
                 sub(/\.rs$/, "", dir)
                 if (dir ~ /\/(lib|main|mod)$/) sub(/\/[^\/]*$/, "", dir)
             }
+            { total = FNR }
             test { next }
             held && /^[[:space:]]*(\/\/|#\[|$)/ { held++; next }
             held { held++; item($0); next }
@@ -175,18 +180,24 @@ if [ "$mode" = --compare ]; then
                 next
             }
             { n++ }
-            END { flush() }' | awk '
+            END { flush() }' | awk -v test_dirs="$(find crates/*/tests tests -name '*.rs' | xargs cat | wc -l)" '
             $1 == "skip" { skip[$2] = 1; next }
-            { lines[$2] = $3 }
+            { lines[$2] = $3; total[$2] = $4 }
             END {
-                for (f in lines) if (!(f in skip)) { split(f, p, "/"); crate[p[2]] += lines[f] }
+                tests = test_dirs
+                for (f in lines) {
+                    if (f in skip) { tests += total[f]; continue }
+                    split(f, p, "/"); crate[p[2]] += lines[f]; tests += total[f] - lines[f]
+                }
                 for (c in crate) print c, crate[c]
+                print "~tests", tests
             }' | sort)
     }
     parent_lines=$(src_lines "$parent_root")
     change_lines=$(src_lines .)
     { printf '%s\n' "$parent_lines" | sed 's/^/parent /'
       printf '%s\n' "$change_lines" | sed 's/^/change /'; } | awk -v rev="$parent" '
+        $2 == "~tests" { tests[$1] = $3; next }
         { n[$1, $2] = $3; total[$1] += $3; crates[$2] = 1 }
         END {
             printf "==> non-test lines in crates/*/src: %s %d, this checkout %d, difference %+d\n",
@@ -194,6 +205,9 @@ if [ "$mode" = --compare ]; then
             for (c in crates) if (n["parent", c] != n["change", c])
                 printf "    %s %d -> %d (%+d)\n", c, n["parent", c], n["change", c],
                     n["change", c] - n["parent", c] | "sort"
+            close("sort")
+            printf "==> test lines (#[cfg(test)] modules, crates/*/tests, tests/): %s %d, this checkout %d, difference %+d\n",
+                rev, tests["parent"], tests["change"], tests["change"] - tests["parent"]
         }'
     parent_target=$base/$parent-target
     change_target=$base/checkout-target

@@ -1,4 +1,4 @@
-//! Observability determinism contracts (DESIGN.md §17).
+//! Observability determinism contracts (DESIGN.md §16).
 //!
 //! The witness span trees, SLO alert sequence, and flight-recorder
 //! dump all live on the deterministic plane: for a fixed seed and
@@ -197,7 +197,7 @@ fn incident(epoch: &Arc<Epoch>, seed: u64, observe: bool) -> SimReport {
     ServeSim::default().run(cfg, std::slice::from_ref(epoch), &arrivals)
 }
 
-/// DESIGN.md §17: the witness, the SLO engine and the flight recorder
+/// DESIGN.md §16: the witness, the SLO engine and the flight recorder
 /// observe the decisions and never change one.
 #[test]
 fn observability_is_a_pure_observer() {

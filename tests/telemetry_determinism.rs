@@ -4,10 +4,10 @@
 //! runs give byte-identical snapshots, and since it only records *what*
 //! the simulation did — never how the engine did it — its bytes are
 //! pinned per configuration in `crates/sim/tests/golden.rs` to what the
-//! naive scan recorded. Engine-plane counters (index hit/miss)
-//! legitimately differ across shard counts and are only stable per
-//! config. Disabled telemetry produces an empty snapshot and never
-//! perturbs the simulated trace.
+//! naive scan recorded. Engine-plane counters (index hit/miss) say how
+//! the index answered, not what was decided, and are pinned nowhere.
+//! Disabled telemetry produces an empty snapshot and never perturbs the
+//! simulated trace.
 
 use borg_sim::{CellSim, SimConfig};
 use borg_workload::cells::CellProfile;
