@@ -1249,4 +1249,109 @@ mod tests {
             None
         );
     }
+
+    /// An empty fleet's "nothing fits" is stored like any other: the
+    /// second ask is a negative hit, and no query scores a machine.
+    #[test]
+    fn empty_fleet_none_is_cached_as_a_negative_answer() {
+        let machines: Vec<Machine> = Vec::new();
+        let mut index = PlacementIndex::new(&machines);
+        let request = Resources::new(0.1, 0.1);
+        for _ in 0..2 {
+            assert_eq!(index.best_fit(&machines, request, Tier::Free), None);
+            assert_eq!(
+                index.first_preemptible(&machines, request, Tier::Production),
+                None
+            );
+        }
+        assert_eq!(index.stats.cache_misses, 1);
+        assert_eq!(index.stats.negative_hits, 1);
+        assert_eq!(index.stats.leaves_scanned, 0);
+        assert_eq!(index.stats.preempt_probes, 2);
+    }
+
+    /// Capacity alone churns: each step fails (capacity to zero, as
+    /// `fail_machine` does) or restores one machine of a uniform fleet,
+    /// and every step asks one shape.
+    #[test]
+    fn capacity_churn_stays_exact() {
+        let seed = 17u64;
+        let mut machines: Vec<Machine> = (0..24)
+            .map(|i| Machine::new(MachineId(i), Resources::new(1.0, 1.0)))
+            .collect();
+        let mut index = PlacementIndex::new(&machines);
+        let request = Resources::new(0.3, 0.3);
+        for step in 0..400u64 {
+            let r = splitmix64(seed.wrapping_add(step * 2654435761));
+            let mi = (r % 24) as usize;
+            machines[mi].capacity = if r.is_multiple_of(3) {
+                Resources::ZERO
+            } else {
+                Resources::new(1.0, 1.0)
+            };
+            index.on_machine_changed(mi, &machines[mi]);
+            let expect = naive_best_fit(&machines, request, Tier::Mid);
+            assert_eq!(
+                index.best_fit(&machines, request, Tier::Mid),
+                expect,
+                "step {step}"
+            );
+        }
+    }
+
+    /// Commits, frees and preemption probes with each shape asked once
+    /// per step, so a lookup always follows fresh mutations.
+    #[test]
+    fn single_queries_between_commits_and_frees_match_naive_scan() {
+        let seed = 99u64;
+        let mut machines: Vec<Machine> = (0..37)
+            .map(|i| {
+                let r = splitmix64(seed ^ (i as u64 * 7919));
+                let cpu = 0.3 + (r % 100) as f64 / 120.0;
+                let mem = 0.3 + (r / 100 % 100) as f64 / 120.0;
+                Machine::new(MachineId(i), Resources::new(cpu, mem))
+            })
+            .collect();
+        let mut index = PlacementIndex::new(&machines);
+        let mut occupants: Vec<(usize, usize)> = Vec::new();
+        let mut next_owner = 0usize;
+        let shapes = seeded_shapes(seed, 8);
+        for step in 0..3000u64 {
+            let r = splitmix64(seed.wrapping_mul(31).wrapping_add(step));
+            let request = shapes[(r % 8) as usize];
+            let tier = tier_of(r / 1369);
+            match r % 11 {
+                0..=2 => {
+                    if !occupants.is_empty() {
+                        let i = (r / 13) as usize % occupants.len();
+                        let (mi, owner) = occupants.swap_remove(i);
+                        machines[mi].remove(owner, 0).expect("occupant present");
+                        index.on_machine_changed(mi, &machines[mi]);
+                    }
+                }
+                3..=7 => {
+                    let expect = naive_best_fit(&machines, request, tier);
+                    let got = index.best_fit(&machines, request, tier);
+                    assert_eq!(got, expect, "step {step}");
+                    if let Some((mi, _)) = got {
+                        machines[mi].add(occupant(next_owner, tier, request));
+                        index.on_machine_changed(mi, &machines[mi]);
+                        occupants.push((mi, next_owner));
+                        next_owner += 1;
+                    }
+                }
+                _ => {
+                    let tier = if r.is_multiple_of(2) {
+                        Tier::Production
+                    } else {
+                        Tier::Monitoring
+                    };
+                    let expect = naive_first_preemptible(&machines, request, tier);
+                    let got = index.first_preemptible(&machines, request, tier);
+                    assert_eq!(got, expect, "step {step}");
+                }
+            }
+        }
+        assert!(index.stats.cache_misses > 0 && index.stats.cache_hits > 0);
+    }
 }
